@@ -211,9 +211,6 @@ class Rectangle:
     def label_c(self, d: int) -> int:
         return d + self.j0 - self.i0 - self.p + 1
 
-    def label_d(self, d: int) -> int:
-        return self.label_c(d) + self.p + self.q - 1
-
     def left_labels(self, d: int) -> tuple:
         c = self.label_c(d)
         return tuple(range(c, c + self.p))
@@ -346,27 +343,6 @@ class LabelSets:
     Jp: list
     K: list
     Kp: list
-
-
-def _components(boxes: set) -> list:
-    """Connected components under closed-region contact (edge or corner)."""
-    remaining = set(boxes)
-    comps = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            (i, j) = frontier.pop()
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    nb = (i + di, j + dj)
-                    if nb in remaining:
-                        remaining.remove(nb)
-                        comp.add(nb)
-                        frontier.append(nb)
-        comps.append(comp)
-    return comps
 
 
 def label_sets(tiling: Tiling, g: GrassData) -> LabelSets:

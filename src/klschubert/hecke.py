@@ -416,15 +416,15 @@ class HeckeAlgebra:
 
     def parabolic_kl(self, v: WeylElt, w: WeylElt, J) -> tuple:
         """P^J_{v,w} = P_{v, w w_J} for v, w in W^J."""
-        self._require_min_rep(v, J)
-        self._require_min_rep(w, J)
+        self.system.require_min_rep(v, J)
+        self.system.require_min_rep(w, J)
         wj = self.system.longest_parabolic(J)
         return self.kl_polynomial(v, w * wj)
 
     def inverse_parabolic_kl(self, u: WeylElt, w: WeylElt, J) -> tuple:
         """Q^J_{u,w} = sum over v in W_J of eps_v eps_{w_J} Q_{u w_J, w v}."""
-        self._require_min_rep(u, J)
-        self._require_min_rep(w, J)
+        self.system.require_min_rep(u, J)
+        self.system.require_min_rep(w, J)
         wj = self.system.longest_parabolic(J)
         acc: dict = {}
         for v in self.system.parabolic_elements(J):
@@ -434,10 +434,6 @@ class HeckeAlgebra:
                 acc[j] = acc.get(j, 0) + sign * c
         top = max((j for j, c in acc.items() if c), default=-1)
         return tuple(acc.get(j, 0) for j in range(top + 1))
-
-    def _require_min_rep(self, w: WeylElt, J):
-        if set(J).intersection(self.system.right_descents(w)):
-            raise ValueError(f"{w!r} is not a minimal coset representative for J={J}")
 
 
 def qpoly_str(coeffs: tuple) -> str:

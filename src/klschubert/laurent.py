@@ -69,19 +69,6 @@ class LaurentPoly:
         z = (0,) * self.arity
         return len(self.terms) == 1 and self.terms.get(z) == 1
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def constant_value(self):
-        """The integer value if this is a constant, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            ((e, c),) = self.terms.items()
-            if all(x == 0 for x in e):
-                return c
-        return None
-
     def sort_key(self):
         """Canonical hashable key: terms sorted by descending monomial order."""
         if self._key is None:
@@ -92,12 +79,6 @@ class LaurentPoly:
         """(exponent tuple, coefficient) of the lex-largest monomial."""
         e = max(self.terms)
         return e, self.terms[e]
-
-    def total_span(self) -> int:
-        """max over terms of sum |e_i|; a degree bound for identity testing."""
-        if not self.terms:
-            return 0
-        return max(sum(abs(x) for x in e) for e in self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

@@ -194,20 +194,22 @@ class Localization:
         w0 = self.system.w0
         return self.odot(self.mult.delta(w0), self.mc_cell(w0 * v))
 
+    def _t2_binomials(self, weights) -> list:
+        """The binomials 1 - t^-2 e^{lam}, one per weight."""
+        one = LaurentPoly.const(self.system.rank + 1, 1)
+        return [one - LaurentPoly.monomial((-2,) + tuple(lam), 1) for lam in weights]
+
     def lambda_cotangent_factors(self, u: WeylElt, J=()):
         """The binomial factors (1 - t^-2 e^{u a}), a in Sigma^+ minus Sigma_J^+."""
-        arity = self.system.rank + 1
-        Jset = set(J)
-        out = []
-        for alpha in self.system.positive_roots:
-            if all(x == 0 or i in Jset for i, x in enumerate(alpha.simple)):
-                continue
-            ua = u.act_weight(alpha.weight)
-            out.append(
-                LaurentPoly.const(arity, 1)
-                - LaurentPoly.monomial((-2,) + tuple(ua), 1)
-            )
-        return out
+        return self._t2_binomials(
+            u.act_weight(a.weight) for a in self.system.roots_outside(J)
+        )
+
+    def _normalizer_factors(self, J=()):
+        """The binomial factors (1 - t^-2 e^{-a}), a in Sigma^+ minus Sigma_J^+."""
+        return self._t2_binomials(
+            tuple(-x for x in a.weight) for a in self.system.roots_outside(J)
+        )
 
     def lambda_cotangent(self, J=()) -> CohClass:
         """lambda_{-t^-2} of the cotangent bundle, restricted fixed point by point."""
@@ -237,12 +239,7 @@ class Localization:
     def serre_dual(self, c: CohClass, J=()) -> CohClass:
         """(D c)_u = (-1)^{N_J} dualize(c_u) * prod e^{u a} over Sigma^+ - Sigma_J^+."""
         system = self.system
-        Jset = set(J)
-        rel_roots = [
-            a
-            for a in system.positive_roots
-            if not all(x == 0 or i in Jset for i, x in enumerate(a.simple))
-        ]
+        rel_roots = system.roots_outside(J)
         sign = -1 if len(rel_roots) % 2 else 1
         two_rho = [0] * system.rank
         for a in rel_roots:
@@ -264,13 +261,10 @@ class Localization:
         """1 / prod_{a>0} (1 - t^-2 e^{-a}), lifted once."""
         if self._smc_norm is None:
             arity = self.system.rank + 1
-            facs = [
-                LaurentPoly.const(arity, 1)
-                - LaurentPoly.monomial((-2,) + tuple(-x for x in a.weight), 1)
-                for a in self.system.positive_roots
-            ]
             self._smc_norm = self.dom.lift(
-                RatFunc.from_den_factors(LaurentPoly.const(arity, 1), facs)
+                RatFunc.from_den_factors(
+                    LaurentPoly.const(arity, 1), self._normalizer_factors()
+                )
             )
         return self._smc_norm
 
@@ -315,11 +309,8 @@ class Localization:
     def pairing_normalizer(self, J=()):
         """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, exact and lifted."""
         arity = self.system.rank + 1
-        Jset = set(J)
         val = RatFunc.from_int(arity, 1)
-        for a in self.system.positive_roots:
-            if all(x == 0 or i in Jset for i, x in enumerate(a.simple)):
-                continue
+        for a in self.system.roots_outside(J):
             val = val * RatFunc(
                 LaurentPoly.t_power(arity, 1)
                 - LaurentPoly.monomial((-1,) + tuple(-x for x in a.weight), 1)
@@ -352,13 +343,9 @@ class Localization:
         """Cross-check expansion of C~_w in Segre classes of opposite cells."""
         system = self.system
         w0 = system.w0
-        arity = system.rank + 1
-        norm = RatFunc.from_int(arity, 1)
-        for a in system.positive_roots:
-            norm = norm * RatFunc(
-                LaurentPoly.const(arity, 1)
-                - LaurentPoly.monomial((-2,) + tuple(-x for x in a.weight), 1)
-            )
+        norm = RatFunc.from_int(system.rank + 1, 1)
+        for f in self._normalizer_factors():
+            norm = norm * RatFunc(f)
         out = CohClass(self.mult, {})
         base = w.inverse() * w0
         for v in system.elements:
@@ -374,39 +361,30 @@ class Localization:
 
     # ---------- parabolic classes ----------
 
-    def _require_min_rep(self, w: WeylElt, J):
-        if set(J).intersection(self.system.right_descents(w)):
-            raise ValueError(f"{w!r} is not a minimal coset representative for J={J}")
-
     def mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
         """MC of a cell downstairs: Y_J . MC(cell u)."""
-        self._require_min_rep(u, J)
+        self.system.require_min_rep(u, J)
         cls = self.bullet(self.mult.pushpull_rel(tuple(J), ()), self.mc_cell(u))
         cls.J = tuple(J)
         return cls
 
     def smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
         """SMC of an opposite cell downstairs, via w_0-translation and duality."""
-        self._require_min_rep(v, J)
         system = self.system
+        system.require_min_rep(v, J)
         w0 = system.w0
         wj = system.longest_parabolic(J)
         u = w0 * v * wj
-        self._require_min_rep(u, J)
+        system.require_min_rep(u, J)
         mc_opp = self.odot(self.mult.delta(w0), self.mc_cell_parabolic(u, J))
         dual = self.serre_dual(mc_opp, J)
-        n_j = sum(
-            1
-            for a in system.positive_roots
-            if not all(x == 0 or i in set(J) for i, x in enumerate(a.simple))
-        )
-        dim = n_j - v.length
+        dim = len(system.roots_outside(J)) - v.length
         out = {x: val * self._lambda_inv(x, J) for x, val in dual.restrictions.items()}
         return CohClass(self.mult, out, tuple(J)).scale(self.mult.scalar_t(-2 * dim))
 
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
         """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J."""
-        self._require_min_rep(w, J)
+        self.system.require_min_rep(w, J)
         out = CohClass(self.mult, {}, tuple(J))
         lw = w.length
         for u in self.system.minimal_coset_reps(J):
@@ -422,8 +400,8 @@ class Localization:
 
     def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
         """C~^J_w, from inverse parabolic KL polynomials and Segre classes."""
-        self._require_min_rep(w, J)
         system = self.system
+        system.require_min_rep(w, J)
         wj = system.longest_parabolic(J)
         shift = (wj * w.inverse() * system.w0).length
         out = CohClass(self.mult, {}, tuple(J))
@@ -436,16 +414,9 @@ class Localization:
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
             out = out + self.smc_cell_parabolic(v, J).scale(self.mult.t_poly(poly))
-        arity = system.rank + 1
-        norm = RatFunc.from_int(arity, 1)
-        Jset = set(J)
-        for a in system.positive_roots:
-            if all(x == 0 or i in Jset for i, x in enumerate(a.simple)):
-                continue
-            norm = norm * RatFunc(
-                LaurentPoly.const(arity, 1)
-                - LaurentPoly.monomial((-2,) + tuple(-x for x in a.weight), 1)
-            )
+        norm = RatFunc.from_int(system.rank + 1, 1)
+        for f in self._normalizer_factors(J):
+            norm = norm * RatFunc(f)
         out = out.scale(self.dom.lift(norm))
         out.J = tuple(J)
         return out
@@ -461,16 +432,12 @@ class Localization:
 
     def kl_schubert(self, w: WeylElt, J=()) -> CohClass:
         """mu^{-l(w w_J)} psi(gamma_{w w_J}) o pt_e in the hyperbolic model."""
-        self._require_min_rep(w, J)
+        self.system.require_min_rep(w, J)
         target = w * self.system.longest_parabolic(J)
         g = self.hecke.kl_basis(target)
         op = self.hyp.hecke_to_qw(g)
-        scal = self.dom.one
-        inv_mu = self.hyp.scalar_mu().inv()
-        for _ in range(target.length):
-            scal = scal * inv_mu
         cls = self.odot(op, self.point_class(self.system.identity, "hyperbolic"))
-        cls = cls.scale(scal)
+        cls = cls.scale(self.hyp.inv_mu_power(target.length))
         cls.J = tuple(J) or None
         return cls
 
@@ -493,7 +460,7 @@ class Localization:
         """
         system = self.system
         if J:
-            self._require_min_rep(w, J)
+            system.require_min_rep(w, J)
             target = w * system.longest_parabolic(J)
         else:
             target = w

@@ -189,23 +189,13 @@ class OrbitDomain:
         self.size = len(self.points)
         # weyl permutation: value of (w f) at point u*P is f((u w)*P)
         order = system.order
-        self._perm = []
-        for widx in range(order):
-            perm = [0] * (2 * order)
-            for u in range(order):
-                uw = self._product_idx(u, widx)
-                perm[u] = uw
-                perm[u + order] = uw + order
-            self._perm.append(perm)
+        self._perm = [
+            col + tuple(uw + order for uw in col)
+            for col in map(system.cayley_column, range(order))
+        ]
         self.one = OrbitScalar(self, (1,) * self.size)
         self.zero = OrbitScalar(self, (0,) * self.size)
         self._lift_cache: dict = {}
-
-    def _product_idx(self, u_idx: int, w_idx: int) -> int:
-        idx = u_idx
-        for i in self.system._words[w_idx]:
-            idx = self.system.right_table[idx][i]
-        return idx
 
     def coerce(self, value) -> OrbitScalar:
         if isinstance(value, OrbitScalar):

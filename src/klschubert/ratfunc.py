@@ -102,10 +102,6 @@ class RatFunc:
         return cls(LaurentPoly.const(arity, c))
 
     @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RatFunc":
-        return cls(p)
-
-    @classmethod
     def from_den_factors(cls, num: LaurentPoly, factors) -> "RatFunc":
         """num divided by a product of polynomial factors (each may repeat)."""
         dc = 1
@@ -146,9 +142,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return not self.num.terms
-
-    def is_poly(self) -> bool:
-        return self.dc == 1 and not self.facs
 
     def __bool__(self):
         return bool(self.num.terms)
@@ -305,14 +298,7 @@ class RatFunc:
     def dualize(self, invert_t: bool = True, invert_chars: bool = True) -> "RatFunc":
         return self._map(lambda p: p.dualize(invert_t, invert_chars))
 
-    # ---------- degree data and evaluation ----------
-
-    def span(self) -> int:
-        """Structural degree bound: span(num) + sum of factor spans."""
-        s = self.num.total_span()
-        for f, mult in self.facs:
-            s += f.total_span() * mult
-        return s
+    # ---------- evaluation ----------
 
     def eval_mod(self, point: tuple, p: int) -> int:
         den = self.dc % p

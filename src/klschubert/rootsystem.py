@@ -8,6 +8,16 @@ RootSystem, so equality is object identity and hashing is by index.
 
 Enumeration is breadth-first from the identity, which makes element indices,
 cached reduced words, and all downstream serialization deterministic.
+
+Every group-combinatorics decision is read off integer tables built once per
+system: the right/left multiplication tables by simple reflections, the
+inverse and length arrays, and a right-descent bitmask per element (bit i set
+iff l(w s_i) < l(w)).  The Cayley table is kept column by column (column w
+holds the index of u*w for every u) and a column is built the first time
+something multiplies by w, so a group that is built and then refused by a
+size guard never holds |W|^2 entries.  Parabolic subsets J are turned into
+the same kind of bitmask, so a minimal coset representative test is one AND,
+and the positive roots outside Sigma_J are cached per J.
 """
 
 from __future__ import annotations
@@ -171,10 +181,15 @@ class RootSystem:
         self._by_matrix = {ident: 0}
         self._lengths = [0]
         self._words = [()]
+        # BFS pops indices in the order it assigns them, so row idx of the
+        # right multiplication table is complete before idx + 1 is visited.
+        self.right_table = []
+        parent, last = [0], [0]
         queue = deque([0])
         while queue:
             idx = queue.popleft()
             m = self._matrices[idx]
+            row = []
             for i in range(n):
                 prod = _matmul(m, self.simple_matrices[i])
                 j = self._by_matrix.get(prod)
@@ -189,28 +204,31 @@ class RootSystem:
                     self._by_matrix[prod] = j
                     self._lengths.append(self._lengths[idx] + 1)
                     self._words.append(self._words[idx] + (i,))
+                    parent.append(idx)
+                    last.append(i)
                     queue.append(j)
+                row.append(j)
+            self.right_table.append(tuple(row))
         self.order = len(self._matrices)
         self.elements = [WeylElt(self, i) for i in range(self.order)]
         self.identity = self.elements[0]
 
-        # Cayley tables for right and left multiplication by simple reflections.
-        self.right_table = []
-        self.left_table = []
-        for idx in range(self.order):
-            m = self._matrices[idx]
-            self.right_table.append(
-                tuple(self._by_matrix[_matmul(m, s)] for s in self.simple_matrices)
-            )
-            self.left_table.append(
-                tuple(self._by_matrix[_matmul(s, m)] for s in self.simple_matrices)
-            )
-        self._inverse = [0] * self.order
-        for idx in range(self.order):
-            j = 0
-            for i in self._words[idx]:
-                j = self.left_table[j][i]
-            self._inverse[idx] = j
+        # With w = parent(w) * s_last(w): s_i * w = (s_i * parent(w)) * s_last(w)
+        # and w^-1 = s_last(w) * parent(w)^-1.  BFS order puts parent(w) first.
+        rt = self.right_table
+        self.left_table = [rt[0]]
+        self._inverse = [0]
+        for w in range(1, self.order):
+            p, i = parent[w], last[w]
+            self.left_table.append(tuple(rt[x][i] for x in self.left_table[p]))
+            self._inverse.append(self.left_table[self._inverse[p]][i])
+        self._parent, self._last = parent, last
+        self._right_perms = [tuple(row[i] for row in rt) for i in range(n)]
+        self._columns = [tuple(range(self.order))] + [None] * (self.order - 1)
+        self._descents = [
+            sum(1 << i for i in range(n) if self._lengths[row[i]] < length)
+            for row, length in zip(self.right_table, self._lengths)
+        ]
 
         self._init_roots(C)
         w0 = max(range(self.order), key=lambda i: self._lengths[i])
@@ -218,6 +236,7 @@ class RootSystem:
         self.w0 = self.elements[w0]
         self._bruhat = {}
         self._wj_cache = {}
+        self._outside_cache = {}
 
     # ---------- roots ----------
 
@@ -252,15 +271,13 @@ class RootSystem:
             self._root_by_weight[weight] = root
         self.positive_roots = [r for r in self.roots if r.positive]
         self.positive_roots.sort(key=lambda r: (sum(r.simple), r.simple))
-        if len(self.positive_roots) != self.w0_length_expected():
+        # roots and group elements are enumerated independently
+        if len(self.positive_roots) != max(self._lengths):
             raise AssertionError("positive root count disagrees with l(w0)")
         self.simple_roots = [
             self._root_by_weight[tuple(C[r][i] for r in range(self.rank))]
             for i in range(self.rank)
         ]
-
-    def w0_length_expected(self):
-        return max(self._lengths)
 
     def root_of_weight(self, weight: tuple):
         return self._root_by_weight.get(tuple(weight))
@@ -289,24 +306,31 @@ class RootSystem:
     # ---------- group operations ----------
 
     def product(self, u: WeylElt, v: WeylElt) -> WeylElt:
-        idx = u.idx
-        for i in v.word:
-            idx = self.right_table[idx][i]
-        return self.elements[idx]
+        col = self._columns[v.idx] or self.cayley_column(v.idx)
+        return self.elements[col[u.idx]]
+
+    def cayley_column(self, w: int) -> tuple:
+        """Indices of u*w for every index u, built on first use and cached."""
+        chain = []
+        while self._columns[w] is None:
+            chain.append(w)
+            w = self._parent[w]
+        col = self._columns[w]
+        for w in reversed(chain):
+            perm = self._right_perms[self._last[w]]
+            col = self._columns[w] = tuple([perm[x] for x in col])
+        return col
 
     def simple_reflection(self, i: int) -> WeylElt:
         return self.elements[self.right_table[0][i]]
 
     def right_descents(self, w: WeylElt):
-        idx, L = w.idx, w.length
-        return [i for i in range(self.rank) if self._lengths[self.right_table[idx][i]] < L]
+        mask = self._descents[w.idx]
+        return [i for i in range(self.rank) if mask >> i & 1]
 
     def left_descents(self, w: WeylElt):
         idx, L = w.idx, w.length
         return [i for i in range(self.rank) if self._lengths[self.left_table[idx][i]] < L]
-
-    def reduced_word(self, w: WeylElt) -> tuple:
-        return w.word
 
     def from_word(self, word) -> WeylElt:
         idx = 0
@@ -376,29 +400,22 @@ class RootSystem:
 
     def minimal_coset_reps(self, J) -> list:
         """W^J: minimal-length representatives of the left cosets W / W_J."""
-        J = set(J)
-        return [
-            w
-            for w in self.elements
-            if not J.intersection(self.right_descents(w))
-        ]
+        mask = _mask(J)
+        return [w for w in self.elements if not self._descents[w.idx] & mask]
+
+    def require_min_rep(self, w: WeylElt, J):
+        """Raise ValueError unless w is in W^J (no right descent in J)."""
+        if self._descents[w.idx] & _mask(J):
+            raise ValueError(f"{w!r} is not a minimal coset representative for J={J}")
 
     def coset_decompose(self, w: WeylElt, J):
         """w = u * v with u in W^J, v in W_J and l(w) = l(u) + l(v)."""
-        J = tuple(J)
+        mask = _mask(J)
         idx = w.idx
-        v_word = []
-        while True:
-            for i in J:
-                if self._lengths[self.right_table[idx][i]] < self._lengths[idx]:
-                    v_word.append(i)
-                    idx = self.right_table[idx][i]
-                    break
-            else:
-                break
+        while self._descents[idx] & mask:
+            idx = self.right_table[idx][(self._descents[idx] & mask).bit_length() - 1]
         u = self.elements[idx]
-        v = self.from_word(reversed(v_word))
-        return u, v
+        return u, u.inverse() * w
 
     def relative_longest(self, J, Jp) -> WeylElt:
         """w_{J/J'} = w_J w_{J'}, the longest element of W_J intersect W^{J'}."""
@@ -410,21 +427,23 @@ class RootSystem:
         """W_J intersect W^{J'}: minimal reps of W_J / W_{J'}."""
         if not set(Jp) <= set(J):
             raise ValueError("J' must be contained in J")
-        Jp = set(Jp)
-        return [
-            w
-            for w in self.parabolic_elements(J)
-            if not Jp.intersection(self.right_descents(w))
-        ]
+        mask = _mask(Jp)
+        return [w for w in self.parabolic_elements(J) if not self._descents[w.idx] & mask]
 
     def parabolic_roots(self, J):
         """Roots of Sigma_J (those with support inside J)."""
-        J = set(J)
-        return [
-            r
-            for r in self.roots
-            if all(x == 0 or i in J for i, x in enumerate(r.simple))
-        ]
+        mask = _mask(J)
+        return [r for r in self.roots if _support_inside(r, mask)]
+
+    def roots_outside(self, J) -> list:
+        """Positive roots not in Sigma_J, in positive_roots order (cached per J)."""
+        key = tuple(sorted(set(J)))
+        hit = self._outside_cache.get(key)
+        if hit is None:
+            mask = _mask(key)
+            hit = [r for r in self.positive_roots if not _support_inside(r, mask)]
+            self._outside_cache[key] = hit
+        return hit
 
     def poincare_polynomial(self, J) -> LaurentPoly:
         """P_J(t) = sum over W_J of t^l(v), as a polynomial in t alone."""
@@ -432,6 +451,18 @@ class RootSystem:
         for v in self.parabolic_elements(J):
             out = out + LaurentPoly.monomial((v.length,), 1)
         return out
+
+
+def _mask(J) -> int:
+    """Bitmask of a set of simple reflection indices."""
+    out = 0
+    for i in J:
+        out |= 1 << i
+    return out
+
+
+def _support_inside(root: Root, mask: int) -> bool:
+    return all(x == 0 or mask >> i & 1 for i, x in enumerate(root.simple))
 
 
 def _matmul(a, b):

@@ -172,6 +172,14 @@ class TwistedRing:
             RatFunc(LaurentPoly.t_power(arity, 1) + LaurentPoly.t_power(arity, -1))
         )
 
+    def inv_mu_power(self, n: int):
+        """mu^{-n}, as n successive products with the lifted mu^{-1}."""
+        out = self.dom.one
+        inv_mu = self.scalar_mu().inv()
+        for _ in range(n):
+            out = out * inv_mu
+        return out
+
     def t_poly(self, p: LaurentPoly):
         """Lift a polynomial in t alone (arity-1 LaurentPoly)."""
         return self.as_scalar(RatFunc(p.embed(self.model.arity, (0,))))
@@ -190,16 +198,8 @@ class TwistedRing:
             self._x_root_inv_cache[root] = hit
         return hit
 
-    def x_parabolic(self, J, Jp=()):
-        """x_{J/J'} = product of x_alpha over negative roots of J not in J'."""
-        neg = set(r for r in self.system.parabolic_roots(J) if not r.positive)
-        negp = set(r for r in self.system.parabolic_roots(Jp) if not r.positive)
-        out = self.dom.one
-        for r in neg - negp:
-            out = out * self.x_root(r)
-        return out
-
     def x_parabolic_inv(self, J, Jp=()):
+        """1 / x_{J/J'}: the product of 1/x_alpha over negative roots of J not in J'."""
         neg = set(r for r in self.system.parabolic_roots(J) if not r.positive)
         negp = set(r for r in self.system.parabolic_roots(Jp) if not r.positive)
         out = self.dom.one

@@ -9,18 +9,20 @@ from klschubert.twisted import TwistedRing, psi
 
 
 def test_orbit_weyl_action_matches_exact(a2):
-    dom = OrbitDomain(a2, seed=42)
-    rng = random.Random(1)
-    for _ in range(10):
-        terms = {
-            (rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(-2, 3)): rng.randrange(1, 5)
-            for _ in range(3)
-        }
-        f = RatFunc(LaurentPoly(3, terms))
-        for w in a2.elements:
-            lifted_then_acted = dom.weyl(w, dom.lift(f))
-            acted_then_lifted = dom.lift(f.weyl(w.matrix))
-            assert lifted_then_acted == acted_then_lifted, w
+    g2 = RootSystem(CartanData(((2, -1), (-3, 2)), "G"))
+    for system in (a2, g2):
+        dom = OrbitDomain(system, seed=42)
+        rng = random.Random(1)
+        for _ in range(10):
+            terms = {
+                tuple(rng.randrange(-2, 3) for _ in range(3)): rng.randrange(1, 5)
+                for _ in range(3)
+            }
+            f = RatFunc(LaurentPoly(3, terms))
+            for w in system.elements:
+                lifted_then_acted = dom.weyl(w, dom.lift(f))
+                acted_then_lifted = dom.lift(f.weyl(w.matrix))
+                assert lifted_then_acted == acted_then_lifted, (system.cartan_data.type_label, w)
 
 
 def test_orbit_dualize_matches_exact(a2):

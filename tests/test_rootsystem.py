@@ -128,27 +128,11 @@ def test_parabolic_data(a2, a3):
 
 
 def test_coset_reps_oracle(a3):
-    # enumerate cosets by brute force and keep length-minimal members
-    for J in [(), (0,), (1,), (0, 1), (0, 2), (0, 1, 2)]:
-        wj_set = set(a3.parabolic_elements(J))
-        cosets = {}
-        for w in a3.elements:
-            key = frozenset((w * v).idx for v in wj_set)
-            cur = cosets.get(key)
-            if cur is None or w.length < cur.length:
-                cosets[key] = w
-        assert set(a3.minimal_coset_reps(J)) == set(cosets.values())
+    _check_coset_reps(a3)
 
 
 def test_coset_decompose(a3):
-    for J in [(0,), (0, 2), (1, 2)]:
-        reps = set(a3.minimal_coset_reps(J))
-        wj_set = set(a3.parabolic_elements(J))
-        for w in a3.elements:
-            u, v = a3.coset_decompose(w, J)
-            assert u in reps and v in wj_set
-            assert u * v is w
-            assert u.length + v.length == w.length
+    _check_coset_decompose(a3)
 
 
 def test_one_line_permutations(a3):
@@ -172,3 +156,115 @@ def test_char_lattice_example(a2):
     # -alpha_1 = -2 omega_1 + omega_2 in A2
     alpha1 = a2.simple_roots[0]
     assert alpha1.weight == (2, -1)
+
+
+GROUPS = {
+    "A3": CartanData.type_a(3),
+    "B2": CartanData(((2, -2), (-1, 2)), "B"),
+    "G2": CartanData(((2, -1), (-3, 2)), "G"),
+    "B3": CartanData(((2, -1, 0), (-1, 2, -2), (0, -1, 2)), "B"),
+}
+# the a3 fixture tests above already cover A3
+NON_A = sorted(set(GROUPS) - {"A3"})
+
+
+def _subsets(rank):
+    return [tuple(i for i in range(rank) if mask >> i & 1) for mask in range(1 << rank)]
+
+
+def _matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _brute_force_reps(rs, J) -> set:
+    """The length-minimal member of every coset w W_J, by enumerating the cosets."""
+    wj = rs.parabolic_elements(J)
+    cosets = {}
+    for w in rs.elements:
+        key = frozenset((w * v).idx for v in wj)
+        cur = cosets.get(key)
+        if cur is None or w.length < cur.length:
+            cosets[key] = w
+    return set(cosets.values())
+
+
+def _check_coset_reps(rs):
+    reps = {J: _brute_force_reps(rs, J) for J in _subsets(rs.rank)}
+    for J, expect in reps.items():
+        assert set(rs.minimal_coset_reps(J)) == expect
+        for w in rs.elements:
+            if w in expect:
+                rs.require_min_rep(w, J)
+            else:
+                with pytest.raises(ValueError):
+                    rs.require_min_rep(w, J)
+        for Jp, expect_p in reps.items():
+            if set(Jp) <= set(J):
+                want = [w for w in rs.parabolic_elements(J) if w in expect_p]
+                assert rs.relative_reps(J, Jp) == want
+
+
+def _check_coset_decompose(rs):
+    for J in _subsets(rs.rank):
+        reps = _brute_force_reps(rs, J)
+        wj_set = set(rs.parabolic_elements(J))
+        for w in rs.elements:
+            u, v = rs.coset_decompose(w, J)
+            assert u in reps and v in wj_set
+            assert u * v is w
+            assert u.length + v.length == w.length
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_group_tables_outside_type_a(name):
+    rs = RootSystem(GROUPS[name])
+    assert rs.order == {"A3": 24, "B2": 8, "G2": 12, "B3": 48}[name]
+    for u in rs.elements:
+        assert u * u.inverse() is rs.identity
+        for v in rs.elements:
+            assert (u * v).matrix == _matmul(u.matrix, v.matrix)
+            assert rs.elements[rs.left_table[v.idx][0]] is rs.simple_reflection(0) * v
+    for w in rs.elements:
+        expect = [
+            i for i in range(rs.rank) if (w * rs.simple_reflection(i)).length < w.length
+        ]
+        assert rs.right_descents(w) == expect
+
+
+@pytest.mark.parametrize("name", NON_A)
+def test_coset_reps_outside_type_a(name):
+    _check_coset_reps(RootSystem(GROUPS[name]))
+
+
+@pytest.mark.parametrize("name", NON_A)
+def test_coset_decompose_outside_type_a(name):
+    _check_coset_decompose(RootSystem(GROUPS[name]))
+
+
+def test_cayley_columns_are_built_on_demand():
+    rs = RootSystem(GROUPS["B3"])
+
+    def built():
+        return [w for w, col in enumerate(rs._columns) if col is not None]
+
+    assert built() == [0]
+    s1, s2 = rs.simple_reflection(0), rs.simple_reflection(1)
+    assert (s1 * s2).matrix == _matmul(s1.matrix, s2.matrix)
+    assert built() == [0, s2.idx]
+    # the column of s1 s2 is built from the column of its BFS parent s1
+    w = s1 * s2
+    assert rs.cayley_column(w.idx)[rs.w0.idx] == (rs.w0 * w).idx
+    assert built() == sorted({0, s1.idx, s2.idx, w.idx})
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_roots_outside(name):
+    rs = RootSystem(GROUPS[name])
+    for J in _subsets(rs.rank):
+        inside = {r.weight for r in rs.parabolic_roots(J)}
+        expect = [r for r in rs.positive_roots if r.weight not in inside]
+        assert rs.roots_outside(J) == expect
+        assert rs.roots_outside(tuple(reversed(J))) is rs.roots_outside(J)

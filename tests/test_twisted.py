@@ -144,7 +144,6 @@ def test_hecke_to_qw(a2, rings2):
     assert qm.hecke_to_qw(h.one()) == qm.delta(a2.identity)
     # well-defined on two reduced words of w0
     w0 = a2.w0
-    lhs = qm.pushpull_word([])  # placeholder to keep ring warm
     prod1 = qm.qw_mul(qm.qw_mul(qm.dl_generator(0), qm.dl_generator(1)), qm.dl_generator(0))
     assert qm.dl_element(w0) == prod1
     # multiplicativity on random pairs

@@ -1,0 +1,69 @@
+"""Golden tests for run_suite: every suite at A2, exactly and mod p."""
+
+import hashlib
+
+import pytest
+
+from klschubert.verify import SUITES, RunConfig, run_suite
+
+# suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
+CASES = {
+    "braid": 4,
+    "duality": 36,
+    "parabolic-duality": 120,
+    "serre": 16,
+    "smoothness": 6,
+    "psi": 9,
+    "gammapsirel": 9,
+    "orthogonality": 36,
+    "zelevinsky": 15,
+    "inversion": 91,
+    "pushforward": 13,
+    "grassmann-smoothness": 3,
+}
+GRASSMANNIAN = {"zelevinsky", "grassmann-smoothness"}
+# sha256 over every (suite, case id, verdict) line, suites in SUITES order
+DIGEST = "580678a8b5aa2b186577ca6189743281806ae5a6b7a6dd230e185125859d307e"
+
+
+def _config(suite, mode):
+    grass = {"n": 3, "d": 1} if suite in GRASSMANNIAN else {}
+    return RunConfig(rank=2, mode=mode, k=2, seed=1, serre_samples=10, **grass)
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return {
+        (suite, mode): run_suite(suite, _config(suite, mode))
+        for suite in SUITES
+        for mode in ("exact", "modp")
+    }
+
+
+def test_every_suite_is_pinned():
+    assert set(CASES) == set(SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(CASES))
+def test_suite_verdicts(reports, suite):
+    exact, modp = reports[suite, "exact"], reports[suite, "modp"]
+    for report in (exact, modp):
+        assert len(report.cases) == CASES[suite]
+        assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+    assert [(c.case_id, c.ok) for c in exact.cases] == [(c.case_id, c.ok) for c in modp.cases]
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_case_ids_are_pinned(reports, mode):
+    h = hashlib.sha256()
+    for suite in SUITES:
+        for c in reports[suite, mode].cases:
+            h.update(f"{suite}\t{c.case_id}\t{int(c.ok)}\n".encode())
+    assert h.hexdigest() == DIGEST
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_reports_are_byte_identical_on_rerun(reports, mode):
+    for suite in SUITES:
+        again = run_suite(suite, _config(suite, mode))
+        assert again.to_json() == reports[suite, mode].to_json(), suite
