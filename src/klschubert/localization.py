@@ -189,11 +189,6 @@ class Localization:
             out = out + self.mc_cell(v)
         return out
 
-    def mc_opposite_cell(self, v: WeylElt) -> CohClass:
-        """MC of the opposite cell, by w_0-translation of a cell class."""
-        w0 = self.system.w0
-        return self.odot(self.mult.delta(w0), self.mc_cell(w0 * v))
-
     def _t2_binomials(self, weights) -> list:
         """The binomials 1 - t^-2 e^{lam}, one per weight."""
         one = LaurentPoly.const(self.system.rank + 1, 1)
@@ -276,17 +271,6 @@ class Localization:
         scal = self.mult.scalar_t(-(w0 * v).length) * self._smc_normalizer()
         return cls.scale(scal)
 
-    def smc_cell_via_duality(self, v: WeylElt) -> CohClass:
-        """Independent route: t^{-2 dim} D(MC(opposite cell)) / lambda_{-t^-2}(T*)."""
-        w0 = self.system.w0
-        mc = self.mc_opposite_cell(v)
-        dual = self.serre_dual(mc)
-        dim = w0.length - v.length
-        out = {
-            u: val * self._lambda_inv(u) for u, val in dual.restrictions.items()
-        }
-        return CohClass(self.mult, out).scale(self.mult.scalar_t(-2 * dim))
-
     # ---------- pairings ----------
 
     def pairing(self, f: CohClass, g: CohClass, J=()):
@@ -328,36 +312,6 @@ class Localization:
         """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}."""
         g = self.hecke.kl_tilde_basis(w.inverse() * self.system.w0)
         return self.bullet(self.mult.hecke_to_qw(g), self.point_class(self.system.w0))
-
-    def kl_class_c_expansion(self, w: WeylElt) -> CohClass:
-        """Cross-check expansion: sum t_w P_{u,w}(t^-2) MC(cell u)."""
-        out = CohClass(self.mult, {})
-        lw = w.length
-        for u in self.system.bruhat_interval(w):
-            p = self.hecke.kl_polynomial(u, w)
-            poly = LaurentPoly(1, {(lw - 2 * j,): c for j, c in enumerate(p)})
-            out = out + self.mc_cell(u).scale(self.mult.t_poly(poly))
-        return out
-
-    def kl_class_c_tilde_expansion(self, w: WeylElt) -> CohClass:
-        """Cross-check expansion of C~_w in Segre classes of opposite cells."""
-        system = self.system
-        w0 = system.w0
-        norm = RatFunc.from_int(system.rank + 1, 1)
-        for f in self._normalizer_factors():
-            norm = norm * RatFunc(f)
-        out = CohClass(self.mult, {})
-        base = w.inverse() * w0
-        for v in system.elements:
-            if not system.bruhat_leq(w, v):
-                continue
-            p = self.hecke.kl_polynomial(v.inverse() * w0, base)
-            if not p:
-                continue
-            sign = w.sign * v.sign
-            poly = LaurentPoly(1, {(base.length - 2 * j,): sign * c for j, c in enumerate(p)})
-            out = out + self.smc_cell(v).scale(self.mult.t_poly(poly))
-        return out.scale(self.dom.lift(norm))
 
     # ---------- parabolic classes ----------
 

@@ -5,13 +5,23 @@ actions, pairings) uses scalars only through +, -, *, inv and three
 context-dependent maps: the Weyl action, the t/character inversion, and
 lifting an exact rational function.  A domain object supplies those maps, so
 the same pipeline code runs either exactly or as a Schwartz-Zippel style
-evaluation mod a fixed 62-bit prime.
+evaluation mod a fixed 62-bit prime p.
 
-The mod-p domain evaluates at the full Weyl orbit of one random base point
-(plus the coordinatewise-inverted copies).  The Weyl action and duality then
-become index permutations of the residue vector: for a point P and the
-transformed point w*P with (w*P)_i = P^(w omega_i), one has
-(w f)(v*P) = f((v w)*P) and (D f)(v*P) = f(inv(v*P)).
+The mod-p domain evaluates at k point families.  Family f draws a base point
+P_f from ``random.Random(seed + 101 f)`` and holds its full Weyl orbit plus
+the coordinatewise-inverted copies, so a residue vector has k blocks of 2|W|
+entries.  The Weyl action and duality act block by block as index
+permutations: for a point P and the transformed point w*P with
+(w*P)_i = P^(w omega_i), one has (w f)(v*P) = f((v w)*P) and
+(D f)(v*P) = f(inv(v*P)).
+
+Two scalars are equal only if they agree at every point of every family.
+Each family's base coordinates (t included) are uniform on [2, p-2], which is
+p-3 values, and the identity point of a family is its base point.  So if lhs
+and rhs differ as rational functions and D is the total degree of the cleared
+numerator of lhs - rhs, they agree at one family's base point with probability
+at most D/(p-3), and a false identity survives all k families with probability
+at most (D/(p-3))^k.
 """
 
 from __future__ import annotations
@@ -146,30 +156,55 @@ class OrbitScalar:
 
 
 class OrbitDomain:
-    """Evaluation of the whole pipeline at the Weyl orbit of one random point.
+    """Evaluation of the whole pipeline at the Weyl orbits of k random points.
 
-    Residue vectors are indexed by 2|W| points: block one holds w * P for
-    each group element w (in element order), block two the coordinatewise
-    inverses of those points (t included), which realizes the duality
-    substitution as a block swap.
+    Residue vectors are indexed by k blocks of 2|W| points, one block per
+    family.  Within a block, the first half holds w * P for each group
+    element w (in element order), the second half the coordinatewise inverses
+    of those points (t included), which realizes the duality substitution as
+    a half swap.
     """
 
     kind = "modp"
 
-    def __init__(self, system: RootSystem, seed: int, prime: int = FIXED_PRIME):
+    def __init__(self, system: RootSystem, seed: int, families: int = 1):
+        if families < 1:
+            raise ValueError("an orbit domain needs at least one point family")
         self.system = system
-        self.prime = prime
-        self.seed = seed
-        rng = random.Random(seed)
-        n = system.rank
-        p = prime
-        self.base_point = tuple(rng.randrange(2, p - 1) for _ in range(n + 1))
-        t_val = self.base_point[0]
+        self.prime = FIXED_PRIME
+        self.points = []
+        for f in range(families):
+            self.points += self._orbit(random.Random(seed + 101 * f))
+        self.size = len(self.points)
+        # weyl permutation: value of (w f) at point u*P is f((u w)*P)
+        order = system.order
+        self._perm = [
+            self._blockwise(col + tuple(uw + order for uw in col))
+            for col in map(system.cayley_column, range(order))
+        ]
+        self._dual = self._blockwise(tuple(range(order, 2 * order)) + tuple(range(order)))
+        self.one = OrbitScalar(self, (1,) * self.size)
+        self.zero = OrbitScalar(self, (0,) * self.size)
+        self._lift_cache: dict = {}
+
+    def _blockwise(self, perm: tuple) -> tuple:
+        """One family block's index permutation, applied to every block."""
+        out = perm
+        for off in range(len(perm), self.size, len(perm)):
+            out += tuple(j + off for j in perm)
+        return out
+
+    def _orbit(self, rng: random.Random) -> list:
+        """The 2|W| points of one family: w * P in element order, then inverses."""
+        n = self.system.rank
+        p = self.prime
+        base = tuple(rng.randrange(2, p - 1) for _ in range(n + 1))
+        t_val = base[0]
         t_inv = pow(t_val, p - 2, p)
-        zvals = self.base_point[1:]
+        zvals = base[1:]
         zinvs = tuple(pow(z, p - 2, p) for z in zvals)
         points = []
-        for w in system.elements:
+        for w in self.system.elements:
             m = w.matrix
             coords = []
             for i in range(n):
@@ -178,24 +213,12 @@ class OrbitDomain:
                 for j in range(n):
                     e = m[j][i]
                     if e:
-                        base = zvals[j] if e > 0 else zinvs[j]
-                        v = v * pow(base, abs(e), p) % p
+                        v = v * pow(zvals[j] if e > 0 else zinvs[j], abs(e), p) % p
                 coords.append(v)
             points.append((t_val,) + tuple(coords))
-        inv_points = [
+        return points + [
             (t_inv,) + tuple(pow(z, p - 2, p) for z in pt[1:]) for pt in points
         ]
-        self.points = points + inv_points
-        self.size = len(self.points)
-        # weyl permutation: value of (w f) at point u*P is f((u w)*P)
-        order = system.order
-        self._perm = [
-            col + tuple(uw + order for uw in col)
-            for col in map(system.cayley_column, range(order))
-        ]
-        self.one = OrbitScalar(self, (1,) * self.size)
-        self.zero = OrbitScalar(self, (0,) * self.size)
-        self._lift_cache: dict = {}
 
     def coerce(self, value) -> OrbitScalar:
         if isinstance(value, OrbitScalar):
@@ -213,30 +236,20 @@ class OrbitDomain:
         if hit is not None and hit[0] is r:
             return hit[1]
         p = self.prime
-        values = []
-        for pt in self.points:
-            num = r.num.eval_mod(pt, p)
-            den = r.dc % p
-            for f, mult in r.facs:
-                v = f.eval_mod(pt, p)
-                if v == 0:
-                    raise ZeroDenominator("denominator vanishes at an orbit point")
-                den = den * pow(v, mult, p) % p
-            if den == 0:
-                raise ZeroDenominator("denominator content divisible by p")
-            values.append(num * pow(den, p - 2, p) % p)
-        out = OrbitScalar(self, tuple(values))
+        try:
+            out = OrbitScalar(self, tuple(r.eval_mod(pt, p) for pt in self.points))
+        except ZeroDivisionError as exc:
+            raise ZeroDenominator(f"at an orbit point: {exc}") from exc
         self._lift_cache[key] = (r, out)
         return out
 
     def weyl(self, w: WeylElt, c: OrbitScalar) -> OrbitScalar:
-        perm = self._perm[w.idx]
         vals = c.values
-        return OrbitScalar(self, tuple(vals[j] for j in perm))
+        return OrbitScalar(self, tuple(vals[j] for j in self._perm[w.idx]))
 
     def dualize(self, c: OrbitScalar) -> OrbitScalar:
-        half = self.size // 2
-        return OrbitScalar(self, c.values[half:] + c.values[:half])
+        vals = c.values
+        return OrbitScalar(self, tuple(vals[j] for j in self._dual))
 
     def inv(self, c: OrbitScalar) -> OrbitScalar:
         return c.inv()

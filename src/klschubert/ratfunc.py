@@ -1,4 +1,4 @@
-"""Exact rational functions over the Laurent ring, plus mod-p identity testing.
+"""Exact rational functions over the Laurent ring.
 
 A RatFunc is a fraction num/den of multivariate Laurent polynomials.  The
 denominator is stored in factored form (an integer content and a multiset of
@@ -7,38 +7,22 @@ operator pipelines quasi-reduced without ever running a multivariate GCD.
 Fractions are not required to be reduced: equality is semantic, by
 cross-multiplication.
 
-Mod-p testing evaluates both sides at random points with all coordinates in
-the multiplicative group of F_p, where p is a fixed published 62-bit prime.
-For cross-multiplied total degree at most D, a single point catches a
-nonzero difference with probability at least 1 - D/(p-1); k independent
-points give one-sided error at most (D/(p-1))^k.
+``eval_mod`` evaluates a fraction at a point mod a prime; the orbit-point
+domain in ``modp`` evaluates through it modulo the fixed published 62-bit
+prime ``FIXED_PRIME`` and states its Schwartz-Zippel bound.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd
 
 from .laurent import LaurentPoly, parse_poly
 
-__all__ = [
-    "RatFunc",
-    "ModPPoint",
-    "FIXED_PRIME",
-    "ModPSamplingError",
-    "ratfunc_eq",
-    "parse_ratfunc",
-]
+__all__ = ["RatFunc", "FIXED_PRIME", "parse_ratfunc"]
 
 # Largest 62-bit prime, 2^62 - 57.
 FIXED_PRIME = 4611686018427387847
-
-MAX_RESAMPLES = 32
-
-
-class ModPSamplingError(RuntimeError):
-    """No evaluation point with nonvanishing denominators was found."""
 
 
 def _normalize_factor(f: LaurentPoly):
@@ -419,58 +403,3 @@ def parse_ratfunc(text: str, arity: int) -> RatFunc:
         return RatFunc.fraction(num, den)
     return RatFunc(parse_poly(text, arity))
 
-
-class ModPPoint:
-    """An evaluation point: one nonzero residue per variable slot."""
-
-    __slots__ = ("prime", "values", "seed")
-
-    def __init__(self, prime: int, values: tuple, seed: int):
-        if any(v % prime == 0 for v in values):
-            raise ValueError("evaluation point has a zero coordinate")
-        self.prime = prime
-        self.values = values
-        self.seed = seed
-
-    @classmethod
-    def draw(cls, arity: int, seed: int, prime: int = FIXED_PRIME) -> "ModPPoint":
-        rng = random.Random(seed)
-        values = tuple(rng.randrange(1, prime) for _ in range(arity))
-        return cls(prime, values, seed)
-
-    def __repr__(self):
-        return f"ModPPoint(p={self.prime}, seed={self.seed})"
-
-
-def ratfunc_eq(a: RatFunc, b: RatFunc, mode: str = "exact", k: int = 3, seed: int = 0) -> bool:
-    """Equality of fractions, exact or probabilistic.
-
-    exact: cross-multiplication.  modp: agreement at k independently drawn
-    points whose denominators do not vanish; points where a denominator
-    vanishes are resampled (at most MAX_RESAMPLES times each).
-    """
-    if a.arity != b.arity:
-        raise ValueError("arity mismatch")
-    if mode == "exact":
-        return a == b
-    if mode != "modp":
-        raise ValueError(f"unknown mode {mode!r}")
-    if k < 1:
-        raise ValueError("modp mode needs k >= 1")
-    p = FIXED_PRIME
-    for i in range(k):
-        for attempt in range(MAX_RESAMPLES):
-            point = ModPPoint.draw(a.arity, seed * 1000003 + i * 1009 + attempt, p)
-            try:
-                va = a.eval_mod(point.values, p)
-                vb = b.eval_mod(point.values, p)
-            except ZeroDivisionError:
-                continue
-            if va != vb:
-                return False
-            break
-        else:
-            raise ModPSamplingError(
-                f"no nonvanishing evaluation point found in {MAX_RESAMPLES} resamples"
-            )
-    return True

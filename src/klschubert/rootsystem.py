@@ -26,9 +26,13 @@ from collections import deque
 
 from .laurent import LaurentPoly
 
-__all__ = ["CartanData", "RootSystem", "WeylElt", "Root", "cartan_type_a"]
+__all__ = ["CartanData", "RootSystem", "WeylElt", "Root", "SizeCapExceeded", "cartan_type_a"]
 
 DEFAULT_SIZE_CAP = 50_000
+
+
+class SizeCapExceeded(ValueError):
+    """The enumeration reached the size cap before the group closed."""
 
 
 def cartan_type_a(n: int):
@@ -196,7 +200,7 @@ class RootSystem:
                 if j is None:
                     j = len(self._matrices)
                     if j >= size_cap:
-                        raise ValueError(
+                        raise SizeCapExceeded(
                             f"Weyl group exceeds the size cap {size_cap}; "
                             "is the Cartan matrix of finite type?"
                         )

@@ -115,8 +115,9 @@ def test_mc_variety_support(loc2, a2):
 
 
 def test_mc_opposite_cell(loc2, a2):
+    # the opposite cell of w0 is a point: w0-translating MC(cell e) gives pt_{w0}
     w0 = a2.w0
-    assert loc2.mc_opposite_cell(w0) == loc2.point_class(w0)
+    assert loc2.odot(loc2.mult.delta(w0), loc2.mc_cell(a2.identity)) == loc2.point_class(w0)
     c = loc2.random_class(9)
     d = loc2.odot(loc2.mult.delta(w0), loc2.odot(loc2.mult.delta(w0), c))
     assert d == c
@@ -144,7 +145,8 @@ def test_serre_dual_fixes_kl_classes_a2(loc2, a2):
 
 def test_smc_two_routes_agree(loc2, a2):
     for v in a2.elements:
-        assert loc2.smc_cell(v) == loc2.smc_cell_via_duality(v)
+        # tau^-1 route against the duality route of the parabolic code at J = ()
+        assert loc2.smc_cell(v) == loc2.smc_cell_parabolic(v, ())
 
 
 def test_smc_top_cell(loc1, a1):
@@ -174,8 +176,9 @@ def test_kl_classes_a2(loc2, a2):
         # A2 Schubert varieties are smooth: C_w = t_w MC(X(w))
         lhs = loc2.kl_class_c(w)
         assert lhs == loc2.mc_variety(w).scale(loc2.mult.scalar_t(w.length))
-        assert lhs == loc2.kl_class_c_expansion(w)
-        assert loc2.kl_class_c_tilde(w) == loc2.kl_class_c_tilde_expansion(w)
+        # independent expansions: parabolic KL polynomials at J = ()
+        assert lhs == loc2.kl_class_c_parabolic(w, ())
+        assert loc2.kl_class_c_tilde(w) == loc2.kl_class_c_tilde_parabolic(w, ())
 
 
 def test_duality_theorem_a2(loc2, a2):

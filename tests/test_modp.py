@@ -1,40 +1,93 @@
 import random
 
+import pytest
+
 from klschubert.hecke import HeckeAlgebra
 from klschubert.laurent import LaurentPoly
-from klschubert.modp import ExactDomain, OrbitDomain
-from klschubert.ratfunc import RatFunc
+from klschubert.modp import ExactDomain, OrbitDomain, OrbitScalar, ZeroDenominator
+from klschubert.ratfunc import FIXED_PRIME, RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import TwistedRing, psi
 
 
+G2 = CartanData(((2, -1), (-3, 2)), "G")
+
+
+def _random_poly(rng):
+    terms = {
+        tuple(rng.randrange(-2, 3) for _ in range(3)): rng.randrange(1, 5) for _ in range(3)
+    }
+    return RatFunc(LaurentPoly(3, terms))
+
+
 def test_orbit_weyl_action_matches_exact(a2):
-    g2 = RootSystem(CartanData(((2, -1), (-3, 2)), "G"))
-    for system in (a2, g2):
-        dom = OrbitDomain(system, seed=42)
-        rng = random.Random(1)
-        for _ in range(10):
-            terms = {
-                tuple(rng.randrange(-2, 3) for _ in range(3)): rng.randrange(1, 5)
-                for _ in range(3)
-            }
-            f = RatFunc(LaurentPoly(3, terms))
-            for w in system.elements:
-                lifted_then_acted = dom.weyl(w, dom.lift(f))
-                acted_then_lifted = dom.lift(f.weyl(w.matrix))
-                assert lifted_then_acted == acted_then_lifted, (system.cartan_data.type_label, w)
+    for system in (a2, RootSystem(G2)):
+        for families in (1, 2):
+            dom = OrbitDomain(system, seed=42, families=families)
+            rng = random.Random(1)
+            for _ in range(10):
+                f = _random_poly(rng)
+                for w in system.elements:
+                    lifted_then_acted = dom.weyl(w, dom.lift(f))
+                    acted_then_lifted = dom.lift(f.weyl(w.matrix))
+                    label = system.cartan_data.type_label
+                    assert lifted_then_acted == acted_then_lifted, (label, families, w)
 
 
 def test_orbit_dualize_matches_exact(a2):
-    dom = OrbitDomain(a2, seed=43)
-    rng = random.Random(2)
-    for _ in range(10):
-        terms = {
-            (rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(-2, 3)): rng.randrange(1, 5)
-            for _ in range(3)
-        }
-        f = RatFunc(LaurentPoly(3, terms))
-        assert dom.dualize(dom.lift(f)) == dom.lift(f.dualize())
+    for families in (1, 2):
+        dom = OrbitDomain(a2, seed=43, families=families)
+        rng = random.Random(2)
+        for _ in range(10):
+            f = _random_poly(rng)
+            assert dom.dualize(dom.lift(f)) == dom.lift(f.dualize()), families
+
+
+def test_family_blocks_are_single_family_domains(a2):
+    """Block f of a k-family domain is the one-family domain seeded seed + 101 f."""
+    rng = random.Random(3)
+    fs = [_random_poly(rng) for _ in range(5)]
+    for system in (a2, RootSystem(G2)):
+        multi = OrbitDomain(system, seed=5, families=3)
+        singles = [OrbitDomain(system, seed=5 + 101 * f) for f in range(3)]
+        block = 2 * system.order
+        assert multi.size == 3 * block
+
+        def blocks(c):
+            return [c.values[f * block : (f + 1) * block] for f in range(3)]
+
+        for f in fs:
+            assert blocks(multi.lift(f)) == [d.lift(f).values for d in singles]
+            assert blocks(multi.dualize(multi.lift(f))) == [
+                d.dualize(d.lift(f)).values for d in singles
+            ]
+            for w in system.elements:
+                assert blocks(multi.weyl(w, multi.lift(f))) == [
+                    d.weyl(w, d.lift(f)).values for d in singles
+                ]
+
+
+def test_every_family_counts_for_equality(a2):
+    dom = OrbitDomain(a2, seed=6, families=2)
+    block = 2 * a2.order
+    one_only_in_family_1 = OrbitScalar(dom, (0,) * block + (1,) * block)
+    assert not dom.is_zero(one_only_in_family_1)
+    assert not dom.eq(one_only_in_family_1, dom.zero)
+    assert one_only_in_family_1 != dom.zero
+    differ_in_family_1 = OrbitScalar(dom, (1,) * block + (2,) * block)
+    assert not dom.eq(differ_in_family_1, dom.one)
+    assert differ_in_family_1 != dom.one
+
+
+def test_lift_reports_a_vanishing_denominator(a2):
+    dom = OrbitDomain(a2, seed=8, families=2)
+    one = LaurentPoly.const(3, 1)
+    # z1 - c vanishes only where z1 takes family 1's base value c
+    c = dom.points[2 * a2.order][1]
+    with pytest.raises(ZeroDenominator):
+        dom.lift(RatFunc.fraction(one, LaurentPoly.var(3, 1) - LaurentPoly.const(3, c)))
+    with pytest.raises(ZeroDenominator):
+        dom.lift(RatFunc(one, FIXED_PRIME))
 
 
 def test_orbit_field_ops(a2):

@@ -3,13 +3,8 @@ import random
 import pytest
 
 from klschubert.laurent import LaurentPoly
-from klschubert.ratfunc import (
-    FIXED_PRIME,
-    ModPPoint,
-    RatFunc,
-    parse_ratfunc,
-    ratfunc_eq,
-)
+from klschubert.modp import OrbitDomain
+from klschubert.ratfunc import FIXED_PRIME, RatFunc, parse_ratfunc
 
 ARITY = 3
 
@@ -79,16 +74,17 @@ def random_fraction(rng):
     return RatFunc.fraction(poly(), den)
 
 
-def test_modp_agrees_with_exact_on_corpus():
+def test_modp_agrees_with_exact_on_corpus(a2):
     rng = random.Random(11)
+    dom = OrbitDomain(a2, seed=0, families=3)
     agree = 0
-    for trial in range(1000):
+    for _ in range(1000):
         a = random_fraction(rng)
         b = random_fraction(rng)
         if rng.random() < 0.4:
             b = a * const(1)  # structurally different, semantically equal path
-        exact = ratfunc_eq(a, b, "exact")
-        probabilistic = ratfunc_eq(a, b, "modp", k=3, seed=trial)
+        exact = a == b
+        probabilistic = dom.lift(a) == dom.lift(b)
         if exact:
             # soundness is absolute: modp never contradicts a true equality
             assert probabilistic
@@ -139,19 +135,20 @@ def test_weyl_multiplicative_on_fractions():
 
 
 def test_eq_point_respects_prime_size():
-    assert FIXED_PRIME.bit_length() == 62
-    pt = ModPPoint.draw(ARITY, seed=1)
-    assert all(0 < v < FIXED_PRIME for v in pt.values)
+    assert FIXED_PRIME == 2**62 - 57 and FIXED_PRIME.bit_length() == 62
+    # residues near p stay reduced: at t = -2, t^2 + t^-2 = 17/4
+    val = (tpow(2) + tpow(-2)).eval_mod((FIXED_PRIME - 2, 1, 1), FIXED_PRIME)
+    assert 0 <= val < FIXED_PRIME and val * 4 % FIXED_PRIME == 17
 
 
 def test_eval_mod_matches_fraction():
     one = LaurentPoly.const(ARITY, 1)
     zz = LaurentPoly.var(ARITY, 1)
     a = RatFunc.fraction(one - zz * zz, one - zz)
-    pt = ModPPoint.draw(ARITY, seed=9)
-    lhs = a.eval_mod(pt.values, FIXED_PRIME)
-    rhs = RatFunc(one + zz).eval_mod(pt.values, FIXED_PRIME)
-    assert lhs == rhs
+    pt = (5, 7, 11)
+    lhs = a.eval_mod(pt, FIXED_PRIME)
+    rhs = RatFunc(one + zz).eval_mod(pt, FIXED_PRIME)
+    assert lhs == rhs == 8
 
 
 def test_format_parse_roundtrip():

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from klschubert.verify import SUITES, RunConfig, run_suite
+from klschubert.verify import SUITES, GuardRefusal, RunConfig, run_suite
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
 CASES = {
@@ -67,3 +67,25 @@ def test_reports_are_byte_identical_on_rerun(reports, mode):
     for suite in SUITES:
         again = run_suite(suite, _config(suite, mode))
         assert again.to_json() == reports[suite, mode].to_json(), suite
+
+
+def test_hecke_guard_refuses_a_suite():
+    with pytest.raises(GuardRefusal):
+        run_suite("duality", RunConfig(rank=2, hecke_guard=5))
+    # the refusal comes while the group is enumerated: all of A7 is never built
+    with pytest.raises(GuardRefusal):
+        run_suite("braid", RunConfig(rank=7))
+
+
+def test_comb_guard_refuses_zelevinsky():
+    with pytest.raises(GuardRefusal):
+        run_suite("zelevinsky", RunConfig(n=3, d=1, comb_guard=5))
+
+
+def test_zelevinsky_without_the_algebra_runs_only_combinatorics():
+    report = run_suite("zelevinsky", RunConfig(n=3, d=1, hecke_guard=5))
+    assert len(report.cases) == 6 and report.all_passed()
+    assert all(
+        c.case_id.endswith(("refactored reduced word", "relative longest elements"))
+        for c in report.cases
+    )
