@@ -282,12 +282,12 @@ def _remove_rectangle(lam: Partition, g: GrassData, i: int):
     return rect, new_lam
 
 
-def zelevinsky_tiling(lam: Partition, g: GrassData, policy: str = "largest_index") -> Tiling:
+def zelevinsky_tiling(lam: Partition, g: GrassData) -> Tiling:
     """Tile by removing maximal rectangles at valid outer corners.
 
-    largest_index reproduces the worked running example and is the default;
-    smallest_index is the other deterministic choice.  Every choice sequence
-    yields a small resolution, so theorems are checked over enumerate_tilings.
+    Each step takes the largest valid index, which reproduces the worked
+    running example.  Every choice sequence yields a small resolution, so
+    theorems are checked over enumerate_tilings.
     """
     lam.require_fits(g)
     tiling = Tiling(g, lam)
@@ -298,7 +298,7 @@ def zelevinsky_tiling(lam: Partition, g: GrassData, policy: str = "largest_index
         choices = _valid_choices(enc, cur, g)
         if not choices:
             raise AssertionError(f"no valid corner for {cur} in {g}")
-        i = max(choices) if policy == "largest_index" else min(choices)
+        i = max(choices)
         rect, cur = _remove_rectangle(cur, g, i)
         tiling.rectangles.append(rect)
         tiling.choices.append(i)

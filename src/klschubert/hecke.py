@@ -3,9 +3,8 @@
 Generators satisfy tau_i^2 = (t^-1 - t) tau_i + 1 and the braid relations.
 The canonical basis gamma_w is the unique bar-invariant element of
 tau_w + sum_{v<w} t Z[t] tau_v; writing gamma_w = sum t^{l(w)-l(v)}
-P_{v,w}(t^-2) tau_v defines the KL polynomials, which are kept in a KLTable
-(with optional versioned JSON persistence, since the table dominates the
-runtime for larger symmetric groups).
+P_{v,w}(t^-2) tau_v defines the KL polynomials.  Row w of the polynomials
+is recorded when gamma_w is computed, so it is known exactly when gamma_w is.
 
 The recursion used is gamma_w = gamma_{ws} gamma_s - sum mu(v, ws) gamma_v
 over v < ws with vs < v, where mu(v, u) is the coefficient of t in the
@@ -15,15 +14,12 @@ gamma_u coefficient of tau_v; bar-invariance is re-checked after the fact
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import random
 
 from .laurent import LaurentPoly
 from .rootsystem import RootSystem, WeylElt
 
-__all__ = ["HeckeAlgebra", "HeckeElt", "KLTable", "qpoly_str"]
+__all__ = ["HeckeAlgebra", "HeckeElt", "qpoly_str"]
 
 # coefficient ring helpers (Laurent polynomials in t alone)
 _T = LaurentPoly.monomial((1,), 1)
@@ -88,90 +84,14 @@ class HeckeElt:
         return f"HeckeElt({self.format()})"
 
 
-class KLTable:
-    """Kazhdan-Lusztig polynomials P_{v,w} as ascending q-coefficient tuples."""
-
-    FORMAT_VERSION = 1
-
+class HeckeAlgebra:
     def __init__(self, system: RootSystem):
         self.system = system
-        self.entries: dict = {}
-        self.complete: set = set()
-
-    def get(self, v: WeylElt, w: WeylElt):
-        if w.idx in self.complete:
-            return self.entries.get((v.idx, w.idx), ())
-        return self.entries.get((v.idx, w.idx))
-
-    def known_for(self, w: WeylElt) -> bool:
-        return w.idx in self.complete
-
-    def entry_count(self) -> int:
-        """Logical (v, w) pairs whose value is known."""
-        return len(self.complete) * self.system.order
-
-    # ---------- persistence ----------
-
-    def to_json(self) -> str:
-        words = self.system._words
-        rows = sorted(
-            (list(words[v]), list(words[w]), list(coeffs))
-            for (v, w), coeffs in self.entries.items()
-            if coeffs
-        )
-        payload = {
-            "format_version": self.FORMAT_VERSION,
-            "type_label": self.system.cartan_data.type_label,
-            "rank": self.system.rank,
-            "complete": sorted(list(words[w]) for w in self.complete),
-            "entries": rows,
-        }
-        return json.dumps(payload, separators=(",", ":"), sort_keys=True)
-
-    def load_json(self, text: str):
-        payload = json.loads(text)
-        if payload.get("format_version") != self.FORMAT_VERSION:
-            raise ValueError("unsupported KL cache format version")
-        if (
-            payload.get("type_label") != self.system.cartan_data.type_label
-            or payload.get("rank") != self.system.rank
-        ):
-            raise ValueError("KL cache belongs to a different group")
-        for v_word, w_word, coeffs in payload["entries"]:
-            v = self.system.from_word(v_word)
-            w = self.system.from_word(w_word)
-            self.entries[(v.idx, w.idx)] = tuple(coeffs)
-        for w_word in payload["complete"]:
-            self.complete.add(self.system.from_word(w_word).idx)
-
-    def file_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
-
-
-class HeckeAlgebra:
-    def __init__(self, system: RootSystem, cache_dir: str | None = None):
-        self.system = system
-        self.table = KLTable(system)
-        self.cache_dir = cache_dir
         self._gamma: dict = {}
+        # (v.idx, w.idx) -> P_{v,w} as ascending q-coefficients, for w in _gamma
+        self._kl: dict = {}
         self._bar_tau: dict = {}
         self._kl_done_length = -1
-        if cache_dir:
-            path = self.cache_path()
-            if os.path.exists(path):
-                with open(path) as fh:
-                    self.table.load_json(fh.read())
-
-    def cache_path(self) -> str:
-        label = self.system.cartan_data.type_label
-        return os.path.join(self.cache_dir, f"kl_{label}_{self.system.rank}.json")
-
-    def save_cache(self):
-        if not self.cache_dir:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        with open(self.cache_path(), "w") as fh:
-            fh.write(self.table.to_json())
 
     # ---------- basis elements and products ----------
 
@@ -184,12 +104,12 @@ class HeckeAlgebra:
     def tau(self, w: WeylElt) -> HeckeElt:
         return HeckeElt(self, {w: _ONE})
 
-    def tau_mul(self, h: HeckeElt, i: int, side: str = "right") -> HeckeElt:
-        """Multiply by tau_i on the given side."""
+    def tau_mul(self, h: HeckeElt, i: int) -> HeckeElt:
+        """Multiply by tau_i on the right."""
         if not 0 <= i < self.system.rank:
             raise IndexError(f"simple reflection index {i} out of range")
         system = self.system
-        table = system.right_table if side == "right" else system.left_table
+        table = system.right_table
         lengths = system._lengths
         elements = system.elements
         out: dict = {}
@@ -204,9 +124,9 @@ class HeckeAlgebra:
                 out[w] = extra if q is None else q + extra
         return HeckeElt(self, out)
 
-    def tau_word(self, h: HeckeElt, word, side: str = "right") -> HeckeElt:
+    def tau_word(self, h: HeckeElt, word) -> HeckeElt:
         for i in word:
-            h = self.tau_mul(h, i, side)
+            h = self.tau_mul(h, i)
         return h
 
     def product(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
@@ -252,20 +172,17 @@ class HeckeAlgebra:
 
     # ---------- Kazhdan-Lusztig bases ----------
 
-    def kl_compute_upto(self, max_length: int, check_bar: str = "auto"):
-        """Fill gamma_w and the KL table for all w of length <= max_length."""
+    def kl_compute_upto(self, max_length: int):
+        """Fill gamma_w and the KL polynomials for all w of length <= max_length."""
         if max_length <= self._kl_done_length:
             return
         system = self.system
         order = sorted(system.elements, key=lambda w: (w.length, w.idx))
-        to_check = self._bar_check_plan(order, check_bar)
+        to_check = self._bar_check_plan(order)
         for w in order:
             if w.length > max_length:
                 break
             if w in self._gamma:
-                continue
-            if self.table.known_for(w):
-                self._gamma[w] = self._assemble_gamma(w)
                 continue
             if w.length == 0:
                 g = self.one()
@@ -287,12 +204,10 @@ class HeckeAlgebra:
                 raise AssertionError(f"gamma for {w!r} is not bar-invariant")
         self._kl_done_length = max_length
 
-    def _bar_check_plan(self, order, check_bar: str):
-        if check_bar == "none":
-            return set()
-        if check_bar == "full" or (
-            check_bar == "auto" and self.system.order <= FULL_BAR_CHECK_LIMIT
-        ):
+    def _bar_check_plan(self, order):
+        """The w whose gamma_w gets the bar check: all of W when |W| is at most
+        FULL_BAR_CHECK_LIMIT, else every w of length 1..4 and 8 seeded longer ones."""
+        if self.system.order <= FULL_BAR_CHECK_LIMIT:
             return set(order)
         rng = random.Random(20240 + self.system.order)
         shortish = [w for w in order if 0 < w.length <= 4]
@@ -318,38 +233,20 @@ class HeckeAlgebra:
                 raise AssertionError(f"KL constant term is not 1 at ({v!r},{w!r})")
             if len(coeffs) - 1 > max(0, (lw - v.length - 1)) // 2:
                 raise AssertionError(f"KL degree bound violated at ({v!r},{w!r})")
-            self.table.entries[(v.idx, w.idx)] = tuple(coeffs)
-        self.table.complete.add(w.idx)
+            self._kl[(v.idx, w.idx)] = tuple(coeffs)
 
-    def _assemble_gamma(self, w: WeylElt) -> HeckeElt:
-        coeffs = {}
-        lw = w.length
-        for v in self.system.elements:
-            p = self.table.get(v, w)
-            if p:
-                coeffs[v] = LaurentPoly(
-                    1, {(lw - v.length - 2 * j,): c for j, c in enumerate(p)}
-                )
-        return HeckeElt(self, coeffs)
-
-    def kl_basis(self, w: WeylElt, check_bar: str = "auto") -> HeckeElt:
+    def kl_basis(self, w: WeylElt) -> HeckeElt:
         hit = self._gamma.get(w)
-        if hit is not None:
-            return hit
-        if self.table.known_for(w):
-            g = self._assemble_gamma(w)
-            self._gamma[w] = g
-            return g
-        self.kl_compute_upto(w.length, check_bar)
-        return self._gamma[w]
+        if hit is None:
+            self.kl_compute_upto(w.length)
+            hit = self._gamma[w]
+        return hit
 
     def kl_polynomial(self, v: WeylElt, w: WeylElt) -> tuple:
         """P_{v,w} as a tuple of ascending q-coefficients; () is the zero polynomial."""
-        p = self.table.get(v, w)
-        if p is None:
-            self.kl_basis(w)
-            p = self.table.get(v, w)
-        return p
+        if w not in self._gamma:
+            self.kl_compute_upto(w.length)
+        return self._kl.get((v.idx, w.idx), ())
 
     def mu(self, v: WeylElt, w: WeylElt) -> int:
         """Coefficient of t in the gamma_w coefficient of tau_v."""
@@ -362,17 +259,12 @@ class HeckeAlgebra:
 
     def kl_tilde_basis(self, w: WeylElt) -> HeckeElt:
         """The second canonical basis, with alternating signs and t -> t^-1 powers."""
-        self.kl_basis(w)
         coeffs = {}
         lw, sw = w.length, w.sign
-        for v in self.system.elements:
-            p = self.table.get(v, w)
-            if p:
-                sign = sw * v.sign
-                coeffs[v] = LaurentPoly(
-                    1,
-                    {(v.length - lw + 2 * j,): sign * c for j, c in enumerate(p)},
-                )
+        for v in self.kl_basis(w).coeffs:
+            sign = sw * v.sign
+            p = self._kl[v.idx, w.idx]
+            coeffs[v] = LaurentPoly(1, {(v.length - lw + 2 * j,): sign * c for j, c in enumerate(p)})
         return HeckeElt(self, coeffs)
 
     def gamma_rel(self, J, Jp) -> HeckeElt:
@@ -397,15 +289,6 @@ class HeckeAlgebra:
                 for v in self.system.bruhat_interval(w)
             },
         )
-
-    def hiota(self, h: HeckeElt) -> HeckeElt:
-        """Anti-involution fixing t and every tau_i; tau_w -> tau_{w^{-1}}."""
-        out: dict = {}
-        for w, c in h.coeffs.items():
-            wi = w.inverse()
-            q = out.get(wi)
-            out[wi] = c if q is None else q + c
-        return HeckeElt(self, out)
 
     # ---------- inverse and parabolic KL polynomials ----------
 

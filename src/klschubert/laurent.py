@@ -246,16 +246,9 @@ class LaurentPoly:
                 del out[k]
         return LaurentPoly(self.arity, out)
 
-    def dualize(self, invert_t: bool = True, invert_chars: bool = True) -> "LaurentPoly":
-        """Substitution t -> t^-1 and/or z_i -> z_i^-1."""
-        if not invert_t and not invert_chars:
-            return self
-        out = {}
-        for e, c in self.terms.items():
-            t = -e[0] if invert_t else e[0]
-            rest = tuple(-x for x in e[1:]) if invert_chars else e[1:]
-            out[(t,) + rest] = c
-        return LaurentPoly(self.arity, out)
+    def dualize(self) -> "LaurentPoly":
+        """Substitution t -> t^-1 and z_i -> z_i^-1."""
+        return LaurentPoly(self.arity, {tuple(-x for x in e): c for e, c in self.terms.items()})
 
     def embed(self, arity: int, slots: tuple) -> "LaurentPoly":
         """Re-embed into a ring of the given arity, slot i -> slots[i]."""
@@ -282,7 +275,7 @@ class LaurentPoly:
 
     # ---------- text form ----------
 
-    def format(self, names: list | None = None) -> str:
+    def format(self) -> str:
         """Canonical text form: terms in descending monomial order.
 
         Each term prints as `c * t^a * z1^b1 * ...`, omitting factors with
@@ -291,8 +284,7 @@ class LaurentPoly:
         """
         if not self.terms:
             return "0"
-        if names is None:
-            names = ["t"] + [f"z{i}" for i in range(1, self.arity)]
+        names = ["t"] + [f"z{i}" for i in range(1, self.arity)]
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]

@@ -97,16 +97,10 @@ class CohClass:
 class Localization:
     """All fixed-point computations for one group, one scalar domain."""
 
-    def __init__(
-        self,
-        system: RootSystem,
-        domain=None,
-        hecke: HeckeAlgebra | None = None,
-        cache_dir: str | None = None,
-    ):
+    def __init__(self, system: RootSystem, domain=None, hecke: HeckeAlgebra | None = None):
         self.system = system
         self.dom = domain if domain is not None else ExactDomain(system)
-        self.hecke = hecke if hecke is not None else HeckeAlgebra(system, cache_dir)
+        self.hecke = hecke if hecke is not None else HeckeAlgebra(system)
         self.mult = TwistedRing(system, "multiplicative", self.dom)
         self.hyp = TwistedRing(system, "hyperbolic", self.dom)
         self._pt_cache: dict = {}
@@ -182,13 +176,6 @@ class Localization:
         self._mc_cell_cache[w] = cls
         return cls
 
-    def mc_variety(self, w: WeylElt) -> CohClass:
-        """Bruhat-interval sum of cell classes."""
-        out = CohClass(self.mult, {})
-        for v in self.system.bruhat_interval(w):
-            out = out + self.mc_cell(v)
-        return out
-
     def _t2_binomials(self, weights) -> list:
         """The binomials 1 - t^-2 e^{lam}, one per weight."""
         one = LaurentPoly.const(self.system.rank + 1, 1)
@@ -206,15 +193,15 @@ class Localization:
             tuple(-x for x in a.weight) for a in self.system.roots_outside(J)
         )
 
-    def lambda_cotangent(self, J=()) -> CohClass:
+    def lambda_cotangent(self) -> CohClass:
         """lambda_{-t^-2} of the cotangent bundle, restricted fixed point by point."""
         out = {}
         for u in self.system.elements:
             val = RatFunc.from_int(self.system.rank + 1, 1)
-            for f in self.lambda_cotangent_factors(u, J):
+            for f in self.lambda_cotangent_factors(u):
                 val = val * RatFunc(f)
             out[u] = self.dom.lift(val)
-        return CohClass(self.mult, out, J or None)
+        return CohClass(self.mult, out)
 
     def _lambda_inv(self, u: WeylElt, J=()):
         key = (u, tuple(J))
@@ -457,12 +444,12 @@ class Localization:
 
     # ---------- random classes (for involution tests) ----------
 
-    def random_class(self, seed: int, kind: str = "multiplicative", terms: int = 3) -> CohClass:
+    def random_class(self, seed: int) -> CohClass:
+        """A multiplicative class with random restrictions at up to 3 fixed points."""
         rng = random.Random(seed)
         arity = self.system.rank + 1
-        ring = self.ring(kind)
         out = {}
-        for w in rng.sample(self.system.elements, min(terms, self.system.order)):
+        for w in rng.sample(self.system.elements, min(3, self.system.order)):
             num = {}
             for _ in range(rng.randrange(1, 4)):
                 e = tuple(rng.randrange(-2, 3) for _ in range(arity))
@@ -472,5 +459,5 @@ class Localization:
             )
             if den.is_zero():
                 den = LaurentPoly.const(arity, 1)
-            out[w] = ring.as_scalar(RatFunc.from_den_factors(LaurentPoly(arity, num), [den]))
-        return CohClass(ring, out)
+            out[w] = self.mult.as_scalar(RatFunc.from_den_factors(LaurentPoly(arity, num), [den]))
+        return CohClass(self.mult, out)

@@ -279,8 +279,8 @@ class RatFunc:
     def weyl(self, matrix) -> "RatFunc":
         return self._map(lambda p: p.weyl(matrix))
 
-    def dualize(self, invert_t: bool = True, invert_chars: bool = True) -> "RatFunc":
-        return self._map(lambda p: p.dualize(invert_t, invert_chars))
+    def dualize(self) -> "RatFunc":
+        return self._map(lambda p: p.dualize())
 
     # ---------- evaluation ----------
 

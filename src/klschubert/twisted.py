@@ -243,12 +243,6 @@ class TwistedRing:
             },
         )
 
-    def pushpull_word(self, word) -> QWElt:
-        out = self.delta(self.system.identity)
-        for i in word:
-            out = self.qw_mul(out, self.pushpull_simple(i))
-        return out
-
     def pushpull_rel(self, J, Jp=(), reps=None) -> QWElt:
         """Y_{J/J'} = (sum over coset representatives delta_w) / x_{J/J'}.
 

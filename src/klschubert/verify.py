@@ -21,6 +21,7 @@ kept on ``VerificationReport.elapsed``, outside the JSON.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -58,17 +59,15 @@ class RunConfig:
     mode: str = "exact"
     k: int = 3
     seed: int = 0
-    cache_dir: str | None = None
     hecke_guard: int = 720
     comb_guard: int = 5040
     serre_samples: int = 100
 
     def cartan(self) -> CartanData:
-        if self.n is not None:
-            return CartanData.type_a(self.n - 1)
+        """A_{n-1} when n is set, else A_rank; every other type is refused."""
         if self.type_label != "A":
             raise ValueError("only type A has a built-in constructor; pass a Cartan matrix")
-        return CartanData.type_a(self.rank)
+        return CartanData.type_a(self.rank if self.n is None else self.n - 1)
 
     def grass(self) -> GrassData:
         if self.n is None or self.d is None:
@@ -76,7 +75,8 @@ class RunConfig:
         return GrassData(self.n, self.d)
 
     def params_dict(self) -> dict:
-        out = {"type": self.type_label, "rank": self.rank}
+        cartan = self.cartan()
+        out = {"type": cartan.type_label, "rank": cartan.rank}
         if self.n is not None:
             out["n"] = self.n
         if self.d is not None:
@@ -155,23 +155,28 @@ class _Context:
     """The group, its Hecke algebra and one localization over the run's domain.
 
     The group is enumerated under the suite's size guard, so an oversized run
-    is refused before the whole group is built.
+    is refused before the whole group is built.  The localization and its
+    scalar domain are built on first use: suites that never touch a scalar
+    (inversion, and zelevinsky beyond ``hecke_guard``) never pay for them.
     """
 
     def __init__(self, cfg: RunConfig, suite: str, guard: int):
+        if cfg.mode not in ("exact", "modp"):
+            raise ValueError(f"unknown mode {cfg.mode!r}")
         self.cfg = cfg
         try:
             self.system = RootSystem(cfg.cartan(), size_cap=guard)
         except SizeCapExceeded as exc:
             raise GuardRefusal(f"suite {suite}: |W| exceeds the size guard {guard}") from exc
-        self.hecke = HeckeAlgebra(self.system, cfg.cache_dir)
-        if cfg.mode == "exact":
+        self.hecke = HeckeAlgebra(self.system)
+
+    @functools.cached_property
+    def loc(self) -> Localization:
+        if self.cfg.mode == "exact":
             dom = ExactDomain(self.system)
-        elif cfg.mode == "modp":
-            dom = OrbitDomain(self.system, cfg.seed * 1000003, cfg.k)
         else:
-            raise ValueError(f"unknown mode {cfg.mode!r}")
-        self.loc = Localization(self.system, dom, self.hecke)
+            dom = OrbitDomain(self.system, self.cfg.seed * 1000003, self.cfg.k)
+        return Localization(self.system, dom, self.hecke)
 
 
 # ---------- individual suites ----------

@@ -7,12 +7,17 @@ These deliberately avoid the production code paths they check:
   the bar-invariance + triangularity conditions as a linear system over
   Laurent polynomials in t, using only Hecke multiplication by generators
   and generator inverses (never the mu-recursion).
+
+It also holds the routes only tests use, as plain functions over the public
+objects: hiota on the Hecke algebra, Bott-Samelson push-pull words and
+motivic Chern classes of Schubert varieties.
 """
 
 from itertools import combinations
 
 from klschubert.laurent import LaurentPoly
 from klschubert.hecke import HeckeElt
+from klschubert.localization import CohClass
 
 
 def subword_leq(system, u, v):
@@ -77,3 +82,29 @@ def kl_basis_by_bar_solving(ring, w):
         if cx.terms:
             coeffs[x] = cx
     return HeckeElt(ring, coeffs)
+
+
+def hiota(h):
+    """Anti-involution of the Hecke algebra fixing t and every tau_i; tau_w -> tau_{w^{-1}}."""
+    out = {}
+    for w, c in h.coeffs.items():
+        wi = w.inverse()
+        q = out.get(wi)
+        out[wi] = c if q is None else q + c
+    return HeckeElt(h.algebra, out)
+
+
+def pushpull_word(ring, word):
+    """The Bott-Samelson product Y_{i_1} ... Y_{i_k} of simple push-pull operators."""
+    out = ring.delta(ring.system.identity)
+    for i in word:
+        out = ring.qw_mul(out, ring.pushpull_simple(i))
+    return out
+
+
+def mc_variety(loc, w):
+    """Motivic Chern class of the Schubert variety X(w): the sum of its cell classes."""
+    out = CohClass(loc.mult, {})
+    for v in loc.system.bruhat_interval(w):
+        out = out + loc.mc_cell(v)
+    return out

@@ -2,15 +2,22 @@ import random
 
 import pytest
 
-from klschubert.hecke import HeckeAlgebra, KLTable, qpoly_str
+from klschubert.hecke import HeckeAlgebra, qpoly_str
 from klschubert.laurent import LaurentPoly
 from klschubert.rootsystem import CartanData, RootSystem
 
-from oracles import kl_basis_by_bar_solving
+from oracles import hiota, kl_basis_by_bar_solving
 
 T = LaurentPoly.monomial((1,), 1)
 TINV = LaurentPoly.monomial((-1,), 1)
 ONE = LaurentPoly.const(1, 1)
+
+GROUPS = {
+    "A3": CartanData.type_a(3),
+    "B2": CartanData(((2, -2), (-1, 2)), "B"),
+    "G2": CartanData(((2, -1), (-3, 2)), "G"),
+    "B3": CartanData(((2, -1, 0), (-1, 2, -2), (0, -1, 2)), "B"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +115,27 @@ def test_kl_a3_singular_case(h3, a3):
     assert qpoly_str((1, 1)) == "1 + q"
 
 
-def test_kl_table_matches_bar_solving_oracle(h3, a3):
-    for w in a3.elements:
-        expected = kl_basis_by_bar_solving(h3, w)
-        assert h3.kl_basis(w) == expected
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_kl_table_matches_bar_solving_oracle(group):
+    system = RootSystem(GROUPS[group])
+    h = HeckeAlgebra(system)
+    for w in system.elements:
+        assert h.kl_basis(w) == kl_basis_by_bar_solving(h, w), w
+
+
+@pytest.mark.parametrize("group", ["A3", "B3"])
+def test_lazy_kl_rows_match_the_full_table(group):
+    # a row is computed exactly when gamma_w is; a fresh algebra answers any
+    # pair, in any order, as the fully computed table does, () when v is not <= w
+    system = RootSystem(GROUPS[group])
+    full = HeckeAlgebra(system)
+    full.kl_compute_upto(system.w0.length)
+    lazy = HeckeAlgebra(system)
+    for w in random.Random(11).sample(system.elements, system.order):
+        for v in system.elements:
+            p = lazy.kl_polynomial(v, w)
+            assert p == full.kl_polynomial(v, w), (v, w)
+            assert bool(p) == system.bruhat_leq(v, w), (v, w)
 
 
 def test_kl_inverse_symmetry(h3, a3):
@@ -171,18 +195,18 @@ def test_gamma_sum(h2, a2):
 
 def test_hiota(h3, a3):
     w = a3.from_word([0, 1])
-    assert h3.hiota(h3.tau(w)) == h3.tau(a3.from_word([1, 0]))
+    assert hiota(h3.tau(w)) == h3.tau(a3.from_word([1, 0]))
     for w in a3.elements:
-        assert h3.hiota(h3.kl_basis(w)) == h3.kl_basis(w.inverse())
+        assert hiota(h3.kl_basis(w)) == h3.kl_basis(w.inverse())
     # anti-homomorphism on a random product
     a, b = h3.kl_basis(a3.from_word([0, 1])), h3.tau(a3.from_word([2]))
-    assert h3.hiota(a * b) == h3.hiota(b) * h3.hiota(a)
+    assert hiota(a * b) == hiota(b) * hiota(a)
     # gamma_J = gamma_{J'} hiota(gamma_{J/J'})
     subsets = [(), (0,), (2,), (0, 1), (0, 2), (0, 1, 2)]
     for J in subsets:
         for Jp in subsets:
             if set(Jp) <= set(J):
-                assert h3.gamma_parabolic(J) == h3.gamma_parabolic(Jp) * h3.hiota(
+                assert h3.gamma_parabolic(J) == h3.gamma_parabolic(Jp) * hiota(
                     h3.gamma_rel(J, Jp)
                 )
 
@@ -259,21 +283,3 @@ def test_gamma_squared_identity(h3, a3):
             1, {(2 * e - wj.length,): c for (e,), c in pj.terms.items()}
         )
         assert g * g == g.scale(scalar)
-
-
-def test_kl_cache_roundtrip(tmp_path, a3):
-    h = HeckeAlgebra(a3, cache_dir=str(tmp_path))
-    h.kl_compute_upto(a3.w0.length)
-    h.save_cache()
-    assert h.table.entry_count() == 24 * 24
-    h2 = HeckeAlgebra(a3, cache_dir=str(tmp_path))
-    assert h2.table.entries == h.table.entries
-    assert h2.table.complete == h.table.complete
-    # warm is idempotent: identical file hash
-    before = h.table.file_hash()
-    h2.kl_compute_upto(a3.w0.length)
-    h2.save_cache()
-    assert h2.table.file_hash() == before
-    # assembled gamma from cache equals recomputed gamma
-    for w in a3.elements:
-        assert h2.kl_basis(w) == h.kl_basis(w)

@@ -8,6 +8,8 @@ from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import psi
 
+from oracles import mc_variety, pushpull_word
+
 
 @pytest.fixture(scope="module")
 def loc1(a1):
@@ -101,14 +103,14 @@ def test_mc_cell_a1(loc1, a1):
 
 
 def test_mc_variety_a1(loc1, a1):
-    mv = loc1.mc_variety(a1.simple_reflection(0))
+    mv = mc_variety(loc1, a1.simple_reflection(0))
     at_e = lift(loc1, {(0, 0): 1, (-2, 2): -1})  # 1 - t^-2 e^{alpha}
     assert loc1.dom.eq(mv.restrictions[a1.identity], at_e)
 
 
 def test_mc_variety_support(loc2, a2):
     for w in a2.elements:
-        mv = loc2.mc_variety(w)
+        mv = mc_variety(loc2, w)
         for u in a2.elements:
             if not a2.bruhat_leq(u, w):
                 assert u not in mv.restrictions
@@ -175,7 +177,7 @@ def test_kl_classes_a2(loc2, a2):
     for w in a2.elements:
         # A2 Schubert varieties are smooth: C_w = t_w MC(X(w))
         lhs = loc2.kl_class_c(w)
-        assert lhs == loc2.mc_variety(w).scale(loc2.mult.scalar_t(w.length))
+        assert lhs == mc_variety(loc2, w).scale(loc2.mult.scalar_t(w.length))
         # independent expansions: parabolic KL polynomials at J = ()
         assert lhs == loc2.kl_class_c_parabolic(w, ())
         assert loc2.kl_class_c_tilde(w) == loc2.kl_class_c_tilde_parabolic(w, ())
@@ -280,11 +282,11 @@ def test_is_smooth_a3(loc3, a3):
 def test_bott_samelson_word_dependence(loc2, a2):
     pt_t = loc2.point_class(a2.identity, "hyperbolic")
     pt_m = loc2.point_class(a2.identity)
-    y_t_121 = loc2.hyp.pushpull_word([0, 1, 0])
-    y_t_212 = loc2.hyp.pushpull_word([1, 0, 1])
+    y_t_121 = pushpull_word(loc2.hyp, [0, 1, 0])
+    y_t_212 = pushpull_word(loc2.hyp, [1, 0, 1])
     assert loc2.odot(y_t_121, pt_t) != loc2.odot(y_t_212, pt_t)
-    y_m_121 = loc2.mult.pushpull_word([0, 1, 0])
-    y_m_212 = loc2.mult.pushpull_word([1, 0, 1])
+    y_m_121 = pushpull_word(loc2.mult, [0, 1, 0])
+    y_m_212 = pushpull_word(loc2.mult, [1, 0, 1])
     assert loc2.odot(y_m_121, pt_m) == loc2.odot(y_m_212, pt_m)
 
 

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from klschubert import verify
 from klschubert.verify import SUITES, GuardRefusal, RunConfig, run_suite
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
@@ -89,3 +90,20 @@ def test_zelevinsky_without_the_algebra_runs_only_combinatorics():
         c.case_id.endswith(("refactored reduced word", "relative longest elements"))
         for c in report.cases
     )
+
+
+def test_suites_without_scalars_build_no_scalar_domain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orbit domain was built")
+
+    monkeypatch.setattr(verify, "OrbitDomain", refuse)
+    report = run_suite("zelevinsky", RunConfig(n=3, d=1, mode="modp", hecke_guard=5))
+    assert len(report.cases) == 6 and report.all_passed()
+
+
+def test_report_names_the_group_that_ran():
+    report = run_suite("braid", RunConfig(n=4))
+    assert report.params == {"type": "A", "rank": 3, "n": 4}
+    assert "quadratic tau_3" in [c.case_id for c in report.cases]
+    with pytest.raises(ValueError):
+        run_suite("braid", RunConfig(type_label="B", n=4))
