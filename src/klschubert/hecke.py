@@ -140,13 +140,6 @@ class HeckeAlgebra:
         s = self.system.simple_reflection(i)
         return HeckeElt(self, {s: _ONE, self.system.identity: _T - _TINV})
 
-    def tau_inverse(self, w: WeylElt) -> HeckeElt:
-        """(tau_w)^{-1}, by inverting a reduced word."""
-        out = self.one()
-        for i in reversed(w.word):
-            out = self.product(out, self.tau_inverse_generator(i))
-        return out
-
     # ---------- bar involution ----------
 
     def bar_tau(self, w: WeylElt) -> HeckeElt:
@@ -247,15 +240,6 @@ class HeckeAlgebra:
         if w not in self._gamma:
             self.kl_compute_upto(w.length)
         return self._kl.get((v.idx, w.idx), ())
-
-    def mu(self, v: WeylElt, w: WeylElt) -> int:
-        """Coefficient of t in the gamma_w coefficient of tau_v."""
-        p = self.kl_polynomial(v, w)
-        d = w.length - v.length
-        if d <= 0 or d % 2 == 0:
-            return 0
-        j = (d - 1) // 2
-        return p[j] if len(p) > j else 0
 
     def kl_tilde_basis(self, w: WeylElt) -> HeckeElt:
         """The second canonical basis, with alternating signs and t -> t^-1 powers."""

@@ -152,18 +152,6 @@ class LaurentPoly:
             {tuple(x + y for x, y in zip(e, exps)): c for e, c in self.terms.items()},
         )
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = LaurentPoly.const(self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     # ---------- content and division ----------
 
     def int_content(self) -> int:

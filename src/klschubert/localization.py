@@ -251,9 +251,10 @@ class Localization:
         return self._smc_norm
 
     def smc_cell(self, v: WeylElt) -> CohClass:
-        """SMC of the opposite cell, via the inverse tau action on pt_{w_0}."""
+        """SMC of the opposite cell, via the inverse tau action on pt_{w_0}:
+        (tau_{w0 v})^{-1} = bar(tau_{(w0 v)^{-1}})."""
         w0 = self.system.w0
-        hk = self.hecke.tau_inverse(w0 * v)
+        hk = self.hecke.bar_tau((w0 * v).inverse())
         cls = self.bullet(self.mult.hecke_to_qw(hk), self.point_class(w0))
         scal = self.mult.scalar_t(-(w0 * v).length) * self._smc_normalizer()
         return cls.scale(scal)

@@ -1,11 +1,23 @@
 """Exact rational functions over the Laurent ring.
 
 A RatFunc is a fraction num/den of multivariate Laurent polynomials.  The
-denominator is stored in factored form (an integer content and a multiset of
-canonical polynomial factors); this keeps the fractions produced by long
-operator pipelines quasi-reduced without ever running a multivariate GCD.
-Fractions are not required to be reduced: equality is semantic, by
-cross-multiplication.
+denominator is stored in factored form: an integer content and a multiset of
+canonical polynomial factors (content 1, no monomial content, positive
+leading coefficient), such as 1 - e^{-a}, t^2 - e^{-a} or 1 - t^{-2} e^{a}.
+No multivariate GCD is ever run.  The constructor only divides out the
+integer content shared by num and den; factors are cancelled where a
+cancellation can happen, by ``_cancel``:
+
+- ``from_den_factors`` and ``inv``: the numerator against the new factors;
+- ``+``: the sum against its denominator;
+- ``*``: each numerator against the other operand's factors only, the rule
+  for products of reduced fractions (Henrici 1956; Knuth, TAOCP 2, 4.5.1).
+
+``weyl`` and ``dualize`` do not cancel: they are ring automorphisms that map
+canonical factors to canonical factors up to units, so a fraction with no
+cancellable factor keeps none.  Over irreducible factors the stored fraction
+is therefore reduced; otherwise it may not be, and equality is semantic, by
+cross-multiplication, either way.
 
 ``eval_mod`` evaluates a fraction at a point mod a prime; the orbit-point
 domain in ``modp`` evaluates through it modulo the fixed published 62-bit
@@ -14,7 +26,6 @@ prime ``FIXED_PRIME`` and states its Schwartz-Zippel bound.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .laurent import LaurentPoly, parse_poly
@@ -46,34 +57,39 @@ def _normalize_factor(f: LaurentPoly):
     return g, mc, canon
 
 
+def _cancel(num: LaurentPoly, facs: tuple):
+    """Divide num by each factor as often as it goes: (quotient, factors left)."""
+    if not num.terms:
+        return num, ()
+    kept = []
+    for f, mult in facs:
+        while mult:
+            q = num.exact_divide(f)
+            if q is None:
+                break
+            num, mult = q, mult - 1
+        if mult:
+            kept.append((f, mult))
+    return num, tuple(kept)
+
+
 class RatFunc:
     """num / (dc * prod factor^mult), with factors canonical and sorted."""
 
     __slots__ = ("num", "dc", "facs", "_den")
 
-    def __init__(self, num: LaurentPoly, dc: int = 1, facs: tuple = (), reduce: bool = True):
+    def __init__(self, num: LaurentPoly, dc: int = 1, facs: tuple = ()):
         if dc == 0:
             raise ZeroDivisionError("zero denominator content")
         if dc < 0:
             num, dc = -num, -dc
         if not num.terms:
             dc, facs = 1, ()
-        elif reduce and (dc != 1 or facs):
+        elif dc != 1:
             g = gcd(num.int_content(), dc)
             if g > 1:
                 num = LaurentPoly(num.arity, {e: c // g for e, c in num.terms.items()})
                 dc //= g
-            if facs:
-                kept = []
-                for f, mult in facs:
-                    while mult > 0:
-                        q = num.exact_divide(f)
-                        if q is None:
-                            break
-                        num, mult = q, mult - 1
-                    if mult:
-                        kept.append((f, mult))
-                facs = tuple(kept)
         self.num = num
         self.dc = dc
         self.facs = facs
@@ -100,7 +116,7 @@ class RatFunc:
                     bag[key] = (canon, bag[key][1] + 1)
                 else:
                     bag[key] = (canon, 1)
-        facs = tuple(bag[k] for k in sorted(bag))
+        num, facs = _cancel(num, tuple(bag[k] for k in sorted(bag)))
         return cls(num, dc, facs)
 
     @classmethod
@@ -150,7 +166,8 @@ class RatFunc:
         if other.is_zero():
             return self
         if self.facs == other.facs and self.dc == other.dc:
-            return RatFunc(self.num + other.num, self.dc, self.facs)
+            num, facs = _cancel(self.num + other.num, self.facs)
+            return RatFunc(num, self.dc, facs)
         a, b = dict(self.facs), dict(other.facs)
         # union multiset of factors, keyed by the factor polynomial
         union = dict(a)
@@ -169,13 +186,14 @@ class RatFunc:
             for _ in range(db):
                 num_b = num_b * f
         facs = tuple(sorted(union.items(), key=lambda kv: kv[0].sort_key()))
-        return RatFunc(num_a + num_b, L, facs)
+        num, facs = _cancel(num_a + num_b, facs)
+        return RatFunc(num, L, facs)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.dc, self.facs, reduce=False)
+        return RatFunc(-self.num, self.dc, self.facs)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -195,11 +213,14 @@ class RatFunc:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RatFunc(LaurentPoly(self.arity))
-        bag = dict(self.facs)
-        for f, mult in other.facs:
+        # both operands are reduced, so a factor can only cancel across them
+        num_a, kept_b = _cancel(self.num, other.facs)
+        num_b, kept_a = _cancel(other.num, self.facs)
+        bag = dict(kept_a)
+        for f, mult in kept_b:
             bag[f] = bag.get(f, 0) + mult
         facs = tuple(sorted(bag.items(), key=lambda kv: kv[0].sort_key()))
-        return RatFunc(self.num * other.num, self.dc * other.dc, facs)
+        return RatFunc(num_a * num_b, self.dc * other.dc, facs)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -214,7 +235,7 @@ class RatFunc:
                 num = num * f
         if c < 0:
             num, c = -num, -c
-        facs = () if canon.is_one() else ((canon, 1),)
+        num, facs = _cancel(num, () if canon.is_one() else ((canon, 1),))
         return RatFunc(num, c, facs)
 
     def __truediv__(self, other):
@@ -262,6 +283,7 @@ class RatFunc:
     # ---------- substitutions ----------
 
     def _map(self, fn) -> "RatFunc":
+        # no cancellation: fn is a ring automorphism, so no image factor divides the image num
         num = fn(self.num)
         dc = self.dc
         bag: dict = {}
@@ -297,100 +319,11 @@ class RatFunc:
 
     # ---------- printing ----------
 
-    def simplified(self):
-        """(num, den) with integer/monomial content and univariate GCDs removed."""
-        num, den = self.num, self.den
-        if not num.terms:
-            return num, LaurentPoly.const(num.arity, 1)
-        q = num.exact_divide(den)
-        if q is not None:
-            return q, LaurentPoly.const(num.arity, 1)
-        mc_n, mc_d = num.monomial_content(), den.monomial_content()
-        shift = tuple(-min(x, y) for x, y in zip(mc_n, mc_d))
-        num, den = num.shift(shift), den.shift(shift)
-        g = gcd(num.int_content(), den.int_content())
-        if g > 1:
-            num = LaurentPoly(num.arity, {e: c // g for e, c in num.terms.items()})
-            den = LaurentPoly(den.arity, {e: c // g for e, c in den.terms.items()})
-        slot = _common_single_var(num, den)
-        if slot is not None:
-            g1 = _univariate_gcd(num, den, slot)
-            if g1 is not None and not g1.is_one():
-                num = num.exact_divide(g1) or num
-                den = den.exact_divide(g1) or den
-        _, lead = den.leading()
-        if lead < 0:
-            num, den = -num, -den
-        return num, den
-
     def format(self) -> str:
-        num, den = self.simplified()
-        return f"({num.format()})/({den.format()})"
+        return f"({self.num.format()})/({self.den.format()})"
 
     def __repr__(self):
         return f"RatFunc{self.format()}"
-
-
-def _common_single_var(a: LaurentPoly, b: LaurentPoly):
-    """Slot index if both polynomials involve only that one variable, else None."""
-    used = set()
-    for p in (a, b):
-        for e in p.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-    if len(used) == 1:
-        return used.pop()
-    return None
-
-
-def _univariate_gcd(a: LaurentPoly, b: LaurentPoly, slot: int):
-    """Primitive gcd of two univariate (in the given slot) polynomials."""
-
-    def coeffs(p):
-        d = {e[slot]: c for e, c in p.terms.items()}
-        lo, hi = min(d), max(d)
-        return [Fraction(d.get(i, 0)) for i in range(lo, hi + 1)]
-
-    fa, fb = coeffs(a), coeffs(b)
-
-    def rem(x, y):
-        x = x[:]
-        while len(x) >= len(y) and any(x):
-            while x and x[-1] == 0:
-                x.pop()
-            if len(x) < len(y):
-                break
-            q = x[-1] / y[-1]
-            off = len(x) - len(y)
-            for i, c in enumerate(y):
-                x[off + i] -= q * c
-            x.pop()
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    while fb:
-        fa, fb = fb, rem(fa, fb)
-    if len(fa) <= 1:
-        return None
-    denoms = 1
-    for c in fa:
-        denoms = denoms * c.denominator // gcd(denoms, c.denominator)
-    ints = [int(c * denoms) for c in fa]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    arity = a.arity
-    out = LaurentPoly(arity)
-    for i, c in enumerate(ints):
-        e = [0] * arity
-        e[slot] = i
-        out = out + LaurentPoly.monomial(tuple(e), c)
-    return out
 
 
 def parse_ratfunc(text: str, arity: int) -> RatFunc:

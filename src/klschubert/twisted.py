@@ -366,52 +366,6 @@ class TwistedRing:
         """delta-basis coefficients a_{w,u} of the image of Gamma_w."""
         return dict(self.hecke_to_qw(hecke.gamma_sum(w)).coeffs)
 
-    # ---------- anti-involutions ----------
-
-    def _inversion_ratio(self, u: WeylElt, hatted: bool = False):
-        """x_Pi / u(x_Pi), as the product over inversions of u^{-1} of x_{-a}/x_a
-        (with the extra factor (t - t^-1 e^{-a})/(t - t^-1 e^{a}) when hatted)."""
-        dom = self.dom
-        out = dom.one
-        arity = self.model.arity
-        for alpha in self.system.inversions(u.inverse()):
-            out = out * self.x_root(-alpha) * self.x_root_inv(alpha)
-            if hatted:
-                num = LaurentPoly.t_power(arity, 1) - LaurentPoly.t_power(
-                    arity, -1
-                ) * LaurentPoly.monomial((0,) + tuple(-x for x in alpha.weight), 1)
-                den = LaurentPoly.t_power(arity, 1) - LaurentPoly.t_power(
-                    arity, -1
-                ) * LaurentPoly.monomial((0,) + tuple(alpha.weight), 1)
-                out = out * self.as_scalar(RatFunc.from_den_factors(num, [den]))
-        return out
-
-    def iota(self, a: QWElt) -> QWElt:
-        """iota(p delta_v) = v^{-1}(p) (x_Pi / v^{-1}(x_Pi)) delta_{v^{-1}}."""
-        self._check(a)
-        dom = self.dom
-        out: dict = {}
-        for v, p in a.coeffs.items():
-            u = v.inverse()
-            c = dom.weyl(u, p) * self._inversion_ratio(u)
-            acc = out.get(u)
-            out[u] = c if acc is None else acc + c
-        return QWElt(self, out)
-
-    def hiota(self, a: QWElt) -> QWElt:
-        """The hatted anti-involution, with x_Pi replaced by hat-x_Pi x_Pi."""
-        if self.kind != "multiplicative":
-            raise ValueError("the hatted anti-involution lives in the multiplicative ring")
-        self._check(a)
-        dom = self.dom
-        out: dict = {}
-        for v, p in a.coeffs.items():
-            u = v.inverse()
-            c = dom.weyl(u, p) * self._inversion_ratio(u, hatted=True)
-            acc = out.get(u)
-            out[u] = c if acc is None else acc + c
-        return QWElt(self, out)
-
 
 def psi(a: QWElt, target: TwistedRing) -> QWElt:
     """Transfer from the multiplicative ring to the hyperbolic one.

@@ -53,7 +53,7 @@ class GuardRefusal(RuntimeError):
 @dataclass
 class RunConfig:
     type_label: str = "A"
-    rank: int = 2
+    rank: int | None = None
     n: int | None = None
     d: int | None = None
     mode: str = "exact"
@@ -64,10 +64,17 @@ class RunConfig:
     serre_samples: int = 100
 
     def cartan(self) -> CartanData:
-        """A_{n-1} when n is set, else A_rank; every other type is refused."""
+        """A_{n-1} when n is set, else A_rank (A2 when neither is); every other
+        type, and a rank other than n - 1, is refused."""
         if self.type_label != "A":
             raise ValueError("only type A has a built-in constructor; pass a Cartan matrix")
-        return CartanData.type_a(self.rank if self.n is None else self.n - 1)
+        if self.n is None:
+            return CartanData.type_a(2 if self.rank is None else self.rank)
+        if self.rank not in (None, self.n - 1):
+            raise ValueError(
+                f"rank {self.rank} conflicts with n = {self.n}; A_(n-1) has rank n - 1"
+            )
+        return CartanData.type_a(self.n - 1)
 
     def grass(self) -> GrassData:
         if self.n is None or self.d is None:

@@ -9,8 +9,9 @@ These deliberately avoid the production code paths they check:
   and generator inverses (never the mu-recursion).
 
 It also holds the routes only tests use, as plain functions over the public
-objects: hiota on the Hecke algebra, Bott-Samelson push-pull words and
-motivic Chern classes of Schubert varieties.
+objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
+of the twisted group ring, Bott-Samelson push-pull words and motivic Chern
+classes of Schubert varieties.
 """
 
 from itertools import combinations
@@ -18,6 +19,8 @@ from itertools import combinations
 from klschubert.laurent import LaurentPoly
 from klschubert.hecke import HeckeElt
 from klschubert.localization import CohClass
+from klschubert.ratfunc import RatFunc
+from klschubert.twisted import QWElt
 
 
 def subword_leq(system, u, v):
@@ -92,6 +95,42 @@ def hiota(h):
         q = out.get(wi)
         out[wi] = c if q is None else q + c
     return HeckeElt(h.algebra, out)
+
+
+def _inversion_ratio(ring, u, hatted):
+    """x_Pi / u(x_Pi), as the product over inversions of u^{-1} of x_{-a}/x_a
+    (with the extra factor (t - t^-1 e^{-a})/(t - t^-1 e^{a}) when hatted)."""
+    out = ring.dom.one
+    arity = ring.model.arity
+    t, tinv = LaurentPoly.t_power(arity, 1), LaurentPoly.t_power(arity, -1)
+    for alpha in ring.system.inversions(u.inverse()):
+        out = out * ring.x_root(-alpha) * ring.x_root_inv(alpha)
+        if hatted:
+            e_minus = LaurentPoly.monomial((0,) + tuple(-x for x in alpha.weight), 1)
+            e_plus = LaurentPoly.monomial((0,) + tuple(alpha.weight), 1)
+            out = out * ring.as_scalar(RatFunc.fraction(t - tinv * e_minus, t - tinv * e_plus))
+    return out
+
+
+def _anti_involution(ring, a, hatted):
+    out = {}
+    for v, p in a.coeffs.items():
+        u = v.inverse()
+        c = ring.dom.weyl(u, p) * _inversion_ratio(ring, u, hatted)
+        acc = out.get(u)
+        out[u] = c if acc is None else acc + c
+    return QWElt(ring, out)
+
+
+def qw_iota(ring, a):
+    """iota(p delta_v) = v^{-1}(p) (x_Pi / v^{-1}(x_Pi)) delta_{v^{-1}}."""
+    return _anti_involution(ring, a, hatted=False)
+
+
+def qw_hiota(ring, a):
+    """The hatted anti-involution of the multiplicative ring: x_Pi becomes hat-x_Pi x_Pi."""
+    assert ring.kind == "multiplicative"
+    return _anti_involution(ring, a, hatted=True)
 
 
 def pushpull_word(ring, word):

@@ -46,9 +46,9 @@ def test_braid_relation(h2, a2):
 
 def test_product_inverse(h2, a2):
     s1 = a2.simple_reflection(0)
-    assert h2.product(h2.tau(s1), h2.tau_inverse(s1)) == h2.one()
+    assert h2.product(h2.tau(s1), h2.bar_tau(s1.inverse())) == h2.one()
     w = a2.from_word([0, 1])
-    assert h2.product(h2.tau(w), h2.tau_inverse(w)) == h2.one()
+    assert h2.product(h2.tau(w), h2.bar_tau(w.inverse())) == h2.one()
     assert h2.product(h2.one(), h2.tau(w)) == h2.tau(w)
 
 

@@ -8,7 +8,7 @@ from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import psi
 
-from oracles import mc_variety, pushpull_word
+from oracles import mc_variety, pushpull_word, qw_iota
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def test_bullet_pt_e_equals_iota_odot(loc2, a2):
     for _ in range(4):
         w = a2.elements[rng.randrange(a2.order)]
         z = loc2.mult.qw_mul(loc2.mult.pushpull_simple(rng.randrange(2)), loc2.mult.delta(w))
-        assert loc2.bullet(z, pt) == loc2.odot(loc2.mult.iota(z), pt)
+        assert loc2.bullet(z, pt) == loc2.odot(qw_iota(loc2.mult, z), pt)
 
 
 def test_odot_delta_translates_points(loc2, a2):

@@ -1,11 +1,13 @@
 """Every function and method in the package is referenced somewhere, and
 every parameter default in it is overridden by some call.
 
-A definition counts as used when its name appears as a name, an attribute or
+A function counts as used when its name appears as a name, an attribute or
 a string constant in ``src/``, ``tests/`` or ``perfbench/`` outside its own
-``def`` line.  String constants count because the benchmark's tracer patches
-methods by name (``vars(owner)[attr]``).  Dunder methods are called by the
-interpreter and are exempt.  A default that no call overrides is an option
+``def`` line; a method only as an attribute or a string constant, since a
+local variable of the same name does not call it.  String constants count
+because the benchmark's tracer patches methods by name
+(``vars(owner)[attr]``).  Dunder methods are called by the interpreter and
+are exempt.  A default that no call overrides is an option
 with a single value in use, which belongs in the code as a constant.  These
 are stdlib (``ast``) checks, so a definition that nothing calls, or a
 one-value option, cannot quietly come back.
@@ -24,33 +26,45 @@ def _trees(*dirs):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
+def _parents(tree):
+    return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
 def _definitions():
+    """(location, name, is a method) per non-dunder function."""
     out = []
     for path, tree in _trees(PACKAGE):
+        parents = _parents(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = node.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    out.append((path.relative_to(ROOT), node.lineno, name))
+                    method = isinstance(parents.get(node), ast.ClassDef)
+                    out.append((f"{path.relative_to(ROOT)}:{node.lineno}", name, method))
     return out
 
 
 def _references():
-    names = set()
+    """(bare names, attribute names and string constants)."""
+    names, attrs = set(), set()
     for _, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-    return names
+                attrs.add(node.value)
+    return names, attrs
 
 
 def test_every_definition_is_referenced():
-    refs = _references()
-    dead = [f"{path}:{line} {name}" for path, line, name in _definitions() if name not in refs]
+    names, attrs = _references()
+    dead = [
+        f"{where} {name}"
+        for where, name, method in _definitions()
+        if name not in attrs and (method or name not in names)
+    ]
     assert not dead, "defined but never referenced:\n" + "\n".join(dead)
 
 
@@ -64,7 +78,7 @@ def _defaulted_parameters():
     """(location, callee names, positional names, defaulted names) per definition."""
     out = []
     for path, tree in _trees(PACKAGE):
-        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        parents = _parents(tree)
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

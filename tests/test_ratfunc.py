@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 import pytest
 
 from klschubert.laurent import LaurentPoly
 from klschubert.modp import OrbitDomain
 from klschubert.ratfunc import FIXED_PRIME, RatFunc, parse_ratfunc
+from klschubert.twisted import FglModel
 
 ARITY = 3
 
@@ -27,6 +29,10 @@ def test_partial_fraction_identity():
     a = RatFunc.fraction(one, one - LaurentPoly.var(ARITY, 1))
     b = RatFunc.fraction(one, one - LaurentPoly.var(ARITY, 1, -1))
     assert a + b == const(1)
+    # a sum cancels against its denominator when the operands' denominators differ
+    assert (a + b).facs == ()
+    # and when they agree: (2-z)/(1-z) - 1/(1-z) = 1
+    assert (a + 1).facs == a.facs and ((a + 1) - a).facs == ()
 
 
 def test_self_division():
@@ -163,3 +169,59 @@ def test_dualize_on_fraction():
     one = LaurentPoly.const(ARITY, 1)
     f = RatFunc(one - LaurentPoly.monomial((-2, 1, 0), 1))
     assert f.dualize() == RatFunc(one - LaurentPoly.monomial((2, -1, 0), 1))
+
+
+def test_product_cancels_across_operands():
+    # (1 - z) * 1/(1 - z^-1) = -z: the left numerator cancels the right factor
+    one = LaurentPoly.const(ARITY, 1)
+    zz = LaurentPoly.var(ARITY, 1)
+    f = RatFunc(one - zz) * RatFunc.fraction(one, one - LaurentPoly.var(ARITY, 1, -1))
+    assert f.facs == () and f.dc == 1
+    assert f == RatFunc(-zz)
+
+
+def assert_reduced(f):
+    assert gcd(f.num.int_content(), f.dc) == 1
+    for fac, _ in f.facs:
+        assert f.num.exact_divide(fac) is None, (f, fac)
+
+
+def test_random_chains_stay_reduced(a3):
+    """Over irreducible factors, cancelling only where a cancellation can
+    happen leaves no stored factor dividing the numerator."""
+    arity = a3.rank + 1
+    one = LaurentPoly.const(arity, 1)
+    tinv2 = LaurentPoly.t_power(arity, -2)
+    models = FglModel("multiplicative", a3.rank), FglModel("hyperbolic", a3.rank)
+    gens, invertible = [], []
+    for root in a3.positive_roots:
+        for lam in (root.weight, tuple(-x for x in root.weight)):
+            binomial = one - tinv2 * LaurentPoly.monomial((0,) + tuple(-x for x in lam), 1)
+            simple = [RatFunc(binomial), RatFunc.fraction(one, binomial)]
+            simple += [model.x_weight_inv(lam) for model in models]
+            simple.append(models[0].x_weight(lam))
+            # the hyperbolic x_lam has numerator (t^2 + 1)(1 - e^-lam), whose
+            # inverse would store a reducible factor
+            gens += simple + [models[1].x_weight(lam)]
+            invertible += simple
+    rng = random.Random(17)
+    for _ in range(40):
+        f = rng.choice(gens)
+        for _ in range(6):
+            op = rng.choice(("add", "sub", "mul", "inv", "weyl", "dualize"))
+            if op == "add":
+                f = f + rng.choice(gens)
+            elif op == "sub":
+                g = rng.choice(gens)
+                f = (f + g) - g
+            elif op == "mul":
+                f = f * rng.choice(gens)
+            elif op == "inv":
+                g = rng.choice(invertible).inv()
+                assert_reduced(g)
+                f = f * g
+            elif op == "weyl":
+                f = f.weyl(rng.choice(a3.elements).matrix)
+            else:
+                f = f.dualize()
+            assert_reduced(f)

@@ -8,7 +8,7 @@ from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import FglModel, QWElt, TwistedRing, psi
 
-from oracles import hiota
+from oracles import hiota, qw_hiota, qw_iota
 
 
 @pytest.fixture(scope="module")
@@ -228,10 +228,10 @@ def test_gammapsirel_a2(a2, rings2):
 def test_iota(a2, rings2):
     qm, qt = rings2
     for ring in rings2:
-        assert ring.iota(ring.delta(a2.identity)) == ring.delta(a2.identity)
+        assert qw_iota(ring, ring.delta(a2.identity)) == ring.delta(a2.identity)
         y12 = ring.qw_mul(ring.pushpull_simple(0), ring.pushpull_simple(1))
         y21 = ring.qw_mul(ring.pushpull_simple(1), ring.pushpull_simple(0))
-        assert ring.iota(y12) == y21
+        assert qw_iota(ring, y12) == y21
     rng = random.Random(13)
     for _ in range(4):
         coeffs = {}
@@ -244,7 +244,7 @@ def test_iota(a2, rings2):
                 )
             )
         a = QWElt(qm, coeffs)
-        assert qm.iota(qm.iota(a)) == a
+        assert qw_iota(qm, qw_iota(qm, a)) == a
 
 
 def test_iota_y_parabolic(a3, rings3):
@@ -255,7 +255,7 @@ def test_iota_y_parabolic(a3, rings3):
             for Jp in subsets:
                 if set(Jp) <= set(J):
                     rhs = ring.qw_mul(
-                        ring.pushpull_rel(Jp, ()), ring.iota(ring.pushpull_rel(J, Jp))
+                        ring.pushpull_rel(Jp, ()), qw_iota(ring, ring.pushpull_rel(J, Jp))
                     )
                     assert rhs == ring.pushpull_rel(J, ()), (ring.kind, J, Jp)
 
@@ -263,17 +263,17 @@ def test_iota_y_parabolic(a3, rings3):
 def test_hiota_qw(a1, a2, rings2):
     qm, _ = rings2
     h = HeckeAlgebra(a2)
-    assert qm.hiota(qm.delta(a2.identity)) == qm.delta(a2.identity)
+    assert qw_hiota(qm, qm.delta(a2.identity)) == qm.delta(a2.identity)
     qm1 = TwistedRing(a1, "multiplicative")
     g = qm1.dl_generator(0)
-    assert qm1.hiota(g) == g
+    assert qw_hiota(qm1, g) == g
     for w in a2.elements:
-        lhs = qm.hiota(qm.hecke_to_qw(h.kl_basis(w)))
+        lhs = qw_hiota(qm, qm.hecke_to_qw(h.kl_basis(w)))
         rhs = qm.hecke_to_qw(h.kl_basis(w.inverse()))
         assert lhs == rhs
     # agreement with the Hecke-level anti-involution on a product
     a = h.tau(a2.from_word([0, 1]))
-    assert qm.hiota(qm.hecke_to_qw(a)) == qm.hecke_to_qw(hiota(a))
+    assert qw_hiota(qm, qm.hecke_to_qw(a)) == qm.hecke_to_qw(hiota(a))
 
 
 def test_gamma_coefficients_a1(a1):

@@ -107,3 +107,10 @@ def test_report_names_the_group_that_ran():
     assert "quadratic tau_3" in [c.case_id for c in report.cases]
     with pytest.raises(ValueError):
         run_suite("braid", RunConfig(type_label="B", n=4))
+
+
+def test_a_rank_that_conflicts_with_n_is_refused():
+    with pytest.raises(ValueError, match="rank 5 conflicts with n = 4"):
+        run_suite("braid", RunConfig(rank=5, n=4))
+    assert RunConfig(rank=3, n=4).params_dict() == {"type": "A", "rank": 3, "n": 4}
+    assert RunConfig().params_dict() == {"type": "A", "rank": 2}
