@@ -14,6 +14,19 @@ their parabolic versions, the tensor-product pairing, a localization formula
 for Serre-Grothendieck duality, the smoothness criterion, and the canonical
 classes of the hyperbolic theory together with restriction-formula
 fundamental classes of smooth Schubert varieties.
+
+The pairing on G/P_J is one localization sum over W^J:
+
+    <f, g>_J = sum over x in W^J of (f g)_x x(q_J),   q_J = 1 / x_{Pi/J},
+
+the value at e of Y_{Pi/J} . (f g).  W_J permutes the negative roots outside
+Sigma_J, so x -> x(q_J) is right-W_J-invariant; when f g is right-W_J-invariant
+as well, the bullet is constant over the fixed points, so one sum gives it.
+That invariance is checked before the sum (it is vacuous for J = ()).
+
+Functions of the fixed point u that are Weyl twists u(f) of one function f
+(the monomial of Serre duality, the inverse cotangent factor, lambda of the
+cotangent bundle) are lifted once per J and twisted per u with dom.weyl.
 """
 
 from __future__ import annotations
@@ -105,7 +118,7 @@ class Localization:
         self.hyp = TwistedRing(system, "hyperbolic", self.dom)
         self._pt_cache: dict = {}
         self._mc_cell_cache: dict = {}
-        self._lambda_inv_cache: dict = {}
+        self._per_j_cache: dict = {}
         self._smc_norm = None
 
     def ring(self, kind: str) -> TwistedRing:
@@ -181,11 +194,10 @@ class Localization:
         one = LaurentPoly.const(self.system.rank + 1, 1)
         return [one - LaurentPoly.monomial((-2,) + tuple(lam), 1) for lam in weights]
 
-    def lambda_cotangent_factors(self, u: WeylElt, J=()):
-        """The binomial factors (1 - t^-2 e^{u a}), a in Sigma^+ minus Sigma_J^+."""
-        return self._t2_binomials(
-            u.act_weight(a.weight) for a in self.system.roots_outside(J)
-        )
+    def lambda_cotangent_factors(self, J=()):
+        """The binomial factors (1 - t^-2 e^{a}), a in Sigma^+ minus Sigma_J^+: the
+        factors at e; at the fixed point u they are twisted by u."""
+        return self._t2_binomials(a.weight for a in self.system.roots_outside(J))
 
     def _normalizer_factors(self, J=()):
         """The binomial factors (1 - t^-2 e^{-a}), a in Sigma^+ minus Sigma_J^+."""
@@ -193,48 +205,49 @@ class Localization:
             tuple(-x for x in a.weight) for a in self.system.roots_outside(J)
         )
 
-    def lambda_cotangent(self) -> CohClass:
-        """lambda_{-t^-2} of the cotangent bundle, restricted fixed point by point."""
-        out = {}
-        for u in self.system.elements:
-            val = RatFunc.from_int(self.system.rank + 1, 1)
-            for f in self.lambda_cotangent_factors(u):
-                val = val * RatFunc(f)
-            out[u] = self.dom.lift(val)
-        return CohClass(self.mult, out)
-
-    def _lambda_inv(self, u: WeylElt, J=()):
-        key = (u, tuple(J))
-        hit = self._lambda_inv_cache.get(key)
+    def _per_j(self, build, J):
+        """build(J), computed once per J and Localization."""
+        key = (build.__name__, tuple(sorted(set(J))))
+        hit = self._per_j_cache.get(key)
         if hit is None:
-            arity = self.system.rank + 1
-            hit = self.dom.lift(
-                RatFunc.from_den_factors(
-                    LaurentPoly.const(arity, 1), self.lambda_cotangent_factors(u, J)
-                )
-            )
-            self._lambda_inv_cache[key] = hit
+            hit = self._per_j_cache[key] = build(key[1])
         return hit
+
+    def lambda_cotangent(self) -> CohClass:
+        """lambda_{-t^-2} of the cotangent bundle, restricted fixed point by point:
+        the product at e is lifted once and Weyl-twisted to every u."""
+        val = RatFunc.from_int(self.system.rank + 1, 1)
+        for f in self.lambda_cotangent_factors():
+            val = val * RatFunc(f)
+        lam = self.dom.lift(val)
+        return CohClass(self.mult, {u: self.dom.weyl(u, lam) for u in self.system.elements})
+
+    def _lambda_inv(self, J):
+        """1 / prod (1 - t^-2 e^{a}) over Sigma^+ minus Sigma_J^+, lifted; its value
+        at the fixed point u is the twist dom.weyl(u, .)."""
+        one = LaurentPoly.const(self.system.rank + 1, 1)
+        return self.dom.lift(RatFunc.from_den_factors(one, self.lambda_cotangent_factors(J)))
 
     # ---------- Serre-Grothendieck duality (localization formula) ----------
 
-    def serre_dual(self, c: CohClass, J=()) -> CohClass:
-        """(D c)_u = (-1)^{N_J} dualize(c_u) * prod e^{u a} over Sigma^+ - Sigma_J^+."""
-        system = self.system
-        rel_roots = system.roots_outside(J)
+    def _serre_monomial(self, J):
+        """(-1)^{N_J} e^{2 rho_J}, 2 rho_J the sum of Sigma^+ minus Sigma_J^+, lifted."""
+        rel_roots = self.system.roots_outside(J)
         sign = -1 if len(rel_roots) % 2 else 1
-        two_rho = [0] * system.rank
+        two_rho = [0] * self.system.rank
         for a in rel_roots:
             for i, x in enumerate(a.weight):
                 two_rho[i] += x
+        return self.dom.lift(RatFunc(LaurentPoly.monomial((0,) + tuple(two_rho), sign)))
+
+    def serre_dual(self, c: CohClass, J=()) -> CohClass:
+        """(D c)_u = (-1)^{N_J} dualize(c_u) * prod e^{u a} over Sigma^+ - Sigma_J^+.
+
+        The signed monomial is lifted once per J and Weyl-twisted to each u.
+        """
+        mono = self._per_j(self._serre_monomial, J)
         dom = self.dom
-        arity = system.rank + 1
-        out = {}
-        for u, val in c.restrictions.items():
-            mono = RatFunc(
-                LaurentPoly.monomial((0,) + tuple(u.act_weight(tuple(two_rho))), sign)
-            )
-            out[u] = dom.dualize(val) * dom.lift(mono)
+        out = {u: dom.dualize(val) * dom.weyl(u, mono) for u, val in c.restrictions.items()}
         return CohClass(c.ring, out, c.J)
 
     # ---------- Segre motivic Chern classes ----------
@@ -262,21 +275,29 @@ class Localization:
     # ---------- pairings ----------
 
     def pairing(self, f: CohClass, g: CohClass, J=()):
-        """Y_{Pi/J} . (f g); must be constant, and that constant is returned."""
+        """<f, g>_J = sum over x in W^J of (f g)_x x(q_J), with q_J = 1/x_{Pi/J}.
+
+        The x(q_J) are the coefficients of Y_{Pi/J}, so this is the value at e
+        of Y_{Pi/J} . (f g), whose value at u is sum_{v in W^J} (fg)_{uv} (uv)(q_J).
+        For J = () every u gives the same sum.  Otherwise f g must be
+        right-W_J-invariant (ValueError if not): with x -> x(q_J) invariant too,
+        the summand lives on W/W_J and each {uv : v in W^J} is a set of coset
+        representatives, so again every u gives the same sum.
+        """
         if f.ring is not g.ring:
             raise ValueError("pairing requires classes in the same model")
-        ring = f.ring
         h = f.mul_pointwise(g)
-        a = ring.pushpull_rel(tuple(range(self.system.rank)), tuple(J))
-        res = self.bullet(a, h)
-        values = [
-            res.restrictions.get(u, self.dom.zero) for u in self.system.elements
-        ]
-        first = values[0]
-        for other in values[1:]:
-            if not self.dom.eq(first, other):
-                raise ValueError("pairing of non-invariant classes is not constant")
-        return first
+        if J and not self.is_invariant(h, J):
+            raise ValueError("pairing of a class that is not right-W_J-invariant")
+        a = f.ring.pushpull_rel(tuple(range(self.system.rank)), J)
+        vals = h.restrictions
+        out = None
+        for x, q in a.coeffs.items():
+            hx = vals.get(x)
+            if hx is not None:
+                term = hx * q
+                out = term if out is None else out + term
+        return self.dom.zero if out is None else out
 
     def pairing_normalizer(self, J=()):
         """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, exact and lifted."""
@@ -321,7 +342,9 @@ class Localization:
         mc_opp = self.odot(self.mult.delta(w0), self.mc_cell_parabolic(u, J))
         dual = self.serre_dual(mc_opp, J)
         dim = len(system.roots_outside(J)) - v.length
-        out = {x: val * self._lambda_inv(x, J) for x, val in dual.restrictions.items()}
+        lam = self._per_j(self._lambda_inv, J)
+        weyl = self.dom.weyl
+        out = {x: val * weyl(x, lam) for x, val in dual.restrictions.items()}
         return CohClass(self.mult, out, tuple(J)).scale(self.mult.scalar_t(-2 * dim))
 
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
@@ -356,12 +379,16 @@ class Localization:
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
             out = out + self.smc_cell_parabolic(v, J).scale(self.mult.t_poly(poly))
-        norm = RatFunc.from_int(system.rank + 1, 1)
-        for f in self._normalizer_factors(J):
-            norm = norm * RatFunc(f)
-        out = out.scale(self.dom.lift(norm))
+        out = out.scale(self._per_j(self._normalizer, J))
         out.J = tuple(J)
         return out
+
+    def _normalizer(self, J):
+        """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted."""
+        norm = RatFunc.from_int(self.system.rank + 1, 1)
+        for f in self._normalizer_factors(J):
+            norm = norm * RatFunc(f)
+        return self.dom.lift(norm)
 
     def pushforward_scalar(self, J):
         """t_{w_J}^{-1} P_J(t^2), the multiplier in the pushforward of C_{w w_J}."""

@@ -240,6 +240,7 @@ class RootSystem:
         self.w0 = self.elements[w0]
         self._bruhat = {}
         self._wj_cache = {}
+        self._longest_cache = {}
         self._outside_cache = {}
 
     # ---------- roots ----------
@@ -400,7 +401,13 @@ class RootSystem:
         return out
 
     def longest_parabolic(self, J) -> WeylElt:
-        return max(self.parabolic_elements(J), key=lambda w: w.length)
+        """w_J, the longest element of W_J (cached per J)."""
+        key = tuple(sorted(set(J)))
+        hit = self._longest_cache.get(key)
+        if hit is None:
+            hit = max(self.parabolic_elements(key), key=lambda w: w.length)
+            self._longest_cache[key] = hit
+        return hit
 
     def minimal_coset_reps(self, J) -> list:
         """W^J: minimal-length representatives of the left cosets W / W_J."""

@@ -139,6 +139,7 @@ class TwistedRing:
         self._dl_cache: dict = {}
         self._dl_gen_cache: dict = {}
         self._dl_act_cache: dict = {}
+        self._pushpull_cache: dict = {}
 
     def _check(self, other: "QWElt"):
         ring = other.ring
@@ -243,21 +244,27 @@ class TwistedRing:
             },
         )
 
-    def pushpull_rel(self, J, Jp=(), reps=None) -> QWElt:
-        """Y_{J/J'} = (sum over coset representatives delta_w) / x_{J/J'}.
+    def pushpull_rel(self, J, Jp=()) -> QWElt:
+        """Y_{J/J'} = (sum over W_J intersect W^{J'} of delta_w) / x_{J/J'},
+        built once per (J, J') and shared by every caller.
 
         Changing the W_J / W_{J'} representatives moves delta_w to delta_{wv}
         with the same coefficient, so the element itself depends on the
         choice; its products against right-W_{J'}-symmetric elements (e.g.
         Y_{J'}) and its action on W_{J'}-invariant classes do not.
         """
-        if not set(Jp) <= set(J):
-            raise ValueError("J' must be contained in J")
-        if reps is None:
-            reps = self.system.relative_reps(J, Jp)
-        xinv = self.x_parabolic_inv(J, Jp)
-        dom = self.dom
-        return QWElt(self, {w: dom.weyl(w, xinv) for w in reps})
+        key = (tuple(sorted(set(J))), tuple(sorted(set(Jp))))
+        hit = self._pushpull_cache.get(key)
+        if hit is None:
+            if not set(Jp) <= set(J):
+                raise ValueError("J' must be contained in J")
+            xinv = self.x_parabolic_inv(J, Jp)
+            dom = self.dom
+            hit = QWElt(
+                self, {w: dom.weyl(w, xinv) for w in self.system.relative_reps(J, Jp)}
+            )
+            self._pushpull_cache[key] = hit
+        return hit
 
     # ---------- Demazure-Lusztig generators and the Hecke action ----------
 

@@ -10,8 +10,8 @@ These deliberately avoid the production code paths they check:
 
 It also holds the routes only tests use, as plain functions over the public
 objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
-of the twisted group ring, Bott-Samelson push-pull words and motivic Chern
-classes of Schubert varieties.
+of the twisted group ring, Bott-Samelson push-pull words, motivic Chern
+classes of Schubert varieties and the pairing as a full bullet action.
 """
 
 from itertools import combinations
@@ -147,3 +147,13 @@ def mc_variety(loc, w):
     for v in loc.system.bruhat_interval(w):
         out = out + loc.mc_cell(v)
     return out
+
+
+def pairing_by_bullet(loc, f, g, J=()):
+    """<f, g>_J as Y_{Pi/J} . (f g): the whole class, asserted constant, and its value."""
+    h = f.mul_pointwise(g)
+    a = f.ring.pushpull_rel(tuple(range(loc.system.rank)), tuple(J))
+    res = loc.bullet(a, h)
+    values = [res.restrictions.get(u, loc.dom.zero) for u in loc.system.elements]
+    assert all(loc.dom.eq(values[0], v) for v in values[1:]), "Y_{Pi/J} . fg is not constant"
+    return values[0]

@@ -4,11 +4,12 @@ import pytest
 
 from klschubert.laurent import LaurentPoly
 from klschubert.localization import CohClass, Localization
+from klschubert.modp import OrbitDomain
 from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import psi
 
-from oracles import mc_variety, pushpull_word, qw_iota
+from oracles import mc_variety, pairing_by_bullet, pushpull_word, qw_iota
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,63 @@ def test_parabolic_duality_a2(loc2, a2):
             )
             expected = norm if u is w else loc2.dom.zero
             assert loc2.dom.eq(val, expected), (w, u)
+
+
+PAIRING_GROUPS = {
+    "A3": CartanData.type_a(3),
+    "B2": CartanData(((2, -2), (-1, 2)), "B"),
+    "G2": CartanData(((2, -1), (-3, 2)), "G"),
+}
+PAIRING_CONFIGS = [("A3", "modp"), ("B2", "exact"), ("B2", "modp"), ("G2", "exact"), ("G2", "modp")]
+
+
+def _pairing_loc(name, mode):
+    system = RootSystem(PAIRING_GROUPS[name])
+    dom = OrbitDomain(system, seed=17, families=2) if mode == "modp" else None
+    return Localization(system, dom)
+
+
+@pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
+def test_pairing_is_the_bullet_value(name, mode):
+    """The one-sum pairing equals the constant value of Y_{Pi/J} . (f g): random
+    classes at J = (), parabolic cell and KL classes at every other proper J."""
+    loc = _pairing_loc(name, mode)
+    system = loc.system
+    one = loc.one_class("multiplicative")
+    pairs = []
+    for s in range(3):
+        f = loc.random_class(s)
+        pairs += [((), f, loc.random_class(s + 50)), ((), f, one), ((), f, f)]
+    for mask in range(1, (1 << system.rank) - 1):
+        J = tuple(i for i in range(system.rank) if mask >> i & 1)
+        reps = system.minimal_coset_reps(J)
+        pick = [reps[0], reps[-1]]  # e and the longest representative
+        mc = {u: loc.mc_cell_parabolic(u, J) for u in pick}
+        smc = {u: loc.smc_cell_parabolic(u, J) for u in pick}
+        cj = {u: loc.kl_class_c_parabolic(u, J) for u in pick}
+        ctj = {u: loc.kl_class_c_tilde_parabolic(u, J) for u in pick}
+        for u in pick:
+            for v in pick:
+                pairs += [(J, mc[u], smc[v]), (J, cj[u], ctj[v])]
+    nonzero = 0
+    for J, f, g in pairs:
+        val = loc.pairing(f, g, J)
+        assert loc.dom.eq(val, pairing_by_bullet(loc, f, g, J)), J
+        nonzero += not loc.dom.is_zero(val)
+    assert nonzero > len(pairs) // 4
+
+
+@pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
+def test_pairing_refuses_a_product_that_is_not_invariant(name, mode):
+    loc = _pairing_loc(name, mode)
+    one = loc.one_class("multiplicative")
+    f = loc.random_class(7)
+    for J in [(i,) for i in range(loc.system.rank)]:
+        assert not loc.is_invariant(f.mul_pointwise(one), J)
+        with pytest.raises(ValueError, match="not right-W_J-invariant"):
+            loc.pairing(f, one, J)
+    # at J = () every class pairs
+    assert loc.dom.eq(loc.pairing(f, one), pairing_by_bullet(loc, f, one))
 
 
 def test_pushforward_proposition_a2(loc2, a2):

@@ -13,20 +13,37 @@ from klschubert.twisted import TwistedRing, psi
 G2 = CartanData(((2, -1), (-3, 2)), "G")
 
 
-def _random_poly(rng):
+def _random_poly(rng, arity=3):
     terms = {
-        tuple(rng.randrange(-2, 3) for _ in range(3)): rng.randrange(1, 5) for _ in range(3)
+        tuple(rng.randrange(-2, 3) for _ in range(arity)): rng.randrange(1, 5)
+        for _ in range(3)
     }
-    return RatFunc(LaurentPoly(3, terms))
+    return RatFunc(LaurentPoly(arity, terms))
 
 
-def test_orbit_weyl_action_matches_exact(a2):
-    for system in (a2, RootSystem(G2)):
+def _random_t_binomial_fraction(rng, arity):
+    """A random numerator over one to three binomials 1 - t^-2 e^{lam}."""
+    one = LaurentPoly.const(arity, 1)
+    dens = []
+    for _ in range(rng.randrange(1, 4)):
+        lam = tuple(rng.randrange(-2, 3) for _ in range(arity - 1))
+        dens.append(one - LaurentPoly.monomial((-2,) + lam, 1))
+    return RatFunc.from_den_factors(_random_poly(rng, arity).num, dens)
+
+
+def test_orbit_weyl_action_matches_exact(a2, a3):
+    """Twisting a lift is lifting the twist: for polynomials and for fractions
+    over the t-binomials that Localization lifts once per J and twists per u."""
+    for system in (a2, RootSystem(G2), a3):
+        arity = system.rank + 1
         for families in (1, 2):
             dom = OrbitDomain(system, seed=42, families=families)
             rng = random.Random(1)
-            for _ in range(10):
-                f = _random_poly(rng)
+            for k in range(10):
+                if k % 2:
+                    f = _random_t_binomial_fraction(rng, arity)
+                else:
+                    f = _random_poly(rng, arity)
                 for w in system.elements:
                     lifted_then_acted = dom.weyl(w, dom.lift(f))
                     acted_then_lifted = dom.lift(f.weyl(w.matrix))

@@ -268,3 +268,8 @@ def test_roots_outside(name):
         expect = [r for r in rs.positive_roots if r.weight not in inside]
         assert rs.roots_outside(J) == expect
         assert rs.roots_outside(tuple(reversed(J))) is rs.roots_outside(J)
+        # w_J, cached per J like roots_outside
+        wj = max(rs.parabolic_elements(J), key=lambda w: w.length)
+        assert rs.longest_parabolic(J) is wj
+        assert rs.longest_parabolic(tuple(reversed(J))) is wj
+        assert wj.length == len(rs.positive_roots) - len(expect)

@@ -108,7 +108,9 @@ def test_pushpull_rel_representative_independence(a2):
     s1 = a2.simple_reflection(0)
     twisted_reps = [w * s1 if k == 1 else w for k, w in enumerate(reps)]
     y_std = qm2.pushpull_rel(J, Jp)
-    y_alt = qm2.pushpull_rel(J, Jp, reps=twisted_reps)
+    assert qm2.pushpull_rel(J, Jp) is y_std
+    xinv = qm2.x_parabolic_inv(J, Jp)
+    y_alt = QWElt(qm2, {w: qm2.dom.weyl(w, xinv) for w in twisted_reps})
     assert y_std != y_alt
     yjp = qm2.pushpull_rel(Jp, ())
     assert qm2.qw_mul(y_std, yjp) == qm2.qw_mul(y_alt, yjp) == qm2.pushpull_rel(J, ())

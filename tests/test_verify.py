@@ -70,6 +70,22 @@ def test_reports_are_byte_identical_on_rerun(reports, mode):
         assert again.to_json() == reports[suite, mode].to_json(), suite
 
 
+# The pairing suites at A3 mod p; the digest is the modp-a3 one of perfbench/workloads.py.
+A3_PAIRING_CASES = {"duality": 576, "orthogonality": 576, "parabolic-duality": 2226}
+A3_PAIRING_DIGEST = "ac87d83ceb3fcb0ba0e4054d9be66c40d02c79704d14b12778f295f04995fdaf"
+
+
+def test_a3_pairing_suites_mod_p():
+    h = hashlib.sha256()
+    for suite, count in A3_PAIRING_CASES.items():
+        report = run_suite(suite, RunConfig(rank=3, mode="modp", k=2, seed=1))
+        assert len(report.cases) == count
+        assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+        for c in report.cases:
+            h.update(f"{suite}\t{c.case_id}\t{int(c.ok)}\n".encode())
+    assert h.hexdigest() == A3_PAIRING_DIGEST
+
+
 def test_hecke_guard_refuses_a_suite():
     with pytest.raises(GuardRefusal):
         run_suite("duality", RunConfig(rank=2, hecke_guard=5))
