@@ -184,10 +184,7 @@ class HeckeAlgebra:
                 u = system.elements[system.right_table[w.idx][i]]
                 gu = self._gamma[u]
                 g = self.tau_mul(gu, i) + gu.scale(_T)
-                for v, cv in gu.coeffs.items():
-                    mu = cv.terms.get((1,), 0)
-                    if mu == 0 or v is u:
-                        continue
+                for v, mu in self.mu_row(u):
                     vs = system.elements[system.right_table[v.idx][i]]
                     if vs.length < v.length:
                         g = g + self._gamma[v].scale(LaurentPoly.const(1, -mu))
@@ -227,6 +224,20 @@ class HeckeAlgebra:
             if len(coeffs) - 1 > max(0, (lw - v.length - 1)) // 2:
                 raise AssertionError(f"KL degree bound violated at ({v!r},{w!r})")
             self._kl[(v.idx, w.idx)] = tuple(coeffs)
+
+    def mu_row(self, w: WeylElt) -> list:
+        """(v, mu(v, w)) for every v < w with mu(v, w) nonzero, where mu(v, w) is
+        the coefficient of q^{(l(w) - l(v) - 1)/2} in P_{v,w}."""
+        lw = w.length
+        out = []
+        for v in self.kl_basis(w).coeffs:
+            d = lw - v.length
+            if d % 2:
+                p = self._kl[v.idx, w.idx]
+                j = d // 2
+                if j < len(p) and p[j]:
+                    out.append((v, p[j]))
+        return out
 
     def kl_basis(self, w: WeylElt) -> HeckeElt:
         hit = self._gamma.get(w)

@@ -26,7 +26,24 @@ That invariance is checked before the sum (it is vacuous for J = ()).
 
 Functions of the fixed point u that are Weyl twists u(f) of one function f
 (the monomial of Serre duality, the inverse cotangent factor, lambda of the
-cotangent bundle) are lifted once per J and twisted per u with dom.weyl.
+cotangent bundle, the hyperbolic transfer factor) are lifted once and twisted
+per u with dom.weyl.
+
+Build once: every point class, cell class, canonical class C_w, parabolic
+cell class and per-J (or per-length) lifted scalar is built at most once per
+Localization, through one memo table keyed by (builder, arguments), and the
+same object is handed to every caller; so no class is changed after it is
+built.  The classes come by recursion on length, each step one 2-term odot:
+
+    MC(cell w) = t^-1 tau_s o MC(cell sw),
+    C_w        = (tau_s + t) o C_{sw} - sum mu(v, sw) C_v  over v < sw, sv < v,
+
+s a left descent of w (the left KL recursion gamma_s gamma_{sw} = gamma_w +
+sum mu(v, sw) gamma_v, Kazhdan-Lusztig 1979, acting on pt_e), with mu read
+from the Hecke algebra's KL table.  The hyperbolic KL-Schubert class is the
+psi-transfer of C_w: psi keeps every coefficient, so its value at u is that of
+C_w times u(mu^{-l(w)} x^hyp_Pi / x_Pi).  C~_w and SMC(cell v) keep their
+direct routes; the direct routes of the recursive classes are test oracles.
 """
 
 from __future__ import annotations
@@ -41,6 +58,11 @@ from .rootsystem import RootSystem, WeylElt
 from .twisted import QWElt, TwistedRing, psi
 
 __all__ = ["CohClass", "Localization"]
+
+
+def _jkey(J) -> tuple:
+    """A subset of simple reflections in one canonical form, for memo keys."""
+    return tuple(sorted(set(J)))
 
 
 class CohClass:
@@ -116,10 +138,7 @@ class Localization:
         self.hecke = hecke if hecke is not None else HeckeAlgebra(system)
         self.mult = TwistedRing(system, "multiplicative", self.dom)
         self.hyp = TwistedRing(system, "hyperbolic", self.dom)
-        self._pt_cache: dict = {}
-        self._mc_cell_cache: dict = {}
-        self._per_j_cache: dict = {}
-        self._smc_norm = None
+        self._memo: dict = {}
 
     def ring(self, kind: str) -> TwistedRing:
         if kind == "multiplicative":
@@ -127,6 +146,20 @@ class Localization:
         if kind == "hyperbolic":
             return self.hyp
         raise ValueError(f"unknown model kind {kind!r}")
+
+    def _once(self, build, *args):
+        """build(*args), computed once per Localization and shared by every caller."""
+        key = (build.__name__,) + args
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build(*args)
+        return hit
+
+    def _left_step(self, w: WeylElt):
+        """(i, s_i w) for the first left descent s_i of w."""
+        system = self.system
+        i = system.left_descents(w)[0]
+        return i, system.elements[system.left_table[w.idx][i]]
 
     # ---------- the two actions ----------
 
@@ -163,17 +196,14 @@ class Localization:
 
     def point_class(self, w: WeylElt, kind: str = "multiplicative") -> CohClass:
         """pt_w: the single restriction w(x_Pi) at w."""
-        key = (kind, w)
-        hit = self._pt_cache.get(key)
-        if hit is not None:
-            return hit
+        return self._once(self._point_class, kind, w)
+
+    def _point_class(self, kind: str, w: WeylElt) -> CohClass:
         ring = self.ring(kind)
         val = self.dom.one
         for alpha in self.system.positive_roots:
             val = val * ring.x_root(-self.system.act_root(w, alpha))
-        cls = CohClass(ring, {w: val})
-        self._pt_cache[key] = cls
-        return cls
+        return CohClass(ring, {w: val})
 
     def one_class(self, kind: str) -> CohClass:
         ring = self.ring(kind)
@@ -181,13 +211,15 @@ class Localization:
 
     def mc_cell(self, w: WeylElt) -> CohClass:
         """Motivic Chern class of the open cell, t^{-l(w)} tau_w o pt_e."""
-        hit = self._mc_cell_cache.get(w)
-        if hit is not None:
-            return hit
-        cls = self.odot(self.mult.dl_element(w), self.point_class(self.system.identity))
-        cls = cls.scale(self.mult.scalar_t(-w.length))
-        self._mc_cell_cache[w] = cls
-        return cls
+        return self._once(self._mc_cell, w)
+
+    def _mc_cell(self, w: WeylElt) -> CohClass:
+        """t^{-1} tau_s o MC(cell sw) for a left descent s of w."""
+        if w.length == 0:
+            return self.point_class(w)
+        i, sw = self._left_step(w)
+        cls = self.odot(self.mult.dl_generator(i), self.mc_cell(sw))
+        return cls.scale(self.mult.scalar_t(-1))
 
     def _t2_binomials(self, weights) -> list:
         """The binomials 1 - t^-2 e^{lam}, one per weight."""
@@ -204,14 +236,6 @@ class Localization:
         return self._t2_binomials(
             tuple(-x for x in a.weight) for a in self.system.roots_outside(J)
         )
-
-    def _per_j(self, build, J):
-        """build(J), computed once per J and Localization."""
-        key = (build.__name__, tuple(sorted(set(J))))
-        hit = self._per_j_cache.get(key)
-        if hit is None:
-            hit = self._per_j_cache[key] = build(key[1])
-        return hit
 
     def lambda_cotangent(self) -> CohClass:
         """lambda_{-t^-2} of the cotangent bundle, restricted fixed point by point:
@@ -245,7 +269,7 @@ class Localization:
 
         The signed monomial is lifted once per J and Weyl-twisted to each u.
         """
-        mono = self._per_j(self._serre_monomial, J)
+        mono = self._once(self._serre_monomial, _jkey(J))
         dom = self.dom
         out = {u: dom.dualize(val) * dom.weyl(u, mono) for u, val in c.restrictions.items()}
         return CohClass(c.ring, out, c.J)
@@ -253,15 +277,9 @@ class Localization:
     # ---------- Segre motivic Chern classes ----------
 
     def _smc_normalizer(self):
-        """1 / prod_{a>0} (1 - t^-2 e^{-a}), lifted once."""
-        if self._smc_norm is None:
-            arity = self.system.rank + 1
-            self._smc_norm = self.dom.lift(
-                RatFunc.from_den_factors(
-                    LaurentPoly.const(arity, 1), self._normalizer_factors()
-                )
-            )
-        return self._smc_norm
+        """1 / prod_{a>0} (1 - t^-2 e^{-a}), lifted."""
+        one = LaurentPoly.const(self.system.rank + 1, 1)
+        return self.dom.lift(RatFunc.from_den_factors(one, self._normalizer_factors()))
 
     def smc_cell(self, v: WeylElt) -> CohClass:
         """SMC of the opposite cell, via the inverse tau action on pt_{w_0}:
@@ -269,7 +287,7 @@ class Localization:
         w0 = self.system.w0
         hk = self.hecke.bar_tau((w0 * v).inverse())
         cls = self.bullet(self.mult.hecke_to_qw(hk), self.point_class(w0))
-        scal = self.mult.scalar_t(-(w0 * v).length) * self._smc_normalizer()
+        scal = self.mult.scalar_t(-(w0 * v).length) * self._once(self._smc_normalizer)
         return cls.scale(scal)
 
     # ---------- pairings ----------
@@ -314,8 +332,22 @@ class Localization:
 
     def kl_class_c(self, w: WeylElt) -> CohClass:
         """C_w = gamma_w o pt_e in the multiplicative model."""
-        g = self.hecke.kl_basis(w)
-        return self.odot(self.mult.hecke_to_qw(g), self.point_class(self.system.identity))
+        return self._once(self._kl_class_c, w)
+
+    def _kl_class_c(self, w: WeylElt) -> CohClass:
+        """The left KL recursion gamma_w = (tau_s + t) gamma_{sw} - sum mu(v, sw) gamma_v
+        over v < sw with sv < v, s a left descent of w, acting on pt_e: one 2-term
+        odot per step."""
+        if w.length == 0:
+            return self.point_class(w)
+        system = self.system
+        i, sw = self._left_step(w)
+        prev = self.kl_class_c(sw)
+        out = self.odot(self.mult.dl_generator(i), prev) + prev.scale(self.mult.scalar_t(1))
+        for v, mu in self.hecke.mu_row(sw):
+            if system.elements[system.left_table[v.idx][i]].length < v.length:
+                out = out + self.kl_class_c(v).scale(-mu)
+        return out
 
     def kl_class_c_tilde(self, w: WeylElt) -> CohClass:
         """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}."""
@@ -326,13 +358,18 @@ class Localization:
 
     def mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
         """MC of a cell downstairs: Y_J . MC(cell u)."""
+        return self._once(self._mc_cell_parabolic, u, _jkey(J))
+
+    def _mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
         self.system.require_min_rep(u, J)
-        cls = self.bullet(self.mult.pushpull_rel(tuple(J), ()), self.mc_cell(u))
-        cls.J = tuple(J)
-        return cls
+        cls = self.bullet(self.mult.pushpull_rel(J, ()), self.mc_cell(u))
+        return CohClass(self.mult, cls.restrictions, J)
 
     def smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
         """SMC of an opposite cell downstairs, via w_0-translation and duality."""
+        return self._once(self._smc_cell_parabolic, v, _jkey(J))
+
+    def _smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
         system = self.system
         system.require_min_rep(v, J)
         w0 = system.w0
@@ -342,10 +379,10 @@ class Localization:
         mc_opp = self.odot(self.mult.delta(w0), self.mc_cell_parabolic(u, J))
         dual = self.serre_dual(mc_opp, J)
         dim = len(system.roots_outside(J)) - v.length
-        lam = self._per_j(self._lambda_inv, J)
+        lam = self._once(self._lambda_inv, J)
         weyl = self.dom.weyl
         out = {x: val * weyl(x, lam) for x, val in dual.restrictions.items()}
-        return CohClass(self.mult, out, tuple(J)).scale(self.mult.scalar_t(-2 * dim))
+        return CohClass(self.mult, out, J).scale(self.mult.scalar_t(-2 * dim))
 
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
         """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J."""
@@ -360,7 +397,6 @@ class Localization:
                 continue
             poly = LaurentPoly(1, {(lw - 2 * j,): c for j, c in enumerate(p)})
             out = out + self.mc_cell_parabolic(u, J).scale(self.mult.t_poly(poly))
-        out.J = tuple(J)
         return out
 
     def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
@@ -379,9 +415,7 @@ class Localization:
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
             out = out + self.smc_cell_parabolic(v, J).scale(self.mult.t_poly(poly))
-        out = out.scale(self._per_j(self._normalizer, J))
-        out.J = tuple(J)
-        return out
+        return out.scale(self._once(self._normalizer, _jkey(J)))
 
     def _normalizer(self, J):
         """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted."""
@@ -400,15 +434,30 @@ class Localization:
     # ---------- hyperbolic classes ----------
 
     def kl_schubert(self, w: WeylElt, J=()) -> CohClass:
-        """mu^{-l(w w_J)} psi(gamma_{w w_J}) o pt_e in the hyperbolic model."""
+        """mu^{-n} psi(gamma_{w w_J}) o pt_e in the hyperbolic model, n = l(w w_J).
+
+        psi keeps every coefficient, and (a o q f_e)_u = a_u u(q), so the value
+        at u is C_{w w_J} at u times u(mu^{-n} x^hyp_Pi / x_Pi).
+        """
         self.system.require_min_rep(w, J)
         target = w * self.system.longest_parabolic(J)
-        g = self.hecke.kl_basis(target)
-        op = self.hyp.hecke_to_qw(g)
-        cls = self.odot(op, self.point_class(self.system.identity, "hyperbolic"))
-        cls = cls.scale(self.hyp.inv_mu_power(target.length))
-        cls.J = tuple(J) or None
-        return cls
+        f = self._once(self._hyp_transfer, target.length)
+        weyl = self.dom.weyl
+        out = {u: c * weyl(u, f) for u, c in self.kl_class_c(target).restrictions.items()}
+        return CohClass(self.hyp, out, tuple(J) or None)
+
+    def _hyp_transfer(self, n: int):
+        """mu^{-n} x^hyp_Pi / x_Pi at e, lifted.  With x^hyp_{-a} / x_{-a} =
+        (t^2 + 1)/(t^2 - e^{a}) and mu^{-n} = t^n / (t^2 + 1)^n this is
+        t^n (t^2 + 1)^{N - n} / prod_{a>0} (t^2 - e^{a}), N the number of positive roots."""
+        arity = self.system.rank + 1
+        roots = self.system.positive_roots
+        t2 = LaurentPoly.t_power(arity, 2)
+        num = LaurentPoly.t_power(arity, n)
+        for _ in range(len(roots) - n):
+            num = num * (t2 + LaurentPoly.const(arity, 1))
+        dens = [t2 - LaurentPoly.monomial((0,) + tuple(a.weight), 1) for a in roots]
+        return self.dom.lift(RatFunc.from_den_factors(num, dens))
 
     def is_invariant(self, c: CohClass, J) -> bool:
         """Restrictions constant on left cosets u W_J."""

@@ -231,13 +231,23 @@ class OrbitDomain:
         raise TypeError(f"cannot coerce {type(value).__name__} into OrbitDomain")
 
     def lift(self, r: RatFunc) -> OrbitScalar:
+        """r at every point.  t takes one value on each half block (the base t
+        on the w * P, its inverse on the inverted points), so a function of t
+        alone is evaluated once per half block and repeated."""
         key = id(r)
         hit = self._lift_cache.get(key)
         if hit is not None and hit[0] is r:
             return hit[1]
         p = self.prime
         try:
-            out = OrbitScalar(self, tuple(r.eval_mod(pt, p) for pt in self.points))
+            if r.is_t_only():
+                half = self.system.order
+                vals = []
+                for start in range(0, self.size, half):
+                    vals += [r.eval_mod(self.points[start], p)] * half
+                out = OrbitScalar(self, tuple(vals))
+            else:
+                out = OrbitScalar(self, tuple(r.eval_mod(pt, p) for pt in self.points))
         except ZeroDivisionError as exc:
             raise ZeroDenominator(f"at an orbit point: {exc}") from exc
         self._lift_cache[key] = (r, out)

@@ -140,6 +140,11 @@ class RatFunc:
             self._den = d
         return self._den
 
+    def is_t_only(self) -> bool:
+        """Every exponent outside slot 0 is zero: a function of t alone."""
+        polys = (self.num,) + tuple(f for f, _ in self.facs)
+        return not any(any(e[1:]) for f in polys for e in f.terms)
+
     def is_zero(self) -> bool:
         return not self.num.terms
 

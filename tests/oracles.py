@@ -11,7 +11,9 @@ These deliberately avoid the production code paths they check:
 It also holds the routes only tests use, as plain functions over the public
 objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
 of the twisted group ring, Bott-Samelson push-pull words, motivic Chern
-classes of Schubert varieties and the pairing as a full bullet action.
+classes of Schubert varieties, the pairing as a full bullet action, and the
+direct routes to the classes that Localization builds by recursion (the whole
+image of tau_w or gamma_w acting on pt_e).
 """
 
 from itertools import combinations
@@ -20,7 +22,7 @@ from klschubert.laurent import LaurentPoly
 from klschubert.hecke import HeckeElt
 from klschubert.localization import CohClass
 from klschubert.ratfunc import RatFunc
-from klschubert.twisted import QWElt
+from klschubert.twisted import QWElt, psi
 
 
 def subword_leq(system, u, v):
@@ -157,3 +159,23 @@ def pairing_by_bullet(loc, f, g, J=()):
     values = [res.restrictions.get(u, loc.dom.zero) for u in loc.system.elements]
     assert all(loc.dom.eq(values[0], v) for v in values[1:]), "Y_{Pi/J} . fg is not constant"
     return values[0]
+
+
+def mc_cell_direct(loc, w):
+    """t^{-l(w)} tau_w o pt_e, with the whole image of tau_w."""
+    cls = loc.odot(loc.mult.dl_element(w), loc.point_class(loc.system.identity))
+    return cls.scale(loc.mult.scalar_t(-w.length))
+
+
+def kl_class_c_direct(loc, w):
+    """C_w = gamma_w o pt_e, with the whole image of gamma_w."""
+    op = loc.mult.hecke_to_qw(loc.hecke.kl_basis(w))
+    return loc.odot(op, loc.point_class(loc.system.identity))
+
+
+def kl_schubert_direct(loc, w, J=()):
+    """mu^{-l(w w_J)} psi(gamma_{w w_J}) o pt_e, with the whole image of gamma_{w w_J}."""
+    target = w * loc.system.longest_parabolic(J)
+    op = psi(loc.mult.hecke_to_qw(loc.hecke.kl_basis(target)), loc.hyp)
+    cls = loc.odot(op, loc.point_class(loc.system.identity, "hyperbolic"))
+    return cls.scale(loc.hyp.inv_mu_power(target.length))

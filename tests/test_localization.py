@@ -9,7 +9,15 @@ from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import psi
 
-from oracles import mc_variety, pairing_by_bullet, pushpull_word, qw_iota
+from oracles import (
+    kl_class_c_direct,
+    kl_schubert_direct,
+    mc_cell_direct,
+    mc_variety,
+    pairing_by_bullet,
+    pushpull_word,
+    qw_iota,
+)
 
 
 @pytest.fixture(scope="module")
@@ -353,3 +361,46 @@ def test_kl_schubert_invariance_smallest_grassmannian(loc2, a2):
     for w in a2.minimal_coset_reps(J):
         cls = loc2.kl_schubert(w, J)
         assert loc2.is_invariant(cls, J)
+
+
+RECURSION_GROUPS = {**PAIRING_GROUPS, "B3": CartanData(((2, -1, 0), (-1, 2, -2), (0, -1, 2)), "B")}
+RECURSION_CONFIGS = [
+    (name, mode) for name in ("A3", "B2", "G2", "B3") for mode in ("exact", "modp")
+]
+
+
+@pytest.mark.parametrize("name, mode", RECURSION_CONFIGS)
+def test_class_recursions_match_direct_routes(name, mode):
+    """C_w, MC(cell w) and the hyperbolic KL-Schubert class, built by the left
+    recursions, equal the whole image of gamma_w or tau_w acting on pt_e."""
+    system = RootSystem(RECURSION_GROUPS[name])
+    dom = OrbitDomain(system, seed=23) if mode == "modp" else None
+    loc = Localization(system, dom)
+    elements = system.elements
+    if (name, mode) == ("B3", "exact"):
+        # every 4th element up to s1*s2*s1*s3, the first with a mu term: the
+        # direct routes take seconds per longer element in exact B3
+        elements = elements[:20:4]
+    for w in elements:
+        assert loc.kl_class_c(w) == kl_class_c_direct(loc, w), w
+        assert loc.mc_cell(w) == mc_cell_direct(loc, w), w
+        assert loc.kl_schubert(w) == kl_schubert_direct(loc, w), w
+
+
+def test_memoized_classes_are_shared_and_keep_their_J(loc3, a3):
+    J = (0, 2)
+    reps = a3.minimal_coset_reps(J)
+    u = reps[-1]
+    mc = loc3.mc_cell_parabolic(u, J)
+    assert mc.J == J
+    assert loc3.mc_cell_parabolic(u, (2, 0)) is mc
+    assert loc3.mc_cell(u).J is None
+    smc = loc3.smc_cell_parabolic(u, J)
+    assert loc3.smc_cell_parabolic(u, J) is smc and smc.J == J
+    target = u * a3.longest_parabolic(J)
+    schubert = loc3.kl_schubert(u, J)
+    assert schubert.J == J
+    assert loc3.kl_class_c(target).J is None
+    assert loc3.kl_schubert(target).J is None
+    assert loc3.kl_class_c_parabolic(u, J).J == J
+    assert loc3.kl_class_c_tilde_parabolic(u, J).J == J

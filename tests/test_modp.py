@@ -107,6 +107,31 @@ def test_lift_reports_a_vanishing_denominator(a2):
         dom.lift(RatFunc(one, FIXED_PRIME))
 
 
+def test_t_only_lift_is_the_pointwise_evaluation(a3):
+    """A function of t alone is evaluated once per half block and repeated; the
+    vector is eval_mod at every point, and a denominator that vanishes at one
+    family's t, or at one inverted t, still raises."""
+    dom = OrbitDomain(a3, seed=9, families=2)
+    t = LaurentPoly.t_power(4, 1)
+    one = LaurentPoly.const(4, 1)
+    fractions = [
+        RatFunc(t * t + LaurentPoly.t_power(4, -3, 5)),
+        RatFunc.from_den_factors(t - LaurentPoly.const(4, 3), [one + t * t, one - t]),
+        RatFunc(LaurentPoly.const(4, 7), 11),
+    ]
+    for f in fractions:
+        assert f.is_t_only()
+        assert dom.lift(f).values == tuple(f.eval_mod(pt, dom.prime) for pt in dom.points)
+    assert not RatFunc(t + LaurentPoly.var(4, 1)).is_t_only()
+    assert not RatFunc.fraction(one, one - LaurentPoly.var(4, 2)).is_t_only()
+    for start in (2 * a3.order, a3.order):  # family 1's t; family 0's inverted t
+        c = dom.points[start][0]
+        vanishing = RatFunc.fraction(one, t - LaurentPoly.const(4, c))
+        assert vanishing.is_t_only()
+        with pytest.raises(ZeroDenominator):
+            dom.lift(vanishing)
+
+
 def test_orbit_field_ops(a2):
     dom = OrbitDomain(a2, seed=44)
     one = LaurentPoly.const(3, 1)

@@ -86,6 +86,24 @@ def test_a3_pairing_suites_mod_p():
     assert h.hexdigest() == A3_PAIRING_DIGEST
 
 
+# The exact suites at A3; the digest is the exact-a3 one of perfbench/workloads.py.
+A3_EXACT_CASES = {"serre": 34, "gammapsirel": 27, "grassmann-smoothness": 6}
+A3_EXACT_DIGEST = "22a9fd1523ec2139c56e7354bf57a4f91b384ec110d4834efc9764ce262c8c18"
+
+
+def test_a3_exact_suites():
+    h = hashlib.sha256()
+    for suite, count in A3_EXACT_CASES.items():
+        grass = {"n": 4, "d": 2} if suite in GRASSMANNIAN else {}
+        cfg = RunConfig(rank=3, mode="exact", k=2, seed=1, serre_samples=10, **grass)
+        report = run_suite(suite, cfg)
+        assert len(report.cases) == count
+        assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+        for c in report.cases:
+            h.update(f"{suite}\t{c.case_id}\t{int(c.ok)}\n".encode())
+    assert h.hexdigest() == A3_EXACT_DIGEST
+
+
 def test_hecke_guard_refuses_a_suite():
     with pytest.raises(GuardRefusal):
         run_suite("duality", RunConfig(rank=2, hecke_guard=5))
