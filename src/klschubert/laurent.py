@@ -11,12 +11,21 @@ total order on monomials is lexicographic on exponent tuples (t first),
 which is exactly Python's tuple comparison.  The zero polynomial is the
 empty dict.  Instances are immutable by convention: no method mutates terms
 after construction.
+
+Exact division by a binomial d = z^m0 (c1 y + c0), y = z^(m1 - m0), is one
+linear pass: the ring is free over Z[y^+-1] on one monomial per coset of
+Z (m1 - m0), so the terms split into chains (keyed along one nonzero slot of
+a step that need not be primitive, as in 1 - t^2), each divided synthetically
+from the top down.  None is one-sided: one chain's non-integer coefficient or
+remainder proves that d does not divide; a quotient needs every chain.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from math import gcd
+from operator import add, mul, sub
 
 __all__ = ["LaurentPoly", "parse_poly"]
 
@@ -128,7 +137,7 @@ class LaurentPoly:
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 v = out.get(e, 0) + ca * cb
                 if v:
                     out[e] = v
@@ -147,10 +156,7 @@ class LaurentPoly:
         """Multiply by the monomial with the given exponent tuple."""
         if all(x == 0 for x in exps):
             return self
-        return LaurentPoly(
-            self.arity,
-            {tuple(x + y for x, y in zip(e, exps)): c for e, c in self.terms.items()},
-        )
+        return LaurentPoly(self.arity, {tuple(map(add, e, exps)): c for e, c in self.terms.items()})
 
     # ---------- content and division ----------
 
@@ -166,23 +172,18 @@ class LaurentPoly:
         """Componentwise min of exponent tuples (zero tuple for the zero poly)."""
         if not self.terms:
             return (0,) * self.arity
-        mins = None
-        for e in self.terms:
-            if mins is None:
-                mins = list(e)
-            else:
-                for i, x in enumerate(e):
-                    if x < mins[i]:
-                        mins[i] = x
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms)))
 
     def exact_divide(self, d: "LaurentPoly"):
-        """Return self / d if d divides self exactly in the Laurent ring, else None."""
+        """Return self / d if d divides self exactly in the Laurent ring, else None.
+        Binomials go chain by chain (module docstring), others by long division."""
         self._check(d)
         if not d.terms:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.terms:
             return LaurentPoly(self.arity)
+        if len(d.terms) == 2:
+            return self._divide_binomial(d)
         # Strip monomial content so divisibility reduces to the true-polynomial case.
         mc_n, mc_d = self.monomial_content(), d.monomial_content()
         num = self.shift(tuple(-x for x in mc_n))
@@ -210,6 +211,37 @@ class LaurentPoly:
                     del cur[k]
         shift_back = tuple(x - y for x, y in zip(mc_n, mc_d))
         return LaurentPoly(self.arity, quo).shift(shift_back)
+
+    def _divide_binomial(self, d: "LaurentPoly"):
+        """self / (c1 z^m1 + c0 z^m0) by synthetic division along each chain."""
+        (m1, c1), (m0, c0) = d.terms.items()
+        step = tuple(map(sub, m1, m0))
+        sj = next(filter(None, step))
+        j = step.index(sj)
+        steps: dict = {}  # k -> k * step
+        chains: dict = {}  # offset -> {k: coefficient at offset + k * step}
+        for e, c in self.terms.items():
+            k = e[j] // sj
+            ks = steps.get(k) or steps.setdefault(k, tuple(map(mul, step, repeat(k))))
+            chains.setdefault(tuple(map(sub, e, ks)), {})[k] = c
+        if 1 in map(len, chains.values()):
+            return None
+        quo: dict = {}
+        for rep, chain in chains.items():
+            # (c1 y + c0) sum q_k y^k has a_k = c1 q_{k-1} + c0 q_k: solve top down
+            lo, hi = min(chain), max(chain)
+            e = tuple(map(add, rep, map(mul, step, repeat(hi))))
+            q = 0
+            for k in range(hi, lo, -1):
+                q, r = divmod(chain.get(k, 0) - c0 * q, c1)
+                if r:
+                    return None
+                e = tuple(map(sub, e, step))
+                if q:
+                    quo[tuple(map(sub, e, m0))] = q
+            if chain[lo] != c0 * q:
+                return None
+        return LaurentPoly(self.arity, quo)
 
     # ---------- substitutions ----------
 

@@ -30,10 +30,11 @@ cotangent bundle, the hyperbolic transfer factor) are lifted once and twisted
 per u with dom.weyl.
 
 Build once: every point class, cell class, canonical class C_w, parabolic
-cell class and per-J (or per-length) lifted scalar is built at most once per
-Localization, through one memo table keyed by (builder, arguments), and the
-same object is handed to every caller; so no class is changed after it is
-built.  The classes come by recursion on length, each step one 2-term odot:
+cell class, smoothness verdict and per-J (or per-length) lifted scalar is
+built at most once per Localization, through one memo table keyed by
+(builder, arguments), and the same object is handed to every caller; so no
+class is changed after it is built.  The classes come by recursion on
+length, each step one 2-term odot:
 
     MC(cell w) = t^-1 tau_s o MC(cell sw),
     C_w        = (tau_s + t) o C_{sw} - sum mu(v, sw) C_v  over v < sw, sv < v,
@@ -49,6 +50,7 @@ direct routes; the direct routes of the recursive classes are test oracles.
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
@@ -361,6 +363,8 @@ class Localization:
         return self._once(self._mc_cell_parabolic, u, _jkey(J))
 
     def _mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
+        if not J:  # Y_() = delta_e: the restrictions of MC(cell u) themselves
+            return CohClass(self.mult, self.mc_cell(u).restrictions, ())
         self.system.require_min_rep(u, J)
         cls = self.bullet(self.mult.pushpull_rel(J, ()), self.mc_cell(u))
         return CohClass(self.mult, cls.restrictions, J)
@@ -499,7 +503,10 @@ class Localization:
     # ---------- smoothness criterion ----------
 
     def is_smooth(self, w: WeylElt):
-        """Fixed-point smoothness verdicts from the coefficients of Gamma_w."""
+        """(smooth, u -> verdict at u) from the coefficients of Gamma_w, built once per w."""
+        return self._once(self._is_smooth, w)
+
+    def _is_smooth(self, w: WeylElt):
         system = self.system
         coeffs = self.mult.gamma_coefficients(self.hecke, w)
         arity = system.rank + 1
@@ -517,7 +524,7 @@ class Localization:
                     )
             got = coeffs.get(u, self.dom.zero)
             witnesses[u] = self.dom.eq(got, self.dom.lift(expected))
-        return all(witnesses.values()), witnesses
+        return all(witnesses.values()), MappingProxyType(witnesses)
 
     # ---------- random classes (for involution tests) ----------
 

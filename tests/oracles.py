@@ -8,6 +8,9 @@ These deliberately avoid the production code paths they check:
   Laurent polynomials in t, using only Hecke multiplication by generators
   and generator inverses (never the mu-recursion).
 
+- long_divide is the lex-order long division that LaurentPoly.exact_divide
+  used for every divisor before binomials were divided chain by chain.
+
 It also holds the routes only tests use, as plain functions over the public
 objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
 of the twisted group ring, Bott-Samelson push-pull words, motivic Chern
@@ -179,3 +182,39 @@ def kl_schubert_direct(loc, w, J=()):
     op = psi(loc.mult.hecke_to_qw(loc.hecke.kl_basis(target)), loc.hyp)
     cls = loc.odot(op, loc.point_class(loc.system.identity, "hyperbolic"))
     return cls.scale(loc.hyp.inv_mu_power(target.length))
+
+
+def long_divide(n, d):
+    """n / d if d divides n exactly in the Laurent ring, else None, by long division."""
+    n._check(d)
+    if not d.terms:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not n.terms:
+        return LaurentPoly(n.arity)
+    # Strip monomial content so divisibility reduces to the true-polynomial case.
+    mc_n, mc_d = n.monomial_content(), d.monomial_content()
+    num = n.shift(tuple(-x for x in mc_n))
+    den = d.shift(tuple(-x for x in mc_d))
+    elead = max(den.terms)
+    clead = den.terms[elead]
+    cur = dict(num.terms)
+    quo: dict = {}
+    while cur:
+        e = max(cur)
+        c = cur[e]
+        qe = tuple(x - y for x, y in zip(e, elead))
+        if any(x < 0 for x in qe):
+            return None
+        qc, r = divmod(c, clead)
+        if r:
+            return None
+        quo[qe] = qc
+        for ed, cd in den.terms.items():
+            k = tuple(x + y for x, y in zip(qe, ed))
+            v = cur.get(k, 0) - qc * cd
+            if v:
+                cur[k] = v
+            elif k in cur:
+                del cur[k]
+    shift_back = tuple(x - y for x, y in zip(mc_n, mc_d))
+    return LaurentPoly(n.arity, quo).shift(shift_back)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from klschubert.laurent import LaurentPoly, parse_poly
 
+from oracles import long_divide
+
 
 def t(arity=3, exp=1, c=1):
     return LaurentPoly.t_power(arity, exp, c)
@@ -61,6 +63,82 @@ def test_exact_divide_failure():
     num = LaurentPoly.const(3, 1) + z(1)
     den = LaurentPoly.const(3, 1) - z(2)
     assert num.exact_divide(den) is None
+
+
+# binomials that exercise one feature each of the chain-wise division (t, z1, z2)
+NAMED_BINOMIALS = {
+    "non-unit leading coefficient, 2 - 3 z1": LaurentPoly(3, {(0, 0, 0): 2, (0, 1, 0): -3}),
+    "non-primitive step, 1 - t^2": LaurentPoly(3, {(0, 0, 0): 1, (2, 0, 0): -1}),
+    "step in several slots, t^2 - z1^-1 z2": LaurentPoly(3, {(2, 0, 0): 1, (0, -1, 1): -1}),
+    "negative exponents, t^-1 z2^-2 + 2 z1^-1": LaurentPoly(3, {(-1, 0, -2): 1, (0, -1, 0): 2}),
+}
+
+
+def _random_poly(rng, arity, n_terms, span=3):
+    coeffs = (-3, -2, -1, 1, 2, 3)
+    return LaurentPoly(
+        arity,
+        {
+            tuple(rng.randint(-span, span) for _ in range(arity)): rng.choice(coeffs)
+            for _ in range(n_terms)
+        },
+    )
+
+
+def _random_binomial(rng, arity):
+    while True:
+        d = _random_poly(rng, arity, 2, span=2)
+        if len(d.terms) == 2:
+            return d
+
+
+def _chain_count(n, d):
+    """The number of cosets of Z (m1 - m0) that the terms of n meet."""
+    (m1, _), (m0, _) = d.terms.items()
+    step = [x - y for x, y in zip(m1, m0)]
+    j = next(i for i, x in enumerate(step) if x)
+    return len(
+        {tuple(x - (e[j] // step[j]) * s for x, s in zip(e, step)) for e in n.terms}
+    )
+
+
+def test_binomial_division_matches_long_division():
+    """Chain-wise division against the long-division oracle, quotient for
+    quotient and None for None, over seeded random binomials of arity 1 to 4."""
+    rng = random.Random(20090615)
+    cases = list(NAMED_BINOMIALS.items())
+    for arity in (1, 2, 3, 4):
+        cases += [(f"random arity {arity}", _random_binomial(rng, arity)) for _ in range(40)]
+    divisible = 0
+    several_chains = 0
+    for name, d in cases:
+        for _ in range(12):
+            g = _random_poly(rng, d.arity, rng.randint(1, 6))
+            mono = _random_poly(rng, d.arity, 1)
+            n = g * d
+            assert n.exact_divide(d) == g, (name, g)
+            assert (n + mono).exact_divide(d) is None, (name, g, mono)
+            for num in (n, n + mono, g, g + mono):
+                assert num.exact_divide(d) == long_divide(num, d), (name, num)
+                divisible += long_divide(num, d) is not None
+                several_chains += _chain_count(num, d) > 1
+    assert divisible > len(cases) * 12
+    assert several_chains > len(cases) * 12
+
+
+def test_binomial_division_examples():
+    one, t2 = LaurentPoly.const(3, 1), t(exp=2)
+    # 1 - t^2 has the step t^2: the chains of t^0 and t^1 are divided apart
+    g = one + t() + z(1, exp=-1)
+    assert (g * (one - t2)).exact_divide(one - t2) == g
+    assert (one - t()).exact_divide(one - t2) is None
+    assert (one - t2 * t2).exact_divide(one - t2) == one + t2
+    # 2 - 3 z1 divides 4 - 9 z1^2 but not 1 - z1 over Z
+    d = LaurentPoly.const(3, 2) - z(1, c=3)
+    assert (LaurentPoly.const(3, 4) - z(1, exp=2, c=9)).exact_divide(d) == (
+        LaurentPoly.const(3, 2) + z(1, c=3)
+    )
+    assert (one - z(1)).exact_divide(d) is None
 
 
 def test_weyl_action_a1():

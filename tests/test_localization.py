@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -404,3 +405,49 @@ def test_memoized_classes_are_shared_and_keep_their_J(loc3, a3):
     assert loc3.kl_schubert(target).J is None
     assert loc3.kl_class_c_parabolic(u, J).J == J
     assert loc3.kl_class_c_tilde_parabolic(u, J).J == J
+
+
+def test_smoothness_verdicts_are_built_once(loc3, a3):
+    w = a3.from_word([1, 0, 2, 1])
+    verdict = loc3.is_smooth(w)
+    assert loc3.is_smooth(w) is verdict
+    with pytest.raises(TypeError):
+        verdict[1][a3.identity] = True
+
+
+def test_mc_cell_parabolic_at_the_empty_set_shares_the_cell(loc3, a3):
+    for u in a3.elements:
+        cell, down = loc3.mc_cell(u), loc3.mc_cell_parabolic(u, ())
+        assert down.J == ()
+        assert down.restrictions.keys() == cell.restrictions.keys()
+        assert all(down.restrictions[w] is c for w, c in cell.restrictions.items())
+
+
+# sha256 over the printed exact classes of PRINTED_CLASSES, recorded before
+# binomials were divided chain by chain
+PRINTED_DIGEST = "68255a4fd5055635c1e643216b61295337efb5510df44481c802b6a9a0ac924e"
+
+
+def test_printed_classes_are_pinned(loc2, loc3, a2, a3):
+    """The exact printed forms of KL, Segre and cell classes: every A2 element,
+    and every fourth A3 element."""
+    printed = []
+    for w in a2.elements:
+        c = loc2.kl_class_c(w)
+        printed += [
+            ("A2", "kl_class_c", w, c),
+            ("A2", "kl_class_c_tilde", w, loc2.kl_class_c_tilde(w)),
+            ("A2", "smc_cell", w, loc2.smc_cell(w)),
+            ("A2", "mc_cell", w, loc2.mc_cell(w)),
+            ("A2", "serre_dual(kl_class_c)", w, loc2.serre_dual(c)),
+        ]
+    for w in a3.elements[::4]:
+        printed += [
+            ("A3", "kl_class_c", w, loc3.kl_class_c(w)),
+            ("A3", "smc_cell", w, loc3.smc_cell(w)),
+            ("A3", "mc_cell", w, loc3.mc_cell(w)),
+        ]
+    h = hashlib.sha256()
+    for group, name, w, c in printed:
+        h.update(f"{group}\t{name}\t{w!r}\t{c.format()}\n".encode())
+    assert h.hexdigest() == PRINTED_DIGEST

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from klschubert import verify
+from klschubert.localization import Localization
 from klschubert.verify import SUITES, GuardRefusal, RunConfig, run_suite
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
@@ -102,6 +103,23 @@ def test_a3_exact_suites():
         for c in report.cases:
             h.update(f"{suite}\t{c.case_id}\t{int(c.ok)}\n".encode())
     assert h.hexdigest() == A3_EXACT_DIGEST
+
+
+def test_smoothness_verdicts_are_built_once_per_element(monkeypatch):
+    """grassmann-smoothness asks for the verdict of each w w_J for its case and
+    again, when smooth, for the fundamental class; each verdict is built once."""
+    built = []
+    build = Localization._is_smooth
+
+    def counted(self, w):
+        built.append(w)
+        return build(self, w)
+
+    monkeypatch.setattr(Localization, "_is_smooth", counted)
+    cfg = RunConfig(rank=3, mode="exact", k=2, seed=1, serre_samples=10, n=4, d=2)
+    report = run_suite("grassmann-smoothness", cfg)
+    assert len(report.cases) == 6 and report.all_passed()
+    assert len(built) == len(set(built)) == 6
 
 
 def test_hecke_guard_refuses_a_suite():
