@@ -26,18 +26,12 @@ __all__ = [
     "Rectangle",
     "Tiling",
     "encode",
-    "subset_of_partition",
-    "one_line_of_partition",
     "word_of_partition",
-    "partition_codecs",
-    "zelevinsky_tiling",
     "enumerate_tilings",
     "label_sets",
     "stabilizer_chain",
     "v_word",
     "render_tiling",
-    "format_parabolic",
-    "format_operator_chain",
 ]
 
 
@@ -139,36 +133,6 @@ def encode(lam: Partition, g: GrassData) -> MatrixEncoding:
     return MatrixEncoding(k, a, tuple(b))
 
 
-def decode(enc: MatrixEncoding, g: GrassData) -> Partition:
-    """Inverse of encode: rebuild the partition from the 2 x m matrix."""
-    widths = []
-    y = 0
-    for ki, ai in zip(enc.k, enc.a):
-        x = ki - (y + ai)
-        widths.extend([x] * ai)
-        y += ai
-    return Partition(reversed(widths))
-
-
-def subset_of_partition(lam: Partition, g: GrassData) -> tuple:
-    """I_lambda: labels on the vertical steps of the boundary path."""
-    lam.require_fits(g)
-    d = g.d
-    parts = lam.parts
-    out = []
-    for height in range(d):  # height = y of the step's bottom endpoint
-        row = d - height
-        width = parts[row - 1] if row <= len(parts) else 0
-        out.append(width + height + 1)
-    return tuple(sorted(out))
-
-
-def one_line_of_partition(lam: Partition, g: GrassData) -> list:
-    subset = subset_of_partition(lam, g)
-    rest = [x for x in range(1, g.n + 1) if x not in set(subset)]
-    return list(subset) + rest
-
-
 def word_of_partition(lam: Partition, g: GrassData) -> tuple:
     """The row-by-row reduced word: rows bottom to top, right to left, label d+j-i."""
     lam.require_fits(g)
@@ -177,21 +141,6 @@ def word_of_partition(lam: Partition, g: GrassData) -> tuple:
         for j in range(lam.parts[i - 1], 0, -1):
             word.append(g.d + j - i)
     return tuple(word)
-
-
-def partition_codecs(lam: Partition, g: GrassData, system=None):
-    """All indexings at once: subset, one-line, word, encoding, optional WeylElt."""
-    data = {
-        "subset": subset_of_partition(lam, g),
-        "one_line": one_line_of_partition(lam, g),
-        "word": word_of_partition(lam, g),
-        "encoding": encode(lam, g),
-    }
-    if system is not None:
-        w = system.from_word([i - 1 for i in data["word"]])
-        assert w.length == lam.size(), "factored word is not reduced"
-        data["element"] = w
-    return data
 
 
 @dataclass(frozen=True)
@@ -231,9 +180,6 @@ class Tiling:
     @property
     def r(self) -> int:
         return len(self.rectangles)
-
-    def sizes(self):
-        return [(rect.p, rect.q) for rect in self.rectangles]
 
 
 def _valid_choices(enc: MatrixEncoding, lam: Partition, g: GrassData):
@@ -282,31 +228,10 @@ def _remove_rectangle(lam: Partition, g: GrassData, i: int):
     return rect, new_lam
 
 
-def zelevinsky_tiling(lam: Partition, g: GrassData) -> Tiling:
-    """Tile by removing maximal rectangles at valid outer corners.
-
-    Each step takes the largest valid index, which reproduces the worked
-    running example.  Every choice sequence yields a small resolution, so
-    theorems are checked over enumerate_tilings.
-    """
-    lam.require_fits(g)
-    tiling = Tiling(g, lam)
-    cur = lam
-    while cur.parts:
-        tiling.shapes.append(cur)
-        enc = encode(cur, g)
-        choices = _valid_choices(enc, cur, g)
-        if not choices:
-            raise AssertionError(f"no valid corner for {cur} in {g}")
-        i = max(choices)
-        rect, cur = _remove_rectangle(cur, g, i)
-        tiling.rectangles.append(rect)
-        tiling.choices.append(i)
-    return tiling
-
-
 def enumerate_tilings(lam: Partition, g: GrassData) -> list:
-    """All tilings over all valid choice sequences."""
+    """All tilings over all valid choice sequences, each step's choices in
+    increasing order; the last takes the largest valid index at every step,
+    which reproduces the worked running example."""
     lam.require_fits(g)
     out = []
 
@@ -409,21 +334,3 @@ def render_tiling(tiling: Tiling) -> str:
         lines.append(" ".join(str(owner[(i, j)]) for j in range(1, width + 1)))
     return "\n".join(lines)
 
-
-def format_parabolic(labels, n: int) -> str:
-    """Subsets of Pi rendered through their complements: Pi-{4,6}."""
-    complement = sorted(set(range(1, n)) - set(labels))
-    if not complement:
-        return "Pi"
-    return "Pi-{" + ",".join(str(x) for x in complement) + "}"
-
-
-def format_operator_chain(tiling: Tiling, g: GrassData) -> str:
-    P, Q = stabilizer_chain(tiling, g)
-    parts = []
-    for i in range(tiling.r):
-        parts.append(
-            f"Y_({format_parabolic(P[i], g.n)})/({format_parabolic(Q[i], g.n)})"
-        )
-    parts.append(f"Y_({format_parabolic(P[-1], g.n)})")
-    return " ".join(parts)

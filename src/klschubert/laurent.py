@@ -22,12 +22,11 @@ remainder proves that d does not divide; a quotient needs every chain.
 
 from __future__ import annotations
 
-import re
 from itertools import repeat
 from math import gcd
 from operator import add, mul, sub
 
-__all__ = ["LaurentPoly", "parse_poly"]
+__all__ = ["LaurentPoly"]
 
 
 class LaurentPoly:
@@ -251,14 +250,10 @@ class LaurentPoly:
         matrix is an n x n tuple-of-tuples acting on fundamental-weight
         coordinates (column vectors).
         """
-        n = self.arity - 1
         out: dict = {}
         for e, c in self.terms.items():
             lam = e[1:]
-            new = tuple(
-                sum(matrix[i][j] * lam[j] for j in range(n)) for i in range(n)
-            )
-            k = (e[0],) + new
+            k = (e[0],) + tuple([sum(map(mul, row, lam)) for row in matrix])
             v = out.get(k, 0) + c
             if v:
                 out[k] = v
@@ -333,45 +328,3 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.format()})"
 
-
-_TERM_FACTOR = re.compile(r"^(t|z(\d+))(?:\^(-?\d+))?$")
-
-
-def parse_poly(text: str, arity: int) -> LaurentPoly:
-    """Parse the canonical text form produced by LaurentPoly.format."""
-    text = text.strip()
-    if text == "0":
-        return LaurentPoly(arity)
-    # Split on top-level + and - (no parentheses occur inside a polynomial).
-    chunks = []
-    sign = 1
-    buf = ""
-    for tok in re.split(r"\s+([+-])\s+", text):
-        if tok == "+" or tok == "-":
-            chunks.append((sign, buf))
-            sign = 1 if tok == "+" else -1
-        else:
-            buf = tok
-    chunks.append((sign, buf))
-    out = LaurentPoly(arity)
-    for sg, chunk in chunks:
-        chunk = chunk.strip()
-        if chunk.startswith("-"):
-            sg = -sg
-            chunk = chunk[1:].strip()
-        coeff = sg
-        exps = [0] * arity
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if re.fullmatch(r"-?\d+", factor):
-                coeff *= int(factor)
-                continue
-            m = _TERM_FACTOR.match(factor)
-            if not m:
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            slot = 0 if m.group(1) == "t" else int(m.group(2))
-            if slot >= arity:
-                raise ValueError(f"variable {factor!r} out of range for arity {arity}")
-            exps[slot] += int(m.group(3)) if m.group(3) else 1
-        out = out + LaurentPoly.monomial(tuple(exps), coeff)
-    return out

@@ -25,9 +25,8 @@ as well, the bullet is constant over the fixed points, so one sum gives it.
 That invariance is checked before the sum (it is vacuous for J = ()).
 
 Functions of the fixed point u that are Weyl twists u(f) of one function f
-(the monomial of Serre duality, the inverse cotangent factor, lambda of the
-cotangent bundle, the hyperbolic transfer factor) are lifted once and twisted
-per u with dom.weyl.
+(the monomial of Serre duality, the inverse cotangent factor, the hyperbolic
+transfer factor) are lifted once and twisted per u with dom.weyl.
 
 Build once: every point class, cell class, canonical class C_w, parabolic
 cell class, smoothness verdict and per-J (or per-length) lifted scalar is
@@ -207,10 +206,6 @@ class Localization:
             val = val * ring.x_root(-self.system.act_root(w, alpha))
         return CohClass(ring, {w: val})
 
-    def one_class(self, kind: str) -> CohClass:
-        ring = self.ring(kind)
-        return CohClass(ring, {w: self.dom.one for w in self.system.elements})
-
     def mc_cell(self, w: WeylElt) -> CohClass:
         """Motivic Chern class of the open cell, t^{-l(w)} tau_w o pt_e."""
         return self._once(self._mc_cell, w)
@@ -228,7 +223,7 @@ class Localization:
         one = LaurentPoly.const(self.system.rank + 1, 1)
         return [one - LaurentPoly.monomial((-2,) + tuple(lam), 1) for lam in weights]
 
-    def lambda_cotangent_factors(self, J=()):
+    def lambda_cotangent_factors(self, J):
         """The binomial factors (1 - t^-2 e^{a}), a in Sigma^+ minus Sigma_J^+: the
         factors at e; at the fixed point u they are twisted by u."""
         return self._t2_binomials(a.weight for a in self.system.roots_outside(J))
@@ -238,15 +233,6 @@ class Localization:
         return self._t2_binomials(
             tuple(-x for x in a.weight) for a in self.system.roots_outside(J)
         )
-
-    def lambda_cotangent(self) -> CohClass:
-        """lambda_{-t^-2} of the cotangent bundle, restricted fixed point by point:
-        the product at e is lifted once and Weyl-twisted to every u."""
-        val = RatFunc.from_int(self.system.rank + 1, 1)
-        for f in self.lambda_cotangent_factors():
-            val = val * RatFunc(f)
-        lam = self.dom.lift(val)
-        return CohClass(self.mult, {u: self.dom.weyl(u, lam) for u in self.system.elements})
 
     def _lambda_inv(self, J):
         """1 / prod (1 - t^-2 e^{a}) over Sigma^+ minus Sigma_J^+, lifted; its value
@@ -320,15 +306,10 @@ class Localization:
         return self.dom.zero if out is None else out
 
     def pairing_normalizer(self, J=()):
-        """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, exact and lifted."""
-        arity = self.system.rank + 1
-        val = RatFunc.from_int(arity, 1)
-        for a in self.system.roots_outside(J):
-            val = val * RatFunc(
-                LaurentPoly.t_power(arity, 1)
-                - LaurentPoly.monomial((-1,) + tuple(-x for x in a.weight), 1)
-            )
-        return self.dom.lift(val)
+        """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted: t^{N_J} times
+        the normalizer, N_J the number of those roots."""
+        n = len(self.system.roots_outside(J))
+        return self.mult.scalar_t(n) * self._once(self._normalizer, _jkey(J))
 
     # ---------- canonical (Kazhdan-Lusztig) classes ----------
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .laurent import LaurentPoly, parse_poly
+from .laurent import LaurentPoly
 
-__all__ = ["RatFunc", "FIXED_PRIME", "parse_ratfunc"]
+__all__ = ["RatFunc", "FIXED_PRIME"]
 
 # Largest 62-bit prime, 2^62 - 57.
 FIXED_PRIME = 4611686018427387847
@@ -329,15 +329,4 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc{self.format()}"
-
-
-def parse_ratfunc(text: str, arity: int) -> RatFunc:
-    """Parse `(num)/(den)` or a bare polynomial in the canonical grammar."""
-    text = text.strip()
-    if text.startswith("(") and ")/(" in text and text.endswith(")"):
-        i = text.index(")/(")
-        num = parse_poly(text[1:i], arity)
-        den = parse_poly(text[i + 3 : -1], arity)
-        return RatFunc.fraction(num, den)
-    return RatFunc(parse_poly(text, arity))
 

@@ -23,6 +23,7 @@ and the positive roots outside Sigma_J are cached per J.
 from __future__ import annotations
 
 from collections import deque
+from operator import mul
 
 from .laurent import LaurentPoly
 
@@ -134,9 +135,7 @@ class WeylElt:
         return self.idx
 
     def act_weight(self, lam: tuple) -> tuple:
-        m = self.matrix
-        n = len(lam)
-        return tuple(sum(m[i][j] * lam[j] for j in range(n)) for i in range(n))
+        return tuple([sum(map(mul, row, lam)) for row in self.matrix])
 
     def one_line(self):
         """One-line permutation for type A (None for other types)."""
@@ -284,9 +283,6 @@ class RootSystem:
             for i in range(self.rank)
         ]
 
-    def root_of_weight(self, weight: tuple):
-        return self._root_by_weight.get(tuple(weight))
-
     def act_root(self, w: WeylElt, root: Root) -> Root:
         return self._root_by_weight[w.act_weight(root.weight)]
 
@@ -301,12 +297,6 @@ class RootSystem:
             for r in range(n)
         )
         return self.elements[self._by_matrix[m]]
-
-    def inversions(self, w: WeylElt):
-        """{alpha > 0 : w alpha < 0}; its size is l(w)."""
-        out = [a for a in self.positive_roots if not self.act_root(w, a).positive]
-        assert len(out) == w.length
-        return out
 
     # ---------- group operations ----------
 
@@ -418,15 +408,6 @@ class RootSystem:
         """Raise ValueError unless w is in W^J (no right descent in J)."""
         if self._descents[w.idx] & _mask(J):
             raise ValueError(f"{w!r} is not a minimal coset representative for J={J}")
-
-    def coset_decompose(self, w: WeylElt, J):
-        """w = u * v with u in W^J, v in W_J and l(w) = l(u) + l(v)."""
-        mask = _mask(J)
-        idx = w.idx
-        while self._descents[idx] & mask:
-            idx = self.right_table[idx][(self._descents[idx] & mask).bit_length() - 1]
-        u = self.elements[idx]
-        return u, u.inverse() * w
 
     def relative_longest(self, J, Jp) -> WeylElt:
         """w_{J/J'} = w_J w_{J'}, the longest element of W_J intersect W^{J'}."""

@@ -67,7 +67,7 @@ class RunConfig:
         """A_{n-1} when n is set, else A_rank (A2 when neither is); every other
         type, and a rank other than n - 1, is refused."""
         if self.type_label != "A":
-            raise ValueError("only type A has a built-in constructor; pass a Cartan matrix")
+            raise ValueError(f"RunConfig builds type A only, not type {self.type_label!r}")
         if self.n is None:
             return CartanData.type_a(2 if self.rank is None else self.rank)
         if self.rank not in (None, self.n - 1):
@@ -155,6 +155,30 @@ def _class_case(cases: list, case_id: str, lhs, rhs, witness: str | None = None)
     cases.append(CaseResult(case_id, ok, None if ok else witness or _witness(lhs, rhs)))
 
 
+def _pairing_cases(cases: list, loc, case_id, left: dict, right: dict, diag, J=()):
+    """Append "<left[a], right[b]>_J = diag if a is b else 0" for every a, then
+    every b, in the order of the two dicts; case_id(a, b) names each case."""
+    dom = loc.dom
+    for a, f in left.items():
+        for b, g in right.items():
+            expected = diag if a is b else dom.zero
+            _scalar_case(cases, case_id(a, b), dom, loc.pairing(f, g, J), expected)
+
+
+def _inversion_case(cases: list, case_id: str, u, v, terms):
+    """Append "sum over w of eps_u eps_w q_w p_w = delta_uv" for q-polynomials as
+    ascending coefficient tuples; terms yields (w, q_w, p_w)."""
+    acc: dict = {}
+    for w, q, p in terms:
+        if q and p:
+            sign = u.sign * w.sign
+            for j1, c1 in enumerate(q):
+                for j2, c2 in enumerate(p):
+                    acc[j1 + j2] = acc.get(j1 + j2, 0) + sign * c1 * c2
+    acc = {k: c for k, c in acc.items() if c}
+    _class_case(cases, case_id, acc, {0: 1} if u is v else {})
+
+
 # ---------- context ----------
 
 
@@ -240,11 +264,7 @@ def suite_duality(ctx: _Context) -> list:
     cw = {w: loc.kl_class_c(w) for w in system.elements}
     ct = {v: loc.kl_class_c_tilde(v) for v in system.elements}
     cases = []
-    for w in system.elements:
-        for v in system.elements:
-            val = loc.pairing(cw[w], ct[v])
-            expected = norm if w is v else loc.dom.zero
-            _scalar_case(cases, f"<C[{w!r}], Ct[{v!r}]>", loc.dom, val, expected)
+    _pairing_cases(cases, loc, lambda w, v: f"<C[{w!r}], Ct[{v!r}]>", cw, ct, norm)
     return cases
 
 
@@ -254,11 +274,7 @@ def suite_orthogonality(ctx: _Context) -> list:
     mc = {u: loc.mc_cell(u) for u in system.elements}
     smc = {v: loc.smc_cell(v) for v in system.elements}
     cases = []
-    for u in system.elements:
-        for v in system.elements:
-            val = loc.pairing(mc[u], smc[v])
-            expected = loc.dom.one if u is v else loc.dom.zero
-            _scalar_case(cases, f"<MC[{u!r}], SMC[{v!r}]>", loc.dom, val, expected)
+    _pairing_cases(cases, loc, lambda u, v: f"<MC[{u!r}], SMC[{v!r}]>", mc, smc, loc.dom.one)
     return cases
 
 
@@ -365,40 +381,22 @@ def suite_inversion(ctx: _Context) -> list:
     system = ctx.system
     h = ctx.hecke
     cases = []
-
-    def convolve(q, p, sign, acc):
-        for j1, c1 in enumerate(q):
-            for j2, c2 in enumerate(p):
-                acc[j1 + j2] = acc.get(j1 + j2, 0) + sign * c1 * c2
-
     h.kl_compute_upto(system.w0.length)
-    for u in system.elements:
-        for v in system.elements:
-            acc: dict = {}
-            for w in system.elements:
-                q = h.inverse_kl(u, w)
-                p = h.kl_polynomial(w, v)
-                if q and p:
-                    convolve(q, p, u.sign * w.sign, acc)
-            acc = {k: c for k, c in acc.items() if c}
-            _class_case(cases, f"inversion u={u!r} v={v!r}", acc, {0: 1} if u is v else {})
+    elements = system.elements
+    for u in elements:
+        for v in elements:
+            terms = ((w, h.inverse_kl(u, w), h.kl_polynomial(w, v)) for w in elements)
+            _inversion_case(cases, f"inversion u={u!r} v={v!r}", u, v, terms)
     for J in _subsets(system.rank):
         reps = system.minimal_coset_reps(J)
+        jtxt = _jtxt(J)
         for u in reps:
             for v in reps:
-                acc = {}
-                for w in reps:
-                    q = h.inverse_parabolic_kl(u, w, J)
-                    p = h.parabolic_kl(w, v, J)
-                    if q and p:
-                        convolve(q, p, u.sign * w.sign, acc)
-                acc = {k: c for k, c in acc.items() if c}
-                _class_case(
-                    cases,
-                    f"parabolic inversion J={{{_jtxt(J)}}} u={u!r} v={v!r}",
-                    acc,
-                    {0: 1} if u is v else {},
+                terms = (
+                    (w, h.inverse_parabolic_kl(u, w, J), h.parabolic_kl(w, v, J)) for w in reps
                 )
+                case_id = f"parabolic inversion J={{{jtxt}}} u={u!r} v={v!r}"
+                _inversion_case(cases, case_id, u, v, terms)
     return cases
 
 
@@ -434,25 +432,21 @@ def suite_parabolic_duality(ctx: _Context) -> list:
     cases = []
     for J in Js:
         reps = system.minimal_coset_reps(J)
-        jtxt = _jtxt(J)
+        tag = f"J={{{_jtxt(J)}}} "
         norm = loc.pairing_normalizer(J)
         mc = {u: loc.mc_cell_parabolic(u, J) for u in reps}
         smc = {v: loc.smc_cell_parabolic(v, J) for v in reps}
         cj = {w: loc.kl_class_c_parabolic(w, J) for w in reps}
         ctj = {w: loc.kl_class_c_tilde_parabolic(w, J) for w in reps}
-        for u in reps:
-            for v in reps:
-                val = loc.pairing(mc[u], smc[v], J)
-                expected = dom.one if u is v else dom.zero
-                _scalar_case(cases, f"J={{{jtxt}}} <MC[{u!r}], SMC[{v!r}]>_J", dom, val, expected)
-        for w in reps:
-            for u in reps:
-                val = loc.pairing(cj[w], ctj[u], J)
-                expected = norm if w is u else dom.zero
-                _scalar_case(cases, f"J={{{jtxt}}} <C^J[{w!r}], Ct^J[{u!r}]>_J", dom, val, expected)
+        _pairing_cases(
+            cases, loc, lambda u, v: f"{tag}<MC[{u!r}], SMC[{v!r}]>_J", mc, smc, dom.one, J
+        )
+        _pairing_cases(
+            cases, loc, lambda w, u: f"{tag}<C^J[{w!r}], Ct^J[{u!r}]>_J", cj, ctj, norm, J
+        )
         # Serre duality downstairs
         for w in reps:
-            case_id = f"J={{{jtxt}}} D_J(C^J[{w!r}]) = C^J[{w!r}]"
+            case_id = f"{tag}D_J(C^J[{w!r}]) = C^J[{w!r}]"
             _class_case(cases, case_id, loc.serre_dual(cj[w], J), cj[w])
     return cases
 

@@ -10,17 +10,25 @@ These deliberately avoid the production code paths they check:
 
 - long_divide is the lex-order long division that LaurentPoly.exact_divide
   used for every divisor before binomials were divided chain by chain.
+- parse_poly and parse_ratfunc read the canonical text form back, so the
+  printers round-trip; decode inverts the Grassmannian matrix encoding, and
+  subset_of_partition and one_line_of_partition index a Schubert variety by
+  its lattice path, independently of word_of_partition.
+- inversions lists the positive roots a group element sends negative.
 
 It also holds the routes only tests use, as plain functions over the public
 objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
 of the twisted group ring, Bott-Samelson push-pull words, motivic Chern
-classes of Schubert varieties, the pairing as a full bullet action, and the
-direct routes to the classes that Localization builds by recursion (the whole
-image of tau_w or gamma_w acting on pt_e).
+classes of Schubert varieties, the pairing as a full bullet action and its
+normalizer as a product of root factors, the direct routes to the classes
+that Localization builds by recursion (the whole image of tau_w or gamma_w
+acting on pt_e), and the constant class one_class.
 """
 
+import re
 from itertools import combinations
 
+from klschubert.grassmannian import Partition
 from klschubert.laurent import LaurentPoly
 from klschubert.hecke import HeckeElt
 from klschubert.localization import CohClass
@@ -108,7 +116,7 @@ def _inversion_ratio(ring, u, hatted):
     out = ring.dom.one
     arity = ring.model.arity
     t, tinv = LaurentPoly.t_power(arity, 1), LaurentPoly.t_power(arity, -1)
-    for alpha in ring.system.inversions(u.inverse()):
+    for alpha in inversions(ring.system, u.inverse()):
         out = out * ring.x_root(-alpha) * ring.x_root_inv(alpha)
         if hatted:
             e_minus = LaurentPoly.monomial((0,) + tuple(-x for x in alpha.weight), 1)
@@ -184,6 +192,16 @@ def kl_schubert_direct(loc, w, J=()):
     return cls.scale(loc.hyp.inv_mu_power(target.length))
 
 
+def pairing_normalizer_product(loc, J=()):
+    """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, factor by factor, lifted."""
+    arity = loc.system.rank + 1
+    val = RatFunc.from_int(arity, 1)
+    for a in loc.system.roots_outside(J):
+        e_minus = LaurentPoly.monomial((-1,) + tuple(-x for x in a.weight), 1)
+        val = val * RatFunc(LaurentPoly.t_power(arity, 1) - e_minus)
+    return loc.dom.lift(val)
+
+
 def long_divide(n, d):
     """n / d if d divides n exactly in the Laurent ring, else None, by long division."""
     n._check(d)
@@ -218,3 +236,100 @@ def long_divide(n, d):
                 del cur[k]
     shift_back = tuple(x - y for x, y in zip(mc_n, mc_d))
     return LaurentPoly(n.arity, quo).shift(shift_back)
+
+
+_TERM_FACTOR = re.compile(r"^(t|z(\d+))(?:\^(-?\d+))?$")
+
+
+def parse_poly(text: str, arity: int) -> LaurentPoly:
+    """Parse the canonical text form produced by LaurentPoly.format."""
+    text = text.strip()
+    if text == "0":
+        return LaurentPoly(arity)
+    # Split on top-level + and - (no parentheses occur inside a polynomial).
+    chunks = []
+    sign = 1
+    buf = ""
+    for tok in re.split(r"\s+([+-])\s+", text):
+        if tok == "+" or tok == "-":
+            chunks.append((sign, buf))
+            sign = 1 if tok == "+" else -1
+        else:
+            buf = tok
+    chunks.append((sign, buf))
+    out = LaurentPoly(arity)
+    for sg, chunk in chunks:
+        chunk = chunk.strip()
+        if chunk.startswith("-"):
+            sg = -sg
+            chunk = chunk[1:].strip()
+        coeff = sg
+        exps = [0] * arity
+        for factor in chunk.split("*"):
+            factor = factor.strip()
+            if re.fullmatch(r"-?\d+", factor):
+                coeff *= int(factor)
+                continue
+            m = _TERM_FACTOR.match(factor)
+            if not m:
+                raise ValueError(f"bad factor {factor!r} in {text!r}")
+            slot = 0 if m.group(1) == "t" else int(m.group(2))
+            if slot >= arity:
+                raise ValueError(f"variable {factor!r} out of range for arity {arity}")
+            exps[slot] += int(m.group(3)) if m.group(3) else 1
+        out = out + LaurentPoly.monomial(tuple(exps), coeff)
+    return out
+
+
+def parse_ratfunc(text: str, arity: int) -> RatFunc:
+    """Parse `(num)/(den)` or a bare polynomial in the canonical grammar."""
+    text = text.strip()
+    if text.startswith("(") and ")/(" in text and text.endswith(")"):
+        i = text.index(")/(")
+        num = parse_poly(text[1:i], arity)
+        den = parse_poly(text[i + 3 : -1], arity)
+        return RatFunc.fraction(num, den)
+    return RatFunc(parse_poly(text, arity))
+
+
+def decode(enc, g) -> Partition:
+    """Inverse of encode: rebuild the partition from the 2 x m matrix."""
+    widths = []
+    y = 0
+    for ki, ai in zip(enc.k, enc.a):
+        x = ki - (y + ai)
+        widths.extend([x] * ai)
+        y += ai
+    return Partition(reversed(widths))
+
+
+def subset_of_partition(lam, g) -> tuple:
+    """I_lambda: labels on the vertical steps of the boundary path."""
+    lam.require_fits(g)
+    d = g.d
+    parts = lam.parts
+    out = []
+    for height in range(d):  # height = y of the step's bottom endpoint
+        row = d - height
+        width = parts[row - 1] if row <= len(parts) else 0
+        out.append(width + height + 1)
+    return tuple(sorted(out))
+
+
+def one_line_of_partition(lam, g) -> list:
+    """The Grassmannian permutation in one-line form: I_lambda, then the rest."""
+    subset = subset_of_partition(lam, g)
+    rest = [x for x in range(1, g.n + 1) if x not in set(subset)]
+    return list(subset) + rest
+
+
+def inversions(system, w):
+    """{alpha > 0 : w alpha < 0}; its size is l(w)."""
+    out = [a for a in system.positive_roots if not system.act_root(w, a).positive]
+    assert len(out) == w.length
+    return out
+
+
+def one_class(loc, kind):
+    """The class restricting to 1 at every fixed point."""
+    return CohClass(loc.ring(kind), {w: loc.dom.one for w in loc.system.elements})

@@ -1,16 +1,25 @@
-"""Every function and method in the package is referenced somewhere, and
-every parameter default in it is overridden by some call.
+"""Every function and method in the package is reached from the verdict path,
+and every parameter default in it is overridden by some call.
 
-A function counts as used when its name appears as a name, an attribute or
-a string constant in ``src/``, ``tests/`` or ``perfbench/`` outside its own
-``def`` line; a method only as an attribute or a string constant, since a
-local variable of the same name does not call it.  String constants count
-because the benchmark's tracer patches methods by name
-(``vars(owner)[attr]``).  Dunder methods are called by the interpreter and
-are exempt.  A default that no call overrides is an option
-with a single value in use, which belongs in the code as a constant.  These
-are stdlib (``ast``) checks, so a definition that nothing calls, or a
-one-value option, cannot quietly come back.
+Reachability is a name graph over ``src/``, parsed with stdlib ``ast``.  Its
+nodes are the module-level functions and the methods (a nested function
+belongs to the body that holds it).  The roots are:
+
+- ``run_suite``, plus every module-level statement other than an import or
+  ``__all__`` (so ``SUITES``), and every class body outside its methods;
+- dunder methods, which the interpreter calls, and the public members of
+  ``VerificationReport``, the object ``run_suite`` returns;
+- every name, attribute or string constant under ``perfbench/``, since the
+  benchmark's tracer patches methods by name (``vars(owner)[attr]``);
+- the printers kept for the command line (ROADMAP item 7).
+
+A reached body reaches a function through a bare name, an attribute or a
+string constant, and a method only through an attribute or a string
+constant, since a local variable of the same name does not call it.
+References from ``tests/`` do not count: a helper that only tests call
+belongs in ``tests/``.  A default that no call overrides is an option with a
+single value in use, which belongs in the code as a constant.  These checks
+keep an unreached definition, or a one-value option, from quietly coming back.
 """
 
 import ast
@@ -18,6 +27,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "klschubert"
+
+# Printers that no verdict reaches but the command line will print through.
+CLI_PRINTERS = (
+    "qpoly_str",  # ROADMAP item 7: KL polynomials in the CLI's text output
+    "render_tiling",  # ROADMAP item 7: tilings in the CLI's text output
+)
 
 
 def _trees(*dirs):
@@ -30,42 +45,79 @@ def _parents(tree):
     return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
 
 
-def _definitions():
-    """(location, name, is a method) per non-dunder function."""
-    out = []
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+    )
+
+
+def _definitions_and_roots():
+    """(location, class name or None, def node) per module-level function and
+    method, and the root statements and expressions outside them."""
+    defs, roots = [], []
     for path, tree in _trees(PACKAGE):
-        parents = _parents(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")):
-                    method = isinstance(parents.get(node), ast.ClassDef)
-                    out.append((f"{path.relative_to(ROOT)}:{node.lineno}", name, method))
-    return out
+        where = path.relative_to(ROOT)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                roots += stmt.bases + stmt.keywords + stmt.decorator_list
+                owner, body = stmt.name, stmt.body
+            else:
+                owner, body = None, [stmt]
+            for item in body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs.append((f"{where}:{item.lineno}", owner, item))
+                    roots += item.decorator_list
+                elif not (isinstance(item, (ast.Import, ast.ImportFrom)) or _is_all(item)):
+                    roots.append(item)
+    return defs, roots
 
 
-def _references():
-    """(bare names, attribute names and string constants)."""
+def _references(node):
+    """(bare names, attribute names and string constants) under an ast node."""
     names, attrs = set(), set()
-    for _, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                attrs.add(node.value)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            attrs.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            attrs.add(sub.value)
     return names, attrs
 
 
+def _is_reached(owner, name, names, attrs) -> bool:
+    if _is_dunder(name) or name in attrs:
+        return True
+    if owner is None:
+        return name in names
+    return owner == "VerificationReport" and not name.startswith("_")
+
+
+def _unreached():
+    """Location and qualified name of every definition that no root reaches."""
+    defs, roots = _definitions_and_roots()
+    names, attrs = {"run_suite", *CLI_PRINTERS}, set()
+    for _, tree in _trees(ROOT / "perfbench"):
+        attrs.update(*_references(tree))
+    frontier = roots
+    while frontier:
+        for node in frontier:
+            n, a = _references(node)
+            names |= n
+            attrs |= a
+        frontier = [node for _, owner, node in defs if _is_reached(owner, node.name, names, attrs)]
+        defs = [d for d in defs if d[2] not in frontier]
+    return [f"{where} {owner + '.' if owner else ''}{node.name}" for where, owner, node in defs]
+
+
 def test_every_definition_is_referenced():
-    names, attrs = _references()
-    dead = [
-        f"{where} {name}"
-        for where, name, method in _definitions()
-        if name not in attrs and (method or name not in names)
-    ]
-    assert not dead, "defined but never referenced:\n" + "\n".join(dead)
+    """Every definition is reached from run_suite and the other roots."""
+    dead = _unreached()
+    assert not dead, "not reached from run_suite:\n" + "\n".join(dead)
 
 
 def _is_method(node, parents) -> bool:

@@ -5,8 +5,10 @@ import pytest
 
 from klschubert.laurent import LaurentPoly
 from klschubert.modp import OrbitDomain
-from klschubert.ratfunc import FIXED_PRIME, RatFunc, parse_ratfunc
+from klschubert.ratfunc import FIXED_PRIME, RatFunc
 from klschubert.twisted import FglModel
+
+from oracles import parse_ratfunc
 
 ARITY = 3
 

@@ -3,7 +3,7 @@ import pytest
 from klschubert.laurent import LaurentPoly
 from klschubert.rootsystem import CartanData, RootSystem
 
-from oracles import subword_leq
+from oracles import inversions, subword_leq
 
 
 def test_orders(a1, a2, a3):
@@ -37,7 +37,8 @@ def test_positive_roots(a1, a2, a3):
 def test_reflection(a2):
     a1_root = a2.simple_roots[0]
     assert a2.reflection(a1_root) is a2.simple_reflection(0)
-    highest = a2.root_of_weight((1, 1))  # alpha_1 + alpha_2 = omega_1 + omega_2
+    # alpha_1 + alpha_2 = omega_1 + omega_2
+    highest = next(r for r in a2.roots if r.weight == (1, 1))
     s = a2.reflection(highest)
     assert s is a2.from_word([0, 1, 0])
     # s_alpha fixes the orthogonal hyperplane: <lam, alpha^vee> = 0
@@ -91,20 +92,21 @@ def test_length_complement(a3):
 
 
 def test_inversions(a2, a3):
-    assert a3.inversions(a3.identity) == []
-    assert set(a3.inversions(a3.w0)) == set(a3.positive_roots)
+    assert inversions(a3, a3.identity) == []
+    assert set(inversions(a3, a3.w0)) == set(a3.positive_roots)
     w = a2.from_word([0, 1])  # s1 s2
-    inv = {r.simple for r in a2.inversions(w)}
+    inv = {r.simple for r in inversions(a2, w)}
     assert inv == {(0, 1), (1, 1)}
     # oracle: apply the matrix to every positive root directly
     for rs in (a2, a3):
+        by_weight = {r.weight: r for r in rs.roots}
         for w in rs.elements:
             expect = {
                 r.weight
                 for r in rs.positive_roots
-                if not rs.root_of_weight(w.act_weight(r.weight)).positive
+                if not by_weight[w.act_weight(r.weight)].positive
             }
-            assert {r.weight for r in rs.inversions(w)} == expect
+            assert {r.weight for r in inversions(rs, w)} == expect
 
 
 def test_parabolic_data(a2, a3):
@@ -129,10 +131,6 @@ def test_parabolic_data(a2, a3):
 
 def test_coset_reps_oracle(a3):
     _check_coset_reps(a3)
-
-
-def test_coset_decompose(a3):
-    _check_coset_decompose(a3)
 
 
 def test_one_line_permutations(a3):
@@ -207,17 +205,6 @@ def _check_coset_reps(rs):
                 assert rs.relative_reps(J, Jp) == want
 
 
-def _check_coset_decompose(rs):
-    for J in _subsets(rs.rank):
-        reps = _brute_force_reps(rs, J)
-        wj_set = set(rs.parabolic_elements(J))
-        for w in rs.elements:
-            u, v = rs.coset_decompose(w, J)
-            assert u in reps and v in wj_set
-            assert u * v is w
-            assert u.length + v.length == w.length
-
-
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_group_tables_outside_type_a(name):
     rs = RootSystem(GROUPS[name])
@@ -237,11 +224,6 @@ def test_group_tables_outside_type_a(name):
 @pytest.mark.parametrize("name", NON_A)
 def test_coset_reps_outside_type_a(name):
     _check_coset_reps(RootSystem(GROUPS[name]))
-
-
-@pytest.mark.parametrize("name", NON_A)
-def test_coset_decompose_outside_type_a(name):
-    _check_coset_decompose(RootSystem(GROUPS[name]))
 
 
 def test_cayley_columns_are_built_on_demand():

@@ -157,7 +157,7 @@ def test_report_names_the_group_that_ran():
     report = run_suite("braid", RunConfig(n=4))
     assert report.params == {"type": "A", "rank": 3, "n": 4}
     assert "quadratic tau_3" in [c.case_id for c in report.cases]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="RunConfig builds type A only, not type 'B'"):
         run_suite("braid", RunConfig(type_label="B", n=4))
 
 
