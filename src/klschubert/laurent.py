@@ -59,14 +59,14 @@ class LaurentPoly:
         return cls(len(exps), {tuple(exps): c})
 
     @classmethod
-    def var(cls, arity: int, slot: int, exp: int = 1, c: int = 1) -> "LaurentPoly":
+    def var(cls, arity: int, slot: int, exp: int = 1) -> "LaurentPoly":
         e = [0] * arity
         e[slot] = exp
-        return cls.monomial(tuple(e), c)
+        return cls.monomial(tuple(e))
 
     @classmethod
-    def t_power(cls, arity: int, exp: int, c: int = 1) -> "LaurentPoly":
-        return cls.var(arity, 0, exp, c)
+    def t_power(cls, arity: int, exp: int) -> "LaurentPoly":
+        return cls.var(arity, 0, exp)
 
     # ---------- basic queries ----------
 

@@ -56,7 +56,7 @@ from .laurent import LaurentPoly
 from .modp import ExactDomain, domains_compatible
 from .ratfunc import RatFunc
 from .rootsystem import RootSystem, WeylElt
-from .twisted import QWElt, TwistedRing, psi
+from .twisted import QWElt, TwistedRing, psi, twisted_product
 
 __all__ = ["CohClass", "Localization"]
 
@@ -183,15 +183,7 @@ class Localization:
         """(a o c)_u = sum_v p_v v(c_{v^{-1} u}); not linear over the field."""
         if a.ring is not c.ring:
             a.ring._check(c.ring.zero())
-        dom = self.dom
-        out: dict = {}
-        for v, p in a.coeffs.items():
-            for w, q in c.restrictions.items():
-                u = v * w
-                val = p * dom.weyl(v, q)
-                acc = out.get(u)
-                out[u] = val if acc is None else acc + val
-        return CohClass(c.ring, out)
+        return CohClass(c.ring, twisted_product(self.dom, a.coeffs, c.restrictions))
 
     # ---------- basic classes ----------
 

@@ -70,13 +70,10 @@ class ExactDomain:
         return r
 
     def weyl(self, w: WeylElt, c: RatFunc) -> RatFunc:
-        return c.weyl(w.matrix)
+        return c if w.idx == 0 else c.weyl(w.matrix)
 
     def dualize(self, c: RatFunc) -> RatFunc:
         return c.dualize()
-
-    def inv(self, c: RatFunc) -> RatFunc:
-        return c.inv()
 
     def is_zero(self, c: RatFunc) -> bool:
         return c.is_zero()
@@ -254,15 +251,14 @@ class OrbitDomain:
         return out
 
     def weyl(self, w: WeylElt, c: OrbitScalar) -> OrbitScalar:
+        if w.idx == 0:
+            return c
         vals = c.values
         return OrbitScalar(self, tuple(vals[j] for j in self._perm[w.idx]))
 
     def dualize(self, c: OrbitScalar) -> OrbitScalar:
         vals = c.values
         return OrbitScalar(self, tuple(vals[j] for j in self._dual))
-
-    def inv(self, c: OrbitScalar) -> OrbitScalar:
-        return c.inv()
 
     def is_zero(self, c: OrbitScalar) -> bool:
         return c.is_zero()

@@ -12,10 +12,10 @@ The hyperbolic x is the preimage of the multiplicative one under the formal
 group law morphism g(x) = (1-t^2) x / (x - (t^2+1)); the price is that the
 coefficient ring inverts t^2 - 1, which the fraction field supplies.
 
-Demazure-Lusztig generators: in the multiplicative realization
-tau_i = Y_i (t - t^{-1} e^{alpha_i}) - t; in the hyperbolic one the Hecke
-algebra acts through mu Y_i - t with mu = t + t^{-1}.  The transfer psi sends
-the first to the second, which is one of the verified contracts.
+Demazure-Lusztig generators: the Hecke algebra acts through Y_i c - t, with
+c = t - t^{-1} e^{alpha_i} in the multiplicative realization and
+c = mu = t + t^{-1} in the hyperbolic one.  The transfer psi sends the first
+to the second, which is one of the verified contracts.
 """
 
 from __future__ import annotations
@@ -25,7 +25,19 @@ from .modp import ExactDomain, domains_compatible
 from .ratfunc import RatFunc
 from .rootsystem import Root, RootSystem, WeylElt
 
-__all__ = ["FglModel", "QWElt", "TwistedRing", "psi"]
+__all__ = ["FglModel", "QWElt", "TwistedRing", "psi", "twisted_product"]
+
+
+def twisted_product(dom, a: dict, b: dict) -> dict:
+    """The twisted product of {w: scalar} maps: p v(q) summed at v w."""
+    out: dict = {}
+    for v, p in a.items():
+        for w, q in b.items():
+            c = p * dom.weyl(v, q)
+            key = v * w
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+    return out
 
 
 class FglModel:
@@ -138,7 +150,6 @@ class TwistedRing:
         self._x_root_inv_cache: dict = {}
         self._dl_cache: dict = {}
         self._dl_gen_cache: dict = {}
-        self._dl_act_cache: dict = {}
         self._pushpull_cache: dict = {}
 
     def _check(self, other: "QWElt"):
@@ -222,15 +233,7 @@ class TwistedRing:
     def qw_mul(self, a: QWElt, b: QWElt) -> QWElt:
         self._check(a)
         self._check(b)
-        dom = self.dom
-        out: dict = {}
-        for v, p in a.coeffs.items():
-            for w, q in b.coeffs.items():
-                c = p * dom.weyl(v, q)
-                key = v * w
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return QWElt(self, out)
+        return QWElt(self, twisted_product(self.dom, a.coeffs, b.coeffs))
 
     def pushpull_simple(self, i: int) -> QWElt:
         """Y_i = (1 + delta_{s_i}) 1/x_{-alpha_i}."""
@@ -269,98 +272,32 @@ class TwistedRing:
     # ---------- Demazure-Lusztig generators and the Hecke action ----------
 
     def dl_generator(self, i: int) -> QWElt:
-        """The element acting as tau_i: Demazure-Lusztig in the multiplicative
-        realization, mu Y_i - t in the hyperbolic one."""
+        """The element acting as tau_i: Y_i c - t, with c = t - t^{-1} e^{alpha_i}
+        in the multiplicative realization (Demazure-Lusztig) and c = mu in the
+        hyperbolic one."""
         hit = self._dl_gen_cache.get(i)
-        if hit is not None:
-            return hit
-        t = self.scalar_t(1)
-        if self.kind == "multiplicative":
-            root = self.system.simple_roots[i]
-            arity = self.model.arity
-            one = LaurentPoly.const(arity, 1)
-            den = one - LaurentPoly.monomial((0,) + tuple(-x for x in root.weight), 1)
-            c_e = self.as_scalar(
-                RatFunc.from_den_factors(
-                    LaurentPoly.t_power(arity, -1) - LaurentPoly.t_power(arity, 1), [den]
-                )
-            )
-            c_s = self.as_scalar(
-                RatFunc.from_den_factors(
-                    LaurentPoly.t_power(arity, 1)
-                    - LaurentPoly.t_power(arity, -1)
-                    * LaurentPoly.monomial((0,) + tuple(-x for x in root.weight), 1),
-                    [den],
-                )
-            )
-            s = self.system.simple_reflection(i)
-            elt = QWElt(self, {self.system.identity: c_e, s: c_s})
-            # same element via the operator formula Y_i (t - t^-1 e^alpha) - t
-            alt = self.qw_mul(
-                self.pushpull_simple(i),
-                self.scalar_elt(
-                    t
-                    - self.scalar_t(-1)
-                    * self.as_scalar(
-                        RatFunc(
-                            LaurentPoly.monomial(
-                                (0,) + tuple(root.weight), 1
-                            )
-                        )
-                    )
-                ),
-            ) - self.scalar_elt(t)
-            assert elt == alt, "Demazure-Lusztig expressions disagree"
-        else:
-            mu = self.scalar_mu()
-            elt = self.pushpull_simple(i).scale(mu) - self.scalar_elt(t)
-        self._dl_gen_cache[i] = elt
-        return elt
-
-    def _dl_step(self, a: QWElt, i: int) -> QWElt:
-        """Right-multiply by the 2-term generator, caching Weyl images."""
-        gen = self.dl_generator(i)
-        s = self.system.simple_reflection(i)
-        c_e = gen.coeffs.get(self.system.identity)
-        c_s = gen.coeffs.get(s)
-        dom = self.dom
-        table = self.system.right_table
-        elements = self.system.elements
-        cache = self._dl_act_cache
-        out: dict = {}
-        for u, p in a.coeffs.items():
-            key = (i, u.idx, 0)
-            ue = cache.get(key)
-            if ue is None:
-                ue = dom.weyl(u, c_e)
-                cache[key] = ue
-            key = (i, u.idx, 1)
-            us = cache.get(key)
-            if us is None:
-                us = dom.weyl(u, c_s)
-                cache[key] = us
-            c = p * ue
-            acc = out.get(u)
-            out[u] = c if acc is None else acc + c
-            target = elements[table[u.idx][i]]
-            c = p * us
-            acc = out.get(target)
-            out[target] = c if acc is None else acc + c
-        return QWElt(self, out)
+        if hit is None:
+            if self.kind == "multiplicative":
+                tinv_e_alpha = LaurentPoly.monomial((-1,) + self.system.simple_roots[i].weight, 1)
+                c = RatFunc(LaurentPoly.t_power(self.model.arity, 1) - tinv_e_alpha)
+            else:
+                c = self.scalar_mu()
+            y_c = self.qw_mul(self.pushpull_simple(i), self.scalar_elt(c))
+            hit = self._dl_gen_cache[i] = y_c - self.scalar_elt(self.scalar_t(1))
+        return hit
 
     def dl_element(self, w: WeylElt) -> QWElt:
-        """The image of tau_w, built along reduced words and cached."""
+        """The image of tau_w, the image of tau_{w s_i} times tau_i, cached."""
         hit = self._dl_cache.get(w)
-        if hit is not None:
-            return hit
-        if w.length == 0:
-            out = self.delta(self.system.identity)
-        else:
-            i = w.word[-1]
-            prev = self.system.elements[self.system.right_table[w.idx][i]]
-            out = self._dl_step(self.dl_element(prev), i)
-        self._dl_cache[w] = out
-        return out
+        if hit is None:
+            if w.length == 0:
+                hit = self.delta(w)
+            else:
+                i = w.word[-1]
+                prev = self.system.elements[self.system.right_table[w.idx][i]]
+                hit = self.qw_mul(self.dl_element(prev), self.dl_generator(i))
+            self._dl_cache[w] = hit
+        return hit
 
     def hecke_to_qw(self, h) -> QWElt:
         """Ring homomorphism sending tau_w to the generator product along w."""

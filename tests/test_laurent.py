@@ -10,11 +10,11 @@ from oracles import long_divide, parse_poly
 
 
 def t(arity=3, exp=1, c=1):
-    return LaurentPoly.t_power(arity, exp, c)
+    return LaurentPoly.t_power(arity, exp).scale(c)
 
 
 def z(i, arity=3, exp=1, c=1):
-    return LaurentPoly.var(arity, i, exp, c)
+    return LaurentPoly.var(arity, i, exp).scale(c)
 
 
 def test_monomial_inverse_product():

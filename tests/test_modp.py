@@ -115,7 +115,7 @@ def test_t_only_lift_is_the_pointwise_evaluation(a3):
     t = LaurentPoly.t_power(4, 1)
     one = LaurentPoly.const(4, 1)
     fractions = [
-        RatFunc(t * t + LaurentPoly.t_power(4, -3, 5)),
+        RatFunc(t * t + LaurentPoly.t_power(4, -3).scale(5)),
         RatFunc.from_den_factors(t - LaurentPoly.const(4, 3), [one + t * t, one - t]),
         RatFunc(LaurentPoly.const(4, 7), 11),
     ]

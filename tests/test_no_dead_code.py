@@ -17,9 +17,10 @@ A reached body reaches a function through a bare name, an attribute or a
 string constant, and a method only through an attribute or a string
 constant, since a local variable of the same name does not call it.
 References from ``tests/`` do not count: a helper that only tests call
-belongs in ``tests/``.  A default that no call overrides is an option with a
-single value in use, which belongs in the code as a constant.  These checks
-keep an unreached definition, or a one-value option, from quietly coming back.
+belongs in ``tests/``.  A default that no call in ``src/`` or ``perfbench/``
+overrides is an option with a single value in use, which belongs in the code
+as a constant.  These checks keep an unreached definition, or a one-value
+option, from quietly coming back.
 """
 
 import ast
@@ -150,15 +151,32 @@ def _defaulted_parameters():
     return out
 
 
+def _classmethod_owner(node, parents):
+    """The class whose classmethod holds node, or None."""
+    while not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+        node = parents[node]
+    owner = parents.get(node)
+    is_classmethod = any(
+        isinstance(d, ast.Name) and d.id == "classmethod"
+        for d in getattr(node, "decorator_list", ())
+    )
+    return owner.name if is_classmethod and isinstance(owner, ast.ClassDef) else None
+
+
 def _calls():
-    """(callee name, positional count, keyword names, passes everything) per call."""
+    """(callee name, positional count, keyword names, passes everything) per
+    call in ``src/`` and ``perfbench/``; ``cls(...)`` in a classmethod calls
+    its class."""
     out = []
-    for _, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+    for _, tree in _trees(ROOT / "src", ROOT / "perfbench"):
+        parents = _parents(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "cls":
+                name = _classmethod_owner(node, parents)
             if name is None:
                 continue
             starred = any(isinstance(a, ast.Starred) for a in node.args)
@@ -169,8 +187,9 @@ def _calls():
 
 def test_every_default_is_passed():
     """A call passes a parameter by keyword or by position; a call through the
-    class name counts for ``__init__``, and a call with ``*args`` or
-    ``**kwargs`` counts as passing everything.
+    class name, or through ``cls`` in one of its classmethods, counts for
+    ``__init__``, and a call with ``*args`` or ``**kwargs`` counts as passing
+    everything.  Calls from ``tests/`` do not count.
     """
     calls = _calls()
     unused = []

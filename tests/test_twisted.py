@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from klschubert.hecke import HeckeAlgebra
 from klschubert.laurent import LaurentPoly
+from klschubert.modp import OrbitDomain
 from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import FglModel, QWElt, TwistedRing, psi
@@ -131,15 +133,78 @@ def test_demazure_lusztig_relations(a1, rings2):
     assert quad == expected
 
 
-def test_dl_generator_displayed_coefficient(a1):
-    qm = TwistedRing(a1, "multiplicative")
-    g = qm.dl_generator(0)
-    one = LaurentPoly.const(2, 1)
-    den = one - LaurentPoly.var(2, 1, -2)  # 1 - e^{-alpha_1}, alpha_1 = 2 omega_1
-    c_e = RatFunc.from_den_factors(
-        LaurentPoly.t_power(2, -1) - LaurentPoly.t_power(2, 1), [den]
-    )
-    assert g.coeffs[a1.identity] == c_e
+DL_GROUPS = {
+    "A1": CartanData.type_a(1),
+    "A2": CartanData.type_a(2),
+    "A3": CartanData.type_a(3),
+    "B2": CartanData(((2, -2), (-1, 2)), "B"),
+    "G2": CartanData(((2, -1), (-3, 2)), "G"),
+}
+
+
+def _ring(system, kind, mode):
+    dom = OrbitDomain(system, seed=29, families=2) if mode == "modp" else None
+    return TwistedRing(system, kind, dom)
+
+
+def test_dl_generator_displayed_coefficient():
+    """tau_i has exactly the Demazure-Lusztig coefficients (t^-1 - t)/(1 - e^{-a})
+    at e and (t - t^-1 e^{-a})/(1 - e^{-a}) at s_i, a = alpha_i, and mu Y_i - t
+    is its hyperbolic counterpart, for every i of every group in DL_GROUPS."""
+    for name, cartan in DL_GROUPS.items():
+        system = RootSystem(cartan)
+        arity = system.rank + 1
+        t, tinv = LaurentPoly.t_power(arity, 1), LaurentPoly.t_power(arity, -1)
+        for mode in ("exact", "modp"):
+            qm, qt = (_ring(system, kind, mode) for kind in ("multiplicative", "hyperbolic"))
+            for i, root in enumerate(system.simple_roots):
+                e_minus = LaurentPoly.monomial((0,) + tuple(-x for x in root.weight), 1)
+                den = LaurentPoly.const(arity, 1) - e_minus
+                c_e = RatFunc.from_den_factors(tinv - t, [den])
+                c_s = RatFunc.from_den_factors(t - tinv * e_minus, [den])
+                e, s = system.identity, system.simple_reflection(i)
+                g = qm.dl_generator(i)
+                assert g.coeffs.keys() == {e, s}, (name, mode, i)
+                expected = QWElt(qm, {e: qm.as_scalar(c_e), s: qm.as_scalar(c_s)})
+                assert g == expected, (name, mode, i)
+                if mode == "exact":
+                    assert g.format() == expected.format(), (name, i)
+                hyp = qt.pushpull_simple(i).scale(qt.scalar_mu()) - qt.scalar_elt(qt.scalar_t(1))
+                assert qt.dl_generator(i) == hyp, (name, mode, i)
+
+
+# sha256 of dl_element(w).format() over every w, both realizations, exact mode.
+DL_IMAGE_DIGESTS = {
+    2: "b77db720a476d21d4d0ab7747938ad855695c3e90b65de3ea2ef9fd9f6029453",
+    3: "144d6d39bad30f250e0c400683300a8dabcb026f13684261040191b8db0e9b3e",
+}
+
+
+@pytest.mark.parametrize("rank", sorted(DL_IMAGE_DIGESTS))
+def test_dl_images_digest(rank):
+    """The printed image of every tau_w in type A2 and A3 is pinned."""
+    system = RootSystem(CartanData.type_a(rank))
+    h = hashlib.sha256()
+    for kind in ("multiplicative", "hyperbolic"):
+        ring = TwistedRing(system, kind)
+        for w in system.elements:
+            h.update(f"{kind} {w!r}: {ring.dl_element(w).format()}\n".encode())
+    assert h.hexdigest() == DL_IMAGE_DIGESTS[rank]
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+@pytest.mark.parametrize("name", ["A3", "B2", "G2"])
+def test_dl_images_left_descent_product(name, mode):
+    """dl_element builds tau_w along right descents; it must also equal
+    tau_i tau_{s_i w} for every left descent s_i of w."""
+    system = RootSystem(DL_GROUPS[name])
+    for kind in ("multiplicative", "hyperbolic"):
+        ring = _ring(system, kind, mode)
+        for w in system.elements:
+            for i in system.left_descents(w):
+                sw = system.elements[system.left_table[w.idx][i]]
+                rhs = ring.qw_mul(ring.dl_generator(i), ring.dl_element(sw))
+                assert ring.dl_element(w) == rhs, (kind, w, i)
 
 
 def test_hecke_to_qw(a2, rings2):
