@@ -17,12 +17,15 @@ fundamental classes of smooth Schubert varieties.
 
 The pairing on G/P_J is one localization sum over W^J:
 
-    <f, g>_J = sum over x in W^J of (f g)_x x(q_J),   q_J = 1 / x_{Pi/J},
+    <f, g>_J = sum over x in W^J of f_x x(q_J) g_x,   q_J = 1 / x_{Pi/J},
 
 the value at e of Y_{Pi/J} . (f g).  W_J permutes the negative roots outside
 Sigma_J, so x -> x(q_J) is right-W_J-invariant; when f g is right-W_J-invariant
 as well, the bullet is constant over the fixed points, so one sum gives it.
-That invariance is checked before the sum (it is vacuous for J = ()).
+Pairings come as whole matrices: each class is checked right-W_J-invariant
+once (vacuous for J = (); invariant factors give an invariant product), each
+left class is weighted by x(q_J) once, and each entry is then one dom.dot over
+the common support in W^J.
 
 Functions of the fixed point u that are Weyl twists u(f) of one function f
 (the monomial of Serre duality, the inverse cotangent factor, the hyperbolic
@@ -56,7 +59,7 @@ from .laurent import LaurentPoly
 from .modp import ExactDomain, domains_compatible
 from .ratfunc import RatFunc
 from .rootsystem import RootSystem, WeylElt
-from .twisted import QWElt, TwistedRing, psi, twisted_product
+from .twisted import QWElt, TwistedRing, combine, psi, twisted_product
 
 __all__ = ["CohClass", "Localization"]
 
@@ -90,14 +93,6 @@ class CohClass:
     def scale(self, c) -> "CohClass":
         c = self.ring.as_scalar(c)
         return CohClass(self.ring, {w: p * c for w, p in self.restrictions.items()}, self.J)
-
-    def mul_pointwise(self, other: "CohClass") -> "CohClass":
-        out = {}
-        for w, c in self.restrictions.items():
-            q = other.restrictions.get(w)
-            if q is not None:
-                out[w] = c * q
-        return CohClass(self.ring, out, self.J)
 
     def __eq__(self, other):
         if not isinstance(other, CohClass):
@@ -272,30 +267,41 @@ class Localization:
 
     # ---------- pairings ----------
 
-    def pairing(self, f: CohClass, g: CohClass, J=()):
-        """<f, g>_J = sum over x in W^J of (f g)_x x(q_J), with q_J = 1/x_{Pi/J}.
+    def pairing(self, f: CohClass, g: CohClass):
+        """<f, g> on G/B: the 1 x 1 pairing matrix."""
+        return self.pairing_matrix([f], [g])[0][0]
+
+    def pairing_matrix(self, left, right, J=()) -> list:
+        """[[<f, g>_J for g in right] for f in left], <f, g>_J the sum over x in
+        W^J of f_x x(q_J) g_x with q_J = 1/x_{Pi/J}.
 
         The x(q_J) are the coefficients of Y_{Pi/J}, so this is the value at e
         of Y_{Pi/J} . (f g), whose value at u is sum_{v in W^J} (fg)_{uv} (uv)(q_J).
-        For J = () every u gives the same sum.  Otherwise f g must be
-        right-W_J-invariant (ValueError if not): with x -> x(q_J) invariant too,
-        the summand lives on W/W_J and each {uv : v in W^J} is a set of coset
-        representatives, so again every u gives the same sum.
+        For J = () every u gives the same sum.  Otherwise every class must be
+        right-W_J-invariant (ValueError if not), so f g is too: with x -> x(q_J)
+        invariant as well, the summand lives on W/W_J and each {uv : v in W^J}
+        is a set of coset representatives, so again every u gives the same sum.
         """
-        if f.ring is not g.ring:
+        classes = [*left, *right]
+        if not classes:
+            return []
+        ring = classes[0].ring
+        if any(c.ring is not ring for c in classes):
             raise ValueError("pairing requires classes in the same model")
-        h = f.mul_pointwise(g)
-        if J and not self.is_invariant(h, J):
+        if J and not all(self.is_invariant(c, J) for c in classes):
             raise ValueError("pairing of a class that is not right-W_J-invariant")
-        a = f.ring.pushpull_rel(tuple(range(self.system.rank)), J)
-        vals = h.restrictions
-        out = None
-        for x, q in a.coeffs.items():
-            hx = vals.get(x)
-            if hx is not None:
-                term = hx * q
-                out = term if out is None else out + term
-        return self.dom.zero if out is None else out
+        q = ring.pushpull_rel(tuple(range(self.system.rank)), J).coeffs
+        dot = self.dom.dot
+        rows = []
+        for f in left:
+            wf = {x: fx * q[x] for x, fx in f.restrictions.items() if x in q}
+            row = []
+            for g in right:
+                gv = g.restrictions
+                common = [x for x in wf if x in gv]
+                row.append(dot([wf[x] for x in common], [gv[x] for x in common]))
+            rows.append(row)
+        return rows
 
     def pairing_normalizer(self, J=()):
         """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted: t^{N_J} times
@@ -364,7 +370,7 @@ class Localization:
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
         """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J."""
         self.system.require_min_rep(w, J)
-        out = CohClass(self.mult, {}, tuple(J))
+        terms = []
         lw = w.length
         for u in self.system.minimal_coset_reps(J):
             if not self.system.bruhat_leq(u, w):
@@ -373,8 +379,8 @@ class Localization:
             if not p:
                 continue
             poly = LaurentPoly(1, {(lw - 2 * j,): c for j, c in enumerate(p)})
-            out = out + self.mc_cell_parabolic(u, J).scale(self.mult.t_poly(poly))
-        return out
+            terms.append((self.mult.t_poly(poly), self.mc_cell_parabolic(u, J).restrictions))
+        return CohClass(self.mult, combine(self.dom, terms), tuple(J))
 
     def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
         """C~^J_w, from inverse parabolic KL polynomials and Segre classes."""
@@ -382,7 +388,7 @@ class Localization:
         system.require_min_rep(w, J)
         wj = system.longest_parabolic(J)
         shift = (wj * w.inverse() * system.w0).length
-        out = CohClass(self.mult, {}, tuple(J))
+        terms = []
         for v in system.minimal_coset_reps(J):
             if not system.bruhat_leq(w, v):
                 continue
@@ -391,15 +397,19 @@ class Localization:
                 continue
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
-            out = out + self.smc_cell_parabolic(v, J).scale(self.mult.t_poly(poly))
+            terms.append((self.mult.t_poly(poly), self.smc_cell_parabolic(v, J).restrictions))
+        out = CohClass(self.mult, combine(self.dom, terms), tuple(J))
         return out.scale(self._once(self._normalizer, _jkey(J)))
 
     def _normalizer(self, J):
-        """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted."""
-        norm = RatFunc.from_int(self.system.rank + 1, 1)
+        """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted one binomial
+        at a time: lifting is a ring homomorphism, so the product of the lifts is
+        the lift of the product."""
+        dom = self.dom
+        norm = dom.one
         for f in self._normalizer_factors(J):
-            norm = norm * RatFunc(f)
-        return self.dom.lift(norm)
+            norm = norm * dom.lift(RatFunc(f))
+        return norm
 
     def pushforward_scalar(self, J):
         """t_{w_J}^{-1} P_J(t^2), the multiplier in the pushforward of C_{w w_J}."""

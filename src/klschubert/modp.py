@@ -1,11 +1,17 @@
 """Scalar domains: exact rational functions, or residues at Weyl-orbit points.
 
 Every algebraic pipeline here (twisted group ring products, localization
-actions, pairings) uses scalars only through +, -, *, inv and three
-context-dependent maps: the Weyl action, the t/character inversion, and
-lifting an exact rational function.  A domain object supplies those maps, so
-the same pipeline code runs either exactly or as a Schwartz-Zippel style
-evaluation mod a fixed 62-bit prime p.
+actions, pairings) uses scalars only through +, -, *, inv, the sum of
+products dot(xs, ys) = sum x y, and three context-dependent maps: the Weyl
+action, the t/character inversion, and lifting an exact rational function.
+A domain object supplies dot and those maps, so the same pipeline code runs
+either exactly or as a Schwartz-Zippel style evaluation mod a fixed 62-bit
+prime p.
+
+The mod-p dot multiplies and adds the canonical residues as plain Python
+integers and reduces mod p once, at the end of the sum.  Reduction mod p is a
+ring homomorphism from the integers, so that one reduction gives the same
+canonical residue as reducing after every product and every addition.
 
 The mod-p domain evaluates at k point families.  Family f draws a base point
 P_f from ``random.Random(seed + 101 f)`` and holds its full Weyl orbit plus
@@ -26,6 +32,7 @@ at most (D/(p-3))^k.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .ratfunc import FIXED_PRIME, RatFunc
@@ -80,6 +87,14 @@ class ExactDomain:
 
     def eq(self, a: RatFunc, b: RatFunc) -> bool:
         return a == b
+
+    def dot(self, xs, ys) -> RatFunc:
+        """sum x y over the pairs of xs and ys, added left to right from the first product."""
+        out = None
+        for x, y in zip(xs, ys):
+            term = x * y
+            out = term if out is None else out + term
+        return self.zero if out is None else out
 
 
 class OrbitScalar:
@@ -265,3 +280,20 @@ class OrbitDomain:
 
     def eq(self, a: OrbitScalar, b: OrbitScalar) -> bool:
         return a.values == b.values
+
+    def dot(self, xs, ys) -> OrbitScalar:
+        """sum x y over the pairs of xs and ys, accumulated as integers and
+        reduced mod p once.  A zero sum is the shared zero, so a pairing matrix
+        that is mostly zeros holds one zero vector."""
+        mul, add = operator.mul, operator.add
+        acc = None
+        for x, y in zip(xs, ys):
+            if x.domain is not self or y.domain is not self:
+                raise ValueError("scalars from different evaluation domains")
+            prods = map(mul, x.values, y.values)
+            acc = list(prods) if acc is None else list(map(add, acc, prods))
+        if acc is None:
+            return self.zero
+        p = self.prime
+        vals = tuple(v % p for v in acc)
+        return OrbitScalar(self, vals) if any(vals) else self.zero

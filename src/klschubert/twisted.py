@@ -25,7 +25,7 @@ from .modp import ExactDomain, domains_compatible
 from .ratfunc import RatFunc
 from .rootsystem import Root, RootSystem, WeylElt
 
-__all__ = ["FglModel", "QWElt", "TwistedRing", "psi", "twisted_product"]
+__all__ = ["FglModel", "QWElt", "TwistedRing", "combine", "psi", "twisted_product"]
 
 
 def twisted_product(dom, a: dict, b: dict) -> dict:
@@ -38,6 +38,18 @@ def twisted_product(dom, a: dict, b: dict) -> dict:
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
     return out
+
+
+def combine(dom, terms) -> dict:
+    """sum c m over (scalar c, {w: scalar} map m) pairs: one dom.dot per key w,
+    over the m_w and c in the order of terms."""
+    by_key: dict = {}
+    for c, m in terms:
+        for w, v in m.items():
+            vs, cs = by_key.setdefault(w, ([], []))
+            vs.append(v)
+            cs.append(c)
+    return {w: dom.dot(vs, cs) for w, (vs, cs) in by_key.items()}
 
 
 class FglModel:
@@ -301,10 +313,8 @@ class TwistedRing:
 
     def hecke_to_qw(self, h) -> QWElt:
         """Ring homomorphism sending tau_w to the generator product along w."""
-        out = self.zero()
-        for w, poly in h.coeffs.items():
-            out = out + self.dl_element(w).scale(self.t_poly(poly))
-        return out
+        terms = [(self.t_poly(poly), self.dl_element(w).coeffs) for w, poly in h.coeffs.items()]
+        return QWElt(self, combine(self.dom, terms))
 
     def gamma_coefficients(self, hecke, w: WeylElt) -> dict:
         """delta-basis coefficients a_{w,u} of the image of Gamma_w."""

@@ -157,12 +157,14 @@ def _class_case(cases: list, case_id: str, lhs, rhs, witness: str | None = None)
 
 def _pairing_cases(cases: list, loc, case_id, left: dict, right: dict, diag, J=()):
     """Append "<left[a], right[b]>_J = diag if a is b else 0" for every a, then
-    every b, in the order of the two dicts; case_id(a, b) names each case."""
+    every b, in the order of the two dicts; case_id(a, b) names each case.  The
+    values come from one pairing matrix."""
     dom = loc.dom
-    for a, f in left.items():
-        for b, g in right.items():
+    matrix = loc.pairing_matrix(list(left.values()), list(right.values()), J)
+    for a, row in zip(left, matrix):
+        for b, val in zip(right, row):
             expected = diag if a is b else dom.zero
-            _scalar_case(cases, case_id(a, b), dom, loc.pairing(f, g, J), expected)
+            _scalar_case(cases, case_id(a, b), dom, val, expected)
 
 
 def _inversion_case(cases: list, case_id: str, u, v, terms):

@@ -19,8 +19,9 @@ These deliberately avoid the production code paths they check:
 It also holds the routes only tests use, as plain functions over the public
 objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
 of the twisted group ring, Bott-Samelson push-pull words, motivic Chern
-classes of Schubert varieties, the pairing as a full bullet action and its
-normalizer as a product of root factors, the direct routes to the classes
+classes of Schubert varieties, the pointwise product of two classes, the
+pairing as a full bullet action and its normalizer as a product of root
+factors, the direct routes to the classes
 that Localization builds by recursion (the whole image of tau_w or gamma_w
 acting on pt_e), and the constant class one_class.
 """
@@ -162,9 +163,19 @@ def mc_variety(loc, w):
     return out
 
 
+def mul_pointwise(f, g):
+    """The class f g: the products of the restrictions at the common support."""
+    out = {}
+    for w, c in f.restrictions.items():
+        q = g.restrictions.get(w)
+        if q is not None:
+            out[w] = c * q
+    return CohClass(f.ring, out, f.J)
+
+
 def pairing_by_bullet(loc, f, g, J=()):
     """<f, g>_J as Y_{Pi/J} . (f g): the whole class, asserted constant, and its value."""
-    h = f.mul_pointwise(g)
+    h = mul_pointwise(f, g)
     a = f.ring.pushpull_rel(tuple(range(loc.system.rank)), tuple(J))
     res = loc.bullet(a, h)
     values = [res.restrictions.get(u, loc.dom.zero) for u in loc.system.elements]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from oracles import (
     kl_schubert_direct,
     mc_cell_direct,
     mc_variety,
+    mul_pointwise,
     one_class,
     pairing_by_bullet,
     pairing_normalizer_product,
@@ -201,6 +203,16 @@ def test_duality_theorem_a2(loc2, a2):
             assert loc2.dom.eq(val, expected), (w, v)
 
 
+def test_pairing_normalizer_lifts_factor_by_factor(a3):
+    """The normalizer, lifted one binomial at a time, has the residues of the
+    lifted expanded product at every J of A3."""
+    loc = Localization(a3, OrbitDomain(a3, seed=23, families=2))
+    for mask in range(1 << a3.rank):
+        J = tuple(i for i in range(a3.rank) if mask >> i & 1)
+        expected = pairing_normalizer_product(loc, J)
+        assert loc.pairing_normalizer(J).values == expected.values, J
+
+
 def test_parabolic_classes_reduce_to_full(loc2, a2):
     for w in a2.elements:
         assert loc2.kl_class_c_parabolic(w, ()) == loc2.kl_class_c(w)
@@ -212,9 +224,9 @@ def test_parabolic_orthogonality_a2(loc2, a2):
     reps = a2.minimal_coset_reps(J)
     for u in reps:
         for v in reps:
-            val = loc2.pairing(
-                loc2.mc_cell_parabolic(u, J), loc2.smc_cell_parabolic(v, J), J
-            )
+            val = loc2.pairing_matrix(
+                [loc2.mc_cell_parabolic(u, J)], [loc2.smc_cell_parabolic(v, J)], J
+            )[0][0]
             expected = loc2.dom.one if u is v else loc2.dom.zero
             assert loc2.dom.eq(val, expected), (u, v)
 
@@ -225,9 +237,9 @@ def test_parabolic_duality_a2(loc2, a2):
     norm = loc2.pairing_normalizer(J)
     for w in reps:
         for u in reps:
-            val = loc2.pairing(
-                loc2.kl_class_c_parabolic(w, J), loc2.kl_class_c_tilde_parabolic(u, J), J
-            )
+            val = loc2.pairing_matrix(
+                [loc2.kl_class_c_parabolic(w, J)], [loc2.kl_class_c_tilde_parabolic(u, J)], J
+            )[0][0]
             expected = norm if u is w else loc2.dom.zero
             assert loc2.dom.eq(val, expected), (w, u)
 
@@ -248,32 +260,36 @@ def _pairing_loc(name, mode):
 
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
 def test_pairing_is_the_bullet_value(name, mode):
-    """The one-sum pairing equals the constant value of Y_{Pi/J} . (f g): random
-    classes at J = (), parabolic cell and KL classes at every other proper J."""
+    """Each pairing-matrix row equals the constant values of Y_{Pi/J} . (f g):
+    random classes at J = (), parabolic cell and KL classes at every other
+    proper J."""
     loc = _pairing_loc(name, mode)
     system = loc.system
     one = one_class(loc, "multiplicative")
-    pairs = []
+    groups = []
     for s in range(3):
         f = loc.random_class(s)
-        pairs += [((), f, loc.random_class(s + 50)), ((), f, one), ((), f, f)]
+        groups.append(((), [f], [loc.random_class(s + 50), one, f]))
     for mask in range(1, (1 << system.rank) - 1):
         J = tuple(i for i in range(system.rank) if mask >> i & 1)
         reps = system.minimal_coset_reps(J)
         pick = [reps[0], reps[-1]]  # e and the longest representative
-        mc = {u: loc.mc_cell_parabolic(u, J) for u in pick}
-        smc = {u: loc.smc_cell_parabolic(u, J) for u in pick}
-        cj = {u: loc.kl_class_c_parabolic(u, J) for u in pick}
-        ctj = {u: loc.kl_class_c_tilde_parabolic(u, J) for u in pick}
-        for u in pick:
-            for v in pick:
-                pairs += [(J, mc[u], smc[v]), (J, cj[u], ctj[v])]
-    nonzero = 0
-    for J, f, g in pairs:
-        val = loc.pairing(f, g, J)
-        assert loc.dom.eq(val, pairing_by_bullet(loc, f, g, J)), J
-        nonzero += not loc.dom.is_zero(val)
-    assert nonzero > len(pairs) // 4
+        mc = [loc.mc_cell_parabolic(u, J) for u in pick]
+        smc = [loc.smc_cell_parabolic(u, J) for u in pick]
+        cj = [loc.kl_class_c_parabolic(u, J) for u in pick]
+        ctj = [loc.kl_class_c_tilde_parabolic(u, J) for u in pick]
+        groups += [(J, mc, smc), (J, cj, ctj)]
+    nonzero = entries = 0
+    for J, left, right in groups:
+        matrix = loc.pairing_matrix(left, right, J)
+        assert len(matrix) == len(left)
+        for f, row in zip(left, matrix):
+            expected = [pairing_by_bullet(loc, f, g, J) for g in right]
+            assert len(row) == len(right)
+            assert all(loc.dom.eq(v, e) for v, e in zip(row, expected)), J
+            nonzero += sum(not loc.dom.is_zero(v) for v in row)
+            entries += len(row)
+    assert nonzero > entries // 4
 
 
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
@@ -282,11 +298,27 @@ def test_pairing_refuses_a_product_that_is_not_invariant(name, mode):
     one = one_class(loc, "multiplicative")
     f = loc.random_class(7)
     for J in [(i,) for i in range(loc.system.rank)]:
-        assert not loc.is_invariant(f.mul_pointwise(one), J)
+        assert not loc.is_invariant(mul_pointwise(f, one), J)
         with pytest.raises(ValueError, match="not right-W_J-invariant"):
-            loc.pairing(f, one, J)
+            loc.pairing_matrix([f], [one], J)
     # at J = () every class pairs
     assert loc.dom.eq(loc.pairing(f, one), pairing_by_bullet(loc, f, one))
+
+
+@pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
+def test_pairing_matrix_checks_every_class(name, mode):
+    """A class that is not right-W_J-invariant is refused on either side, even
+    against the zero class, whose product with it is invariant."""
+    loc = _pairing_loc(name, mode)
+    zero = CohClass(loc.mult, {})
+    f = loc.random_class(7)
+    for J in [(i,) for i in range(loc.system.rank)]:
+        assert loc.is_invariant(mul_pointwise(f, zero), J)
+        for left, right in (([f], [zero]), ([zero], [f]), ([zero], [zero, f])):
+            with pytest.raises(ValueError, match="not right-W_J-invariant"):
+                loc.pairing_matrix(left, right, J)
+        assert loc.dom.is_zero(loc.pairing_matrix([zero], [zero], J)[0][0])
+    assert loc.dom.is_zero(loc.pairing(f, zero))
 
 
 def test_pushforward_proposition_a2(loc2, a2):
@@ -449,3 +481,23 @@ def test_printed_classes_are_pinned(loc2, loc3, a2, a3):
     for group, name, w, c in printed:
         h.update(f"{group}\t{name}\t{w!r}\t{c.format()}\n".encode())
     assert h.hexdigest() == PRINTED_DIGEST
+
+
+# sha256 over the printed exact parabolic KL classes, recorded before their sums
+# went through one dom.dot per fixed point
+PRINTED_PARABOLIC_DIGEST = "4c49d3a7c8a9bb54b5528f697f177009be577069759f9d80477cb6d02dce4439"
+
+
+def test_printed_parabolic_classes_are_pinned(loc2, loc3, a2, a3):
+    """C^J_w and C~^J_w printed exactly: every J and every w in W^J at A2, every
+    J and every fourth w in W^J at A3."""
+    h = hashlib.sha256()
+    for group, loc, step in (("A2", loc2, 1), ("A3", loc3, 4)):
+        system = loc.system
+        subsets = (J for r in range(system.rank + 1) for J in combinations(range(system.rank), r))
+        for J in subsets:
+            for w in system.minimal_coset_reps(J)[::step]:
+                for name in ("kl_class_c_parabolic", "kl_class_c_tilde_parabolic"):
+                    c = getattr(loc, name)(w, J)
+                    h.update(f"{group}\t{name}\t{J}\t{w!r}\t{c.format()}\n".encode())
+    assert h.hexdigest() == PRINTED_PARABOLIC_DIGEST

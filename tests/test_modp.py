@@ -177,3 +177,44 @@ def test_exact_vs_orbit_gamma_image(a2):
     assert set(img_exact.coeffs) == set(img_p.coeffs)
     for w, c in img_exact.coeffs.items():
         assert dom.lift(c) == img_p.coeffs[w], w
+
+
+def test_orbit_dot_is_the_reduced_sum(a2):
+    """dot reduces once; its residues are those of the sum of reduced products,
+    for random vectors and for all-(p - 1) vectors, whose products and sums
+    grow far past p.  The empty sum is zero."""
+    dom = OrbitDomain(a2, seed=31, families=2)
+    p = dom.prime
+    rng = random.Random(5)
+
+    def scalar(values):
+        return OrbitScalar(dom, tuple(values))
+
+    top = scalar([p - 1] * dom.size)
+    for n in (1, 2, 7, 40):
+        xs = [scalar(rng.randrange(p) for _ in range(dom.size)) for _ in range(n)]
+        ys = [scalar(rng.randrange(p) for _ in range(dom.size)) for _ in range(n)]
+        for left, right in ((xs, ys), ([top] * n, [top] * n), (xs, [top] * n)):
+            expected = left[0] * right[0]
+            for x, y in zip(left[1:], right[1:]):
+                expected = expected + x * y
+            got = dom.dot(left, right)
+            assert got.values == expected.values
+            assert all(0 <= v < p for v in got.values)
+    assert dom.dot([], []) == dom.zero
+    other = OrbitDomain(a2, seed=32)
+    with pytest.raises(ValueError):
+        dom.dot([top], [other.one])
+
+
+def test_exact_dot_is_the_sequential_sum(a2):
+    rng = random.Random(6)
+    dom = ExactDomain(a2)
+    for n in (1, 2, 5):
+        xs = [_random_poly(rng) for _ in range(n)]
+        ys = [_random_t_binomial_fraction(rng, 3) for _ in range(n)]
+        expected = xs[0] * ys[0]
+        for x, y in zip(xs[1:], ys[1:]):
+            expected = expected + x * y
+        assert dom.dot(xs, ys).format() == expected.format()
+    assert dom.dot([], []).is_zero()

@@ -76,15 +76,43 @@ A3_PAIRING_CASES = {"duality": 576, "orthogonality": 576, "parabolic-duality": 2
 A3_PAIRING_DIGEST = "ac87d83ceb3fcb0ba0e4054d9be66c40d02c79704d14b12778f295f04995fdaf"
 
 
-def test_a3_pairing_suites_mod_p():
+@pytest.fixture(scope="module")
+def a3_pairing_reports():
+    return {
+        suite: run_suite(suite, RunConfig(rank=3, mode="modp", k=2, seed=1))
+        for suite in A3_PAIRING_CASES
+    }
+
+
+def test_a3_pairing_suites_mod_p(a3_pairing_reports):
     h = hashlib.sha256()
     for suite, count in A3_PAIRING_CASES.items():
-        report = run_suite(suite, RunConfig(rank=3, mode="modp", k=2, seed=1))
+        report = a3_pairing_reports[suite]
         assert len(report.cases) == count
         assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
         for c in report.cases:
             h.update(f"{suite}\t{c.case_id}\t{int(c.ok)}\n".encode())
     assert h.hexdigest() == A3_PAIRING_DIGEST
+
+
+# duality and orthogonality at A3, exactly; recorded before pairings came as matrices
+A3_EXACT_PAIRING_DIGEST = "e3fecd01f974b043b8752ada02c1f24157c8e287c22b0b8ce6b4a36342e5eafb"
+
+
+def test_a3_exact_pairing_suites_agree_with_mod_p(a3_pairing_reports):
+    """The exact run is the oracle of the mod-p one: the same case ids, in the
+    same order, with the same verdicts."""
+    h = hashlib.sha256()
+    for suite in ("duality", "orthogonality"):
+        report = run_suite(suite, RunConfig(rank=3, mode="exact", k=2, seed=1))
+        assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+        modp = a3_pairing_reports[suite]
+        assert [(c.case_id, c.ok) for c in report.cases] == [
+            (c.case_id, c.ok) for c in modp.cases
+        ]
+        for c in report.cases:
+            h.update(f"{suite}\t{c.case_id}\t{int(c.ok)}\n".encode())
+    assert h.hexdigest() == A3_EXACT_PAIRING_DIGEST
 
 
 # The exact suites at A3; the digest is the exact-a3 one of perfbench/workloads.py.
