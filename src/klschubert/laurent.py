@@ -18,6 +18,21 @@ Z (m1 - m0), so the terms split into chains (keyed along one nonzero slot of
 a step that need not be primitive, as in 1 - t^2), each divided synthetically
 from the top down.  None is one-sided: one chain's non-integer coefficient or
 remainder proves that d does not divide; a quotient needs every chain.
+
+Most trial divisions fail, so one chain is tested before any is divided.
+Let w = +-(m1 - m0), the sign that makes w lex-positive, u = z^w, and
+d = z^m (c_top u + c_bot).  If d divides f, every chain of f is a monomial
+times a Laurent polynomial in u that c_top u + c_bot divides, so it has at
+least two terms and vanishes at u = -c_bot / c_top.  Take the chain of the
+lex-largest term e of f: no term of f lies above e, so the chain is all of
+e, e - w, e - 2w, ... while slot j (the first nonzero slot of w, where w is
+positive) stays at or above f's minimum there.  With a_i the coefficient at
+e - i w and l the last i with a_i != 0, its value at the root, cleared of
+denominators, is sum_i a_i (-c_bot)^(l - i) c_top^i: integer arithmetic,
+no evaluation mod p.  A nonzero value (a one-term chain gives a_0) proves
+that d does not divide f; a zero proves nothing, and the chain-wise division
+decides.  The lex-largest exponent and the per-slot minima are cached on f,
+which _cancel tries against many factors.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ __all__ = ["LaurentPoly"]
 
 
 class LaurentPoly:
-    __slots__ = ("arity", "terms", "_key")
+    __slots__ = ("arity", "terms", "_key", "_box")
 
     def __init__(self, arity: int, terms: dict | None = None):
         self.arity = arity
@@ -39,6 +54,7 @@ class LaurentPoly:
         else:
             self.terms = {}
         self._key = None
+        self._box = None
 
     # ---------- constructors ----------
 
@@ -83,9 +99,17 @@ class LaurentPoly:
             self._key = (self.arity, tuple(sorted(self.terms.items(), reverse=True)))
         return self._key
 
+    def exponent_box(self):
+        """(lex-largest exponent, per-slot minima) of a nonzero polynomial,
+        computed once: the walk bound of the binomial refutation, read by
+        monomial_content and leading too."""
+        if self._box is None:
+            self._box = (max(self.terms), tuple(map(min, zip(*self.terms))))
+        return self._box
+
     def leading(self):
         """(exponent tuple, coefficient) of the lex-largest monomial."""
-        e = max(self.terms)
+        e = self.exponent_box()[0]
         return e, self.terms[e]
 
     def __eq__(self, other):
@@ -171,7 +195,7 @@ class LaurentPoly:
         """Componentwise min of exponent tuples (zero tuple for the zero poly)."""
         if not self.terms:
             return (0,) * self.arity
-        return tuple(map(min, zip(*self.terms)))
+        return self.exponent_box()[1]
 
     def exact_divide(self, d: "LaurentPoly"):
         """Return self / d if d divides self exactly in the Laurent ring, else None.
@@ -212,11 +236,30 @@ class LaurentPoly:
         return LaurentPoly(self.arity, quo).shift(shift_back)
 
     def _divide_binomial(self, d: "LaurentPoly"):
-        """self / (c1 z^m1 + c0 z^m0) by synthetic division along each chain."""
+        """self / (c1 z^m1 + c0 z^m0) by synthetic division along each chain,
+        once the chain of the lex-largest term has failed to refute it."""
         (m1, c1), (m0, c0) = d.terms.items()
         step = tuple(map(sub, m1, m0))
         sj = next(filter(None, step))
         j = step.index(sj)
+        # Refute first (module docstring): walk the chain of the lex-largest
+        # term down slot j and evaluate it at the root of c_top u + c_bot; a
+        # chain of one term is refuted by its own nonzero coefficient.
+        e, lo = self.exponent_box()
+        if sj > 0:
+            down, c_top, c_bot = tuple(map(sub, m0, m1)), c1, c0
+        else:
+            down, c_top, c_bot = step, c0, c1
+        v, last, top_power = self.terms[e], 0, 1
+        for i in range(1, (e[j] - lo[j]) // abs(sj) + 1):
+            e = tuple(map(add, e, down))
+            top_power *= c_top
+            c = self.terms.get(e)
+            if c:
+                v = v * (-c_bot) ** (i - last) + c * top_power
+                last = i
+        if v:
+            return None
         steps: dict = {}  # k -> k * step
         chains: dict = {}  # offset -> {k: coefficient at offset + k * step}
         for e, c in self.terms.items():

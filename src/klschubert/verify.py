@@ -136,9 +136,17 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+# characters of each side that a failing case's witness keeps: an exact
+# witness prints whole classes, 68 000 characters a side at A3
+WITNESS_CHARS = 200
+
+
 def _witness(lhs, rhs) -> str:
     def fmt(x):
-        return x.format() if isinstance(x, (RatFunc, CohClass)) else repr(x)
+        text = x.format() if isinstance(x, (RatFunc, CohClass)) else repr(x)
+        if len(text) <= WITNESS_CHARS:
+            return text
+        return f"{text[:WITNESS_CHARS]}... [{len(text)} chars]"
 
     return f"lhs={fmt(lhs)} rhs={fmt(rhs)}"
 

@@ -92,6 +92,12 @@ def _random_binomial(rng, arity):
             return d
 
 
+def _reversed(d):
+    """The same binomial with its two terms inserted in the other order, so
+    that the divisor's step, and the refutation's walk, change direction."""
+    return LaurentPoly(d.arity, dict(reversed(d.terms.items())))
+
+
 def _chain_count(n, d):
     """The number of cosets of Z (m1 - m0) that the terms of n meet."""
     (m1, _), (m0, _) = d.terms.items()
@@ -104,7 +110,8 @@ def _chain_count(n, d):
 
 def test_binomial_division_matches_long_division():
     """Chain-wise division against the long-division oracle, quotient for
-    quotient and None for None, over seeded random binomials of arity 1 to 4."""
+    quotient and None for None, over seeded random binomials of arity 1 to 4,
+    each in both insertion orders of its two terms."""
     rng = random.Random(20090615)
     cases = list(NAMED_BINOMIALS.items())
     for arity in (1, 2, 3, 4):
@@ -120,25 +127,57 @@ def test_binomial_division_matches_long_division():
             assert (n + mono).exact_divide(d) is None, (name, g, mono)
             for num in (n, n + mono, g, g + mono):
                 assert num.exact_divide(d) == long_divide(num, d), (name, num)
+                assert num.exact_divide(_reversed(d)) == long_divide(num, d), (name, num)
                 divisible += long_divide(num, d) is not None
                 several_chains += _chain_count(num, d) > 1
     assert divisible > len(cases) * 12
     assert several_chains > len(cases) * 12
 
 
+def _both_orders(d):
+    assert list(d.terms) != list(_reversed(d).terms)
+    return d, _reversed(d)
+
+
 def test_binomial_division_examples():
+    """Pinned quotients and Nones, each divisor in both insertion orders of its
+    terms, agreeing with the long-division oracle."""
     one, t2 = LaurentPoly.const(3, 1), t(exp=2)
-    # 1 - t^2 has the step t^2: the chains of t^0 and t^1 are divided apart
     g = one + t() + z(1, exp=-1)
-    assert (g * (one - t2)).exact_divide(one - t2) == g
-    assert (one - t()).exact_divide(one - t2) is None
-    assert (one - t2 * t2).exact_divide(one - t2) == one + t2
-    # 2 - 3 z1 divides 4 - 9 z1^2 but not 1 - z1 over Z
-    d = LaurentPoly.const(3, 2) - z(1, c=3)
-    assert (LaurentPoly.const(3, 4) - z(1, exp=2, c=9)).exact_divide(d) == (
-        LaurentPoly.const(3, 2) + z(1, c=3)
-    )
-    assert (one - z(1)).exact_divide(d) is None
+    two_three = LaurentPoly.const(3, 2) - z(1, c=3)
+    cases = [
+        # 1 - t^2 has the step t^2: the chains of t^0 and t^1 are divided apart
+        (g * (one - t2), one - t2, g),
+        (one - t(), one - t2, None),
+        (one - t2 * t2, one - t2, one + t2),
+        # gapped chains: the refutation's walk crosses exponents with no term
+        (one - t(exp=6), one - t2, one + t2 + t(exp=4)),
+        (one + t(exp=6), one - t2, None),
+        (one - z(1, exp=3), one - z(1), one + z(1) + z(1, exp=2)),
+        (one + z(1, exp=3), one - z(1), None),
+        # 2 - 3 z1 divides 4 - 9 z1^2 (zero at z1 = 2/3) but not 4 + 9 z1^2 or 1 - z1 over Z
+        (LaurentPoly.const(3, 4) - z(1, exp=2, c=9), two_three, LaurentPoly.const(3, 2) + z(1, c=3)),
+        (LaurentPoly.const(3, 4) + z(1, exp=2, c=9), two_three, None),
+        (one - z(1), two_three, None),
+        # the top term's chain is the top term alone
+        (z(1, exp=2) + z(2), one - z(1), None),
+        # the top term -z1 z2 has the chain z2 (1 - z1), which passes the
+        # refutation; the chain 1 + z1 is not divisible, so the division decides
+        (z(2) * (one - z(1)), one - z(1), z(2)),
+        (z(2) * (one - z(1)) + one + z(1), one - z(1), None),
+    ]
+    for num, den, quo in cases:
+        for d in _both_orders(den):
+            assert num.exact_divide(d) == quo == long_divide(num, d), (num, d)
+
+
+def test_exponent_box_is_the_one_min_scan():
+    p = LaurentPoly(3, {(1, -2, 0): 3, (0, 4, -1): -1, (1, -3, 5): 2})
+    assert p.exponent_box() == ((1, -2, 0), (0, -3, -1))
+    assert p.exponent_box() is p.exponent_box()
+    assert p.monomial_content() == (0, -3, -1)
+    assert p.leading() == ((1, -2, 0), 3)
+    assert LaurentPoly(3).monomial_content() == (0, 0, 0)
 
 
 def test_weyl_action_a1():

@@ -1,12 +1,13 @@
 """Golden tests for run_suite: every suite at A2, exactly and mod p."""
 
 import hashlib
+import re
 
 import pytest
 
 from klschubert import verify
 from klschubert.localization import Localization
-from klschubert.verify import SUITES, GuardRefusal, RunConfig, run_suite
+from klschubert.verify import SUITES, WITNESS_CHARS, GuardRefusal, RunConfig, run_suite
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
 CASES = {
@@ -148,6 +149,29 @@ def test_smoothness_verdicts_are_built_once_per_element(monkeypatch):
     report = run_suite("grassmann-smoothness", cfg)
     assert len(report.cases) == 6 and report.all_passed()
     assert len(built) == len(set(built)) == 6
+
+
+def test_a_failing_exact_class_case_gets_a_bounded_witness(monkeypatch, a2):
+    """An exact witness prints whole classes: each side keeps its first
+    WITNESS_CHARS characters and records its full length."""
+    monkeypatch.setattr(Localization, "serre_dual", lambda self, c, J=(): c.scale(2))
+    report = run_suite("serre", RunConfig(rank=2, mode="exact", serre_samples=0))
+    loc = Localization(a2)
+    cut = re.compile(r"lhs=(.*)\.\.\. \[(\d+) chars\] rhs=(.*)\.\.\. \[(\d+) chars\]")
+    assert [c.case_id for c in report.cases] == [f"D(C[{w!r}]) = C[{w!r}]" for w in a2.elements]
+    cut_cases = 0
+    for w, case in zip(a2.elements, report.cases):
+        lhs, rhs = loc.kl_class_c(w).scale(2).format(), loc.kl_class_c(w).format()
+        assert not case.ok
+        assert len(case.witness) < 2 * WITNESS_CHARS + 50
+        if len(rhs) <= WITNESS_CHARS:
+            assert case.witness == f"lhs={lhs} rhs={rhs}"
+        else:
+            kept_lhs, n_lhs, kept_rhs, n_rhs = cut.fullmatch(case.witness).groups()
+            assert (kept_lhs, int(n_lhs)) == (lhs[:WITNESS_CHARS], len(lhs))
+            assert (kept_rhs, int(n_rhs)) == (rhs[:WITNESS_CHARS], len(rhs))
+            cut_cases += 1
+    assert cut_cases == 5
 
 
 def test_hecke_guard_refuses_a_suite():
