@@ -153,12 +153,17 @@ class WeylElt:
         return perm
 
     def __repr__(self):
-        if self.idx == 0:
-            return "e"
-        line = self.one_line()
-        if line is not None:
-            return "[" + ",".join(str(x) for x in line) + "]"
-        return "*".join(f"s{i + 1}" for i in self.word)
+        names = self.system._names
+        name = names.get(self.idx)
+        if name is None:
+            if self.idx == 0:
+                name = "e"
+            elif (line := self.one_line()) is not None:
+                name = "[" + ",".join(str(x) for x in line) + "]"
+            else:
+                name = "*".join(f"s{i + 1}" for i in self.word)
+            names[self.idx] = name
+        return name
 
 
 class RootSystem:
@@ -238,6 +243,7 @@ class RootSystem:
         assert self._lengths.count(self._lengths[w0]) == 1, "longest element not unique"
         self.w0 = self.elements[w0]
         self._bruhat = {}
+        self._names = {}  # idx -> printed name, filled by WeylElt.__repr__
         self._wj_cache = {}
         self._longest_cache = {}
         self._outside_cache = {}

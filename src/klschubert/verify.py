@@ -175,18 +175,36 @@ def _pairing_cases(cases: list, loc, case_id, left: dict, right: dict, diag, J=(
             _scalar_case(cases, case_id(a, b), dom, val, expected)
 
 
-def _inversion_case(cases: list, case_id: str, u, v, terms):
-    """Append "sum over w of eps_u eps_w q_w p_w = delta_uv" for q-polynomials as
-    ascending coefficient tuples; terms yields (w, q_w, p_w)."""
-    acc: dict = {}
-    for w, q, p in terms:
-        if q and p:
+def _inversion_cases(cases: list, case_id, elements: list, q_of, p_of):
+    """Append "sum over w of eps_u eps_w Q_{u,w} P_{w,v} = delta_uv" for every u,
+    then every v, in elements; Q_{u,w} = q_of(u, w) and P_{w,v} = p_of(w, v) are
+    q-polynomials as ascending coefficient tuples, and case_id(u, v) names each
+    case.  Each row P_{w,.} is looked up once and kept as its nonzero entries,
+    each Q_{u,w} once per u, and only the products of two nonzero values are
+    summed.  The support comes from the values, not from Bruhat order, so a
+    wrong nonzero value anywhere still breaks a case; w runs in element order
+    for every v, so each sum meets its q-powers in the order of a sum over w."""
+    rows = []
+    for w in elements:
+        row = [(i, p) for i, v in enumerate(elements) if (p := p_of(w, v))]
+        if row:
+            rows.append((w, row))
+    for u in elements:
+        sums = [{} for _ in elements]
+        for w, row in rows:
+            q = q_of(u, w)
+            if not q:
+                continue
             sign = u.sign * w.sign
-            for j1, c1 in enumerate(q):
-                for j2, c2 in enumerate(p):
-                    acc[j1 + j2] = acc.get(j1 + j2, 0) + sign * c1 * c2
-    acc = {k: c for k, c in acc.items() if c}
-    _class_case(cases, case_id, acc, {0: 1} if u is v else {})
+            for i, p in row:
+                acc = sums[i]
+                for j1, c1 in enumerate(q):
+                    c1 *= sign
+                    for j2, c2 in enumerate(p):
+                        acc[j1 + j2] = acc.get(j1 + j2, 0) + c1 * c2
+        for v, acc in zip(elements, sums):
+            acc = {k: c for k, c in acc.items() if c}
+            _class_case(cases, case_id(u, v), acc, {0: 1} if u is v else {})
 
 
 # ---------- context ----------
@@ -392,21 +410,22 @@ def suite_inversion(ctx: _Context) -> list:
     h = ctx.hecke
     cases = []
     h.kl_compute_upto(system.w0.length)
-    elements = system.elements
-    for u in elements:
-        for v in elements:
-            terms = ((w, h.inverse_kl(u, w), h.kl_polynomial(w, v)) for w in elements)
-            _inversion_case(cases, f"inversion u={u!r} v={v!r}", u, v, terms)
+    _inversion_cases(
+        cases,
+        lambda u, v: f"inversion u={u!r} v={v!r}",
+        system.elements,
+        h.inverse_kl,
+        h.kl_polynomial,
+    )
     for J in _subsets(system.rank):
-        reps = system.minimal_coset_reps(J)
         jtxt = _jtxt(J)
-        for u in reps:
-            for v in reps:
-                terms = (
-                    (w, h.inverse_parabolic_kl(u, w, J), h.parabolic_kl(w, v, J)) for w in reps
-                )
-                case_id = f"parabolic inversion J={{{jtxt}}} u={u!r} v={v!r}"
-                _inversion_case(cases, case_id, u, v, terms)
+        _inversion_cases(
+            cases,
+            lambda u, v: f"parabolic inversion J={{{jtxt}}} u={u!r} v={v!r}",
+            system.minimal_coset_reps(J),
+            lambda u, w: h.inverse_parabolic_kl(u, w, J),
+            lambda w, v: h.parabolic_kl(w, v, J),
+        )
     return cases
 
 

@@ -6,7 +6,9 @@ import re
 import pytest
 
 from klschubert import verify
+from klschubert.hecke import HeckeAlgebra
 from klschubert.localization import Localization
+from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.verify import SUITES, WITNESS_CHARS, GuardRefusal, RunConfig, run_suite
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
@@ -172,6 +174,169 @@ def test_a_failing_exact_class_case_gets_a_bounded_witness(monkeypatch, a2):
             assert (kept_rhs, int(n_rhs)) == (rhs[:WITNESS_CHARS], len(rhs))
             cut_cases += 1
     assert cut_cases == 5
+
+
+# sha256 of the inversion report's to_json() at A3 and A4, as the term-by-term
+# sum over all of W (and W^J) gave it
+INVERSION_DIGESTS = {
+    3: "3f6e501547c332c13470e8b5df23c656f2bf37cd3e5bde762139afde0e842ca7",
+    4: "68cd43333e512a4ecc88a0641ad0c480a4b5acd2165b1ed10c0cd62acd9028de",
+}
+
+
+def _inversion_report(rank):
+    cfg = RunConfig(type_label="A", rank=rank, mode="exact", k=2, seed=1, serre_samples=10)
+    return run_suite("inversion", cfg)
+
+
+@pytest.mark.parametrize("rank", sorted(INVERSION_DIGESTS))
+def test_inversion_reports_are_pinned(rank):
+    report = _inversion_report(rank)
+    assert report.all_passed()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == INVERSION_DIGESTS[rank]
+
+
+def _inversion_blocks(system, h):
+    """(id prefix, elements, Q, P) for the ordinary sum and each parabolic J."""
+    blocks = [("inversion", system.elements, h.inverse_kl, h.kl_polynomial)]
+    for J in verify._subsets(system.rank):
+        blocks.append(
+            (
+                f"parabolic inversion J={{{verify._jtxt(J)}}}",
+                system.minimal_coset_reps(J),
+                lambda u, w, J=J: h.inverse_parabolic_kl(u, w, J),
+                lambda w, v, J=J: h.parabolic_kl(w, v, J),
+            )
+        )
+    return blocks
+
+
+def _inversion_failures_by_full_sums(rank) -> set:
+    """Ids of the inversion cases whose sum over every w, zero terms and all,
+    is not delta_uv, read from a fresh HeckeAlgebra as it stands."""
+    system = RootSystem(CartanData.type_a(rank))
+    h = HeckeAlgebra(system)
+    failing = set()
+    for prefix, elements, q_of, p_of in _inversion_blocks(system, h):
+        for u in elements:
+            for v in elements:
+                total = {}
+                for w in elements:
+                    sign = u.sign * w.sign
+                    for j1, c1 in enumerate(q_of(u, w)):
+                        for j2, c2 in enumerate(p_of(w, v)):
+                            total[j1 + j2] = total.get(j1 + j2, 0) + sign * c1 * c2
+                if {j: c for j, c in total.items() if c} != ({0: 1} if u is v else {}):
+                    failing.add(f"{prefix} u={u!r} v={v!r}")
+    return failing
+
+
+def _by_index(args) -> tuple:
+    """Arguments with each element as its index, the same in every RootSystem
+    of one type."""
+    return tuple(getattr(a, "idx", a) for a in args)
+
+
+def _serve_wrong_value(monkeypatch, method, key, change):
+    """Make HeckeAlgebra.method return change(value) for the arguments key."""
+    right = getattr(HeckeAlgebra, method)
+
+    def wrong(self, *args):
+        value = right(self, *args)
+        return change(value) if _by_index(args) == _by_index(key) else value
+
+    monkeypatch.setattr(HeckeAlgebra, method, wrong)
+
+
+def _raise_top_coefficient(p):
+    return p[:-1] + (p[-1] + 1,)
+
+
+def test_inversion_fails_exactly_the_cases_a_wrong_value_reaches(monkeypatch, a3):
+    """One wrong KL value, off the support of the sums (Q_{u,w} = 1 with u not
+    below w) or on it (one coefficient of a nonzero P_{w,v} raised), fails
+    exactly the cases whose full sum it changes, and only those."""
+    h = HeckeAlgebra(a3)
+    els, top = a3.elements, a3.w0
+    J = (0,)
+    reps = a3.minimal_coset_reps(J)
+    s1, s2 = a3.simple_reflection(0), a3.simple_reflection(1)
+    w1, v1 = a3.from_word([1]), a3.from_word([1, 0, 2, 1])  # P_{w1,v1} = 1 + q
+    ju0, jw0 = reps[2], reps[1]  # same length, so ju0 is not below jw0
+    jw1, jv1 = reps[1], reps[-1]
+    assert not a3.bruhat_leq(s1, s2) and not a3.bruhat_leq(ju0, jw0)
+    assert h.kl_polynomial(w1, v1) == (1, 1) and h.parabolic_kl(jw1, jv1, J)
+    ordinary, parabolic = "inversion", "parabolic inversion J={1}"
+    patches = [
+        (
+            "inverse_kl",
+            (s1, s2),
+            lambda p: (1,),
+            ordinary,
+            {(s1, v) for v in els if h.kl_polynomial(s2, v)},
+        ),
+        (
+            "kl_polynomial",
+            (w1, v1),
+            _raise_top_coefficient,
+            ordinary,
+            # P_{w1,v1} is also Q_{w0 v1, w0 w1}, so it reaches a row too
+            {(u, v1) for u in els if h.inverse_kl(u, w1)}
+            | {(top * v1, v) for v in els if h.kl_polynomial(top * w1, v)},
+        ),
+        (
+            "inverse_parabolic_kl",
+            (ju0, jw0, J),
+            lambda p: (1,),
+            parabolic,
+            {(ju0, v) for v in reps if h.parabolic_kl(jw0, v, J)},
+        ),
+        (
+            "parabolic_kl",
+            (jw1, jv1, J),
+            _raise_top_coefficient,
+            parabolic,
+            {(u, jv1) for u in reps if h.inverse_parabolic_kl(u, jw1, J)},
+        ),
+    ]
+    for method, key, change, block, reached in patches:
+        with monkeypatch.context() as m:
+            _serve_wrong_value(m, method, key, change)
+            failing = {c.case_id for c in _inversion_report(3).cases if not c.ok}
+            assert failing == _inversion_failures_by_full_sums(3), method
+        in_block = {c for c in failing if c.startswith(f"{block} u=")}
+        assert in_block == {f"{block} u={u!r} v={v!r}" for u, v in reached}, method
+        if block == parabolic:
+            # nothing else reads a parabolic value
+            assert failing == in_block, method
+
+
+def test_inversion_looks_each_kl_value_up_once(monkeypatch):
+    """A3 inversion asks for each parabolic (u, w, J) value at most once, and
+    makes at most |W|^2 calls of its own to inverse_kl and to kl_polynomial,
+    not |W|^3: a count, so it holds on any machine."""
+    depth = [0]
+    names = ("inverse_kl", "kl_polynomial", "inverse_parabolic_kl", "parabolic_kl")
+    keys = {name: [] for name in names}
+    for name in names:
+        method = getattr(HeckeAlgebra, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            if depth[0] == 0:
+                keys[_name].append(_by_index(args))
+            depth[0] += 1
+            try:
+                return _method(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(HeckeAlgebra, name, counted)
+    report = _inversion_report(3)
+    assert len(report.cases) == 1653 and report.all_passed()
+    for name in ("inverse_parabolic_kl", "parabolic_kl"):
+        assert keys[name] and len(keys[name]) == len(set(keys[name])), name
+    for name in ("inverse_kl", "kl_polynomial"):
+        assert 0 < len(keys[name]) <= 24**2, (name, len(keys[name]))
 
 
 def test_hecke_guard_refuses_a_suite():
