@@ -13,6 +13,16 @@ integers and reduces mod p once, at the end of the sum.  Reduction mod p is a
 ring homomorphism from the integers, so that one reduction gives the same
 canonical residue as reducing after every product and every addition.
 
+A lift is computed once per domain for each distinct fraction, in a table
+keyed by its value (numerator, content, factors), so equal fractions built
+apart share one residue vector.  Each canonical denominator factor is
+evaluated and inverted once per domain, the whole vector by Montgomery's
+batch inversion (Math. Comp. 48, 1987): prefix products, one pow of the
+last, and a backward pass, so one pow per factor and not one per point.
+The lift of num / (dc * prod f^m) is then num times each inv(f), m times,
+times dc^-1.  The inverse mod p is unique, so every residue is the one that
+pointwise evaluation gives.
+
 The mod-p domain evaluates at k point families.  Family f draws a base point
 P_f from ``random.Random(seed + 101 f)`` and holds its full Weyl orbit plus
 the coordinatewise-inverted copies, so a residue vector has k blocks of 2|W|
@@ -32,8 +42,9 @@ at most (D/(p-3))^k.
 
 from __future__ import annotations
 
-import operator
 import random
+from itertools import accumulate, repeat
+from operator import add, itemgetter, mod, mul, neg
 
 from .ratfunc import FIXED_PRIME, RatFunc
 from .rootsystem import RootSystem, WeylElt
@@ -60,6 +71,24 @@ def domains_compatible(d1, d2) -> bool:
 
 class ZeroDenominator(ArithmeticError):
     """A denominator vanished at the evaluation point; resample and retry."""
+
+
+def _batch_inverse(values: tuple, p: int) -> tuple:
+    """The inverse mod p of every entry, from one pow: Montgomery's trick."""
+    if not all(values):
+        raise ZeroDenominator("inverting a scalar that vanishes at an orbit point")
+    prefix = list(accumulate(values, lambda a, b: a * b % p))
+    acc = pow(prefix[-1], p - 2, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = acc * prefix[i - 1] % p
+        acc = acc * values[i] % p
+    out[0] = acc
+    return tuple(out)
+
+
+def _mulmod(xs, ys, p: int) -> tuple:
+    return tuple(map(mod, map(mul, xs, ys), repeat(p)))
 
 
 class ExactDomain:
@@ -113,16 +142,17 @@ class OrbitScalar:
     def __add__(self, other):
         other = self.domain.coerce(other)
         self._check(other)
-        p = self.domain.prime
         return OrbitScalar(
-            self.domain, tuple((x + y) % p for x, y in zip(self.values, other.values))
+            self.domain,
+            tuple(map(mod, map(add, self.values, other.values), repeat(self.domain.prime))),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.domain.prime
-        return OrbitScalar(self.domain, tuple((-x) % p for x in self.values))
+        return OrbitScalar(
+            self.domain, tuple(map(mod, map(neg, self.values), repeat(self.domain.prime)))
+        )
 
     def __sub__(self, other):
         other = self.domain.coerce(other)
@@ -134,18 +164,12 @@ class OrbitScalar:
     def __mul__(self, other):
         other = self.domain.coerce(other)
         self._check(other)
-        p = self.domain.prime
-        return OrbitScalar(
-            self.domain, tuple((x * y) % p for x, y in zip(self.values, other.values))
-        )
+        return OrbitScalar(self.domain, _mulmod(self.values, other.values, self.domain.prime))
 
     __rmul__ = __mul__
 
     def inv(self) -> "OrbitScalar":
-        p = self.domain.prime
-        if any(x == 0 for x in self.values):
-            raise ZeroDenominator("inverting a scalar that vanishes at an orbit point")
-        return OrbitScalar(self.domain, tuple(pow(x, p - 2, p) for x in self.values))
+        return OrbitScalar(self.domain, _batch_inverse(self.values, self.domain.prime))
 
     def __truediv__(self, other):
         other = self.domain.coerce(other)
@@ -161,7 +185,7 @@ class OrbitScalar:
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.values)
+        return not any(self.values)
 
     def __repr__(self):
         return f"OrbitScalar({self.values[0]}, ...)"
@@ -191,13 +215,17 @@ class OrbitDomain:
         # weyl permutation: value of (w f) at point u*P is f((u w)*P)
         order = system.order
         self._perm = [
-            self._blockwise(col + tuple(uw + order for uw in col))
+            itemgetter(*self._blockwise(col + tuple(uw + order for uw in col)))
             for col in map(system.cayley_column, range(order))
         ]
-        self._dual = self._blockwise(tuple(range(order, 2 * order)) + tuple(range(order)))
+        self._dual = itemgetter(
+            *self._blockwise(tuple(range(order, 2 * order)) + tuple(range(order)))
+        )
         self.one = OrbitScalar(self, (1,) * self.size)
         self.zero = OrbitScalar(self, (0,) * self.size)
         self._lift_cache: dict = {}
+        self._lift_values: dict = {}  # (num, dc, facs) -> residue vector
+        self._factor_inverses: dict = {}  # canonical factor -> its inverse's vector
 
     def _blockwise(self, perm: tuple) -> tuple:
         """One family block's index permutation, applied to every block."""
@@ -242,38 +270,44 @@ class OrbitDomain:
             return self.lift(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into OrbitDomain")
 
+    def _values(self, poly) -> tuple:
+        p = self.prime
+        return tuple(poly.eval_mod(pt, p) for pt in self.points)
+
     def lift(self, r: RatFunc) -> OrbitScalar:
-        """r at every point.  t takes one value on each half block (the base t
-        on the w * P, its inverse on the inverted points), so a function of t
-        alone is evaluated once per half block and repeated."""
+        """r at every point: num times each factor's inverse vector, once per
+        multiplicity, times dc^-1, computed once per distinct value."""
         key = id(r)
         hit = self._lift_cache.get(key)
         if hit is not None and hit[0] is r:
             return hit[1]
-        p = self.prime
-        try:
-            if r.is_t_only():
-                half = self.system.order
-                vals = []
-                for start in range(0, self.size, half):
-                    vals += [r.eval_mod(self.points[start], p)] * half
-                out = OrbitScalar(self, tuple(vals))
-            else:
-                out = OrbitScalar(self, tuple(r.eval_mod(pt, p) for pt in self.points))
-        except ZeroDivisionError as exc:
-            raise ZeroDenominator(f"at an orbit point: {exc}") from exc
+        value = (r.num, r.dc, r.facs)
+        vals = self._lift_values.get(value)
+        if vals is None:
+            p = self.prime
+            if r.dc % p == 0:
+                raise ZeroDenominator("denominator content divisible by p")
+            vals = self._values(r.num)
+            for f, mult in r.facs:
+                inv = self._factor_inverses.get(f)
+                if inv is None:
+                    inv = self._factor_inverses[f] = _batch_inverse(self._values(f), p)
+                for _ in range(mult):
+                    vals = _mulmod(vals, inv, p)
+            if r.dc != 1:
+                vals = _mulmod(vals, repeat(pow(r.dc, p - 2, p)), p)
+            self._lift_values[value] = vals
+        out = OrbitScalar(self, vals)
         self._lift_cache[key] = (r, out)
         return out
 
     def weyl(self, w: WeylElt, c: OrbitScalar) -> OrbitScalar:
         if w.idx == 0:
             return c
-        vals = c.values
-        return OrbitScalar(self, tuple(vals[j] for j in self._perm[w.idx]))
+        return OrbitScalar(self, self._perm[w.idx](c.values))
 
     def dualize(self, c: OrbitScalar) -> OrbitScalar:
-        vals = c.values
-        return OrbitScalar(self, tuple(vals[j] for j in self._dual))
+        return OrbitScalar(self, self._dual(c.values))
 
     def is_zero(self, c: OrbitScalar) -> bool:
         return c.is_zero()
@@ -285,7 +319,6 @@ class OrbitDomain:
         """sum x y over the pairs of xs and ys, accumulated as integers and
         reduced mod p once.  A zero sum is the shared zero, so a pairing matrix
         that is mostly zeros holds one zero vector."""
-        mul, add = operator.mul, operator.add
         acc = None
         for x, y in zip(xs, ys):
             if x.domain is not self or y.domain is not self:
@@ -294,6 +327,5 @@ class OrbitDomain:
             acc = list(prods) if acc is None else list(map(add, acc, prods))
         if acc is None:
             return self.zero
-        p = self.prime
-        vals = tuple(v % p for v in acc)
+        vals = tuple(map(mod, acc, repeat(self.prime)))
         return OrbitScalar(self, vals) if any(vals) else self.zero

@@ -19,9 +19,10 @@ cancellable factor keeps none.  Over irreducible factors the stored fraction
 is therefore reduced; otherwise it may not be, and equality is semantic, by
 cross-multiplication, either way.
 
-``eval_mod`` evaluates a fraction at a point mod a prime; the orbit-point
-domain in ``modp`` evaluates through it modulo the fixed published 62-bit
-prime ``FIXED_PRIME`` and states its Schwartz-Zippel bound.
+The orbit-point domain in ``modp`` evaluates a fraction modulo the fixed
+published 62-bit prime ``FIXED_PRIME``: the numerator and each canonical
+factor through ``LaurentPoly.eval_mod``, each factor's residue vector
+inverted in one batch.  ``modp`` states the Schwartz-Zippel bound.
 """
 
 from __future__ import annotations
@@ -139,11 +140,6 @@ class RatFunc:
                     d = d * f
             self._den = d
         return self._den
-
-    def is_t_only(self) -> bool:
-        """Every exponent outside slot 0 is zero: a function of t alone."""
-        polys = (self.num,) + tuple(f for f, _ in self.facs)
-        return not any(any(e[1:]) for f in polys for e in f.terms)
 
     def is_zero(self) -> bool:
         return not self.num.terms
@@ -308,19 +304,6 @@ class RatFunc:
 
     def dualize(self) -> "RatFunc":
         return self._map(lambda p: p.dualize())
-
-    # ---------- evaluation ----------
-
-    def eval_mod(self, point: tuple, p: int) -> int:
-        den = self.dc % p
-        if den == 0:
-            raise ZeroDivisionError("denominator content divisible by p")
-        for f, mult in self.facs:
-            v = f.eval_mod(point, p)
-            if v == 0:
-                raise ZeroDivisionError("denominator factor vanishes at point")
-            den = den * pow(v, mult, p) % p
-        return self.num.eval_mod(point, p) * pow(den, p - 2, p) % p
 
     # ---------- printing ----------
 

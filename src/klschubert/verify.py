@@ -91,7 +91,7 @@ class RunConfig:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseResult:
     case_id: str
     ok: bool

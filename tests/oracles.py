@@ -10,6 +10,9 @@ These deliberately avoid the production code paths they check:
 
 - long_divide is the lex-order long division that LaurentPoly.exact_divide
   used for every divisor before binomials were divided chain by chain.
+- eval_mod evaluates a fraction at one point mod p with one Fermat inversion
+  of its denominator, where OrbitDomain.lift multiplies whole residue vectors
+  and inverts each factor's vector in one batch.
 - parse_poly and parse_ratfunc read the canonical text form back, so the
   printers round-trip; decode inverts the Grassmannian matrix encoding, and
   subset_of_partition and one_line_of_partition index a Schubert variety by
@@ -247,6 +250,19 @@ def long_divide(n, d):
                 del cur[k]
     shift_back = tuple(x - y for x, y in zip(mc_n, mc_d))
     return LaurentPoly(n.arity, quo).shift(shift_back)
+
+
+def eval_mod(r, point, p):
+    """r at one point mod p; ZeroDivisionError where its denominator vanishes."""
+    den = r.dc % p
+    if den == 0:
+        raise ZeroDivisionError("denominator content divisible by p")
+    for f, mult in r.facs:
+        v = f.eval_mod(point, p)
+        if v == 0:
+            raise ZeroDivisionError("denominator factor vanishes at point")
+        den = den * pow(v, mult, p) % p
+    return r.num.eval_mod(point, p) * pow(den, p - 2, p) % p
 
 
 _TERM_FACTOR = re.compile(r"^(t|z(\d+))(?:\^(-?\d+))?$")

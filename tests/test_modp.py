@@ -9,6 +9,8 @@ from klschubert.ratfunc import FIXED_PRIME, RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import TwistedRing, psi
 
+from oracles import eval_mod
+
 
 G2 = CartanData(((2, -1), (-3, 2)), "G")
 
@@ -107,29 +109,127 @@ def test_lift_reports_a_vanishing_denominator(a2):
         dom.lift(RatFunc(one, FIXED_PRIME))
 
 
-def test_t_only_lift_is_the_pointwise_evaluation(a3):
-    """A function of t alone is evaluated once per half block and repeated; the
-    vector is eval_mod at every point, and a denominator that vanishes at one
-    family's t, or at one inverted t, still raises."""
+def _random_lift_fraction(rng, arity, t_only):
+    """A random numerator with negative exponents over one to four factors
+    drawn with repetition from a small pool, times an integer content."""
+    one = LaurentPoly.const(arity, 1)
+    t = LaurentPoly.t_power(arity, 1)
+
+    def mono(lo, hi, c=1):
+        rest = tuple(0 if t_only else rng.randrange(lo, hi) for _ in range(arity - 1))
+        return LaurentPoly.monomial((rng.randrange(lo, hi),) + rest, c)
+
+    pool = [one - mono(-2, 3), t * t + one, t - LaurentPoly.const(arity, 3), one + mono(-1, 2, 2)]
+    num = LaurentPoly(arity)
+    for _ in range(3):
+        num = num + mono(-3, 4, rng.randrange(-5, 6))
+    dens = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+    dens.append(LaurentPoly.const(arity, rng.choice((1, 2, 6, 35))))
+    return RatFunc.from_den_factors(num, dens)
+
+
+def _vanishing_at(dom, index):
+    """A linear polynomial that vanishes at dom.points[index] and nowhere else."""
+    pt = dom.points[index]
+    arity = len(pt)
+    f = LaurentPoly.const(arity, -sum((i + 1) * x for i, x in enumerate(pt)))
+    for i in range(arity):
+        f = f + LaurentPoly.var(arity, i).scale(i + 1)
+    zeros = [j for j, q in enumerate(dom.points) if f.eval_mod(q, dom.prime) == 0]
+    assert zeros == [index]
+    return f
+
+
+def test_lift_is_the_pointwise_evaluation(a3):
+    """Every lift is the pointwise oracle residue for residue: t-only and mixed
+    fractions, repeated factors, a content dc != 1, negative exponents.  A
+    factor that vanishes at one point, at one family's t or at one inverted
+    t, and a content divisible by p, raise."""
     dom = OrbitDomain(a3, seed=9, families=2)
-    t = LaurentPoly.t_power(4, 1)
-    one = LaurentPoly.const(4, 1)
-    fractions = [
-        RatFunc(t * t + LaurentPoly.t_power(4, -3).scale(5)),
-        RatFunc.from_den_factors(t - LaurentPoly.const(4, 3), [one + t * t, one - t]),
-        RatFunc(LaurentPoly.const(4, 7), 11),
-    ]
+    p = dom.prime
+    rng = random.Random(10)
+    fractions = [_random_lift_fraction(rng, 4, k % 2 == 0) for k in range(40)]
+    assert any(mult > 1 for f in fractions for _, mult in f.facs)
+    assert any(f.dc != 1 for f in fractions) and any(f.dc == 1 and f.facs for f in fractions)
+    assert any(min(e[0] for e in f.num.terms) < 0 for f in fractions)
     for f in fractions:
-        assert f.is_t_only()
-        assert dom.lift(f).values == tuple(f.eval_mod(pt, dom.prime) for pt in dom.points)
-    assert not RatFunc(t + LaurentPoly.var(4, 1)).is_t_only()
-    assert not RatFunc.fraction(one, one - LaurentPoly.var(4, 2)).is_t_only()
-    for start in (2 * a3.order, a3.order):  # family 1's t; family 0's inverted t
-        c = dom.points[start][0]
-        vanishing = RatFunc.fraction(one, t - LaurentPoly.const(4, c))
-        assert vanishing.is_t_only()
+        assert dom.lift(f).values == tuple(eval_mod(f, pt, p) for pt in dom.points)
+
+    one = LaurentPoly.const(4, 1)
+    t = LaurentPoly.t_power(4, 1)
+    vanishing = [
+        _vanishing_at(dom, 0),
+        _vanishing_at(dom, dom.size - 1),
+        t - LaurentPoly.const(4, dom.points[2 * a3.order][0]),  # family 1's t
+        t - LaurentPoly.const(4, dom.points[a3.order][0]),  # family 0's inverted t
+    ]
+    for f in vanishing:
+        for r in (RatFunc.fraction(one, f), RatFunc.from_den_factors(t, [one + t * t, f, f])):
+            with pytest.raises(ZeroDenominator):
+                dom.lift(r)
+            with pytest.raises(ZeroDenominator):
+                dom.lift(r)
+    content_p = RatFunc.from_den_factors(t, [one + t * t, LaurentPoly.const(4, 3 * p)])
+    for r in (RatFunc(one, p), content_p):
         with pytest.raises(ZeroDenominator):
-            dom.lift(vanishing)
+            dom.lift(r)
+
+
+def test_orbit_inv_is_the_pointwise_inverse(a2):
+    """The batch inverse is pow(x, p - 2, p) entry by entry, and one zero
+    entry anywhere raises."""
+    for families in (1, 2):
+        dom = OrbitDomain(a2, seed=12, families=families)
+        p = dom.prime
+        rng = random.Random(families)
+        for values in (
+            [rng.randrange(1, p) for _ in range(dom.size)],
+            [1, p - 1] * (dom.size // 2),
+            [p - 1] * dom.size,
+        ):
+            x = OrbitScalar(dom, tuple(values))
+            assert x.inv().values == tuple(pow(v, p - 2, p) for v in values)
+        for index in (0, dom.size // 2, dom.size - 1):
+            values = [rng.randrange(1, p) for _ in range(dom.size)]
+            values[index] = 0
+            with pytest.raises(ZeroDenominator):
+                OrbitScalar(dom, tuple(values)).inv()
+
+
+def test_lift_evaluates_each_polynomial_once_per_domain(a3, monkeypatch):
+    """A fraction costs dom.size evaluations for its numerator and for each
+    distinct factor, once per domain: an equal fraction built apart costs
+    none, a new numerator over the same factors costs only its own, and
+    equal lifts without a denominator share one residue tuple."""
+    calls = []
+    evaluate = LaurentPoly.eval_mod
+
+    def counted(poly, point, p):
+        calls.append(poly)
+        return evaluate(poly, point, p)
+
+    monkeypatch.setattr(LaurentPoly, "eval_mod", counted)
+    one = LaurentPoly.const(4, 1)
+    t = LaurentPoly.t_power(4, 1)
+    z1 = LaurentPoly.var(4, 1)
+
+    def build(num):
+        return RatFunc.from_den_factors(num, [one - z1, t * t + one, one - z1])
+
+    num = t * t + z1.scale(3) + LaurentPoly.t_power(4, -1)
+    f, g = build(num), build(t * t + z1.scale(3) + LaurentPoly.t_power(4, -1))
+    assert f is not g and f.facs[0][1] == 2 and len(f.facs) == 2
+    for dom in (OrbitDomain(a3, seed=14, families=2), OrbitDomain(a3, seed=15)):
+        calls.clear()
+        lifted = dom.lift(f)
+        assert len(calls) == 3 * dom.size
+        assert dom.lift(g) == lifted
+        assert len(calls) == 3 * dom.size
+        dom.lift(build(num + one))
+        assert len(calls) == 4 * dom.size
+        h1, h2 = RatFunc(t * t - one), RatFunc(t * t - one)
+        assert dom.lift(h1).values is dom.lift(h2).values
+        assert len(calls) == 5 * dom.size
 
 
 def test_orbit_field_ops(a2):
