@@ -29,7 +29,8 @@ the common support in W^J.
 
 Functions of the fixed point u that are Weyl twists u(f) of one function f
 (the monomial of Serre duality, the inverse cotangent factor, the hyperbolic
-transfer factor) are lifted once and twisted per u with dom.weyl.
+transfer factor, the root factors of the smoothness criterion) are lifted once
+and twisted per u with dom.weyl.
 
 Build once: every point class, cell class, canonical class C_w, parabolic
 cell class, smoothness verdict and per-J (or per-length) lifted scalar is
@@ -72,27 +73,26 @@ def _jkey(J) -> tuple:
 class CohClass:
     """Restrictions to fixed points: a sparse total map W -> Q."""
 
-    __slots__ = ("ring", "restrictions", "J")
+    __slots__ = ("ring", "restrictions")
 
-    def __init__(self, ring: TwistedRing, restrictions: dict, J: tuple | None = None):
+    def __init__(self, ring: TwistedRing, restrictions: dict):
         self.ring = ring
         dom = ring.dom
         self.restrictions = {w: c for w, c in restrictions.items() if not dom.is_zero(c)}
-        self.J = tuple(J) if J is not None else None
 
     def __add__(self, other: "CohClass") -> "CohClass":
         out = dict(self.restrictions)
         for w, c in other.restrictions.items():
             q = out.get(w)
             out[w] = c if q is None else q + c
-        return CohClass(self.ring, out, self.J)
+        return CohClass(self.ring, out)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + other.scale(-1)
 
     def scale(self, c) -> "CohClass":
         c = self.ring.as_scalar(c)
-        return CohClass(self.ring, {w: p * c for w, p in self.restrictions.items()}, self.J)
+        return CohClass(self.ring, {w: p * c for w, p in self.restrictions.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CohClass):
@@ -160,19 +160,13 @@ class Localization:
     # ---------- the two actions ----------
 
     def bullet(self, a: QWElt, c: CohClass) -> CohClass:
-        """(a . c)_u = sum_v c_{uv} u(p_v); linear over the fraction field."""
+        """(a . c)_u = sum_v c_{uv} u(p_v), linear over the fraction field: the
+        twisted product of c, as the map w -> c_w, and sum_v v^-1(p_v) delta_{v^-1}."""
         if a.ring is not c.ring:
             a.ring._check(c.ring.zero())
-        dom = self.dom
-        out: dict = {}
-        for v, p in a.coeffs.items():
-            vinv = v.inverse()
-            for w, q in c.restrictions.items():
-                u = w * vinv
-                val = q * dom.weyl(u, p)
-                acc = out.get(u)
-                out[u] = val if acc is None else acc + val
-        return CohClass(c.ring, out)
+        weyl = self.dom.weyl
+        inverted = {v.inverse(): weyl(v.inverse(), p) for v, p in a.coeffs.items()}
+        return CohClass(c.ring, twisted_product(self.dom, c.restrictions, inverted))
 
     def odot(self, a: QWElt, c: CohClass) -> CohClass:
         """(a o c)_u = sum_v p_v v(c_{v^{-1} u}); not linear over the field."""
@@ -247,7 +241,7 @@ class Localization:
         mono = self._once(self._serre_monomial, _jkey(J))
         dom = self.dom
         out = {u: dom.dualize(val) * dom.weyl(u, mono) for u, val in c.restrictions.items()}
-        return CohClass(c.ring, out, c.J)
+        return CohClass(c.ring, out)
 
     # ---------- Segre motivic Chern classes ----------
 
@@ -342,11 +336,10 @@ class Localization:
         return self._once(self._mc_cell_parabolic, u, _jkey(J))
 
     def _mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
-        if not J:  # Y_() = delta_e: the restrictions of MC(cell u) themselves
-            return CohClass(self.mult, self.mc_cell(u).restrictions, ())
+        if not J:  # Y_() = delta_e: MC(cell u) itself
+            return self.mc_cell(u)
         self.system.require_min_rep(u, J)
-        cls = self.bullet(self.mult.pushpull_rel(J, ()), self.mc_cell(u))
-        return CohClass(self.mult, cls.restrictions, J)
+        return self.bullet(self.mult.pushpull_rel(J, ()), self.mc_cell(u))
 
     def smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
         """SMC of an opposite cell downstairs, via w_0-translation and duality."""
@@ -365,7 +358,7 @@ class Localization:
         lam = self._once(self._lambda_inv, J)
         weyl = self.dom.weyl
         out = {x: val * weyl(x, lam) for x, val in dual.restrictions.items()}
-        return CohClass(self.mult, out, J).scale(self.mult.scalar_t(-2 * dim))
+        return CohClass(self.mult, out).scale(self.mult.scalar_t(-2 * dim))
 
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
         """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J."""
@@ -380,7 +373,7 @@ class Localization:
                 continue
             poly = LaurentPoly(1, {(lw - 2 * j,): c for j, c in enumerate(p)})
             terms.append((self.mult.t_poly(poly), self.mc_cell_parabolic(u, J).restrictions))
-        return CohClass(self.mult, combine(self.dom, terms), tuple(J))
+        return CohClass(self.mult, combine(self.dom, terms))
 
     def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
         """C~^J_w, from inverse parabolic KL polynomials and Segre classes."""
@@ -398,7 +391,7 @@ class Localization:
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
             terms.append((self.mult.t_poly(poly), self.smc_cell_parabolic(v, J).restrictions))
-        out = CohClass(self.mult, combine(self.dom, terms), tuple(J))
+        out = CohClass(self.mult, combine(self.dom, terms))
         return out.scale(self._once(self._normalizer, _jkey(J)))
 
     def _normalizer(self, J):
@@ -431,7 +424,7 @@ class Localization:
         f = self._once(self._hyp_transfer, target.length)
         weyl = self.dom.weyl
         out = {u: c * weyl(u, f) for u, c in self.kl_class_c(target).restrictions.items()}
-        return CohClass(self.hyp, out, tuple(J) or None)
+        return CohClass(self.hyp, out)
 
     def _hyp_transfer(self, n: int):
         """mu^{-n} x^hyp_Pi / x_Pi at e, lifted.  With x^hyp_{-a} / x_{-a} =
@@ -480,8 +473,7 @@ class Localization:
                 if not system.bruhat_leq(s_alpha * v, target):
                     val = val * self.hyp.x_root(-alpha)
             out[v] = val
-        cls = CohClass(self.hyp, out, tuple(J) or None)
-        return cls
+        return CohClass(self.hyp, out)
 
     # ---------- smoothness criterion ----------
 
@@ -489,24 +481,30 @@ class Localization:
         """(smooth, u -> verdict at u) from the coefficients of Gamma_w, built once per w."""
         return self._once(self._is_smooth, w)
 
+    def _smoothness_factors(self) -> list:
+        """(1 - t^-2 e^a) / (1 - e^a) for each positive root a, lifted; its value
+        at the fixed point u is the twist dom.weyl(u, .)."""
+        one = LaurentPoly.const(self.system.rank + 1, 1)
+        roots = self.system.positive_roots
+        dens = [one - LaurentPoly.monomial((0,) + a.weight, 1) for a in roots]
+        nums = self.lambda_cotangent_factors(())
+        return [self.dom.lift(RatFunc.from_den_factors(n, [d])) for n, d in zip(nums, dens)]
+
     def _is_smooth(self, w: WeylElt):
+        """The coefficient of Gamma_w at u against the product of u(f_a) over the
+        positive roots a with u s_a <= w, f_a the lifted smoothness factor."""
         system = self.system
+        dom = self.dom
         coeffs = self.mult.gamma_coefficients(self.hecke, w)
-        arity = system.rank + 1
+        factors = self._once(self._smoothness_factors)
+        reflections = [(system.reflection(a), f) for a, f in zip(system.positive_roots, factors)]
         witnesses = {}
-        reflections = [(a, system.reflection(a)) for a in system.positive_roots]
         for u in system.bruhat_interval(w):
-            expected = RatFunc.from_int(arity, 1)
-            for alpha, s_alpha in reflections:
+            expected = dom.one
+            for s_alpha, f in reflections:
                 if system.bruhat_leq(u * s_alpha, w):
-                    ua = u.act_weight(alpha.weight)
-                    one = LaurentPoly.const(arity, 1)
-                    expected = expected * RatFunc.from_den_factors(
-                        one - LaurentPoly.monomial((-2,) + tuple(ua), 1),
-                        [one - LaurentPoly.monomial((0,) + tuple(ua), 1)],
-                    )
-            got = coeffs.get(u, self.dom.zero)
-            witnesses[u] = self.dom.eq(got, self.dom.lift(expected))
+                    expected = expected * dom.weyl(u, f)
+            witnesses[u] = dom.eq(coeffs.get(u, dom.zero), expected)
         return all(witnesses.values()), MappingProxyType(witnesses)
 
     # ---------- random classes (for involution tests) ----------

@@ -24,9 +24,10 @@ objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
 of the twisted group ring, Bott-Samelson push-pull words, motivic Chern
 classes of Schubert varieties, the pointwise product of two classes, the
 pairing as a full bullet action and its normalizer as a product of root
-factors, the direct routes to the classes
-that Localization builds by recursion (the whole image of tau_w or gamma_w
-acting on pt_e), and the constant class one_class.
+factors, the bullet action summed term by term, the smoothness criterion with
+each expected restriction built exactly before it is lifted, the direct routes
+to the classes that Localization builds by recursion (the whole image of tau_w
+or gamma_w acting on pt_e), and the constant class one_class.
 """
 
 import re
@@ -173,7 +174,46 @@ def mul_pointwise(f, g):
         q = g.restrictions.get(w)
         if q is not None:
             out[w] = c * q
-    return CohClass(f.ring, out, f.J)
+    return CohClass(f.ring, out)
+
+
+def bullet_direct(loc, a, c):
+    """(a . c)_u = sum_v c_{uv} u(p_v), summed term by term over v, then over
+    the support of c, where Localization.bullet runs one twisted product."""
+    dom = loc.dom
+    out = {}
+    for v, p in a.coeffs.items():
+        vinv = v.inverse()
+        for w, q in c.restrictions.items():
+            u = w * vinv
+            val = q * dom.weyl(u, p)
+            acc = out.get(u)
+            out[u] = val if acc is None else acc + val
+    return CohClass(c.ring, out)
+
+
+def is_smooth_direct(loc, w):
+    """(smooth, {u: verdict at u}), each expected restriction built as one exact
+    product of (1 - t^-2 e^{u a}) / (1 - e^{u a}) over the positive roots a with
+    u s_a <= w and then lifted, where Localization.is_smooth twists lifted
+    factors."""
+    system = loc.system
+    coeffs = loc.mult.gamma_coefficients(loc.hecke, w)
+    arity = system.rank + 1
+    one = LaurentPoly.const(arity, 1)
+    witnesses = {}
+    for u in system.bruhat_interval(w):
+        expected = RatFunc.from_int(arity, 1)
+        for alpha in system.positive_roots:
+            if system.bruhat_leq(u * system.reflection(alpha), w):
+                ua = u.act_weight(alpha.weight)
+                expected = expected * RatFunc.from_den_factors(
+                    one - LaurentPoly.monomial((-2,) + ua, 1),
+                    [one - LaurentPoly.monomial((0,) + ua, 1)],
+                )
+        got = coeffs.get(u, loc.dom.zero)
+        witnesses[u] = loc.dom.eq(got, loc.dom.lift(expected))
+    return all(witnesses.values()), witnesses
 
 
 def pairing_by_bullet(loc, f, g, J=()):

@@ -12,6 +12,8 @@ from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import psi
 
 from oracles import (
+    bullet_direct,
+    is_smooth_direct,
     kl_class_c_direct,
     kl_schubert_direct,
     mc_cell_direct,
@@ -418,23 +420,68 @@ def test_class_recursions_match_direct_routes(name, mode):
         assert loc.kl_schubert(w) == kl_schubert_direct(loc, w), w
 
 
+ACTION_GROUPS = {"A2": CartanData.type_a(2), **PAIRING_GROUPS}
+ACTION_CONFIGS = [(name, mode) for name in ACTION_GROUPS for mode in ("exact", "modp")]
+
+
+def _action_loc(name, mode):
+    system = RootSystem(ACTION_GROUPS[name])
+    dom = OrbitDomain(system, seed=29, families=2) if mode == "modp" else None
+    return Localization(system, dom)
+
+
+def _same_restrictions(loc, f, g) -> bool:
+    """f and g agree at every fixed point, whatever the order of their keys."""
+    return f.restrictions.keys() == g.restrictions.keys() and all(
+        loc.dom.eq(c, g.restrictions[u]) for u, c in f.restrictions.items()
+    )
+
+
+@pytest.mark.parametrize("name, mode", ACTION_CONFIGS)
+def test_bullet_is_the_termwise_sum(name, mode):
+    """bullet, one twisted product, equals the term-by-term sum at every fixed
+    point, in both realizations; exactly, it prints the same classes."""
+    loc = _action_loc(name, mode)
+    system = loc.system
+    rank = system.rank
+    top = system.elements[-1]
+    for ring, kind in ((loc.mult, "multiplicative"), (loc.hyp, "hyperbolic")):
+        # short operators on every class, long ones on classes at one or two points
+        short = [ring.delta(top), ring.dl_generator(0), ring.pushpull_rel((rank - 1,), ())]
+        long = [ring.pushpull_rel(tuple(range(rank)), ())]
+        points = [loc.point_class(system.w0, kind), loc.point_class(top, kind)]
+        wide = [loc.kl_schubert(top)]
+        if kind == "multiplicative":
+            long.append(ring.hecke_to_qw(loc.hecke.bar_tau(top)))
+            points.append(loc.random_class(5))
+            wide = [loc.mc_cell(top)]
+        pairs = [(a, c) for a in short for c in points + wide]
+        pairs += [(a, c) for a in long for c in points]
+        for a, c in pairs:
+            got, want = loc.bullet(a, c), bullet_direct(loc, a, c)
+            assert _same_restrictions(loc, got, want)
+            if mode == "exact":
+                assert got.format() == want.format()
+
+
+@pytest.mark.parametrize("name, mode", [c for c in ACTION_CONFIGS if c[0] != "A2"])
+def test_is_smooth_is_the_exact_product_lifted(name, mode):
+    """Twisting the lifted root factors gives the verdict at every fixed point
+    that lifting each exact product does, for every w."""
+    loc = _action_loc(name, mode)
+    for w in loc.system.elements:
+        smooth, witnesses = loc.is_smooth(w)
+        assert (smooth, dict(witnesses)) == is_smooth_direct(loc, w), w
+
+
 def test_memoized_classes_are_shared_and_keep_their_J(loc3, a3):
+    """A parabolic cell is memoized per J, whatever the order of J's reflections."""
     J = (0, 2)
-    reps = a3.minimal_coset_reps(J)
-    u = reps[-1]
+    u = a3.minimal_coset_reps(J)[-1]
     mc = loc3.mc_cell_parabolic(u, J)
-    assert mc.J == J
     assert loc3.mc_cell_parabolic(u, (2, 0)) is mc
-    assert loc3.mc_cell(u).J is None
     smc = loc3.smc_cell_parabolic(u, J)
-    assert loc3.smc_cell_parabolic(u, J) is smc and smc.J == J
-    target = u * a3.longest_parabolic(J)
-    schubert = loc3.kl_schubert(u, J)
-    assert schubert.J == J
-    assert loc3.kl_class_c(target).J is None
-    assert loc3.kl_schubert(target).J is None
-    assert loc3.kl_class_c_parabolic(u, J).J == J
-    assert loc3.kl_class_c_tilde_parabolic(u, J).J == J
+    assert loc3.smc_cell_parabolic(u, J) is smc
 
 
 def test_smoothness_verdicts_are_built_once(loc3, a3):
@@ -447,10 +494,7 @@ def test_smoothness_verdicts_are_built_once(loc3, a3):
 
 def test_mc_cell_parabolic_at_the_empty_set_shares_the_cell(loc3, a3):
     for u in a3.elements:
-        cell, down = loc3.mc_cell(u), loc3.mc_cell_parabolic(u, ())
-        assert down.J == ()
-        assert down.restrictions.keys() == cell.restrictions.keys()
-        assert all(down.restrictions[w] is c for w, c in cell.restrictions.items())
+        assert loc3.mc_cell_parabolic(u, ()) is loc3.mc_cell(u)
 
 
 # sha256 over the printed exact classes of PRINTED_CLASSES, recorded before

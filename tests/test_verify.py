@@ -136,6 +136,65 @@ def test_a3_exact_suites():
     assert h.hexdigest() == A3_EXACT_DIGEST
 
 
+# The suites not pinned at A3 above, mod p; recorded before suites yielded
+# their cases
+A3_MODP_CASES = {
+    "braid": 8,
+    "psi": 15,
+    "serre": 34,
+    "gammapsirel": 27,
+    "smoothness": 24,
+    "pushforward": 75,
+    "grassmann-smoothness": 6,
+    "zelevinsky": 36,
+}
+A3_MODP_DIGEST = "341c71e9e4c68b223cac8d85fead536a4b1262419897ea2447bb44e226a2c649"
+
+
+def _a3_config(suite, mode):
+    grass = {"n": 4, "d": 2} if suite in GRASSMANNIAN else {}
+    return RunConfig(rank=3, mode=mode, k=2, seed=1, serre_samples=10, **grass)
+
+
+@pytest.fixture(scope="module")
+def a3_modp_reports():
+    return {suite: run_suite(suite, _a3_config(suite, "modp")) for suite in A3_MODP_CASES}
+
+
+def test_a3_modp_suites(a3_modp_reports):
+    h = hashlib.sha256()
+    for suite, count in A3_MODP_CASES.items():
+        report = a3_modp_reports[suite]
+        assert len(report.cases) == count
+        assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+        for c in report.cases:
+            h.update(f"{suite}\t{c.case_id}\t{int(c.ok)}\n".encode())
+    assert h.hexdigest() == A3_MODP_DIGEST
+
+
+@pytest.mark.parametrize("suite", ["smoothness", "grassmann-smoothness"])
+def test_a3_exact_smoothness_agrees_with_mod_p(a3_modp_reports, suite):
+    exact = run_suite(suite, _a3_config(suite, "exact"))
+    modp = a3_modp_reports[suite]
+    assert [(c.case_id, c.ok, c.witness) for c in exact.cases] == [
+        (c.case_id, c.ok, c.witness) for c in modp.cases
+    ]
+
+
+def test_a_failing_mod_p_pairing_case_prints_its_residues(monkeypatch, a2):
+    """With the normalizer taken as 1, A2 mod-p duality fails exactly the
+    diagonal cases, each witnessed by the first residue of either side."""
+    monkeypatch.setattr(Localization, "pairing_normalizer", lambda self, J=(): self.dom.one)
+    report = run_suite("duality", _config("duality", "modp"))
+    failing = [c for c in report.cases if not c.ok]
+    assert [c.case_id for c in failing] == [f"<C[{w!r}], Ct[{w!r}]>" for w in a2.elements]
+    assert failing[0].case_id == "<C[e], Ct[e]>"
+    assert failing[0].witness == (
+        "lhs=OrbitScalar(2766721086702844936, ...) rhs=OrbitScalar(1, ...)"
+    )
+    assert all(c.witness is None for c in report.cases if c.ok)
+
+
 def test_smoothness_verdicts_are_built_once_per_element(monkeypatch):
     """grassmann-smoothness asks for the verdict of each w w_J for its case and
     again, when smooth, for the fundamental class; each verdict is built once."""
