@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 from .laurent import LaurentPoly
-from .rootsystem import RootSystem, WeylElt
+from .rootsystem import RootSystem, WeylElt, WMap
 
 __all__ = ["HeckeAlgebra", "HeckeElt", "qpoly_str"]
 
@@ -30,55 +30,15 @@ _QUAD = _TINV - _T  # t^-1 - t
 FULL_BAR_CHECK_LIMIT = 130  # |W| up to which every gamma_w gets the bar check
 
 
-class HeckeElt:
+class HeckeElt(WMap):
     """Finite Z[t, t^-1]-combination of tau_w basis elements."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "HeckeAlgebra", coeffs: dict):
-        self.algebra = algebra
-        self.coeffs = {w: p for w, p in coeffs.items() if p.terms}
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        out = dict(self.coeffs)
-        for w, p in other.coeffs.items():
-            q = out.get(w)
-            out[w] = p if q is None else q + p
-        return HeckeElt(self.algebra, out)
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + other.scale(LaurentPoly.const(1, -1))
-
-    def scale(self, p: LaurentPoly) -> "HeckeElt":
-        if not p.terms:
-            return HeckeElt(self.algebra, {})
-        return HeckeElt(self.algebra, {w: c * p for w, c in self.coeffs.items()})
+    __slots__ = ()
+    _term = "({c}) tau[{w!r}]"
+    _sep = " + "
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
-        return self.algebra.product(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElt)
-            and self.algebra.system is other.algebra.system
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda w: (w.length, w.idx))
-
-    def format(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for w in self.support():
-            parts.append(f"({self.coeffs[w].format()}) tau[{w!r}]")
-        return " + ".join(parts)
+        return self.ring.product(self, other)
 
     def __repr__(self):
         return f"HeckeElt({self.format()})"
@@ -92,6 +52,14 @@ class HeckeAlgebra:
         self._kl: dict = {}
         self._bar_tau: dict = {}
         self._kl_done_length = -1
+
+    def compatible(self, other) -> bool:
+        """Elements of other can be added to and compared with ours."""
+        return other is self or (isinstance(other, HeckeAlgebra) and other.system is self.system)
+
+    def as_scalar(self, value) -> LaurentPoly:
+        """An int as a constant Laurent polynomial in t; a polynomial as itself."""
+        return LaurentPoly.const(1, value) if isinstance(value, int) else value
 
     # ---------- basis elements and products ----------
 
@@ -150,8 +118,7 @@ class HeckeAlgebra:
         if w.length == 0:
             out = self.one()
         else:
-            i = w.word[-1]
-            prev = self.system.elements[self.system.right_table[w.idx][i]]
+            i, prev = self.system.right_step(w)
             out = self.product(self.bar_tau(prev), self.tau_inverse_generator(i))
         self._bar_tau[w] = out
         return out
@@ -180,14 +147,13 @@ class HeckeAlgebra:
             if w.length == 0:
                 g = self.one()
             else:
-                i = w.word[-1]
-                u = system.elements[system.right_table[w.idx][i]]
+                i, u = system.right_step(w)
                 gu = self._gamma[u]
                 g = self.tau_mul(gu, i) + gu.scale(_T)
                 for v, mu in self.mu_row(u):
                     vs = system.elements[system.right_table[v.idx][i]]
                     if vs.length < v.length:
-                        g = g + self._gamma[v].scale(LaurentPoly.const(1, -mu))
+                        g = g + self._gamma[v].scale(-mu)
             self._gamma[w] = g
             self._record_kl_row(w, g)
             if w in to_check and not self._is_bar_invariant(g):

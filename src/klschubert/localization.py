@@ -57,10 +57,12 @@ from types import MappingProxyType
 
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
-from .modp import ExactDomain, domains_compatible
+from .modp import ExactDomain
 from .ratfunc import RatFunc
-from .rootsystem import RootSystem, WeylElt
-from .twisted import QWElt, TwistedRing, combine, psi, twisted_product
+from .rootsystem import RootSystem, WeylElt, WMap
+from .twisted import QWElt, TwistedRing, combine, twisted_product
+# not called here: perfbench/tracing.py patches psi in each module that names it
+from .twisted import psi  # noqa: F401
 
 __all__ = ["CohClass", "Localization"]
 
@@ -70,56 +72,12 @@ def _jkey(J) -> tuple:
     return tuple(sorted(set(J)))
 
 
-class CohClass:
+class CohClass(WMap):
     """Restrictions to fixed points: a sparse total map W -> Q."""
 
-    __slots__ = ("ring", "restrictions")
-
-    def __init__(self, ring: TwistedRing, restrictions: dict):
-        self.ring = ring
-        dom = ring.dom
-        self.restrictions = {w: c for w, c in restrictions.items() if not dom.is_zero(c)}
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        out = dict(self.restrictions)
-        for w, c in other.restrictions.items():
-            q = out.get(w)
-            out[w] = c if q is None else q + c
-        return CohClass(self.ring, out)
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "CohClass":
-        c = self.ring.as_scalar(c)
-        return CohClass(self.ring, {w: p * c for w, p in self.restrictions.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        if self.ring.kind != other.ring.kind or not domains_compatible(
-            self.ring.dom, other.ring.dom
-        ):
-            return False
-        if self.restrictions.keys() != other.restrictions.keys():
-            return False
-        eq = self.ring.dom.eq
-        return all(eq(c, other.restrictions[w]) for w, c in self.restrictions.items())
-
-    __hash__ = None
-
-    def support(self):
-        return sorted(self.restrictions, key=lambda w: (w.length, w.idx))
-
-    def format(self) -> str:
-        if not self.restrictions:
-            return "0"
-        parts = []
-        for w in self.support():
-            c = self.restrictions[w]
-            text = c.format() if isinstance(c, RatFunc) else repr(c)
-            parts.append(f"{w!r}: {text}")
-        return "; ".join(parts)
+    __slots__ = ()
+    _term = "{w!r}: {c}"
+    _sep = "; "
 
     def __repr__(self):
         return f"CohClass<{self.ring.kind}>({self.format()})"
@@ -151,28 +109,22 @@ class Localization:
             hit = self._memo[key] = build(*args)
         return hit
 
-    def _left_step(self, w: WeylElt):
-        """(i, s_i w) for the first left descent s_i of w."""
-        system = self.system
-        i = system.left_descents(w)[0]
-        return i, system.elements[system.left_table[w.idx][i]]
-
     # ---------- the two actions ----------
 
     def bullet(self, a: QWElt, c: CohClass) -> CohClass:
         """(a . c)_u = sum_v c_{uv} u(p_v), linear over the fraction field: the
         twisted product of c, as the map w -> c_w, and sum_v v^-1(p_v) delta_{v^-1}."""
-        if a.ring is not c.ring:
-            a.ring._check(c.ring.zero())
+        if not a.ring.compatible(c.ring):
+            raise ValueError("elements of different twisted rings")
         weyl = self.dom.weyl
         inverted = {v.inverse(): weyl(v.inverse(), p) for v, p in a.coeffs.items()}
-        return CohClass(c.ring, twisted_product(self.dom, c.restrictions, inverted))
+        return CohClass(c.ring, twisted_product(self.dom, c.coeffs, inverted))
 
     def odot(self, a: QWElt, c: CohClass) -> CohClass:
         """(a o c)_u = sum_v p_v v(c_{v^{-1} u}); not linear over the field."""
-        if a.ring is not c.ring:
-            a.ring._check(c.ring.zero())
-        return CohClass(c.ring, twisted_product(self.dom, a.coeffs, c.restrictions))
+        if not a.ring.compatible(c.ring):
+            raise ValueError("elements of different twisted rings")
+        return CohClass(c.ring, twisted_product(self.dom, a.coeffs, c.coeffs))
 
     # ---------- basic classes ----------
 
@@ -195,7 +147,7 @@ class Localization:
         """t^{-1} tau_s o MC(cell sw) for a left descent s of w."""
         if w.length == 0:
             return self.point_class(w)
-        i, sw = self._left_step(w)
+        i, sw = self.system.left_step(w)
         cls = self.odot(self.mult.dl_generator(i), self.mc_cell(sw))
         return cls.scale(self.mult.scalar_t(-1))
 
@@ -240,7 +192,7 @@ class Localization:
         """
         mono = self._once(self._serre_monomial, _jkey(J))
         dom = self.dom
-        out = {u: dom.dualize(val) * dom.weyl(u, mono) for u, val in c.restrictions.items()}
+        out = {u: dom.dualize(val) * dom.weyl(u, mono) for u, val in c.coeffs.items()}
         return CohClass(c.ring, out)
 
     # ---------- Segre motivic Chern classes ----------
@@ -288,10 +240,10 @@ class Localization:
         dot = self.dom.dot
         rows = []
         for f in left:
-            wf = {x: fx * q[x] for x, fx in f.restrictions.items() if x in q}
+            wf = {x: fx * q[x] for x, fx in f.coeffs.items() if x in q}
             row = []
             for g in right:
-                gv = g.restrictions
+                gv = g.coeffs
                 common = [x for x in wf if x in gv]
                 row.append(dot([wf[x] for x in common], [gv[x] for x in common]))
             rows.append(row)
@@ -316,7 +268,7 @@ class Localization:
         if w.length == 0:
             return self.point_class(w)
         system = self.system
-        i, sw = self._left_step(w)
+        i, sw = system.left_step(w)
         prev = self.kl_class_c(sw)
         out = self.odot(self.mult.dl_generator(i), prev) + prev.scale(self.mult.scalar_t(1))
         for v, mu in self.hecke.mu_row(sw):
@@ -357,7 +309,7 @@ class Localization:
         dim = len(system.roots_outside(J)) - v.length
         lam = self._once(self._lambda_inv, J)
         weyl = self.dom.weyl
-        out = {x: val * weyl(x, lam) for x, val in dual.restrictions.items()}
+        out = {x: val * weyl(x, lam) for x, val in dual.coeffs.items()}
         return CohClass(self.mult, out).scale(self.mult.scalar_t(-2 * dim))
 
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
@@ -372,7 +324,7 @@ class Localization:
             if not p:
                 continue
             poly = LaurentPoly(1, {(lw - 2 * j,): c for j, c in enumerate(p)})
-            terms.append((self.mult.t_poly(poly), self.mc_cell_parabolic(u, J).restrictions))
+            terms.append((self.mult.t_poly(poly), self.mc_cell_parabolic(u, J).coeffs))
         return CohClass(self.mult, combine(self.dom, terms))
 
     def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
@@ -390,7 +342,7 @@ class Localization:
                 continue
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
-            terms.append((self.mult.t_poly(poly), self.smc_cell_parabolic(v, J).restrictions))
+            terms.append((self.mult.t_poly(poly), self.smc_cell_parabolic(v, J).coeffs))
         out = CohClass(self.mult, combine(self.dom, terms))
         return out.scale(self._once(self._normalizer, _jkey(J)))
 
@@ -423,7 +375,7 @@ class Localization:
         target = w * self.system.longest_parabolic(J)
         f = self._once(self._hyp_transfer, target.length)
         weyl = self.dom.weyl
-        out = {u: c * weyl(u, f) for u, c in self.kl_class_c(target).restrictions.items()}
+        out = {u: c * weyl(u, f) for u, c in self.kl_class_c(target).coeffs.items()}
         return CohClass(self.hyp, out)
 
     def _hyp_transfer(self, n: int):
@@ -441,12 +393,12 @@ class Localization:
 
     def is_invariant(self, c: CohClass, J) -> bool:
         """Restrictions constant on left cosets u W_J."""
-        dom = self.dom
+        zero = self.dom.zero
         for u in self.system.elements:
-            cu = c.restrictions.get(u, dom.zero)
+            cu = c.coeffs.get(u, zero)
             for j in J:
                 us = self.system.elements[self.system.right_table[u.idx][j]]
-                if not dom.eq(cu, c.restrictions.get(us, dom.zero)):
+                if cu != c.coeffs.get(us, zero):
                     return False
         return True
 
@@ -504,7 +456,7 @@ class Localization:
             for s_alpha, f in reflections:
                 if system.bruhat_leq(u * s_alpha, w):
                     expected = expected * dom.weyl(u, f)
-            witnesses[u] = dom.eq(coeffs.get(u, dom.zero), expected)
+            witnesses[u] = coeffs.get(u, dom.zero) == expected
         return all(witnesses.values()), MappingProxyType(witnesses)
 
     # ---------- random classes (for involution tests) ----------

@@ -1,10 +1,14 @@
 """Scalar domains: exact rational functions, or residues at Weyl-orbit points.
 
 Every algebraic pipeline here (twisted group ring products, localization
-actions, pairings) uses scalars only through +, -, *, inv, the sum of
-products dot(xs, ys) = sum x y, and three context-dependent maps: the Weyl
-action, the t/character inversion, and lifting an exact rational function.
-A domain object supplies dot and those maps, so the same pipeline code runs
+actions, pairings) uses scalars through one contract:
+
+- a scalar has +, -, *, inv(), ==, is_zero() and format();
+- a domain has one, zero, lift (an exact rational function into the
+  domain), weyl (the Weyl action), dualize (the t/character inversion) and
+  the sum of products dot(xs, ys) = sum x y.
+
+Scalars compare, test and print themselves, so the same pipeline code runs
 either exactly or as a Schwartz-Zippel style evaluation mod a fixed 62-bit
 prime p.
 
@@ -111,12 +115,6 @@ class ExactDomain:
     def dualize(self, c: RatFunc) -> RatFunc:
         return c.dualize()
 
-    def is_zero(self, c: RatFunc) -> bool:
-        return c.is_zero()
-
-    def eq(self, a: RatFunc, b: RatFunc) -> bool:
-        return a == b
-
     def dot(self, xs, ys) -> RatFunc:
         """sum x y over the pairs of xs and ys, added left to right from the first product."""
         out = None
@@ -140,7 +138,6 @@ class OrbitScalar:
             raise ValueError("scalars from different evaluation domains")
 
     def __add__(self, other):
-        other = self.domain.coerce(other)
         self._check(other)
         return OrbitScalar(
             self.domain,
@@ -155,14 +152,9 @@ class OrbitScalar:
         )
 
     def __sub__(self, other):
-        other = self.domain.coerce(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return self.domain.coerce(other) - self
-
     def __mul__(self, other):
-        other = self.domain.coerce(other)
         self._check(other)
         return OrbitScalar(self.domain, _mulmod(self.values, other.values, self.domain.prime))
 
@@ -171,13 +163,7 @@ class OrbitScalar:
     def inv(self) -> "OrbitScalar":
         return OrbitScalar(self.domain, _batch_inverse(self.values, self.domain.prime))
 
-    def __truediv__(self, other):
-        other = self.domain.coerce(other)
-        return self * other.inv()
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.domain.coerce(other)
         if not isinstance(other, OrbitScalar):
             return NotImplemented
         return self.domain is other.domain and self.values == other.values
@@ -189,6 +175,8 @@ class OrbitScalar:
 
     def __repr__(self):
         return f"OrbitScalar({self.values[0]}, ...)"
+
+    format = __repr__
 
 
 class OrbitDomain:
@@ -260,16 +248,6 @@ class OrbitDomain:
             (t_inv,) + tuple(pow(z, p - 2, p) for z in pt[1:]) for pt in points
         ]
 
-    def coerce(self, value) -> OrbitScalar:
-        if isinstance(value, OrbitScalar):
-            return value
-        if isinstance(value, int):
-            v = value % self.prime
-            return OrbitScalar(self, (v,) * self.size)
-        if isinstance(value, RatFunc):
-            return self.lift(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into OrbitDomain")
-
     def _values(self, poly) -> tuple:
         p = self.prime
         return tuple(poly.eval_mod(pt, p) for pt in self.points)
@@ -308,12 +286,6 @@ class OrbitDomain:
 
     def dualize(self, c: OrbitScalar) -> OrbitScalar:
         return OrbitScalar(self, self._dual(c.values))
-
-    def is_zero(self, c: OrbitScalar) -> bool:
-        return c.is_zero()
-
-    def eq(self, a: OrbitScalar, b: OrbitScalar) -> bool:
-        return a.values == b.values
 
     def dot(self, xs, ys) -> OrbitScalar:
         """sum x y over the pairs of xs and ys, accumulated as integers and

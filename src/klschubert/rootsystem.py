@@ -27,7 +27,9 @@ from operator import mul
 
 from .laurent import LaurentPoly
 
-__all__ = ["CartanData", "RootSystem", "WeylElt", "Root", "SizeCapExceeded", "cartan_type_a"]
+__all__ = [
+    "CartanData", "RootSystem", "WeylElt", "WMap", "Root", "SizeCapExceeded", "cartan_type_a"
+]
 
 DEFAULT_SIZE_CAP = 50_000
 
@@ -164,6 +166,56 @@ class WeylElt:
                 name = "*".join(f"s{i + 1}" for i in self.word)
             names[self.idx] = name
         return name
+
+
+class WMap:
+    """A finite map w -> coefficient on W, stored sparsely (missing = zero).
+
+    Hecke elements, twisted-group-ring elements and fixed-point classes are
+    all such maps.  The coefficients answer for themselves (+, -, *, ==,
+    is_zero, format); the ring supplies as_scalar, for scale, and
+    compatible(other_ring), which says when two maps can be added or compared.
+    A subclass prints each term through its template _term, with fields w and
+    c, joined by _sep.
+    """
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs: dict):
+        self.ring = ring
+        self.coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
+
+    def __add__(self, other):
+        if not self.ring.compatible(other.ring):
+            raise ValueError("elements of different rings")
+        out = dict(self.coeffs)
+        for w, c in other.coeffs.items():
+            q = out.get(w)
+            out[w] = c if q is None else q + c
+        return type(self)(self.ring, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = self.ring.as_scalar(c)
+        return type(self)(self.ring, {w: p * c for w, p in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ring.compatible(other.ring) and self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    def support(self):
+        return sorted(self.coeffs, key=lambda w: (w.length, w.idx))
+
+    def format(self) -> str:
+        if not self.coeffs:
+            return "0"
+        term, coeffs = self._term, self.coeffs
+        return self._sep.join(term.format(w=w, c=coeffs[w].format()) for w in self.support())
 
 
 class RootSystem:
@@ -333,6 +385,15 @@ class RootSystem:
         idx, L = w.idx, w.length
         return [i for i in range(self.rank) if self._lengths[self.left_table[idx][i]] < L]
 
+    def right_step(self, w: WeylElt):
+        """(i, w s_i) for the last letter s_i of w's reduced word."""
+        return self._last[w.idx], self.elements[self._parent[w.idx]]
+
+    def left_step(self, w: WeylElt):
+        """(i, s_i w) for the first left descent s_i of w."""
+        i = self.left_descents(w)[0]
+        return i, self.elements[self.left_table[w.idx][i]]
+
     def from_word(self, word) -> WeylElt:
         idx = 0
         for i in word:
@@ -357,8 +418,7 @@ class RootSystem:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        i = self.left_descents(v)[0]
-        sv = self.elements[self.left_table[v.idx][i]]
+        i, sv = self.left_step(v)
         su = self.elements[self.left_table[u.idx][i]]
         if su.length < lu:
             result = self.bruhat_leq(su, sv)

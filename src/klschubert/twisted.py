@@ -23,7 +23,7 @@ from __future__ import annotations
 from .laurent import LaurentPoly
 from .modp import ExactDomain, domains_compatible
 from .ratfunc import RatFunc
-from .rootsystem import Root, RootSystem, WeylElt
+from .rootsystem import Root, RootSystem, WeylElt, WMap
 
 __all__ = ["FglModel", "QWElt", "TwistedRing", "combine", "psi", "twisted_product"]
 
@@ -96,57 +96,15 @@ class FglModel:
         return (one - t2) * x / (x - (t2 + one))
 
 
-class QWElt:
+class QWElt(WMap):
     """Finite combination sum p_w delta_w in a twisted group ring."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: "TwistedRing", coeffs: dict):
-        self.ring = ring
-        dom = ring.dom
-        self.coeffs = {w: c for w, c in coeffs.items() if not dom.is_zero(c)}
-
-    def __add__(self, other: "QWElt") -> "QWElt":
-        self.ring._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            q = out.get(w)
-            out[w] = c if q is None else q + c
-        return QWElt(self.ring, out)
-
-    def __sub__(self, other: "QWElt") -> "QWElt":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QWElt":
-        c = self.ring.as_scalar(c)
-        return QWElt(self.ring, {w: p * c for w, p in self.coeffs.items()})
+    __slots__ = ()
+    _term = "({c}) d[{w!r}]"
+    _sep = " + "
 
     def __mul__(self, other: "QWElt") -> "QWElt":
         return self.ring.qw_mul(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, QWElt):
-            return NotImplemented
-        self.ring._check(other)
-        if self.coeffs.keys() != other.coeffs.keys():
-            return False
-        eq = self.ring.dom.eq
-        return all(eq(c, other.coeffs[w]) for w, c in self.coeffs.items())
-
-    __hash__ = None
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda w: (w.length, w.idx))
-
-    def format(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for w in self.support():
-            c = self.coeffs[w]
-            text = c.format() if isinstance(c, RatFunc) else repr(c)
-            parts.append(f"({text}) d[{w!r}]")
-        return " + ".join(parts)
 
     def __repr__(self):
         return f"QWElt<{self.ring.kind}>({self.format()})"
@@ -164,14 +122,14 @@ class TwistedRing:
         self._dl_gen_cache: dict = {}
         self._pushpull_cache: dict = {}
 
-    def _check(self, other: "QWElt"):
-        ring = other.ring
-        if (
-            ring.system is not self.system
-            or ring.kind != self.kind
-            or not domains_compatible(ring.dom, self.dom)
-        ):
-            raise ValueError("elements of different twisted rings")
+    def compatible(self, other) -> bool:
+        """Elements of other can be added to, compared with and multiplied by ours."""
+        return other is self or (
+            isinstance(other, TwistedRing)
+            and other.system is self.system
+            and other.kind == self.kind
+            and domains_compatible(other.dom, self.dom)
+        )
 
     # ---------- scalars ----------
 
@@ -233,9 +191,6 @@ class TwistedRing:
 
     # ---------- elements ----------
 
-    def zero(self) -> QWElt:
-        return QWElt(self, {})
-
     def delta(self, w: WeylElt) -> QWElt:
         return QWElt(self, {w: self.dom.one})
 
@@ -243,8 +198,8 @@ class TwistedRing:
         return QWElt(self, {self.system.identity: self.as_scalar(c)})
 
     def qw_mul(self, a: QWElt, b: QWElt) -> QWElt:
-        self._check(a)
-        self._check(b)
+        if not (self.compatible(a.ring) and self.compatible(b.ring)):
+            raise ValueError("elements of different twisted rings")
         return QWElt(self, twisted_product(self.dom, a.coeffs, b.coeffs))
 
     def pushpull_simple(self, i: int) -> QWElt:
@@ -305,8 +260,7 @@ class TwistedRing:
             if w.length == 0:
                 hit = self.delta(w)
             else:
-                i = w.word[-1]
-                prev = self.system.elements[self.system.right_table[w.idx][i]]
+                i, prev = self.system.right_step(w)
                 hit = self.qw_mul(self.dl_element(prev), self.dl_generator(i))
             self._dl_cache[w] = hit
         return hit

@@ -2,11 +2,11 @@
 case by case and run_suite collects the cases into a deterministic report.
 
 A suite is a generator of CaseResults.  Every case that is an equality goes
-through one check, _case(case_id, lhs, rhs): lhs == rhs, which is the
-domain's equality for scalars as well as for classes and operators, and
-both sides printed as the witness on failure.  The few verdicts that are not
-an equality (an inequality, a mismatch, a combinatorial check) are yielded as
-CaseResults directly.
+through one check, _case(case_id, lhs, rhs): lhs == rhs, the scalars' own
+equality for scalars and, coefficient by coefficient, for classes and
+operators, with both sides printed as the witness on failure.  The few
+verdicts that are not an equality (an inequality, a mismatch, a
+combinatorial check) are yielded as CaseResults directly.
 
 Suites run either exactly or in modp mode; the latter evaluates the whole
 computation in one orbit domain holding k Weyl-orbit point families drawn
@@ -22,15 +22,13 @@ zelevinsky, ``hecke_guard`` for every other suite), so an oversized run is
 refused with ``GuardRefusal`` before the whole group is built.
 
 Reports are plain data with a stable JSON form: no timing inside, so equal
-configurations give byte-identical output.  The wall-clock time of a run is
-kept on ``VerificationReport.elapsed``, outside the JSON.
+configurations give byte-identical output.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import time
 from dataclasses import dataclass, field
 
 from .grassmannian import (
@@ -112,7 +110,6 @@ class VerificationReport:
     mode: str
     seed: int
     cases: list = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> int:
@@ -617,7 +614,6 @@ SUITES = {
 def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    start = time.monotonic()
     guard = cfg.comb_guard if name == "zelevinsky" else cfg.hecke_guard
     ctx = _Context(cfg, name, guard)
     return VerificationReport(
@@ -626,5 +622,4 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
         mode=cfg.mode,
         seed=cfg.seed,
         cases=list(SUITES[name](ctx)),
-        elapsed=time.monotonic() - start,
     )

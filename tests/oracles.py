@@ -112,7 +112,7 @@ def hiota(h):
         wi = w.inverse()
         q = out.get(wi)
         out[wi] = c if q is None else q + c
-    return HeckeElt(h.algebra, out)
+    return HeckeElt(h.ring, out)
 
 
 def _inversion_ratio(ring, u, hatted):
@@ -170,8 +170,8 @@ def mc_variety(loc, w):
 def mul_pointwise(f, g):
     """The class f g: the products of the restrictions at the common support."""
     out = {}
-    for w, c in f.restrictions.items():
-        q = g.restrictions.get(w)
+    for w, c in f.coeffs.items():
+        q = g.coeffs.get(w)
         if q is not None:
             out[w] = c * q
     return CohClass(f.ring, out)
@@ -184,7 +184,7 @@ def bullet_direct(loc, a, c):
     out = {}
     for v, p in a.coeffs.items():
         vinv = v.inverse()
-        for w, q in c.restrictions.items():
+        for w, q in c.coeffs.items():
             u = w * vinv
             val = q * dom.weyl(u, p)
             acc = out.get(u)
@@ -212,7 +212,7 @@ def is_smooth_direct(loc, w):
                     [one - LaurentPoly.monomial((0,) + ua, 1)],
                 )
         got = coeffs.get(u, loc.dom.zero)
-        witnesses[u] = loc.dom.eq(got, loc.dom.lift(expected))
+        witnesses[u] = got == loc.dom.lift(expected)
     return all(witnesses.values()), witnesses
 
 
@@ -221,8 +221,8 @@ def pairing_by_bullet(loc, f, g, J=()):
     h = mul_pointwise(f, g)
     a = f.ring.pushpull_rel(tuple(range(loc.system.rank)), tuple(J))
     res = loc.bullet(a, h)
-    values = [res.restrictions.get(u, loc.dom.zero) for u in loc.system.elements]
-    assert all(loc.dom.eq(values[0], v) for v in values[1:]), "Y_{Pi/J} . fg is not constant"
+    values = [res.coeffs.get(u, loc.dom.zero) for u in loc.system.elements]
+    assert all(values[0] == v for v in values[1:]), "Y_{Pi/J} . fg is not constant"
     return values[0]
 
 

@@ -195,6 +195,27 @@ def test_a_failing_mod_p_pairing_case_prints_its_residues(monkeypatch, a2):
     assert all(c.witness is None for c in report.cases if c.ok)
 
 
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_a_smoothness_verdict_against_trivial_kl_fails_its_case(monkeypatch, mode):
+    """With the verdict of w0 flipped, smoothness disagrees with the trivial KL
+    polynomials of A2 at w0 alone, and that case fails with both verdicts."""
+    is_smooth = Localization.is_smooth
+
+    def flipped(self, w):
+        smooth, verdicts = is_smooth(self, w)
+        return (not smooth if w is self.system.w0 else smooth), verdicts
+
+    monkeypatch.setattr(Localization, "is_smooth", flipped)
+    report = run_suite("smoothness", _config("smoothness", mode))
+    assert len(report.cases) == CASES["smoothness"]
+    assert [(c.case_id, c.witness) for c in report.cases if not c.ok] == [
+        (
+            "smoothness/fundamental class w=[3,2,1]",
+            "smoothness criterion (False) disagrees with trivial KL (True)",
+        )
+    ]
+
+
 def test_smoothness_verdicts_are_built_once_per_element(monkeypatch):
     """grassmann-smoothness asks for the verdict of each w w_J for its case and
     again, when smooth, for the fundamental class; each verdict is built once."""

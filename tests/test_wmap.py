@@ -1,0 +1,106 @@
+"""The contract of the three sparse maps on W (Hecke elements, twisted group
+ring elements and fixed-point classes), and what each prints."""
+
+import hashlib
+
+import pytest
+
+from klschubert.hecke import HeckeAlgebra, HeckeElt
+from klschubert.localization import CohClass, Localization
+from klschubert.modp import ExactDomain, OrbitDomain
+from klschubert.rootsystem import CartanData, RootSystem
+from klschubert.twisted import QWElt, TwistedRing
+
+
+def _hecke_rings(system, mode):
+    """(ring, a compatible twin, incompatible rings)."""
+    other = RootSystem(CartanData.type_a(2))
+    return HeckeAlgebra(system), HeckeAlgebra(system), [HeckeAlgebra(other)]
+
+
+def _twisted_rings(system, mode):
+    """(ring, a compatible twin, incompatible rings): another realization,
+    another group, another evaluation domain."""
+    dom = ExactDomain(system) if mode == "exact" else OrbitDomain(system, seed=3)
+    twin = ExactDomain(system) if mode == "exact" else dom
+    other = RootSystem(CartanData.type_a(2))
+    return (
+        TwistedRing(system, "multiplicative", dom),
+        TwistedRing(system, "multiplicative", twin),
+        [
+            TwistedRing(system, "hyperbolic", dom),
+            TwistedRing(other, "multiplicative", ExactDomain(other)),
+            TwistedRing(system, "multiplicative", OrbitDomain(system, seed=4)),
+        ],
+    )
+
+
+MAPS = [
+    (HeckeElt, _hecke_rings, "exact"),
+    (QWElt, _twisted_rings, "exact"),
+    (QWElt, _twisted_rings, "modp"),
+    (CohClass, _twisted_rings, "exact"),
+    (CohClass, _twisted_rings, "modp"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, rings, mode", MAPS, ids=[f"{cls.__name__}-{mode}" for cls, _, mode in MAPS]
+)
+def test_the_sparse_map_contract(a2, cls, rings, mode):
+    """Zeros are dropped, a - a is empty, scale(1) changes nothing; maps over
+    compatible rings add and compare, over incompatible ones they are unequal
+    and + raises."""
+
+    def build(ring):
+        e, middle, w0 = ring.system.identity, ring.system.elements[1], ring.system.w0
+        return cls(ring, {e: ring.as_scalar(2), middle: ring.as_scalar(0), w0: ring.as_scalar(1)})
+
+    ring, twin, strangers = rings(a2, mode)
+    a = build(ring)
+    assert a.support() == [a2.identity, a2.w0]
+    assert (a - a).coeffs == {} and (a - a).format() == "0"
+    assert a.scale(1) == a and a.scale(0).coeffs == {}
+    b = build(twin)
+    assert a == b and a + b == a.scale(2)
+    for other in strangers:
+        c = build(other)
+        assert a != c and not a == c
+        with pytest.raises(ValueError):
+            a + c
+
+
+# sha256 of kl_basis(w).format() and kl_tilde_basis(w).format() over every w of A3
+KL_BASIS_DIGESTS = {
+    "kl_basis": "ca1229cee98fc6fdb388bf72dfc2b57825a9e57a6b8fd298090dad287c2d4cdf",
+    "kl_tilde_basis": "eebf9eb6b3d776f6a34439e5cea3bd024cc20e0b5cd1202d15f56dcd820810a3",
+}
+
+
+@pytest.mark.parametrize("basis", sorted(KL_BASIS_DIGESTS))
+def test_printed_kl_bases_are_pinned(a3, basis):
+    h = HeckeAlgebra(a3)
+    digest = hashlib.sha256()
+    for w in a3.elements:
+        digest.update(f"{w!r}: {getattr(h, basis)(w).format()}\n".encode())
+    assert digest.hexdigest() == KL_BASIS_DIGESTS[basis]
+
+
+def test_mod_p_maps_print_the_first_residue_of_each_coefficient(a2):
+    loc = Localization(a2, OrbitDomain(a2, 12345, 2))
+    assert repr(loc.mc_cell(a2.w0)) == (
+        "CohClass<multiplicative>(e: OrbitScalar(3636764845857943351, ...); "
+        "[2,1,3]: OrbitScalar(2185656907522066227, ...); "
+        "[1,3,2]: OrbitScalar(3173278135322107797, ...); "
+        "[2,3,1]: OrbitScalar(3015515236156027485, ...); "
+        "[3,1,2]: OrbitScalar(4397787909818594876, ...); "
+        "[3,2,1]: OrbitScalar(122612043503401873, ...))"
+    )
+    assert repr(loc.mult.dl_generator(0)) == (
+        "QWElt<multiplicative>((OrbitScalar(1924248715429669089, ...)) d[e] + "
+        "(OrbitScalar(2274863721085444445, ...)) d[[2,1,3]])"
+    )
+    assert repr(loc.hyp.dl_generator(1)) == (
+        "QWElt<hyperbolic>((OrbitScalar(569303002460004075, ...)) d[e] + "
+        "(OrbitScalar(3629809434055109459, ...)) d[[1,3,2]])"
+    )
