@@ -75,9 +75,6 @@ class Partition:
         if not self.fits(g):
             raise ValueError(f"{self.parts} does not fit in the {g.d} x {g.n - g.d} rectangle")
 
-    def size(self) -> int:
-        return sum(self.parts)
-
     def boxes(self):
         return {(i + 1, j + 1) for i, p in enumerate(self.parts) for j in range(p)}
 

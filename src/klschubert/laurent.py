@@ -59,10 +59,6 @@ class LaurentPoly:
     # ---------- constructors ----------
 
     @classmethod
-    def zero(cls, arity: int) -> "LaurentPoly":
-        return cls(arity)
-
-    @classmethod
     def const(cls, arity: int, c: int) -> "LaurentPoly":
         if c == 0:
             return cls(arity)

@@ -32,22 +32,30 @@ Functions of the fixed point u that are Weyl twists u(f) of one function f
 transfer factor, the root factors of the smoothness criterion) are lifted once
 and twisted per u with dom.weyl.
 
-Build once: every point class, cell class, canonical class C_w, parabolic
-cell class, smoothness verdict and per-J (or per-length) lifted scalar is
-built at most once per Localization, through one memo table keyed by
-(builder, arguments), and the same object is handed to every caller; so no
-class is changed after it is built.  The classes come by recursion on
-length, each step one 2-term odot:
+Build once: every point class, cell class, canonical class C_w and image of
+gamma_w, parabolic cell class, smoothness verdict and per-J (or per-length)
+lifted scalar is built at most once per Localization, through one memo table
+keyed by (builder, arguments), and the same object is handed to every caller;
+so no class is changed after it is built.
 
-    MC(cell w) = t^-1 tau_s o MC(cell sw),
-    C_w        = (tau_s + t) o C_{sw} - sum mu(v, sw) C_v  over v < sw, sv < v,
+A mod-p domain can twist a computed value by w0 alone (see modp), so only
+lifted functions are twisted by varying elements: x_Pi (pt_w = w(x_Pi)), the
+coefficients of generators and of Y_{J/J'}, and the factors above.  With
+G_s the image of tau_s and Gamma_w that of gamma_w, the classes are
 
-s a left descent of w (the left KL recursion gamma_s gamma_{sw} = gamma_w +
-sum mu(v, sw) gamma_v, Kazhdan-Lusztig 1979, acting on pt_e), with mu read
-from the Hecke algebra's KL table.  The hyperbolic KL-Schubert class is the
-psi-transfer of C_w: psi keeps every coefficient, so its value at u is that of
-C_w times u(mu^{-l(w)} x^hyp_Pi / x_Pi).  C~_w and SMC(cell v) keep their
-direct routes; the direct routes of the recursive classes are test oracles.
+    MC(cell w)_u = t^{-l(w)} (image of tau_w)_u u(x_Pi),  C_w_u = Gamma_w[u] u(x_Pi),
+    Gamma_w = Gamma_{ws} (G_s + t) - sum mu(v, ws) Gamma_v  over v < ws, vs < v,
+
+s the last letter of w (the right KL recursion, Kazhdan-Lusztig 1979), with mu
+from the Hecke algebra's KL table; a right product by G_s twists only G_s's
+lifted coefficients.  C~_w and SMC(cell v) are Hecke images a acting on
+pt_{w0} by bullet, which the anti-involution iota(p delta_v) = v^{-1}(p)
+delta_{v^{-1}} turns into (a . pt_{w0})_u = w0(x_Pi) w0(iota(a)_{w0 u}),
+iota(a) built from right products by iota(G_s) = g_e delta_e + s(g_s) delta_s.
+The hyperbolic KL-Schubert class is the psi-transfer of C_w: psi keeps every
+coefficient, so its value at u is that of C_w times u(mu^{-l(w)} x^hyp_Pi /
+x_Pi).  Exact mode runs the same builders; the direct routes (whole images
+acting by odot or bullet) are test oracles.
 """
 
 from __future__ import annotations
@@ -133,23 +141,29 @@ class Localization:
         return self._once(self._point_class, kind, w)
 
     def _point_class(self, kind: str, w: WeylElt) -> CohClass:
+        return CohClass(self.ring(kind), {w: self.dom.weyl(w, self._once(self._x_pi, kind))})
+
+    def _x_pi(self, kind: str):
+        """x_Pi, the product of x_{-a} over the positive roots a, as a known
+        function (pt_w twists it by w): a product of lifted factors, since the
+        expanded product has |W| terms or more."""
         ring = self.ring(kind)
-        val = self.dom.one
+        val = self.dom.lift(RatFunc.from_int(ring.model.arity, 1))
         for alpha in self.system.positive_roots:
-            val = val * ring.x_root(-self.system.act_root(w, alpha))
-        return CohClass(ring, {w: val})
+            val = val * ring.x_root(-alpha)
+        return val
 
     def mc_cell(self, w: WeylElt) -> CohClass:
         """Motivic Chern class of the open cell, t^{-l(w)} tau_w o pt_e."""
         return self._once(self._mc_cell, w)
 
     def _mc_cell(self, w: WeylElt) -> CohClass:
-        """t^{-1} tau_s o MC(cell sw) for a left descent s of w."""
-        if w.length == 0:
-            return self.point_class(w)
-        i, sw = self.system.left_step(w)
-        cls = self.odot(self.mult.dl_generator(i), self.mc_cell(sw))
-        return cls.scale(self.mult.scalar_t(-1))
+        return self._on_point_e(self.mult.dl_element(w)).scale(self.mult.scalar_t(-w.length))
+
+    def _on_point_e(self, a: QWElt) -> CohClass:
+        """a o pt_e: a_u u(x_Pi) at u, u(x_Pi) being the memoized value of pt_u."""
+        point = self.point_class
+        return CohClass(self.mult, {u: p * point(u).coeffs[u] for u, p in a.coeffs.items()})
 
     def _t2_binomials(self, weights) -> list:
         """The binomials 1 - t^-2 e^{lam}, one per weight."""
@@ -206,10 +220,23 @@ class Localization:
         """SMC of the opposite cell, via the inverse tau action on pt_{w_0}:
         (tau_{w0 v})^{-1} = bar(tau_{(w0 v)^{-1}})."""
         w0 = self.system.w0
-        hk = self.hecke.bar_tau((w0 * v).inverse())
-        cls = self.bullet(self.mult.hecke_to_qw(hk), self.point_class(w0))
+        cls = self._on_top_point(self.hecke.bar_tau((w0 * v).inverse()))
         scal = self.mult.scalar_t(-(w0 * v).length) * self._once(self._smc_normalizer)
         return cls.scale(scal)
+
+    def _on_top_point(self, h) -> CohClass:
+        """h . pt_{w_0} through iota: with a the image of h, (a . pt_{w0})_u =
+        w0(x_Pi) u(p_{u^-1 w0}) and iota(a)_y = y(p_{y^-1}), so the value at
+        u = w0 y is w0(x_Pi) w0(iota(a)_y)."""
+        ring, w0, weyl = self.mult, self.system.w0, self.dom.weyl
+        top = self.point_class(w0).coeffs[w0]
+        # iota fixes polynomials in t: iota(a) = sum h_w iota(image of tau_w)
+        terms = [
+            (ring.t_poly(p), ring.generator_product(w.inverse(), True).coeffs)
+            for w, p in h.coeffs.items()
+        ]
+        coeffs = combine(self.dom, terms)
+        return CohClass(ring, {w0 * y: top * weyl(w0, c) for y, c in coeffs.items()})
 
     # ---------- pairings ----------
 
@@ -262,24 +289,24 @@ class Localization:
         return self._once(self._kl_class_c, w)
 
     def _kl_class_c(self, w: WeylElt) -> CohClass:
-        """The left KL recursion gamma_w = (tau_s + t) gamma_{sw} - sum mu(v, sw) gamma_v
-        over v < sw with sv < v, s a left descent of w, acting on pt_e: one 2-term
-        odot per step."""
+        return self._on_point_e(self._once(self._kl_image, w))
+
+    def _kl_image(self, w: WeylElt):
+        """Gamma_w, the image of gamma_w, by the right KL recursion."""
         if w.length == 0:
-            return self.point_class(w)
+            return self.mult.delta(w)
         system = self.system
-        i, sw = system.left_step(w)
-        prev = self.kl_class_c(sw)
-        out = self.odot(self.mult.dl_generator(i), prev) + prev.scale(self.mult.scalar_t(1))
-        for v, mu in self.hecke.mu_row(sw):
-            if system.elements[system.left_table[v.idx][i]].length < v.length:
-                out = out + self.kl_class_c(v).scale(-mu)
+        i, ws = system.right_step(w)
+        prev = self._once(self._kl_image, ws)
+        out = self.mult.times_generator(prev, i, False) + prev.scale(self.mult.scalar_t(1))
+        for v, mu in self.hecke.mu_row(ws):
+            if system.elements[system.right_table[v.idx][i]].length < v.length:
+                out = out + self._once(self._kl_image, v).scale(-mu)
         return out
 
     def kl_class_c_tilde(self, w: WeylElt) -> CohClass:
         """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}."""
-        g = self.hecke.kl_tilde_basis(w.inverse() * self.system.w0)
-        return self.bullet(self.mult.hecke_to_qw(g), self.point_class(self.system.w0))
+        return self._on_top_point(self.hecke.kl_tilde_basis(w.inverse() * self.system.w0))
 
     # ---------- parabolic classes ----------
 

@@ -28,12 +28,20 @@ times dc^-1.  The inverse mod p is unique, so every residue is the one that
 pointwise evaluation gives.
 
 The mod-p domain evaluates at k point families.  Family f draws a base point
-P_f from ``random.Random(seed + 101 f)`` and holds its full Weyl orbit plus
-the coordinatewise-inverted copies, so a residue vector has k blocks of 2|W|
-entries.  The Weyl action and duality act block by block as index
-permutations: for a point P and the transformed point w*P with
-(w*P)_i = P^(w omega_i), one has (w f)(v*P) = f((v w)*P) and
-(D f)(v*P) = f(inv(v*P)).
+P_f from ``random.Random(seed + 101 f)``; its orbit points are w*P_f, with
+(w*P)_i = P^(w omega_i), and their coordinatewise inverses, 2|W| points on
+which (w f)(v*P) = f((v w)*P) and (D f)(v*P) = f(inv(v*P)).  A scalar holds
+its residues at 4 kept points per family, P_f, w0*P_f and their inverses, so
+values[0] is the residue at family 0's base point.  A known function (a lift,
+a Weyl twist of one, or a product of two at one twist) also holds its
+residues at every orbit point and its twist u, so weyl(w, .) gathers the
+twist w u's kept residues through one index table per group element.  A
+product of lifts is how a known function with a long expanded numerator,
+such as x_Pi, is lifted.  Every other scalar is a computed value, with
+no other residues: weyl(w0, .) swaps P_f with w0*P_f, weyl(e, .) keeps it,
+and any other twist raises MisplacedTwist.  dualize swaps each kept point
+with its inverse.  So the pipelines twist by varying group elements only
+known functions (see localization).
 
 Two scalars are equal only if they agree at every point of every family.
 Each family's base coordinates (t included) are uniform on [2, p-2], which is
@@ -55,6 +63,7 @@ from .rootsystem import RootSystem, WeylElt
 
 __all__ = [
     "ExactDomain",
+    "MisplacedTwist",
     "OrbitDomain",
     "OrbitScalar",
     "ZeroDenominator",
@@ -75,6 +84,10 @@ def domains_compatible(d1, d2) -> bool:
 
 class ZeroDenominator(ArithmeticError):
     """A denominator vanished at the evaluation point; resample and retry."""
+
+
+class MisplacedTwist(ValueError):
+    """A computed value was Weyl-twisted by an element other than e and w0."""
 
 
 def _batch_inverse(values: tuple, p: int) -> tuple:
@@ -125,13 +138,16 @@ class ExactDomain:
 
 
 class OrbitScalar:
-    """A function on the orbit point family, stored as a residue vector."""
+    """Residues at the kept points; a known function also has full, its lift
+    at every orbit point, and at, its twist of that lift (else both None)."""
 
-    __slots__ = ("domain", "values")
+    __slots__ = ("domain", "values", "full", "at")
 
     def __init__(self, domain: "OrbitDomain", values: tuple):
         self.domain = domain
         self.values = values
+        self.full = None
+        self.at = None
 
     def _check(self, other):
         if self.domain is not other.domain:
@@ -155,8 +171,13 @@ class OrbitScalar:
         return self + (-other)
 
     def __mul__(self, other):
+        """The pointwise product; that of two known functions at one twist is
+        known, its orbit residues the products of theirs."""
         self._check(other)
-        return OrbitScalar(self.domain, _mulmod(self.values, other.values, self.domain.prime))
+        p = self.domain.prime
+        if self.full is not None and other.full is not None and self.at is other.at:
+            return self.domain._known(_mulmod(self.full, other.full, p), self.at)
+        return OrbitScalar(self.domain, _mulmod(self.values, other.values, p))
 
     __rmul__ = __mul__
 
@@ -180,13 +201,13 @@ class OrbitScalar:
 
 
 class OrbitDomain:
-    """Evaluation of the whole pipeline at the Weyl orbits of k random points.
+    """Evaluation of the whole pipeline at k random point families.
 
-    Residue vectors are indexed by k blocks of 2|W| points, one block per
-    family.  Within a block, the first half holds w * P for each group
-    element w (in element order), the second half the coordinatewise inverses
-    of those points (t included), which realizes the duality substitution as
-    a half swap.
+    points holds each family's 2|W| orbit points, family by family: first
+    w * P for each group element w (in element order), then the
+    coordinatewise inverses of those points (t included).  A lift is
+    evaluated at all of them; a scalar keeps the residues at 4 points per
+    family, in the order P, inv(P), w0 * P, inv(w0 * P).
     """
 
     kind = "modp"
@@ -199,28 +220,24 @@ class OrbitDomain:
         self.points = []
         for f in range(families):
             self.points += self._orbit(random.Random(seed + 101 * f))
-        self.size = len(self.points)
-        # weyl permutation: value of (w f) at point u*P is f((u w)*P)
-        order = system.order
-        self._perm = [
-            itemgetter(*self._blockwise(col + tuple(uw + order for uw in col)))
-            for col in map(system.cayley_column, range(order))
-        ]
-        self._dual = itemgetter(
-            *self._blockwise(tuple(range(order, 2 * order)) + tuple(range(order)))
-        )
+        self.size = 4 * families
+        # the kept residues of the twist u of a known function: family by
+        # family, its orbit residues at u * P, inv(u * P), (w0 u) * P, inv(w0 u * P)
+        order, w0 = system.order, system.w0
+        offsets = range(0, len(self.points), 2 * order)
+        self._kept = []
+        for u in system.elements:
+            x, y = u.idx, (u.inverse() * w0).inverse().idx
+            kept = (j + f for f in offsets for j in (x, x + order, y, y + order))
+            self._kept.append(itemgetter(*kept))
+        block = range(0, self.size, 4)
+        self._w0_swap = itemgetter(*(j + f for f in block for j in (2, 3, 0, 1)))
+        self._dual = itemgetter(*(j + f for f in block for j in (1, 0, 3, 2)))
         self.one = OrbitScalar(self, (1,) * self.size)
         self.zero = OrbitScalar(self, (0,) * self.size)
         self._lift_cache: dict = {}
-        self._lift_values: dict = {}  # (num, dc, facs) -> residue vector
+        self._lift_values: dict = {}  # (num, dc, facs) -> lifted scalar
         self._factor_inverses: dict = {}  # canonical factor -> its inverse's vector
-
-    def _blockwise(self, perm: tuple) -> tuple:
-        """One family block's index permutation, applied to every block."""
-        out = perm
-        for off in range(len(perm), self.size, len(perm)):
-            out += tuple(j + off for j in perm)
-        return out
 
     def _orbit(self, rng: random.Random) -> list:
         """The 2|W| points of one family: w * P in element order, then inverses."""
@@ -253,15 +270,16 @@ class OrbitDomain:
         return tuple(poly.eval_mod(pt, p) for pt in self.points)
 
     def lift(self, r: RatFunc) -> OrbitScalar:
-        """r at every point: num times each factor's inverse vector, once per
-        multiplicity, times dc^-1, computed once per distinct value."""
+        """r as a known function: num times each factor's inverse vector, once
+        per multiplicity, times dc^-1 at every orbit point, computed once per
+        distinct value."""
         key = id(r)
         hit = self._lift_cache.get(key)
         if hit is not None and hit[0] is r:
             return hit[1]
         value = (r.num, r.dc, r.facs)
-        vals = self._lift_values.get(value)
-        if vals is None:
+        out = self._lift_values.get(value)
+        if out is None:
             p = self.prime
             if r.dc % p == 0:
                 raise ZeroDenominator("denominator content divisible by p")
@@ -274,15 +292,27 @@ class OrbitDomain:
                     vals = _mulmod(vals, inv, p)
             if r.dc != 1:
                 vals = _mulmod(vals, repeat(pow(r.dc, p - 2, p)), p)
-            self._lift_values[value] = vals
-        out = OrbitScalar(self, vals)
+            out = self._lift_values[value] = self._known(vals, self.system.identity)
         self._lift_cache[key] = (r, out)
         return out
 
     def weyl(self, w: WeylElt, c: OrbitScalar) -> OrbitScalar:
-        if w.idx == 0:
+        """The twist w(c): gathered from the orbit residues of a known function,
+        swapped for a computed value when w is w0; any other twist of a
+        computed value raises MisplacedTwist."""
+        if w.idx == 0 or c is self.one or c is self.zero:
             return c
-        return OrbitScalar(self, self._perm[w.idx](c.values))
+        if c.full is not None:
+            return self._known(c.full, w * c.at)
+        if w is self.system.w0:
+            return OrbitScalar(self, self._w0_swap(c.values))
+        raise MisplacedTwist(f"twist of a computed value by {w!r}, neither e nor w0")
+
+    def _known(self, full: tuple, at: WeylElt) -> OrbitScalar:
+        """The twist at of the known function with orbit residues full."""
+        out = OrbitScalar(self, self._kept[at.idx](full))
+        out.full, out.at = full, at
+        return out
 
     def dualize(self, c: OrbitScalar) -> OrbitScalar:
         return OrbitScalar(self, self._dual(c.values))

@@ -23,7 +23,6 @@ and the positive roots outside Sigma_J are cached per J.
 from __future__ import annotations
 
 from collections import deque
-from operator import mul
 
 from .laurent import LaurentPoly
 
@@ -135,9 +134,6 @@ class WeylElt:
 
     def __hash__(self):
         return self.idx
-
-    def act_weight(self, lam: tuple) -> tuple:
-        return tuple([sum(map(mul, row, lam)) for row in self.matrix])
 
     def one_line(self):
         """One-line permutation for type A (None for other types)."""
@@ -340,9 +336,6 @@ class RootSystem:
             self._root_by_weight[tuple(C[r][i] for r in range(self.rank))]
             for i in range(self.rank)
         ]
-
-    def act_root(self, w: WeylElt, root: Root) -> Root:
-        return self._root_by_weight[w.act_weight(root.weight)]
 
     def reflection(self, root: Root) -> WeylElt:
         """s_alpha as a group element; raises KeyError for a non-root."""

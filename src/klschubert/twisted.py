@@ -117,9 +117,9 @@ class TwistedRing:
         self.model = FglModel(kind, system.rank)
         self.dom = domain if domain is not None else ExactDomain(system)
         self._x_root_cache: dict = {}
-        self._x_root_inv_cache: dict = {}
-        self._dl_cache: dict = {}
+        self._dl_cache: dict = {}  # (w, iota) -> generator_product(w, iota)
         self._dl_gen_cache: dict = {}
+        self._gen_twists: dict = {}  # (u.idx, i) -> u of tau_i's two coefficients
         self._pushpull_cache: dict = {}
 
     def compatible(self, other) -> bool:
@@ -173,20 +173,16 @@ class TwistedRing:
             self._x_root_cache[root] = hit
         return hit
 
-    def x_root_inv(self, root: Root):
-        hit = self._x_root_inv_cache.get(root)
-        if hit is None:
-            hit = self.as_scalar(self.model.x_weight_inv(root.weight))
-            self._x_root_inv_cache[root] = hit
-        return hit
-
     def x_parabolic_inv(self, J, Jp=()):
-        """1 / x_{J/J'}: the product of 1/x_alpha over negative roots of J not in J'."""
+        """1 / x_{J/J'}: the product of 1/x_alpha over negative roots of J not in
+        J', a product of lifted factors and so a known function, since
+        pushpull_rel twists it."""
         neg = set(r for r in self.system.parabolic_roots(J) if not r.positive)
         negp = set(r for r in self.system.parabolic_roots(Jp) if not r.positive)
-        out = self.dom.one
+        lift = self.dom.lift
+        out = lift(RatFunc.from_int(self.model.arity, 1))
         for r in neg - negp:
-            out = out * self.x_root_inv(r)
+            out = out * lift(self.model.x_weight_inv(r.weight))
         return out
 
     # ---------- elements ----------
@@ -194,25 +190,14 @@ class TwistedRing:
     def delta(self, w: WeylElt) -> QWElt:
         return QWElt(self, {w: self.dom.one})
 
-    def scalar_elt(self, c) -> QWElt:
-        return QWElt(self, {self.system.identity: self.as_scalar(c)})
-
     def qw_mul(self, a: QWElt, b: QWElt) -> QWElt:
         if not (self.compatible(a.ring) and self.compatible(b.ring)):
             raise ValueError("elements of different twisted rings")
         return QWElt(self, twisted_product(self.dom, a.coeffs, b.coeffs))
 
     def pushpull_simple(self, i: int) -> QWElt:
-        """Y_i = (1 + delta_{s_i}) 1/x_{-alpha_i}."""
-        root = self.system.simple_roots[i]
-        s = self.system.simple_reflection(i)
-        return QWElt(
-            self,
-            {
-                self.system.identity: self.x_root_inv(-root),
-                s: self.x_root_inv(root),
-            },
-        )
+        """Y_i = (1 + delta_{s_i}) 1/x_{-alpha_i}, that is Y_{{i}/()}."""
+        return self.pushpull_rel((i,), ())
 
     def pushpull_rel(self, J, Jp=()) -> QWElt:
         """Y_{J/J'} = (sum over W_J intersect W^{J'} of delta_w) / x_{J/J'},
@@ -241,28 +226,72 @@ class TwistedRing:
     def dl_generator(self, i: int) -> QWElt:
         """The element acting as tau_i: Y_i c - t, with c = t - t^{-1} e^{alpha_i}
         in the multiplicative realization (Demazure-Lusztig) and c = mu in the
-        hyperbolic one."""
+        hyperbolic one.  Its two coefficients, 1/x_{-alpha_i} c - t at e and
+        1/x_{alpha_i} s_i(c) at s_i, are each lifted as one function, since
+        every right product by tau_i twists them."""
         hit = self._dl_gen_cache.get(i)
         if hit is None:
+            arity = self.model.arity
+            t = LaurentPoly.t_power(arity, 1)
+            root, s = self.system.simple_roots[i], self.system.simple_reflection(i)
             if self.kind == "multiplicative":
-                tinv_e_alpha = LaurentPoly.monomial((-1,) + self.system.simple_roots[i].weight, 1)
-                c = RatFunc(LaurentPoly.t_power(self.model.arity, 1) - tinv_e_alpha)
+                c = RatFunc(t - LaurentPoly.monomial((-1,) + root.weight, 1))
             else:
-                c = self.scalar_mu()
-            y_c = self.qw_mul(self.pushpull_simple(i), self.scalar_elt(c))
-            hit = self._dl_gen_cache[i] = y_c - self.scalar_elt(self.scalar_t(1))
+                c = RatFunc(t + LaurentPoly.t_power(arity, -1))
+            inv = self.model.x_weight_inv
+            ge = inv(tuple(-x for x in root.weight)) * c - RatFunc(t)
+            gs = inv(root.weight) * c.weyl(s.matrix)
+            lift = self.dom.lift
+            hit = QWElt(self, {self.system.identity: lift(ge), s: lift(gs)})
+            self._dl_gen_cache[i] = hit
         return hit
 
+    def _generator_twist(self, u: WeylElt, i: int) -> tuple:
+        """(u(g_e), u(g_s)) for the coefficients g_e, g_s of tau_i's image, made
+        once per (u, i)."""
+        key = (u.idx, i)
+        hit = self._gen_twists.get(key)
+        if hit is None:
+            g = self.dl_generator(i).coeffs
+            weyl = self.dom.weyl
+            ge, gs = g[self.system.identity], g[self.system.simple_reflection(i)]
+            hit = self._gen_twists[key] = (weyl(u, ge), weyl(u, gs))
+        return hit
+
+    def times_generator(self, a: QWElt, i: int, iota: bool) -> QWElt:
+        """a G, G the image of tau_i or, when iota, iota(G) = g_e delta_e +
+        s(g_s) delta_s (s = s_i): p_u delta_u gives p_u u(g_e) at u and
+        p_u u(g_s), or p_u (u s)(g_s), at u s.  Only G's coefficients are
+        twisted."""
+        s = self.system.simple_reflection(i)
+        out: dict = {}
+        for u, p in a.coeffs.items():
+            us = u * s
+            ge, gs = self._generator_twist(u, i)
+            if iota:
+                gs = self._generator_twist(us, i)[1]
+            for key, c in ((u, p * ge), (us, p * gs)):
+                acc = out.get(key)
+                out[key] = c if acc is None else acc + c
+        return QWElt(self, out)
+
     def dl_element(self, w: WeylElt) -> QWElt:
-        """The image of tau_w, the image of tau_{w s_i} times tau_i, cached."""
-        hit = self._dl_cache.get(w)
+        """The image of tau_w."""
+        return self.generator_product(w, False)
+
+    def generator_product(self, w: WeylElt, iota: bool) -> QWElt:
+        """G_{i_1} ... G_{i_k} along w's reduced word, each G_i the image of tau_i
+        or, when iota, iota of it, built by right steps and cached.  iota is an
+        anti-involution, so iota(image of tau_v) is generator_product(v^-1, True)."""
+        key = (w, iota)
+        hit = self._dl_cache.get(key)
         if hit is None:
             if w.length == 0:
                 hit = self.delta(w)
             else:
                 i, prev = self.system.right_step(w)
-                hit = self.qw_mul(self.dl_element(prev), self.dl_generator(i))
-            self._dl_cache[w] = hit
+                hit = self.times_generator(self.generator_product(prev, iota), i, iota)
+            self._dl_cache[key] = hit
         return hit
 
     def hecke_to_qw(self, h) -> QWElt:

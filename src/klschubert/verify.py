@@ -10,12 +10,12 @@ combinatorial check) are yielded as CaseResults directly.
 
 Suites run either exactly or in modp mode; the latter evaluates the whole
 computation in one orbit domain holding k Weyl-orbit point families drawn
-from the run seed, so each residue vector has k blocks of 2|W| entries.
-Scalars are equal only if they agree at every point of every family, so a
-case passes only if it passes at every family; a failing modp case prints
-the first residue of family 0 as its witness.  Exact mode is the oracle for
-modp mode: a true identity can never fail modp, so any modp failure is a
-real failure.
+from the run seed, and each scalar holds its residues at 4 points of each
+family: the base point P, w0 P and their inverses.  Scalars are equal only if
+they agree at every one of them, so a case passes only if it passes at every
+family; a failing modp case prints the residue at family 0's base point as
+its witness.  Exact mode is the oracle for modp mode: a true identity can
+never fail modp, so any modp failure is a real failure.
 
 The group is enumerated under the suite's size guard (``comb_guard`` for
 zelevinsky, ``hecke_guard`` for every other suite), so an oversized run is

@@ -10,14 +10,18 @@ These deliberately avoid the production code paths they check:
 
 - long_divide is the lex-order long division that LaurentPoly.exact_divide
   used for every divisor before binomials were divided chain by chain.
-- eval_mod evaluates a fraction at one point mod p with one Fermat inversion
-  of its denominator, where OrbitDomain.lift multiplies whole residue vectors
-  and inverts each factor's vector in one batch.
+- eval_mod evaluates a fraction at one point mod p term by term, with one
+  Fermat inversion of its denominator, where OrbitDomain.lift multiplies
+  whole residue vectors and inverts each factor's vector in one batch.
 - parse_poly and parse_ratfunc read the canonical text form back, so the
   printers round-trip; decode inverts the Grassmannian matrix encoding, and
   subset_of_partition and one_line_of_partition index a Schubert variety by
   its lattice path, independently of word_of_partition.
-- inversions lists the positive roots a group element sends negative.
+- inversions lists the positive roots a group element sends negative;
+  act_weight and act_root apply a group element's matrix to a weight and to a
+  root.
+- kept_points lists the points at which an OrbitScalar keeps its residues,
+  from the documented layout of OrbitDomain.points.
 
 It also holds the routes only tests use, as plain functions over the public
 objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
@@ -27,7 +31,8 @@ pairing as a full bullet action and its normalizer as a product of root
 factors, the bullet action summed term by term, the smoothness criterion with
 each expected restriction built exactly before it is lifted, the direct routes
 to the classes that Localization builds by recursion (the whole image of tau_w
-or gamma_w acting on pt_e), and the constant class one_class.
+or gamma_w acting on pt_e), the constant class one_class, and scalar_elt, a
+scalar times delta_e.
 """
 
 import re
@@ -122,7 +127,7 @@ def _inversion_ratio(ring, u, hatted):
     arity = ring.model.arity
     t, tinv = LaurentPoly.t_power(arity, 1), LaurentPoly.t_power(arity, -1)
     for alpha in inversions(ring.system, u.inverse()):
-        out = out * ring.x_root(-alpha) * ring.x_root_inv(alpha)
+        out = out * ring.x_root(-alpha) * ring.as_scalar(ring.model.x_weight_inv(alpha.weight))
         if hatted:
             e_minus = LaurentPoly.monomial((0,) + tuple(-x for x in alpha.weight), 1)
             e_plus = LaurentPoly.monomial((0,) + tuple(alpha.weight), 1)
@@ -206,7 +211,7 @@ def is_smooth_direct(loc, w):
         expected = RatFunc.from_int(arity, 1)
         for alpha in system.positive_roots:
             if system.bruhat_leq(u * system.reflection(alpha), w):
-                ua = u.act_weight(alpha.weight)
+                ua = act_weight(u, alpha.weight)
                 expected = expected * RatFunc.from_den_factors(
                     one - LaurentPoly.monomial((-2,) + ua, 1),
                     [one - LaurentPoly.monomial((0,) + ua, 1)],
@@ -292,17 +297,33 @@ def long_divide(n, d):
     return LaurentPoly(n.arity, quo).shift(shift_back)
 
 
+def _poly_mod(poly, point, p, powers):
+    """poly at point mod p, term by term, each coordinate power computed once
+    and kept in powers (not through LaurentPoly.eval_mod)."""
+    total = 0
+    for e, c in poly.terms.items():
+        for slot, x in enumerate(e):
+            if x:
+                pw = powers.get((slot, x))
+                if pw is None:
+                    pw = powers[slot, x] = pow(point[slot], x, p)
+                c = c * pw % p
+        total += c
+    return total % p
+
+
 def eval_mod(r, point, p):
     """r at one point mod p; ZeroDivisionError where its denominator vanishes."""
     den = r.dc % p
     if den == 0:
         raise ZeroDivisionError("denominator content divisible by p")
+    powers: dict = {}  # (slot, exponent) -> coordinate power mod p
     for f, mult in r.facs:
-        v = f.eval_mod(point, p)
+        v = _poly_mod(f, point, p, powers)
         if v == 0:
             raise ZeroDivisionError("denominator factor vanishes at point")
         den = den * pow(v, mult, p) % p
-    return r.num.eval_mod(point, p) * pow(den, p - 2, p) % p
+    return _poly_mod(r.num, point, p, powers) * pow(den, p - 2, p) % p
 
 
 _TERM_FACTOR = re.compile(r"^(t|z(\d+))(?:\^(-?\d+))?$")
@@ -390,11 +411,43 @@ def one_line_of_partition(lam, g) -> list:
     return list(subset) + rest
 
 
+def act_weight(w, lam) -> tuple:
+    """w(lam) in fundamental-weight coordinates: w's matrix times lam."""
+    return tuple(sum(x * y for x, y in zip(row, lam)) for row in w.matrix)
+
+
+def act_root(system, w, root):
+    """The root w(root)."""
+    image = act_weight(w, root.weight)
+    return next(r for r in system.roots if r.weight == image)
+
+
 def inversions(system, w):
     """{alpha > 0 : w alpha < 0}; its size is l(w)."""
-    out = [a for a in system.positive_roots if not system.act_root(w, a).positive]
+    out = [a for a in system.positive_roots if not act_root(system, w, a).positive]
     assert len(out) == w.length
     return out
+
+
+def scalar_elt(ring, c):
+    """c delta_e in the twisted group ring."""
+    return QWElt(ring, {ring.system.identity: ring.as_scalar(c)})
+
+
+def kept_points(dom) -> list:
+    """The points of dom.points at which an OrbitScalar keeps its residues:
+    family by family P, inv(P), w0 * P and inv(w0 * P)."""
+    order, w0 = dom.system.order, dom.system.w0.idx
+    return [
+        dom.points[off + j]
+        for off in range(0, len(dom.points), 2 * order)
+        for j in (0, order, w0, order + w0)
+    ]
+
+
+def eval_kept(dom, r) -> tuple:
+    """The exact fraction r at the kept points of dom, one eval_mod each."""
+    return tuple(eval_mod(r, pt, dom.prime) for pt in kept_points(dom))
 
 
 def one_class(loc, kind):

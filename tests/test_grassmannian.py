@@ -28,7 +28,7 @@ def last_tiling(lam, g):
 def element_of_partition(lam, g, system):
     """w_lambda from the row-by-row word, checked reduced."""
     w = system.from_word([i - 1 for i in word_of_partition(lam, g)])
-    assert w.length == lam.size(), "factored word is not reduced"
+    assert w.length == sum(lam.parts), "factored word is not reduced"
     return w
 
 
@@ -63,7 +63,7 @@ def test_running_example_word():
     word = word_of_partition(LAM10, G10)
     assert word == (2, 1, 3, 2, 5, 4, 3, 8, 7, 6, 5, 4, 9, 8, 7, 6, 5)
     assert perm_of_word(word, 10) == [3, 4, 6, 9, 10, 1, 2, 5, 7, 8]
-    assert inversions(perm_of_word(word, 10)) == len(word) == LAM10.size()
+    assert inversions(perm_of_word(word, 10)) == len(word) == sum(LAM10.parts)
 
 
 def test_running_example_encoding():
@@ -206,7 +206,7 @@ def test_grassmannian_permutation_properties(a3):
         w = element_of_partition(lam, g, a3)
         assert w.one_line() == one_line_of_partition(lam, g)
         descents = a3.right_descents(w)
-        if lam.size():
+        if sum(lam.parts):
             assert descents == [g.d - 1]
         else:
             assert descents == []

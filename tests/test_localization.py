@@ -6,13 +6,14 @@ import pytest
 
 from klschubert.laurent import LaurentPoly
 from klschubert.localization import CohClass, Localization
-from klschubert.modp import OrbitDomain
+from klschubert.modp import MisplacedTwist, OrbitDomain
 from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import psi
 
 from oracles import (
     bullet_direct,
+    eval_kept,
     is_smooth_direct,
     kl_class_c_direct,
     kl_schubert_direct,
@@ -404,8 +405,9 @@ RECURSION_CONFIGS = [
 
 @pytest.mark.parametrize("name, mode", RECURSION_CONFIGS)
 def test_class_recursions_match_direct_routes(name, mode):
-    """C_w, MC(cell w) and the hyperbolic KL-Schubert class, built by the left
-    recursions, equal the whole image of gamma_w or tau_w acting on pt_e."""
+    """C_w, built by the right KL recursion, MC(cell w) and the hyperbolic
+    KL-Schubert class equal the whole image of gamma_w or tau_w acting on pt_e
+    by odot."""
     system = RootSystem(RECURSION_GROUPS[name])
     dom = OrbitDomain(system, seed=23) if mode == "modp" else None
     loc = Localization(system, dom)
@@ -418,6 +420,34 @@ def test_class_recursions_match_direct_routes(name, mode):
         assert loc.kl_class_c(w) == kl_class_c_direct(loc, w), w
         assert loc.mc_cell(w) == mc_cell_direct(loc, w), w
         assert loc.kl_schubert(w) == kl_schubert_direct(loc, w), w
+
+
+@pytest.mark.parametrize("name", ["A3", "B2", "G2", "B3"])
+def test_classes_are_the_exact_classes_at_the_kept_points(name):
+    """Every C_w, C~_w, MC and SMC cell, and every parabolic C^J_w and C~^J_w,
+    built on a 2-family domain, holds at each fixed point the residues of the
+    exact class evaluated by eval_mod at the kept points: exact mode runs the
+    same builders and is their oracle.  B3 takes every 4th element of W and
+    of each W^J."""
+    system = RootSystem(RECURSION_GROUPS[name])
+    exact = Localization(system)
+    loc = Localization(system, OrbitDomain(system, seed=31, families=2), exact.hecke)
+    step = 4 if name == "B3" else 1
+
+    def check(got, want, label):
+        assert set(got.coeffs) == set(want.coeffs), label
+        for u, c in want.coeffs.items():
+            assert got.coeffs[u].values == eval_kept(loc.dom, c), (label, u)
+
+    for w in system.elements[::step]:
+        for builder in ("kl_class_c", "kl_class_c_tilde", "mc_cell", "smc_cell"):
+            check(getattr(loc, builder)(w), getattr(exact, builder)(w), (builder, w))
+    for r in range(system.rank + 1):
+        for J in combinations(range(system.rank), r):
+            for w in system.minimal_coset_reps(J)[::step]:
+                for builder in ("kl_class_c_parabolic", "kl_class_c_tilde_parabolic"):
+                    want = getattr(exact, builder)(w, J)
+                    check(getattr(loc, builder)(w, J), want, (builder, J, w))
 
 
 ACTION_GROUPS = {"A2": CartanData.type_a(2), **PAIRING_GROUPS}
@@ -433,7 +463,9 @@ def _action_loc(name, mode):
 @pytest.mark.parametrize("name, mode", ACTION_CONFIGS)
 def test_bullet_is_the_termwise_sum(name, mode):
     """bullet, one twisted product, equals the term-by-term sum at every fixed
-    point, in both realizations; exactly, it prints the same classes."""
+    point, in both realizations; exactly, it prints the same classes.  Mod p,
+    the computed coefficients of a Hecke image cannot be twisted by the fixed
+    points, so both routes refuse that operator."""
     loc = _action_loc(name, mode)
     system = loc.system
     rank = system.rank
@@ -444,13 +476,20 @@ def test_bullet_is_the_termwise_sum(name, mode):
         long = [ring.pushpull_rel(tuple(range(rank)), ())]
         points = [loc.point_class(system.w0, kind), loc.point_class(top, kind)]
         wide = [loc.kl_schubert(top)]
+        computed = None
         if kind == "multiplicative":
-            long.append(ring.hecke_to_qw(loc.hecke.bar_tau(top)))
+            computed = ring.hecke_to_qw(loc.hecke.bar_tau(top))
+            long.append(computed)
             points.append(loc.random_class(5))
             wide = [loc.mc_cell(top)]
         pairs = [(a, c) for a in short for c in points + wide]
         pairs += [(a, c) for a in long for c in points]
         for a, c in pairs:
+            if mode == "modp" and a is computed:
+                for route in (loc.bullet, lambda a, c: bullet_direct(loc, a, c)):
+                    with pytest.raises(MisplacedTwist):
+                        route(a, c)
+                continue
             got, want = loc.bullet(a, c), bullet_direct(loc, a, c)
             assert got == want  # at every fixed point, whatever the order of the keys
             if mode == "exact":

@@ -4,12 +4,18 @@ import pytest
 
 from klschubert.hecke import HeckeAlgebra
 from klschubert.laurent import LaurentPoly
-from klschubert.modp import ExactDomain, OrbitDomain, OrbitScalar, ZeroDenominator
+from klschubert.modp import (
+    ExactDomain,
+    MisplacedTwist,
+    OrbitDomain,
+    OrbitScalar,
+    ZeroDenominator,
+)
 from klschubert.ratfunc import FIXED_PRIME, RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import TwistedRing, psi
 
-from oracles import eval_mod
+from oracles import eval_kept, eval_mod
 
 
 G2 = CartanData(((2, -1), (-3, 2)), "G")
@@ -63,32 +69,35 @@ def test_orbit_dualize_matches_exact(a2):
 
 
 def test_family_blocks_are_single_family_domains(a2):
-    """Block f of a k-family domain is the one-family domain seeded seed + 101 f."""
+    """Family f of a k-family domain is the one-family domain seeded seed + 101 f:
+    block f of every lift's orbit residues, and the 4 kept residues of family f
+    of every lift, twist and dualization.  Over all twists w the kept points w P,
+    w0 w P and their inverses reach every orbit point."""
     rng = random.Random(3)
     fs = [_random_poly(rng) for _ in range(5)]
     for system in (a2, RootSystem(G2)):
         multi = OrbitDomain(system, seed=5, families=3)
         singles = [OrbitDomain(system, seed=5 + 101 * f) for f in range(3)]
         block = 2 * system.order
-        assert multi.size == 3 * block
+        assert len(multi.points) == 3 * block and multi.size == 3 * 4
 
-        def blocks(c):
-            return [c.values[f * block : (f + 1) * block] for f in range(3)]
+        def blocks(values, width):
+            return [values[f * width : (f + 1) * width] for f in range(3)]
 
         for f in fs:
-            assert blocks(multi.lift(f)) == [d.lift(f).values for d in singles]
-            assert blocks(multi.dualize(multi.lift(f))) == [
+            assert blocks(multi.lift(f).full, block) == [d.lift(f).full for d in singles]
+            assert blocks(multi.dualize(multi.lift(f)).values, 4) == [
                 d.dualize(d.lift(f)).values for d in singles
             ]
             for w in system.elements:
-                assert blocks(multi.weyl(w, multi.lift(f))) == [
+                assert blocks(multi.weyl(w, multi.lift(f)).values, 4) == [
                     d.weyl(w, d.lift(f)).values for d in singles
                 ]
 
 
 def test_every_family_counts_for_equality(a2):
     dom = OrbitDomain(a2, seed=6, families=2)
-    block = 2 * a2.order
+    block = 4
     one_only_in_family_1 = OrbitScalar(dom, (0,) * block + (1,) * block)
     assert not one_only_in_family_1.is_zero()
     assert one_only_in_family_1 != dom.zero
@@ -139,10 +148,11 @@ def _vanishing_at(dom, index):
 
 
 def test_lift_is_the_pointwise_evaluation(a3):
-    """Every lift is the pointwise oracle residue for residue: t-only and mixed
-    fractions, repeated factors, a content dc != 1, negative exponents.  A
-    factor that vanishes at one point, at one family's t or at one inverted
-    t, and a content divisible by p, raise."""
+    """Every lift is the pointwise oracle residue for residue, at every orbit
+    point and at the kept points: t-only and mixed fractions, repeated factors,
+    a content dc != 1, negative exponents.  A factor that vanishes at one orbit
+    point (kept or not), at one family's t or at one inverted t, and a content
+    divisible by p, raise."""
     dom = OrbitDomain(a3, seed=9, families=2)
     p = dom.prime
     rng = random.Random(10)
@@ -151,13 +161,15 @@ def test_lift_is_the_pointwise_evaluation(a3):
     assert any(f.dc != 1 for f in fractions) and any(f.dc == 1 and f.facs for f in fractions)
     assert any(min(e[0] for e in f.num.terms) < 0 for f in fractions)
     for f in fractions:
-        assert dom.lift(f).values == tuple(eval_mod(f, pt, p) for pt in dom.points)
+        assert dom.lift(f).full == tuple(eval_mod(f, pt, p) for pt in dom.points)
+        assert dom.lift(f).values == eval_kept(dom, f)
 
     one = LaurentPoly.const(4, 1)
     t = LaurentPoly.t_power(4, 1)
     vanishing = [
         _vanishing_at(dom, 0),
-        _vanishing_at(dom, dom.size - 1),
+        _vanishing_at(dom, 1),
+        _vanishing_at(dom, len(dom.points) - 1),
         t - LaurentPoly.const(4, dom.points[2 * a3.order][0]),  # family 1's t
         t - LaurentPoly.const(4, dom.points[a3.order][0]),  # family 0's inverted t
     ]
@@ -195,10 +207,10 @@ def test_orbit_inv_is_the_pointwise_inverse(a2):
 
 
 def test_lift_evaluates_each_polynomial_once_per_domain(a3, monkeypatch):
-    """A fraction costs dom.size evaluations for its numerator and for each
-    distinct factor, once per domain: an equal fraction built apart costs
-    none, a new numerator over the same factors costs only its own, and
-    equal lifts without a denominator share one residue tuple."""
+    """A fraction costs one evaluation per orbit point for its numerator and
+    for each distinct factor, once per domain: an equal fraction built apart
+    costs none, a new numerator over the same factors costs only its own, and
+    equal lifts without a denominator share one lifted scalar."""
     calls = []
     evaluate = LaurentPoly.eval_mod
 
@@ -219,15 +231,16 @@ def test_lift_evaluates_each_polynomial_once_per_domain(a3, monkeypatch):
     assert f is not g and f.facs[0][1] == 2 and len(f.facs) == 2
     for dom in (OrbitDomain(a3, seed=14, families=2), OrbitDomain(a3, seed=15)):
         calls.clear()
+        points = len(dom.points)
         lifted = dom.lift(f)
-        assert len(calls) == 3 * dom.size
+        assert len(calls) == 3 * points
         assert dom.lift(g) == lifted
-        assert len(calls) == 3 * dom.size
+        assert len(calls) == 3 * points
         dom.lift(build(num + one))
-        assert len(calls) == 4 * dom.size
+        assert len(calls) == 4 * points
         h1, h2 = RatFunc(t * t - one), RatFunc(t * t - one)
-        assert dom.lift(h1).values is dom.lift(h2).values
-        assert len(calls) == 5 * dom.size
+        assert dom.lift(h1).full is dom.lift(h2).full
+        assert len(calls) == 5 * points
 
 
 def test_orbit_field_ops(a2):
@@ -316,3 +329,65 @@ def test_exact_dot_is_the_sequential_sum(a2):
             expected = expected + x * y
         assert dom.dot(xs, ys).format() == expected.format()
     assert dom.dot([], []).is_zero()
+
+
+def test_computed_values_twist_only_by_e_and_w0(a3):
+    """weyl of a computed value (a product of differently twisted lifts, a sum,
+    an inverse, a dualization or a dot) is itself at e, the swap at w0, and
+    raises MisplacedTwist at every other element of A3."""
+    dom = OrbitDomain(a3, seed=51, families=2)
+    rng = random.Random(51)
+    f, g = dom.lift(_random_poly(rng, 4)), dom.lift(_random_t_binomial_fraction(rng, 4))
+    f1 = dom.weyl(a3.simple_reflection(0), f)
+    computed = [f1 * g, f + g, g.inv(), dom.dualize(f), dom.dot([f, g], [g, f])]
+    for c in computed:
+        assert c.full is None
+        assert dom.weyl(a3.identity, c) is c
+        assert dom.weyl(a3.w0, dom.weyl(a3.w0, c)) == c
+        for u in a3.elements:
+            if u is not a3.identity and u is not a3.w0:
+                with pytest.raises(MisplacedTwist):
+                    dom.weyl(u, c)
+
+
+def test_twists_of_a_lift_compose_at_the_kept_points(a3):
+    """weyl(v, weyl(u, lift f)) is weyl(v u, lift f), and its residues at every
+    kept point are those of the exact twists v(u(f)); a product of two lifts
+    twisted alike is known too, and twists like the lift of the product."""
+    dom = OrbitDomain(a3, seed=52, families=2)
+    rng = random.Random(52)
+    f, g = _random_t_binomial_fraction(rng, 4), _random_poly(rng, 4)
+    lifted = dom.lift(f)
+    for u in a3.elements:
+        once = dom.weyl(u, lifted)
+        exact = f.weyl(u.matrix)
+        assert once.values == eval_kept(dom, exact)
+        product = once * dom.weyl(u, dom.lift(g))
+        assert product.full is not None
+        assert dom.weyl(a3.simple_reflection(1), product) == dom.weyl(
+            a3.simple_reflection(1) * u, dom.lift(f * g)
+        )
+        for v in a3.elements[::5]:
+            twice = dom.weyl(v, once)
+            assert twice.values == dom.weyl(v * u, lifted).values
+            assert twice.values == eval_kept(dom, exact.weyl(v.matrix)), (u, v)
+
+
+def test_w0_swap_and_dualize_at_the_kept_points(a3):
+    """The w0 twist and the dualization of computed values, and the dualization
+    of twisted lifts, have the exact images' residues at every kept point."""
+    dom = OrbitDomain(a3, seed=53, families=2)
+    rng = random.Random(53)
+    w0 = a3.w0
+    for _ in range(5):
+        f, g = _random_poly(rng, 4), _random_t_binomial_fraction(rng, 4)
+        exact = f * g + f
+        computed = dom.lift(f) * dom.lift(g) + dom.lift(f)
+        assert computed.full is None and computed.values == eval_kept(dom, exact)
+        assert dom.weyl(w0, computed).values == eval_kept(dom, exact.weyl(w0.matrix))
+        assert dom.dualize(computed).values == eval_kept(dom, exact.dualize())
+        swapped_dual = dom.weyl(w0, dom.dualize(computed))
+        assert swapped_dual.values == eval_kept(dom, exact.dualize().weyl(w0.matrix))
+        u = a3.elements[rng.randrange(a3.order)]
+        twisted_dual = dom.dualize(dom.weyl(u, dom.lift(g)))
+        assert twisted_dual.values == eval_kept(dom, g.weyl(u.matrix).dualize())

@@ -15,7 +15,17 @@ belongs to the body that holds it).  The roots are:
 
 A reached body reaches a function through a bare name, an attribute or a
 string constant, and a method only through an attribute or a string
-constant, since a local variable of the same name does not call it.
+constant, since a local variable of the same name does not call it.  An
+attribute is resolved by its owner where the owner is known:
+
+- an attribute of ``self`` inside a method of class C reaches only the
+  methods of that name in C and its bases;
+- an attribute of another object that is read but not called, under a name
+  that some method stores on ``self`` (``dom.zero``), is taken for that
+  stored value, not for a method.
+
+So a method reached only through a same-named attribute of another class is
+flagged.
 References from ``tests/`` do not count: a helper that only tests call
 belongs in ``tests/``.  A default that no call in ``src/`` or ``perfbench/``
 overrides is an option with a single value in use, which belongs in the code
@@ -56,15 +66,18 @@ def _is_all(stmt) -> bool:
     )
 
 
-def _definitions_and_roots():
+def _definitions_and_roots(package):
     """(location, class name or None, def node) per module-level function and
-    method, and the root statements and expressions outside them."""
-    defs, roots = [], []
-    for path, tree in _trees(PACKAGE):
-        where = path.relative_to(ROOT)
+    method; the root statements and expressions outside them; each class's own
+    name and its bases' names in the package, transitively; and the names that
+    some method stores on self."""
+    defs, roots, bases, stored = [], [], {}, set()
+    for path, tree in _trees(package):
+        where = path.relative_to(package.parents[1])
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
                 roots += stmt.bases + stmt.keywords + stmt.decorator_list
+                bases[stmt.name] = [b.id for b in stmt.bases if isinstance(b, ast.Name)]
                 owner, body = stmt.name, stmt.body
             else:
                 owner, body = None, [stmt]
@@ -74,44 +87,75 @@ def _definitions_and_roots():
                     roots += item.decorator_list
                 elif not (isinstance(item, (ast.Import, ast.ImportFrom)) or _is_all(item)):
                     roots.append(item)
-    return defs, roots
+        stored |= {
+            sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) and _on_self(sub)
+        }
+
+    def lineage(name):
+        out = [name]
+        for base in bases.get(name, ()):
+            out += lineage(base)
+        return out
+
+    return defs, roots, {name: lineage(name) for name in bases}, stored
 
 
-def _references(node):
-    """(bare names, attribute names and string constants) under an ast node."""
-    names, attrs = set(), set()
+def _on_self(attr) -> bool:
+    return isinstance(attr.value, ast.Name) and attr.value.id == "self"
+
+
+def _references(node, lineage=()):
+    """(bare names, attributes called or named by a string constant, attributes
+    of other objects read without a call, (class, name) pairs) under an ast
+    node; an attribute of self counts as a pair for each class in lineage, the
+    classes whose methods self can be."""
+    names, called, read, owned = set(), set(), set(), set()
+    calls = {id(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            attrs.add(sub.attr)
+            if _on_self(sub) and lineage:
+                owned.update((cls, sub.attr) for cls in lineage)
+            elif id(sub) in calls:
+                called.add(sub.attr)
+            else:
+                read.add(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            attrs.add(sub.value)
-    return names, attrs
+            called.add(sub.value)
+    return names, called, read, owned
 
 
-def _is_reached(owner, name, names, attrs) -> bool:
-    if _is_dunder(name) or name in attrs:
-        return True
-    if owner is None:
-        return name in names
-    return owner == "VerificationReport" and not name.startswith("_")
-
-
-def _unreached():
+def _unreached(package=PACKAGE, bench=ROOT / "perfbench"):
     """Location and qualified name of every definition that no root reaches."""
-    defs, roots = _definitions_and_roots()
-    names, attrs = {"run_suite", *CLI_PRINTERS}, set()
-    for _, tree in _trees(ROOT / "perfbench"):
-        attrs.update(*_references(tree))
-    frontier = roots
+    defs, roots, lineages, stored = _definitions_and_roots(package)
+    names, called, read, owned = {"run_suite", *CLI_PRINTERS}, set(), set(), set()
+    for _, tree in _trees(bench):
+        for refs in _references(tree)[:3]:
+            called |= refs
+
+    def is_reached(owner, name) -> bool:
+        if _is_dunder(name) or name in called or name in read and name not in stored:
+            return True
+        if owner is None:
+            return name in names or name in read
+        return (owner, name) in owned or (
+            owner == "VerificationReport" and not name.startswith("_")
+        )
+
+    frontier = [(None, node) for node in roots]
     while frontier:
-        for node in frontier:
-            n, a = _references(node)
+        for owner, node in frontier:
+            n, c, r, o = _references(node, lineages.get(owner, ()))
             names |= n
-            attrs |= a
-        frontier = [node for _, owner, node in defs if _is_reached(owner, node.name, names, attrs)]
-        defs = [d for d in defs if d[2] not in frontier]
+            called |= c
+            read |= r
+            owned |= o
+        frontier = [(owner, node) for _, owner, node in defs if is_reached(owner, node.name)]
+        reached = {id(node) for _, node in frontier}
+        defs = [d for d in defs if id(d[2]) not in reached]
     return [f"{where} {owner + '.' if owner else ''}{node.name}" for where, owner, node in defs]
 
 
@@ -119,6 +163,53 @@ def test_every_definition_is_referenced():
     """Every definition is reached from run_suite and the other roots."""
     dead = _unreached()
     assert not dead, "not reached from run_suite:\n" + "\n".join(dead)
+
+
+PLANTED = """
+def run_suite():
+    return Algebra().total() + Sub().total() + Domain().zero
+
+
+class Domain:
+    def __init__(self):
+        self.zero = 0
+
+
+class Ring:
+    def zero(self):
+        return 0
+
+
+class Algebra:
+    def zero(self):
+        return 0
+
+    def total(self):
+        return self.zero()
+
+
+class Base:
+    def helper(self):
+        return 1
+
+
+class Sub(Base):
+    def total(self):
+        return self.helper()
+"""
+
+
+def test_a_method_reached_only_through_another_class_is_flagged(tmp_path):
+    """Ring.zero, like the deleted TwistedRing.zero, shares its name with
+    Algebra.zero, which Algebra calls on self, and with the value Domain stores
+    on self and run_suite reads: neither reaches Ring.zero, so it is flagged,
+    while Base.helper, called on self in its subclass, is reached."""
+    package = tmp_path / "src" / "planted"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(PLANTED)
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    assert _unreached(package, bench) == ["src/planted/mod.py:12 Ring.zero"]
 
 
 def _is_method(node, parents) -> bool:

@@ -172,6 +172,21 @@ def test_a3_modp_suites(a3_modp_reports):
     assert h.hexdigest() == A3_MODP_DIGEST
 
 
+# sha256 of to_json() of A4 mod-p duality and orthogonality (k=2, seed 1),
+# recorded while every scalar still held its residues at every orbit point
+A4_MODP_DIGESTS = {
+    "duality": "1d98e244f8813e634f00353202033e05d0aaf409ff2096b70ecc62524900c133",
+    "orthogonality": "fb44f0fd1c9ab81d2e1556c0d2e3349b9aa4460c1d48ceeeb90e0903e4d3022e",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(A4_MODP_DIGESTS))
+def test_a4_modp_pairing_reports_are_pinned(suite):
+    report = run_suite(suite, RunConfig(rank=4, mode="modp", k=2, seed=1, serre_samples=10))
+    assert len(report.cases) == 120**2 and report.all_passed()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == A4_MODP_DIGESTS[suite]
+
+
 @pytest.mark.parametrize("suite", ["smoothness", "grassmann-smoothness"])
 def test_a3_exact_smoothness_agrees_with_mod_p(a3_modp_reports, suite):
     exact = run_suite(suite, _a3_config(suite, "exact"))
