@@ -178,7 +178,7 @@ class HeckeAlgebra:
         lw = w.length
         for v, poly in g.coeffs.items():
             coeffs = [0] * ((lw - v.length) // 2 + 1)
-            for (e,), c in poly.terms.items():
+            for e, c in poly.packed.items():  # an arity-1 key is the exponent of t
                 j, r = divmod(lw - v.length - e, 2)
                 if r or j < 0 or j >= len(coeffs):
                     raise AssertionError(f"bad KL exponent structure at ({v!r},{w!r})")

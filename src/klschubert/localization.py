@@ -387,7 +387,7 @@ class Localization:
         """t_{w_J}^{-1} P_J(t^2), the multiplier in the pushforward of C_{w w_J}."""
         wj = self.system.longest_parabolic(J)
         pj = self.system.poincare_polynomial(J)
-        poly = LaurentPoly(1, {(2 * e - wj.length,): c for (e,), c in pj.terms.items()})
+        poly = LaurentPoly.from_packed(1, {2 * e - wj.length: c for e, c in pj.packed.items()})
         return self.mult.t_poly(poly)
 
     # ---------- hyperbolic classes ----------

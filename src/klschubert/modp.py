@@ -3,7 +3,8 @@
 Every algebraic pipeline here (twisted group ring products, localization
 actions, pairings) uses scalars through one contract:
 
-- a scalar has +, -, *, inv(), ==, is_zero() and format();
+- a scalar has +, -, *, inv(), ==, is_zero(), format(), and a truth value
+  that is false exactly for zero;
 - a domain has one, zero, lift (an exact rational function into the
   domain), weyl (the Weyl action), dualize (the t/character inversion) and
   the sum of products dot(xs, ys) = sum x y.
@@ -194,6 +195,9 @@ class OrbitScalar:
     def is_zero(self) -> bool:
         return not any(self.values)
 
+    def __bool__(self):
+        return any(self.values)
+
     def __repr__(self):
         return f"OrbitScalar({self.values[0]}, ...)"
 
@@ -265,10 +269,6 @@ class OrbitDomain:
             (t_inv,) + tuple(pow(z, p - 2, p) for z in pt[1:]) for pt in points
         ]
 
-    def _values(self, poly) -> tuple:
-        p = self.prime
-        return tuple(poly.eval_mod(pt, p) for pt in self.points)
-
     def lift(self, r: RatFunc) -> OrbitScalar:
         """r as a known function: num times each factor's inverse vector, once
         per multiplicity, times dc^-1 at every orbit point, computed once per
@@ -283,11 +283,11 @@ class OrbitDomain:
             p = self.prime
             if r.dc % p == 0:
                 raise ZeroDenominator("denominator content divisible by p")
-            vals = self._values(r.num)
+            vals = r.num.eval_mod(self.points, p)
             for f, mult in r.facs:
                 inv = self._factor_inverses.get(f)
                 if inv is None:
-                    inv = self._factor_inverses[f] = _batch_inverse(self._values(f), p)
+                    inv = self._factor_inverses[f] = _batch_inverse(f.eval_mod(self.points, p), p)
                 for _ in range(mult):
                     vals = _mulmod(vals, inv, p)
             if r.dc != 1:

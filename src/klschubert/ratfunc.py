@@ -13,6 +13,10 @@ cancellation can happen, by ``_cancel``:
 - ``*``: each numerator against the other operand's factors only, the rule
   for products of reduced fractions (Henrici 1956; Knuth, TAOCP 2, 4.5.1).
 
+Monomials are packed int keys (see ``laurent``): a factor's monomial content
+is one key, and stripping it from the factor, or moving it onto the
+numerator, subtracts that key from every key of the polynomial.
+
 ``weyl`` and ``dualize`` do not cancel: they are ring automorphisms that map
 canonical factors to canonical factors up to units, so a fraction with no
 cancellable factor keeps none.  Over irreducible factors the stored fraction
@@ -28,8 +32,9 @@ inverted in one batch.  ``modp`` states the Schwartz-Zippel bound.
 from __future__ import annotations
 
 from math import gcd
+from operator import sub
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, pack
 
 __all__ = ["RatFunc", "FIXED_PRIME"]
 
@@ -41,26 +46,25 @@ def _normalize_factor(f: LaurentPoly):
     """Split f = c * monomial * canon with canon canonical.
 
     canon has integer content 1, componentwise-minimal exponents 0 and a
-    positive leading coefficient.  Returns (c, monomial exponents, canon).
+    positive leading coefficient.  Returns (c, the monomial's key, canon).
     """
-    if not f.terms:
+    if not f.packed:
         raise ZeroDivisionError("zero polynomial in a denominator")
-    mc = f.monomial_content()
+    lo, hi = f.exponent_box()
+    mc = pack(lo)
     g = f.int_content()
-    canon = LaurentPoly(
-        f.arity,
-        {tuple(x - y for x, y in zip(e, mc)): c // g for e, c in f.terms.items()},
-    )
-    _, lead = canon.leading()
-    if lead < 0:
-        canon = -canon
+    if f.leading()[1] < 0:
         g = -g
+    # stripping the content subtracts one key from every key, keeping lex order
+    canon = LaurentPoly._make(
+        f.arity, {e - mc: c // g for e, c in f.packed.items()}, max(map(sub, hi, lo))
+    )
     return g, mc, canon
 
 
 def _cancel(num: LaurentPoly, facs: tuple):
     """Divide num by each factor as often as it goes: (quotient, factors left)."""
-    if not num.terms:
+    if not num.packed:
         return num, ()
     kept = []
     for f, mult in facs:
@@ -84,12 +88,12 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator content")
         if dc < 0:
             num, dc = -num, -dc
-        if not num.terms:
+        if not num.packed:
             dc, facs = 1, ()
         elif dc != 1:
             g = gcd(num.int_content(), dc)
             if g > 1:
-                num = LaurentPoly(num.arity, {e: c // g for e, c in num.terms.items()})
+                num = LaurentPoly._make(num.arity, {e: c // g for e, c in num.packed.items()}, num.bound)
                 dc //= g
         self.num = num
         self.dc = dc
@@ -110,7 +114,7 @@ class RatFunc:
         for f in factors:
             c, mc, canon = _normalize_factor(f)
             dc *= c
-            num = num.shift(tuple(-x for x in mc))
+            num = num.shift(-mc)
             if not canon.is_one():
                 key = canon.sort_key()
                 if key in bag:
@@ -142,10 +146,10 @@ class RatFunc:
         return self._den
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.num.packed
 
     def __bool__(self):
-        return bool(self.num.terms)
+        return bool(self.num.packed)
 
     # ---------- arithmetic ----------
 
@@ -230,7 +234,7 @@ class RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         c, mc, canon = _normalize_factor(self.num)
-        num = LaurentPoly.const(self.arity, self.dc).shift(tuple(-x for x in mc))
+        num = LaurentPoly.const(self.arity, self.dc).shift(-mc)
         for f, mult in self.facs:
             for _ in range(mult):
                 num = num * f
@@ -293,7 +297,8 @@ class RatFunc:
             if c < 0 and mult % 2:
                 num = -num
             dc *= abs(c) ** mult
-            num = num.shift(tuple(-x * mult for x in mc))
+            for _ in range(mult):
+                num = num.shift(-mc)
             if not canon.is_one():
                 bag[canon] = bag.get(canon, 0) + mult
         facs = tuple(sorted(bag.items(), key=lambda kv: kv[0].sort_key()))

@@ -169,7 +169,7 @@ class WMap:
 
     Hecke elements, twisted-group-ring elements and fixed-point classes are
     all such maps.  The coefficients answer for themselves (+, -, *, ==,
-    is_zero, format); the ring supplies as_scalar, for scale, and
+    truth value, format); the ring supplies as_scalar, for scale, and
     compatible(other_ring), which says when two maps can be added or compared.
     A subclass prints each term through its template _term, with fields w and
     c, joined by _sep.
@@ -179,7 +179,7 @@ class WMap:
 
     def __init__(self, ring, coeffs: dict):
         self.ring = ring
-        self.coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
+        self.coeffs = {w: c for w, c in coeffs.items() if c}
 
     def __add__(self, other):
         if not self.ring.compatible(other.ring):
@@ -498,10 +498,10 @@ class RootSystem:
 
     def poincare_polynomial(self, J) -> LaurentPoly:
         """P_J(t) = sum over W_J of t^l(v), as a polynomial in t alone."""
-        out = LaurentPoly(1)
+        counts: dict = {}  # an arity-1 key is the exponent of t
         for v in self.parabolic_elements(J):
-            out = out + LaurentPoly.monomial((v.length,), 1)
-        return out
+            counts[v.length] = counts.get(v.length, 0) + 1
+        return LaurentPoly.from_packed(1, counts)
 
 
 def _mask(J) -> int:

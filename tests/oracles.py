@@ -8,8 +8,12 @@ These deliberately avoid the production code paths they check:
   Laurent polynomials in t, using only Hecke multiplication by generators
   and generator inverses (never the mu-recursion).
 
-- long_divide is the lex-order long division that LaurentPoly.exact_divide
-  used for every divisor before binomials were divided chain by chain.
+- tuple_mul, tuple_divide_binomial and long_divide multiply and divide on
+  exponent tuples, one tuple built per term, where LaurentPoly works on
+  packed int keys: the product term by term, the binomial division chain by
+  chain after one refutation walk, and the lex-order long division that
+  exact_divide used for every divisor before binomials were divided chain by
+  chain.
 - eval_mod evaluates a fraction at one point mod p term by term, with one
   Fermat inversion of its denominator, where OrbitDomain.lift multiplies
   whole residue vectors and inverts each factor's vector in one batch.
@@ -37,6 +41,7 @@ scalar times delta_e.
 
 import re
 from itertools import combinations
+from operator import add, sub
 
 from klschubert.grassmannian import Partition
 from klschubert.laurent import LaurentPoly
@@ -261,40 +266,106 @@ def pairing_normalizer_product(loc, J=()):
     return loc.dom.lift(val)
 
 
+def tuple_mul(a, b):
+    """a * b on exponent tuples: one tuple built per pair of terms."""
+    assert a.arity == b.arity
+    out: dict = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(map(add, ea, eb))
+            v = out.get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return LaurentPoly(a.arity, out)
+
+
+def tuple_divide_binomial(n, d):
+    """n / (c1 z^m1 + c0 z^m0) on exponent tuples, else None: the chain of the
+    lex-largest term refuted at the root first, then synthetic division along
+    every coset of Z (m1 - m0)."""
+    terms = n.terms
+    if not terms:
+        return LaurentPoly(n.arity)
+    (m1, c1), (m0, c0) = d.terms.items()
+    step = tuple(map(sub, m1, m0))
+    sj = next(filter(None, step))
+    j = step.index(sj)
+    e = max(terms)
+    lo = min(x[j] for x in terms)
+    if sj > 0:
+        down, c_top, c_bot = tuple(map(sub, m0, m1)), c1, c0
+    else:
+        down, c_top, c_bot = step, c0, c1
+    v, last, top_power = terms[e], 0, 1
+    for i in range(1, (e[j] - lo) // abs(sj) + 1):
+        e = tuple(map(add, e, down))
+        top_power *= c_top
+        c = terms.get(e)
+        if c:
+            v = v * (-c_bot) ** (i - last) + c * top_power
+            last = i
+    if v:
+        return None
+    chains: dict = {}  # offset -> {k: coefficient at offset + k * step}
+    for e, c in terms.items():
+        k = e[j] // sj
+        chains.setdefault(tuple(x - k * s for x, s in zip(e, step)), {})[k] = c
+    if 1 in map(len, chains.values()):
+        return None
+    quo: dict = {}
+    for rep, chain in chains.items():
+        lo, hi = min(chain), max(chain)
+        e = tuple(x + hi * s for x, s in zip(rep, step))
+        q = 0
+        for k in range(hi, lo, -1):
+            q, r = divmod(chain.get(k, 0) - c0 * q, c1)
+            if r:
+                return None
+            e = tuple(map(sub, e, step))
+            if q:
+                quo[tuple(map(sub, e, m0))] = q
+        if chain[lo] != c0 * q:
+            return None
+    return LaurentPoly(n.arity, quo)
+
+
 def long_divide(n, d):
-    """n / d if d divides n exactly in the Laurent ring, else None, by long division."""
-    n._check(d)
+    """n / d if d divides n exactly in the Laurent ring, else None, by long
+    division on exponent tuples."""
+    assert n.arity == d.arity
     if not d.terms:
         raise ZeroDivisionError("division by zero polynomial")
     if not n.terms:
         return LaurentPoly(n.arity)
     # Strip monomial content so divisibility reduces to the true-polynomial case.
-    mc_n, mc_d = n.monomial_content(), d.monomial_content()
-    num = n.shift(tuple(-x for x in mc_n))
-    den = d.shift(tuple(-x for x in mc_d))
-    elead = max(den.terms)
-    clead = den.terms[elead]
-    cur = dict(num.terms)
+    mc_n = tuple(map(min, zip(*n.terms)))
+    mc_d = tuple(map(min, zip(*d.terms)))
+    cur = {tuple(map(sub, e, mc_n)): c for e, c in n.terms.items()}
+    den = {tuple(map(sub, e, mc_d)): c for e, c in d.terms.items()}
+    elead = max(den)
+    clead = den[elead]
     quo: dict = {}
     while cur:
         e = max(cur)
         c = cur[e]
-        qe = tuple(x - y for x, y in zip(e, elead))
+        qe = tuple(map(sub, e, elead))
         if any(x < 0 for x in qe):
             return None
         qc, r = divmod(c, clead)
         if r:
             return None
         quo[qe] = qc
-        for ed, cd in den.terms.items():
-            k = tuple(x + y for x, y in zip(qe, ed))
+        for ed, cd in den.items():
+            k = tuple(map(add, qe, ed))
             v = cur.get(k, 0) - qc * cd
             if v:
                 cur[k] = v
             elif k in cur:
                 del cur[k]
-    shift_back = tuple(x - y for x, y in zip(mc_n, mc_d))
-    return LaurentPoly(n.arity, quo).shift(shift_back)
+    back = tuple(map(sub, mc_n, mc_d))
+    return LaurentPoly(n.arity, {tuple(map(add, e, back)): c for e, c in quo.items()})
 
 
 def _poly_mod(poly, point, p, powers):

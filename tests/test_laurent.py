@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klschubert.laurent import LaurentPoly
+from klschubert.laurent import LIMIT, LaurentPoly, pack
+from klschubert.rootsystem import CartanData, RootSystem
 
-from oracles import long_divide, parse_poly
+from oracles import long_divide, parse_poly, tuple_divide_binomial, tuple_mul
 
 
 def t(arity=3, exp=1, c=1):
@@ -29,6 +30,12 @@ def test_add_cancels():
 def test_difference_of_squares():
     lhs = (t() + t(exp=-1)) * (t() - t(exp=-1))
     assert lhs == t(exp=2) - t(exp=-2)
+
+
+def unpack(key, arity):
+    """The exponent tuple of a packed key, through the public decoded view."""
+    (e,) = LaurentPoly.from_packed(arity, {key: 1}).terms
+    return e
 
 
 def test_zero_is_empty():
@@ -173,11 +180,10 @@ def test_binomial_division_examples():
 
 def test_exponent_box_is_the_one_min_scan():
     p = LaurentPoly(3, {(1, -2, 0): 3, (0, 4, -1): -1, (1, -3, 5): 2})
-    assert p.exponent_box() == ((1, -2, 0), (0, -3, -1))
-    assert p.exponent_box() is p.exponent_box()
-    assert p.monomial_content() == (0, -3, -1)
-    assert p.leading() == ((1, -2, 0), 3)
-    assert LaurentPoly(3).monomial_content() == (0, 0, 0)
+    assert p.exponent_box() == ([0, -3, -1], [1, 4, 5])
+    assert p.leading() == (pack((1, -2, 0)), 3)
+    # the terms that agree with the leading t z1^-2 before slot 1, then before slot 2
+    assert [p.lead_floor(j) for j in range(3)] == [0, -3, 0]
 
 
 def test_weyl_action_a1():
@@ -236,3 +242,213 @@ def test_format_examples():
 def test_canonical_order_lex_t_first():
     p = t() + z(1) + LaurentPoly.const(3, 5)
     assert p.format() == "t + z1 + 5"
+
+
+# ---------- packed keys against the tuple oracles ----------
+
+SPAN = 12  # exponents drawn from -SPAN..SPAN, both signs
+
+
+def _tuple_polys(arity, max_terms=6):
+    exps = st.tuples(*[st.integers(-SPAN, SPAN)] * arity)
+    return st.dictionaries(exps, st.integers(-9, 9), max_size=max_terms).map(
+        lambda terms: LaurentPoly(arity, terms)
+    )
+
+
+@st.composite
+def same_arity(draw, count):
+    arity = draw(st.integers(1, 7))
+    return arity, [draw(_tuple_polys(arity)) for _ in range(count)]
+
+
+def _tuple_combine(a, b, sign):
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+@given(same_arity(2), st.integers(-5, 5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_match_the_tuple_oracle(polys, c, data):
+    arity, (a, b) = polys
+    assert a * b == tuple_mul(a, b)
+    assert (a * b).terms == tuple_mul(a, b).terms
+    assert (a + b).terms == _tuple_combine(a, b, 1)
+    assert (a - b).terms == _tuple_combine(a, b, -1)
+    assert (-a).terms == {e: -k for e, k in a.terms.items()}
+    assert a.scale(c).terms == {e: k * c for e, k in a.terms.items() if k * c}
+    m = data.draw(st.tuples(*[st.integers(-SPAN, SPAN)] * arity))
+    assert a.shift(pack(m)).terms == {tuple(x + y for x, y in zip(e, m)): k for e, k in a.terms.items()}
+    assert a.dualize().terms == {tuple(-x for x in e): k for e, k in a.terms.items()}
+    wider = data.draw(st.integers(arity, 7))
+    slots = data.draw(st.permutations(range(wider)))[:arity]
+    embedded = {}
+    for e, k in a.terms.items():
+        x = [0] * wider
+        for i, v in zip(slots, e):
+            x[i] = v
+        embedded[tuple(x)] = k
+    assert a.embed(wider, tuple(slots)).terms == embedded
+
+
+def _binomials(arity):
+    exps = st.tuples(*[st.integers(-3, 3)] * arity)
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    return st.tuples(exps, coeffs, exps, coeffs).filter(lambda x: x[0] != x[2]).map(
+        lambda x: LaurentPoly(arity, {x[0]: x[1], x[2]: x[3]})
+    )
+
+
+@st.composite
+def division_cases(draw):
+    arity = draw(st.integers(1, 7))
+    d = draw(_binomials(arity))
+    g = draw(_tuple_polys(arity, max_terms=5))
+    other = draw(_tuple_polys(arity, max_terms=3))
+    return d, g, other
+
+
+@given(division_cases())
+@settings(max_examples=150, deadline=None)
+def test_exact_divide_matches_the_tuple_oracles(case):
+    """A divisor that divides, sums that its top chain refutes or that fail in
+    the chains, and a three-term divisor through long division: the packed
+    quotient, or None, agrees with both tuple oracles."""
+    d, g, other = case
+    n = g * d
+    assert n.exact_divide(d) == g == tuple_divide_binomial(n, d)
+    # a term below every other in slot 0 and off the top chain when the step
+    # leaves slot 0 alone: the refutation passes and a one-term chain fails
+    low = min((e[0] for e in n.terms), default=0) - 1
+    below = n + LaurentPoly.monomial((low,) + (0,) * (d.arity - 1), 5)
+    for num in (n + other, below, g, n + other * d + other):
+        expected = long_divide(num, d)
+        assert num.exact_divide(d) == expected == tuple_divide_binomial(num, d)
+    if other.packed:
+        e, c = next(iter(other.terms.items()))
+        trinomial = d + LaurentPoly.monomial(e, c)
+        if len(trinomial.packed) == 3:
+            num = g * trinomial
+            assert num.exact_divide(trinomial) == g == long_divide(num, trinomial)
+            assert (num + other).exact_divide(trinomial) == long_divide(num + other, trinomial)
+
+
+SYSTEMS = {
+    "A3": RootSystem(CartanData.type_a(3)),
+    "B2": RootSystem(CartanData(((2, -2), (-1, 2)), "B")),
+    "G2": RootSystem(CartanData(((2, -1), (-3, 2)), "G")),
+    "B3": RootSystem(CartanData(((2, -1, 0), (-1, 2, -2), (0, -1, 2)), "B")),
+}
+
+
+@st.composite
+def twists(draw):
+    system = SYSTEMS[draw(st.sampled_from(sorted(SYSTEMS)))]
+    w = system.elements[draw(st.integers(0, system.order - 1))]
+    return w.matrix, draw(_tuple_polys(system.rank + 1))
+
+
+@given(twists())
+@settings(max_examples=150, deadline=None)
+def test_weyl_and_dualize_match_the_tuple_oracle(case):
+    m, p = case
+    expected = {}
+    for e, c in p.terms.items():
+        lam = e[1:]
+        expected[(e[0],) + tuple(sum(x * y for x, y in zip(row, lam)) for row in m)] = c
+    assert p.weyl(m).terms == expected
+    assert p.dualize().terms == {tuple(-x for x in e): c for e, c in p.terms.items()}
+    assert p.weyl(m).dualize() == p.dualize().weyl(m)
+
+
+def _tuple_sort_key(p):
+    return (p.arity, tuple(sorted(p.terms.items(), reverse=True)))
+
+
+@given(same_arity(2))
+@settings(max_examples=150, deadline=None)
+def test_readers_and_order_match_the_tuple_oracle(polys):
+    arity, (a, b) = polys
+    for p in (a, b):
+        assert parse_poly(p.format(), arity) == p
+        if not p.packed:
+            continue
+        key, c = p.leading()
+        lead = unpack(key, arity)
+        assert (lead, c) == max(p.terms.items())
+        assert p.exponent_box() == (list(map(min, zip(*p.terms))), list(map(max, zip(*p.terms))))
+        for j in range(arity):
+            agree = [e[j] for e in p.terms if e[:j] == lead[:j]]
+            assert p.lead_floor(j) == min(agree)
+        assert [unpack(k, arity) for k, _ in p.sort_key()[1]] == sorted(p.terms, reverse=True)
+    assert (a.sort_key() < b.sort_key()) == (_tuple_sort_key(a) < _tuple_sort_key(b))
+    assert (a.sort_key() == b.sort_key()) == (a == b)
+
+
+# ---------- the overflow guard, at the boundary ----------
+
+
+def test_constructors_refuse_an_exponent_at_the_limit():
+    assert LaurentPoly.monomial((LIMIT - 1, 1 - LIMIT)).terms == {(LIMIT - 1, 1 - LIMIT): 1}
+    for exps in ((LIMIT, 0), (0, -LIMIT)):
+        with pytest.raises(OverflowError):
+            LaurentPoly.monomial(exps)
+    with pytest.raises(OverflowError):
+        LaurentPoly.var(2, 1, LIMIT)
+    with pytest.raises(OverflowError):
+        LaurentPoly.t_power(2, -LIMIT)
+    with pytest.raises(OverflowError):
+        LaurentPoly.from_packed(1, {LIMIT: 1})
+    with pytest.raises(OverflowError):
+        LaurentPoly.from_packed(2, {1 << 40: 1})
+
+
+def test_products_and_shifts_at_the_limit():
+    top = LaurentPoly.var(2, 1, LIMIT - 1)
+    half = LaurentPoly.var(2, 1, LIMIT // 2)
+    assert (top * LaurentPoly.var(2, 1, -1)).terms == {(0, LIMIT - 2): 1}
+    assert (top * LaurentPoly.var(2, 1, 1 - LIMIT)).is_one()
+    assert (half * LaurentPoly.var(2, 1, LIMIT // 2 - 1)).terms == {(0, LIMIT - 1): 1}
+    for factor in (LaurentPoly.var(2, 1), half, LaurentPoly.var(2, 1, LIMIT // 2) + top):
+        with pytest.raises(OverflowError):
+            top * factor
+    with pytest.raises(OverflowError):
+        half * half
+    assert top.shift(pack((0, -1))).terms == {(0, LIMIT - 2): 1}
+    with pytest.raises(OverflowError):
+        top.shift(pack((0, 1)))
+    with pytest.raises(OverflowError):
+        LaurentPoly.t_power(2, 1).shift(pack((LIMIT, 0)))
+    assert top.dualize().terms == {(0, 1 - LIMIT): 1}
+
+
+def test_weyl_at_the_limit():
+    s1 = SYSTEMS["A3"].simple_reflection(0).matrix
+    # s1 sends z1^a z2^b to z1^-a z2^(a + b)
+    ok = LaurentPoly.monomial((0, LIMIT - 2, 1, 0))
+    assert ok.weyl(s1).terms == {(0, 2 - LIMIT, LIMIT - 1, 0): 1}
+    with pytest.raises(OverflowError):
+        LaurentPoly.monomial((0, LIMIT - 1, 1, 0)).weyl(s1)
+
+
+def test_divisions_near_the_limit():
+    """Quotients with exponents near LIMIT are exact (the binomial's digit
+    range test sends them to long division), and one whose exponent reaches
+    LIMIT raises."""
+    z = lambda x: LaurentPoly.var(2, 1, x)
+    one = LaurentPoly.const(2, 1)
+    n = z(LIMIT - 1) - z(LIMIT - 2)
+    assert n.exact_divide(one - z(1)) == -z(LIMIT - 2) == long_divide(n, one - z(1))
+    assert (n + one).exact_divide(one - z(1)) is None
+    with pytest.raises(OverflowError):
+        n.exact_divide(z(1 - LIMIT) - z(2 - LIMIT))
+    # 1 and z1^-17 lie on different chains of 1 - z1^2 z2^(LIMIT/2), but the
+    # walk from 1 and the chain keys e - k step would leave the digit range
+    # and meet, so the division goes long
+    d = LaurentPoly(3, {(0, 0, 0): 1, (0, 2, LIMIT // 2): -1})
+    n = LaurentPoly(3, {(0, 0, 0): -1, (0, -17, 0): 1})
+    assert n.exact_divide(d) is None is long_divide(n, d)
+    g = LaurentPoly(3, {(0, -3, 0): 1, (0, 0, 5): 2})
+    assert (g * d).exact_divide(d) == g
