@@ -218,16 +218,6 @@ class HeckeAlgebra:
             self.kl_compute_upto(w.length)
         return self._kl.get((v.idx, w.idx), ())
 
-    def kl_tilde_basis(self, w: WeylElt) -> HeckeElt:
-        """The second canonical basis, with alternating signs and t -> t^-1 powers."""
-        coeffs = {}
-        lw, sw = w.length, w.sign
-        for v in self.kl_basis(w).coeffs:
-            sign = sw * v.sign
-            p = self._kl[v.idx, w.idx]
-            coeffs[v] = LaurentPoly(1, {(v.length - lw + 2 * j,): sign * c for j, c in enumerate(p)})
-        return HeckeElt(self, coeffs)
-
     def gamma_rel(self, J, Jp) -> HeckeElt:
         """gamma_{J/J'} = sum over W_J cap W^{J'} of t^{l(w_{J/J'}) - l(v)} tau_v."""
         if not set(Jp) <= set(J):

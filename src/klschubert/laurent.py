@@ -54,8 +54,9 @@ the chain keyed by e - k s, one int multiply and subtract.  No chain is
 one-sided: one chain's non-integer coefficient or remainder proves that d
 does not divide; a quotient needs every chain.
 
-Most trial divisions fail, so one chain is tested before any is divided (and
-a monomial f is refused at once: a binomial is no unit).  Let w = +-(m1 - m0),
+Most trial divisions fail, so one chain is tested before any is divided (a
+monomial f fails that test, its chain having one term; RatFunc never asks,
+since no canonical factor divides a monomial).  Let w = +-(m1 - m0),
 the sign that makes w lex-positive (as an int: w > 0), u = z^w, and
 d = z^m (c_top u + c_bot).  If d divides f, every chain of f is a monomial
 times a Laurent polynomial in u that c_top u + c_bot divides, so it has at
@@ -446,8 +447,6 @@ class LaurentPoly:
         """self / (c1 z^m1 + c0 z^m0) by synthetic division along each chain,
         once the chain of the lex-largest term has failed to refute it."""
         terms = self.packed
-        if len(terms) == 1:
-            return None  # a binomial is no unit, so it divides no monomial
         m0, c0, c1, step, j, s, sj, down, c_top, c_bot = d._binomial()
         if not _walk_fits(self.bound, sj, d.bound) and not _walk_fits(
             self._tighten(), sj, d._tighten()

@@ -27,10 +27,13 @@ once (vacuous for J = (); invariant factors give an invariant product), each
 left class is weighted by x(q_J) once, and each entry is then one dom.dot over
 the common support in W^J.
 
-Functions of the fixed point u that are Weyl twists u(f) of one function f
-(the monomial of Serre duality, the inverse cotangent factor, the hyperbolic
-transfer factor, the root factors of the smoothness criterion) are lifted once
-and twisted per u with dom.weyl.
+Functions of the fixed point u that are Weyl twists u(f) of one function f are
+lifted once and twisted per u with dom.weyl.  A mod-p domain can twist a
+computed value by w0 alone (see modp), so only such lifted functions are
+twisted by varying elements: x_Pi (pt_w = w(x_Pi)), the coefficients of
+generators and of Y_{J/J'}, the Serre monomial, the cotangent and hyperbolic
+transfer factors and the root factors of the smoothness criterion.  Products
+of lifted root factors go through TwistedRing.root_product.
 
 Build once: every point class, cell class, canonical class C_w and image of
 gamma_w, parabolic cell class, smoothness verdict and per-J (or per-length)
@@ -38,24 +41,32 @@ lifted scalar is built at most once per Localization, through one memo table
 keyed by (builder, arguments), and the same object is handed to every caller;
 so no class is changed after it is built.
 
-A mod-p domain can twist a computed value by w0 alone (see modp), so only
-lifted functions are twisted by varying elements: x_Pi (pt_w = w(x_Pi)), the
-coefficients of generators and of Y_{J/J'}, and the factors above.  With
-G_s the image of tau_s and Gamma_w that of gamma_w, the classes are
+One memoized right recursion, s the last letter of w's reduced word,
 
-    MC(cell w)_u = t^{-l(w)} (image of tau_w)_u u(x_Pi),  C_w_u = Gamma_w[u] u(x_Pi),
-    Gamma_w = Gamma_{ws} (G_s + t) - sum mu(v, ws) Gamma_v  over v < ws, vs < v,
+    X_e = delta_e,   X_w = X_{ws} (G + c) - sum mu(v, ws) X_v  over v < ws, vs < v,
 
-s the last letter of w (the right KL recursion, Kazhdan-Lusztig 1979), with mu
-from the Hecke algebra's KL table; a right product by G_s twists only G_s's
-lifted coefficients.  C~_w and SMC(cell v) are Hecke images a acting on
-pt_{w0} by bullet, which the anti-involution iota(p delta_v) = v^{-1}(p)
-delta_{v^{-1}} turns into (a . pt_{w0})_u = w0(x_Pi) w0(iota(a)_{w0 u}),
-iota(a) built from right products by iota(G_s) = g_e delta_e + s(g_s) delta_s.
+builds three families from data (G, c, mu terms).  G is G_s = g_e delta_e +
+g_s delta_s, the image of tau_s, or iota(G_s) = g_e delta_e + s(g_s) delta_s,
+so a right product twists only lifted generator coefficients:
+- C_w: (G_s, t, mu).  X_w = Gamma_w, the image of gamma_w (the right KL
+  recursion, Kazhdan-Lusztig 1979), and (C_w)_u = Gamma_w[u] u(x_Pi).
+- C~_w: (iota(G_s), -t^{-1}, mu) at y = w0 w; (C~_w)_{w0 u} = w0(x_Pi) w0(X_y[u]).
+- SMC(cell v): (iota(G_s), t - t^{-1}, no mu) at y = w0 v, read off as for
+  C~_w and scaled by t^{-l(w0 v)} and the normalizer.
+Why: C~_w = gamma~_{w^{-1} w0} . pt_{w0}, SMC(cell v) is a multiple of
+(tau_{w0 v})^{-1} . pt_{w0}, and the anti-involution iota(p delta_v) =
+v^{-1}(p) delta_{v^{-1}} gives (h . pt_{w0})_{w0 u} = w0(x_Pi) w0(iota(a)_u)
+for a the image of h.  phi: t -> t^{-1}, tau_i -> -tau_i is a ring
+automorphism of H with phi(gamma_w) = eps_w gamma~_w, and mu(v, ws) != 0
+forces l(v) = l(w) mod 2, so gamma~_w = gamma~_{ws} (tau_s - t^{-1}) -
+sum mu(v, ws) gamma~_v with the same signs.  tau_v -> tau_{v^{-1}} sends
+gamma~_x to gamma~_{x^{-1}}, so iota composed with the image and that map is a
+ring homomorphism sending tau_s to iota(G_s).  And tau_s^{-1} = tau_s + t - t^{-1}.
+
 The hyperbolic KL-Schubert class is the psi-transfer of C_w: psi keeps every
 coefficient, so its value at u is that of C_w times u(mu^{-l(w)} x^hyp_Pi /
 x_Pi).  Exact mode runs the same builders; the direct routes (whole images
-acting by odot or bullet) are test oracles.
+acting by odot, or Hecke sums of iota-products) are test oracles.
 """
 
 from __future__ import annotations
@@ -75,9 +86,22 @@ from .twisted import psi  # noqa: F401
 __all__ = ["CohClass", "Localization"]
 
 
+_T = LaurentPoly.t_power(1, 1)
+_TINV = LaurentPoly.t_power(1, -1)
+# (iota, c, mu terms) of the right recursion X_w = X_{ws} (G + c) - sum mu X_v
+_C_FAMILY = (False, _T, True)
+_C_TILDE_FAMILY = (True, -_TINV, True)
+_SMC_FAMILY = (True, _T - _TINV, False)
+
+
 def _jkey(J) -> tuple:
     """A subset of simple reflections in one canonical form, for memo keys."""
     return tuple(sorted(set(J)))
+
+
+def _neg(root) -> tuple:
+    """The weight of -root."""
+    return tuple(-x for x in root.weight)
 
 
 class CohClass(WMap):
@@ -148,10 +172,13 @@ class Localization:
         function (pt_w twists it by w): a product of lifted factors, since the
         expanded product has |W| terms or more."""
         ring = self.ring(kind)
-        val = self.dom.lift(RatFunc.from_int(ring.model.arity, 1))
-        for alpha in self.system.positive_roots:
-            val = val * ring.x_root(-alpha)
-        return val
+        x_weight = ring.model.x_weight
+        return ring.root_product(lambda a: x_weight(_neg(a)), self.system.positive_roots)
+
+    def _binomial(self, t_exp: int, lam):
+        """1 - t^{t_exp} e^{lam}."""
+        one = LaurentPoly.const(self.system.rank + 1, 1)
+        return one - LaurentPoly.monomial((t_exp,) + tuple(lam), 1)
 
     def mc_cell(self, w: WeylElt) -> CohClass:
         """Motivic Chern class of the open cell, t^{-l(w)} tau_w o pt_e."""
@@ -160,44 +187,42 @@ class Localization:
     def _mc_cell(self, w: WeylElt) -> CohClass:
         return self._on_point_e(self.mult.dl_element(w)).scale(self.mult.scalar_t(-w.length))
 
+    def _right_image(self, iota: bool, c: LaurentPoly, mu: bool, w: WeylElt):
+        """X_w = X_{ws} (G + c) - sum mu(v, ws) X_v over v < ws with vs < v (the
+        sum only when mu), X_e = delta_e, G the image of tau_s or, when iota,
+        iota of it; c a polynomial in t (module docstring)."""
+        if w.length == 0:
+            return self.mult.delta(w)
+        system = self.system
+        i, ws = system.right_step(w)
+        prev = self._once(self._right_image, iota, c, mu, ws)
+        out = self.mult.times_generator(prev, i, iota) + prev.scale(self.mult.t_poly(c))
+        if mu:
+            for v, m in self.hecke.mu_row(ws):
+                if system.elements[system.right_table[v.idx][i]].length < v.length:
+                    out = out + self._once(self._right_image, iota, c, mu, v).scale(-m)
+        return out
+
     def _on_point_e(self, a: QWElt) -> CohClass:
         """a o pt_e: a_u u(x_Pi) at u, u(x_Pi) being the memoized value of pt_u."""
         point = self.point_class
         return CohClass(self.mult, {u: p * point(u).coeffs[u] for u, p in a.coeffs.items()})
 
-    def _t2_binomials(self, weights) -> list:
-        """The binomials 1 - t^-2 e^{lam}, one per weight."""
-        one = LaurentPoly.const(self.system.rank + 1, 1)
-        return [one - LaurentPoly.monomial((-2,) + tuple(lam), 1) for lam in weights]
-
-    def lambda_cotangent_factors(self, J):
-        """The binomial factors (1 - t^-2 e^{a}), a in Sigma^+ minus Sigma_J^+: the
-        factors at e; at the fixed point u they are twisted by u."""
-        return self._t2_binomials(a.weight for a in self.system.roots_outside(J))
-
-    def _normalizer_factors(self, J=()):
-        """The binomial factors (1 - t^-2 e^{-a}), a in Sigma^+ minus Sigma_J^+."""
-        return self._t2_binomials(
-            tuple(-x for x in a.weight) for a in self.system.roots_outside(J)
-        )
-
     def _lambda_inv(self, J):
         """1 / prod (1 - t^-2 e^{a}) over Sigma^+ minus Sigma_J^+, lifted; its value
         at the fixed point u is the twist dom.weyl(u, .)."""
-        one = LaurentPoly.const(self.system.rank + 1, 1)
-        return self.dom.lift(RatFunc.from_den_factors(one, self.lambda_cotangent_factors(J)))
+        return self.mult.root_product(
+            lambda a: RatFunc(self._binomial(-2, a.weight)).inv(), self.system.roots_outside(J)
+        )
 
     # ---------- Serre-Grothendieck duality (localization formula) ----------
 
     def _serre_monomial(self, J):
         """(-1)^{N_J} e^{2 rho_J}, 2 rho_J the sum of Sigma^+ minus Sigma_J^+, lifted."""
-        rel_roots = self.system.roots_outside(J)
-        sign = -1 if len(rel_roots) % 2 else 1
-        two_rho = [0] * self.system.rank
-        for a in rel_roots:
-            for i, x in enumerate(a.weight):
-                two_rho[i] += x
-        return self.dom.lift(RatFunc(LaurentPoly.monomial((0,) + tuple(two_rho), sign)))
+        return self.mult.root_product(
+            lambda a: RatFunc(LaurentPoly.monomial((0,) + a.weight, -1)),
+            self.system.roots_outside(J),
+        )
 
     def serre_dual(self, c: CohClass, J=()) -> CohClass:
         """(D c)_u = (-1)^{N_J} dualize(c_u) * prod e^{u a} over Sigma^+ - Sigma_J^+.
@@ -213,30 +238,24 @@ class Localization:
 
     def _smc_normalizer(self):
         """1 / prod_{a>0} (1 - t^-2 e^{-a}), lifted."""
-        one = LaurentPoly.const(self.system.rank + 1, 1)
-        return self.dom.lift(RatFunc.from_den_factors(one, self._normalizer_factors()))
+        return self.mult.root_product(
+            lambda a: RatFunc(self._binomial(-2, _neg(a))).inv(), self.system.positive_roots
+        )
 
     def smc_cell(self, v: WeylElt) -> CohClass:
-        """SMC of the opposite cell, via the inverse tau action on pt_{w_0}:
-        (tau_{w0 v})^{-1} = bar(tau_{(w0 v)^{-1}})."""
-        w0 = self.system.w0
-        cls = self._on_top_point(self.hecke.bar_tau((w0 * v).inverse()))
-        scal = self.mult.scalar_t(-(w0 * v).length) * self._once(self._smc_normalizer)
+        """SMC of the opposite cell, t^{-l(w0 v)} (tau_{w0 v})^{-1} . pt_{w_0}
+        times the normalizer, by the right recursion at w0 v."""
+        y = self.system.w0 * v
+        cls = self._on_top_point(self._once(self._right_image, *_SMC_FAMILY, y))
+        scal = self.mult.scalar_t(-y.length) * self._once(self._smc_normalizer)
         return cls.scale(scal)
 
-    def _on_top_point(self, h) -> CohClass:
-        """h . pt_{w_0} through iota: with a the image of h, (a . pt_{w0})_u =
-        w0(x_Pi) u(p_{u^-1 w0}) and iota(a)_y = y(p_{y^-1}), so the value at
-        u = w0 y is w0(x_Pi) w0(iota(a)_y)."""
-        ring, w0, weyl = self.mult, self.system.w0, self.dom.weyl
+    def _on_top_point(self, x) -> CohClass:
+        """The class with w0(x_Pi) w0(x_u) at w0 u: h . pt_{w_0} when x is iota of
+        h's image (module docstring)."""
+        w0, weyl = self.system.w0, self.dom.weyl
         top = self.point_class(w0).coeffs[w0]
-        # iota fixes polynomials in t: iota(a) = sum h_w iota(image of tau_w)
-        terms = [
-            (ring.t_poly(p), ring.generator_product(w.inverse(), True).coeffs)
-            for w, p in h.coeffs.items()
-        ]
-        coeffs = combine(self.dom, terms)
-        return CohClass(ring, {w0 * y: top * weyl(w0, c) for y, c in coeffs.items()})
+        return CohClass(self.mult, {w0 * u: top * weyl(w0, c) for u, c in x.coeffs.items()})
 
     # ---------- pairings ----------
 
@@ -289,24 +308,13 @@ class Localization:
         return self._once(self._kl_class_c, w)
 
     def _kl_class_c(self, w: WeylElt) -> CohClass:
-        return self._on_point_e(self._once(self._kl_image, w))
-
-    def _kl_image(self, w: WeylElt):
-        """Gamma_w, the image of gamma_w, by the right KL recursion."""
-        if w.length == 0:
-            return self.mult.delta(w)
-        system = self.system
-        i, ws = system.right_step(w)
-        prev = self._once(self._kl_image, ws)
-        out = self.mult.times_generator(prev, i, False) + prev.scale(self.mult.scalar_t(1))
-        for v, mu in self.hecke.mu_row(ws):
-            if system.elements[system.right_table[v.idx][i]].length < v.length:
-                out = out + self._once(self._kl_image, v).scale(-mu)
-        return out
+        return self._on_point_e(self._once(self._right_image, *_C_FAMILY, w))
 
     def kl_class_c_tilde(self, w: WeylElt) -> CohClass:
-        """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}."""
-        return self._on_top_point(self.hecke.kl_tilde_basis(w.inverse() * self.system.w0))
+        """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}, by the right recursion at w0 w."""
+        return self._on_top_point(
+            self._once(self._right_image, *_C_TILDE_FAMILY, self.system.w0 * w)
+        )
 
     # ---------- parabolic classes ----------
 
@@ -377,11 +385,9 @@ class Localization:
         """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted one binomial
         at a time: lifting is a ring homomorphism, so the product of the lifts is
         the lift of the product."""
-        dom = self.dom
-        norm = dom.one
-        for f in self._normalizer_factors(J):
-            norm = norm * dom.lift(RatFunc(f))
-        return norm
+        return self.mult.root_product(
+            lambda a: RatFunc(self._binomial(-2, _neg(a))), self.system.roots_outside(J)
+        )
 
     def pushforward_scalar(self, J):
         """t_{w_J}^{-1} P_J(t^2), the multiplier in the pushforward of C_{w w_J}."""
@@ -406,17 +412,17 @@ class Localization:
         return CohClass(self.hyp, out)
 
     def _hyp_transfer(self, n: int):
-        """mu^{-n} x^hyp_Pi / x_Pi at e, lifted.  With x^hyp_{-a} / x_{-a} =
-        (t^2 + 1)/(t^2 - e^{a}) and mu^{-n} = t^n / (t^2 + 1)^n this is
-        t^n (t^2 + 1)^{N - n} / prod_{a>0} (t^2 - e^{a}), N the number of positive roots."""
+        """mu^{-n} x^hyp_Pi / x_Pi at e, lifted: the product of x^hyp_{-a} / x_{-a}
+        = (t^2 + 1)/(t^2 - e^{a}) over the positive roots a, times
+        mu^{-n} = t^n / (t^2 + 1)^n."""
+        hyp, mult = self.hyp.model.x_weight, self.mult.model.x_weight
+        ratio = self.mult.root_product(
+            lambda a: hyp(_neg(a)) / mult(_neg(a)), self.system.positive_roots
+        )
         arity = self.system.rank + 1
-        roots = self.system.positive_roots
-        t2 = LaurentPoly.t_power(arity, 2)
-        num = LaurentPoly.t_power(arity, n)
-        for _ in range(len(roots) - n):
-            num = num * (t2 + LaurentPoly.const(arity, 1))
-        dens = [t2 - LaurentPoly.monomial((0,) + tuple(a.weight), 1) for a in roots]
-        return self.dom.lift(RatFunc.from_den_factors(num, dens))
+        t2p1 = LaurentPoly.t_power(arity, 2) + LaurentPoly.const(arity, 1)
+        mu_inv = RatFunc.from_den_factors(LaurentPoly.t_power(arity, n), [t2p1] * n)
+        return ratio * self.dom.lift(mu_inv)
 
     def is_invariant(self, c: CohClass, J) -> bool:
         """Restrictions constant on left cosets u W_J."""
@@ -463,11 +469,11 @@ class Localization:
     def _smoothness_factors(self) -> list:
         """(1 - t^-2 e^a) / (1 - e^a) for each positive root a, lifted; its value
         at the fixed point u is the twist dom.weyl(u, .)."""
-        one = LaurentPoly.const(self.system.rank + 1, 1)
-        roots = self.system.positive_roots
-        dens = [one - LaurentPoly.monomial((0,) + a.weight, 1) for a in roots]
-        nums = self.lambda_cotangent_factors(())
-        return [self.dom.lift(RatFunc.from_den_factors(n, [d])) for n, d in zip(nums, dens)]
+        binomial, lift = self._binomial, self.dom.lift
+        return [
+            lift(RatFunc.from_den_factors(binomial(-2, a.weight), [binomial(0, a.weight)]))
+            for a in self.system.positive_roots
+        ]
 
     def _is_smooth(self, w: WeylElt):
         """The coefficient of Gamma_w at u against the product of u(f_a) over the

@@ -63,9 +63,12 @@ def _normalize_factor(f: LaurentPoly):
 
 
 def _cancel(num: LaurentPoly, facs: tuple):
-    """Divide num by each factor as often as it goes: (quotient, factors left)."""
+    """Divide num by each factor as often as it goes: (quotient, factors left).
+    A canonical factor is no unit, so it divides no monomial."""
     if not num.packed:
         return num, ()
+    if len(num.packed) == 1:
+        return num, facs
     kept = []
     for f, mult in facs:
         while mult:

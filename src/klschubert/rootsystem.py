@@ -481,11 +481,6 @@ class RootSystem:
         mask = _mask(Jp)
         return [w for w in self.parabolic_elements(J) if not self._descents[w.idx] & mask]
 
-    def parabolic_roots(self, J):
-        """Roots of Sigma_J (those with support inside J)."""
-        mask = _mask(J)
-        return [r for r in self.roots if _support_inside(r, mask)]
-
     def roots_outside(self, J) -> list:
         """Positive roots not in Sigma_J, in positive_roots order (cached per J)."""
         key = tuple(sorted(set(J)))

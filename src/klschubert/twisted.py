@@ -117,7 +117,7 @@ class TwistedRing:
         self.model = FglModel(kind, system.rank)
         self.dom = domain if domain is not None else ExactDomain(system)
         self._x_root_cache: dict = {}
-        self._dl_cache: dict = {}  # (w, iota) -> generator_product(w, iota)
+        self._dl_cache: dict = {}  # w -> dl_element(w)
         self._dl_gen_cache: dict = {}
         self._gen_twists: dict = {}  # (u.idx, i) -> u of tau_i's two coefficients
         self._pushpull_cache: dict = {}
@@ -173,17 +173,24 @@ class TwistedRing:
             self._x_root_cache[root] = hit
         return hit
 
-    def x_parabolic_inv(self, J, Jp=()):
-        """1 / x_{J/J'}: the product of 1/x_alpha over negative roots of J not in
-        J', a product of lifted factors and so a known function, since
-        pushpull_rel twists it."""
-        neg = set(r for r in self.system.parabolic_roots(J) if not r.positive)
-        negp = set(r for r in self.system.parabolic_roots(Jp) if not r.positive)
+    def root_product(self, factor, roots):
+        """The product of the lifts of factor(a) over the roots a.  It starts
+        from the lift of 1, not dom.one, which is a computed value, so the
+        product is a known function and can be twisted (see modp)."""
         lift = self.dom.lift
         out = lift(RatFunc.from_int(self.model.arity, 1))
-        for r in neg - negp:
-            out = out * lift(self.model.x_weight_inv(r.weight))
+        for a in roots:
+            out = out * lift(factor(a))
         return out
+
+    def x_parabolic_inv(self, J, Jp=()):
+        """1 / x_{J/J'}: the product of 1/x_{-a} over the positive roots a of
+        Sigma_J outside Sigma_J', lifted root by root, since pushpull_rel
+        twists it."""
+        outside_j = set(self.system.roots_outside(J))
+        roots = [a for a in self.system.roots_outside(Jp) if a not in outside_j]
+        inv = self.model.x_weight_inv
+        return self.root_product(lambda a: inv(tuple(-x for x in a.weight)), roots)
 
     # ---------- elements ----------
 
@@ -276,22 +283,16 @@ class TwistedRing:
         return QWElt(self, out)
 
     def dl_element(self, w: WeylElt) -> QWElt:
-        """The image of tau_w."""
-        return self.generator_product(w, False)
-
-    def generator_product(self, w: WeylElt, iota: bool) -> QWElt:
-        """G_{i_1} ... G_{i_k} along w's reduced word, each G_i the image of tau_i
-        or, when iota, iota of it, built by right steps and cached.  iota is an
-        anti-involution, so iota(image of tau_v) is generator_product(v^-1, True)."""
-        key = (w, iota)
-        hit = self._dl_cache.get(key)
+        """The image of tau_w: G_{i_1} ... G_{i_k} along w's reduced word, each
+        G_i the image of tau_i, built by right steps and cached."""
+        hit = self._dl_cache.get(w)
         if hit is None:
             if w.length == 0:
                 hit = self.delta(w)
             else:
                 i, prev = self.system.right_step(w)
-                hit = self.times_generator(self.generator_product(prev, iota), i, iota)
-            self._dl_cache[key] = hit
+                hit = self.times_generator(self.dl_element(prev), i, False)
+            self._dl_cache[w] = hit
         return hit
 
     def hecke_to_qw(self, h) -> QWElt:

@@ -33,15 +33,18 @@ of the twisted group ring, Bott-Samelson push-pull words, motivic Chern
 classes of Schubert varieties, the pointwise product of two classes, the
 pairing as a full bullet action and its normalizer as a product of root
 factors, the bullet action summed term by term, the smoothness criterion with
-each expected restriction built exactly before it is lifted, the direct routes
-to the classes that Localization builds by recursion (the whole image of tau_w
-or gamma_w acting on pt_e), the constant class one_class, and scalar_elt, a
-scalar times delta_e.
+each expected restriction built exactly before it is lifted, the second
+canonical basis kl_tilde_basis, the direct routes to the classes that
+Localization builds by recursion (the whole image of tau_w or gamma_w acting
+on pt_e, and the Hecke sums of iota-products behind C~_w and SMC cells), the
+constant class one_class, and scalar_elt, a scalar times delta_e.
 """
 
 import re
 from itertools import combinations
+from math import prod
 from operator import add, sub
+from weakref import WeakKeyDictionary
 
 from klschubert.grassmannian import Partition
 from klschubert.laurent import LaurentPoly
@@ -242,6 +245,65 @@ def mc_cell_direct(loc, w):
     return cls.scale(loc.mult.scalar_t(-w.length))
 
 
+def kl_tilde_basis(hecke, w):
+    """The second canonical basis gamma~_w, from the KL basis with alternating
+    signs and t -> t^-1 powers."""
+    coeffs = {}
+    lw, sw = w.length, w.sign
+    for v in hecke.kl_basis(w).coeffs:
+        sign = sw * v.sign
+        p = hecke.kl_polynomial(v, w)
+        coeffs[v] = LaurentPoly(1, {(v.length - lw + 2 * j,): sign * c for j, c in enumerate(p)})
+    return HeckeElt(hecke, coeffs)
+
+
+# ring -> {v: product of iota(G_s) along v's reduced word}, built once per ring
+_IOTA_PRODUCTS = WeakKeyDictionary()
+
+
+def on_top_point_direct(loc, h):
+    """h . pt_{w0} as the Hecke sum: with a the image of h, iota(a) is the sum
+    of h_w iota(image of tau_w) (iota fixes polynomials in t), each
+    iota(image of tau_w) the product of iota(G_s) along w^-1's reduced word by
+    times_generator(..., True); then w0(x_Pi) w0(iota(a)_u) at w0 u."""
+    ring, system, dom = loc.mult, loc.system, loc.dom
+    products = _IOTA_PRODUCTS.get(ring)
+    if products is None:
+        products = _IOTA_PRODUCTS[ring] = {system.identity: ring.delta(system.identity)}
+        for v in sorted(system.elements, key=lambda v: v.length)[1:]:
+            i, prev = system.right_step(v)
+            products[v] = ring.times_generator(products[prev], i, True)
+    iota_a = {}
+    for w, p in h.coeffs.items():
+        c = ring.t_poly(p)
+        for u, q in products[w.inverse()].coeffs.items():
+            acc = iota_a.get(u)
+            iota_a[u] = q * c if acc is None else acc + q * c
+    w0 = system.w0
+    top = loc.point_class(w0).coeffs[w0]
+    return CohClass(ring, {w0 * u: top * dom.weyl(w0, c) for u, c in iota_a.items()})
+
+
+def kl_class_c_tilde_direct(loc, w):
+    """C~_w = gamma~_{w^-1 w0} . pt_{w0}, by the Hecke sum."""
+    return on_top_point_direct(loc, kl_tilde_basis(loc.hecke, w.inverse() * loc.system.w0))
+
+
+def smc_cell_direct(loc, v):
+    """SMC(cell v) = t^{-l(w0 v)} (tau_{w0 v})^{-1} . pt_{w0} over
+    prod_{a>0} (1 - t^-2 e^{-a}), with (tau_{w0 v})^{-1} = bar(tau_{(w0 v)^-1})
+    by the Hecke sum and the scalar lifted as one fraction."""
+    y = loc.system.w0 * v
+    arity = loc.system.rank + 1
+    one = LaurentPoly.const(arity, 1)
+    dens = [
+        one - LaurentPoly.monomial((-2,) + tuple(-x for x in a.weight), 1)
+        for a in loc.system.positive_roots
+    ]
+    scal = loc.dom.lift(RatFunc.from_den_factors(LaurentPoly.t_power(arity, -y.length), dens))
+    return on_top_point_direct(loc, loc.hecke.bar_tau(y.inverse())).scale(scal)
+
+
 def kl_class_c_direct(loc, w):
     """C_w = gamma_w o pt_e, with the whole image of gamma_w."""
     op = loc.mult.hecke_to_qw(loc.hecke.kl_basis(w))
@@ -368,33 +430,45 @@ def long_divide(n, d):
     return LaurentPoly(n.arity, {tuple(map(add, e, back)): c for e, c in quo.items()})
 
 
-def _poly_mod(poly, point, p, powers):
-    """poly at point mod p, term by term, each coordinate power computed once
-    and kept in powers (not through LaurentPoly.eval_mod)."""
-    total = 0
-    for e, c in poly.terms.items():
-        for slot, x in enumerate(e):
-            if x:
-                pw = powers.get((slot, x))
-                if pw is None:
-                    pw = powers[slot, x] = pow(point[slot], x, p)
-                c = c * pw % p
-        total += c
-    return total % p
+def _poly_at(poly, points, p, powers):
+    """poly at each point mod p, term by term (not through LaurentPoly.eval_mod):
+    powers[k][slot] maps an exponent to that coordinate power at points[k], each
+    computed once, and a term is its coefficient times one product of those."""
+    terms = poly.terms
+    for slot, xs in enumerate(zip(*terms)):
+        for x in set(xs):
+            for point, tables in zip(points, powers):
+                if x not in tables[slot]:
+                    tables[slot][x] = pow(point[slot], x, p)
+    items = terms.items()
+    return [sum(c * prod(map(dict.get, tables, e)) for e, c in items) % p for tables in powers]
+
+
+def _eval_at(r, points, p, powers, factors):
+    """r at each point mod p, the residues of each denominator factor kept in
+    factors; ZeroDivisionError where its denominator vanishes."""
+    if r.dc % p == 0:
+        raise ZeroDivisionError("denominator content divisible by p")
+    dens = [r.dc % p] * len(points)
+    for f, mult in r.facs:
+        vals = factors.get(f)
+        if vals is None:
+            vals = factors[f] = _poly_at(f, points, p, powers)
+        if 0 in vals:
+            raise ZeroDivisionError("denominator factor vanishes at point")
+        dens = [d * pow(v, mult, p) % p for d, v in zip(dens, vals)]
+    num = _poly_at(r.num, points, p, powers)
+    return [n * pow(d, p - 2, p) % p for n, d in zip(num, dens)]
+
+
+def _power_tables(points):
+    """Per point, one empty exponent -> power map per coordinate slot."""
+    return [[{} for _ in point] for point in points]
 
 
 def eval_mod(r, point, p):
     """r at one point mod p; ZeroDivisionError where its denominator vanishes."""
-    den = r.dc % p
-    if den == 0:
-        raise ZeroDivisionError("denominator content divisible by p")
-    powers: dict = {}  # (slot, exponent) -> coordinate power mod p
-    for f, mult in r.facs:
-        v = _poly_mod(f, point, p, powers)
-        if v == 0:
-            raise ZeroDivisionError("denominator factor vanishes at point")
-        den = den * pow(v, mult, p) % p
-    return _poly_mod(r.num, point, p, powers) * pow(den, p - 2, p) % p
+    return _eval_at(r, [point], p, _power_tables([point]), {})[0]
 
 
 _TERM_FACTOR = re.compile(r"^(t|z(\d+))(?:\^(-?\d+))?$")
@@ -516,9 +590,20 @@ def kept_points(dom) -> list:
     ]
 
 
+# dom -> (its kept points, their coordinate powers, denominator factor residues)
+_KEPT_TABLES = WeakKeyDictionary()
+
+
 def eval_kept(dom, r) -> tuple:
-    """The exact fraction r at the kept points of dom, one eval_mod each."""
-    return tuple(eval_mod(r, pt, dom.prime) for pt in kept_points(dom))
+    """The exact fraction r at the kept points of dom, as eval_mod evaluates it
+    at one point, with the coordinate powers and factor residues kept per
+    domain."""
+    tables = _KEPT_TABLES.get(dom)
+    if tables is None:
+        points = kept_points(dom)
+        tables = _KEPT_TABLES[dom] = (points, _power_tables(points), {})
+    points, powers, factors = tables
+    return tuple(_eval_at(r, points, dom.prime, powers, factors))
 
 
 def one_class(loc, kind):

@@ -16,6 +16,7 @@ from oracles import (
     eval_kept,
     is_smooth_direct,
     kl_class_c_direct,
+    kl_class_c_tilde_direct,
     kl_schubert_direct,
     mc_cell_direct,
     mc_variety,
@@ -25,6 +26,7 @@ from oracles import (
     pairing_normalizer_product,
     pushpull_word,
     qw_iota,
+    smc_cell_direct,
 )
 
 
@@ -407,7 +409,8 @@ RECURSION_CONFIGS = [
 def test_class_recursions_match_direct_routes(name, mode):
     """C_w, built by the right KL recursion, MC(cell w) and the hyperbolic
     KL-Schubert class equal the whole image of gamma_w or tau_w acting on pt_e
-    by odot."""
+    by odot; C~_w and SMC(cell w), built by the right recursion through iota,
+    equal the Hecke sums of iota-products acting on pt_{w0}."""
     system = RootSystem(RECURSION_GROUPS[name])
     dom = OrbitDomain(system, seed=23) if mode == "modp" else None
     loc = Localization(system, dom)
@@ -420,6 +423,8 @@ def test_class_recursions_match_direct_routes(name, mode):
         assert loc.kl_class_c(w) == kl_class_c_direct(loc, w), w
         assert loc.mc_cell(w) == mc_cell_direct(loc, w), w
         assert loc.kl_schubert(w) == kl_schubert_direct(loc, w), w
+        assert loc.kl_class_c_tilde(w) == kl_class_c_tilde_direct(loc, w), w
+        assert loc.smc_cell(w) == smc_cell_direct(loc, w), w
 
 
 @pytest.mark.parametrize("name", ["A3", "B2", "G2", "B3"])
