@@ -103,15 +103,11 @@ class HeckeAlgebra:
             out = out + self.tau_word(a, w.word).scale(c)
         return out
 
-    def tau_inverse_generator(self, i: int) -> HeckeElt:
-        """tau_i^{-1} = tau_i + t - t^{-1}."""
-        s = self.system.simple_reflection(i)
-        return HeckeElt(self, {s: _ONE, self.system.identity: _T - _TINV})
-
     # ---------- bar involution ----------
 
     def bar_tau(self, w: WeylElt) -> HeckeElt:
-        """bar(tau_w) = (tau_{w^{-1}})^{-1}, memoized along reduced words."""
+        """bar(tau_w) = (tau_{w^{-1}})^{-1}, memoized along reduced words: with
+        b = bar(tau_{ws}), bar(tau_w) = b tau_s^{-1} = b tau_s + (t - t^{-1}) b."""
         hit = self._bar_tau.get(w)
         if hit is not None:
             return hit
@@ -119,16 +115,21 @@ class HeckeAlgebra:
             out = self.one()
         else:
             i, prev = self.system.right_step(w)
-            out = self.product(self.bar_tau(prev), self.tau_inverse_generator(i))
+            b = self.bar_tau(prev)
+            out = self.tau_mul(b, i) + b.scale(_T - _TINV)
         self._bar_tau[w] = out
         return out
 
     def bar(self, h: HeckeElt) -> HeckeElt:
-        """Ring involution with bar(t) = t^-1 and bar(tau_i) = tau_i^{-1}."""
-        out = self.zero()
+        """Ring involution with bar(t) = t^-1 and bar(tau_i) = tau_i^{-1}: the sum
+        of dualize(h_w) bar(tau_w), accumulated into one map."""
+        out: dict = {}
         for w, c in h.coeffs.items():
-            out = out + self.bar_tau(w).scale(c.dualize())
-        return out
+            c = c.dualize()
+            for v, p in self.bar_tau(w).coeffs.items():
+                q = out.get(v)
+                out[v] = p * c if q is None else q + p * c
+        return HeckeElt(self, out)
 
     # ---------- Kazhdan-Lusztig bases ----------
 
@@ -150,13 +151,11 @@ class HeckeAlgebra:
                 i, u = system.right_step(w)
                 gu = self._gamma[u]
                 g = self.tau_mul(gu, i) + gu.scale(_T)
-                for v, mu in self.mu_row(u):
-                    vs = system.elements[system.right_table[v.idx][i]]
-                    if vs.length < v.length:
-                        g = g + self._gamma[v].scale(-mu)
+                for v, mu in self.mu_terms(u, i):
+                    g = g + self._gamma[v].scale(-mu)
             self._gamma[w] = g
             self._record_kl_row(w, g)
-            if w in to_check and not self._is_bar_invariant(g):
+            if w in to_check and self.bar(g) != g:
                 raise AssertionError(f"gamma for {w!r} is not bar-invariant")
         self._kl_done_length = max_length
 
@@ -170,9 +169,6 @@ class HeckeAlgebra:
         pool = [w for w in order if w.length > 4]
         sample = rng.sample(pool, min(8, len(pool))) if pool else []
         return set(shortish) | set(sample)
-
-    def _is_bar_invariant(self, g: HeckeElt) -> bool:
-        return self.bar(g) == g
 
     def _record_kl_row(self, w: WeylElt, g: HeckeElt):
         lw = w.length
@@ -204,6 +200,12 @@ class HeckeAlgebra:
                 if j < len(p) and p[j]:
                     out.append((v, p[j]))
         return out
+
+    def mu_terms(self, w: WeylElt, i: int) -> list:
+        """The (v, mu(v, w)) of mu_row(w) with v s_i < v: the terms subtracted
+        from gamma_w gamma_{s_i} in the right KL recursion."""
+        descents = self.system._descents
+        return [(v, m) for v, m in self.mu_row(w) if descents[v.idx] >> i & 1]
 
     def kl_basis(self, w: WeylElt) -> HeckeElt:
         hit = self._gamma.get(w)

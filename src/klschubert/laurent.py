@@ -168,7 +168,7 @@ def _weyl_plan(matrix):
 
 
 class LaurentPoly:
-    __slots__ = ("arity", "packed", "bound", "_key", "_lead", "_floors", "_plan")
+    __slots__ = ("arity", "packed", "bound", "_key", "_hash", "_lead", "_floors", "_plan")
 
     def __init__(self, arity: int, terms: dict | None = None):
         """The polynomial with the given {exponent tuple: coefficient} terms."""
@@ -186,7 +186,7 @@ class LaurentPoly:
         self.arity = arity
         self.packed = packed
         self.bound = bound
-        self._key = self._lead = self._floors = self._plan = None
+        self._key = self._hash = self._lead = self._floors = self._plan = None
 
     @classmethod
     def _make(cls, arity: int, packed: dict, bound: int) -> "LaurentPoly":
@@ -202,7 +202,7 @@ class LaurentPoly:
         self.arity = arity
         self.packed = packed
         self.bound = bound
-        self._key = self._lead = self._floors = self._plan = None
+        self._key = self._hash = self._lead = self._floors = self._plan = None
         return self
 
     def _tighten(self) -> int:
@@ -293,7 +293,11 @@ class LaurentPoly:
         return self.arity == other.arity and self.packed == other.packed
 
     def __hash__(self):
-        return hash(self.sort_key())
+        """Cached: factors key the image table and the factor dicts of ``ratfunc``."""
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.sort_key())
+        return h
 
     def __bool__(self):
         return bool(self.packed)

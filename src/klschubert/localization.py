@@ -35,24 +35,22 @@ generators and of Y_{J/J'}, the Serre monomial, the cotangent and hyperbolic
 transfer factors and the root factors of the smoothness criterion.  Products
 of lifted root factors go through TwistedRing.root_product.
 
-Build once: every point class, cell class, canonical class C_w and image of
-gamma_w, parabolic cell class, smoothness verdict and per-J (or per-length)
-lifted scalar is built at most once per Localization, through one memo table
-keyed by (builder, arguments), and the same object is handed to every caller;
-so no class is changed after it is built.
+Build once: every point class, cell class, canonical class C_w, element of
+the right recursion, parabolic cell class, smoothness verdict and per-J (or
+per-length) lifted scalar is built at most once per Localization, through one
+memo table keyed by (builder, arguments), and the same object is handed to
+every caller; so no class is changed after it is built.
 
 One memoized right recursion, s the last letter of w's reduced word,
 
-    X_e = delta_e,   X_w = X_{ws} (G + c) - sum mu(v, ws) X_v  over v < ws, vs < v,
+    X_e = delta_e,   X_w = X_{ws} (iota(G_s) + c) - sum mu(v, ws) X_v  over v < ws, vs < v,
 
-builds three families from data (G, c, mu terms).  G is G_s = g_e delta_e +
-g_s delta_s, the image of tau_s, or iota(G_s) = g_e delta_e + s(g_s) delta_s,
-so a right product twists only lifted generator coefficients:
-- C_w: (G_s, t, mu).  X_w = Gamma_w, the image of gamma_w (the right KL
-  recursion, Kazhdan-Lusztig 1979), and (C_w)_u = Gamma_w[u] u(x_Pi).
-- C~_w: (iota(G_s), -t^{-1}, mu) at y = w0 w; (C~_w)_{w0 u} = w0(x_Pi) w0(X_y[u]).
-- SMC(cell v): (iota(G_s), t - t^{-1}, no mu) at y = w0 v, read off as for
-  C~_w and scaled by t^{-l(w0 v)} and the normalizer.
+with G_s = g_e delta_e + g_s delta_s the image of tau_s and iota(G_s) = g_e
+delta_e + s(g_s) delta_s, builds two families from data (c, mu terms); a
+right product twists only lifted generator coefficients:
+- C~_w: (-t^{-1}, mu) at y = w0 w; (C~_w)_{w0 u} = w0(x_Pi) w0(X_y[u]).
+- SMC(cell v): (t - t^{-1}, no mu) at y = w0 v, read off as for C~_w and
+  scaled by t^{-l(w0 v)} and the normalizer.
 Why: C~_w = gamma~_{w^{-1} w0} . pt_{w0}, SMC(cell v) is a multiple of
 (tau_{w0 v})^{-1} . pt_{w0}, and the anti-involution iota(p delta_v) =
 v^{-1}(p) delta_{v^{-1}} gives (h . pt_{w0})_{w0 u} = w0(x_Pi) w0(iota(a)_u)
@@ -62,6 +60,18 @@ forces l(v) = l(w) mod 2, so gamma~_w = gamma~_{ws} (tau_s - t^{-1}) -
 sum mu(v, ws) gamma~_v with the same signs.  tau_v -> tau_{v^{-1}} sends
 gamma~_x to gamma~_{x^{-1}}, so iota composed with the image and that map is a
 ring homomorphism sending tau_s to iota(G_s).  And tau_s^{-1} = tau_s + t - t^{-1}.
+
+C_w runs the right KL recursion (Kazhdan-Lusztig 1979) Gamma_w = Gamma_{ws}
+(G_s + t) - sum mu(v, ws) Gamma_v, Gamma_w the image of gamma_w, on its
+restrictions C_w[y] = Gamma_w[y] y(x_Pi), which are Laurent polynomials.
+(Gamma G_s)[y] = Gamma[y] y(g_e) + Gamma[ys] (ys)(g_s) and y(x_Pi) =
+(ys)(x_Pi) (ys)(s(x_Pi)/x_Pi), so C_e = pt_e and
+
+    C_w[y] = C_{ws}[y] (y(g_e) + t) + C_{ws}[ys] (ys)(k_s) - sum mu(v, ws) C_v[y],
+
+k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s} (s permutes the positive roots
+other than alpha_s), a product of two lifts and so a known function.  Each
+C_w[y] is one dom.dot, and no Gamma_w is built.
 
 The hyperbolic KL-Schubert class is the psi-transfer of C_w: psi keeps every
 coefficient, so its value at u is that of C_w times u(mu^{-l(w)} x^hyp_Pi /
@@ -79,7 +89,7 @@ from .laurent import LaurentPoly
 from .modp import ExactDomain
 from .ratfunc import RatFunc
 from .rootsystem import RootSystem, WeylElt, WMap
-from .twisted import QWElt, TwistedRing, combine, twisted_product
+from .twisted import QWElt, TwistedRing, combine, dot_by_key, twisted_product
 # not called here: perfbench/tracing.py patches psi in each module that names it
 from .twisted import psi  # noqa: F401
 
@@ -88,10 +98,9 @@ __all__ = ["CohClass", "Localization"]
 
 _T = LaurentPoly.t_power(1, 1)
 _TINV = LaurentPoly.t_power(1, -1)
-# (iota, c, mu terms) of the right recursion X_w = X_{ws} (G + c) - sum mu X_v
-_C_FAMILY = (False, _T, True)
-_C_TILDE_FAMILY = (True, -_TINV, True)
-_SMC_FAMILY = (True, _T - _TINV, False)
+# (c, mu terms) of the right recursion X_w = X_{ws} (iota(G) + c) - sum mu X_v
+_C_TILDE_FAMILY = (-_TINV, True)
+_SMC_FAMILY = (_T - _TINV, False)
 
 
 def _jkey(J) -> tuple:
@@ -185,28 +194,24 @@ class Localization:
         return self._once(self._mc_cell, w)
 
     def _mc_cell(self, w: WeylElt) -> CohClass:
-        return self._on_point_e(self.mult.dl_element(w)).scale(self.mult.scalar_t(-w.length))
+        """t^{-l(w)} tau_w o pt_e: a_u pt_u[u] at u, for a the image of tau_w."""
+        point = self.point_class
+        out = {u: p * point(u).coeffs[u] for u, p in self.mult.dl_element(w).coeffs.items()}
+        return CohClass(self.mult, out).scale(self.mult.scalar_t(-w.length))
 
-    def _right_image(self, iota: bool, c: LaurentPoly, mu: bool, w: WeylElt):
-        """X_w = X_{ws} (G + c) - sum mu(v, ws) X_v over v < ws with vs < v (the
-        sum only when mu), X_e = delta_e, G the image of tau_s or, when iota,
-        iota of it; c a polynomial in t (module docstring)."""
+    def _right_image(self, c: LaurentPoly, mu: bool, w: WeylElt):
+        """X_w = X_{ws} (iota(G) + c) - sum mu(v, ws) X_v over v < ws with vs < v
+        (the sum only when mu), X_e = delta_e, G the image of tau_s; c a
+        polynomial in t (module docstring)."""
         if w.length == 0:
             return self.mult.delta(w)
-        system = self.system
-        i, ws = system.right_step(w)
-        prev = self._once(self._right_image, iota, c, mu, ws)
-        out = self.mult.times_generator(prev, i, iota) + prev.scale(self.mult.t_poly(c))
+        i, ws = self.system.right_step(w)
+        prev = self._once(self._right_image, c, mu, ws)
+        out = self.mult.times_generator(prev, i, True) + prev.scale(self.mult.t_poly(c))
         if mu:
-            for v, m in self.hecke.mu_row(ws):
-                if system.elements[system.right_table[v.idx][i]].length < v.length:
-                    out = out + self._once(self._right_image, iota, c, mu, v).scale(-m)
+            for v, m in self.hecke.mu_terms(ws, i):
+                out = out + self._once(self._right_image, c, mu, v).scale(-m)
         return out
-
-    def _on_point_e(self, a: QWElt) -> CohClass:
-        """a o pt_e: a_u u(x_Pi) at u, u(x_Pi) being the memoized value of pt_u."""
-        point = self.point_class
-        return CohClass(self.mult, {u: p * point(u).coeffs[u] for u, p in a.coeffs.items()})
 
     def _lambda_inv(self, J):
         """1 / prod (1 - t^-2 e^{a}) over Sigma^+ minus Sigma_J^+, lifted; its value
@@ -308,7 +313,32 @@ class Localization:
         return self._once(self._kl_class_c, w)
 
     def _kl_class_c(self, w: WeylElt) -> CohClass:
-        return self._on_point_e(self._once(self._right_image, *_C_FAMILY, w))
+        """C_w on its restrictions, one dom.dot per y (module docstring)."""
+        if w.length == 0:
+            return self.point_class(w)
+        i, ws = self.system.right_step(w)
+        s = self.system.simple_reflection(i)
+        triples = []  # (y, a restriction, its scalar)
+        for u, x in self.kl_class_c(ws).coeffs.items():
+            a, k = self._once(self._c_scalars, u, i)
+            triples += ((u, x, a), (u * s, x, k))
+        for v, m in self.hecke.mu_terms(ws, i):
+            c = self.mult.as_scalar(-m)
+            triples += ((y, x, c) for y, x in self.kl_class_c(v).coeffs.items())
+        return CohClass(self.mult, dot_by_key(self.dom, triples))
+
+    def _c_scalars(self, u: WeylElt, i: int) -> tuple:
+        """(u(g_e) + t, u(k_s)) for s = s_i, g_e and g_s the coefficients of
+        tau_s's image and k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s}."""
+        ring, weyl = self.mult, self.dom.weyl
+        ge = ring.dl_generator(i).coeffs[self.system.identity]
+        return weyl(u, ge) + ring.scalar_t(), weyl(u, self._once(self._k_generator, i))
+
+    def _k_generator(self, i: int):
+        """k_s, a product of two lifts and so a known function (see modp)."""
+        s = self.system.simple_reflection(i)
+        e_minus = LaurentPoly.monomial((0,) + _neg(self.system.simple_roots[i]), -1)
+        return self.mult.dl_generator(i).coeffs[s] * self.dom.lift(RatFunc(e_minus))
 
     def kl_class_c_tilde(self, w: WeylElt) -> CohClass:
         """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}, by the right recursion at w0 w."""

@@ -130,12 +130,9 @@ class ExactDomain:
         return c.dualize()
 
     def dot(self, xs, ys) -> RatFunc:
-        """sum x y over the pairs of xs and ys, added left to right from the first product."""
-        out = None
-        for x, y in zip(xs, ys):
-            term = x * y
-            out = term if out is None else out + term
-        return self.zero if out is None else out
+        """sum x y over the pairs of xs and ys, as one RatFunc.sum: the products
+        over one common denominator, cancelled once (see ratfunc)."""
+        return RatFunc.sum(map(mul, xs, ys), self.arity)
 
 
 class OrbitScalar:

@@ -9,7 +9,9 @@ integer content shared by num and den; factors are cancelled where a
 cancellation can happen, by ``_cancel``:
 
 - ``from_den_factors`` and ``inv``: the numerator against the new factors;
-- ``+``: the sum against its denominator;
+- ``sum``, and ``+`` as its two-term case: all the terms over one common
+  denominator (the lcm of the contents, the union of the factors at their
+  largest multiplicity), cancelled once, not after every addition;
 - ``*``: each numerator against the other operand's factors only, the rule
   for products of reduced fractions (Henrici 1956; Knuth, TAOCP 2, 4.5.1).
 
@@ -21,7 +23,9 @@ numerator, subtracts that key from every key of the polynomial.
 canonical factors to canonical factors up to units, so a fraction with no
 cancellable factor keeps none.  Over irreducible factors the stored fraction
 is therefore reduced; otherwise it may not be, and equality is semantic, by
-cross-multiplication, either way.
+cross-multiplication, either way.  The normalized image of a canonical factor
+under a Weyl matrix, or under dualize, is computed once per process, in the
+table ``_IMAGES``; numerators are mapped on every call.
 
 The orbit-point domain in ``modp`` evaluates a fraction modulo the fixed
 published 62-bit prime ``FIXED_PRIME``: the numerator and each canonical
@@ -40,6 +44,10 @@ __all__ = ["RatFunc", "FIXED_PRIME"]
 
 # Largest 62-bit prime, 2^62 - 57.
 FIXED_PRIME = 4611686018427387847
+
+
+# Weyl matrix, or "dualize" -> {canonical factor: _normalize_factor of its image}
+_IMAGES: dict = {}
 
 
 def _normalize_factor(f: LaurentPoly):
@@ -169,33 +177,33 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.facs == other.facs and self.dc == other.dc:
-            num, facs = _cancel(self.num + other.num, self.facs)
-            return RatFunc(num, self.dc, facs)
-        a, b = dict(self.facs), dict(other.facs)
-        # union multiset of factors, keyed by the factor polynomial
-        union = dict(a)
-        for f, mult in b.items():
-            if union.get(f, 0) < mult:
-                union[f] = mult
-        g = gcd(self.dc, other.dc)
-        L = self.dc // g * other.dc
-        num_a = self.num.scale(L // self.dc)
-        num_b = other.num.scale(L // other.dc)
-        for f, mult in union.items():
-            da = mult - a.get(f, 0)
-            db = mult - b.get(f, 0)
-            for _ in range(da):
-                num_a = num_a * f
-            for _ in range(db):
-                num_b = num_b * f
+        return RatFunc.sum((self, other), self.arity)
+
+    @classmethod
+    def sum(cls, terms, arity: int) -> "RatFunc":
+        """The sum of the fractions in terms (zero for none), over one common
+        denominator: the lcm of their contents times the union of their
+        factors, each at its largest multiplicity.  The numerator is cancelled
+        against it once, not after every addition."""
+        terms = [r for r in terms if r.num.packed]
+        if len(terms) <= 1:
+            return terms[0] if terms else cls.from_int(arity, 0)
+        dc, union = 1, {}
+        for r in terms:
+            dc = dc // gcd(dc, r.dc) * r.dc
+            for f, mult in r.facs:
+                if union.get(f, 0) < mult:
+                    union[f] = mult
+        nums = []
+        for r in terms:
+            num, own = r.num.scale(dc // r.dc), dict(r.facs)
+            for f, mult in union.items():
+                for _ in range(mult - own.get(f, 0)):
+                    num = num * f
+            nums.append(num)
         facs = tuple(sorted(union.items(), key=lambda kv: kv[0].sort_key()))
-        num, facs = _cancel(num_a + num_b, facs)
-        return RatFunc(num, L, facs)
+        num, facs = _cancel(sum(nums[1:], nums[0]), facs)
+        return cls(num, dc, facs)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -290,13 +298,17 @@ class RatFunc:
 
     # ---------- substitutions ----------
 
-    def _map(self, fn) -> "RatFunc":
+    def _map(self, fn, tag) -> "RatFunc":
         # no cancellation: fn is a ring automorphism, so no image factor divides the image num
         num = fn(self.num)
+        images = _IMAGES.setdefault(tag, {})
         dc = self.dc
         bag: dict = {}
         for f, mult in self.facs:
-            c, mc, canon = _normalize_factor(fn(f))
+            hit = images.get(f)
+            if hit is None:
+                hit = images[f] = _normalize_factor(fn(f))
+            c, mc, canon = hit
             if c < 0 and mult % 2:
                 num = -num
             dc *= abs(c) ** mult
@@ -308,10 +320,10 @@ class RatFunc:
         return RatFunc(num, dc, facs)
 
     def weyl(self, matrix) -> "RatFunc":
-        return self._map(lambda p: p.weyl(matrix))
+        return self._map(lambda p: p.weyl(matrix), matrix)
 
     def dualize(self) -> "RatFunc":
-        return self._map(lambda p: p.dualize())
+        return self._map(LaurentPoly.dualize, "dualize")
 
     # ---------- printing ----------
 

@@ -25,7 +25,7 @@ from .modp import ExactDomain, domains_compatible
 from .ratfunc import RatFunc
 from .rootsystem import Root, RootSystem, WeylElt, WMap
 
-__all__ = ["FglModel", "QWElt", "TwistedRing", "combine", "psi", "twisted_product"]
+__all__ = ["FglModel", "QWElt", "TwistedRing", "combine", "dot_by_key", "psi", "twisted_product"]
 
 
 def twisted_product(dom, a: dict, b: dict) -> dict:
@@ -43,13 +43,18 @@ def twisted_product(dom, a: dict, b: dict) -> dict:
 def combine(dom, terms) -> dict:
     """sum c m over (scalar c, {w: scalar} map m) pairs: one dom.dot per key w,
     over the m_w and c in the order of terms."""
+    return dot_by_key(dom, ((w, v, c) for c, m in terms for w, v in m.items()))
+
+
+def dot_by_key(dom, triples) -> dict:
+    """{w: sum x c over the (w, x, c) in triples}: one dom.dot per key w, in
+    the order of triples."""
     by_key: dict = {}
-    for c, m in terms:
-        for w, v in m.items():
-            vs, cs = by_key.setdefault(w, ([], []))
-            vs.append(v)
-            cs.append(c)
-    return {w: dom.dot(vs, cs) for w, (vs, cs) in by_key.items()}
+    for w, x, c in triples:
+        xs, cs = by_key.setdefault(w, ([], []))
+        xs.append(x)
+        cs.append(c)
+    return {w: dom.dot(xs, cs) for w, (xs, cs) in by_key.items()}
 
 
 class FglModel:

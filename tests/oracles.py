@@ -6,7 +6,7 @@ These deliberately avoid the production code paths they check:
 - kl_basis_by_bar_solving finds the canonical basis element for w by solving
   the bar-invariance + triangularity conditions as a linear system over
   Laurent polynomials in t, using only Hecke multiplication by generators
-  and generator inverses (never the mu-recursion).
+  and the generator inverses tau_inverse_generator (never the mu-recursion).
 
 - tuple_mul, tuple_divide_binomial and long_divide multiply and divide on
   exponent tuples, one tuple built per term, where LaurentPoly works on
@@ -14,6 +14,8 @@ These deliberately avoid the production code paths they check:
   chain after one refutation walk, and the lex-order long division that
   exact_divide used for every divisor before binomials were divided chain by
   chain.
+- map_untabled applies weyl or dualize to a fraction with every factor
+  image normalized afresh, where RatFunc looks the images up in one table.
 - eval_mod evaluates a fraction at one point mod p term by term, with one
   Fermat inversion of its denominator, where OrbitDomain.lift multiplies
   whole residue vectors and inverts each factor's vector in one batch.
@@ -50,8 +52,8 @@ from klschubert.grassmannian import Partition
 from klschubert.laurent import LaurentPoly
 from klschubert.hecke import HeckeElt
 from klschubert.localization import CohClass
-from klschubert.ratfunc import RatFunc
-from klschubert.twisted import QWElt, psi
+from klschubert.ratfunc import RatFunc, _normalize_factor
+from klschubert.twisted import QWElt, combine, psi
 
 
 def subword_leq(system, u, v):
@@ -68,6 +70,13 @@ def subword_leq(system, u, v):
     return False
 
 
+def tau_inverse_generator(ring, i):
+    """tau_i^{-1} = tau_i + t - t^{-1}."""
+    system, t = ring.system, LaurentPoly.t_power(1, 1)
+    s = system.simple_reflection(i)
+    return HeckeElt(ring, {s: LaurentPoly.const(1, 1), system.identity: t - t.dualize()})
+
+
 def _bar_tau_table(ring):
     """bar(tau_v) for all v, built from generator inverses along BFS words."""
     system = ring.system
@@ -79,7 +88,7 @@ def _bar_tau_table(ring):
         i = w.word[-1]
         prev = system.elements[system.right_table[w.idx][i]]
         # bar(tau_{ws}) = bar(tau_w) * tau_s^{-1}
-        table[w] = ring.product(table[prev], ring.tau_inverse_generator(i))
+        table[w] = ring.product(table[prev], tau_inverse_generator(ring, i))
     return table
 
 
@@ -273,12 +282,8 @@ def on_top_point_direct(loc, h):
         for v in sorted(system.elements, key=lambda v: v.length)[1:]:
             i, prev = system.right_step(v)
             products[v] = ring.times_generator(products[prev], i, True)
-    iota_a = {}
-    for w, p in h.coeffs.items():
-        c = ring.t_poly(p)
-        for u, q in products[w.inverse()].coeffs.items():
-            acc = iota_a.get(u)
-            iota_a[u] = q * c if acc is None else acc + q * c
+    terms = [(ring.t_poly(p), products[w.inverse()].coeffs) for w, p in h.coeffs.items()]
+    iota_a = combine(dom, terms)
     w0 = system.w0
     top = loc.point_class(w0).coeffs[w0]
     return CohClass(ring, {w0 * u: top * dom.weyl(w0, c) for u, c in iota_a.items()})
@@ -326,6 +331,23 @@ def pairing_normalizer_product(loc, J=()):
         e_minus = LaurentPoly.monomial((-1,) + tuple(-x for x in a.weight), 1)
         val = val * RatFunc(LaurentPoly.t_power(arity, 1) - e_minus)
     return loc.dom.lift(val)
+
+
+def map_untabled(r, fn):
+    """(num, dc, facs) of the automorphism fn applied to the fraction r, each
+    factor's image normalized afresh: RatFunc.weyl and dualize without the
+    image table."""
+    num, dc, bag = fn(r.num), r.dc, {}
+    for f, mult in r.facs:
+        c, mc, canon = _normalize_factor(fn(f))
+        if c < 0 and mult % 2:
+            num = -num
+        dc *= abs(c) ** mult
+        num = num.shift(-mc * mult)
+        if not canon.is_one():
+            bag[canon] = bag.get(canon, 0) + mult
+    out = RatFunc(num, dc, tuple(sorted(bag.items(), key=lambda kv: kv[0].sort_key())))
+    return out.num, out.dc, out.facs
 
 
 def tuple_mul(a, b):

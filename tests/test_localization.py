@@ -407,10 +407,10 @@ RECURSION_CONFIGS = [
 
 @pytest.mark.parametrize("name, mode", RECURSION_CONFIGS)
 def test_class_recursions_match_direct_routes(name, mode):
-    """C_w, built by the right KL recursion, MC(cell w) and the hyperbolic
-    KL-Schubert class equal the whole image of gamma_w or tau_w acting on pt_e
-    by odot; C~_w and SMC(cell w), built by the right recursion through iota,
-    equal the Hecke sums of iota-products acting on pt_{w0}."""
+    """C_w, built by the right KL recursion on its restrictions, MC(cell w) and
+    the hyperbolic KL-Schubert class equal the whole image of gamma_w or tau_w
+    acting on pt_e by odot; C~_w and SMC(cell w), built by the right recursion
+    through iota, equal the Hecke sums of iota-products acting on pt_{w0}."""
     system = RootSystem(RECURSION_GROUPS[name])
     dom = OrbitDomain(system, seed=23) if mode == "modp" else None
     loc = Localization(system, dom)
@@ -582,3 +582,19 @@ def test_printed_parabolic_classes_are_pinned(loc2, loc3, a2, a3):
                     c = getattr(loc, name)(w, J)
                     h.update(f"{group}\t{name}\t{J}\t{w!r}\t{c.format()}\n".encode())
     assert h.hexdigest() == PRINTED_PARABOLIC_DIGEST
+
+
+@pytest.mark.parametrize("name", ["A3", "B2", "G2"])
+def test_k_s_is_g_s_times_the_twist_ratio_of_x_pi(name):
+    """k_s, the scalar that carries C_{ws}[ys] to C_w[y], is g_s s(x_Pi)/x_Pi
+    computed exactly: s permutes the positive roots other than alpha_s, so the
+    ratio is -e^{-alpha_s}."""
+    system = RootSystem(RECURSION_GROUPS[name])
+    loc = Localization(system)
+    x_pi = RatFunc.from_int(system.rank + 1, 1)
+    for a in system.positive_roots:
+        x_pi = x_pi * loc.mult.model.x_weight(tuple(-x for x in a.weight))
+    for i in range(system.rank):
+        s = system.simple_reflection(i)
+        g_s = loc.mult.dl_generator(i).coeffs[s]
+        assert loc._once(loc._k_generator, i) == g_s * x_pi.weyl(s.matrix) / x_pi

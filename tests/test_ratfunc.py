@@ -227,3 +227,111 @@ def test_random_chains_stay_reduced(a3):
             else:
                 f = f.dualize()
             assert_reduced(f)
+
+
+def _state(f):
+    return f.num, f.dc, f.facs
+
+
+def test_factor_images_from_the_table_match_the_untabled_route(a2):
+    """weyl and dualize give the same stored fraction on a table miss, on a
+    table hit and with every factor image normalized afresh, for factors of
+    odd and even multiplicity, including images of negative content."""
+    from klschubert import ratfunc
+
+    from oracles import map_untabled
+
+    one = LaurentPoly.const(ARITY, 1)
+    z_1, z_2 = LaurentPoly.var(ARITY, 1), LaurentPoly.var(ARITY, 2)
+    t2 = LaurentPoly.t_power(ARITY, 2)
+    num = t2 * z_1 + LaurentPoly.const(ARITY, 3)
+    dens = [one - z_1, one - z_2, one - z_2, t2 - z_1 * LaurentPoly.var(ARITY, 2, -1)]
+    r = RatFunc.from_den_factors(num, dens)
+    assert sorted(m for _, m in r.facs) == [1, 1, 2]
+    # each map applies alike to the fraction and to a factor polynomial
+    maps = [lambda x, m=w.matrix: x.weyl(m) for w in a2.elements] + [lambda x: x.dualize()]
+    flips = set()
+    ratfunc._IMAGES.clear()
+    for fn in maps:
+        expected = map_untabled(r, fn)
+        assert _state(fn(r)) == expected  # miss
+        assert _state(fn(r)) == expected  # hit
+        flips |= {m for f, m in r.facs if ratfunc._normalize_factor(fn(f))[0] < 0}
+    assert flips == {1, 2}
+
+
+def _pairwise(terms, arity):
+    out = RatFunc.from_int(arity, 0)
+    for r in terms:
+        out = out + r
+    return out
+
+
+def _fraction_pool(system):
+    """Multiplicative and hyperbolic x_lam, their inverses and quotients of
+    root binomials, over the roots of system."""
+    arity = system.rank + 1
+    one = LaurentPoly.const(arity, 1)
+    tinv2 = LaurentPoly.t_power(arity, -2)
+    models = FglModel("multiplicative", system.rank), FglModel("hyperbolic", system.rank)
+    pool = []
+    for root in system.positive_roots:
+        for lam in (root.weight, tuple(-x for x in root.weight)):
+            e_lam = LaurentPoly.monomial((0,) + lam, 1)
+            pool.append(RatFunc.from_den_factors(one - tinv2 * e_lam, [one - e_lam]))
+            pool += [model.x_weight(lam) for model in models]
+            pool += [model.x_weight_inv(lam) for model in models]
+    return pool
+
+
+def test_sum_is_the_pairwise_sum_stored_alike_in_type_a(a3):
+    """Over type-A factors, which are irreducible, the one-reduction sum
+    stores exactly what adding left to right stores."""
+    arity = a3.rank + 1
+    pool = _fraction_pool(a3)
+    rng = random.Random(5)
+    for size in (2, 3, 5, 8):
+        for _ in range(6):
+            terms = [rng.choice(pool) * rng.choice(pool) for _ in range(size)]
+            got = RatFunc.sum(terms, arity)
+            assert _state(got) == _state(_pairwise(terms, arity))
+            assert_reduced(got)
+
+
+@pytest.mark.parametrize("cartan", [((2, -2), (-1, 2)), ((2, -1), (-3, 2))], ids=["B2", "G2"])
+def test_sum_equals_the_pairwise_sum_in_b2_and_g2(cartan):
+    """Outside type A a root binomial can be reducible, so the stored forms may
+    differ; the values agree, including the reducible hyperbolic example whose
+    inverse stores (t^2 + 1)(1 - e^{-w1}) as one factor."""
+    from klschubert.rootsystem import CartanData, RootSystem
+
+    system = RootSystem(CartanData(cartan))
+    arity = system.rank + 1
+    pool = _fraction_pool(system)
+    x = FglModel("hyperbolic", 2).x_weight((1, 0))
+    one = LaurentPoly.const(arity, 1)
+    t2p1 = RatFunc(LaurentPoly.t_power(arity, 2) + one)
+    pool += [x.inv(), x.inv() * t2p1 * RatFunc(one - LaurentPoly.monomial((0, -1, 0), 1))]
+    rng = random.Random(6)
+    for size in (2, 3, 5):
+        for _ in range(8):
+            terms = [rng.choice(pool) * rng.choice(pool) for _ in range(size)]
+            assert RatFunc.sum(terms, arity) == _pairwise(terms, arity)
+
+
+def test_sum_of_one_term_no_term_zeros_and_one_denominator():
+    one = LaurentPoly.const(ARITY, 1)
+    zz = LaurentPoly.var(ARITY, 1)
+    f = RatFunc.fraction(one, one - zz)
+    assert RatFunc.sum([f], ARITY) is f
+    assert RatFunc.sum([const(0), f, const(0)], ARITY) is f
+    for terms in ([], [const(0), const(0)]):
+        zero = RatFunc.sum(terms, ARITY)
+        assert zero.is_zero() and zero.dc == 1 and zero.facs == ()
+    # 1/(1 - z) - z/(1 - z) = 1: one denominator, cancelled once
+    g = RatFunc.fraction(-zz, one - zz)
+    total = RatFunc.sum([f, g], ARITY)
+    assert _state(total) == _state(const(1))
+    h = RatFunc.from_den_factors(zz + one, [one - zz]) * const(3) / const(2)
+    terms = [f, g, h, h]
+    assert _state(RatFunc.sum(terms, ARITY)) == _state(_pairwise(terms, ARITY))
