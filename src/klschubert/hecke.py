@@ -234,7 +234,7 @@ class HeckeAlgebra:
         return self.gamma_rel(J, ())
 
     def gamma_sum(self, w: WeylElt) -> HeckeElt:
-        """Gamma_w = sum over the Bruhat interval [e, w] of t^{-l(v)} tau_v."""
+        """S_w = sum over the Bruhat interval [e, w] of t^{-l(v)} tau_v."""
         return HeckeElt(
             self,
             {

@@ -35,43 +35,51 @@ generators and of Y_{J/J'}, the Serre monomial, the cotangent and hyperbolic
 transfer factors and the root factors of the smoothness criterion.  Products
 of lifted root factors go through TwistedRing.root_product.
 
-Build once: every point class, cell class, canonical class C_w, element of
-the right recursion, parabolic cell class, smoothness verdict and per-J (or
+Build once: every point class, cell class, class of the restriction
+recursion, parabolic cell class, smoothness verdict and per-J (or
 per-length) lifted scalar is built at most once per Localization, through one
 memo table keyed by (builder, arguments), and the same object is handed to
 every caller; so no class is changed after it is built.
 
-One memoized right recursion, s the last letter of w's reduced word,
+One memoized recursion over restrictions builds C_w, C~_w and SMC cells.  A
+family (start point, c, cross factor b, mu terms) of _FAMILIES gives classes
+D_w, s the last letter of w's reduced word: D_e is the start point class and
 
-    X_e = delta_e,   X_w = X_{ws} (iota(G_s) + c) - sum mu(v, ws) X_v  over v < ws, vs < v,
+    D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(b) - sum mu(v, ws) D_v[y],
 
-with G_s = g_e delta_e + g_s delta_s the image of tau_s and iota(G_s) = g_e
-delta_e + s(g_s) delta_s, builds two families from data (c, mu terms); a
-right product twists only lifted generator coefficients:
-- C~_w: (-t^{-1}, mu) at y = w0 w; (C~_w)_{w0 u} = w0(x_Pi) w0(X_y[u]).
-- SMC(cell v): (t - t^{-1}, no mu) at y = w0 v, read off as for C~_w and
-  scaled by t^{-l(w0 v)} and the normalizer.
-Why: C~_w = gamma~_{w^{-1} w0} . pt_{w0}, SMC(cell v) is a multiple of
-(tau_{w0 v})^{-1} . pt_{w0}, and the anti-involution iota(p delta_v) =
+the sum over v < ws with vs < v and only with mu terms, g_e and g_s the
+coefficients of G_s = g_e delta_e + g_s delta_s, the image of tau_s, and c a
+polynomial in t.  Each D_w[y] is one dom.dot, and every scalar is a twist of a
+lifted generator coefficient, so a known function (see modp):
+
+    C_w          pt_e     c = t          b = k_s     mu   read at w
+    C~_w         pt_w0    c = -t^{-1}    b = s(g_s)  mu   read at w0 w
+    SMC(cell v)  pt_w0    c = t - t^{-1} b = s(g_s)  -    read at w0 v, then
+                 scaled by t^{-l(w0 v)} and the normalizer
+
+Why, from pt_e: C_w = gamma_w o pt_e, and the right KL recursion
+(Kazhdan-Lusztig 1979) gamma_w = gamma_{ws} (tau_s + t) - sum mu(v, ws) gamma_v
+holds for the images A_w of gamma_w in Q_W.  (A G_s)[y] = A[y] y(g_e) +
+A[ys] (ys)(g_s), C_w[y] = A_w[y] y(x_Pi) and y(x_Pi) = (ys)(x_Pi)
+(ys)(s(x_Pi)/x_Pi), so b = k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s} (s
+permutes the positive roots other than alpha_s), a product of two lifts.
+
+Why, from pt_w0: C~_w = gamma~_{w^{-1} w0} . pt_{w0}, SMC(cell v) is a multiple
+of (tau_{w0 v})^{-1} . pt_{w0}, and the anti-involution iota(p delta_v) =
 v^{-1}(p) delta_{v^{-1}} gives (h . pt_{w0})_{w0 u} = w0(x_Pi) w0(iota(a)_u)
-for a the image of h.  phi: t -> t^{-1}, tau_i -> -tau_i is a ring
-automorphism of H with phi(gamma_w) = eps_w gamma~_w, and mu(v, ws) != 0
-forces l(v) = l(w) mod 2, so gamma~_w = gamma~_{ws} (tau_s - t^{-1}) -
-sum mu(v, ws) gamma~_v with the same signs.  tau_v -> tau_{v^{-1}} sends
-gamma~_x to gamma~_{x^{-1}}, so iota composed with the image and that map is a
-ring homomorphism sending tau_s to iota(G_s).  And tau_s^{-1} = tau_s + t - t^{-1}.
-
-C_w runs the right KL recursion (Kazhdan-Lusztig 1979) Gamma_w = Gamma_{ws}
-(G_s + t) - sum mu(v, ws) Gamma_v, Gamma_w the image of gamma_w, on its
-restrictions C_w[y] = Gamma_w[y] y(x_Pi), which are Laurent polynomials.
-(Gamma G_s)[y] = Gamma[y] y(g_e) + Gamma[ys] (ys)(g_s) and y(x_Pi) =
-(ys)(x_Pi) (ys)(s(x_Pi)/x_Pi), so C_e = pt_e and
-
-    C_w[y] = C_{ws}[y] (y(g_e) + t) + C_{ws}[ys] (ys)(k_s) - sum mu(v, ws) C_v[y],
-
-k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s} (s permutes the positive roots
-other than alpha_s), a product of two lifts and so a known function.  Each
-C_w[y] is one dom.dot, and no Gamma_w is built.
+for a the image of h.  phi: t -> t^{-1}, tau_i -> -tau_i is a ring automorphism
+of H with phi(gamma_w) = eps_w gamma~_w, and mu(v, ws) != 0 forces l(v) = l(w)
+mod 2, so gamma~_w = gamma~_{ws} (tau_s - t^{-1}) - sum mu(v, ws) gamma~_v with
+the same signs.  tau_v -> tau_{v^{-1}} sends gamma~_x to gamma~_{x^{-1}}, so
+iota composed with the image and that map is a ring homomorphism sending tau_s
+to iota(G_s) = g_e delta_e + s(g_s) delta_s; and tau_s^{-1} = tau_s + t - t^{-1}.
+So the X_w that are iota of the images satisfy X_e = delta_e, X_w = X_{ws}
+(iota(G_s) + c) - sum mu(v, ws) X_v, and a right product by iota(G_s) gives
+X[y] y(g_e) + X[ys] y(g_s) at y.  The class D_w with (D_w)_{w0 u} = w0(x_Pi)
+w0(X_w[u]) is pt_{w0} at e, and w0 sends u to w0 u and fixes c, so D_w[y] =
+D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] y(g_s) - sum mu(v, ws) D_v[y]: the recursion
+with b = s(g_s), as y(g_s) = (ys)(s(g_s)).  The normalizer w0(x_Pi) is the same
+at every point, so unlike k_s no x_Pi ratio enters.
 
 The hyperbolic KL-Schubert class is the psi-transfer of C_w: psi keeps every
 coefficient, so its value at u is that of C_w times u(mu^{-l(w)} x^hyp_Pi /
@@ -98,9 +106,13 @@ __all__ = ["CohClass", "Localization"]
 
 _T = LaurentPoly.t_power(1, 1)
 _TINV = LaurentPoly.t_power(1, -1)
-# (c, mu terms) of the right recursion X_w = X_{ws} (iota(G) + c) - sum mu X_v
-_C_TILDE_FAMILY = (-_TINV, True)
-_SMC_FAMILY = (_T - _TINV, False)
+# family -> (start point, c, cross factor b, mu terms) of the restriction
+# recursion (module docstring); the start point is an attribute of RootSystem
+_FAMILIES = {
+    "C": ("identity", _T, "k_s", True),
+    "C~": ("w0", -_TINV, "s(g_s)", True),
+    "SMC": ("w0", _T - _TINV, "s(g_s)", False),
+}
 
 
 def _jkey(J) -> tuple:
@@ -199,20 +211,6 @@ class Localization:
         out = {u: p * point(u).coeffs[u] for u, p in self.mult.dl_element(w).coeffs.items()}
         return CohClass(self.mult, out).scale(self.mult.scalar_t(-w.length))
 
-    def _right_image(self, c: LaurentPoly, mu: bool, w: WeylElt):
-        """X_w = X_{ws} (iota(G) + c) - sum mu(v, ws) X_v over v < ws with vs < v
-        (the sum only when mu), X_e = delta_e, G the image of tau_s; c a
-        polynomial in t (module docstring)."""
-        if w.length == 0:
-            return self.mult.delta(w)
-        i, ws = self.system.right_step(w)
-        prev = self._once(self._right_image, c, mu, ws)
-        out = self.mult.times_generator(prev, i, True) + prev.scale(self.mult.t_poly(c))
-        if mu:
-            for v, m in self.hecke.mu_terms(ws, i):
-                out = out + self._once(self._right_image, c, mu, v).scale(-m)
-        return out
-
     def _lambda_inv(self, J):
         """1 / prod (1 - t^-2 e^{a}) over Sigma^+ minus Sigma_J^+, lifted; its value
         at the fixed point u is the twist dom.weyl(u, .)."""
@@ -249,18 +247,10 @@ class Localization:
 
     def smc_cell(self, v: WeylElt) -> CohClass:
         """SMC of the opposite cell, t^{-l(w0 v)} (tau_{w0 v})^{-1} . pt_{w_0}
-        times the normalizer, by the right recursion at w0 v."""
+        times the normalizer, by the restriction recursion at w0 v."""
         y = self.system.w0 * v
-        cls = self._on_top_point(self._once(self._right_image, *_SMC_FAMILY, y))
         scal = self.mult.scalar_t(-y.length) * self._once(self._smc_normalizer)
-        return cls.scale(scal)
-
-    def _on_top_point(self, x) -> CohClass:
-        """The class with w0(x_Pi) w0(x_u) at w0 u: h . pt_{w_0} when x is iota of
-        h's image (module docstring)."""
-        w0, weyl = self.system.w0, self.dom.weyl
-        top = self.point_class(w0).coeffs[w0]
-        return CohClass(self.mult, {w0 * u: top * weyl(w0, c) for u, c in x.coeffs.items()})
+        return self._once(self._family_class, "SMC", y).scale(scal)
 
     # ---------- pairings ----------
 
@@ -310,41 +300,48 @@ class Localization:
 
     def kl_class_c(self, w: WeylElt) -> CohClass:
         """C_w = gamma_w o pt_e in the multiplicative model."""
-        return self._once(self._kl_class_c, w)
+        return self._once(self._family_class, "C", w)
 
-    def _kl_class_c(self, w: WeylElt) -> CohClass:
-        """C_w on its restrictions, one dom.dot per y (module docstring)."""
+    def kl_class_c_tilde(self, w: WeylElt) -> CohClass:
+        """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}, by the restriction recursion at w0 w."""
+        return self._once(self._family_class, "C~", self.system.w0 * w)
+
+    def _family_class(self, family: str, w: WeylElt) -> CohClass:
+        """D_w of one family of _FAMILIES: D_e the start point class and
+        D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(b) - sum mu(v, ws) D_v[y],
+        one dom.dot per y (module docstring)."""
+        start, _, _, mu = _FAMILIES[family]
         if w.length == 0:
-            return self.point_class(w)
+            return self.point_class(getattr(self.system, start))
         i, ws = self.system.right_step(w)
         s = self.system.simple_reflection(i)
         triples = []  # (y, a restriction, its scalar)
-        for u, x in self.kl_class_c(ws).coeffs.items():
-            a, k = self._once(self._c_scalars, u, i)
-            triples += ((u, x, a), (u * s, x, k))
-        for v, m in self.hecke.mu_terms(ws, i):
-            c = self.mult.as_scalar(-m)
-            triples += ((y, x, c) for y, x in self.kl_class_c(v).coeffs.items())
+        for u, x in self._once(self._family_class, family, ws).coeffs.items():
+            a, b = self._once(self._step_scalars, family, u, i)
+            triples += ((u, x, a), (u * s, x, b))
+        if mu:
+            for v, m in self.hecke.mu_terms(ws, i):
+                c = self.mult.as_scalar(-m)
+                d_v = self._once(self._family_class, family, v)
+                triples += ((y, x, c) for y, x in d_v.coeffs.items())
         return CohClass(self.mult, dot_by_key(self.dom, triples))
 
-    def _c_scalars(self, u: WeylElt, i: int) -> tuple:
-        """(u(g_e) + t, u(k_s)) for s = s_i, g_e and g_s the coefficients of
-        tau_s's image and k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s}."""
-        ring, weyl = self.mult, self.dom.weyl
-        ge = ring.dl_generator(i).coeffs[self.system.identity]
-        return weyl(u, ge) + ring.scalar_t(), weyl(u, self._once(self._k_generator, i))
+    def _step_scalars(self, family: str, u: WeylElt, i: int) -> tuple:
+        """(u(g_e) + c, u(b)) for s = s_i: b is k_s = g_s s(x_Pi)/x_Pi =
+        -g_s e^{-alpha_s}, or s(g_s), whose twist u(s(g_s)) is (u s)(g_s)."""
+        _, c, b, _ = _FAMILIES[family]
+        ring = self.mult
+        if b == "k_s":
+            cross = self.dom.weyl(u, self._once(self._k_generator, i))
+        else:
+            cross = ring.generator_twist(u * self.system.simple_reflection(i), i)[1]
+        return ring.generator_twist(u, i)[0] + ring.t_poly(c), cross
 
     def _k_generator(self, i: int):
         """k_s, a product of two lifts and so a known function (see modp)."""
         s = self.system.simple_reflection(i)
         e_minus = LaurentPoly.monomial((0,) + _neg(self.system.simple_roots[i]), -1)
         return self.mult.dl_generator(i).coeffs[s] * self.dom.lift(RatFunc(e_minus))
-
-    def kl_class_c_tilde(self, w: WeylElt) -> CohClass:
-        """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}, by the right recursion at w0 w."""
-        return self._on_top_point(
-            self._once(self._right_image, *_C_TILDE_FAMILY, self.system.w0 * w)
-        )
 
     # ---------- parabolic classes ----------
 
@@ -493,7 +490,8 @@ class Localization:
     # ---------- smoothness criterion ----------
 
     def is_smooth(self, w: WeylElt):
-        """(smooth, u -> verdict at u) from the coefficients of Gamma_w, built once per w."""
+        """(smooth, u -> verdict at u) from the coefficients of the image of
+        S_w = sum over v <= w of t^{-l(v)} tau_v, built once per w."""
         return self._once(self._is_smooth, w)
 
     def _smoothness_factors(self) -> list:
@@ -506,7 +504,7 @@ class Localization:
         ]
 
     def _is_smooth(self, w: WeylElt):
-        """The coefficient of Gamma_w at u against the product of u(f_a) over the
+        """The coefficient of S_w's image at u against the product of u(f_a) over the
         positive roots a with u s_a <= w, f_a the lifted smoothness factor."""
         system = self.system
         dom = self.dom

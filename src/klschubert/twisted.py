@@ -258,7 +258,7 @@ class TwistedRing:
             self._dl_gen_cache[i] = hit
         return hit
 
-    def _generator_twist(self, u: WeylElt, i: int) -> tuple:
+    def generator_twist(self, u: WeylElt, i: int) -> tuple:
         """(u(g_e), u(g_s)) for the coefficients g_e, g_s of tau_i's image, made
         once per (u, i)."""
         key = (u.idx, i)
@@ -270,33 +270,25 @@ class TwistedRing:
             hit = self._gen_twists[key] = (weyl(u, ge), weyl(u, gs))
         return hit
 
-    def times_generator(self, a: QWElt, i: int, iota: bool) -> QWElt:
-        """a G, G the image of tau_i or, when iota, iota(G) = g_e delta_e +
-        s(g_s) delta_s (s = s_i): p_u delta_u gives p_u u(g_e) at u and
-        p_u u(g_s), or p_u (u s)(g_s), at u s.  Only G's coefficients are
-        twisted."""
-        s = self.system.simple_reflection(i)
-        out: dict = {}
-        for u, p in a.coeffs.items():
-            us = u * s
-            ge, gs = self._generator_twist(u, i)
-            if iota:
-                gs = self._generator_twist(us, i)[1]
-            for key, c in ((u, p * ge), (us, p * gs)):
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return QWElt(self, out)
-
     def dl_element(self, w: WeylElt) -> QWElt:
         """The image of tau_w: G_{i_1} ... G_{i_k} along w's reduced word, each
-        G_i the image of tau_i, built by right steps and cached."""
+        G_i = g_e delta_e + g_s delta_s the image of tau_i, built by right steps
+        and cached.  A right step twists only G's coefficients: p_u delta_u
+        gives p_u u(g_e) at u and p_u u(g_s) at u s."""
         hit = self._dl_cache.get(w)
         if hit is None:
             if w.length == 0:
                 hit = self.delta(w)
             else:
                 i, prev = self.system.right_step(w)
-                hit = self.times_generator(self.dl_element(prev), i, False)
+                s = self.system.simple_reflection(i)
+                out: dict = {}
+                for u, p in self.dl_element(prev).coeffs.items():
+                    ge, gs = self.generator_twist(u, i)
+                    for key, c in ((u, p * ge), (u * s, p * gs)):
+                        acc = out.get(key)
+                        out[key] = c if acc is None else acc + c
+                hit = QWElt(self, out)
             self._dl_cache[w] = hit
         return hit
 
@@ -306,7 +298,7 @@ class TwistedRing:
         return QWElt(self, combine(self.dom, terms))
 
     def gamma_coefficients(self, hecke, w: WeylElt) -> dict:
-        """delta-basis coefficients a_{w,u} of the image of Gamma_w."""
+        """delta-basis coefficients a_{w,u} of the image of S_w (hecke.gamma_sum)."""
         return dict(self.hecke_to_qw(hecke.gamma_sum(w)).coeffs)
 
 

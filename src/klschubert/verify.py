@@ -68,18 +68,25 @@ class RunConfig:
     comb_guard: int = 5040
     serre_samples: int = 100
 
+    def __post_init__(self):
+        self.cartan()  # refuse a bad type or rank before any suite runs
+
     def cartan(self) -> CartanData:
         """A_{n-1} when n is set, else A_rank (A2 when neither is); every other
-        type, and a rank other than n - 1, is refused."""
+        type, a rank other than n - 1 and a rank below 1 are refused."""
         if self.type_label != "A":
             raise ValueError(f"RunConfig builds type A only, not type {self.type_label!r}")
         if self.n is None:
-            return CartanData.type_a(2 if self.rank is None else self.rank)
-        if self.rank not in (None, self.n - 1):
+            rank = 2 if self.rank is None else self.rank
+        elif self.rank in (None, self.n - 1):
+            rank = self.n - 1
+        else:
             raise ValueError(
                 f"rank {self.rank} conflicts with n = {self.n}; A_(n-1) has rank n - 1"
             )
-        return CartanData.type_a(self.n - 1)
+        if rank < 1:
+            raise ValueError(f"rank {rank} is below 1; A_rank needs rank >= 1 (n >= 2)")
+        return CartanData.type_a(rank)
 
     def grass(self) -> GrassData:
         if self.n is None or self.d is None:

@@ -273,15 +273,22 @@ _IOTA_PRODUCTS = WeakKeyDictionary()
 def on_top_point_direct(loc, h):
     """h . pt_{w0} as the Hecke sum: with a the image of h, iota(a) is the sum
     of h_w iota(image of tau_w) (iota fixes polynomials in t), each
-    iota(image of tau_w) the product of iota(G_s) along w^-1's reduced word by
-    times_generator(..., True); then w0(x_Pi) w0(iota(a)_u) at w0 u."""
+    iota(image of tau_w) the product by qw_mul of iota(G_s) = g_e delta_e +
+    s(g_s) delta_s along w^-1's reduced word, g_e and g_s the coefficients of
+    dl_generator(s); then w0(x_Pi) w0(iota(a)_u) at w0 u."""
     ring, system, dom = loc.mult, loc.system, loc.dom
     products = _IOTA_PRODUCTS.get(ring)
     if products is None:
+        iota_gens = []
+        for i in range(system.rank):
+            s = system.simple_reflection(i)
+            g = ring.dl_generator(i).coeffs
+            coeffs = {system.identity: g[system.identity], s: dom.weyl(s, g[s])}
+            iota_gens.append(QWElt(ring, coeffs))
         products = _IOTA_PRODUCTS[ring] = {system.identity: ring.delta(system.identity)}
         for v in sorted(system.elements, key=lambda v: v.length)[1:]:
             i, prev = system.right_step(v)
-            products[v] = ring.times_generator(products[prev], i, True)
+            products[v] = ring.qw_mul(products[prev], iota_gens[i])
     terms = [(ring.t_poly(p), products[w.inverse()].coeffs) for w, p in h.coeffs.items()]
     iota_a = combine(dom, terms)
     w0 = system.w0

@@ -186,7 +186,7 @@ def test_gamma_sum(h2, a2):
     assert h2.gamma_sum(a2.identity) == h2.one()
     s1 = a2.simple_reflection(0)
     assert h2.gamma_sum(s1) == h2.one() + h2.tau(s1).scale(TINV)
-    # X(w) smooth in A2, so Gamma_w = t^{-l(w)} gamma_w
+    # X(w) smooth in A2, so S_w = t^{-l(w)} gamma_w
     for w in a2.elements:
         assert h2.gamma_sum(w) == h2.kl_basis(w).scale(
             LaurentPoly.monomial((-w.length,), 1)

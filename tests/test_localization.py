@@ -407,10 +407,12 @@ RECURSION_CONFIGS = [
 
 @pytest.mark.parametrize("name, mode", RECURSION_CONFIGS)
 def test_class_recursions_match_direct_routes(name, mode):
-    """C_w, built by the right KL recursion on its restrictions, MC(cell w) and
-    the hyperbolic KL-Schubert class equal the whole image of gamma_w or tau_w
-    acting on pt_e by odot; C~_w and SMC(cell w), built by the right recursion
-    through iota, equal the Hecke sums of iota-products acting on pt_{w0}."""
+    """C_w, C~_w and SMC(cell w), built by the one restriction recursion, and
+    MC(cell w) and the hyperbolic KL-Schubert class, built from dl_element,
+    equal the direct routes: C_w, MC and the KL-Schubert class as the whole
+    image of gamma_w or tau_w acting on pt_e by odot, C~_w and SMC(cell w) as
+    the Hecke sums of iota-products, each a qw_mul product of iota(G_s) formed
+    in the oracle, acting on pt_{w0}."""
     system = RootSystem(RECURSION_GROUPS[name])
     dom = OrbitDomain(system, seed=23) if mode == "modp" else None
     loc = Localization(system, dom)
@@ -562,6 +564,21 @@ def test_printed_classes_are_pinned(loc2, loc3, a2, a3):
     for group, name, w, c in printed:
         h.update(f"{group}\t{name}\t{w!r}\t{c.format()}\n".encode())
     assert h.hexdigest() == PRINTED_DIGEST
+
+
+# sha256 over the printed exact C~_w and SMC cells of every A3 element, recorded
+# while both were built as whole Q_W images mapped onto pt_{w0}
+PRINTED_A3_TOP_DIGEST = "60044de6d13e167407a90a6e1d86a84b3a282b0015429b305ea936495f0526b6"
+
+
+def test_printed_a3_classes_from_the_top_point_are_pinned(loc3, a3):
+    """The exact printed forms of C~_w and SMC(cell w) for every A3 element: the
+    two families whose recursion starts at pt_{w0}."""
+    h = hashlib.sha256()
+    for w in a3.elements:
+        for name in ("kl_class_c_tilde", "smc_cell"):
+            h.update(f"A3\t{name}\t{w!r}\t{getattr(loc3, name)(w).format()}\n".encode())
+    assert h.hexdigest() == PRINTED_A3_TOP_DIGEST
 
 
 # sha256 over the printed exact parabolic KL classes, recorded before their sums

@@ -478,3 +478,16 @@ def test_a_rank_that_conflicts_with_n_is_refused():
         run_suite("braid", RunConfig(rank=5, n=4))
     assert RunConfig(rank=3, n=4).params_dict() == {"type": "A", "rank": 3, "n": 4}
     assert RunConfig().params_dict() == {"type": "A", "rank": 2}
+
+
+@pytest.mark.parametrize("kwargs", [{"rank": 0}, {"rank": -1}, {"n": 1}])
+def test_a_rank_below_one_is_refused(kwargs):
+    """A rank below 1 is refused when the config is made, so no suite runs on
+    the trivial group."""
+    with pytest.raises(ValueError, match="below 1"):
+        RunConfig(**kwargs)
+    cfg = RunConfig()
+    for key, value in kwargs.items():
+        setattr(cfg, key, value)
+    with pytest.raises(ValueError, match="below 1"):
+        run_suite("serre", cfg)
