@@ -30,7 +30,14 @@ Terms are a dict ``packed`` from key to nonzero int; the zero polynomial is
 the empty dict.  ``terms`` is a tuple-keyed view, decoded afresh on each read
 for the readers that want exponent tuples (eval_mod, the tests): with B =
 2^16, each slot of key + bias is a 16-bit field, so struct decodes every key
-at once.  Instances are immutable by convention: no method changes the terms
+at once.
+
+Evaluation mod p.  eval_mod evaluates at every point of a domain at once,
+from the domain's power columns: power(i, x) is the residues of slot i's
+variable to the power x at all the points, which the domain computes once
+(see ``modp``), so no term costs a pow.  A term is its coefficient times the
+pointwise product of the columns of its nonzero slots, and the terms are
+summed as integers and reduced mod p once, at the end.  Instances are immutable by convention: no method changes the terms
 after construction (a cached bound may only be tightened).
 
 The guard.  A key is exact only while every digit stays below B/2 in absolute
@@ -82,6 +89,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
+from operator import add, mod, mul
 from struct import Struct
 
 __all__ = ["LIMIT", "LaurentPoly", "SLOT_BITS", "pack"]
@@ -531,19 +539,21 @@ class LaurentPoly:
 
     # ---------- evaluation ----------
 
-    def eval_mod(self, points, p: int) -> tuple:
-        """The residues mod p at each of points (a tuple of residues, one per
-        slot, all nonzero), the terms decoded once."""
-        terms = [(c, [(i, x) for i, x in enumerate(e) if x]) for e, c in self.terms.items()]
-        out = []
-        for point in points:
-            total = 0
-            for c, factors in terms:
-                for i, x in factors:
-                    c = c * pow(point[i], x, p) % p
-                total += c
-            out.append(total % p)
-        return tuple(out)
+    def eval_mod(self, power, p: int) -> tuple:
+        """The residues mod p at every point of an evaluation domain, from its
+        power columns: power(i, x) is slot i's variable to the power x at each
+        point, and power(0, 0) is all ones, which sizes the result.  Each term
+        is its coefficient times the product of its nonzero slots' columns;
+        the terms are summed as integers and reduced mod p once.  The zero
+        polynomial gives zeros, a constant c gives c mod p at every point."""
+        acc = [0] * len(power(0, 0))
+        for e, c in self.terms.items():
+            vals = repeat(c)
+            for i, x in enumerate(e):
+                if x:
+                    vals = map(mul, vals, power(i, x))
+            acc = list(map(add, acc, vals))
+        return tuple(map(mod, acc, repeat(p)))
 
     # ---------- text form ----------
 

@@ -28,6 +28,18 @@ The lift of num / (dc * prod f^m) is then num times each inv(f), m times,
 times dc^-1.  The inverse mod p is unique, so every residue is the one that
 pointwise evaluation gives.
 
+A polynomial is evaluated from the domain's power columns: for each (slot i,
+exponent x) asked for, once per domain, coordinate i to the power x at every
+orbit point.  The first power is read from the points, and each higher one is
+the one below it times the first, one pointwise product.  The orbit points
+come in inverse pairs (below), and a point's power -x is its inverse's power
+x, so a negative power is the column for -x read through one permutation,
+which swaps each family's w*P half with its inverse half.  A term is its
+coefficient times the product of its slots' columns; the terms are summed as
+integers and reduced mod p once, as in dot.  A family's inverse points are
+the orbit of its inverted base point, inv(w*P) = w*inv(P), built by the same
+small-exponent products from the base coordinates inverted in one batch.
+
 The mod-p domain evaluates at k point families.  Family f draws a base point
 P_f from ``random.Random(seed + 101 f)``; its orbit points are w*P_f, with
 (w*P)_i = P^(w omega_i), and their coordinatewise inverses, 2|W| points on
@@ -222,10 +234,19 @@ class OrbitDomain:
         for f in range(families):
             self.points += self._orbit(random.Random(seed + 101 * f))
         self.size = 4 * families
-        # the kept residues of the twist u of a known function: family by
-        # family, its orbit residues at u * P, inv(u * P), (w0 u) * P, inv(w0 u * P)
         order, w0 = system.order, system.w0
         offsets = range(0, len(self.points), 2 * order)
+        # (slot i, exponent x) -> coordinate i to the power x at every orbit point
+        ones = (1,) * len(self.points)
+        self._powers = {}
+        for i, column in enumerate(zip(*self.points)):
+            self._powers[i, 0], self._powers[i, 1] = ones, column
+        # each family's w * P half swapped with its inverse half
+        self._inverse_half = itemgetter(
+            *(f + (j + order) % (2 * order) for f in offsets for j in range(2 * order))
+        )
+        # the kept residues of the twist u of a known function: family by
+        # family, its orbit residues at u * P, inv(u * P), (w0 u) * P, inv(w0 u * P)
         self._kept = []
         for u in system.elements:
             x, y = u.idx, (u.inverse() * w0).inverse().idx
@@ -245,26 +266,44 @@ class OrbitDomain:
         n = self.system.rank
         p = self.prime
         base = tuple(rng.randrange(2, p - 1) for _ in range(n + 1))
-        t_val = base[0]
-        t_inv = pow(t_val, p - 2, p)
-        zvals = base[1:]
-        zinvs = tuple(pow(z, p - 2, p) for z in zvals)
+        inverted = _batch_inverse(base, p)
         points = []
-        for w in self.system.elements:
-            m = w.matrix
-            coords = []
-            for i in range(n):
-                # z_i evaluates to P^{w(omega_i)}; w(omega_i) is column i of m
-                v = 1
-                for j in range(n):
-                    e = m[j][i]
-                    if e:
-                        v = v * pow(zvals[j] if e > 0 else zinvs[j], abs(e), p) % p
-                coords.append(v)
-            points.append((t_val,) + tuple(coords))
-        return points + [
-            (t_inv,) + tuple(pow(z, p - 2, p) for z in pt[1:]) for pt in points
-        ]
+        # inv(w * P) = w * inv(P): the inverse half is the orbit of the inverted base
+        for t, ups, downs in (
+            (base[0], base[1:], inverted[1:]),
+            (inverted[0], inverted[1:], base[1:]),
+        ):
+            for w in self.system.elements:
+                m = w.matrix
+                point = [t]
+                for i in range(n):
+                    # z_i evaluates to P^{w(omega_i)}; w(omega_i) is column i of m
+                    v = 1
+                    for j in range(n):
+                        e = m[j][i]
+                        if e:
+                            v = v * pow(ups[j] if e > 0 else downs[j], abs(e), p) % p
+                    point.append(v)
+                points.append(tuple(point))
+        return points
+
+    def _power(self, i: int, x: int) -> tuple:
+        """Coordinate i to the power x at every orbit point, computed once per
+        domain: a positive power from the highest one held, times the first
+        power once per step, a negative one as the power -x at the inverse
+        points (module docstring)."""
+        out = self._powers.get((i, x))
+        if out is None:
+            if x < 0:
+                out = self._powers[i, x] = self._inverse_half(self._power(i, -x))
+            else:
+                below = x - 1
+                while (i, below) not in self._powers:
+                    below -= 1
+                out, first = self._powers[i, below], self._powers[i, 1]
+                for y in range(below + 1, x + 1):
+                    out = self._powers[i, y] = _mulmod(out, first, self.prime)
+        return out
 
     def lift(self, r: RatFunc) -> OrbitScalar:
         """r as a known function: num times each factor's inverse vector, once
@@ -280,11 +319,11 @@ class OrbitDomain:
             p = self.prime
             if r.dc % p == 0:
                 raise ZeroDenominator("denominator content divisible by p")
-            vals = r.num.eval_mod(self.points, p)
+            vals = r.num.eval_mod(self._power, p)
             for f, mult in r.facs:
                 inv = self._factor_inverses.get(f)
                 if inv is None:
-                    inv = self._factor_inverses[f] = _batch_inverse(f.eval_mod(self.points, p), p)
+                    inv = self._factor_inverses[f] = _batch_inverse(f.eval_mod(self._power, p), p)
                 for _ in range(mult):
                     vals = _mulmod(vals, inv, p)
             if r.dc != 1:

@@ -29,8 +29,10 @@ table ``_IMAGES``; numerators are mapped on every call.
 
 The orbit-point domain in ``modp`` evaluates a fraction modulo the fixed
 published 62-bit prime ``FIXED_PRIME``: the numerator and each canonical
-factor through ``LaurentPoly.eval_mod``, each factor's residue vector
-inverted in one batch.  ``modp`` states the Schwartz-Zippel bound.
+factor through ``LaurentPoly.eval_mod``, which reads the domain's table of
+power columns (each coordinate to each exponent at every orbit point), each
+factor's residue vector inverted in one batch.  ``modp`` states the
+Schwartz-Zippel bound.
 """
 
 from __future__ import annotations

@@ -70,6 +70,10 @@ class RunConfig:
 
     def __post_init__(self):
         self.cartan()  # refuse a bad type or rank before any suite runs
+        if self.k < 1:
+            raise ValueError(f"k = {self.k} is below 1; mod p needs at least one point family")
+        if self.serre_samples < 0:
+            raise ValueError(f"serre_samples = {self.serre_samples} is below 0")
 
     def cartan(self) -> CartanData:
         """A_{n-1} when n is set, else A_rank (A2 when neither is); every other

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,17 @@ from oracles import eval_kept, eval_mod
 
 
 G2 = CartanData(((2, -1), (-3, 2)), "G")
+B2 = CartanData(((2, -2), (-1, 2)), "B")
+B3 = CartanData(((2, -1, 0), (-1, 2, -2), (0, -1, 2)), "B")
+COLUMN_GROUPS = {"A3": CartanData.type_a(3), "B2": B2, "G2": G2, "B3": B3}
+
+# sha256 of repr(dom.points) for OrbitDomain(seed=2024, families=2): however
+# the points are built, every residue a seed gives must stay where it is
+ORBIT_POINT_DIGESTS = {
+    "A3": "cce922888a322ff313cdab15f8e95ca68bb0f579776dbc424bacb8a838344bb9",
+    "B2": "ddb5cac37781c1cc043ed944bf62119d32cf9b6ea12aef040db3a43bc433c984",
+    "G2": "910fae593576ca3ae57cb0232e5ba1779a3522d1387bcb30e52f32f46e1407fe",
+}
 
 
 def _random_poly(rng, arity=3):
@@ -142,7 +154,7 @@ def _vanishing_at(dom, index):
     f = LaurentPoly.const(arity, -sum((i + 1) * x for i, x in enumerate(pt)))
     for i in range(arity):
         f = f + LaurentPoly.var(arity, i).scale(i + 1)
-    zeros = [j for j, v in enumerate(f.eval_mod(dom.points, dom.prime)) if v == 0]
+    zeros = [j for j, v in enumerate(f.eval_mod(dom._power, dom.prime)) if v == 0]
     assert zeros == [index]
     return f
 
@@ -185,6 +197,71 @@ def test_lift_is_the_pointwise_evaluation(a3):
             dom.lift(r)
 
 
+@pytest.mark.parametrize("label", sorted(ORBIT_POINT_DIGESTS))
+def test_orbit_points_are_pinned(label):
+    dom = OrbitDomain(RootSystem(COLUMN_GROUPS[label]), seed=2024, families=2)
+    assert hashlib.sha256(repr(dom.points).encode()).hexdigest() == ORBIT_POINT_DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(COLUMN_GROUPS))
+def test_power_columns_are_the_term_by_term_evaluation(label):
+    """Every power column, asked for in a shuffled order, and eval_mod from the
+    columns are the oracle's term-by-term residues at every orbit point: the
+    zero polynomial, constants, a t-only polynomial, monomials negative in
+    every slot, and every single power up to +-12.  Each inverse point is the
+    coordinatewise inverse of its partner, t included."""
+    system = RootSystem(COLUMN_GROUPS[label])
+    arity, order = system.rank + 1, system.order
+    rng = random.Random(arity)
+    one = LaurentPoly.const(arity, 1)
+    t = LaurentPoly.t_power(arity, 1)
+    for families in (1, 2):
+        dom = OrbitDomain(system, seed=61 + families, families=families)
+        p = dom.prime
+
+        def oracle(f):
+            return tuple(eval_mod(RatFunc(f), pt, p) for pt in dom.points)
+
+        powers = [(i, x) for i in range(arity) for x in range(-12, 13)]
+        rng.shuffle(powers)
+        for i, x in powers:
+            column = oracle(LaurentPoly.var(arity, i, x))
+            assert dom._power(i, x) == column, (families, i, x)
+            assert LaurentPoly.var(arity, i, x).scale(-5).eval_mod(dom._power, p) == tuple(
+                -5 * v % p for v in column
+            )
+        negative = [LaurentPoly.monomial((-1,) * arity, 3)] + [
+            LaurentPoly.var(arity, i, -rng.randrange(1, 13)).scale(rng.randrange(2, 9)) + one
+            for i in range(arity)
+        ]
+        mixed = [
+            LaurentPoly(
+                arity,
+                {
+                    tuple(rng.randrange(-12, 13) for _ in range(arity)): rng.randrange(-9, 10)
+                    for _ in range(6)
+                },
+            )
+            for _ in range(4)
+        ]
+        polys = [
+            LaurentPoly(arity),
+            LaurentPoly.const(arity, 7),
+            LaurentPoly.const(arity, -p - 3),
+            t * t * t - t.scale(2) + LaurentPoly.t_power(arity, -5) - one,
+            *negative,
+            *mixed,
+        ]
+        for f in polys:
+            assert f.eval_mod(dom._power, p) == oracle(f), (families, f)
+        assert LaurentPoly(arity).eval_mod(dom._power, p) == (0,) * len(dom.points)
+        assert LaurentPoly.const(arity, 7).eval_mod(dom._power, p) == (7,) * len(dom.points)
+        for off in range(0, len(dom.points), 2 * order):
+            for j in range(order):
+                point, inverse = dom.points[off + j], dom.points[off + order + j]
+                assert all(a * b % p == 1 for a, b in zip(point, inverse)), (families, j)
+
+
 def test_orbit_inv_is_the_pointwise_inverse(a2):
     """The batch inverse is pow(x, p - 2, p) entry by entry, and one zero
     entry anywhere raises."""
@@ -207,17 +284,19 @@ def test_orbit_inv_is_the_pointwise_inverse(a2):
 
 
 def test_lift_evaluates_each_polynomial_once_per_domain(a3, monkeypatch):
-    """A fraction costs one evaluation at all orbit points for its numerator
-    and for each distinct factor, once per domain: an equal fraction built
-    apart costs none, a new numerator over the same factors costs only its
-    own, and equal lifts without a denominator share one lifted scalar."""
+    """A fraction costs one evaluation at all orbit points, from the domain's
+    own power columns, for its numerator and for each distinct factor, once
+    per domain: an equal fraction built apart costs none, a new numerator over
+    the same factors costs only its own, and equal lifts without a denominator
+    share one lifted scalar."""
     calls = []
     evaluate = LaurentPoly.eval_mod
 
-    def counted(poly, points, p):
-        assert points is dom.points
+    def counted(poly, power, p):
+        # bound methods compare equal only with the same instance: dom's own table
+        assert power == dom._power
         calls.append(poly)
-        return evaluate(poly, points, p)
+        return evaluate(poly, power, p)
 
     monkeypatch.setattr(LaurentPoly, "eval_mod", counted)
     one = LaurentPoly.const(4, 1)

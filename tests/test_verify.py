@@ -491,3 +491,20 @@ def test_a_rank_below_one_is_refused(kwargs):
         setattr(cfg, key, value)
     with pytest.raises(ValueError, match="below 1"):
         run_suite("serre", cfg)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"k": 0}, "k = 0 is below 1"),
+        ({"k": -2, "mode": "exact"}, "k = -2 is below 1"),
+        ({"serre_samples": -1}, "serre_samples = -1 is below 0"),
+        ({"serre_samples": -3, "mode": "exact"}, "serre_samples = -3 is below 0"),
+    ],
+)
+def test_no_point_families_or_negative_samples_are_refused(kwargs, message):
+    """k < 1 and serre_samples < 0 are refused when the config is made, before
+    any group or KL table is built; serre_samples = 0 stays a valid run."""
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**{"rank": 2, "mode": "modp", **kwargs})
+    assert RunConfig(rank=2, k=1, serre_samples=0).serre_samples == 0
