@@ -6,10 +6,36 @@ tau_w + sum_{v<w} t Z[t] tau_v; writing gamma_w = sum t^{l(w)-l(v)}
 P_{v,w}(t^-2) tau_v defines the KL polynomials.  Row w of the polynomials
 is recorded when gamma_w is computed, so it is known exactly when gamma_w is.
 
-The recursion used is gamma_w = gamma_{ws} gamma_s - sum mu(v, ws) gamma_v
+The recursion used is gamma_w = gamma_{ws} (tau_s + t) - sum mu(v, ws) gamma_v
 over v < ws with vs < v, where mu(v, u) is the coefficient of t in the
 gamma_u coefficient of tau_v; bar-invariance is re-checked after the fact
-(fully at small rank, on a sample beyond that) to guard convention bugs.
+(fully at small rank, on a sample beyond that) to guard convention bugs, as
+sum_v dualize(gamma_w[v]) bar(tau_v) = gamma_w.
+
+Packed coefficients.  Every coefficient here is a Laurent polynomial in t
+alone with small integer coefficients, held as one Python int: p packs to
+p(2^B) 2^{B O} (Kronecker substitution), t^e at bit B (e + O).  Packing is a
+ring homomorphism, so the recursions add, multiply and shift (times t or
+t^-1) packed ints exactly; gamma_w sits at offset 0 (exponents 0 to l(w)),
+bar(tau_v) at offset L = l(w0) (exponents -l(v) to l(v)).  Reading back needs
+a bound: the balanced digits, each in [-2^{B-1}, 2^{B-1}), are the
+coefficients when each is below 2^{B-1} in absolute value, and two packings
+are equal ints exactly when the polynomials are equal, once every
+coefficient of their difference is below 2^B.
+
+The bound.  At t = 1 the algebra is Z[W] and gamma_w is sum_v P_{v,w}(1) v.
+KL polynomials have nonnegative coefficients (Kazhdan-Lusztig 1980), so the
+recursion gives N(gamma_w) <= 2 N(gamma_{ws}) <= 2^{l(w)}, N the sum of the
+absolute values of the coefficients; tau_s^-1 at most triples N, so
+N(bar(tau_v)) <= 3^{l(v)}, and the two sides of the bar check differ by at
+most N(gamma_w) (3^{l(w)} + 1) in any coefficient.  B is the bit length of
+2^L (3^L + 1).  Positivity is a theorem about the true values, so the table
+does not rely on it: gamma_w is read back only while 2 N(gamma_{ws}) +
+sum |mu| N(gamma_v), from rows already read, stays below 2^{B-1}, and
+bar-checked only while N(gamma_w) (3^{l(w)} + 1) stays below 2^B; else
+OverflowError, before any digit can wrap.  A bar check that passes is
+therefore exact equality of polynomials.  product sizes its packing from its
+arguments the same way.
 """
 
 from __future__ import annotations
@@ -19,15 +45,44 @@ import random
 from .laurent import LaurentPoly
 from .rootsystem import RootSystem, WeylElt, WMap
 
-__all__ = ["HeckeAlgebra", "HeckeElt", "qpoly_str"]
+__all__ = ["HeckeAlgebra", "HeckeElt", "balanced_digits", "qpoly_str"]
 
-# coefficient ring helpers (Laurent polynomials in t alone)
-_T = LaurentPoly.monomial((1,), 1)
-_TINV = LaurentPoly.monomial((-1,), 1)
 _ONE = LaurentPoly.const(1, 1)
-_QUAD = _TINV - _T  # t^-1 - t
 
 FULL_BAR_CHECK_LIMIT = 130  # |W| up to which every gamma_w gets the bar check
+
+# c = (a, b) for a right step by tau_i + a t + b t^-1
+_TAU = (0, 0)
+_TAU_PLUS_T = (1, 0)  # the KL recursion's gamma_ws (tau_s + t)
+_TAU_INVERSE = (1, -1)  # tau_s^-1 = tau_s + t - t^-1
+
+
+def _slot_width(top: int) -> int:
+    """Bits per t-power slot of the KL table of a group with l(w0) = top: the
+    bit length of the a priori bound 2^top (3^top + 1) (module docstring)."""
+    return (2**top * (3**top + 1)).bit_length()
+
+
+def balanced_digits(n: int, width: int) -> list:
+    """The balanced base-2^width digits of n, lowest first, no zero on top."""
+    out = []
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    while n:
+        r = n & mask
+        if r >= half:
+            r -= full
+        out.append(r)
+        n = (n - r) >> width
+    return out
+
+
+def _pack(poly: LaurentPoly, offset: int, width: int) -> int:
+    return sum(c << width * (e + offset) for e, c in poly.packed.items())
+
+
+def _unpack(n: int, offset: int, width: int) -> LaurentPoly:
+    digits = balanced_digits(n, width)
+    return LaurentPoly.from_packed(1, {e - offset: c for e, c in enumerate(digits)})
 
 
 class HeckeElt(WMap):
@@ -47,10 +102,17 @@ class HeckeElt(WMap):
 class HeckeAlgebra:
     def __init__(self, system: RootSystem):
         self.system = system
-        self._gamma: dict = {}
-        # (v.idx, w.idx) -> P_{v,w} as ascending q-coefficients, for w in _gamma
-        self._kl: dict = {}
-        self._bar_tau: dict = {}
+        n = system.order
+        self._width = None  # the KL table's slot width, fixed on first use
+        # per element index, once gamma_w is computed:
+        self._packed = [None] * n  # {v.idx: gamma_w[v] packed at offset 0}
+        self._rows = [None] * n  # {v.idx: P_{v,w} as ascending q-coefficients}
+        self._mu = [None] * n  # [(v, mu(v, w))] for mu(v, w) nonzero
+        self._norms = [None] * n  # N(gamma_w)
+        self._bar_rows = [None] * n  # {v.idx: bar(tau_w)[v] packed at offset l(w0)}
+        self._gamma: dict = {}  # w -> gamma_w as a HeckeElt, decoded on request
+        self._w0_left = None  # w0 y by index y
+        self._parabolic: dict = {}  # J -> (mask of J, _parabolic_data)
         self._kl_done_length = -1
 
     def compatible(self, other) -> bool:
@@ -63,73 +125,59 @@ class HeckeAlgebra:
 
     # ---------- basis elements and products ----------
 
-    def zero(self) -> HeckeElt:
-        return HeckeElt(self, {})
-
     def one(self) -> HeckeElt:
         return self.tau(self.system.identity)
 
     def tau(self, w: WeylElt) -> HeckeElt:
         return HeckeElt(self, {w: _ONE})
 
-    def tau_mul(self, h: HeckeElt, i: int) -> HeckeElt:
-        """Multiply by tau_i on the right."""
-        if not 0 <= i < self.system.rank:
-            raise IndexError(f"simple reflection index {i} out of range")
-        system = self.system
-        table = system.right_table
-        lengths = system._lengths
-        elements = system.elements
+    def _right_step(self, coeffs: dict, i: int, width: int, c: tuple) -> dict:
+        """coeffs (tau_i + a t + b t^-1) for c = (a, b), on packed coefficients
+        keyed by element index: each moves to v s_i, and v keeps
+        (t^-1 - t + a t + b t^-1) p where v s_i < v, (a t + b t^-1) p elsewhere,
+        a shift by one slot each way."""
+        table, descents = self.system.right_table, self.system._descents
+        a, b = c
         out: dict = {}
-        for w, p in h.coeffs.items():
-            j = table[w.idx][i]
-            ws = elements[j]
-            q = out.get(ws)
-            out[ws] = p if q is None else q + p
-            if lengths[j] < w.length:
-                extra = p * _QUAD
-                q = out.get(w)
-                out[w] = extra if q is None else q + extra
-        return HeckeElt(self, out)
-
-    def tau_word(self, h: HeckeElt, word) -> HeckeElt:
-        for i in word:
-            h = self.tau_mul(h, i)
-        return h
+        for v, p in coeffs.items():
+            j = table[v][i]
+            out[j] = out.get(j, 0) + p
+            if descents[v] >> i & 1:
+                up, down = a - 1, b + 1
+            else:
+                up, down = a, b
+            if up or down:
+                extra = up * (p << width) if up else 0
+                if down:
+                    extra += down * (p >> width)
+                out[v] = out.get(v, 0) + extra
+        return out
 
     def product(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        out = self.zero()
-        for w, c in b.coeffs.items():
-            out = out + self.tau_word(a, w.word).scale(c)
-        return out
-
-    # ---------- bar involution ----------
-
-    def bar_tau(self, w: WeylElt) -> HeckeElt:
-        """bar(tau_w) = (tau_{w^{-1}})^{-1}, memoized along reduced words: with
-        b = bar(tau_{ws}), bar(tau_w) = b tau_s^{-1} = b tau_s + (t - t^{-1}) b."""
-        hit = self._bar_tau.get(w)
-        if hit is not None:
-            return hit
-        if w.length == 0:
-            out = self.one()
-        else:
-            i, prev = self.system.right_step(w)
-            b = self.bar_tau(prev)
-            out = self.tau_mul(b, i) + b.scale(_T - _TINV)
-        self._bar_tau[w] = out
-        return out
-
-    def bar(self, h: HeckeElt) -> HeckeElt:
-        """Ring involution with bar(t) = t^-1 and bar(tau_i) = tau_i^{-1}: the sum
-        of dualize(h_w) bar(tau_w), accumulated into one map."""
+        """a b = sum over w of b_w a tau_{i_1} ... tau_{i_k} along w's reduced
+        word, on packed coefficients: a is packed once and the result read back
+        once.  Each step at most triples N, so the slot width comes from
+        N(a) N(b) 3^l for the longest w in b, and the offset of a from its
+        lowest exponent and that l, so every shift down is exact."""
+        steps = max((w.length for w in b.coeffs), default=0)
+        norm_a = sum(abs(c) for p in a.coeffs.values() for c in p.packed.values())
+        norm_b = sum(abs(c) for p in b.coeffs.values() for c in p.packed.values())
+        width = (norm_a * norm_b * 3**steps).bit_length() + 1
+        off_a = max(0, steps - min((e for p in a.coeffs.values() for e in p.packed), default=0))
+        off_b = max(0, -min((e for p in b.coeffs.values() for e in p.packed), default=0))
+        start = {w.idx: _pack(p, off_a, width) for w, p in a.coeffs.items()}
         out: dict = {}
-        for w, c in h.coeffs.items():
-            c = c.dualize()
-            for v, p in self.bar_tau(w).coeffs.items():
-                q = out.get(v)
-                out[v] = p * c if q is None else q + p * c
-        return HeckeElt(self, out)
+        for w, c in b.coeffs.items():
+            image = start
+            for i in w.word:
+                image = self._right_step(image, i, width, _TAU)
+            cb = _pack(c, off_b, width)
+            for v, p in image.items():
+                out[v] = out.get(v, 0) + cb * p
+        elements = self.system.elements
+        return HeckeElt(
+            self, {elements[v]: _unpack(p, off_a + off_b, width) for v, p in out.items()}
+        )
 
     # ---------- Kazhdan-Lusztig bases ----------
 
@@ -138,25 +186,42 @@ class HeckeAlgebra:
         if max_length <= self._kl_done_length:
             return
         system = self.system
+        if self._width is None:
+            self._width = _slot_width(system.w0.length)
+        width = self._width
+        limit = 1 << (width - 1)
+        packed, norms = self._packed, self._norms
         order = sorted(system.elements, key=lambda w: (w.length, w.idx))
         to_check = self._bar_check_plan(order)
         for w in order:
             if w.length > max_length:
                 break
-            if w in self._gamma:
+            if packed[w.idx] is not None:
                 continue
             if w.length == 0:
-                g = self.one()
+                g, bound = {w.idx: 1}, 1
             else:
+                # row u passed its structure checks, so each coefficient at a
+                # v < u has no constant term and the shift down is exact
                 i, u = system.right_step(w)
-                gu = self._gamma[u]
-                g = self.tau_mul(gu, i) + gu.scale(_T)
+                g = self._right_step(packed[u.idx], i, width, _TAU_PLUS_T)
+                bound = 2 * norms[u.idx]
                 for v, mu in self.mu_terms(u, i):
-                    g = g + self._gamma[v].scale(-mu)
-            self._gamma[w] = g
-            self._record_kl_row(w, g)
-            if w in to_check and self.bar(g) != g:
-                raise AssertionError(f"gamma for {w!r} is not bar-invariant")
+                    bound += abs(mu) * norms[v.idx]
+                    for y, p in packed[v.idx].items():
+                        g[y] = g.get(y, 0) - mu * p
+                g = {y: p for y, p in g.items() if p}
+            if bound >= limit:
+                raise OverflowError(
+                    f"gamma for {w!r} may have a coefficient of {bound}, "
+                    f"beyond {width}-bit slots"
+                )
+            digits = {v: balanced_digits(p, width) for v, p in g.items()}
+            norms[w.idx] = sum(abs(c) for dig in digits.values() for c in dig)
+            if w in to_check:
+                self._bar_check(w, g, digits)
+            packed[w.idx] = g
+            self._record_kl_row(w, digits)
         self._kl_done_length = max_length
 
     def _bar_check_plan(self, order):
@@ -170,36 +235,77 @@ class HeckeAlgebra:
         sample = rng.sample(pool, min(8, len(pool))) if pool else []
         return set(shortish) | set(sample)
 
-    def _record_kl_row(self, w: WeylElt, g: HeckeElt):
+    def _bar_check(self, w: WeylElt, g: dict, digits: dict):
+        """sum_v dualize(gamma_w[v]) bar(tau_v) = gamma_w as packed ints: each
+        dualized coefficient packed at offset l(w), bar(tau_v) at offset l(w0),
+        so both sides sit at offset l(w) + l(w0)."""
+        width, lw = self._width, w.length
+        norm = self._norms[w.idx]
+        if norm * (3**lw + 1) >= 1 << width:
+            raise OverflowError(
+                f"the bar check of gamma for {w!r} may differ by {norm * (3**lw + 1)}, "
+                f"beyond {width}-bit slots"
+            )
+        acc: dict = {}
+        for v, dig in digits.items():
+            dual = sum(c << width * (lw - e) for e, c in enumerate(dig) if c)
+            for y, r in self._bar_row(v).items():
+                acc[y] = acc.get(y, 0) + dual * r
+        shift = width * (lw + self.system.w0.length)
+        for y, p in g.items():
+            acc[y] = acc.get(y, 0) - (p << shift)
+        if any(acc.values()):
+            raise AssertionError(f"gamma for {w!r} is not bar-invariant")
+
+    def _bar_row(self, w: int) -> dict:
+        """bar(tau_w) = (tau_{w^{-1}})^{-1} for the element of index w, packed:
+        bar(tau_w) = bar(tau_{ws}) tau_s^{-1}, memoized along right steps."""
+        hit = self._bar_rows[w]
+        if hit is None:
+            if w == self.system.identity.idx:
+                hit = {w: 1 << self._width * self.system.w0.length}
+            else:
+                i, prev = self.system.right_step(self.system.elements[w])
+                hit = self._right_step(self._bar_row(prev.idx), i, self._width, _TAU_INVERSE)
+                hit = {v: p for v, p in hit.items() if p}
+            self._bar_rows[w] = hit
+        return hit
+
+    def _record_kl_row(self, w: WeylElt, digits: dict):
+        """Row w of the KL table from the digits of gamma_w: the coefficient of
+        t^e at v is that of q^j in P_{v,w} for e = l(w) - l(v) - 2j."""
         lw = w.length
-        for v, poly in g.coeffs.items():
-            coeffs = [0] * ((lw - v.length) // 2 + 1)
-            for e, c in poly.packed.items():  # an arity-1 key is the exponent of t
-                j, r = divmod(lw - v.length - e, 2)
-                if r or j < 0 or j >= len(coeffs):
-                    raise AssertionError(f"bad KL exponent structure at ({v!r},{w!r})")
-                coeffs[j] = c
+        lengths, elements = self.system._lengths, self.system.elements
+        row, mus = {}, []
+        for v, dig in digits.items():
+            d = lw - lengths[v]
+            if len(dig) > d + 1 or (len(dig) == d + 1 and d and any(dig[d - 1 :: -2])):
+                raise AssertionError(f"bad KL exponent structure at ({elements[v]!r},{w!r})")
+            coeffs = dig[d::-2] if len(dig) == d + 1 else []  # q^j at t^{d - 2j}
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             if not coeffs or coeffs[0] != 1:
-                raise AssertionError(f"KL constant term is not 1 at ({v!r},{w!r})")
-            if len(coeffs) - 1 > max(0, (lw - v.length - 1)) // 2:
-                raise AssertionError(f"KL degree bound violated at ({v!r},{w!r})")
-            self._kl[(v.idx, w.idx)] = tuple(coeffs)
+                raise AssertionError(f"KL constant term is not 1 at ({elements[v]!r},{w!r})")
+            if len(coeffs) - 1 > max(0, (d - 1)) // 2:
+                raise AssertionError(f"KL degree bound violated at ({elements[v]!r},{w!r})")
+            row[v] = tuple(coeffs)
+            if d % 2 and dig[1]:
+                mus.append((elements[v], dig[1]))
+        self._rows[w.idx], self._mu[w.idx] = row, mus
+
+    def _column(self, w: int) -> dict:
+        """{v.idx: P_{v,w}} for the element of index w, computed on first use."""
+        row = self._rows[w]
+        if row is None:
+            self.kl_compute_upto(self.system._lengths[w])
+            row = self._rows[w]
+        return row
 
     def mu_row(self, w: WeylElt) -> list:
         """(v, mu(v, w)) for every v < w with mu(v, w) nonzero, where mu(v, w) is
         the coefficient of q^{(l(w) - l(v) - 1)/2} in P_{v,w}."""
-        lw = w.length
-        out = []
-        for v in self.kl_basis(w).coeffs:
-            d = lw - v.length
-            if d % 2:
-                p = self._kl[v.idx, w.idx]
-                j = d // 2
-                if j < len(p) and p[j]:
-                    out.append((v, p[j]))
-        return out
+        self._column(w.idx)
+        return self._mu[w.idx]
 
     def mu_terms(self, w: WeylElt, i: int) -> list:
         """The (v, mu(v, w)) of mu_row(w) with v s_i < v: the terms subtracted
@@ -210,15 +316,21 @@ class HeckeAlgebra:
     def kl_basis(self, w: WeylElt) -> HeckeElt:
         hit = self._gamma.get(w)
         if hit is None:
-            self.kl_compute_upto(w.length)
-            hit = self._gamma[w]
+            lw, lengths, elements = w.length, self.system._lengths, self.system.elements
+            hit = self._gamma[w] = HeckeElt(
+                self,
+                {
+                    elements[v]: LaurentPoly.from_packed(
+                        1, {lw - lengths[v] - 2 * j: c for j, c in enumerate(p)}
+                    )
+                    for v, p in self._column(w.idx).items()
+                },
+            )
         return hit
 
     def kl_polynomial(self, v: WeylElt, w: WeylElt) -> tuple:
         """P_{v,w} as a tuple of ascending q-coefficients; () is the zero polynomial."""
-        if w not in self._gamma:
-            self.kl_compute_upto(w.length)
-        return self._kl.get((v.idx, w.idx), ())
+        return self._column(w.idx).get(v.idx, ())
 
     def gamma_rel(self, J, Jp) -> HeckeElt:
         """gamma_{J/J'} = sum over W_J cap W^{J'} of t^{l(w_{J/J'}) - l(v)} tau_v."""
@@ -245,31 +357,63 @@ class HeckeAlgebra:
 
     # ---------- inverse and parabolic KL polynomials ----------
 
+    def _w0_times(self) -> list:
+        """w0 y by index y, as (y^-1 w0)^-1 from the one Cayley column of w0."""
+        if self._w0_left is None:
+            system = self.system
+            inverse, col = system._inverse, system.cayley_column(system.w0.idx)
+            self._w0_left = [inverse[col[inverse[y]]] for y in range(system.order)]
+        return self._w0_left
+
     def inverse_kl(self, u: WeylElt, w: WeylElt) -> tuple:
-        """Q_{u,w} = P_{w_0 w, w_0 u}."""
-        w0 = self.system.w0
-        return self.kl_polynomial(w0 * w, w0 * u)
+        """Q_{u,w} = P_{w_0 w, w_0 u}, through kl_polynomial."""
+        left, elements = self._w0_times(), self.system.elements
+        return self.kl_polynomial(elements[left[w.idx]], elements[left[u.idx]])
 
     def parabolic_kl(self, v: WeylElt, w: WeylElt, J) -> tuple:
         """P^J_{v,w} = P_{v, w w_J} for v, w in W^J."""
-        self.system.require_min_rep(v, J)
-        self.system.require_min_rep(w, J)
-        wj = self.system.longest_parabolic(J)
-        return self.kl_polynomial(v, w * wj)
+        wj_col, _ = self._parabolic_data(v, w, J)
+        return self._column(wj_col[w.idx]).get(v.idx, ())
+
+    def _parabolic_data(self, u: WeylElt, w: WeylElt, J) -> tuple:
+        """(the Cayley column of w_J, [(eps_v eps_{w_J}, Cayley column of v) for
+        v in W_J]), built once per J, after u and w are checked to be in W^J."""
+        key = tuple(J)
+        hit = self._parabolic.get(key)
+        system = self.system
+        if hit is None:
+            wj = system.longest_parabolic(J)
+            terms = [
+                (v.sign * wj.sign, system.cayley_column(v.idx))
+                for v in system.parabolic_elements(J)
+            ]
+            mask = sum(1 << i for i in set(J))
+            hit = self._parabolic[key] = (mask, (system.cayley_column(wj.idx), terms))
+        mask, data = hit
+        if (system._descents[u.idx] | system._descents[w.idx]) & mask:
+            system.require_min_rep(u, J)
+            system.require_min_rep(w, J)
+        return data
 
     def inverse_parabolic_kl(self, u: WeylElt, w: WeylElt, J) -> tuple:
-        """Q^J_{u,w} = sum over v in W_J of eps_v eps_{w_J} Q_{u w_J, w v}."""
-        self.system.require_min_rep(u, J)
-        self.system.require_min_rep(w, J)
-        wj = self.system.longest_parabolic(J)
-        acc: dict = {}
-        for v in self.system.parabolic_elements(J):
-            sign = v.sign * wj.sign
-            q = self.inverse_kl(u * wj, w * v)
-            for j, c in enumerate(q):
-                acc[j] = acc.get(j, 0) + sign * c
-        top = max((j for j, c in acc.items() if c), default=-1)
-        return tuple(acc.get(j, 0) for j in range(top + 1))
+        """Q^J_{u,w} = sum over v in W_J of eps_v eps_{w_J} Q_{u w_J, w v}, where
+        Q_{u w_J, w v} = P_{w0 w v, w0 u w_J}: one column of the KL table, at
+        x = w0 u w_J, read at (w0 w) v for every v."""
+        wj_col, terms = self._parabolic_data(u, w, J)
+        left = self._w0_times()
+        col = self._column(left[wj_col[u.idx]])
+        y = left[w.idx]
+        acc: list = []
+        for sign, vcol in terms:
+            q = col.get(vcol[y])
+            if q:
+                if len(q) > len(acc):
+                    acc += [0] * (len(q) - len(acc))
+                for j, c in enumerate(q):
+                    acc[j] += sign * c
+        while acc and acc[-1] == 0:
+            acc.pop()
+        return tuple(acc)
 
 
 def qpoly_str(coeffs: tuple) -> str:

@@ -268,6 +268,10 @@ class Localization:
         right-W_J-invariant (ValueError if not), so f g is too: with x -> x(q_J)
         invariant as well, the summand lives on W/W_J and each {uv : v in W^J}
         is a set of coset representatives, so again every u gives the same sum.
+
+        The right classes are indexed by fixed point, so each entry is one dot
+        over the points both classes live on, in f's order, and an entry with
+        no common point is the domain's zero.
         """
         classes = [*left, *right]
         if not classes:
@@ -278,16 +282,21 @@ class Localization:
         if J and not all(self.is_invariant(c, J) for c in classes):
             raise ValueError("pairing of a class that is not right-W_J-invariant")
         q = ring.pushpull_rel(tuple(range(self.system.rank)), J).coeffs
-        dot = self.dom.dot
+        dot, zero = self.dom.dot, self.dom.zero
+        by_point: dict = {}  # x -> [(column, g_x)] over the right classes
+        for col, g in enumerate(right):
+            for x, gx in g.coeffs.items():
+                by_point.setdefault(x, []).append((col, gx))
         rows = []
         for f in left:
-            wf = {x: fx * q[x] for x, fx in f.coeffs.items() if x in q}
-            row = []
-            for g in right:
-                gv = g.coeffs
-                common = [x for x in wf if x in gv]
-                row.append(dot([wf[x] for x in common], [gv[x] for x in common]))
-            rows.append(row)
+            terms = [([], []) for _ in right]  # f_x x(q_J) and g_x, in f's order
+            for x, fx in f.coeffs.items():
+                if x in by_point and x in q:
+                    wfx = fx * q[x]
+                    for col, gx in by_point[x]:
+                        terms[col][0].append(wfx)
+                        terms[col][1].append(gx)
+            rows.append([dot(*pair) if pair[0] else zero for pair in terms])
         return rows
 
     def pairing_normalizer(self, J=()):

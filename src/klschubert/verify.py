@@ -6,7 +6,9 @@ through one check, _case(case_id, lhs, rhs): lhs == rhs, the scalars' own
 equality for scalars and, coefficient by coefficient, for classes and
 operators, with both sides printed as the witness on failure.  The few
 verdicts that are not an equality (an inequality, a mismatch, a
-combinatorial check) are yielded as CaseResults directly.
+combinatorial check) are yielded as CaseResults directly, and so are the
+inversion cases of a u whose sums all hold, which are compared at once as one
+packed int (see _inversion_cases).
 
 Suites run either exactly or in modp mode; the latter evaluates the whole
 computation in one orbit domain holding k Weyl-orbit point families drawn
@@ -40,7 +42,7 @@ from .grassmannian import (
     v_word,
     word_of_partition,
 )
-from .hecke import HeckeAlgebra
+from .hecke import HeckeAlgebra, balanced_digits
 from .laurent import LaurentPoly
 from .localization import CohClass, Localization
 from .modp import ExactDomain, OrbitDomain
@@ -69,7 +71,14 @@ class RunConfig:
     serre_samples: int = 100
 
     def __post_init__(self):
-        self.cartan()  # refuse a bad type or rank before any suite runs
+        self.validate()
+
+    def validate(self):
+        """Refuse a bad type, rank, mode, k or serre_samples: on construction,
+        and again in run_suite, since a field may change in between."""
+        self.cartan()
+        if self.mode not in ("exact", "modp"):
+            raise ValueError(f"unknown mode {self.mode!r}")
         if self.k < 1:
             raise ValueError(f"k = {self.k} is below 1; mod p needs at least one point family")
         if self.serre_samples < 0:
@@ -188,31 +197,47 @@ def _inversion_cases(case_id, elements: list, q_of, p_of):
     """The cases "sum over w of eps_u eps_w Q_{u,w} P_{w,v} = delta_uv" for every
     u, then every v, in elements; Q_{u,w} = q_of(u, w) and P_{w,v} = p_of(w, v) are
     q-polynomials as ascending coefficient tuples, and case_id(u, v) names each
-    case.  Each row P_{w,.} is looked up once and kept as its nonzero entries,
-    each Q_{u,w} once per u, and only the products of two nonzero values are
-    summed.  The support comes from the values, not from Bruhat order, so a
-    wrong nonzero value anywhere still breaks a case; w runs in element order
-    for every v, so each sum meets its q-powers in the order of a sum over w."""
+    case.  Each P_{w,v} and each Q_{u,w} with a nonzero row P_{w,.} is looked up
+    once.  The sums run on packed ints (Kronecker substitution, as in hecke):
+    row w packs its P_{w,v} into one int, q^j of the i-th v at slot S i + j
+    with S slots a block, so sum_w eps_u eps_w Q_{u,w} row_w packs the sums of
+    every v at once and is compared, as one int, with the packing of delta_u.
+    The slot width is taken from the values themselves: every coefficient of
+    every sum is at most the largest sum over w of the |coefficients| of
+    Q_{u,w} times the largest |coefficient| of a P_{w,v}, so the ints are equal
+    exactly when every sum is right.  Only a u with a wrong sum reads its sums
+    back, as {q-power: coefficient} in ascending order with zeros dropped, and
+    checks each through _case.  The support comes from the values, not from
+    Bruhat order, so a wrong nonzero value anywhere still breaks a case."""
     rows = []
     for w in elements:
         row = [(i, p) for i, v in enumerate(elements) if (p := p_of(w, v))]
         if row:
             rows.append((w, row))
-    for u in elements:
-        sums = [{} for _ in elements]
-        for w, row in rows:
-            q = q_of(u, w)
-            if not q:
-                continue
-            sign = u.sign * w.sign
-            for i, p in row:
-                acc = sums[i]
-                for j1, c1 in enumerate(q):
-                    c1 *= sign
-                    for j2, c2 in enumerate(p):
-                        acc[j1 + j2] = acc.get(j1 + j2, 0) + c1 * c2
-        for v, acc in zip(elements, sums):
-            acc = {k: c for k, c in acc.items() if c}
+    qs = [[(k, q) for k, (w, _) in enumerate(rows) if (q := q_of(u, w))] for u in elements]
+    slots = max((len(p) for _, row in rows for _, p in row), default=1) + max(
+        (len(q) for qu in qs for _, q in qu), default=1
+    ) - 1
+    pmax = max((abs(c) for _, row in rows for _, p in row for c in p), default=0)
+    qmass = max((sum(abs(c) for _, q in qu for c in q) for qu in qs), default=0)
+    width = (qmass * pmax + 1).bit_length() + 1
+    block = width * slots
+
+    def pack(p, shift=0):
+        return sum(c << shift + width * j for j, c in enumerate(p))
+
+    packed = [sum(pack(p, block * i) for i, p in row) for _, row in rows]
+    for n, (u, qu) in enumerate(zip(elements, qs)):
+        total = 0
+        for k, q in qu:
+            total += u.sign * rows[k][0].sign * pack(q) * packed[k]
+        if total == 1 << block * n:
+            for v in elements:
+                yield CaseResult(case_id(u, v), True)
+            continue
+        digits = balanced_digits(total, width)
+        for i, v in enumerate(elements):
+            acc = {j: c for j, c in enumerate(digits[slots * i : slots * (i + 1)]) if c}
             yield _case(case_id(u, v), acc, {0: 1} if u is v else {})
 
 
@@ -229,8 +254,6 @@ class _Context:
     """
 
     def __init__(self, cfg: RunConfig, suite: str, guard: int):
-        if cfg.mode not in ("exact", "modp"):
-            raise ValueError(f"unknown mode {cfg.mode!r}")
         self.cfg = cfg
         try:
             self.system = RootSystem(cfg.cartan(), size_cap=guard)
@@ -625,6 +648,7 @@ SUITES = {
 def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    cfg.validate()
     guard = cfg.comb_guard if name == "zelevinsky" else cfg.hecke_guard
     ctx = _Context(cfg, name, guard)
     return VerificationReport(

@@ -5,8 +5,8 @@ These deliberately avoid the production code paths they check:
 - subword_leq enumerates subwords of a fixed reduced word (Bruhat order).
 - kl_basis_by_bar_solving finds the canonical basis element for w by solving
   the bar-invariance + triangularity conditions as a linear system over
-  Laurent polynomials in t, using only Hecke multiplication by generators
-  and the generator inverses tau_inverse_generator (never the mu-recursion).
+  Laurent polynomials in t, using only bar_tau below, right steps by
+  generators on LaurentPoly coefficients (never the mu-recursion).
 
 - tuple_mul, tuple_divide_binomial and long_divide multiply and divide on
   exponent tuples, one tuple built per term, where LaurentPoly works on
@@ -40,6 +40,13 @@ canonical basis kl_tilde_basis, the direct routes to the classes that
 Localization builds by recursion (the whole image of tau_w or gamma_w acting
 on pt_e, and the Hecke sums of iota-products behind C~_w and SMC cells), the
 constant class one_class, and scalar_elt, a scalar times delta_e.
+
+For the Hecke algebra, which computes on packed ints, it keeps the route on
+LaurentPoly coefficients: tau_mul, one right step by a generator; bar_tau and
+bar, the bar involution; product_by_steps, the product as a sum of right
+steps; and kl_table_by_recursion, the right KL recursion with mu read from
+its own rows, with kl_rows reading P_{v,w} and mu(v, w) off gamma_w, and
+parabolic_tables the P^J and Q^J of one J from those rows.
 """
 
 import re
@@ -70,26 +77,116 @@ def subword_leq(system, u, v):
     return False
 
 
-def tau_inverse_generator(ring, i):
-    """tau_i^{-1} = tau_i + t - t^{-1}."""
-    system, t = ring.system, LaurentPoly.t_power(1, 1)
-    s = system.simple_reflection(i)
-    return HeckeElt(ring, {s: LaurentPoly.const(1, 1), system.identity: t - t.dualize()})
-
-
-def _bar_tau_table(ring):
-    """bar(tau_v) for all v, built from generator inverses along BFS words."""
+def tau_mul(h, i):
+    """h tau_i on LaurentPoly coefficients: tau_v tau_s = tau_{vs}, plus
+    (t^-1 - t) tau_v where vs < v."""
+    ring = h.ring
     system = ring.system
-    table = {system.identity: ring.tau(system.identity)}
-    order = sorted(system.elements, key=lambda w: (w.length, w.idx))
-    for w in order:
-        if w in table:
-            continue
-        i = w.word[-1]
-        prev = system.elements[system.right_table[w.idx][i]]
-        # bar(tau_{ws}) = bar(tau_w) * tau_s^{-1}
-        table[w] = ring.product(table[prev], tau_inverse_generator(ring, i))
-    return table
+    quad = LaurentPoly.t_power(1, -1) - LaurentPoly.t_power(1, 1)
+    out = {}
+    for w, p in h.coeffs.items():
+        j = system.right_table[w.idx][i]
+        ws = system.elements[j]
+        out[ws] = out[ws] + p if ws in out else p
+        if ws.length < w.length:
+            out[w] = out[w] + p * quad if w in out else p * quad
+    return HeckeElt(ring, out)
+
+
+def product_by_steps(a, b):
+    """a b as the sum over w of b_w times a tau_{i_1} ... tau_{i_k} along w's
+    reduced word."""
+    out = HeckeElt(a.ring, {})
+    for w, c in b.coeffs.items():
+        x = a
+        for i in w.word:
+            x = tau_mul(x, i)
+        out = out + x.scale(c)
+    return out
+
+
+_BAR_TAU = WeakKeyDictionary()
+
+
+def bar_tau(ring, w):
+    """bar(tau_w) = (tau_{w^-1})^-1, memoized along reduced words: with
+    b = bar(tau_{ws}), bar(tau_w) = b tau_s^-1 = b tau_s + (t - t^-1) b."""
+    memo = _BAR_TAU.setdefault(ring, {})
+    hit = memo.get(w)
+    if hit is None:
+        if w.length == 0:
+            hit = ring.one()
+        else:
+            i, prev = ring.system.right_step(w)
+            b = bar_tau(ring, prev)
+            t = LaurentPoly.t_power(1, 1)
+            hit = tau_mul(b, i) + b.scale(t - t.dualize())
+        memo[w] = hit
+    return hit
+
+
+def bar(ring, h):
+    """The ring involution with bar(t) = t^-1 and bar(tau_i) = tau_i^-1: the sum
+    of dualize(h_w) bar(tau_w)."""
+    out = HeckeElt(ring, {})
+    for w, c in h.coeffs.items():
+        out = out + bar_tau(ring, w).scale(c.dualize())
+    return out
+
+
+def kl_rows(gamma, w):
+    """({v: P_{v,w}} as ascending q-coefficient tuples, [(v, mu(v, w))]) read
+    off gamma_w: the coefficient of t^{l(w) - l(v) - 2j} at tau_v is that of
+    q^j, and mu(v, w) is the coefficient of t when l(w) - l(v) is odd."""
+    rows, mus = {}, []
+    for v, c in gamma.coeffs.items():
+        d = w.length - v.length
+        rows[v] = tuple(c.packed.get(d - 2 * j, 0) for j in range(d // 2 + 1))
+        while rows[v] and rows[v][-1] == 0:
+            rows[v] = rows[v][:-1]
+        if d % 2 and c.packed.get(1):
+            mus.append((v, c.packed[1]))
+    return rows, mus
+
+
+def kl_table_by_recursion(ring):
+    """{w: gamma_w} by gamma_w = gamma_{ws} (tau_s + t) - sum mu(v, ws) gamma_v
+    over v s < v, on LaurentPoly coefficients, every gamma_w checked
+    bar-invariant by bar."""
+    system = ring.system
+    t = LaurentPoly.t_power(1, 1)
+    gamma = {}
+    for w in sorted(system.elements, key=lambda w: (w.length, w.idx)):
+        if w.length == 0:
+            g = ring.one()
+        else:
+            i, u = system.right_step(w)
+            g = tau_mul(gamma[u], i) + gamma[u].scale(t)
+            for v, m in kl_rows(gamma[u], u)[1]:
+                if i in system.right_descents(v):
+                    g = g - gamma[v].scale(m)
+        assert bar(ring, g) == g, w
+        gamma[w] = g
+    return gamma
+
+
+def parabolic_tables(system, rows, J):
+    """({(u, w): P^J_{u,w}}, {(u, w): Q^J_{u,w}}) over W^J x W^J, from the rows
+    {w: {v: P_{v,w}}}: P^J_{v,w} = P_{v, w w_J} and Q^J_{u,w} the sum over v in
+    W_J of eps_v eps_{w_J} P_{w0 w v, w0 u w_J}."""
+    w0, wj = system.w0, system.longest_parabolic(J)
+    reps = system.minimal_coset_reps(J)
+    p_j, q_j = {}, {}
+    for u in reps:
+        for w in reps:
+            p_j[u, w] = rows[w * wj].get(u, ())
+            acc = {}
+            for x in system.parabolic_elements(J):
+                for k, c in enumerate(rows[w0 * u * wj].get(w0 * w * x, ())):
+                    acc[k] = acc.get(k, 0) + x.sign * wj.sign * c
+            top = max((k for k, c in acc.items() if c), default=-1)
+            q_j[u, w] = tuple(acc.get(k, 0) for k in range(top + 1))
+    return p_j, q_j
 
 
 def _positive_part(poly):
@@ -106,7 +203,6 @@ def _positive_part(poly):
 def kl_basis_by_bar_solving(ring, w):
     """The unique bar-invariant element in tau_w + sum_{v<w} t Z[t] tau_v."""
     system = ring.system
-    bar_tau = _bar_tau_table(ring)
     interval = system.bruhat_interval(w)
     coeffs = {w: LaurentPoly.const(1, 1)}
     for x in sorted(interval, key=lambda v: -v.length):
@@ -117,7 +213,7 @@ def kl_basis_by_bar_solving(ring, w):
         for v, cv in coeffs.items():
             if v is x:
                 continue
-            contrib = bar_tau[v].coeffs.get(x)
+            contrib = bar_tau(ring, v).coeffs.get(x)
             if contrib is not None:
                 rhs = rhs + cv.dualize() * contrib
         cx = _positive_part(rhs)
@@ -313,7 +409,7 @@ def smc_cell_direct(loc, v):
         for a in loc.system.positive_roots
     ]
     scal = loc.dom.lift(RatFunc.from_den_factors(LaurentPoly.t_power(arity, -y.length), dens))
-    return on_top_point_direct(loc, loc.hecke.bar_tau(y.inverse())).scale(scal)
+    return on_top_point_direct(loc, bar_tau(loc.hecke, y.inverse())).scale(scal)
 
 
 def kl_class_c_direct(loc, w):

@@ -2,11 +2,23 @@ import random
 
 import pytest
 
-from klschubert.hecke import HeckeAlgebra, qpoly_str
+from klschubert import hecke
+from klschubert.hecke import HeckeAlgebra, balanced_digits, qpoly_str
 from klschubert.laurent import LaurentPoly
 from klschubert.rootsystem import CartanData, RootSystem
 
-from oracles import hiota, kl_basis_by_bar_solving, kl_tilde_basis
+from oracles import (
+    bar,
+    bar_tau,
+    hiota,
+    kl_basis_by_bar_solving,
+    kl_rows,
+    kl_table_by_recursion,
+    kl_tilde_basis,
+    parabolic_tables,
+    product_by_steps,
+    tau_mul,
+)
 
 T = LaurentPoly.monomial((1,), 1)
 TINV = LaurentPoly.monomial((-1,), 1)
@@ -32,24 +44,45 @@ def h3(a3):
 
 def test_tau_mul_basic(h2, a2):
     s1 = a2.simple_reflection(0)
-    assert h2.tau_mul(h2.one(), 0) == h2.tau(s1)
+    assert h2.product(h2.one(), h2.tau(s1)) == h2.tau(s1) == tau_mul(h2.one(), 0)
     # quadratic relation: tau_s tau_s = tau_e + (t^-1 - t) tau_s
-    sq = h2.tau_mul(h2.tau(s1), 0)
-    assert sq == h2.one() + h2.tau(s1).scale(TINV - T)
+    sq = h2.product(h2.tau(s1), h2.tau(s1))
+    assert sq == h2.one() + h2.tau(s1).scale(TINV - T) == tau_mul(h2.tau(s1), 0)
 
 
 def test_braid_relation(h2, a2):
-    lhs = h2.tau_word(h2.one(), [0, 1, 0])
-    rhs = h2.tau_word(h2.one(), [1, 0, 1])
+    s1, s2 = (h2.tau(a2.simple_reflection(i)) for i in (0, 1))
+    lhs = h2.product(h2.product(s1, s2), s1)
+    rhs = h2.product(h2.product(s2, s1), s2)
     assert lhs == rhs == h2.tau(a2.w0)
 
 
 def test_product_inverse(h2, a2):
     s1 = a2.simple_reflection(0)
-    assert h2.product(h2.tau(s1), h2.bar_tau(s1.inverse())) == h2.one()
+    assert h2.product(h2.tau(s1), bar_tau(h2, s1.inverse())) == h2.one()
     w = a2.from_word([0, 1])
-    assert h2.product(h2.tau(w), h2.bar_tau(w.inverse())) == h2.one()
+    assert h2.product(h2.tau(w), bar_tau(h2, w.inverse())) == h2.one()
     assert h2.product(h2.one(), h2.tau(w)) == h2.tau(w)
+
+
+def test_product_matches_the_product_by_steps(h3, a3):
+    """Packed products agree with right steps on LaurentPoly coefficients, for
+    factors with negative, zero and positive exponents and larger coefficients."""
+    rng = random.Random(7)
+
+    def random_elt(terms):
+        coeffs = {}
+        for _ in range(terms):
+            w = a3.elements[rng.randrange(a3.order)]
+            exps = {(rng.randrange(-4, 5),): rng.randrange(-40, 41) or 1 for _ in range(3)}
+            coeffs[w] = LaurentPoly(1, exps)
+        return type(h3.one())(h3, coeffs)
+
+    for _ in range(6):
+        a, b = random_elt(4), random_elt(3)
+        assert h3.product(a, b) == product_by_steps(a, b)
+    zero = type(h3.one())(h3, {})
+    assert h3.product(zero, random_elt(2)) == zero == h3.product(random_elt(2), zero)
 
 
 def test_product_associative(h3, a3):
@@ -60,16 +93,16 @@ def test_product_associative(h3, a3):
         for _ in range(3):
             w = a3.elements[rng.randrange(a3.order)]
             coeffs[w] = LaurentPoly(1, {(rng.randrange(-2, 3),): rng.randrange(-3, 4) or 1})
-        elts.append(h3.zero() + type(h3.one())(h3, coeffs))
+        elts.append(type(h3.one())(h3, coeffs))
     a, b, c = elts
     assert (a * b) * c == a * (b * c)
 
 
 def test_bar_basics(h2, a2):
     s1 = a2.simple_reflection(0)
-    assert h2.bar(h2.one()) == h2.one()
+    assert bar(h2, h2.one()) == h2.one()
     # bar(tau_s) = tau_s + t - t^-1, from inverting the quadratic relation
-    assert h2.bar(h2.tau(s1)) == h2.tau(s1) + h2.one().scale(T - TINV)
+    assert bar(h2, h2.tau(s1)) == h2.tau(s1) + h2.one().scale(T - TINV)
     # involution on random elements
     rng = random.Random(5)
     for _ in range(5):
@@ -80,7 +113,7 @@ def test_bar_basics(h2, a2):
             for _ in range(3)
         }
         h = type(h2.one())(h2, coeffs)
-        assert h2.bar(h2.bar(h)) == h
+        assert bar(h2, bar(h2, h)) == h
 
 
 def test_kl_basis_small(h2, a2):
@@ -89,7 +122,7 @@ def test_kl_basis_small(h2, a2):
     assert h2.kl_basis(s1) == h2.tau(s1) + h2.one().scale(T)
     for w in a2.elements:
         g = h2.kl_basis(w)
-        assert h2.bar(g) == g
+        assert bar(h2, g) == g
 
 
 def test_kl_polynomials_a2_trivial(h2, a2):
@@ -156,7 +189,7 @@ def test_kl_tilde(h2, h3, a2, a3):
                 assert c == ONE
             else:
                 assert all(e < 0 for (e,) in c.terms)
-        assert h3.bar(g) == g
+        assert bar(h3, g) == g
 
 
 def test_gamma_rel(h3, a3):
@@ -283,3 +316,95 @@ def test_gamma_squared_identity(h3, a3):
             1, {(2 * e - wj.length,): c for (e,), c in pj.terms.items()}
         )
         assert g * g == g.scale(scalar)
+
+
+ORACLE_GROUPS = {
+    "A1": CartanData.type_a(1),
+    "A2": CartanData.type_a(2),
+    "A3": CartanData.type_a(3),
+    "A4": CartanData.type_a(4),
+    **{name: GROUPS[name] for name in ("B2", "G2", "B3")},
+}
+
+
+def _subsets(n):
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+
+
+@pytest.mark.parametrize("group", sorted(ORACLE_GROUPS))
+def test_packed_table_matches_the_laurent_recursion(group):
+    """Every P_{v,w}, mu row, bar(tau_w), P^J and Q^J (every J) of the packed
+    table equals the one the LaurentPoly recursion gives."""
+    system = RootSystem(ORACLE_GROUPS[group])
+    h = HeckeAlgebra(system)
+    h.kl_compute_upto(system.w0.length)
+    gamma = kl_table_by_recursion(h)
+    rows = {}
+    for w in system.elements:
+        rows[w], mus = kl_rows(gamma[w], w)
+        table = {v: h.kl_polynomial(v, w) for v in system.elements}
+        assert {v: p for v, p in table.items() if p} == rows[w]
+        assert dict(h.mu_row(w)) == dict(mus) and len(h.mu_row(w)) == len(mus)
+        assert h.kl_basis(w) == gamma[w]
+    top, width = system.w0.length, h._width
+    for w in system.elements:
+        packed = {
+            system.elements[v]: LaurentPoly.from_packed(
+                1, {e - top: c for e, c in enumerate(balanced_digits(p, width))}
+            )
+            for v, p in h._bar_row(w.idx).items()
+        }
+        assert type(h.one())(h, packed) == bar_tau(h, w), w
+    for J in _subsets(system.rank):
+        p_j, q_j = parabolic_tables(system, rows, J)
+        for (u, w), p in p_j.items():
+            assert h.parabolic_kl(u, w, J) == p, (J, u, w)
+            assert h.inverse_parabolic_kl(u, w, J) == q_j[u, w], (J, u, w)
+
+
+def test_a_dropped_mu_term_is_refused(monkeypatch, a3):
+    """Without one mu term the recursion's gamma_w is gamma_w + mu gamma_v.
+    That is bar-invariant too, so the packed bar check passes it, and the
+    degree bound of P_{v,w} is what refuses it."""
+    right = HeckeAlgebra.mu_terms
+    dropped = []
+
+    def drop_one(self, w, i):
+        terms = right(self, w, i)
+        if terms and not dropped:
+            dropped.append((w, i))
+            return terms[1:]
+        return terms
+
+    monkeypatch.setattr(HeckeAlgebra, "mu_terms", drop_one)
+    with pytest.raises(AssertionError, match="KL degree bound violated"):
+        HeckeAlgebra(a3).kl_compute_upto(a3.w0.length)
+    assert dropped
+
+
+@pytest.mark.parametrize("step", [(-1, 0), (0, 0), (2, 0)])
+def test_a_wrong_recursion_step_fails_the_bar_check(monkeypatch, a3, step):
+    """gamma_ws (tau_s - t), gamma_ws tau_s or gamma_ws (tau_s + 2t) in place of
+    gamma_ws (tau_s + t): the packed bar check, which runs before the
+    structure checks of the row, refuses the first gamma_w it makes."""
+    monkeypatch.setattr(hecke, "_TAU_PLUS_T", step)
+    with pytest.raises(AssertionError, match="not bar-invariant"):
+        HeckeAlgebra(a3).kl_compute_upto(a3.w0.length)
+
+
+@pytest.mark.parametrize("width, checked", [(10, True), (4, False)])
+def test_slots_below_the_bound_raise_overflow(monkeypatch, a3, width, checked):
+    """A slot width below the a priori bound is refused, by the bar check's
+    limit or, with no bar check, by the limit on reading gamma_w back, before
+    any digit could wrap; the a priori width passes."""
+    assert hecke._slot_width(a3.w0.length) > width
+    monkeypatch.setattr(hecke, "_slot_width", lambda top: width)
+    if not checked:
+        monkeypatch.setattr(HeckeAlgebra, "_bar_check_plan", lambda self, order: set())
+    h = HeckeAlgebra(a3)
+    with pytest.raises(OverflowError):
+        h.kl_compute_upto(a3.w0.length)
+    monkeypatch.undo()
+    full = HeckeAlgebra(a3)
+    full.kl_compute_upto(a3.w0.length)
+    assert full._width == hecke._slot_width(a3.w0.length)

@@ -12,6 +12,7 @@ from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import psi
 
 from oracles import (
+    bar_tau,
     bullet_direct,
     eval_kept,
     is_smooth_direct,
@@ -326,6 +327,30 @@ def test_pairing_matrix_checks_every_class(name, mode):
     assert loc.pairing(f, zero).is_zero()
 
 
+@pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
+def test_pairing_matrix_entries_are_dots_over_the_common_points(name, mode):
+    """Each entry is one dot over the points both classes live on, in f's
+    order, as the dense loop over f's points makes it; an entry with no common
+    point is the domain's zero itself."""
+    loc = _pairing_loc(name, mode)
+    system = loc.system
+    top = system.elements[-1]
+    left = [loc.point_class(top), loc.point_class(system.w0), loc.random_class(3)]
+    right = [loc.point_class(system.w0), loc.random_class(4), CohClass(loc.mult, {})]
+    q = loc.mult.pushpull_rel(tuple(range(system.rank)), ()).coeffs
+    empty = 0
+    for f, row in zip(left, loc.pairing_matrix(left, right)):
+        for g, val in zip(right, row):
+            common = [x for x in f.coeffs if x in g.coeffs and x in q]
+            if common:
+                xs = [f.coeffs[x] * q[x] for x in common]
+                assert val == loc.dom.dot(xs, [g.coeffs[x] for x in common])
+            else:
+                empty += 1
+                assert val is loc.dom.zero
+    assert empty >= len(left)
+
+
 def test_pushforward_proposition_a2(loc2, a2):
     for J in [(), (0,), (1,), (0, 1)]:
         wj = a2.longest_parabolic(J)
@@ -485,7 +510,7 @@ def test_bullet_is_the_termwise_sum(name, mode):
         wide = [loc.kl_schubert(top)]
         computed = None
         if kind == "multiplicative":
-            computed = ring.hecke_to_qw(loc.hecke.bar_tau(top))
+            computed = ring.hecke_to_qw(bar_tau(loc.hecke, top))
             long.append(computed)
             points.append(loc.random_class(5))
             wide = [loc.mc_cell(top)]

@@ -494,6 +494,29 @@ def test_a_rank_below_one_is_refused(kwargs):
 
 
 @pytest.mark.parametrize(
+    "field, value, mode, message",
+    [
+        ("serre_samples", -3, "exact", "serre_samples = -3 is below 0"),
+        ("k", 0, "modp", "k = 0 is below 1"),
+        ("mode", "padic", "exact", "unknown mode 'padic'"),
+    ],
+)
+def test_a_config_changed_after_construction_is_refused(monkeypatch, field, value, mode, message):
+    """run_suite validates the config again, so a field set to a bad value
+    after construction is refused before the group is built or a suite runs."""
+    cfg = RunConfig(rank=3, mode=mode, serre_samples=0)
+    setattr(cfg, field, value)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(SUITES, "serre", refuse)
+    monkeypatch.setattr(verify, "RootSystem", refuse)
+    with pytest.raises(ValueError, match=message):
+        run_suite("serre", cfg)
+
+
+@pytest.mark.parametrize(
     "kwargs, message",
     [
         ({"k": 0}, "k = 0 is below 1"),
