@@ -31,7 +31,6 @@ __all__ = [
     "label_sets",
     "stabilizer_chain",
     "v_word",
-    "render_tiling",
 ]
 
 
@@ -316,18 +315,4 @@ def v_word(rect: Rectangle, g: GrassData) -> tuple:
     for h in range(rect.p):
         word.extend(range(c + rect.q - 1 + h, c + h - 1, -1))
     return tuple(word)
-
-
-# ---------- rendering ----------
-
-
-def render_tiling(tiling: Tiling) -> str:
-    owner = {}
-    for idx, rect in enumerate(tiling.rectangles, start=1):
-        for box in rect.boxes():
-            owner[box] = idx
-    lines = []
-    for i, width in enumerate(tiling.lam.parts, start=1):
-        lines.append(" ".join(str(owner[(i, j)]) for j in range(1, width + 1)))
-    return "\n".join(lines)
 

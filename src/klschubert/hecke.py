@@ -45,7 +45,7 @@ import random
 from .laurent import LaurentPoly
 from .rootsystem import RootSystem, WeylElt, WMap
 
-__all__ = ["HeckeAlgebra", "HeckeElt", "balanced_digits", "qpoly_str"]
+__all__ = ["HeckeAlgebra", "HeckeElt", "balanced_digits"]
 
 _ONE = LaurentPoly.const(1, 1)
 
@@ -415,19 +415,3 @@ class HeckeAlgebra:
             acc.pop()
         return tuple(acc)
 
-
-def qpoly_str(coeffs: tuple) -> str:
-    """Human-readable form of an ascending q-coefficient tuple."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        if j == 0:
-            parts.append(str(c))
-        elif j == 1:
-            parts.append(f"{c}*q" if c != 1 else "q")
-        else:
-            parts.append(f"{c}*q^{j}" if c != 1 else f"q^{j}")
-    return " + ".join(parts)

@@ -41,9 +41,10 @@ per-length) lifted scalar is built at most once per Localization, through one
 memo table keyed by (builder, arguments), and the same object is handed to
 every caller; so no class is changed after it is built.
 
-One memoized recursion over restrictions builds C_w, C~_w and SMC cells.  A
-family (start point, c, cross factor b, mu terms) of _FAMILIES gives classes
-D_w, s the last letter of w's reduced word: D_e is the start point class and
+One memoized recursion over restrictions builds MC cells, C_w, C~_w and SMC
+cells.  A family (start point, c, cross factor b, mu terms) of _FAMILIES gives
+classes D_w, s the last letter of w's reduced word: D_e is the start point
+class and
 
     D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(b) - sum mu(v, ws) D_v[y],
 
@@ -52,6 +53,8 @@ coefficients of G_s = g_e delta_e + g_s delta_s, the image of tau_s, and c a
 polynomial in t.  Each D_w[y] is one dom.dot, and every scalar is a twist of a
 lifted generator coefficient, so a known function (see modp):
 
+    MC(cell w)   pt_e     c = 0          b = k_s     -    read at w, then
+                 scaled by t^{-l(w)}
     C_w          pt_e     c = t          b = k_s     mu   read at w
     C~_w         pt_w0    c = -t^{-1}    b = s(g_s)  mu   read at w0 w
     SMC(cell v)  pt_w0    c = t - t^{-1} b = s(g_s)  -    read at w0 v, then
@@ -62,7 +65,9 @@ Why, from pt_e: C_w = gamma_w o pt_e, and the right KL recursion
 holds for the images A_w of gamma_w in Q_W.  (A G_s)[y] = A[y] y(g_e) +
 A[ys] (ys)(g_s), C_w[y] = A_w[y] y(x_Pi) and y(x_Pi) = (ys)(x_Pi)
 (ys)(s(x_Pi)/x_Pi), so b = k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s} (s
-permutes the positive roots other than alpha_s), a product of two lifts.
+permutes the positive roots other than alpha_s), a product of two lifts.  The
+same steps with tau_w = tau_{ws} tau_s for the image of tau_w give MC(cell w) =
+t^{-l(w)} tau_w o pt_e: c = 0, b = k_s and no mu terms.
 
 Why, from pt_w0: C~_w = gamma~_{w^{-1} w0} . pt_{w0}, SMC(cell v) is a multiple
 of (tau_{w0 v})^{-1} . pt_{w0}, and the anti-involution iota(p delta_v) =
@@ -109,6 +114,7 @@ _TINV = LaurentPoly.t_power(1, -1)
 # family -> (start point, c, cross factor b, mu terms) of the restriction
 # recursion (module docstring); the start point is an attribute of RootSystem
 _FAMILIES = {
+    "MC": ("identity", LaurentPoly.const(1, 0), "k_s", False),
     "C": ("identity", _T, "k_s", True),
     "C~": ("w0", -_TINV, "s(g_s)", True),
     "SMC": ("w0", _T - _TINV, "s(g_s)", False),
@@ -206,10 +212,8 @@ class Localization:
         return self._once(self._mc_cell, w)
 
     def _mc_cell(self, w: WeylElt) -> CohClass:
-        """t^{-l(w)} tau_w o pt_e: a_u pt_u[u] at u, for a the image of tau_w."""
-        point = self.point_class
-        out = {u: p * point(u).coeffs[u] for u, p in self.mult.dl_element(w).coeffs.items()}
-        return CohClass(self.mult, out).scale(self.mult.scalar_t(-w.length))
+        """t^{-l(w)} tau_w o pt_e, by the restriction recursion at w."""
+        return self._once(self._family_class, "MC", w).scale(self.mult.scalar_t(-w.length))
 
     def _lambda_inv(self, J):
         """1 / prod (1 - t^-2 e^{a}) over Sigma^+ minus Sigma_J^+, lifted; its value
@@ -240,10 +244,9 @@ class Localization:
     # ---------- Segre motivic Chern classes ----------
 
     def _smc_normalizer(self):
-        """1 / prod_{a>0} (1 - t^-2 e^{-a}), lifted."""
-        return self.mult.root_product(
-            lambda a: RatFunc(self._binomial(-2, _neg(a))).inv(), self.system.positive_roots
-        )
+        """1 / prod_{a>0} (1 - t^-2 e^{-a}): w0 sends the positive roots to the
+        negative ones, so this is the w0-twist of the lifted _lambda_inv(())."""
+        return self.dom.weyl(self.system.w0, self._once(self._lambda_inv, ()))
 
     def smc_cell(self, v: WeylElt) -> CohClass:
         """SMC of the opposite cell, t^{-l(w0 v)} (tau_{w0 v})^{-1} . pt_{w_0}
@@ -389,8 +392,6 @@ class Localization:
         terms = []
         lw = w.length
         for u in self.system.minimal_coset_reps(J):
-            if not self.system.bruhat_leq(u, w):
-                continue
             p = self.hecke.parabolic_kl(u, w, J)
             if not p:
                 continue
@@ -406,8 +407,6 @@ class Localization:
         shift = (wj * w.inverse() * system.w0).length
         terms = []
         for v in system.minimal_coset_reps(J):
-            if not system.bruhat_leq(w, v):
-                continue
             q = self.hecke.inverse_parabolic_kl(w, v, J)
             if not q:
                 continue
@@ -455,10 +454,7 @@ class Localization:
         ratio = self.mult.root_product(
             lambda a: hyp(_neg(a)) / mult(_neg(a)), self.system.positive_roots
         )
-        arity = self.system.rank + 1
-        t2p1 = LaurentPoly.t_power(arity, 2) + LaurentPoly.const(arity, 1)
-        mu_inv = RatFunc.from_den_factors(LaurentPoly.t_power(arity, n), [t2p1] * n)
-        return ratio * self.dom.lift(mu_inv)
+        return ratio * self.hyp.inv_mu_power(n)
 
     def is_invariant(self, c: CohClass, J) -> bool:
         """Restrictions constant on left cosets u W_J."""
@@ -517,7 +513,7 @@ class Localization:
         positive roots a with u s_a <= w, f_a the lifted smoothness factor."""
         system = self.system
         dom = self.dom
-        coeffs = self.mult.gamma_coefficients(self.hecke, w)
+        coeffs = self.mult.hecke_to_qw(self.hecke.gamma_sum(w)).coeffs
         factors = self._once(self._smoothness_factors)
         reflections = [(system.reflection(a), f) for a, f in zip(system.positive_roots, factors)]
         witnesses = {}

@@ -16,6 +16,11 @@ Demazure-Lusztig generators: the Hecke algebra acts through Y_i c - t, with
 c = t - t^{-1} e^{alpha_i} in the multiplicative realization and
 c = mu = t + t^{-1} in the hyperbolic one.  The transfer psi sends the first
 to the second, which is one of the verified contracts.
+
+Every sum of products goes through dot_by_key, one dom.dot per key: twisted
+products (qw_mul, and bullet and odot in localization), the right steps of
+dl_element and the combinations of hecke_to_qw.  Exact mode then cancels once
+per sum, and mod p reduces once.
 """
 
 from __future__ import annotations
@@ -29,15 +34,10 @@ __all__ = ["FglModel", "QWElt", "TwistedRing", "combine", "dot_by_key", "psi", "
 
 
 def twisted_product(dom, a: dict, b: dict) -> dict:
-    """The twisted product of {w: scalar} maps: p v(q) summed at v w."""
-    out: dict = {}
-    for v, p in a.items():
-        for w, q in b.items():
-            c = p * dom.weyl(v, q)
-            key = v * w
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-    return out
+    """The twisted product of {w: scalar} maps: p v(q) summed at v w, one
+    dom.dot per key."""
+    weyl = dom.weyl
+    return dot_by_key(dom, ((v * w, p, weyl(v, q)) for v, p in a.items() for w, q in b.items()))
 
 
 def combine(dom, terms) -> dict:
@@ -51,9 +51,12 @@ def dot_by_key(dom, triples) -> dict:
     the order of triples."""
     by_key: dict = {}
     for w, x, c in triples:
-        xs, cs = by_key.setdefault(w, ([], []))
-        xs.append(x)
-        cs.append(c)
+        pair = by_key.get(w)
+        if pair is None:
+            by_key[w] = ([x], [c])
+        else:
+            pair[0].append(x)
+            pair[1].append(c)
     return {w: dom.dot(xs, cs) for w, (xs, cs) in by_key.items()}
 
 
@@ -153,19 +156,11 @@ class TwistedRing:
     def scalar_t(self, exp: int = 1):
         return self.as_scalar(RatFunc(LaurentPoly.t_power(self.model.arity, exp)))
 
-    def scalar_mu(self):
-        arity = self.model.arity
-        return self.as_scalar(
-            RatFunc(LaurentPoly.t_power(arity, 1) + LaurentPoly.t_power(arity, -1))
-        )
-
     def inv_mu_power(self, n: int):
-        """mu^{-n}, as n successive products with the lifted mu^{-1}."""
-        out = self.dom.one
-        inv_mu = self.scalar_mu().inv()
-        for _ in range(n):
-            out = out * inv_mu
-        return out
+        """mu^{-n} = t^n / (t^2 + 1)^n, mu = t + t^{-1}, lifted as one fraction."""
+        arity = self.model.arity
+        t2p1 = LaurentPoly.t_power(arity, 2) + LaurentPoly.const(arity, 1)
+        return self.dom.lift(RatFunc.from_den_factors(LaurentPoly.t_power(arity, n), [t2p1] * n))
 
     def t_poly(self, p: LaurentPoly):
         """Lift a polynomial in t alone (arity-1 LaurentPoly)."""
@@ -274,7 +269,7 @@ class TwistedRing:
         """The image of tau_w: G_{i_1} ... G_{i_k} along w's reduced word, each
         G_i = g_e delta_e + g_s delta_s the image of tau_i, built by right steps
         and cached.  A right step twists only G's coefficients: p_u delta_u
-        gives p_u u(g_e) at u and p_u u(g_s) at u s."""
+        gives p_u u(g_e) at u and p_u u(g_s) at u s, summed by dot_by_key."""
         hit = self._dl_cache.get(w)
         if hit is None:
             if w.length == 0:
@@ -282,13 +277,11 @@ class TwistedRing:
             else:
                 i, prev = self.system.right_step(w)
                 s = self.system.simple_reflection(i)
-                out: dict = {}
+                triples = []
                 for u, p in self.dl_element(prev).coeffs.items():
                     ge, gs = self.generator_twist(u, i)
-                    for key, c in ((u, p * ge), (u * s, p * gs)):
-                        acc = out.get(key)
-                        out[key] = c if acc is None else acc + c
-                hit = QWElt(self, out)
+                    triples += ((u, p, ge), (u * s, p, gs))
+                hit = QWElt(self, dot_by_key(self.dom, triples))
             self._dl_cache[w] = hit
         return hit
 
@@ -296,10 +289,6 @@ class TwistedRing:
         """Ring homomorphism sending tau_w to the generator product along w."""
         terms = [(self.t_poly(poly), self.dl_element(w).coeffs) for w, poly in h.coeffs.items()]
         return QWElt(self, combine(self.dom, terms))
-
-    def gamma_coefficients(self, hecke, w: WeylElt) -> dict:
-        """delta-basis coefficients a_{w,u} of the image of S_w (hecke.gamma_sum)."""
-        return dict(self.hecke_to_qw(hecke.gamma_sum(w)).coeffs)
 
 
 def psi(a: QWElt, target: TwistedRing) -> QWElt:

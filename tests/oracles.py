@@ -47,6 +47,9 @@ bar, the bar involution; product_by_steps, the product as a sum of right
 steps; and kl_table_by_recursion, the right KL recursion with mu read from
 its own rows, with kl_rows reading P_{v,w} and mu(v, w) off gamma_w, and
 parabolic_tables the P^J and Q^J of one J from those rows.
+
+Two text printers that no verdict reads live here too: qpoly_str for a KL
+polynomial's coefficient tuple and render_tiling for a tiling's boxes.
 """
 
 import re
@@ -316,7 +319,7 @@ def is_smooth_direct(loc, w):
     u s_a <= w and then lifted, where Localization.is_smooth twists lifted
     factors."""
     system = loc.system
-    coeffs = loc.mult.gamma_coefficients(loc.hecke, w)
+    coeffs = loc.mult.hecke_to_qw(loc.hecke.gamma_sum(w)).coeffs
     arity = system.rank + 1
     one = LaurentPoly.const(arity, 1)
     witnesses = {}
@@ -734,3 +737,33 @@ def eval_kept(dom, r) -> tuple:
 def one_class(loc, kind):
     """The class restricting to 1 at every fixed point."""
     return CohClass(loc.ring(kind), {w: loc.dom.one for w in loc.system.elements})
+
+
+def qpoly_str(coeffs: tuple) -> str:
+    """Human-readable form of an ascending q-coefficient tuple."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for j, c in enumerate(coeffs):
+        if not c:
+            continue
+        if j == 0:
+            parts.append(str(c))
+        elif j == 1:
+            parts.append(f"{c}*q" if c != 1 else "q")
+        else:
+            parts.append(f"{c}*q^{j}" if c != 1 else f"q^{j}")
+    return " + ".join(parts)
+
+
+def render_tiling(tiling) -> str:
+    """The boxes of the tiled partition, row by row, each labelled by the
+    1-based index of the rectangle that holds it."""
+    owner = {}
+    for idx, rect in enumerate(tiling.rectangles, start=1):
+        for box in rect.boxes():
+            owner[box] = idx
+    lines = []
+    for i, width in enumerate(tiling.lam.parts, start=1):
+        lines.append(" ".join(str(owner[(i, j)]) for j in range(1, width + 1)))
+    return "\n".join(lines)

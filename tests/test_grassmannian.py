@@ -8,13 +8,12 @@ from klschubert.grassmannian import (
     encode,
     enumerate_tilings,
     label_sets,
-    render_tiling,
     stabilizer_chain,
     v_word,
     word_of_partition,
 )
 
-from oracles import decode, one_line_of_partition, subset_of_partition
+from oracles import decode, one_line_of_partition, render_tiling, subset_of_partition
 
 G10 = GrassData(10, 5)
 LAM10 = Partition((5, 5, 3, 2, 2))

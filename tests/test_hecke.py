@@ -3,7 +3,7 @@ import random
 import pytest
 
 from klschubert import hecke
-from klschubert.hecke import HeckeAlgebra, balanced_digits, qpoly_str
+from klschubert.hecke import HeckeAlgebra, balanced_digits
 from klschubert.laurent import LaurentPoly
 from klschubert.rootsystem import CartanData, RootSystem
 
@@ -17,6 +17,7 @@ from oracles import (
     kl_tilde_basis,
     parabolic_tables,
     product_by_steps,
+    qpoly_str,
     tau_mul,
 )
 

@@ -626,6 +626,43 @@ def test_printed_parabolic_classes_are_pinned(loc2, loc3, a2, a3):
     assert h.hexdigest() == PRINTED_PARABOLIC_DIGEST
 
 
+# sha256 over the printed exact left sides of pushforward (Y_J . C_{w w_J}) and
+# gammapsirel (mu^-n psi(gamma_{J/J'}) Y_{J'}), recorded while twisted
+# products still added their terms pairwise
+PRINTED_TWISTED_DIGESTS = {
+    ("A2", "pushforward"): "aa18b7e21571f63b23ef1657696f272b4cefc8ffd8be2fec4e00b09de512a1b2",
+    ("A2", "gammapsirel"): "9de85131e0536da9b79294196fe16d777c8e9826cec7bf595801b2813de11d7f",
+    ("A3", "pushforward"): "87054dc365cba08774d0e16e02ecf7e0f1ee07735838058c2ddccb264ae28945",
+    ("A3", "gammapsirel"): "6aa7ba3be423d151b223ba73a4030c0d37ecb4501b2233eb5fa0aa6474ae7421",
+}
+
+
+@pytest.mark.parametrize("group, side", sorted(PRINTED_TWISTED_DIGESTS))
+def test_printed_twisted_products_are_pinned(loc2, loc3, group, side):
+    """The twisted products behind two suites, printed exactly: Y_J . C_{w w_J}
+    for every J and every w in W^J, and mu^-n psi(gamma_{J/J'}) Y_{J'} for
+    every J' in J, n = l(w_J w_{J'})."""
+    loc = {"A2": loc2, "A3": loc3}[group]
+    system = loc.system
+    subsets = [J for r in range(system.rank + 1) for J in combinations(range(system.rank), r)]
+    h = hashlib.sha256()
+    for J in subsets:
+        if side == "pushforward":
+            wj = system.longest_parabolic(J)
+            yj = loc.mult.pushpull_rel(J, ())
+            for w in system.minimal_coset_reps(J):
+                lhs = loc.bullet(yj, loc.kl_class_c(w * wj))
+                h.update(f"{J}\t{w!r}\t{lhs.format()}\n".encode())
+        else:
+            for Jp in (Jp for Jp in subsets if set(Jp) <= set(J)):
+                n = system.relative_longest(J, Jp).length
+                lhs = psi(loc.mult.hecke_to_qw(loc.hecke.gamma_rel(J, Jp)), loc.hyp)
+                lhs = loc.hyp.qw_mul(lhs, loc.hyp.pushpull_rel(Jp, ()))
+                lhs = lhs.scale(loc.hyp.inv_mu_power(n))
+                h.update(f"{J}\t{Jp}\t{lhs.format()}\n".encode())
+    assert h.hexdigest() == PRINTED_TWISTED_DIGESTS[group, side]
+
+
 @pytest.mark.parametrize("name", ["A3", "B2", "G2"])
 def test_k_s_is_g_s_times_the_twist_ratio_of_x_pi(name):
     """k_s, the scalar that carries C_{ws}[ys] to C_w[y], is g_s s(x_Pi)/x_Pi

@@ -10,8 +10,7 @@ belongs to the body that holds it).  The roots are:
 - dunder methods, which the interpreter calls, and the public members of
   ``VerificationReport``, the object ``run_suite`` returns;
 - every name, attribute or string constant under ``perfbench/``, since the
-  benchmark's tracer patches methods by name (``vars(owner)[attr]``);
-- the printers kept for the command line (ROADMAP item 7).
+  benchmark's tracer patches methods by name (``vars(owner)[attr]``).
 
 A reached body reaches a function through a bare name, an attribute or a
 string constant, and a method only through an attribute or a string
@@ -38,13 +37,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "klschubert"
-
-# Printers that no verdict reaches but the command line will print through.
-CLI_PRINTERS = (
-    "qpoly_str",  # ROADMAP item 7: KL polynomials in the CLI's text output
-    "render_tiling",  # ROADMAP item 7: tilings in the CLI's text output
-)
-
 
 def _trees(*dirs):
     for d in dirs:
@@ -131,7 +123,7 @@ def _references(node, lineage=()):
 def _unreached(package=PACKAGE, bench=ROOT / "perfbench"):
     """Location and qualified name of every definition that no root reaches."""
     defs, roots, lineages, stored = _definitions_and_roots(package)
-    names, called, read, owned = {"run_suite", *CLI_PRINTERS}, set(), set(), set()
+    names, called, read, owned = {"run_suite"}, set(), set(), set()
     for _, tree in _trees(bench):
         for refs in _references(tree)[:3]:
             called |= refs

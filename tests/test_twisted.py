@@ -171,7 +171,8 @@ def test_dl_generator_displayed_coefficient():
                 assert g == expected, (name, mode, i)
                 if mode == "exact":
                     assert g.format() == expected.format(), (name, i)
-                hyp = qt.pushpull_simple(i).scale(qt.scalar_mu()) - scalar_elt(qt, qt.scalar_t(1))
+                mu = qt.as_scalar(RatFunc(t + tinv))
+                hyp = qt.pushpull_simple(i).scale(mu) - scalar_elt(qt, qt.scalar_t(1))
                 assert qt.dl_generator(i) == hyp, (name, mode, i)
 
 
@@ -290,6 +291,8 @@ def test_gammapsirel_a2(a2, rings2):
     qm, qt = rings2
     h = HeckeAlgebra(a2)
     subsets = [(), (0,), (1,), (0, 1)]
+    # mu^-top as top products of the inverted mu, not inv_mu_power's one lift
+    inv_mu = qt.as_scalar(RatFunc(LaurentPoly.t_power(3, 1) + LaurentPoly.t_power(3, -1))).inv()
     for J in subsets:
         for Jp in subsets:
             if not set(Jp) <= set(J):
@@ -298,10 +301,21 @@ def test_gammapsirel_a2(a2, rings2):
             lhs = psi(qm.hecke_to_qw(h.gamma_rel(J, Jp)), qt)
             lhs = qt.qw_mul(lhs, qt.pushpull_rel(Jp, ()))
             scal = qt.dom.one
-            inv_mu = qt.scalar_mu().inv()
             for _ in range(top):
                 scal = scal * inv_mu
             assert lhs.scale(scal) == qt.pushpull_rel(J, ()), (J, Jp)
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_inv_mu_power_is_a_product_of_inverses_of_mu(a2, mode):
+    """inv_mu_power(n), one lift of t^n / (t^2 + 1)^n, equals n products of the
+    inverse of the lifted mu = t + t^-1."""
+    qt = _ring(a2, "hyperbolic", mode)
+    inv_mu = qt.as_scalar(RatFunc(LaurentPoly.t_power(3, 1) + LaurentPoly.t_power(3, -1))).inv()
+    expected = qt.dom.one
+    for n in range(5):
+        assert qt.inv_mu_power(n) == expected, (mode, n)
+        expected = expected * inv_mu
 
 
 def test_iota(a2, rings2):
@@ -359,7 +373,7 @@ def test_gamma_coefficients_a1(a1):
     qm = TwistedRing(a1, "multiplicative")
     h = HeckeAlgebra(a1)
     s1 = a1.simple_reflection(0)
-    coeffs = qm.gamma_coefficients(h, s1)
+    coeffs = qm.hecke_to_qw(h.gamma_sum(s1)).coeffs
     one = LaurentPoly.const(2, 1)
     e_plus = LaurentPoly.var(2, 1, 2)  # e^{alpha_1} = z1^2
     e_minus = LaurentPoly.var(2, 1, -2)
@@ -379,7 +393,7 @@ def test_smoothness_product_formula_a2(a2, rings2):
     h = HeckeAlgebra(a2)
     arity = 3
     for w in a2.elements:
-        coeffs = qm.gamma_coefficients(h, w)
+        coeffs = qm.hecke_to_qw(h.gamma_sum(w)).coeffs
         for u in a2.bruhat_interval(w):
             expected = qm.dom.one
             for alpha in a2.positive_roots:

@@ -231,6 +231,25 @@ def test_a_smoothness_verdict_against_trivial_kl_fails_its_case(monkeypatch, mod
     ]
 
 
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_a_spurious_parabolic_kl_entry_fails_its_pushforward_case(monkeypatch, mode):
+    """C^J_w reads its support from the parabolic KL table alone: P^J_{u,e} = 1
+    planted at J = {1} for the longest u in W^J, which is not below e, enters
+    C^J_e, and the pushforward case of (J, e) fails, no other."""
+    parabolic_kl = HeckeAlgebra.parabolic_kl
+
+    def planted(self, u, w, J):
+        reps = self.system.minimal_coset_reps(J)
+        if tuple(J) == (0,) and w is self.system.identity and u is reps[-1]:
+            return (1,)
+        return parabolic_kl(self, u, w, J)
+
+    monkeypatch.setattr(HeckeAlgebra, "parabolic_kl", planted)
+    report = run_suite("pushforward", _config("pushforward", mode))
+    assert len(report.cases) == CASES["pushforward"]
+    assert [c.case_id for c in report.cases if not c.ok] == ["pushforward J={1} w=e"]
+
+
 def test_smoothness_verdicts_are_built_once_per_element(monkeypatch):
     """grassmann-smoothness asks for the verdict of each w w_J for its case and
     again, when smooth, for the fundamental class; each verdict is built once."""
