@@ -43,7 +43,7 @@ from __future__ import annotations
 import random
 
 from .laurent import LaurentPoly
-from .rootsystem import RootSystem, WeylElt, WMap
+from .rootsystem import Memo, RootSystem, WeylElt, WMap
 
 __all__ = ["HeckeAlgebra", "HeckeElt", "balanced_digits"]
 
@@ -99,8 +99,9 @@ class HeckeElt(WMap):
         return f"HeckeElt({self.format()})"
 
 
-class HeckeAlgebra:
+class HeckeAlgebra(Memo):
     def __init__(self, system: RootSystem):
+        super().__init__()
         self.system = system
         n = system.order
         self._width = None  # the KL table's slot width, fixed on first use
@@ -110,9 +111,11 @@ class HeckeAlgebra:
         self._mu = [None] * n  # [(v, mu(v, w))] for mu(v, w) nonzero
         self._norms = [None] * n  # N(gamma_w)
         self._bar_rows = [None] * n  # {v.idx: bar(tau_w)[v] packed at offset l(w0)}
-        self._gamma: dict = {}  # w -> gamma_w as a HeckeElt, decoded on request
-        self._w0_left = None  # w0 y by index y
-        self._parabolic: dict = {}  # J -> (mask of J, _parabolic_data)
+        # w0 y by index y: w0 y = (w0 y') s_i for y = y' s_i, y' first in BFS order
+        table, parent, last = system.right_table, system._parent, system._last
+        self._w0_left = left = [system.w0.idx]
+        for y in range(1, n):
+            left.append(table[left[parent[y]]][last[y]])
         self._kl_done_length = -1
 
     def compatible(self, other) -> bool:
@@ -314,19 +317,20 @@ class HeckeAlgebra:
         return [(v, m) for v, m in self.mu_row(w) if descents[v.idx] >> i & 1]
 
     def kl_basis(self, w: WeylElt) -> HeckeElt:
-        hit = self._gamma.get(w)
-        if hit is None:
-            lw, lengths, elements = w.length, self.system._lengths, self.system.elements
-            hit = self._gamma[w] = HeckeElt(
-                self,
-                {
-                    elements[v]: LaurentPoly.from_packed(
-                        1, {lw - lengths[v] - 2 * j: c for j, c in enumerate(p)}
-                    )
-                    for v, p in self._column(w.idx).items()
-                },
-            )
-        return hit
+        """gamma_w, decoded from row w of the KL table once."""
+        return self._once(self._kl_basis, w)
+
+    def _kl_basis(self, w: WeylElt) -> HeckeElt:
+        lw, lengths, elements = w.length, self.system._lengths, self.system.elements
+        return HeckeElt(
+            self,
+            {
+                elements[v]: LaurentPoly.from_packed(
+                    1, {lw - lengths[v] - 2 * j: c for j, c in enumerate(p)}
+                )
+                for v, p in self._column(w.idx).items()
+            },
+        )
 
     def kl_polynomial(self, v: WeylElt, w: WeylElt) -> tuple:
         """P_{v,w} as a tuple of ascending q-coefficients; () is the zero polynomial."""
@@ -334,8 +338,6 @@ class HeckeAlgebra:
 
     def gamma_rel(self, J, Jp) -> HeckeElt:
         """gamma_{J/J'} = sum over W_J cap W^{J'} of t^{l(w_{J/J'}) - l(v)} tau_v."""
-        if not set(Jp) <= set(J):
-            raise ValueError("J' must be contained in J")
         reps = self.system.relative_reps(J, Jp)
         top = self.system.relative_longest(J, Jp).length
         return HeckeElt(
@@ -357,17 +359,9 @@ class HeckeAlgebra:
 
     # ---------- inverse and parabolic KL polynomials ----------
 
-    def _w0_times(self) -> list:
-        """w0 y by index y, as (y^-1 w0)^-1 from the one Cayley column of w0."""
-        if self._w0_left is None:
-            system = self.system
-            inverse, col = system._inverse, system.cayley_column(system.w0.idx)
-            self._w0_left = [inverse[col[inverse[y]]] for y in range(system.order)]
-        return self._w0_left
-
     def inverse_kl(self, u: WeylElt, w: WeylElt) -> tuple:
         """Q_{u,w} = P_{w_0 w, w_0 u}, through kl_polynomial."""
-        left, elements = self._w0_times(), self.system.elements
+        left, elements = self._w0_left, self.system.elements
         return self.kl_polynomial(elements[left[w.idx]], elements[left[u.idx]])
 
     def parabolic_kl(self, v: WeylElt, w: WeylElt, J) -> tuple:
@@ -376,31 +370,38 @@ class HeckeAlgebra:
         return self._column(wj_col[w.idx]).get(v.idx, ())
 
     def _parabolic_data(self, u: WeylElt, w: WeylElt, J) -> tuple:
-        """(the Cayley column of w_J, [(eps_v eps_{w_J}, Cayley column of v) for
-        v in W_J]), built once per J, after u and w are checked to be in W^J."""
-        key = tuple(J)
-        hit = self._parabolic.get(key)
+        """_parabolic_table(J), after u and w are checked to be in W^J.  On this
+        per-(u, w) path a call of _once, or normalizing J, costs more than the
+        lookup, so a built table is read from the memo directly, keyed by J as
+        given."""
         system = self.system
-        if hit is None:
-            wj = system.longest_parabolic(J)
-            terms = [
-                (v.sign * wj.sign, system.cayley_column(v.idx))
-                for v in system.parabolic_elements(J)
-            ]
-            mask = sum(1 << i for i in set(J))
-            hit = self._parabolic[key] = (mask, (system.cayley_column(wj.idx), terms))
-        mask, data = hit
+        key = tuple(J)
+        hit = self._memo.get(("_parabolic_table", key))
+        mask, data = hit or self._once(self._parabolic_table, key)
         if (system._descents[u.idx] | system._descents[w.idx]) & mask:
             system.require_min_rep(u, J)
             system.require_min_rep(w, J)
         return data
+
+    def _parabolic_table(self, J: tuple) -> tuple:
+        """(mask of J, (the Cayley column of w_J, [(eps_v eps_{w_J}, Cayley
+        column of v) for v in W_J])), one object for every order of J."""
+        system = self.system
+        key = system._jkey(J)
+        if key != J:
+            return self._once(self._parabolic_table, key)
+        wj = system.longest_parabolic(J)
+        terms = [
+            (v.sign * wj.sign, system.cayley_column(v.idx)) for v in system.parabolic_elements(J)
+        ]
+        return sum(1 << i for i in J), (system.cayley_column(wj.idx), terms)
 
     def inverse_parabolic_kl(self, u: WeylElt, w: WeylElt, J) -> tuple:
         """Q^J_{u,w} = sum over v in W_J of eps_v eps_{w_J} Q_{u w_J, w v}, where
         Q_{u w_J, w v} = P_{w0 w v, w0 u w_J}: one column of the KL table, at
         x = w0 u w_J, read at (w0 w) v for every v."""
         wj_col, terms = self._parabolic_data(u, w, J)
-        left = self._w0_times()
+        left = self._w0_left
         col = self._column(left[wj_col[u.idx]])
         y = left[w.idx]
         acc: list = []

@@ -35,30 +35,31 @@ generators and of Y_{J/J'}, the Serre monomial, the cotangent and hyperbolic
 transfer factors and the root factors of the smoothness criterion.  Products
 of lifted root factors go through TwistedRing.root_product.
 
-Build once: every point class, cell class, class of the restriction
-recursion, parabolic cell class, smoothness verdict and per-J (or
-per-length) lifted scalar is built at most once per Localization, through one
-memo table keyed by (builder, arguments), and the same object is handed to
-every caller; so no class is changed after it is built.
+Every point class, cell class, class of the restriction recursion, parabolic
+cell class, smoothness verdict and per-J (or per-length) lifted scalar is
+built once per Localization (see Memo).
 
 One memoized recursion over restrictions builds MC cells, C_w, C~_w and SMC
-cells.  A family (start point, c, cross factor b, mu terms) of _FAMILIES gives
-classes D_w, s the last letter of w's reduced word: D_e is the start point
-class and
+cells.  A family (start class, c, cross factor b, mu terms) of _FAMILIES gives
+classes D_w, s the last letter of w's reduced word: D_e is the start class and
 
     D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(b) - sum mu(v, ws) D_v[y],
 
 the sum over v < ws with vs < v and only with mu terms, g_e and g_s the
 coefficients of G_s = g_e delta_e + g_s delta_s, the image of tau_s, and c a
-polynomial in t.  Each D_w[y] is one dom.dot, and every scalar is a twist of a
-lifted generator coefficient, so a known function (see modp):
+polynomial in t.  Without mu terms both step scalars are also multiplied by
+t^{-1}, so D_w is t^{-l(w)} times that recursion.  Each D_w[y] is one dom.dot,
+and every scalar is a twist of a lifted generator coefficient, so a known
+function (see modp):
 
-    MC(cell w)   pt_e     c = 0          b = k_s     -    read at w, then
-                 scaled by t^{-l(w)}
+    MC(cell w)   pt_e     c = 0          b = k_s     -    read at w
     C_w          pt_e     c = t          b = k_s     mu   read at w
     C~_w         pt_w0    c = -t^{-1}    b = s(g_s)  mu   read at w0 w
-    SMC(cell v)  pt_w0    c = t - t^{-1} b = s(g_s)  -    read at w0 v, then
-                 scaled by t^{-l(w0 v)} and the normalizer
+    SMC(cell v)  N pt_w0  c = t - t^{-1} b = s(g_s)  -    read at w0 v
+
+N is the SMC normalizer, one scalar at every point; the recursion is linear,
+so starting from N pt_w0 makes each D_w of that row an SMC cell itself, and
+every cell class is held once.
 
 Why, from pt_e: C_w = gamma_w o pt_e, and the right KL recursion
 (Kazhdan-Lusztig 1979) gamma_w = gamma_{ws} (tau_s + t) - sum mu(v, ws) gamma_v
@@ -66,8 +67,9 @@ holds for the images A_w of gamma_w in Q_W.  (A G_s)[y] = A[y] y(g_e) +
 A[ys] (ys)(g_s), C_w[y] = A_w[y] y(x_Pi) and y(x_Pi) = (ys)(x_Pi)
 (ys)(s(x_Pi)/x_Pi), so b = k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s} (s
 permutes the positive roots other than alpha_s), a product of two lifts.  The
-same steps with tau_w = tau_{ws} tau_s for the image of tau_w give MC(cell w) =
-t^{-l(w)} tau_w o pt_e: c = 0, b = k_s and no mu terms.
+same steps with tau_w = tau_{ws} tau_s for the image of tau_w, each times
+t^{-1}, give MC(cell w) = t^{-l(w)} tau_w o pt_e: c = 0, b = k_s and no mu
+terms.
 
 Why, from pt_w0: C~_w = gamma~_{w^{-1} w0} . pt_{w0}, SMC(cell v) is a multiple
 of (tau_{w0 v})^{-1} . pt_{w0}, and the anti-involution iota(p delta_v) =
@@ -101,7 +103,7 @@ from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
 from .modp import ExactDomain
 from .ratfunc import RatFunc
-from .rootsystem import RootSystem, WeylElt, WMap
+from .rootsystem import Memo, RootSystem, WeylElt, WMap
 from .twisted import QWElt, TwistedRing, combine, dot_by_key, twisted_product
 # not called here: perfbench/tracing.py patches psi in each module that names it
 from .twisted import psi  # noqa: F401
@@ -111,19 +113,15 @@ __all__ = ["CohClass", "Localization"]
 
 _T = LaurentPoly.t_power(1, 1)
 _TINV = LaurentPoly.t_power(1, -1)
-# family -> (start point, c, cross factor b, mu terms) of the restriction
-# recursion (module docstring); the start point is an attribute of RootSystem
+# family -> (start point, start scaled by the SMC normalizer, c, cross factor
+# b, mu terms) of the restriction recursion (module docstring); the start
+# point is an attribute of RootSystem
 _FAMILIES = {
-    "MC": ("identity", LaurentPoly.const(1, 0), "k_s", False),
-    "C": ("identity", _T, "k_s", True),
-    "C~": ("w0", -_TINV, "s(g_s)", True),
-    "SMC": ("w0", _T - _TINV, "s(g_s)", False),
+    "MC": ("identity", False, LaurentPoly.const(1, 0), "k_s", False),
+    "C": ("identity", False, _T, "k_s", True),
+    "C~": ("w0", False, -_TINV, "s(g_s)", True),
+    "SMC": ("w0", True, _T - _TINV, "s(g_s)", False),
 }
-
-
-def _jkey(J) -> tuple:
-    """A subset of simple reflections in one canonical form, for memo keys."""
-    return tuple(sorted(set(J)))
 
 
 def _neg(root) -> tuple:
@@ -142,16 +140,16 @@ class CohClass(WMap):
         return f"CohClass<{self.ring.kind}>({self.format()})"
 
 
-class Localization:
+class Localization(Memo):
     """All fixed-point computations for one group, one scalar domain."""
 
     def __init__(self, system: RootSystem, domain=None, hecke: HeckeAlgebra | None = None):
+        super().__init__()
         self.system = system
         self.dom = domain if domain is not None else ExactDomain(system)
         self.hecke = hecke if hecke is not None else HeckeAlgebra(system)
         self.mult = TwistedRing(system, "multiplicative", self.dom)
         self.hyp = TwistedRing(system, "hyperbolic", self.dom)
-        self._memo: dict = {}
 
     def ring(self, kind: str) -> TwistedRing:
         if kind == "multiplicative":
@@ -159,14 +157,6 @@ class Localization:
         if kind == "hyperbolic":
             return self.hyp
         raise ValueError(f"unknown model kind {kind!r}")
-
-    def _once(self, build, *args):
-        """build(*args), computed once per Localization and shared by every caller."""
-        key = (build.__name__,) + args
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = build(*args)
-        return hit
 
     # ---------- the two actions ----------
 
@@ -208,12 +198,9 @@ class Localization:
         return one - LaurentPoly.monomial((t_exp,) + tuple(lam), 1)
 
     def mc_cell(self, w: WeylElt) -> CohClass:
-        """Motivic Chern class of the open cell, t^{-l(w)} tau_w o pt_e."""
-        return self._once(self._mc_cell, w)
-
-    def _mc_cell(self, w: WeylElt) -> CohClass:
-        """t^{-l(w)} tau_w o pt_e, by the restriction recursion at w."""
-        return self._once(self._family_class, "MC", w).scale(self.mult.scalar_t(-w.length))
+        """Motivic Chern class of the open cell, t^{-l(w)} tau_w o pt_e, by the
+        restriction recursion at w."""
+        return self._once(self._family_class, "MC", w)
 
     def _lambda_inv(self, J):
         """1 / prod (1 - t^-2 e^{a}) over Sigma^+ minus Sigma_J^+, lifted; its value
@@ -236,7 +223,7 @@ class Localization:
 
         The signed monomial is lifted once per J and Weyl-twisted to each u.
         """
-        mono = self._once(self._serre_monomial, _jkey(J))
+        mono = self._once(self._serre_monomial, self.system._jkey(J))
         dom = self.dom
         out = {u: dom.dualize(val) * dom.weyl(u, mono) for u, val in c.coeffs.items()}
         return CohClass(c.ring, out)
@@ -251,9 +238,7 @@ class Localization:
     def smc_cell(self, v: WeylElt) -> CohClass:
         """SMC of the opposite cell, t^{-l(w0 v)} (tau_{w0 v})^{-1} . pt_{w_0}
         times the normalizer, by the restriction recursion at w0 v."""
-        y = self.system.w0 * v
-        scal = self.mult.scalar_t(-y.length) * self._once(self._smc_normalizer)
-        return self._once(self._family_class, "SMC", y).scale(scal)
+        return self._once(self._family_class, "SMC", self.system.w0 * v)
 
     # ---------- pairings ----------
 
@@ -306,7 +291,7 @@ class Localization:
         """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted: t^{N_J} times
         the normalizer, N_J the number of those roots."""
         n = len(self.system.roots_outside(J))
-        return self.mult.scalar_t(n) * self._once(self._normalizer, _jkey(J))
+        return self.mult.scalar_t(n) * self._once(self._normalizer, self.system._jkey(J))
 
     # ---------- canonical (Kazhdan-Lusztig) classes ----------
 
@@ -319,12 +304,13 @@ class Localization:
         return self._once(self._family_class, "C~", self.system.w0 * w)
 
     def _family_class(self, family: str, w: WeylElt) -> CohClass:
-        """D_w of one family of _FAMILIES: D_e the start point class and
+        """D_w of one family of _FAMILIES: D_e the start class and
         D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(b) - sum mu(v, ws) D_v[y],
         one dom.dot per y (module docstring)."""
-        start, _, _, mu = _FAMILIES[family]
+        start, normalized, _, _, mu = _FAMILIES[family]
         if w.length == 0:
-            return self.point_class(getattr(self.system, start))
+            pt = self.point_class(getattr(self.system, start))
+            return pt.scale(self._once(self._smc_normalizer)) if normalized else pt
         i, ws = self.system.right_step(w)
         s = self.system.simple_reflection(i)
         triples = []  # (y, a restriction, its scalar)
@@ -339,15 +325,20 @@ class Localization:
         return CohClass(self.mult, dot_by_key(self.dom, triples))
 
     def _step_scalars(self, family: str, u: WeylElt, i: int) -> tuple:
-        """(u(g_e) + c, u(b)) for s = s_i: b is k_s = g_s s(x_Pi)/x_Pi =
-        -g_s e^{-alpha_s}, or s(g_s), whose twist u(s(g_s)) is (u s)(g_s)."""
-        _, c, b, _ = _FAMILIES[family]
+        """(u(g_e) + c, u(b)) for s = s_i, each times t^{-1} in a family without
+        mu terms: b is k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s}, or s(g_s),
+        whose twist u(s(g_s)) is (u s)(g_s)."""
+        _, _, c, b, mu = _FAMILIES[family]
         ring = self.mult
         if b == "k_s":
             cross = self.dom.weyl(u, self._once(self._k_generator, i))
         else:
             cross = ring.generator_twist(u * self.system.simple_reflection(i), i)[1]
-        return ring.generator_twist(u, i)[0] + ring.t_poly(c), cross
+        diagonal = ring.generator_twist(u, i)[0] + ring.t_poly(c)
+        if mu:
+            return diagonal, cross
+        t_inv = ring.scalar_t(-1)
+        return diagonal * t_inv, cross * t_inv
 
     def _k_generator(self, i: int):
         """k_s, a product of two lifts and so a known function (see modp)."""
@@ -359,7 +350,7 @@ class Localization:
 
     def mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
         """MC of a cell downstairs: Y_J . MC(cell u)."""
-        return self._once(self._mc_cell_parabolic, u, _jkey(J))
+        return self._once(self._mc_cell_parabolic, u, self.system._jkey(J))
 
     def _mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
         if not J:  # Y_() = delta_e: MC(cell u) itself
@@ -369,7 +360,7 @@ class Localization:
 
     def smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
         """SMC of an opposite cell downstairs, via w_0-translation and duality."""
-        return self._once(self._smc_cell_parabolic, v, _jkey(J))
+        return self._once(self._smc_cell_parabolic, v, self.system._jkey(J))
 
     def _smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
         system = self.system
@@ -414,7 +405,7 @@ class Localization:
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
             terms.append((self.mult.t_poly(poly), self.smc_cell_parabolic(v, J).coeffs))
         out = CohClass(self.mult, combine(self.dom, terms))
-        return out.scale(self._once(self._normalizer, _jkey(J)))
+        return out.scale(self._once(self._normalizer, self.system._jkey(J)))
 
     def _normalizer(self, J):
         """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted one binomial
@@ -474,11 +465,8 @@ class Localization:
         with s_a v not <= w; parabolic inputs are pulled back via w -> w w_J.
         """
         system = self.system
-        if J:
-            system.require_min_rep(w, J)
-            target = w * system.longest_parabolic(J)
-        else:
-            target = w
+        system.require_min_rep(w, J)
+        target = w * system.longest_parabolic(J)
         smooth, _ = self.is_smooth(target)
         if not smooth:
             raise ValueError(f"Schubert variety for {target!r} is not smooth")

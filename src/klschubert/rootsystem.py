@@ -16,8 +16,9 @@ iff l(w s_i) < l(w)).  The Cayley table is kept column by column (column w
 holds the index of u*w for every u) and a column is built the first time
 something multiplies by w, so a group that is built and then refused by a
 size guard never holds |W|^2 entries.  Parabolic subsets J are turned into
-the same kind of bitmask, so a minimal coset representative test is one AND,
-and the positive roots outside Sigma_J are cached per J.
+the same kind of bitmask, so a minimal coset representative test is one AND.
+W_J, w_J and the positive roots outside Sigma_J are built once per J (see
+Memo).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from collections import deque
 from .laurent import LaurentPoly
 
 __all__ = [
-    "CartanData", "RootSystem", "WeylElt", "WMap", "Root", "SizeCapExceeded", "cartan_type_a"
+    "CartanData", "Memo", "RootSystem", "WeylElt", "WMap", "Root", "SizeCapExceeded",
+    "cartan_type_a",
 ]
 
 DEFAULT_SIZE_CAP = 50_000
@@ -214,10 +216,35 @@ class WMap:
         return self._sep.join(term.format(w=w, c=coeffs[w].format()) for w in self.support())
 
 
-class RootSystem:
+class Memo:
+    """Build once: what a RootSystem, HeckeAlgebra, TwistedRing or Localization
+    derives from its fixed data (W_J, gamma_w, the image of tau_w, Y_{J/J'}, a
+    class, a smoothness verdict, a lifted scalar) is built at most once per
+    object, through one memo table keyed by (builder name, arguments), and the
+    same object is handed to every caller; so no memoized value is changed after
+    it is built.  J-keyed builders take J as RootSystem._jkey gives it, so
+    (0, 2), (2, 0) and [2, 0, 2] share one entry.  The table is set in __init__:
+    a functools.cached_property would materialize the object's __dict__ and
+    slow every attribute read on it.
+    """
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def _once(self, build, *args):
+        """build(*args), computed once per object and shared by every caller."""
+        key = (build.__name__,) + args
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build(*args)
+        return hit
+
+
+class RootSystem(Memo):
     """Enumerated Weyl group with root data and Bruhat order."""
 
     def __init__(self, cartan_data: CartanData, size_cap: int = DEFAULT_SIZE_CAP):
+        super().__init__()
         self.cartan_data = cartan_data
         self.rank = cartan_data.rank
         n = self.rank
@@ -292,9 +319,6 @@ class RootSystem:
         self.w0 = self.elements[w0]
         self._bruhat = {}
         self._names = {}  # idx -> printed name, filled by WeylElt.__repr__
-        self._wj_cache = {}
-        self._longest_cache = {}
-        self._outside_cache = {}
 
     # ---------- roots ----------
 
@@ -428,12 +452,20 @@ class RootSystem:
 
     # ---------- parabolic combinatorics ----------
 
+    def _jkey(self, J) -> tuple:
+        """J, a set of simple reflection indices in any order and multiplicity,
+        as the sorted tuple of its distinct indices: the one key of every
+        J-keyed memo.  ValueError for an index outside range(rank)."""
+        key = tuple(sorted(set(J)))
+        if key and not (0 <= key[0] and key[-1] < self.rank):
+            raise ValueError(f"simple reflection indices {J} out of range(0, {self.rank})")
+        return key
+
     def parabolic_elements(self, J) -> list:
-        """Elements of W_J in BFS order."""
-        J = tuple(sorted(J))
-        hit = self._wj_cache.get(J)
-        if hit is not None:
-            return hit
+        """Elements of W_J in BFS order, built once per J."""
+        return self._once(self._parabolic_elements, self._jkey(J))
+
+    def _parabolic_elements(self, J: tuple) -> list:
         seen = {0}
         order = [0]
         queue = deque([0])
@@ -445,27 +477,21 @@ class RootSystem:
                     seen.add(j)
                     order.append(j)
                     queue.append(j)
-        out = [self.elements[i] for i in order]
-        self._wj_cache[J] = out
-        return out
+        return [self.elements[i] for i in order]
 
     def longest_parabolic(self, J) -> WeylElt:
-        """w_J, the longest element of W_J (cached per J)."""
-        key = tuple(sorted(set(J)))
-        hit = self._longest_cache.get(key)
-        if hit is None:
-            hit = max(self.parabolic_elements(key), key=lambda w: w.length)
-            self._longest_cache[key] = hit
-        return hit
+        """w_J, the longest element of W_J: the breadth-first search of
+        parabolic_elements meets the elements of W_J by length, w_J last."""
+        return self.parabolic_elements(J)[-1]
 
     def minimal_coset_reps(self, J) -> list:
         """W^J: minimal-length representatives of the left cosets W / W_J."""
-        mask = _mask(J)
+        mask = _mask(self._jkey(J))
         return [w for w in self.elements if not self._descents[w.idx] & mask]
 
     def require_min_rep(self, w: WeylElt, J):
         """Raise ValueError unless w is in W^J (no right descent in J)."""
-        if self._descents[w.idx] & _mask(J):
+        if self._descents[w.idx] & _mask(self._jkey(J)):
             raise ValueError(f"{w!r} is not a minimal coset representative for J={J}")
 
     def relative_longest(self, J, Jp) -> WeylElt:
@@ -482,14 +508,12 @@ class RootSystem:
         return [w for w in self.parabolic_elements(J) if not self._descents[w.idx] & mask]
 
     def roots_outside(self, J) -> list:
-        """Positive roots not in Sigma_J, in positive_roots order (cached per J)."""
-        key = tuple(sorted(set(J)))
-        hit = self._outside_cache.get(key)
-        if hit is None:
-            mask = _mask(key)
-            hit = [r for r in self.positive_roots if not _support_inside(r, mask)]
-            self._outside_cache[key] = hit
-        return hit
+        """Positive roots not in Sigma_J, in positive_roots order, found once per J."""
+        return self._once(self._roots_outside, self._jkey(J))
+
+    def _roots_outside(self, J: tuple) -> list:
+        others = [i for i in range(self.rank) if i not in J]
+        return [r for r in self.positive_roots if any(r.simple[i] for i in others)]
 
     def poincare_polynomial(self, J) -> LaurentPoly:
         """P_J(t) = sum over W_J of t^l(v), as a polynomial in t alone."""
@@ -505,10 +529,6 @@ def _mask(J) -> int:
     for i in J:
         out |= 1 << i
     return out
-
-
-def _support_inside(root: Root, mask: int) -> bool:
-    return all(x == 0 or mask >> i & 1 for i, x in enumerate(root.simple))
 
 
 def _matmul(a, b):

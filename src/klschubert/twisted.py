@@ -28,7 +28,7 @@ from __future__ import annotations
 from .laurent import LaurentPoly
 from .modp import ExactDomain, domains_compatible
 from .ratfunc import RatFunc
-from .rootsystem import Root, RootSystem, WeylElt, WMap
+from .rootsystem import Memo, Root, RootSystem, WeylElt, WMap
 
 __all__ = ["FglModel", "QWElt", "TwistedRing", "combine", "dot_by_key", "psi", "twisted_product"]
 
@@ -118,17 +118,13 @@ class QWElt(WMap):
         return f"QWElt<{self.ring.kind}>({self.format()})"
 
 
-class TwistedRing:
+class TwistedRing(Memo):
     def __init__(self, system: RootSystem, kind: str, domain=None):
+        super().__init__()
         self.system = system
         self.kind = kind
         self.model = FglModel(kind, system.rank)
         self.dom = domain if domain is not None else ExactDomain(system)
-        self._x_root_cache: dict = {}
-        self._dl_cache: dict = {}  # w -> dl_element(w)
-        self._dl_gen_cache: dict = {}
-        self._gen_twists: dict = {}  # (u.idx, i) -> u of tau_i's two coefficients
-        self._pushpull_cache: dict = {}
 
     def compatible(self, other) -> bool:
         """Elements of other can be added to, compared with and multiplied by ours."""
@@ -154,6 +150,10 @@ class TwistedRing:
         return value
 
     def scalar_t(self, exp: int = 1):
+        """t^exp, lifted once per exp."""
+        return self._once(self._scalar_t, exp)
+
+    def _scalar_t(self, exp: int):
         return self.as_scalar(RatFunc(LaurentPoly.t_power(self.model.arity, exp)))
 
     def inv_mu_power(self, n: int):
@@ -167,11 +167,11 @@ class TwistedRing:
         return self.as_scalar(RatFunc(p.embed(self.model.arity, (0,))))
 
     def x_root(self, root: Root):
-        hit = self._x_root_cache.get(root)
-        if hit is None:
-            hit = self.as_scalar(self.model.x_weight(root.weight))
-            self._x_root_cache[root] = hit
-        return hit
+        """x_root as a scalar, lifted once per root."""
+        return self._once(self._x_root, root)
+
+    def _x_root(self, root: Root):
+        return self.as_scalar(self.model.x_weight(root.weight))
 
     def root_product(self, factor, roots):
         """The product of the lifts of factor(a) over the roots a.  It starts
@@ -215,18 +215,13 @@ class TwistedRing:
         choice; its products against right-W_{J'}-symmetric elements (e.g.
         Y_{J'}) and its action on W_{J'}-invariant classes do not.
         """
-        key = (tuple(sorted(set(J))), tuple(sorted(set(Jp))))
-        hit = self._pushpull_cache.get(key)
-        if hit is None:
-            if not set(Jp) <= set(J):
-                raise ValueError("J' must be contained in J")
-            xinv = self.x_parabolic_inv(J, Jp)
-            dom = self.dom
-            hit = QWElt(
-                self, {w: dom.weyl(w, xinv) for w in self.system.relative_reps(J, Jp)}
-            )
-            self._pushpull_cache[key] = hit
-        return hit
+        jkey = self.system._jkey
+        return self._once(self._pushpull_rel, jkey(J), jkey(Jp))
+
+    def _pushpull_rel(self, J: tuple, Jp: tuple) -> QWElt:
+        reps = self.system.relative_reps(J, Jp)
+        xinv, weyl = self.x_parabolic_inv(J, Jp), self.dom.weyl
+        return QWElt(self, {w: weyl(w, xinv) for w in reps})
 
     # ---------- Demazure-Lusztig generators and the Hecke action ----------
 
@@ -235,55 +230,50 @@ class TwistedRing:
         in the multiplicative realization (Demazure-Lusztig) and c = mu in the
         hyperbolic one.  Its two coefficients, 1/x_{-alpha_i} c - t at e and
         1/x_{alpha_i} s_i(c) at s_i, are each lifted as one function, since
-        every right product by tau_i twists them."""
-        hit = self._dl_gen_cache.get(i)
-        if hit is None:
-            arity = self.model.arity
-            t = LaurentPoly.t_power(arity, 1)
-            root, s = self.system.simple_roots[i], self.system.simple_reflection(i)
-            if self.kind == "multiplicative":
-                c = RatFunc(t - LaurentPoly.monomial((-1,) + root.weight, 1))
-            else:
-                c = RatFunc(t + LaurentPoly.t_power(arity, -1))
-            inv = self.model.x_weight_inv
-            ge = inv(tuple(-x for x in root.weight)) * c - RatFunc(t)
-            gs = inv(root.weight) * c.weyl(s.matrix)
-            lift = self.dom.lift
-            hit = QWElt(self, {self.system.identity: lift(ge), s: lift(gs)})
-            self._dl_gen_cache[i] = hit
-        return hit
+        every right product by tau_i twists them.  Built once per i."""
+        return self._once(self._dl_generator, i)
+
+    def _dl_generator(self, i: int) -> QWElt:
+        arity = self.model.arity
+        t = LaurentPoly.t_power(arity, 1)
+        root, s = self.system.simple_roots[i], self.system.simple_reflection(i)
+        if self.kind == "multiplicative":
+            c = RatFunc(t - LaurentPoly.monomial((-1,) + root.weight, 1))
+        else:
+            c = RatFunc(t + LaurentPoly.t_power(arity, -1))
+        inv = self.model.x_weight_inv
+        ge = inv(tuple(-x for x in root.weight)) * c - RatFunc(t)
+        gs = inv(root.weight) * c.weyl(s.matrix)
+        lift = self.dom.lift
+        return QWElt(self, {self.system.identity: lift(ge), s: lift(gs)})
 
     def generator_twist(self, u: WeylElt, i: int) -> tuple:
         """(u(g_e), u(g_s)) for the coefficients g_e, g_s of tau_i's image, made
         once per (u, i)."""
-        key = (u.idx, i)
-        hit = self._gen_twists.get(key)
-        if hit is None:
-            g = self.dl_generator(i).coeffs
-            weyl = self.dom.weyl
-            ge, gs = g[self.system.identity], g[self.system.simple_reflection(i)]
-            hit = self._gen_twists[key] = (weyl(u, ge), weyl(u, gs))
-        return hit
+        return self._once(self._generator_twist, u, i)
+
+    def _generator_twist(self, u: WeylElt, i: int) -> tuple:
+        g = self.dl_generator(i).coeffs
+        weyl = self.dom.weyl
+        return weyl(u, g[self.system.identity]), weyl(u, g[self.system.simple_reflection(i)])
 
     def dl_element(self, w: WeylElt) -> QWElt:
         """The image of tau_w: G_{i_1} ... G_{i_k} along w's reduced word, each
-        G_i = g_e delta_e + g_s delta_s the image of tau_i, built by right steps
-        and cached.  A right step twists only G's coefficients: p_u delta_u
+        G_i = g_e delta_e + g_s delta_s the image of tau_i, built once per w by
+        right steps.  A right step twists only G's coefficients: p_u delta_u
         gives p_u u(g_e) at u and p_u u(g_s) at u s, summed by dot_by_key."""
-        hit = self._dl_cache.get(w)
-        if hit is None:
-            if w.length == 0:
-                hit = self.delta(w)
-            else:
-                i, prev = self.system.right_step(w)
-                s = self.system.simple_reflection(i)
-                triples = []
-                for u, p in self.dl_element(prev).coeffs.items():
-                    ge, gs = self.generator_twist(u, i)
-                    triples += ((u, p, ge), (u * s, p, gs))
-                hit = QWElt(self, dot_by_key(self.dom, triples))
-            self._dl_cache[w] = hit
-        return hit
+        return self._once(self._dl_element, w)
+
+    def _dl_element(self, w: WeylElt) -> QWElt:
+        if w.length == 0:
+            return self.delta(w)
+        i, prev = self.system.right_step(w)
+        s = self.system.simple_reflection(i)
+        triples = []
+        for u, p in self.dl_element(prev).coeffs.items():
+            ge, gs = self.generator_twist(u, i)
+            triples += ((u, p, ge), (u * s, p, gs))
+        return QWElt(self, dot_by_key(self.dom, triples))
 
     def hecke_to_qw(self, h) -> QWElt:
         """Ring homomorphism sending tau_w to the generator product along w."""

@@ -538,14 +538,53 @@ def test_is_smooth_is_the_exact_product_lifted(name, mode):
         assert (smooth, dict(witnesses)) == is_smooth_direct(loc, w), w
 
 
+# name -> (first call, second call) on an A3 Localization and a u in
+# W^{(0, 2)}: each pair must hand out one object
+SHARED = {
+    "mc_cell_parabolic": (
+        lambda loc, u: loc.mc_cell_parabolic(u, (0, 2)),
+        lambda loc, u: loc.mc_cell_parabolic(u, (2, 0)),
+    ),
+    "smc_cell_parabolic": (
+        lambda loc, u: loc.smc_cell_parabolic(u, (0, 2)),
+        lambda loc, u: loc.smc_cell_parabolic(u, [2, 0, 2]),
+    ),
+    "pushpull_rel": (
+        lambda loc, u: loc.mult.pushpull_rel((0, 2)),
+        lambda loc, u: loc.mult.pushpull_rel((2, 0)),
+    ),
+    "parabolic_elements": (
+        lambda loc, u: loc.system.parabolic_elements((0, 2)),
+        lambda loc, u: loc.system.parabolic_elements([2, 0, 2]),
+    ),
+    "roots_outside": (
+        lambda loc, u: loc.system.roots_outside((0, 2)),
+        lambda loc, u: loc.system.roots_outside((2, 0)),
+    ),
+    "parabolic table": (
+        lambda loc, u: loc.hecke._parabolic_data(u, u, (0, 2)),
+        lambda loc, u: loc.hecke._parabolic_data(u, u, [2, 0, 2]),
+    ),
+    "kl_basis": (lambda loc, u: loc.hecke.kl_basis(u),) * 2,
+    "dl_element": (lambda loc, u: loc.mult.dl_element(u),) * 2,
+    "generator_twist": (lambda loc, u: loc.mult.generator_twist(u, 1),) * 2,
+    "smc_cell": (
+        lambda loc, u: loc.smc_cell(u),
+        lambda loc, u: loc._once(loc._family_class, "SMC", loc.system.w0 * u),
+    ),
+    "mc_cell": (
+        lambda loc, u: loc.mc_cell(u),
+        lambda loc, u: loc._once(loc._family_class, "MC", u),
+    ),
+}
+
+
 def test_memoized_classes_are_shared_and_keep_their_J(loc3, a3):
-    """A parabolic cell is memoized per J, whatever the order of J's reflections."""
-    J = (0, 2)
-    u = a3.minimal_coset_reps(J)[-1]
-    mc = loc3.mc_cell_parabolic(u, J)
-    assert loc3.mc_cell_parabolic(u, (2, 0)) is mc
-    smc = loc3.smc_cell_parabolic(u, J)
-    assert loc3.smc_cell_parabolic(u, J) is smc
+    """A memoized value is built once and handed to every caller, and a J-keyed
+    one is shared by every order and multiplicity of J's reflections."""
+    u = a3.minimal_coset_reps((0, 2))[-1]
+    unshared = [name for name, (one, two) in SHARED.items() if two(loc3, u) is not one(loc3, u)]
+    assert unshared == []
 
 
 def test_smoothness_verdicts_are_built_once(loc3, a3):

@@ -150,6 +150,17 @@ def test_cartan_validation():
         RootSystem(CartanData(((2, -2), (-2, 2))), size_cap=500)
 
 
+@pytest.mark.parametrize(
+    "method, J",
+    [("parabolic_elements", (-1,)), ("minimal_coset_reps", (5,)), ("roots_outside", (5,))],
+)
+def test_a_reflection_index_out_of_range_is_refused(a3, method, J):
+    """J is refused, as from_word refuses a word, when it names a simple
+    reflection the group does not have."""
+    with pytest.raises(ValueError):
+        getattr(a3, method)(J)
+
+
 def test_char_lattice_example(a2):
     # -alpha_1 = -2 omega_1 + omega_2 in A2
     alpha1 = a2.simple_roots[0]
@@ -251,7 +262,7 @@ def test_roots_outside(name):
         expect = [r for r in rs.positive_roots if r.weight not in inside]
         assert rs.roots_outside(J) == expect
         assert rs.roots_outside(tuple(reversed(J))) is rs.roots_outside(J)
-        # w_J, cached per J like roots_outside
+        # w_J, shared by every order of J like roots_outside
         wj = max(rs.parabolic_elements(J), key=lambda w: w.length)
         assert rs.longest_parabolic(J) is wj
         assert rs.longest_parabolic(tuple(reversed(J))) is wj
