@@ -27,6 +27,13 @@ once (vacuous for J = (); invariant factors give an invariant product), each
 left class is weighted by x(q_J) once, and each entry is then one dom.dot over
 the common support in W^J.
 
+Parabolic classes are built once per coset x W_J, at x in W^J, and every point
+of the coset gets that one scalar.  This is exact: Y_J = sum over v in W_J of
+v(q) delta_v, q = 1/x_J, so (Y_J . c)_u = sum over y in u W_J of c_y y(q) for
+every class c.  SMC_J is the w0-translate (w0 maps cosets to cosets) of such a
+class, dualized, times twists of the Serre monomial and lambda_J, invariant
+as W_J permutes the roots outside Sigma_J; C^J and C~^J sum those classes.
+
 Functions of the fixed point u that are Weyl twists u(f) of one function f are
 lifted once and twisted per u with dom.weyl.  A mod-p domain can twist a
 computed value by w0 alone (see modp), so only such lifted functions are
@@ -349,37 +356,68 @@ class Localization(Memo):
     # ---------- parabolic classes ----------
 
     def mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
-        """MC of a cell downstairs: Y_J . MC(cell u)."""
+        """MC of a cell downstairs: Y_J . MC(cell u), one dom.dot per coset."""
         return self._once(self._mc_cell_parabolic, u, self.system._jkey(J))
 
     def _mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
         if not J:  # Y_() = delta_e: MC(cell u) itself
             return self.mc_cell(u)
         self.system.require_min_rep(u, J)
-        return self.bullet(self.mult.pushpull_rel(J, ()), self.mc_cell(u))
+        rep, twists = self._once(self._coset_rep, J), self._once(self._q_twists, J)
+        triples = ((rep[y], c, twists[y]) for y, c in self.mc_cell(u).coeffs.items())
+        return self._on_cosets(dot_by_key(self.dom, triples), J)
+
+    def _coset_rep(self, J) -> dict:
+        """{u: the minimal representative x of u W_J} over W."""
+        wj = self.system.parabolic_elements(J)
+        return {x * v: x for x in self.system.minimal_coset_reps(J) for v in wj}
+
+    def _q_twists(self, J) -> dict:
+        """{y: y(q)} over W, q = 1/x_J the coefficient of Y_J at e."""
+        q, weyl = self.mult.x_parabolic_inv(J), self.dom.weyl
+        return {y: weyl(y, q) for y in self.system.elements}
+
+    def _on_cosets(self, values: dict, J) -> CohClass:
+        """The right-W_J-invariant class with values[x] on all of x W_J, for x in
+        W^J: every point of a coset gets the same scalar object.  J is a _jkey."""
+        rep = self._once(self._coset_rep, J)
+        return CohClass(self.mult, {u: values[x] for u, x in rep.items() if x in values})
+
+    def _on_reps(self, builder: str, w: WeylElt, J) -> dict:
+        """The values of builder(w, J) at the representatives in W^J; J a _jkey."""
+        rep = self._once(self._coset_rep, J)
+        return {x: c for x, c in getattr(self, builder)(w, J).coeffs.items() if rep[x] is x}
 
     def smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
-        """SMC of an opposite cell downstairs, via w_0-translation and duality."""
+        """SMC of an opposite cell downstairs: at x in W^J, w0(MC_J(cell w0 v w_J)
+        at w0 x), dualized, times x((-1)^{N_J} e^{2 rho_J} lambda_J) t^{-2 dim}."""
         return self._once(self._smc_cell_parabolic, v, self.system._jkey(J))
 
     def _smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
-        system = self.system
+        system, dom = self.system, self.dom
         system.require_min_rep(v, J)
         w0 = system.w0
-        wj = system.longest_parabolic(J)
-        u = w0 * v * wj
+        u = w0 * v * system.longest_parabolic(J)
         system.require_min_rep(u, J)
-        mc_opp = self.odot(self.mult.delta(w0), self.mc_cell_parabolic(u, J))
-        dual = self.serre_dual(mc_opp, J)
-        dim = len(system.roots_outside(J)) - v.length
-        lam = self._once(self._lambda_inv, J)
-        weyl = self.dom.weyl
-        out = {x: val * weyl(x, lam) for x, val in dual.coeffs.items()}
-        return CohClass(self.mult, out).scale(self.mult.scalar_t(-2 * dim))
+        mc = self.mc_cell_parabolic(u, J).coeffs
+        t = self.mult.scalar_t(-2 * (len(system.roots_outside(J)) - v.length))
+        out = {}
+        for x, f in self._once(self._smc_factors, J).items():
+            m = mc.get(w0 * x)
+            if m is not None:
+                out[x] = dom.dualize(dom.weyl(w0, m)) * f * t
+        return self._on_cosets(out, J)
+
+    def _smc_factors(self, J) -> dict:
+        """{x: x((-1)^{N_J} e^{2 rho_J} lambda_J)} over W^J: the Serre monomial
+        times _lambda_inv(J), both lifted, so their product is known."""
+        f = self._once(self._serre_monomial, J) * self._once(self._lambda_inv, J)
+        return {x: self.dom.weyl(x, f) for x in self.system.minimal_coset_reps(J)}
 
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
         """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J."""
         self.system.require_min_rep(w, J)
+        jkey = self.system._jkey(J)
         terms = []
         lw = w.length
         for u in self.system.minimal_coset_reps(J):
@@ -387,15 +425,16 @@ class Localization(Memo):
             if not p:
                 continue
             poly = LaurentPoly(1, {(lw - 2 * j,): c for j, c in enumerate(p)})
-            terms.append((self.mult.t_poly(poly), self.mc_cell_parabolic(u, J).coeffs))
-        return CohClass(self.mult, combine(self.dom, terms))
+            cell = self._once(self._on_reps, "mc_cell_parabolic", u, jkey)
+            terms.append((self.mult.t_poly(poly), cell))
+        return self._on_cosets(combine(self.dom, terms), jkey)
 
     def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
         """C~^J_w, from inverse parabolic KL polynomials and Segre classes."""
         system = self.system
         system.require_min_rep(w, J)
-        wj = system.longest_parabolic(J)
-        shift = (wj * w.inverse() * system.w0).length
+        jkey = system._jkey(J)
+        shift = (system.longest_parabolic(J) * w.inverse() * system.w0).length
         terms = []
         for v in system.minimal_coset_reps(J):
             q = self.hecke.inverse_parabolic_kl(w, v, J)
@@ -403,9 +442,10 @@ class Localization(Memo):
                 continue
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
-            terms.append((self.mult.t_poly(poly), self.smc_cell_parabolic(v, J).coeffs))
-        out = CohClass(self.mult, combine(self.dom, terms))
-        return out.scale(self._once(self._normalizer, self.system._jkey(J)))
+            cell = self._once(self._on_reps, "smc_cell_parabolic", v, jkey)
+            terms.append((self.mult.t_poly(poly), cell))
+        norm = self._once(self._normalizer, jkey)
+        return self._on_cosets({x: c * norm for x, c in combine(self.dom, terms).items()}, jkey)
 
     def _normalizer(self, J):
         """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted one binomial
@@ -448,13 +488,14 @@ class Localization(Memo):
         return ratio * self.hyp.inv_mu_power(n)
 
     def is_invariant(self, c: CohClass, J) -> bool:
-        """Restrictions constant on left cosets u W_J."""
+        """Restrictions constant on left cosets u W_J; a value shared by two points
+        (one per coset, as the parabolic builders hand out) is tested by identity first."""
         zero = self.dom.zero
         for u in self.system.elements:
             cu = c.coeffs.get(u, zero)
             for j in J:
-                us = self.system.elements[self.system.right_table[u.idx][j]]
-                if cu != c.coeffs.get(us, zero):
+                cus = c.coeffs.get(self.system.elements[self.system.right_table[u.idx][j]], zero)
+                if cu is not cus and cu != cus:
                     return False
         return True
 

@@ -163,7 +163,10 @@ class TwistedRing(Memo):
         return self.dom.lift(RatFunc.from_den_factors(LaurentPoly.t_power(arity, n), [t2p1] * n))
 
     def t_poly(self, p: LaurentPoly):
-        """Lift a polynomial in t alone (arity-1 LaurentPoly)."""
+        """Lift a polynomial in t alone (arity-1 LaurentPoly), once per distinct p."""
+        return self._once(self._t_poly, p)
+
+    def _t_poly(self, p: LaurentPoly):
         return self.as_scalar(RatFunc(p.embed(self.model.arity, (0,))))
 
     def x_root(self, root: Root):

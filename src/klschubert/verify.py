@@ -193,22 +193,23 @@ def _pairing_cases(loc, case_id, left: dict, right: dict, diag, J=()):
             yield _case(case_id(a, b), val, diag if a is b else zero)
 
 
-def _inversion_cases(case_id, elements: list, q_of, p_of):
+def _inversion_cases(prefix: str, elements: list, q_of, p_of):
     """The cases "sum over w of eps_u eps_w Q_{u,w} P_{w,v} = delta_uv" for every
     u, then every v, in elements; Q_{u,w} = q_of(u, w) and P_{w,v} = p_of(w, v) are
-    q-polynomials as ascending coefficient tuples, and case_id(u, v) names each
-    case.  Each P_{w,v} and each Q_{u,w} with a nonzero row P_{w,.} is looked up
-    once.  The sums run on packed ints (Kronecker substitution, as in hecke):
-    row w packs its P_{w,v} into one int, q^j of the i-th v at slot S i + j
-    with S slots a block, so sum_w eps_u eps_w Q_{u,w} row_w packs the sums of
-    every v at once and is compared, as one int, with the packing of delta_u.
-    The slot width is taken from the values themselves: every coefficient of
-    every sum is at most the largest sum over w of the |coefficients| of
-    Q_{u,w} times the largest |coefficient| of a P_{w,v}, so the ints are equal
-    exactly when every sum is right.  Only a u with a wrong sum reads its sums
-    back, as {q-power: coefficient} in ascending order with zeros dropped, and
-    checks each through _case.  The support comes from the values, not from
-    Bruhat order, so a wrong nonzero value anywhere still breaks a case."""
+    q-polynomials as ascending coefficient tuples, and "{prefix} u={u!r} v={v!r}"
+    names each case, each element printed once per call.  Each P_{w,v} and each
+    Q_{u,w} with a nonzero row P_{w,.} is looked up once.  The sums run on
+    packed ints (Kronecker substitution, as in hecke): row w packs its P_{w,v}
+    into one int, q^j of the i-th v at slot S i + j with S slots a block, so
+    sum_w eps_u eps_w Q_{u,w} row_w packs the sums of every v at once and is
+    compared, as one int, with the packing of delta_u.  The slot width is taken
+    from the values themselves: every coefficient of every sum is at most the
+    largest sum over w of the |coefficients| of Q_{u,w} times the largest
+    |coefficient| of a P_{w,v}, so the ints are equal exactly when every sum is
+    right.  Only a u with a wrong sum reads its sums back, as {q-power:
+    coefficient} in ascending order with zeros dropped, and checks each through
+    _case.  The support comes from the values, not from Bruhat order, so a
+    wrong nonzero value anywhere still breaks a case."""
     rows = []
     for w in elements:
         row = [(i, p) for i, v in enumerate(elements) if (p := p_of(w, v))]
@@ -227,18 +228,20 @@ def _inversion_cases(case_id, elements: list, q_of, p_of):
         return sum(c << shift + width * j for j, c in enumerate(p))
 
     packed = [sum(pack(p, block * i) for i, p in row) for _, row in rows]
+    names = [repr(v) for v in elements]
     for n, (u, qu) in enumerate(zip(elements, qs)):
         total = 0
         for k, q in qu:
             total += u.sign * rows[k][0].sign * pack(q) * packed[k]
+        row_id = f"{prefix} u={names[n]} v="
         if total == 1 << block * n:
-            for v in elements:
-                yield CaseResult(case_id(u, v), True)
+            for name in names:
+                yield CaseResult(row_id + name, True)
             continue
         digits = balanced_digits(total, width)
         for i, v in enumerate(elements):
             acc = {j: c for j, c in enumerate(digits[slots * i : slots * (i + 1)]) if c}
-            yield _case(case_id(u, v), acc, {0: 1} if u is v else {})
+            yield _case(row_id + names[i], acc, {0: 1} if u is v else {})
 
 
 # ---------- context ----------
@@ -417,16 +420,10 @@ def suite_inversion(ctx: _Context):
     system = ctx.system
     h = ctx.hecke
     h.kl_compute_upto(system.w0.length)
-    yield from _inversion_cases(
-        lambda u, v: f"inversion u={u!r} v={v!r}",
-        system.elements,
-        h.inverse_kl,
-        h.kl_polynomial,
-    )
+    yield from _inversion_cases("inversion", system.elements, h.inverse_kl, h.kl_polynomial)
     for J in _subsets(system.rank):
-        jtxt = _jtxt(J)
         yield from _inversion_cases(
-            lambda u, v: f"parabolic inversion J={{{jtxt}}} u={u!r} v={v!r}",
+            f"parabolic inversion J={{{_jtxt(J)}}}",
             system.minimal_coset_reps(J),
             lambda u, w: h.inverse_parabolic_kl(u, w, J),
             lambda w, v: h.parabolic_kl(w, v, J),

@@ -39,7 +39,10 @@ each expected restriction built exactly before it is lifted, the second
 canonical basis kl_tilde_basis, the direct routes to the classes that
 Localization builds by recursion (the whole image of tau_w or gamma_w acting
 on pt_e, and the Hecke sums of iota-products behind C~_w and SMC cells), the
-constant class one_class, and scalar_elt, a scalar times delta_e.
+composed routes to the parabolic classes that Localization builds once per
+coset (the bullet of Y_J on an MC cell, the translation, Serre dual and twists
+behind SMC_J, and the KL sums over full maps on W), the constant class
+one_class, and scalar_elt, a scalar times delta_e.
 
 For the Hecke algebra, which computes on packed ints, it keeps the route on
 LaurentPoly coefficients: tau_mul, one right step by a generator; bar_tau and
@@ -437,6 +440,66 @@ def pairing_normalizer_product(loc, J=()):
         e_minus = LaurentPoly.monomial((-1,) + tuple(-x for x in a.weight), 1)
         val = val * RatFunc(LaurentPoly.t_power(arity, 1) - e_minus)
     return loc.dom.lift(val)
+
+
+def mc_cell_parabolic_direct(loc, u, J):
+    """MC of a cell downstairs as the whole bullet Y_J . MC(cell u), evaluated at
+    every fixed point, where Localization makes one dom.dot per coset."""
+    loc.system.require_min_rep(u, J)
+    return loc.bullet(loc.mult.pushpull_rel(J, ()), loc.mc_cell(u))
+
+
+def smc_cell_parabolic_direct(loc, v, J):
+    """SMC of an opposite cell downstairs by the composed route at every fixed
+    point: MC_J(cell w0 v w_J) translated by odot(delta_{w0}), Serre-dualized,
+    times the twist of lambda_J, a product of 1/(1 - t^-2 e^a) over the roots
+    outside Sigma_J lifted as one fraction, and t^{-2 dim}."""
+    system, dom = loc.system, loc.dom
+    system.require_min_rep(v, J)
+    w0 = system.w0
+    mc = mc_cell_parabolic_direct(loc, w0 * v * system.longest_parabolic(J), J)
+    dual = loc.serre_dual(loc.odot(loc.mult.delta(w0), mc), J)
+    arity = system.rank + 1
+    one = LaurentPoly.const(arity, 1)
+    dens = [one - LaurentPoly.monomial((-2,) + a.weight, 1) for a in system.roots_outside(J)]
+    lam = dom.lift(RatFunc.from_den_factors(one, dens))
+    out = CohClass(loc.mult, {x: c * dom.weyl(x, lam) for x, c in dual.coeffs.items()})
+    dim = len(system.roots_outside(J)) - v.length
+    return out.scale(loc.mult.scalar_t(-2 * dim))
+
+
+def kl_class_c_parabolic_direct(loc, w, J, cells):
+    """C^J_w as the sum of t_w P^J_{u,w}(t^-2) MC_J(cell u) over full maps on
+    W; cells(u) gives MC_J(cell u)."""
+    loc.system.require_min_rep(w, J)
+    terms = []
+    for u in loc.system.minimal_coset_reps(J):
+        if p := loc.hecke.parabolic_kl(u, w, J):
+            poly = LaurentPoly(1, {(w.length - 2 * j,): c for j, c in enumerate(p)})
+            terms.append((loc.mult.t_poly(poly), cells(u).coeffs))
+    return CohClass(loc.mult, combine(loc.dom, terms))
+
+
+def kl_class_c_tilde_parabolic_direct(loc, w, J, cells):
+    """C~^J_w as the sum of eps_w eps_v t^{l(w_J w^-1 w0) - 2j} Q^J_{w,v}
+    SMC_J(cell v) over full maps on W, times the normalizer, a product of
+    (1 - t^-2 e^{-a}) over the roots outside Sigma_J lifted as one polynomial;
+    cells(v) gives SMC_J(cell v)."""
+    system = loc.system
+    system.require_min_rep(w, J)
+    shift = (system.longest_parabolic(J) * w.inverse() * system.w0).length
+    terms = []
+    for v in system.minimal_coset_reps(J):
+        if q := loc.hecke.inverse_parabolic_kl(w, v, J):
+            sign = w.sign * v.sign
+            poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
+            terms.append((loc.mult.t_poly(poly), cells(v).coeffs))
+    arity = system.rank + 1
+    one = LaurentPoly.const(arity, 1)
+    norm = one
+    for a in system.roots_outside(J):
+        norm = norm * (one - LaurentPoly.monomial((-2,) + tuple(-x for x in a.weight), 1))
+    return CohClass(loc.mult, combine(loc.dom, terms)).scale(loc.dom.lift(RatFunc(norm)))
 
 
 def map_untabled(r, fn):

@@ -1,12 +1,13 @@
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
 
 from klschubert.laurent import LaurentPoly
 from klschubert.localization import CohClass, Localization
-from klschubert.modp import MisplacedTwist, OrbitDomain
+from klschubert.modp import ExactDomain, MisplacedTwist, OrbitDomain
 from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import psi
@@ -17,9 +18,12 @@ from oracles import (
     eval_kept,
     is_smooth_direct,
     kl_class_c_direct,
+    kl_class_c_parabolic_direct,
     kl_class_c_tilde_direct,
+    kl_class_c_tilde_parabolic_direct,
     kl_schubert_direct,
     mc_cell_direct,
+    mc_cell_parabolic_direct,
     mc_variety,
     mul_pointwise,
     one_class,
@@ -28,6 +32,7 @@ from oracles import (
     pushpull_word,
     qw_iota,
     smc_cell_direct,
+    smc_cell_parabolic_direct,
 )
 
 
@@ -598,6 +603,100 @@ def test_smoothness_verdicts_are_built_once(loc3, a3):
 def test_mc_cell_parabolic_at_the_empty_set_shares_the_cell(loc3, a3):
     for u in a3.elements:
         assert loc3.mc_cell_parabolic(u, ()) is loc3.mc_cell(u)
+
+
+def _subsets(system):
+    return [J for r in range(system.rank + 1) for J in combinations(range(system.rank), r)]
+
+
+def _assert_constant_on_cosets(system, c, J):
+    """Every value of c on x W_J equals (==, not is) its value at x in W^J."""
+    for x in system.minimal_coset_reps(J):
+        want = c.coeffs.get(x)
+        for v in system.parabolic_elements(J):
+            assert c.coeffs.get(x * v) == want, (J, x, v)
+
+
+@pytest.mark.parametrize("name, mode", ACTION_CONFIGS)
+def test_parabolic_classes_match_the_composed_routes(name, mode):
+    """For every J and every w in W^J, MC_J(cell w), SMC_J(cell w), C^J_w and
+    C~^J_w, built once per coset, equal the composed routes evaluated at every
+    fixed point: the bullet of Y_J on MC(cell w); its w0-translate by odot,
+    Serre-dualized, twisted by lambda_J and scaled by t^{-2 dim}; and the KL
+    sums of those over full maps on W.  Both sides are right-W_J-invariant,
+    compared value by value."""
+    loc = _action_loc(name, mode)
+    system = loc.system
+    for J in _subsets(system):
+        reps = system.minimal_coset_reps(J)
+        mc = {u: mc_cell_parabolic_direct(loc, u, J) for u in reps}
+        smc = {v: smc_cell_parabolic_direct(loc, v, J) for v in reps}
+        for w in reps:
+            pairs = {
+                "MC": (loc.mc_cell_parabolic(w, J), mc[w]),
+                "SMC": (loc.smc_cell_parabolic(w, J), smc[w]),
+                "C": (
+                    loc.kl_class_c_parabolic(w, J),
+                    kl_class_c_parabolic_direct(loc, w, J, mc.get),
+                ),
+                "C~": (
+                    loc.kl_class_c_tilde_parabolic(w, J),
+                    kl_class_c_tilde_parabolic_direct(loc, w, J, smc.get),
+                ),
+            }
+            for label, (got, want) in pairs.items():
+                assert got == want, (label, J, w)
+                assert loc.is_invariant(got, J), (label, J, w)
+                _assert_constant_on_cosets(system, got, J)
+                _assert_constant_on_cosets(system, want, J)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_parabolic_builders_refuse_a_non_minimal_representative(name):
+    """Each parabolic builder refuses an element outside W^J with the message
+    of RootSystem.require_min_rep, before building anything."""
+    loc = _action_loc(name, "exact")
+    system = loc.system
+    builders = (
+        loc.mc_cell_parabolic,
+        loc.smc_cell_parabolic,
+        loc.kl_class_c_parabolic,
+        loc.kl_class_c_tilde_parabolic,
+    )
+    for J in _subsets(system)[1:]:
+        reps = system.minimal_coset_reps(J)
+        for u in (u for u in system.elements if u not in reps):
+            with pytest.raises(ValueError) as refusal:
+                system.require_min_rep(u, J)
+            for build in builders:
+                with pytest.raises(ValueError, match=re.escape(str(refusal.value))):
+                    build(u, J)
+    assert not loc._memo.keys() - {("_jkey",)}
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_a_parabolic_mc_cell_makes_one_dot_per_coset(a3, mode, monkeypatch):
+    """At A3, MC_J(cell u) makes at most |W^J| dom.dot calls once the MC cells
+    are built, one per coset it meets, not one per fixed point: a count, so it
+    holds on any machine."""
+    dom = OrbitDomain(a3, seed=43) if mode == "modp" else ExactDomain(a3)
+    loc = Localization(a3, dom)
+    for u in a3.elements:
+        loc.mc_cell(u)
+    calls = [0]
+    dot = dom.dot
+
+    def counted(xs, ys):
+        calls[0] += 1
+        return dot(xs, ys)
+
+    monkeypatch.setattr(dom, "dot", counted)
+    for J in _subsets(a3)[1:]:
+        reps = a3.minimal_coset_reps(J)
+        for u in reps:
+            calls[0] = 0
+            loc.mc_cell_parabolic(u, J)
+            assert 0 < calls[0] <= len(reps), (J, u)
 
 
 # sha256 over the printed exact classes of PRINTED_CLASSES, recorded before

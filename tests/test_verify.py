@@ -9,6 +9,7 @@ from klschubert import verify
 from klschubert.hecke import HeckeAlgebra
 from klschubert.localization import Localization
 from klschubert.rootsystem import CartanData, RootSystem
+from klschubert.twisted import TwistedRing
 from klschubert.verify import SUITES, WITNESS_CHARS, GuardRefusal, RunConfig, run_suite
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
@@ -187,6 +188,26 @@ def test_a4_modp_pairing_reports_are_pinned(suite):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == A4_MODP_DIGESTS[suite]
 
 
+# suite -> (case count, sha256 of to_json()) of A4 mod-p parabolic-duality and
+# pushforward (k=2, seed 1), recorded while every parabolic class was a bullet
+# of Y_J evaluated at every fixed point
+A4_MODP_PARABOLIC_DIGESTS = {
+    "parabolic-duality": (
+        66440,
+        "ab39fcb6f9d8c379d6bd43f69b2d720e5265f974aca40adcd7d73dd01fba8cd3",
+    ),
+    "pushforward": (541, "5c3ac01afa20d5e3b17ab3dc7c599edf59d4d0c64fcbbc4e3b7d32bbdd822177"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(A4_MODP_PARABOLIC_DIGESTS))
+def test_a4_modp_parabolic_reports_are_pinned(suite):
+    count, digest = A4_MODP_PARABOLIC_DIGESTS[suite]
+    report = run_suite(suite, RunConfig(rank=4, mode="modp", k=2, seed=1, serre_samples=10))
+    assert len(report.cases) == count and report.all_passed()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("suite", ["smoothness", "grassmann-smoothness"])
 def test_a3_exact_smoothness_agrees_with_mod_p(a3_modp_reports, suite):
     exact = run_suite(suite, _a3_config(suite, "exact"))
@@ -265,6 +286,31 @@ def test_smoothness_verdicts_are_built_once_per_element(monkeypatch):
     report = run_suite("grassmann-smoothness", cfg)
     assert len(report.cases) == 6 and report.all_passed()
     assert len(built) == len(set(built)) == 6
+
+
+def test_each_t_polynomial_is_lifted_once_per_ring(monkeypatch):
+    """Over the suites of one modp-a3 benchmark pass, every TwistedRing lifts
+    each distinct polynomial in t once, however often it is asked for: a
+    count, so it holds on any machine."""
+    asked, built = [0], []
+    ask, build = TwistedRing.t_poly, TwistedRing._t_poly
+
+    def counted_ask(self, p):
+        asked[0] += 1
+        return ask(self, p)
+
+    def _t_poly(self, p):
+        built.append((self, p.sort_key()))  # holds the ring, so ids stay unique
+        return build(self, p)
+
+    monkeypatch.setattr(TwistedRing, "t_poly", counted_ask)
+    monkeypatch.setattr(TwistedRing, "_t_poly", _t_poly)
+    for suite in ("duality", "orthogonality", "parabolic-duality"):
+        report = run_suite(suite, _a3_config(suite, "modp"))
+        assert report.all_passed()
+    keys = [(id(ring), key) for ring, key in built]
+    assert len(keys) == len(set(keys))
+    assert asked[0] > 2 * len(keys)
 
 
 def test_a_failing_exact_class_case_gets_a_bounded_witness(monkeypatch, a2):
