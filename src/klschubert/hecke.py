@@ -347,16 +347,6 @@ class HeckeAlgebra(Memo):
     def gamma_parabolic(self, J) -> HeckeElt:
         return self.gamma_rel(J, ())
 
-    def gamma_sum(self, w: WeylElt) -> HeckeElt:
-        """S_w = sum over the Bruhat interval [e, w] of t^{-l(v)} tau_v."""
-        return HeckeElt(
-            self,
-            {
-                v: LaurentPoly.monomial((-v.length,), 1)
-                for v in self.system.bruhat_interval(w)
-            },
-        )
-
     # ---------- inverse and parabolic KL polynomials ----------
 
     def inverse_kl(self, u: WeylElt, w: WeylElt) -> tuple:

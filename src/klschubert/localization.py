@@ -95,6 +95,17 @@ D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] y(g_s) - sum mu(v, ws) D_v[y]: the recursion
 with b = s(g_s), as y(g_s) = (ys)(s(g_s)).  The normalizer w0(x_Pi) is the same
 at every point, so unlike k_s no x_Pi ratio enters.
 
+Smoothness of X_w is read off MC(X_w), the sum of the memoized MC(cell v)
+over v <= w (one combine), after Aluffi-Mihalcea-Schurmann-Su (2019): X_w is
+smooth at u <= w when MC(X_w) at u is the product over the positive roots a of
+u(1 - t^{-2} e^a) for the tangent weights, u s_a <= w, and u(1 - e^a) for the
+others.  This is the older test on the image A of S_w = sum over v <= w of
+t^{-l(v)} tau_v, A_u against the product of u((1 - t^{-2} e^a) / (1 - e^a))
+over the tangent a: MC(cell v) = t^{-l(v)} tau_v o pt_e and (B o pt_e)_u =
+B_u u(x_Pi) for every B, so MC(X_w)_u = A_u u(x_Pi), and x_Pi = prod (1 - e^a)
+over a > 0 times the old product is the new one.  u(x_Pi) is not zero, so
+the verdict is the same at every u, and no Q_W element is built.
+
 The hyperbolic KL-Schubert class is the psi-transfer of C_w: psi keeps every
 coefficient, so its value at u is that of C_w times u(mu^{-l(w)} x^hyp_Pi /
 x_Pi).  Exact mode runs the same builders; the direct routes (whole images
@@ -490,11 +501,12 @@ class Localization(Memo):
     def is_invariant(self, c: CohClass, J) -> bool:
         """Restrictions constant on left cosets u W_J; a value shared by two points
         (one per coset, as the parabolic builders hand out) is tested by identity first."""
-        zero = self.dom.zero
-        for u in self.system.elements:
+        zero, system = self.dom.zero, self.system
+        J = system._jkey(J)
+        for u in system.elements:
             cu = c.coeffs.get(u, zero)
             for j in J:
-                cus = c.coeffs.get(self.system.elements[self.system.right_table[u.idx][j]], zero)
+                cus = c.coeffs.get(system.elements[system.right_table[u.idx][j]], zero)
                 if cu is not cus and cu != cus:
                     return False
         return True
@@ -524,34 +536,37 @@ class Localization(Memo):
     # ---------- smoothness criterion ----------
 
     def is_smooth(self, w: WeylElt):
-        """(smooth, u -> verdict at u) from the coefficients of the image of
-        S_w = sum over v <= w of t^{-l(v)} tau_v, built once per w."""
+        """(smooth, u -> verdict at u) from the restrictions of MC(X_w), the sum
+        of the cell classes MC(cell v) over v <= w, built once per w."""
         return self._once(self._is_smooth, w)
 
     def _smoothness_factors(self) -> list:
-        """(1 - t^-2 e^a) / (1 - e^a) for each positive root a, lifted; its value
-        at the fixed point u is the twist dom.weyl(u, .)."""
+        """(1 - t^-2 e^a, 1 - e^a) for each positive root a, each lifted; their
+        values at the fixed point u are the twists dom.weyl(u, .)."""
         binomial, lift = self._binomial, self.dom.lift
         return [
-            lift(RatFunc.from_den_factors(binomial(-2, a.weight), [binomial(0, a.weight)]))
+            (lift(RatFunc(binomial(-2, a.weight))), lift(RatFunc(binomial(0, a.weight))))
             for a in self.system.positive_roots
         ]
 
     def _is_smooth(self, w: WeylElt):
-        """The coefficient of S_w's image at u against the product of u(f_a) over the
-        positive roots a with u s_a <= w, f_a the lifted smoothness factor."""
-        system = self.system
-        dom = self.dom
-        coeffs = self.mult.hecke_to_qw(self.hecke.gamma_sum(w)).coeffs
+        """MC(X_w) at u against the product over the positive roots a of
+        u(1 - t^-2 e^a) if u s_a <= w, else u(1 - e^a) (module docstring)."""
+        system, dom = self.system, self.dom
+        one = dom.one
+        interval = system.bruhat_interval(w)
+        mc = combine(dom, [(one, self.mc_cell(v).coeffs) for v in interval])
         factors = self._once(self._smoothness_factors)
         reflections = [(system.reflection(a), f) for a, f in zip(system.positive_roots, factors)]
         witnesses = {}
-        for u in system.bruhat_interval(w):
-            expected = dom.one
-            for s_alpha, f in reflections:
-                if system.bruhat_leq(u * s_alpha, w):
-                    expected = expected * dom.weyl(u, f)
-            witnesses[u] = coeffs.get(u, dom.zero) == expected
+        for u in interval:
+            # from dom.one, a computed value: a product of two lifted factors
+            # at one twist would be a known function, with every orbit residue
+            expected = one
+            for s_alpha, (tangent, normal) in reflections:
+                f = tangent if system.bruhat_leq(u * s_alpha, w) else normal
+                expected = expected * dom.weyl(u, f)
+            witnesses[u] = mc.get(u, dom.zero) == expected
         return all(witnesses.values()), MappingProxyType(witnesses)
 
     # ---------- random classes (for involution tests) ----------

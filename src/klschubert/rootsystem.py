@@ -19,6 +19,17 @@ size guard never holds |W|^2 entries.  Parabolic subsets J are turned into
 the same kind of bitmask, so a minimal coset representative test is one AND.
 W_J, w_J and the positive roots outside Sigma_J are built once per J (see
 Memo).
+
+Bruhat order is read off one lower interval [e, w] per element, built once
+(see Memo) by right steps: with s the last letter of w's reduced word, s is a
+right descent of w and
+
+    [e, w] = [e, ws] union [e, ws] s
+
+(the lifting property: for v <= w with vs > v, v <= ws; for vs < v, vs <= ws;
+and v <= ws gives v, vs <= w).  So u <= w is one set membership test, and an
+interval is its set in index order, which breadth-first enumeration makes
+(length, index) order.
 """
 
 from __future__ import annotations
@@ -218,11 +229,11 @@ class WMap:
 
 class Memo:
     """Build once: what a RootSystem, HeckeAlgebra, TwistedRing or Localization
-    derives from its fixed data (W_J, gamma_w, the image of tau_w, Y_{J/J'}, a
-    class, a smoothness verdict, a lifted scalar) is built at most once per
-    object, through one memo table keyed by (builder name, arguments), and the
-    same object is handed to every caller; so no memoized value is changed after
-    it is built.  J-keyed builders take J as RootSystem._jkey gives it, so
+    derives from its fixed data (W_J, a Bruhat interval, gamma_w, the image of
+    tau_w, Y_{J/J'}, a class, a smoothness verdict, a lifted scalar) is built at
+    most once per object, through one memo table keyed by (builder name,
+    arguments), and the same object is handed to every caller; so no memoized
+    value is changed after it is built.  J-keyed builders take J as RootSystem._jkey gives it, so
     (0, 2), (2, 0) and [2, 0, 2] share one entry.  The table is set in __init__:
     a functools.cached_property would materialize the object's __dict__ and
     slow every attribute read on it.
@@ -317,7 +328,6 @@ class RootSystem(Memo):
         w0 = max(range(self.order), key=lambda i: self._lengths[i])
         assert self._lengths.count(self._lengths[w0]) == 1, "longest element not unique"
         self.w0 = self.elements[w0]
-        self._bruhat = {}
         self._names = {}  # idx -> printed name, filled by WeylElt.__repr__
 
     # ---------- roots ----------
@@ -398,18 +408,9 @@ class RootSystem(Memo):
         mask = self._descents[w.idx]
         return [i for i in range(self.rank) if mask >> i & 1]
 
-    def left_descents(self, w: WeylElt):
-        idx, L = w.idx, w.length
-        return [i for i in range(self.rank) if self._lengths[self.left_table[idx][i]] < L]
-
     def right_step(self, w: WeylElt):
         """(i, w s_i) for the last letter s_i of w's reduced word."""
         return self._last[w.idx], self.elements[self._parent[w.idx]]
-
-    def left_step(self, w: WeylElt):
-        """(i, s_i w) for the first left descent s_i of w."""
-        i = self.left_descents(w)[0]
-        return i, self.elements[self.left_table[w.idx][i]]
 
     def from_word(self, word) -> WeylElt:
         idx = 0
@@ -422,33 +423,23 @@ class RootSystem(Memo):
     # ---------- Bruhat order ----------
 
     def bruhat_leq(self, u: WeylElt, v: WeylElt) -> bool:
-        """u <= v via the descent recursion."""
+        """u <= v: u lies in the lower interval of v."""
         if u.system is not self or v.system is not self:
             raise ValueError("elements of a different group")
-        lu, lv = u.length, v.length
-        if lu > lv:
-            return False
-        if lu == lv:
-            return u is v
-        key = (u.idx, v.idx)
-        memo = self._bruhat
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        i, sv = self.left_step(v)
-        su = self.elements[self.left_table[u.idx][i]]
-        if su.length < lu:
-            result = self.bruhat_leq(su, sv)
-        else:
-            result = self.bruhat_leq(u, sv)
-        memo[key] = result
-        return result
+        return u.idx in self._once(self._lower_interval, v.idx)
 
     def bruhat_interval(self, w: WeylElt):
         """All v with v <= w, in (length, index) order."""
-        out = [v for v in self.elements if self.bruhat_leq(v, w)]
-        out.sort(key=lambda v: (v.length, v.idx))
-        return out
+        return [self.elements[i] for i in sorted(self._once(self._lower_interval, w.idx))]
+
+    def _lower_interval(self, w: int) -> frozenset:
+        """The indices of [e, w] = [e, ws] union [e, ws] s, s the last letter of
+        w's reduced word (module docstring)."""
+        if w == 0:
+            return frozenset((0,))
+        below = self._once(self._lower_interval, self._parent[w])
+        times_s = self._right_perms[self._last[w]]
+        return below.union([times_s[x] for x in below])
 
     # ---------- parabolic combinatorics ----------
 
@@ -504,7 +495,7 @@ class RootSystem(Memo):
         """W_J intersect W^{J'}: minimal reps of W_J / W_{J'}."""
         if not set(Jp) <= set(J):
             raise ValueError("J' must be contained in J")
-        mask = _mask(Jp)
+        mask = _mask(self._jkey(Jp))
         return [w for w in self.parabolic_elements(J) if not self._descents[w.idx] & mask]
 
     def roots_outside(self, J) -> list:

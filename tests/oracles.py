@@ -34,9 +34,11 @@ objects: hiota on the Hecke algebra, the anti-involutions iota and hat-iota
 of the twisted group ring, Bott-Samelson push-pull words, motivic Chern
 classes of Schubert varieties, the pointwise product of two classes, the
 pairing as a full bullet action and its normalizer as a product of root
-factors, the bullet action summed term by term, the smoothness criterion with
-each expected restriction built exactly before it is lifted, the second
-canonical basis kl_tilde_basis, the direct routes to the classes that
+factors, the bullet action summed term by term, the smoothness criterion on
+the Q_W route (is_smooth_direct: the image of gamma_sum's S_w against each
+expected restriction built exactly before it is lifted, where
+Localization.is_smooth sums memoized MC cells and builds no Q_W element), the
+second canonical basis kl_tilde_basis, the direct routes to the classes that
 Localization builds by recursion (the whole image of tau_w or gamma_w acting
 on pt_e, and the Hecke sums of iota-products behind C~_w and SMC cells), the
 composed routes to the parabolic classes that Localization builds once per
@@ -45,11 +47,12 @@ behind SMC_J, and the KL sums over full maps on W), the constant class
 one_class, and scalar_elt, a scalar times delta_e.
 
 For the Hecke algebra, which computes on packed ints, it keeps the route on
-LaurentPoly coefficients: tau_mul, one right step by a generator; bar_tau and
-bar, the bar involution; product_by_steps, the product as a sum of right
-steps; and kl_table_by_recursion, the right KL recursion with mu read from
-its own rows, with kl_rows reading P_{v,w} and mu(v, w) off gamma_w, and
-parabolic_tables the P^J and Q^J of one J from those rows.
+LaurentPoly coefficients: gamma_sum, the element S_w behind the Q_W route to
+smoothness (moved here from HeckeAlgebra); tau_mul, one right step by a
+generator; bar_tau and bar, the bar involution; product_by_steps, the product
+as a sum of right steps; and kl_table_by_recursion, the right KL recursion
+with mu read from its own rows, with kl_rows reading P_{v,w} and mu(v, w) off
+gamma_w, and parabolic_tables the P^J and Q^J of one J from those rows.
 
 Two text printers that no verdict reads live here too: qpoly_str for a KL
 polynomial's coefficient tuple and render_tiling for a tiling's boxes.
@@ -316,13 +319,20 @@ def bullet_direct(loc, a, c):
     return CohClass(c.ring, out)
 
 
+def gamma_sum(h, w):
+    """S_w = sum over the Bruhat interval [e, w] of t^{-l(v)} tau_v."""
+    return HeckeElt(
+        h, {v: LaurentPoly.monomial((-v.length,), 1) for v in h.system.bruhat_interval(w)}
+    )
+
+
 def is_smooth_direct(loc, w):
-    """(smooth, {u: verdict at u}), each expected restriction built as one exact
-    product of (1 - t^-2 e^{u a}) / (1 - e^{u a}) over the positive roots a with
-    u s_a <= w and then lifted, where Localization.is_smooth twists lifted
-    factors."""
+    """(smooth, {u: verdict at u}) on the Q_W route: the image of S_w at u
+    against one exact product of (1 - t^-2 e^{u a}) / (1 - e^{u a}) over the
+    positive roots a with u s_a <= w, lifted; Localization.is_smooth compares
+    MC(X_w), a sum of MC cells, with twists of lifted binomials instead."""
     system = loc.system
-    coeffs = loc.mult.hecke_to_qw(loc.hecke.gamma_sum(w)).coeffs
+    coeffs = loc.mult.hecke_to_qw(gamma_sum(loc.hecke, w)).coeffs
     arity = system.rank + 1
     one = LaurentPoly.const(arity, 1)
     witnesses = {}

@@ -391,6 +391,16 @@ def test_fundamental_class_edges(loc2, a2):
     assert set(cls.coeffs) <= {a2.identity, s1}
 
 
+@pytest.mark.parametrize("J", [(-1,), (3,)])
+def test_is_invariant_refuses_an_index_out_of_range(loc3, a3, J):
+    """J is read through _jkey: (-1,) does not wrap around to s_3, under which
+    the class is invariant, and (3,) is refused, not an IndexError."""
+    cls = loc3.mc_cell_parabolic(a3.identity, (2,))
+    assert loc3.is_invariant(cls, (2,))
+    with pytest.raises(ValueError, match="out of range"):
+        loc3.is_invariant(cls, J)
+
+
 def test_is_smooth_a3(loc3, a3):
     w_sing = a3.from_word([1, 0, 2, 1])
     smooth, witnesses = loc3.is_smooth(w_sing)
@@ -535,8 +545,10 @@ def test_bullet_is_the_termwise_sum(name, mode):
 
 @pytest.mark.parametrize("name, mode", [c for c in ACTION_CONFIGS if c[0] != "A2"])
 def test_is_smooth_is_the_exact_product_lifted(name, mode):
-    """Twisting the lifted root factors gives the verdict at every fixed point
-    that lifting each exact product does, for every w."""
+    """MC(X_w), summed from the memoized cells, against twists of the lifted
+    tangent and normal binomials gives the verdict at every fixed point that the
+    Q_W route does: the image of S_w against each exact product of
+    (1 - t^-2 e^{ua}) / (1 - e^{ua}), lifted; for every w."""
     loc = _action_loc(name, mode)
     for w in loc.system.elements:
         smooth, witnesses = loc.is_smooth(w)

@@ -71,9 +71,25 @@ def test_bruhat_basics(a2):
 
 
 def test_bruhat_matches_subword_oracle(a3):
-    for u in a3.elements:
-        for v in a3.elements:
-            assert a3.bruhat_leq(u, v) == subword_leq(a3, u, v)
+    """bruhat_leq and bruhat_interval, read off the lower intervals built by
+    right steps, against subwords of a reduced word: in A3 and in the
+    non-simply-laced B2, G2 and B3."""
+    for rs in [a3] + [RootSystem(GROUPS[name]) for name in NON_A]:
+        for v in rs.elements:
+            below = {u for u in rs.elements if subword_leq(rs, u, v)}
+            for u in rs.elements:
+                assert rs.bruhat_leq(u, v) == (u in below), (rs.cartan_data.type_label, u, v)
+            want = sorted(below, key=lambda u: (u.length, u.idx))
+            assert rs.bruhat_interval(v) == want, (rs.cartan_data.type_label, v)
+
+
+def test_bruhat_refuses_an_element_of_another_group(a2, a3):
+    """Intervals are sets of indices, so an element of another group, even one
+    of the same type, is refused rather than read by its index."""
+    other = RootSystem(CartanData.type_a(3))
+    for u, v in [(a2.identity, a3.w0), (a3.identity, a2.w0), (other.identity, a3.w0)]:
+        with pytest.raises(ValueError):
+            a3.bruhat_leq(u, v)
 
 
 def test_bruhat_partial_order(a3):
@@ -159,6 +175,15 @@ def test_a_reflection_index_out_of_range_is_refused(a3, method, J):
     reflection the group does not have."""
     with pytest.raises(ValueError):
         getattr(a3, method)(J)
+
+
+def test_relative_reps_refuses_an_index_out_of_range(a3):
+    """J' is read through _jkey, as J is: (-1,) is refused by its range check,
+    not by a negative shift in the descent mask."""
+    with pytest.raises(ValueError, match="out of range"):
+        a3.relative_reps((-1,), (-1,))
+    with pytest.raises(ValueError, match="out of range"):
+        a3.relative_reps((3,), (3,))
 
 
 def test_char_lattice_example(a2):

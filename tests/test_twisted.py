@@ -10,7 +10,7 @@ from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import FglModel, QWElt, TwistedRing, psi
 
-from oracles import act_weight, hiota, qw_hiota, qw_iota, scalar_elt
+from oracles import act_weight, gamma_sum, hiota, qw_hiota, qw_iota, scalar_elt
 
 
 @pytest.fixture(scope="module")
@@ -210,8 +210,10 @@ def test_dl_images_left_descent_product(name, mode):
             if mode == "modp":
                 lifted = {v: ring.dom.lift(c) for v, c in exact.dl_element(w).coeffs.items()}
                 assert ring.dl_element(w) == QWElt(ring, lifted), (kind, w)
-            for i in system.left_descents(w):
+            for i in range(system.rank):
                 sw = system.elements[system.left_table[w.idx][i]]
+                if sw.length > w.length:  # s_i is not a left descent of w
+                    continue
                 if mode == "modp" and sw is not system.identity:
                     with pytest.raises(MisplacedTwist):
                         ring.qw_mul(ring.dl_generator(i), ring.dl_element(sw))
@@ -373,7 +375,7 @@ def test_gamma_coefficients_a1(a1):
     qm = TwistedRing(a1, "multiplicative")
     h = HeckeAlgebra(a1)
     s1 = a1.simple_reflection(0)
-    coeffs = qm.hecke_to_qw(h.gamma_sum(s1)).coeffs
+    coeffs = qm.hecke_to_qw(gamma_sum(h, s1)).coeffs
     one = LaurentPoly.const(2, 1)
     e_plus = LaurentPoly.var(2, 1, 2)  # e^{alpha_1} = z1^2
     e_minus = LaurentPoly.var(2, 1, -2)
@@ -393,7 +395,7 @@ def test_smoothness_product_formula_a2(a2, rings2):
     h = HeckeAlgebra(a2)
     arity = 3
     for w in a2.elements:
-        coeffs = qm.hecke_to_qw(h.gamma_sum(w)).coeffs
+        coeffs = qm.hecke_to_qw(gamma_sum(h, w)).coeffs
         for u in a2.bruhat_interval(w):
             expected = qm.dom.one
             for alpha in a2.positive_roots:

@@ -271,6 +271,22 @@ def test_a_spurious_parabolic_kl_entry_fails_its_pushforward_case(monkeypatch, m
     assert [c.case_id for c in report.cases if not c.ok] == ["pushforward J={1} w=e"]
 
 
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+@pytest.mark.parametrize("suite", ["smoothness", "grassmann-smoothness"])
+def test_smoothness_builds_no_qw_element(monkeypatch, suite, mode):
+    """The A3 smoothness suites read MC(X_w) off the memoized cell classes:
+    with the image of tau_w refused, every case still runs and passes."""
+
+    def refused(self, *args):
+        raise AssertionError("smoothness built an element of the twisted group ring")
+
+    monkeypatch.setattr(TwistedRing, "dl_element", refused)
+    monkeypatch.setattr(TwistedRing, "hecke_to_qw", refused)
+    report = run_suite(suite, _a3_config(suite, mode))
+    assert len(report.cases) == A3_MODP_CASES[suite]
+    assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+
+
 def test_smoothness_verdicts_are_built_once_per_element(monkeypatch):
     """grassmann-smoothness asks for the verdict of each w w_J for its case and
     again, when smooth, for the fundamental class; each verdict is built once."""
