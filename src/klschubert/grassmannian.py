@@ -167,11 +167,9 @@ class Rectangle:
 
 @dataclass
 class Tiling:
-    g: GrassData
     lam: Partition
     rectangles: list = field(default_factory=list)
     shapes: list = field(default_factory=list)  # lambda^1 = lam, lambda^2, ...
-    choices: list = field(default_factory=list)  # chosen corner index per step
 
     @property
     def r(self) -> int:
@@ -238,16 +236,9 @@ def enumerate_tilings(lam: Partition, g: GrassData) -> list:
         enc = encode(cur, g)
         for i in _valid_choices(enc, cur, g):
             rect, nxt = _remove_rectangle(cur, g, i)
-            branch = Tiling(
-                g,
-                lam,
-                tiling.rectangles + [rect],
-                tiling.shapes + [cur],
-                tiling.choices + [i],
-            )
-            walk(nxt, branch)
+            walk(nxt, Tiling(lam, tiling.rectangles + [rect], tiling.shapes + [cur]))
 
-    walk(lam, Tiling(g, lam))
+    walk(lam, Tiling(lam))
     return out
 
 
@@ -256,10 +247,6 @@ def enumerate_tilings(lam: Partition, g: GrassData) -> list:
 
 @dataclass
 class LabelSets:
-    C: list
-    D: list
-    Cp: list
-    Dp: list
     J: list
     Jp: list
     K: list
@@ -290,7 +277,7 @@ def label_sets(tiling: Tiling, g: GrassData) -> LabelSets:
                 kp |= Dp[j]
         Kp.append(kp)
         K.append(kp | {max(C[i])})
-    ls = LabelSets(C, D, Cp, Dp, J, Jp, K, Kp)
+    ls = LabelSets(J, Jp, K, Kp)
     for i in range(len(rects)):
         assert J[i] <= K[i] and Jp[i] <= Kp[i], "label-set inclusions violated"
     return ls

@@ -15,24 +15,28 @@ for Serre-Grothendieck duality, the smoothness criterion, and the canonical
 classes of the hyperbolic theory together with restriction-formula
 fundamental classes of smooth Schubert varieties.
 
+A class on G/P_J is a map W^J -> Q: the torus-fixed points of G/P_J are the
+cosets x W_J, one per x in W^J (Goresky-Kottwitz-MacPherson 1998).  The
+parabolic builders return such classes, and pullback(c, J) is the class on G/B
+with c_x at every point of x W_J.
+
 The pairing on G/P_J is one localization sum over W^J:
 
     <f, g>_J = sum over x in W^J of f_x x(q_J) g_x,   q_J = 1 / x_{Pi/J},
 
-the value at e of Y_{Pi/J} . (f g).  W_J permutes the negative roots outside
-Sigma_J, so x -> x(q_J) is right-W_J-invariant; when f g is right-W_J-invariant
-as well, the bullet is constant over the fixed points, so one sum gives it.
-Pairings come as whole matrices: each class is checked right-W_J-invariant
-once (vacuous for J = (); invariant factors give an invariant product), each
-left class is weighted by x(q_J) once, and each entry is then one dom.dot over
-the common support in W^J.
+the value at e of Y_{Pi/J} . (f* g*), f* and g* the pullbacks.  W_J permutes
+the negative roots outside Sigma_J, so x -> x(q_J) is right-W_J-invariant, and
+f* g* is by construction; so the bullet is constant over the fixed points, and
+one sum gives it.  Pairings come as whole matrices: each left class is weighted
+by x(q_J) once, and each entry is then one dom.dot over the common support.
 
-Parabolic classes are built once per coset x W_J, at x in W^J, and every point
-of the coset gets that one scalar.  This is exact: Y_J = sum over v in W_J of
-v(q) delta_v, q = 1/x_J, so (Y_J . c)_u = sum over y in u W_J of c_y y(q) for
-every class c.  SMC_J is the w0-translate (w0 maps cosets to cosets) of such a
-class, dualized, times twists of the Serre monomial and lambda_J, invariant
-as W_J permutes the roots outside Sigma_J; C^J and C~^J sum those classes.
+Parabolic classes are built at x in W^J, one value per coset x W_J.  This is
+exact: Y_J = sum over v in W_J of v(q) delta_v, q = 1/x_J, so (Y_J . c)_u = sum
+over y in u W_J of c_y y(q) for every class c, which depends on u W_J alone.
+SMC_J is the w0-translate of such a class (w0 maps cosets to cosets, so its
+value at x reads MC_J at the representative of w0 x W_J), dualized, times twists
+of the Serre monomial and lambda_J, invariant as W_J permutes the roots outside
+Sigma_J; C^J and C~^J sum those classes.
 
 Functions of the fixed point u that are Weyl twists u(f) of one function f are
 lifted once and twisted per u with dom.weyl.  A mod-p domain can twist a
@@ -121,7 +125,7 @@ from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
 from .modp import ExactDomain
 from .ratfunc import RatFunc
-from .rootsystem import Memo, RootSystem, WeylElt, WMap
+from .rootsystem import Memo, RootSystem, WeylElt, WMap, _mask
 from .twisted import QWElt, TwistedRing, combine, dot_by_key, twisted_product
 # not called here: perfbench/tracing.py patches psi in each module that names it
 from .twisted import psi  # noqa: F401
@@ -266,14 +270,15 @@ class Localization(Memo):
 
     def pairing_matrix(self, left, right, J=()) -> list:
         """[[<f, g>_J for g in right] for f in left], <f, g>_J the sum over x in
-        W^J of f_x x(q_J) g_x with q_J = 1/x_{Pi/J}.
+        W^J of f_x x(q_J) g_x with q_J = 1/x_{Pi/J}, for classes on G/P_J: maps
+        W^J -> Q (ValueError for a class with a point outside W^J; at J = ()
+        every point is in W^J).
 
         The x(q_J) are the coefficients of Y_{Pi/J}, so this is the value at e
-        of Y_{Pi/J} . (f g), whose value at u is sum_{v in W^J} (fg)_{uv} (uv)(q_J).
-        For J = () every u gives the same sum.  Otherwise every class must be
-        right-W_J-invariant (ValueError if not), so f g is too: with x -> x(q_J)
-        invariant as well, the summand lives on W/W_J and each {uv : v in W^J}
-        is a set of coset representatives, so again every u gives the same sum.
+        of Y_{Pi/J} . (f* g*), f* and g* the pullbacks, whose value at u is
+        sum_{v in W^J} (f* g*)_{uv} (uv)(q_J).  With x -> x(q_J) invariant as
+        well, the summand lives on W/W_J and each {uv : v in W^J} is a set of
+        coset representatives, so every u gives the same sum.
 
         The right classes are indexed by fixed point, so each entry is one dot
         over the points both classes live on, in f's order, and an entry with
@@ -285,8 +290,9 @@ class Localization(Memo):
         ring = classes[0].ring
         if any(c.ring is not ring for c in classes):
             raise ValueError("pairing requires classes in the same model")
-        if J and not all(self.is_invariant(c, J) for c in classes):
-            raise ValueError("pairing of a class that is not right-W_J-invariant")
+        mask, descents = _mask(self.system._jkey(J)), self.system._descents
+        if mask and any(descents[x.idx] & mask for c in classes for x in c.coeffs):
+            raise ValueError("pairing on G/P_J of a class with a point outside W^J")
         q = ring.pushpull_rel(tuple(range(self.system.rank)), J).coeffs
         dot, zero = self.dom.dot, self.dom.zero
         by_point: dict = {}  # x -> [(column, g_x)] over the right classes
@@ -297,7 +303,7 @@ class Localization(Memo):
         for f in left:
             terms = [([], []) for _ in right]  # f_x x(q_J) and g_x, in f's order
             for x, fx in f.coeffs.items():
-                if x in by_point and x in q:
+                if x in by_point:
                     wfx = fx * q[x]
                     for col, gx in by_point[x]:
                         terms[col][0].append(wfx)
@@ -309,7 +315,8 @@ class Localization(Memo):
         """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted: t^{N_J} times
         the normalizer, N_J the number of those roots."""
         n = len(self.system.roots_outside(J))
-        return self.mult.scalar_t(n) * self._once(self._normalizer, self.system._jkey(J))
+        t_n = self.mult.t_poly(LaurentPoly.t_power(1, n))
+        return t_n * self._once(self._normalizer, self.system._jkey(J))
 
     # ---------- canonical (Kazhdan-Lusztig) classes ----------
 
@@ -355,7 +362,7 @@ class Localization(Memo):
         diagonal = ring.generator_twist(u, i)[0] + ring.t_poly(c)
         if mu:
             return diagonal, cross
-        t_inv = ring.scalar_t(-1)
+        t_inv = ring.t_poly(_TINV)
         return diagonal * t_inv, cross * t_inv
 
     def _k_generator(self, i: int):
@@ -367,7 +374,7 @@ class Localization(Memo):
     # ---------- parabolic classes ----------
 
     def mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
-        """MC of a cell downstairs: Y_J . MC(cell u), one dom.dot per coset."""
+        """MC of a cell downstairs: Y_J . MC(cell u) on W^J, one dom.dot per coset."""
         return self._once(self._mc_cell_parabolic, u, self.system._jkey(J))
 
     def _mc_cell_parabolic(self, u: WeylElt, J) -> CohClass:
@@ -376,7 +383,7 @@ class Localization(Memo):
         self.system.require_min_rep(u, J)
         rep, twists = self._once(self._coset_rep, J), self._once(self._q_twists, J)
         triples = ((rep[y], c, twists[y]) for y, c in self.mc_cell(u).coeffs.items())
-        return self._on_cosets(dot_by_key(self.dom, triples), J)
+        return CohClass(self.mult, dot_by_key(self.dom, triples))
 
     def _coset_rep(self, J) -> dict:
         """{u: the minimal representative x of u W_J} over W."""
@@ -388,20 +395,15 @@ class Localization(Memo):
         q, weyl = self.mult.x_parabolic_inv(J), self.dom.weyl
         return {y: weyl(y, q) for y in self.system.elements}
 
-    def _on_cosets(self, values: dict, J) -> CohClass:
-        """The right-W_J-invariant class with values[x] on all of x W_J, for x in
-        W^J: every point of a coset gets the same scalar object.  J is a _jkey."""
-        rep = self._once(self._coset_rep, J)
-        return CohClass(self.mult, {u: values[x] for u, x in rep.items() if x in values})
-
-    def _on_reps(self, builder: str, w: WeylElt, J) -> dict:
-        """The values of builder(w, J) at the representatives in W^J; J a _jkey."""
-        rep = self._once(self._coset_rep, J)
-        return {x: c for x, c in getattr(self, builder)(w, J).coeffs.items() if rep[x] is x}
+    def pullback(self, c: CohClass, J) -> CohClass:
+        """The class on G/B of c, a class on G/P_J: c_x at every point of x W_J."""
+        rep = self._once(self._coset_rep, self.system._jkey(J))
+        return CohClass(c.ring, {u: c.coeffs[x] for u, x in rep.items() if x in c.coeffs})
 
     def smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
         """SMC of an opposite cell downstairs: at x in W^J, w0(MC_J(cell w0 v w_J)
-        at w0 x), dualized, times x((-1)^{N_J} e^{2 rho_J} lambda_J) t^{-2 dim}."""
+        at the representative of w0 x W_J), dualized, times
+        x((-1)^{N_J} e^{2 rho_J} lambda_J) t^{-2 dim}."""
         return self._once(self._smc_cell_parabolic, v, self.system._jkey(J))
 
     def _smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
@@ -410,14 +412,15 @@ class Localization(Memo):
         w0 = system.w0
         u = w0 * v * system.longest_parabolic(J)
         system.require_min_rep(u, J)
-        mc = self.mc_cell_parabolic(u, J).coeffs
-        t = self.mult.scalar_t(-2 * (len(system.roots_outside(J)) - v.length))
+        mc, rep = self.mc_cell_parabolic(u, J).coeffs, self._once(self._coset_rep, J)
+        dim = len(system.roots_outside(J)) - v.length
+        t = self.mult.t_poly(LaurentPoly.t_power(1, -2 * dim))
         out = {}
         for x, f in self._once(self._smc_factors, J).items():
-            m = mc.get(w0 * x)
+            m = mc.get(rep[w0 * x])
             if m is not None:
                 out[x] = dom.dualize(dom.weyl(w0, m)) * f * t
-        return self._on_cosets(out, J)
+        return CohClass(self.mult, out)
 
     def _smc_factors(self, J) -> dict:
         """{x: x((-1)^{N_J} e^{2 rho_J} lambda_J)} over W^J: the Serre monomial
@@ -426,7 +429,8 @@ class Localization(Memo):
         return {x: self.dom.weyl(x, f) for x in self.system.minimal_coset_reps(J)}
 
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
-        """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J."""
+        """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J,
+        on W^J."""
         self.system.require_min_rep(w, J)
         jkey = self.system._jkey(J)
         terms = []
@@ -436,12 +440,11 @@ class Localization(Memo):
             if not p:
                 continue
             poly = LaurentPoly(1, {(lw - 2 * j,): c for j, c in enumerate(p)})
-            cell = self._once(self._on_reps, "mc_cell_parabolic", u, jkey)
-            terms.append((self.mult.t_poly(poly), cell))
-        return self._on_cosets(combine(self.dom, terms), jkey)
+            terms.append((self.mult.t_poly(poly), self.mc_cell_parabolic(u, jkey).coeffs))
+        return CohClass(self.mult, combine(self.dom, terms))
 
     def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
-        """C~^J_w, from inverse parabolic KL polynomials and Segre classes."""
+        """C~^J_w on W^J, from inverse parabolic KL polynomials and Segre classes."""
         system = self.system
         system.require_min_rep(w, J)
         jkey = system._jkey(J)
@@ -453,10 +456,9 @@ class Localization(Memo):
                 continue
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
-            cell = self._once(self._on_reps, "smc_cell_parabolic", v, jkey)
-            terms.append((self.mult.t_poly(poly), cell))
+            terms.append((self.mult.t_poly(poly), self.smc_cell_parabolic(v, jkey).coeffs))
         norm = self._once(self._normalizer, jkey)
-        return self._on_cosets({x: c * norm for x, c in combine(self.dom, terms).items()}, jkey)
+        return CohClass(self.mult, {x: c * norm for x, c in combine(self.dom, terms).items()})
 
     def _normalizer(self, J):
         """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted one binomial
@@ -499,15 +501,14 @@ class Localization(Memo):
         return ratio * self.hyp.inv_mu_power(n)
 
     def is_invariant(self, c: CohClass, J) -> bool:
-        """Restrictions constant on left cosets u W_J; a value shared by two points
-        (one per coset, as the parabolic builders hand out) is tested by identity first."""
+        """Restrictions constant on left cosets u W_J."""
         zero, system = self.dom.zero, self.system
         J = system._jkey(J)
         for u in system.elements:
             cu = c.coeffs.get(u, zero)
             for j in J:
                 cus = c.coeffs.get(system.elements[system.right_table[u.idx][j]], zero)
-                if cu is not cus and cu != cus:
+                if cu != cus:
                     return False
         return True
 

@@ -72,6 +72,14 @@ def _normalize_factor(f: LaurentPoly):
     return g, mc, canon
 
 
+def _times(num: LaurentPoly, pairs) -> LaurentPoly:
+    """num * prod f^mult over the (f, mult) pairs."""
+    for f, mult in pairs:
+        for _ in range(mult):
+            num = num * f
+    return num
+
+
 def _cancel(num: LaurentPoly, facs: tuple):
     """Divide num by each factor as often as it goes: (quotient, factors left).
     A canonical factor is no unit, so it divides no monomial."""
@@ -151,11 +159,7 @@ class RatFunc:
     def den(self) -> LaurentPoly:
         """Denominator as an expanded polynomial."""
         if self._den is None:
-            d = LaurentPoly.const(self.num.arity, self.dc)
-            for f, mult in self.facs:
-                for _ in range(mult):
-                    d = d * f
-            self._den = d
+            self._den = _times(LaurentPoly.const(self.num.arity, self.dc), self.facs)
         return self._den
 
     def is_zero(self) -> bool:
@@ -198,11 +202,9 @@ class RatFunc:
                     union[f] = mult
         nums = []
         for r in terms:
-            num, own = r.num.scale(dc // r.dc), dict(r.facs)
-            for f, mult in union.items():
-                for _ in range(mult - own.get(f, 0)):
-                    num = num * f
-            nums.append(num)
+            own = dict(r.facs)
+            missing = ((f, mult - own.get(f, 0)) for f, mult in union.items())
+            nums.append(_times(r.num.scale(dc // r.dc), missing))
         facs = tuple(sorted(union.items(), key=lambda kv: kv[0].sort_key()))
         num, facs = _cancel(sum(nums[1:], nums[0]), facs)
         return cls(num, dc, facs)
@@ -247,10 +249,7 @@ class RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         c, mc, canon = _normalize_factor(self.num)
-        num = LaurentPoly.const(self.arity, self.dc).shift(-mc)
-        for f, mult in self.facs:
-            for _ in range(mult):
-                num = num * f
+        num = _times(LaurentPoly.const(self.arity, self.dc).shift(-mc), self.facs)
         if c < 0:
             num, c = -num, -c
         num, facs = _cancel(num, () if canon.is_one() else ((canon, 1),))
@@ -286,15 +285,8 @@ class RatFunc:
                 m = min(a[f], b[f])
                 a[f] -= m
                 b[f] -= m
-        lhs = self.num.scale(other.dc)
-        for f, mult in b.items():
-            for _ in range(mult):
-                lhs = lhs * f
-        rhs = other.num.scale(self.dc)
-        for f, mult in a.items():
-            for _ in range(mult):
-                rhs = rhs * f
-        return lhs == rhs
+        lhs = _times(self.num.scale(other.dc), b.items())
+        return lhs == _times(other.num.scale(self.dc), a.items())
 
     __hash__ = None  # semantic equality classes are not hashable
 

@@ -149,13 +149,6 @@ class TwistedRing(Memo):
             return dom.lift(RatFunc(value))
         return value
 
-    def scalar_t(self, exp: int = 1):
-        """t^exp, lifted once per exp."""
-        return self._once(self._scalar_t, exp)
-
-    def _scalar_t(self, exp: int):
-        return self.as_scalar(RatFunc(LaurentPoly.t_power(self.model.arity, exp)))
-
     def inv_mu_power(self, n: int):
         """mu^{-n} = t^n / (t^2 + 1)^n, mu = t + t^{-1}, lifted as one fraction."""
         arity = self.model.arity

@@ -483,10 +483,10 @@ def suite_pushforward(ctx: _Context):
     for J in _subsets(system.rank):
         jtxt = _jtxt(J)
         wj = system.longest_parabolic(J)
+        yj, scalar = loc.mult.pushpull_rel(J, ()), loc.pushforward_scalar(J)
         for w in system.minimal_coset_reps(J):
-            yj = loc.mult.pushpull_rel(J, ())
             lhs = loc.bullet(yj, loc.kl_class_c(w * wj))
-            rhs = loc.kl_class_c_parabolic(w, J).scale(loc.pushforward_scalar(J))
+            rhs = loc.pullback(loc.kl_class_c_parabolic(w, J).scale(scalar), J)
             yield _case(f"pushforward J={{{jtxt}}} w={w!r}", lhs, rhs)
 
 

@@ -363,7 +363,7 @@ def pairing_by_bullet(loc, f, g, J=()):
 def mc_cell_direct(loc, w):
     """t^{-l(w)} tau_w o pt_e, with the whole image of tau_w."""
     cls = loc.odot(loc.mult.dl_element(w), loc.point_class(loc.system.identity))
-    return cls.scale(loc.mult.scalar_t(-w.length))
+    return cls.scale(loc.mult.t_poly(LaurentPoly.t_power(1, -w.length)))
 
 
 def kl_tilde_basis(hecke, w):
@@ -475,7 +475,7 @@ def smc_cell_parabolic_direct(loc, v, J):
     lam = dom.lift(RatFunc.from_den_factors(one, dens))
     out = CohClass(loc.mult, {x: c * dom.weyl(x, lam) for x, c in dual.coeffs.items()})
     dim = len(system.roots_outside(J)) - v.length
-    return out.scale(loc.mult.scalar_t(-2 * dim))
+    return out.scale(loc.mult.t_poly(LaurentPoly.t_power(1, -2 * dim)))
 
 
 def kl_class_c_parabolic_direct(loc, w, J, cells):

@@ -196,7 +196,7 @@ def test_kl_classes_a2(loc2, a2):
     for w in a2.elements:
         # A2 Schubert varieties are smooth: C_w = t_w MC(X(w))
         lhs = loc2.kl_class_c(w)
-        assert lhs == mc_variety(loc2, w).scale(loc2.mult.scalar_t(w.length))
+        assert lhs == mc_variety(loc2, w).scale(loc2.mult.t_poly(LaurentPoly.t_power(1, w.length)))
         # independent expansions: parabolic KL polynomials at J = ()
         assert lhs == loc2.kl_class_c_parabolic(w, ())
         assert loc2.kl_class_c_tilde(w) == loc2.kl_class_c_tilde_parabolic(w, ())
@@ -271,9 +271,9 @@ def _pairing_loc(name, mode):
 
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
 def test_pairing_is_the_bullet_value(name, mode):
-    """Each pairing-matrix row equals the constant values of Y_{Pi/J} . (f g):
-    random classes at J = (), parabolic cell and KL classes at every other
-    proper J."""
+    """Each pairing-matrix row equals the constant values of Y_{Pi/J} . (f* g*),
+    f* and g* the pullbacks to G/B: random classes at J = (), parabolic cell
+    and KL classes at every other proper J."""
     loc = _pairing_loc(name, mode)
     system = loc.system
     one = one_class(loc, "multiplicative")
@@ -295,7 +295,8 @@ def test_pairing_is_the_bullet_value(name, mode):
         matrix = loc.pairing_matrix(left, right, J)
         assert len(matrix) == len(left)
         for f, row in zip(left, matrix):
-            expected = [pairing_by_bullet(loc, f, g, J) for g in right]
+            pulled = loc.pullback(f, J)
+            expected = [pairing_by_bullet(loc, pulled, loc.pullback(g, J), J) for g in right]
             assert len(row) == len(right)
             assert all(v == e for v, e in zip(row, expected)), J
             nonzero += sum(not v.is_zero() for v in row)
@@ -303,30 +304,54 @@ def test_pairing_is_the_bullet_value(name, mode):
     assert nonzero > entries // 4
 
 
+OUTSIDE = "pairing on G/P_J of a class with a point outside W\\^J"
+
+
+def _restrict_to_reps(loc, c, J):
+    """c restricted to W^J: a class on G/P_J."""
+    reps = set(loc.system.minimal_coset_reps(J))
+    return CohClass(c.ring, {x: v for x, v in c.coeffs.items() if x in reps})
+
+
+def _planted(loc, f, i):
+    """f plus pt_{s_i}: a class with a point outside W^J for J = (i,)."""
+    return f + loc.point_class(loc.system.simple_reflection(i))
+
+
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
 def test_pairing_refuses_a_product_that_is_not_invariant(name, mode):
+    """On G/P_J a class with a point outside W^J is refused on either side,
+    its product with 1 not right-W_J-invariant; restricted to W^J it pairs,
+    as the bullet of the pullbacks."""
     loc = _pairing_loc(name, mode)
     one = one_class(loc, "multiplicative")
     f = loc.random_class(7)
     for J in [(i,) for i in range(loc.system.rank)]:
+        planted, one_j = _planted(loc, f, J[0]), _restrict_to_reps(loc, one, J)
         assert not loc.is_invariant(mul_pointwise(f, one), J)
-        with pytest.raises(ValueError, match="not right-W_J-invariant"):
-            loc.pairing_matrix([f], [one], J)
+        assert not loc.is_invariant(mul_pointwise(planted, one), J)
+        for left, right in (([planted], [one_j]), ([one_j], [planted])):
+            with pytest.raises(ValueError, match=OUTSIDE):
+                loc.pairing_matrix(left, right, J)
+        f_j = _restrict_to_reps(loc, f, J)
+        got = loc.pairing_matrix([f_j], [one_j], J)[0][0]
+        assert got == pairing_by_bullet(loc, loc.pullback(f_j, J), one, J)
     # at J = () every class pairs
     assert loc.pairing(f, one) == pairing_by_bullet(loc, f, one)
 
 
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
 def test_pairing_matrix_checks_every_class(name, mode):
-    """A class that is not right-W_J-invariant is refused on either side, even
+    """A class with a point outside W^J is refused on either side, even
     against the zero class, whose product with it is invariant."""
     loc = _pairing_loc(name, mode)
     zero = CohClass(loc.mult, {})
     f = loc.random_class(7)
     for J in [(i,) for i in range(loc.system.rank)]:
-        assert loc.is_invariant(mul_pointwise(f, zero), J)
-        for left, right in (([f], [zero]), ([zero], [f]), ([zero], [zero, f])):
-            with pytest.raises(ValueError, match="not right-W_J-invariant"):
+        planted = _planted(loc, f, J[0])
+        assert loc.is_invariant(mul_pointwise(planted, zero), J)
+        for left, right in (([planted], [zero]), ([zero], [planted]), ([zero], [zero, planted])):
+            with pytest.raises(ValueError, match=OUTSIDE):
                 loc.pairing_matrix(left, right, J)
         assert loc.pairing_matrix([zero], [zero], J)[0][0].is_zero()
     assert loc.pairing(f, zero).is_zero()
@@ -363,7 +388,7 @@ def test_pushforward_proposition_a2(loc2, a2):
         yj = loc2.mult.pushpull_rel(J, ())
         for w in a2.minimal_coset_reps(J):
             lhs = loc2.bullet(yj, loc2.kl_class_c(w * wj))
-            rhs = loc2.kl_class_c_parabolic(w, J).scale(scal)
+            rhs = loc2.pullback(loc2.kl_class_c_parabolic(w, J).scale(scal), J)
             assert lhs == rhs, (J, w)
 
 
@@ -395,7 +420,7 @@ def test_fundamental_class_edges(loc2, a2):
 def test_is_invariant_refuses_an_index_out_of_range(loc3, a3, J):
     """J is read through _jkey: (-1,) does not wrap around to s_3, under which
     the class is invariant, and (3,) is refused, not an IndexError."""
-    cls = loc3.mc_cell_parabolic(a3.identity, (2,))
+    cls = loc3.pullback(loc3.mc_cell_parabolic(a3.identity, (2,)), (2,))
     assert loc3.is_invariant(cls, (2,))
     with pytest.raises(ValueError, match="out of range"):
         loc3.is_invariant(cls, J)
@@ -632,11 +657,11 @@ def _assert_constant_on_cosets(system, c, J):
 @pytest.mark.parametrize("name, mode", ACTION_CONFIGS)
 def test_parabolic_classes_match_the_composed_routes(name, mode):
     """For every J and every w in W^J, MC_J(cell w), SMC_J(cell w), C^J_w and
-    C~^J_w, built once per coset, equal the composed routes evaluated at every
-    fixed point: the bullet of Y_J on MC(cell w); its w0-translate by odot,
-    Serre-dualized, twisted by lambda_J and scaled by t^{-2 dim}; and the KL
-    sums of those over full maps on W.  Both sides are right-W_J-invariant,
-    compared value by value."""
+    C~^J_w, built once per coset on W^J, equal the composed routes evaluated at
+    every fixed point and restricted to W^J: the bullet of Y_J on MC(cell w);
+    its w0-translate by odot, Serre-dualized, twisted by lambda_J and scaled by
+    t^{-2 dim}; and the KL sums of those over full maps on W.  The routes are
+    right-W_J-invariant, so each equals the pullback of the built class."""
     loc = _action_loc(name, mode)
     system = loc.system
     for J in _subsets(system):
@@ -657,9 +682,12 @@ def test_parabolic_classes_match_the_composed_routes(name, mode):
                 ),
             }
             for label, (got, want) in pairs.items():
-                assert got == want, (label, J, w)
-                assert loc.is_invariant(got, J), (label, J, w)
-                _assert_constant_on_cosets(system, got, J)
+                assert set(got.coeffs) <= set(reps), (label, J, w)
+                assert got == _restrict_to_reps(loc, want, J), (label, J, w)
+                pulled = loc.pullback(got, J)
+                assert pulled == want, (label, J, w)
+                assert loc.is_invariant(pulled, J), (label, J, w)
+                _assert_constant_on_cosets(system, pulled, J)
                 _assert_constant_on_cosets(system, want, J)
 
 
@@ -771,7 +799,7 @@ def test_printed_parabolic_classes_are_pinned(loc2, loc3, a2, a3):
         for J in subsets:
             for w in system.minimal_coset_reps(J)[::step]:
                 for name in ("kl_class_c_parabolic", "kl_class_c_tilde_parabolic"):
-                    c = getattr(loc, name)(w, J)
+                    c = loc.pullback(getattr(loc, name)(w, J), J)
                     h.update(f"{group}\t{name}\t{J}\t{w!r}\t{c.format()}\n".encode())
     assert h.hexdigest() == PRINTED_PARABOLIC_DIGEST
 

@@ -612,3 +612,17 @@ def test_no_point_families_or_negative_samples_are_refused(kwargs, message):
     with pytest.raises(ValueError, match=message):
         RunConfig(**{"rank": 2, "mode": "modp", **kwargs})
     assert RunConfig(rank=2, k=1, serre_samples=0).serre_samples == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_parabolic_suites_scan_no_class_for_invariance(monkeypatch, mode):
+    """Classes on G/P_J live at W^J, so neither A3 parabolic suite tests a
+    class for right-W_J-invariance, and every case passes."""
+
+    def refused(self, c, J):
+        raise AssertionError("is_invariant called")
+
+    monkeypatch.setattr(Localization, "is_invariant", refused)
+    for suite in ("parabolic-duality", "pushforward"):
+        report = run_suite(suite, _a3_config(suite, mode))
+        assert report.cases and report.all_passed(), suite
