@@ -118,10 +118,6 @@ class HeckeAlgebra(Memo):
             left.append(table[left[parent[y]]][last[y]])
         self._kl_done_length = -1
 
-    def compatible(self, other) -> bool:
-        """Elements of other can be added to and compared with ours."""
-        return other is self or (isinstance(other, HeckeAlgebra) and other.system is self.system)
-
     def as_scalar(self, value) -> LaurentPoly:
         """An int as a constant Laurent polynomial in t; a polynomial as itself."""
         return LaurentPoly.const(1, value) if isinstance(value, int) else value

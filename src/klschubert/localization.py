@@ -185,7 +185,7 @@ class Localization(Memo):
     def bullet(self, a: QWElt, c: CohClass) -> CohClass:
         """(a . c)_u = sum_v c_{uv} u(p_v), linear over the fraction field: the
         twisted product of c, as the map w -> c_w, and sum_v v^-1(p_v) delta_{v^-1}."""
-        if not a.ring.compatible(c.ring):
+        if a.ring is not c.ring:
             raise ValueError("elements of different twisted rings")
         weyl = self.dom.weyl
         inverted = {v.inverse(): weyl(v.inverse(), p) for v, p in a.coeffs.items()}
@@ -193,7 +193,7 @@ class Localization(Memo):
 
     def odot(self, a: QWElt, c: CohClass) -> CohClass:
         """(a o c)_u = sum_v p_v v(c_{v^{-1} u}); not linear over the field."""
-        if not a.ring.compatible(c.ring):
+        if a.ring is not c.ring:
             raise ValueError("elements of different twisted rings")
         return CohClass(c.ring, twisted_product(self.dom, a.coeffs, c.coeffs))
 

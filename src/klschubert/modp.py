@@ -80,19 +80,7 @@ __all__ = [
     "OrbitDomain",
     "OrbitScalar",
     "ZeroDenominator",
-    "domains_compatible",
 ]
-
-
-def domains_compatible(d1, d2) -> bool:
-    """Scalars are exchangeable: the same instance, or exact over one group."""
-    if d1 is d2:
-        return True
-    return (
-        isinstance(d1, ExactDomain)
-        and isinstance(d2, ExactDomain)
-        and d1.system is d2.system
-    )
 
 
 class ZeroDenominator(ArithmeticError):

@@ -182,8 +182,9 @@ class WMap:
 
     Hecke elements, twisted-group-ring elements and fixed-point classes are
     all such maps.  The coefficients answer for themselves (+, -, *, ==,
-    truth value, format); the ring supplies as_scalar, for scale, and
-    compatible(other_ring), which says when two maps can be added or compared.
+    truth value, format); the ring supplies as_scalar, for scale.  Maps mix
+    only within one ring: a map over another ring object, even an equal one,
+    cannot be added and compares unequal.
     A subclass prints each term through its template _term, with fields w and
     c, joined by _sep.
     """
@@ -195,7 +196,7 @@ class WMap:
         self.coeffs = {w: c for w, c in coeffs.items() if c}
 
     def __add__(self, other):
-        if not self.ring.compatible(other.ring):
+        if self.ring is not other.ring:
             raise ValueError("elements of different rings")
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
@@ -213,7 +214,7 @@ class WMap:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.ring.compatible(other.ring) and self.coeffs == other.coeffs
+        return self.ring is other.ring and self.coeffs == other.coeffs
 
     __hash__ = None
 

@@ -26,7 +26,6 @@ per sum, and mod p reduces once.
 from __future__ import annotations
 
 from .laurent import LaurentPoly
-from .modp import ExactDomain, domains_compatible
 from .ratfunc import RatFunc
 from .rootsystem import Memo, Root, RootSystem, WeylElt, WMap
 
@@ -119,21 +118,12 @@ class QWElt(WMap):
 
 
 class TwistedRing(Memo):
-    def __init__(self, system: RootSystem, kind: str, domain=None):
+    def __init__(self, system: RootSystem, kind: str, domain):
         super().__init__()
         self.system = system
         self.kind = kind
         self.model = FglModel(kind, system.rank)
-        self.dom = domain if domain is not None else ExactDomain(system)
-
-    def compatible(self, other) -> bool:
-        """Elements of other can be added to, compared with and multiplied by ours."""
-        return other is self or (
-            isinstance(other, TwistedRing)
-            and other.system is self.system
-            and other.kind == self.kind
-            and domains_compatible(other.dom, self.dom)
-        )
+        self.dom = domain
 
     # ---------- scalars ----------
 
@@ -194,7 +184,7 @@ class TwistedRing(Memo):
         return QWElt(self, {w: self.dom.one})
 
     def qw_mul(self, a: QWElt, b: QWElt) -> QWElt:
-        if not (self.compatible(a.ring) and self.compatible(b.ring)):
+        if not (a.ring is self and b.ring is self):
             raise ValueError("elements of different twisted rings")
         return QWElt(self, twisted_product(self.dom, a.coeffs, b.coeffs))
 
@@ -285,6 +275,6 @@ def psi(a: QWElt, target: TwistedRing) -> QWElt:
     """
     if a.ring.kind != "multiplicative" or target.kind != "hyperbolic":
         raise ValueError("psi maps the multiplicative ring into the hyperbolic one")
-    if a.ring.system is not target.system or not domains_compatible(a.ring.dom, target.dom):
+    if a.ring.system is not target.system or a.ring.dom is not target.dom:
         raise ValueError("psi requires the same group and scalar domain")
     return QWElt(target, dict(a.coeffs))

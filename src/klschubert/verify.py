@@ -74,9 +74,12 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        """Refuse a bad type, rank, mode, k or serre_samples: on construction,
-        and again in run_suite, since a field may change in between."""
+        """Refuse a bad type, rank, mode, k, serre_samples or d: on
+        construction, and again in run_suite, since a field may change in
+        between."""
         self.cartan()
+        if self.d is not None and (self.n is None or not 1 <= self.d < self.n):
+            raise ValueError(f"d = {self.d} needs n with 1 <= d < n, got n = {self.n}")
         if self.mode not in ("exact", "modp"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.k < 1:
@@ -102,7 +105,7 @@ class RunConfig:
         return CartanData.type_a(rank)
 
     def grass(self) -> GrassData:
-        if self.n is None or self.d is None:
+        if self.d is None:
             raise ValueError("this suite needs --n and --d")
         return GrassData(self.n, self.d)
 
@@ -453,7 +456,7 @@ def suite_parabolic_duality(ctx: _Context):
     system = ctx.system
     loc = ctx.loc
     dom = loc.dom
-    if cfg.n is not None and cfg.d is not None:
+    if cfg.d is not None:
         Js = [cfg.grass().J_indices()]
     else:
         Js = [J for J in _subsets(system.rank) if len(J) < system.rank]

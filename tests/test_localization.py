@@ -855,3 +855,29 @@ def test_k_s_is_g_s_times_the_twist_ratio_of_x_pi(name):
         s = system.simple_reflection(i)
         g_s = loc.mult.dl_generator(i).coeffs[s]
         assert loc._once(loc._k_generator, i) == g_s * x_pi.weyl(s.matrix) / x_pi
+
+
+def test_objects_mix_only_within_one_localization(a2):
+    """Two exact localizations of one group compute equal values, yet their
+    classes and ring elements never mix: maps compare unequal and + raises,
+    bullet, odot and qw_mul refuse, and psi refuses the other's hyperbolic
+    ring."""
+    one, two = Localization(a2), Localization(a2)
+    c1, c2 = one.mc_cell(a2.w0), two.mc_cell(a2.w0)
+    assert c1.coeffs == c2.coeffs
+    assert c1 != c2 and not c1 == c2
+    with pytest.raises(ValueError):
+        c1 + c2
+    g1, g2 = one.mult.dl_generator(0), two.mult.dl_generator(0)
+    assert g1 != g2
+    for action in (one.bullet, one.odot):
+        assert action(g1, c1).ring is one.mult
+        with pytest.raises(ValueError):
+            action(g2, c1)
+        with pytest.raises(ValueError):
+            action(g1, c2)
+    with pytest.raises(ValueError):
+        one.mult.qw_mul(g1, g2)
+    assert psi(g1, one.hyp) == one.hyp.dl_generator(0)
+    with pytest.raises(ValueError):
+        psi(g1, two.hyp)

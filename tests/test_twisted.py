@@ -5,7 +5,7 @@ import pytest
 
 from klschubert.hecke import HeckeAlgebra
 from klschubert.laurent import LaurentPoly
-from klschubert.modp import MisplacedTwist, OrbitDomain
+from klschubert.modp import ExactDomain, MisplacedTwist, OrbitDomain
 from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem
 from klschubert.twisted import FglModel, QWElt, TwistedRing, psi
@@ -13,14 +13,20 @@ from klschubert.twisted import FglModel, QWElt, TwistedRing, psi
 from oracles import act_weight, gamma_sum, hiota, qw_hiota, qw_iota, scalar_elt
 
 
+def _rings(system, mode="exact"):
+    """The multiplicative and hyperbolic rings of system over one domain."""
+    dom = OrbitDomain(system, seed=29, families=2) if mode == "modp" else ExactDomain(system)
+    return TwistedRing(system, "multiplicative", dom), TwistedRing(system, "hyperbolic", dom)
+
+
 @pytest.fixture(scope="module")
 def rings2(a2):
-    return TwistedRing(a2, "multiplicative"), TwistedRing(a2, "hyperbolic")
+    return _rings(a2)
 
 
 @pytest.fixture(scope="module")
 def rings3(a3):
-    return TwistedRing(a3, "multiplicative"), TwistedRing(a3, "hyperbolic")
+    return _rings(a3)
 
 
 def e_power(arity, weight):
@@ -61,7 +67,7 @@ def test_twisted_product_associative(a2, rings2):
 
 
 def test_pushpull_simple_form(a1):
-    qm = TwistedRing(a1, "multiplicative")
+    qm, _ = _rings(a1)
     y1 = qm.pushpull_simple(0)
     s1 = a1.simple_reflection(0)
     alpha = a1.simple_roots[0]
@@ -106,7 +112,7 @@ def test_pushpull_rel_representative_independence(a2):
     # Swapping a representative w for w v (v in W_{J'}) moves its delta term,
     # so the elements differ, but every product against a right-W_{J'}-
     # symmetric element agrees; Y_{J'} is the canonical witness.
-    qm2 = TwistedRing(a2, "multiplicative")
+    qm2, _ = _rings(a2)
     J, Jp = (0, 1), (0,)
     reps = a2.relative_reps(J, Jp)
     s1 = a2.simple_reflection(0)
@@ -127,7 +133,7 @@ def test_demazure_lusztig_relations(a1, rings2):
     # braid relation as twisted-ring elements
     assert qm.qw_mul(qm.qw_mul(t1, t2), t1) == qm.qw_mul(qm.qw_mul(t2, t1), t2)
     # quadratic relation in A1
-    qm1 = TwistedRing(a1, "multiplicative")
+    qm1, _ = _rings(a1)
     g = qm1.dl_generator(0)
     quad = qm1.qw_mul(g, g)
     tinv_minus_t = RatFunc(LaurentPoly.t_power(2, -1) - LaurentPoly.t_power(2, 1))
@@ -144,11 +150,6 @@ DL_GROUPS = {
 }
 
 
-def _ring(system, kind, mode):
-    dom = OrbitDomain(system, seed=29, families=2) if mode == "modp" else None
-    return TwistedRing(system, kind, dom)
-
-
 def test_dl_generator_displayed_coefficient():
     """tau_i has exactly the Demazure-Lusztig coefficients (t^-1 - t)/(1 - e^{-a})
     at e and (t - t^-1 e^{-a})/(1 - e^{-a}) at s_i, a = alpha_i, and mu Y_i - t
@@ -158,7 +159,7 @@ def test_dl_generator_displayed_coefficient():
         arity = system.rank + 1
         t, tinv = LaurentPoly.t_power(arity, 1), LaurentPoly.t_power(arity, -1)
         for mode in ("exact", "modp"):
-            qm, qt = (_ring(system, kind, mode) for kind in ("multiplicative", "hyperbolic"))
+            qm, qt = _rings(system, mode)
             for i, root in enumerate(system.simple_roots):
                 e_minus = LaurentPoly.monomial((0,) + tuple(-x for x in root.weight), 1)
                 den = LaurentPoly.const(arity, 1) - e_minus
@@ -188,10 +189,9 @@ def test_dl_images_digest(rank):
     """The printed image of every tau_w in type A2 and A3 is pinned."""
     system = RootSystem(CartanData.type_a(rank))
     h = hashlib.sha256()
-    for kind in ("multiplicative", "hyperbolic"):
-        ring = TwistedRing(system, kind)
+    for ring in _rings(system):
         for w in system.elements:
-            h.update(f"{kind} {w!r}: {ring.dl_element(w).format()}\n".encode())
+            h.update(f"{ring.kind} {w!r}: {ring.dl_element(w).format()}\n".encode())
     assert h.hexdigest() == DL_IMAGE_DIGESTS[rank]
 
 
@@ -203,9 +203,8 @@ def test_dl_images_left_descent_product(name, mode):
     product twists the computed coefficients of tau_{s_i w} by s_i, which
     raises unless s_i w = e; there the image is the lifted exact one."""
     system = RootSystem(DL_GROUPS[name])
-    for kind in ("multiplicative", "hyperbolic"):
-        ring = _ring(system, kind, mode)
-        exact = _ring(system, kind, "exact")
+    for ring, exact in zip(_rings(system, mode), _rings(system)):
+        kind = ring.kind
         for w in system.elements:
             if mode == "modp":
                 lifted = {v: ring.dom.lift(c) for v, c in exact.dl_element(w).coeffs.items()}
@@ -312,7 +311,7 @@ def test_gammapsirel_a2(a2, rings2):
 def test_inv_mu_power_is_a_product_of_inverses_of_mu(a2, mode):
     """inv_mu_power(n), one lift of t^n / (t^2 + 1)^n, equals n products of the
     inverse of the lifted mu = t + t^-1."""
-    qt = _ring(a2, "hyperbolic", mode)
+    _, qt = _rings(a2, mode)
     inv_mu = qt.as_scalar(RatFunc(LaurentPoly.t_power(3, 1) + LaurentPoly.t_power(3, -1))).inv()
     expected = qt.dom.one
     for n in range(5):
@@ -359,7 +358,7 @@ def test_hiota_qw(a1, a2, rings2):
     qm, _ = rings2
     h = HeckeAlgebra(a2)
     assert qw_hiota(qm, qm.delta(a2.identity)) == qm.delta(a2.identity)
-    qm1 = TwistedRing(a1, "multiplicative")
+    qm1, _ = _rings(a1)
     g = qm1.dl_generator(0)
     assert qw_hiota(qm1, g) == g
     for w in a2.elements:
@@ -372,7 +371,7 @@ def test_hiota_qw(a1, a2, rings2):
 
 
 def test_gamma_coefficients_a1(a1):
-    qm = TwistedRing(a1, "multiplicative")
+    qm, _ = _rings(a1)
     h = HeckeAlgebra(a1)
     s1 = a1.simple_reflection(0)
     coeffs = qm.hecke_to_qw(gamma_sum(h, s1)).coeffs
@@ -415,5 +414,5 @@ def test_orthogonal_separation_a4(a4):
     h = HeckeAlgebra(a4)
     J, Jp, A = (0, 1), (0,), (3,)
     assert h.gamma_rel(J, Jp) == h.gamma_rel(J + A, Jp + A)
-    qt = TwistedRing(a4, "hyperbolic")
+    _, qt = _rings(a4)
     assert qt.pushpull_rel(J, Jp) == qt.pushpull_rel(J + A, Jp + A)

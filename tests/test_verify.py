@@ -614,6 +614,22 @@ def test_no_point_families_or_negative_samples_are_refused(kwargs, message):
     assert RunConfig(rank=2, k=1, serre_samples=0).serre_samples == 0
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"rank": 2, "d": 1}, {"n": 3, "d": 7}, {"n": 3, "d": 3}, {"n": 3, "d": 0}]
+)
+def test_a_grassmannian_d_without_n_or_out_of_range_is_refused(kwargs):
+    """d needs n and 1 <= d < n, when the config is made and again in
+    run_suite, so no report names a Grassmannian the run did not use."""
+    with pytest.raises(ValueError, match=f"d = {kwargs['d']} needs n with 1 <= d < n"):
+        RunConfig(**kwargs)
+    cfg = RunConfig(n=3)
+    cfg.d = kwargs["d"]
+    cfg.n = kwargs.get("n")
+    with pytest.raises(ValueError, match="needs n with 1 <= d < n"):
+        run_suite("duality", cfg)
+    assert RunConfig(n=3, d=2).grass().J_indices() == (0,)
+
+
 @pytest.mark.parametrize("mode", ["exact", "modp"])
 def test_parabolic_suites_scan_no_class_for_invariance(monkeypatch, mode):
     """Classes on G/P_J live at W^J, so neither A3 parabolic suite tests a
