@@ -60,12 +60,12 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(x) for x in parts if int(x) != 0)
+        parts = tuple(map(int, parts))
         if any(x < 0 for x in parts):
             raise ValueError("negative part")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
-        self.parts = parts
+        self.parts = parts[: len(parts) - parts.count(0)]  # nonnegative and decreasing: zeros trail
 
     def fits(self, g: GrassData) -> bool:
         return len(self.parts) <= g.d and (not self.parts or self.parts[0] <= g.n - g.d)

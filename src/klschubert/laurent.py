@@ -47,12 +47,14 @@ a digit.  Each polynomial carries ``bound``, an upper bound on its largest
 |exponent|: a product adds its operands' bounds, a sum takes their max, a
 shift adds the shift's and a quotient the divisor's; weyl, whose image needs
 bound times the matrix's largest absolute row sum to stay below B/2,
-recomputes it from the image's digits, as does a long quotient from the
-exponent boxes.  A bound that reaches LIMIT is recomputed from the digits,
-and a polynomial whose exponents do reach LIMIT raises OverflowError: no key
-wraps silently.
+recomputes it from the image's digits.  A bound that reaches LIMIT is
+recomputed from the digits, and a polynomial whose exponents do reach LIMIT
+raises OverflowError: no key wraps silently.
 
-Exact division by a binomial d = z^m0 (c1 y + c0), y = z^(m1 - m0), is one
+Exact division is by binomials only: exact_divide gives None ("not divided")
+for a divisor of one term or of three or more, and RatFunc keeps such a
+factor unreduced (every factor it builds is a binomial, see ``ratfunc``).
+Division by a binomial d = z^m0 (c1 y + c0), y = z^(m1 - m0), is one
 linear pass: the ring is free over Z[y^+-1] on one monomial per coset of
 Z (m1 - m0), so the terms split into chains, each divided synthetically from
 the top down.  A term e with k = e_j // s_j, for the first nonzero slot j of
@@ -81,8 +83,7 @@ d does not divide f; a zero proves nothing, and the chain-wise division
 decides.  The walk and the chain keys stay inside the
 digit range whenever bound(f) + (2 bound(f) // |s_j| + 1) 2 bound(d) < B/2;
 where the bounds miss that, they are recomputed from the digits, and where
-the exponents themselves miss it, the division is long division, as it is
-for divisors of three or more terms.
+the exponents themselves miss it, exact_divide gives None.
 """
 
 from __future__ import annotations
@@ -384,86 +385,25 @@ class LaurentPoly:
         return g
 
     def exact_divide(self, d: "LaurentPoly"):
-        """Return self / d if d divides self exactly in the Laurent ring, else None.
-        Binomials go chain by chain (module docstring), others by long division."""
+        """self / d if the binomial d divides self exactly in the Laurent ring:
+        synthetic division along each chain, once the chain of the lex-largest
+        term has failed to refute it (module docstring).  None ("not divided")
+        otherwise, for a d of other than two terms, and where the walk would
+        leave the digit range."""
         if self.arity != d.arity:
             raise _arity_mismatch(self, d)
         if not d.packed:
             raise ZeroDivisionError("division by zero polynomial")
+        if len(d.packed) != 2:
+            return None
         if not self.packed:
             return LaurentPoly._make(self.arity, {}, 0)
-        if len(d.packed) == 2:
-            return self._divide_binomial(d)
-        return self._long_divide(d)
-
-    def _long_divide(self, d: "LaurentPoly"):
-        """self / d by lex-order long division of the polynomials stripped of
-        their monomial content; every quotient term must lie in the box that
-        the quotient's Newton polytope spans, which keeps each key in range."""
-        arity = self.arity
-        bias = _layout(arity)[0]
-        lo_n, hi_n = _spans(self.packed, arity)
-        lo_d, hi_d = _spans(d.packed, arity)
-        room = [hn - ln - hd + ld for ln, hn, ld, hd in zip(lo_n, hi_n, lo_d, hi_d)]
-        if min(room) < 0:
-            return None
-        top = pack(room)
-        mn, md = pack(lo_n), pack(lo_d)
-        cur = {e - mn: c for e, c in self.packed.items()}
-        den = [(e - md, c) for e, c in d.packed.items()]
-        elead, clead = max(den)
-        quo: dict = {}
-        while cur:
-            e = max(cur)
-            c = cur[e]
-            qe = e - elead
-            # 0 <= digit <= room in every slot: a biased digit has its top bit
-            # set exactly when the digit is nonnegative, and bias is those bits
-            if (qe + bias) & bias != bias or (top - qe + bias) & bias != bias:
-                return None
-            qc, r = divmod(c, clead)
-            if r:
-                return None
-            quo[qe] = qc
-            for ed, cd in den:
-                k = qe + ed
-                v = cur.get(k, 0) - qc * cd
-                if v:
-                    cur[k] = v
-                elif k in cur:
-                    del cur[k]
-        back = mn - md
-        bound = max(max(abs(ln - ld), abs(hn - hd)) for ln, hn, ld, hd in zip(lo_n, hi_n, lo_d, hi_d))
-        return LaurentPoly._make(arity, {e + back: c for e, c in quo.items()}, bound)
-
-    def _binomial(self):
-        """The division data of a binomial c1 z^m1 + c0 z^m0, computed once:
-        (m0, c0, c1, the step m1 - m0, its first nonzero slot j with that
-        slot's shift and digit s_j, and -w, c_top and c_bot of the walk)."""
-        if self._plan is None:
-            (m1, c1), (m0, c0) = self.packed.items()
-            bias, shifts, _ = _layout(self.arity)
-            step = m1 - m0
-            for j, s in enumerate(shifts):
-                sj = (((step + bias) >> s) & _MASK) - _HALF
-                if sj:
-                    break
-            if step > 0:
-                down, c_top, c_bot = -step, c1, c0
-            else:
-                down, c_top, c_bot = step, c0, c1
-            self._plan = (m0, c0, c1, step, j, s, sj, down, c_top, c_bot)
-        return self._plan
-
-    def _divide_binomial(self, d: "LaurentPoly"):
-        """self / (c1 z^m1 + c0 z^m0) by synthetic division along each chain,
-        once the chain of the lex-largest term has failed to refute it."""
         terms = self.packed
         m0, c0, c1, step, j, s, sj, down, c_top, c_bot = d._binomial()
         if not _walk_fits(self.bound, sj, d.bound) and not _walk_fits(
             self._tighten(), sj, d._tighten()
         ):
-            return self._long_divide(d)
+            return None
         # Refute first (module docstring): walk the chain of the lex-largest
         # term down slot j and evaluate it at the root of c_top u + c_bot; a
         # chain of one term is refuted by its own nonzero coefficient.
@@ -502,6 +442,25 @@ class LaurentPoly:
             if chain[lo] != c0 * q:
                 return None
         return LaurentPoly._make(self.arity, quo, self.bound + d.bound)
+
+    def _binomial(self):
+        """The division data of a binomial c1 z^m1 + c0 z^m0, computed once:
+        (m0, c0, c1, the step m1 - m0, its first nonzero slot j with that
+        slot's shift and digit s_j, and -w, c_top and c_bot of the walk)."""
+        if self._plan is None:
+            (m1, c1), (m0, c0) = self.packed.items()
+            bias, shifts, _ = _layout(self.arity)
+            step = m1 - m0
+            for j, s in enumerate(shifts):
+                sj = (((step + bias) >> s) & _MASK) - _HALF
+                if sj:
+                    break
+            if step > 0:
+                down, c_top, c_bot = -step, c1, c0
+            else:
+                down, c_top, c_bot = step, c0, c1
+            self._plan = (m0, c0, c1, step, j, s, sj, down, c_top, c_bot)
+        return self._plan
 
     # ---------- substitutions ----------
 

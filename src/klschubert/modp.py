@@ -4,7 +4,9 @@ Every algebraic pipeline here (twisted group ring products, localization
 actions, pairings) uses scalars through one contract:
 
 - a scalar has +, -, *, inv(), ==, is_zero(), format(), and a truth value
-  that is false exactly for zero;
+  that is false exactly for zero; the operands of +, -, * and == are scalars
+  of the same domain, and an int is lifted first, through the ring's
+  as_scalar;
 - a domain has one, zero, lift (an exact rational function into the
   domain), weyl (the Weyl action), dualize (the t/character inversion) and
   the sum of products dot(xs, ys) = sum x y.

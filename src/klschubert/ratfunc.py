@@ -15,17 +15,22 @@ cancellation can happen, by ``_cancel``:
 - ``*``: each numerator against the other operand's factors only, the rule
   for products of reduced fractions (Henrici 1956; Knuth, TAOCP 2, 4.5.1).
 
+A cancellation is a trial ``LaurentPoly.exact_divide``, by binomials only, as
+every factor built from root factors and normalizers is; a factor of three or
+more terms is kept, so its fraction stays correct, only unreduced.  The
+operands of +, -, *, / and == are RatFuncs (make an int one by ``from_int``).
+
 Monomials are packed int keys (see ``laurent``): a factor's monomial content
 is one key, and stripping it from the factor, or moving it onto the
 numerator, subtracts that key from every key of the polynomial.
 
 ``weyl`` and ``dualize`` do not cancel: they are ring automorphisms that map
 canonical factors to canonical factors up to units, so a fraction with no
-cancellable factor keeps none.  Over irreducible factors the stored fraction
-is therefore reduced; otherwise it may not be, and equality is semantic, by
-cross-multiplication, either way.  The normalized image of a canonical factor
-under a Weyl matrix, or under dualize, is computed once per process, in the
-table ``_IMAGES``; numerators are mapped on every call.
+cancellable factor keeps none.  Over irreducible binomial factors the stored
+fraction is therefore reduced; otherwise it may not be, and equality is
+semantic, by cross-multiplication, either way.  The normalized image of a
+canonical factor under a Weyl matrix, or under dualize, is computed once per
+process, in the table ``_IMAGES``; numerators are mapped on every call.
 
 The orbit-point domain in ``modp`` evaluates a fraction modulo the fixed
 published 62-bit prime ``FIXED_PRIME``: the numerator and each canonical
@@ -170,18 +175,8 @@ class RatFunc:
 
     # ---------- arithmetic ----------
 
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, int):
-            return RatFunc.from_int(self.arity, other)
-        if isinstance(other, LaurentPoly):
-            return RatFunc(other)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
         return RatFunc.sum((self, other), self.arity)
 
@@ -209,30 +204,17 @@ class RatFunc:
         num, facs = _cancel(sum(nums[1:], nums[0]), facs)
         return cls(num, dc, facs)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return RatFunc(-self.num, self.dc, self.facs)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatFunc(LaurentPoly(self.arity))
         # both operands are reduced, so a factor can only cancel across them
         num_a, kept_b = _cancel(self.num, other.facs)
         num_b, kept_a = _cancel(other.num, self.facs)
@@ -241,9 +223,6 @@ class RatFunc:
             bag[f] = bag.get(f, 0) + mult
         facs = tuple(sorted(bag.items(), key=lambda kv: kv[0].sort_key()))
         return RatFunc(num_a * num_b, self.dc * other.dc, facs)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def inv(self) -> "RatFunc":
         if self.is_zero():
@@ -256,22 +235,13 @@ class RatFunc:
         return RatFunc(num, c, facs)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
 
     # ---------- semantic equality ----------
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         if self.num.arity != other.num.arity:

@@ -403,6 +403,8 @@ class RootSystem(Memo):
         return col
 
     def simple_reflection(self, i: int) -> WeylElt:
+        if not 0 <= i < self.rank:
+            raise ValueError(f"simple reflection index {i} out of range(0, {self.rank})")
         return self.elements[self.right_table[0][i]]
 
     def right_descents(self, w: WeylElt):

@@ -128,15 +128,11 @@ class TwistedRing(Memo):
     # ---------- scalars ----------
 
     def as_scalar(self, value):
-        dom = self.dom
+        """An int or a RatFunc lifted into the domain; a scalar as it is."""
         if isinstance(value, int):
-            if value == 1:
-                return dom.one
-            return dom.lift(RatFunc.from_int(self.model.arity, value))
+            value = RatFunc.from_int(self.model.arity, value)
         if isinstance(value, RatFunc):
-            return dom.lift(value)
-        if isinstance(value, LaurentPoly):
-            return dom.lift(RatFunc(value))
+            return self.dom.lift(value)
         return value
 
     def inv_mu_power(self, n: int):
@@ -222,7 +218,7 @@ class TwistedRing(Memo):
     def _dl_generator(self, i: int) -> QWElt:
         arity = self.model.arity
         t = LaurentPoly.t_power(arity, 1)
-        root, s = self.system.simple_roots[i], self.system.simple_reflection(i)
+        s, root = self.system.simple_reflection(i), self.system.simple_roots[i]
         if self.kind == "multiplicative":
             c = RatFunc(t - LaurentPoly.monomial((-1,) + root.weight, 1))
         else:

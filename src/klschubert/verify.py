@@ -620,7 +620,7 @@ def _partitions_in_box(rows, cols):
 
     def rec(prefix, row, maxw):
         if row == rows:
-            out.append(Partition(tuple(x for x in prefix if x)))
+            out.append(Partition(prefix))
             return
         for w in range(maxw, -1, -1):
             rec(prefix + [w], row + 1, w)

@@ -214,6 +214,12 @@ def test_grassmannian_permutation_properties(a3):
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((1, 2))
+    # a zero inside is no trailing zero: (2, 0, 1) is not weakly decreasing
+    for parts in ((2, 0, 1), (0, 1), (3, 0, 0, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            Partition(parts)
+    assert Partition((2, 1, 0, 0)) == Partition((2, 1)) == Partition(x for x in (2, 1, 0))
+    assert Partition((0, 0)).parts == ()
     with pytest.raises(ValueError):
         Partition((3,)).require_fits(GrassData(4, 2))
     with pytest.raises(ValueError):

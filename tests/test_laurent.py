@@ -313,9 +313,9 @@ def division_cases(draw):
 @given(division_cases())
 @settings(max_examples=150, deadline=None)
 def test_exact_divide_matches_the_tuple_oracles(case):
-    """A divisor that divides, sums that its top chain refutes or that fail in
-    the chains, and a three-term divisor through long division: the packed
-    quotient, or None, agrees with both tuple oracles."""
+    """A divisor that divides, and sums that its top chain refutes or that
+    fail in the chains: the packed quotient, or None, agrees with both tuple
+    oracles.  A three-term divisor is not divided: None, though it divides."""
     d, g, other = case
     n = g * d
     assert n.exact_divide(d) == g == tuple_divide_binomial(n, d)
@@ -331,8 +331,8 @@ def test_exact_divide_matches_the_tuple_oracles(case):
         trinomial = d + LaurentPoly.monomial(e, c)
         if len(trinomial.packed) == 3:
             num = g * trinomial
-            assert num.exact_divide(trinomial) == g == long_divide(num, trinomial)
-            assert (num + other).exact_divide(trinomial) == long_divide(num + other, trinomial)
+            assert num.exact_divide(trinomial) is None
+            assert (num + other).exact_divide(trinomial) is None
 
 
 SYSTEMS = {
@@ -434,21 +434,29 @@ def test_weyl_at_the_limit():
 
 
 def test_divisions_near_the_limit():
-    """Quotients with exponents near LIMIT are exact (the binomial's digit
-    range test sends them to long division), and one whose exponent reaches
-    LIMIT raises."""
+    """Where the walk and the chain keys fit in the digit range, the quotient
+    is exact; where they do not, even after the bounds are recomputed from the
+    digits, the result is None ("not divided"): never a wrong quotient, never
+    OverflowError."""
     z = lambda x: LaurentPoly.var(2, 1, x)
     one = LaurentPoly.const(2, 1)
+    # by 1 - z1 the walk fits while b + (2 b + 1) 2 < B/2 = 2 LIMIT, b the bound
+    fits = (2 * LIMIT - 3) // 5
+    n = z(fits) - z(fits - 1)
+    assert n.exact_divide(one - z(1)) == -z(fits - 1) == long_divide(n, one - z(1))
+    n = z(fits + 1) - z(fits)
+    assert n.exact_divide(one - z(1)) is None
+    assert long_divide(n, one - z(1)) == -z(fits)
     n = z(LIMIT - 1) - z(LIMIT - 2)
-    assert n.exact_divide(one - z(1)) == -z(LIMIT - 2) == long_divide(n, one - z(1))
+    assert n.exact_divide(one - z(1)) is None
     assert (n + one).exact_divide(one - z(1)) is None
-    with pytest.raises(OverflowError):
-        n.exact_divide(z(1 - LIMIT) - z(2 - LIMIT))
+    assert n.exact_divide(z(1 - LIMIT) - z(2 - LIMIT)) is None
     # 1 and z1^-17 lie on different chains of 1 - z1^2 z2^(LIMIT/2), but the
     # walk from 1 and the chain keys e - k step would leave the digit range
-    # and meet, so the division goes long
+    # and meet, so the division is not made
     d = LaurentPoly(3, {(0, 0, 0): 1, (0, 2, LIMIT // 2): -1})
     n = LaurentPoly(3, {(0, 0, 0): -1, (0, -17, 0): 1})
     assert n.exact_divide(d) is None is long_divide(n, d)
     g = LaurentPoly(3, {(0, -3, 0): 1, (0, 0, 5): 2})
-    assert (g * d).exact_divide(d) == g
+    assert (g * d).exact_divide(d) is None
+    assert long_divide(g * d, d) == g

@@ -1,6 +1,7 @@
 import pytest
 
 from klschubert.laurent import LaurentPoly
+from klschubert.localization import Localization
 from klschubert.rootsystem import CartanData, RootSystem
 
 from oracles import act_root, act_weight, inversions, subword_leq
@@ -175,6 +176,18 @@ def test_a_reflection_index_out_of_range_is_refused(a3, method, J):
     reflection the group does not have."""
     with pytest.raises(ValueError):
         getattr(a3, method)(J)
+
+
+@pytest.mark.parametrize("i", [-1, 3, 7])
+def test_a_simple_reflection_index_out_of_range_is_refused(a3, i):
+    """simple_reflection refuses i outside range(rank), as from_word does:
+    -1 is not read as the last reflection, 3 raises no IndexError, and
+    dl_generator, keyed by i, builds no second copy under a negative index."""
+    with pytest.raises(ValueError, match="out of range"):
+        a3.simple_reflection(i)
+    with pytest.raises(ValueError, match="out of range"):
+        Localization(a3).mult.dl_generator(i)
+    assert [a3.simple_reflection(j) for j in range(3)] == [a3.from_word([j]) for j in range(3)]
 
 
 def test_relative_reps_refuses_an_index_out_of_range(a3):

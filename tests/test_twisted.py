@@ -173,7 +173,7 @@ def test_dl_generator_displayed_coefficient():
                 if mode == "exact":
                     assert g.format() == expected.format(), (name, i)
                 mu = qt.as_scalar(RatFunc(t + tinv))
-                hyp = qt.pushpull_simple(i).scale(mu) - scalar_elt(qt, qt.as_scalar(t))
+                hyp = qt.pushpull_simple(i).scale(mu) - scalar_elt(qt, qt.as_scalar(RatFunc(t)))
                 assert qt.dl_generator(i) == hyp, (name, mode, i)
 
 
