@@ -89,7 +89,6 @@ the exponents themselves miss it, exact_divide gives None.
 from __future__ import annotations
 
 from itertools import repeat
-from math import gcd
 from operator import add, mod, mul
 from struct import Struct
 
@@ -314,6 +313,8 @@ class LaurentPoly:
     # ---------- ring operations ----------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         if self.arity != other.arity:
             raise _arity_mismatch(self, other)
         if not other.packed:
@@ -335,6 +336,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         if self.arity != other.arity:
             raise _arity_mismatch(self, other)
         a, b = self.packed, other.packed
@@ -356,13 +359,6 @@ class LaurentPoly:
                 out = {e: c for e, c in out.items() if c}
         return LaurentPoly._make(self.arity, out, self.bound + other.bound)
 
-    def scale(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly._make(self.arity, {}, 0)
-        if c == 1:
-            return self
-        return LaurentPoly._make(self.arity, {e: k * c for e, k in self.packed.items()}, self.bound)
-
     def shift(self, m: int) -> "LaurentPoly":
         """Multiply by the monomial with key m (each |exponent| below LIMIT)."""
         if not m:
@@ -374,15 +370,7 @@ class LaurentPoly:
             self.arity, {e + m: c for e, c in self.packed.items()}, self.bound + mb
         )
 
-    # ---------- content and division ----------
-
-    def int_content(self) -> int:
-        g = 0
-        for c in self.packed.values():
-            g = gcd(g, c)
-            if g == 1:
-                return 1
-        return g
+    # ---------- division ----------
 
     def exact_divide(self, d: "LaurentPoly"):
         """self / d if the binomial d divides self exactly in the Laurent ring:
@@ -390,6 +378,8 @@ class LaurentPoly:
         term has failed to refute it (module docstring).  None ("not divided")
         otherwise, for a d of other than two terms, and where the walk would
         leave the digit range."""
+        if not isinstance(d, LaurentPoly):
+            raise TypeError(f"exact_divide by a {type(d).__name__}, not a LaurentPoly")
         if self.arity != d.arity:
             raise _arity_mismatch(self, d)
         if not d.packed:

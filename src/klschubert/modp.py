@@ -21,14 +21,15 @@ ring homomorphism from the integers, so that one reduction gives the same
 canonical residue as reducing after every product and every addition.
 
 A lift is computed once per domain for each distinct fraction, in a table
-keyed by its value (numerator, content, factors), so equal fractions built
-apart share one residue vector.  Each canonical denominator factor is
-evaluated and inverted once per domain, the whole vector by Montgomery's
-batch inversion (Math. Comp. 48, 1987): prefix products, one pow of the
-last, and a backward pass, so one pow per factor and not one per point.
-The lift of num / (dc * prod f^m) is then num times each inv(f), m times,
-times dc^-1.  The inverse mod p is unique, so every residue is the one that
-pointwise evaluation gives.
+keyed by its value (numerator, factors), so equal fractions built apart
+share one residue vector.  Each canonical denominator factor, an integer
+one included, is evaluated and inverted once per domain, the whole vector by
+Montgomery's batch inversion (Math. Comp. 48, 1987): prefix products, one
+pow of the last, and a backward pass, so one pow per factor and not one per
+point; a factor that vanishes mod p at some point raises ZeroDenominator.
+The lift of num / prod f^m is then num times each inv(f), m times.  The
+inverse mod p is unique, so every residue is the one that pointwise
+evaluation gives.
 
 A polynomial is evaluated from the domain's power columns: for each (slot i,
 exponent x) asked for, once per domain, coordinate i to the power x at every
@@ -154,6 +155,8 @@ class OrbitScalar:
             raise ValueError("scalars from different evaluation domains")
 
     def __add__(self, other):
+        if not isinstance(other, OrbitScalar):
+            return NotImplemented
         self._check(other)
         return OrbitScalar(
             self.domain,
@@ -173,6 +176,8 @@ class OrbitScalar:
     def __mul__(self, other):
         """The pointwise product; that of two known functions at one twist is
         known, its orbit residues the products of theirs."""
+        if not isinstance(other, OrbitScalar):
+            return NotImplemented
         self._check(other)
         p = self.domain.prime
         if self.full is not None and other.full is not None and self.at is other.at:
@@ -248,7 +253,7 @@ class OrbitDomain:
         self.one = OrbitScalar(self, (1,) * self.size)
         self.zero = OrbitScalar(self, (0,) * self.size)
         self._lift_cache: dict = {}
-        self._lift_values: dict = {}  # (num, dc, facs) -> lifted scalar
+        self._lift_values: dict = {}  # (num, facs) -> lifted scalar
         self._factor_inverses: dict = {}  # canonical factor -> its inverse's vector
 
     def _orbit(self, rng: random.Random) -> list:
@@ -297,18 +302,16 @@ class OrbitDomain:
 
     def lift(self, r: RatFunc) -> OrbitScalar:
         """r as a known function: num times each factor's inverse vector, once
-        per multiplicity, times dc^-1 at every orbit point, computed once per
-        distinct value."""
+        per multiplicity, at every orbit point, computed once per distinct
+        value."""
         key = id(r)
         hit = self._lift_cache.get(key)
         if hit is not None and hit[0] is r:
             return hit[1]
-        value = (r.num, r.dc, r.facs)
+        value = (r.num, r.facs)
         out = self._lift_values.get(value)
         if out is None:
             p = self.prime
-            if r.dc % p == 0:
-                raise ZeroDenominator("denominator content divisible by p")
             vals = r.num.eval_mod(self._power, p)
             for f, mult in r.facs:
                 inv = self._factor_inverses.get(f)
@@ -316,8 +319,6 @@ class OrbitDomain:
                     inv = self._factor_inverses[f] = _batch_inverse(f.eval_mod(self._power, p), p)
                 for _ in range(mult):
                     vals = _mulmod(vals, inv, p)
-            if r.dc != 1:
-                vals = _mulmod(vals, repeat(pow(r.dc, p - 2, p)), p)
             out = self._lift_values[value] = self._known(vals, self.system.identity)
         self._lift_cache[key] = (r, out)
         return out

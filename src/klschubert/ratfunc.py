@@ -1,24 +1,27 @@
 """Exact rational functions over the Laurent ring.
 
 A RatFunc is a fraction num/den of multivariate Laurent polynomials.  The
-denominator is stored in factored form: an integer content and a multiset of
-canonical polynomial factors (content 1, no monomial content, positive
-leading coefficient), such as 1 - e^{-a}, t^2 - e^{-a} or 1 - t^{-2} e^{a}.
-No multivariate GCD is ever run.  The constructor only divides out the
-integer content shared by num and den; factors are cancelled where a
-cancellation can happen, by ``_cancel``:
+denominator is stored in factored form only, as a multiset of canonical
+polynomial factors (no monomial content, positive leading coefficient), such
+as 1 - e^{-a}, t^2 - e^{-a} or 1 - t^{-2} e^{a}.  Every denominator the
+paper inverts is such a polynomial, never an integer; an integer left in a
+denominator is just a factor, such as the constant 2, and 1/2 is the
+numerator 1 over it.  No multivariate GCD is ever run, and no integer
+content is divided out; factors are cancelled where a cancellation can
+happen, by ``_cancel``:
 
 - ``from_den_factors`` and ``inv``: the numerator against the new factors;
 - ``sum``, and ``+`` as its two-term case: all the terms over one common
-  denominator (the lcm of the contents, the union of the factors at their
-  largest multiplicity), cancelled once, not after every addition;
+  denominator (the union of the factors at their largest multiplicity),
+  cancelled once, not after every addition;
 - ``*``: each numerator against the other operand's factors only, the rule
   for products of reduced fractions (Henrici 1956; Knuth, TAOCP 2, 4.5.1).
 
 A cancellation is a trial ``LaurentPoly.exact_divide``, by binomials only, as
-every factor built from root factors and normalizers is; a factor of three or
-more terms is kept, so its fraction stays correct, only unreduced.  The
-operands of +, -, *, / and == are RatFuncs (make an int one by ``from_int``).
+every factor built from root factors and normalizers is; a factor of one
+term (an integer) or of three or more is kept, so its fraction stays
+correct, only unreduced.  The operands of +, -, *, / and == are RatFuncs
+(make an int one by ``from_int``).
 
 Monomials are packed int keys (see ``laurent``): a factor's monomial content
 is one key, and stripping it from the factor, or moving it onto the
@@ -36,13 +39,12 @@ The orbit-point domain in ``modp`` evaluates a fraction modulo the fixed
 published 62-bit prime ``FIXED_PRIME``: the numerator and each canonical
 factor through ``LaurentPoly.eval_mod``, which reads the domain's table of
 power columns (each coordinate to each exponent at every orbit point), each
-factor's residue vector inverted in one batch.  ``modp`` states the
-Schwartz-Zippel bound.
+factor's residue vector, an integer factor's included, inverted in one batch.
+``modp`` states the Schwartz-Zippel bound.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from operator import sub
 
 from .laurent import LaurentPoly, pack
@@ -58,23 +60,22 @@ _IMAGES: dict = {}
 
 
 def _normalize_factor(f: LaurentPoly):
-    """Split f = c * monomial * canon with canon canonical.
+    """Split f = sign * monomial * canon with canon canonical.
 
-    canon has integer content 1, componentwise-minimal exponents 0 and a
-    positive leading coefficient.  Returns (c, the monomial's key, canon).
+    canon has componentwise-minimal exponents 0 and a positive leading
+    coefficient; its integer content stays, so a constant is its own canon.
+    Returns (sign, the monomial's key, canon), sign being 1 or -1.
     """
     if not f.packed:
         raise ZeroDivisionError("zero polynomial in a denominator")
     lo, hi = f.exponent_box()
     mc = pack(lo)
-    g = f.int_content()
-    if f.leading()[1] < 0:
-        g = -g
-    # stripping the content subtracts one key from every key, keeping lex order
+    sign = -1 if f.leading()[1] < 0 else 1
+    # stripping the monomial subtracts one key from every key, keeping lex order
     canon = LaurentPoly._make(
-        f.arity, {e - mc: c // g for e, c in f.packed.items()}, max(map(sub, hi, lo))
+        f.arity, {e - mc: sign * c for e, c in f.packed.items()}, max(map(sub, hi, lo))
     )
-    return g, mc, canon
+    return sign, mc, canon
 
 
 def _times(num: LaurentPoly, pairs) -> LaurentPoly:
@@ -105,26 +106,13 @@ def _cancel(num: LaurentPoly, facs: tuple):
 
 
 class RatFunc:
-    """num / (dc * prod factor^mult), with factors canonical and sorted."""
+    """num / prod factor^mult, with factors canonical and sorted."""
 
-    __slots__ = ("num", "dc", "facs", "_den")
+    __slots__ = ("num", "facs")
 
-    def __init__(self, num: LaurentPoly, dc: int = 1, facs: tuple = ()):
-        if dc == 0:
-            raise ZeroDivisionError("zero denominator content")
-        if dc < 0:
-            num, dc = -num, -dc
-        if not num.packed:
-            dc, facs = 1, ()
-        elif dc != 1:
-            g = gcd(num.int_content(), dc)
-            if g > 1:
-                num = LaurentPoly._make(num.arity, {e: c // g for e, c in num.packed.items()}, num.bound)
-                dc //= g
+    def __init__(self, num: LaurentPoly, facs: tuple = ()):
         self.num = num
-        self.dc = dc
-        self.facs = facs
-        self._den = None
+        self.facs = facs if num.packed else ()
 
     # ---------- constructors ----------
 
@@ -135,20 +123,19 @@ class RatFunc:
     @classmethod
     def from_den_factors(cls, num: LaurentPoly, factors) -> "RatFunc":
         """num divided by a product of polynomial factors (each may repeat)."""
-        dc = 1
         bag: dict = {}
         for f in factors:
-            c, mc, canon = _normalize_factor(f)
-            dc *= c
+            sign, mc, canon = _normalize_factor(f)
             num = num.shift(-mc)
+            if sign < 0:
+                num = -num
             if not canon.is_one():
                 key = canon.sort_key()
                 if key in bag:
                     bag[key] = (canon, bag[key][1] + 1)
                 else:
                     bag[key] = (canon, 1)
-        num, facs = _cancel(num, tuple(bag[k] for k in sorted(bag)))
-        return cls(num, dc, facs)
+        return cls(*_cancel(num, tuple(bag[k] for k in sorted(bag))))
 
     @classmethod
     def fraction(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
@@ -163,9 +150,7 @@ class RatFunc:
     @property
     def den(self) -> LaurentPoly:
         """Denominator as an expanded polynomial."""
-        if self._den is None:
-            self._den = _times(LaurentPoly.const(self.num.arity, self.dc), self.facs)
-        return self._den
+        return _times(LaurentPoly.const(self.num.arity, 1), self.facs)
 
     def is_zero(self) -> bool:
         return not self.num.packed
@@ -183,15 +168,14 @@ class RatFunc:
     @classmethod
     def sum(cls, terms, arity: int) -> "RatFunc":
         """The sum of the fractions in terms (zero for none), over one common
-        denominator: the lcm of their contents times the union of their
-        factors, each at its largest multiplicity.  The numerator is cancelled
-        against it once, not after every addition."""
+        denominator: the union of their factors, each at its largest
+        multiplicity.  The numerator is cancelled against it once, not after
+        every addition."""
         terms = [r for r in terms if r.num.packed]
         if len(terms) <= 1:
             return terms[0] if terms else cls.from_int(arity, 0)
-        dc, union = 1, {}
+        union: dict = {}
         for r in terms:
-            dc = dc // gcd(dc, r.dc) * r.dc
             for f, mult in r.facs:
                 if union.get(f, 0) < mult:
                     union[f] = mult
@@ -199,13 +183,12 @@ class RatFunc:
         for r in terms:
             own = dict(r.facs)
             missing = ((f, mult - own.get(f, 0)) for f, mult in union.items())
-            nums.append(_times(r.num.scale(dc // r.dc), missing))
+            nums.append(_times(r.num, missing))
         facs = tuple(sorted(union.items(), key=lambda kv: kv[0].sort_key()))
-        num, facs = _cancel(sum(nums[1:], nums[0]), facs)
-        return cls(num, dc, facs)
+        return cls(*_cancel(sum(nums[1:], nums[0]), facs))
 
     def __neg__(self):
-        return RatFunc(-self.num, self.dc, self.facs)
+        return RatFunc(-self.num, self.facs)
 
     def __sub__(self, other):
         if not isinstance(other, RatFunc):
@@ -222,17 +205,14 @@ class RatFunc:
         for f, mult in kept_b:
             bag[f] = bag.get(f, 0) + mult
         facs = tuple(sorted(bag.items(), key=lambda kv: kv[0].sort_key()))
-        return RatFunc(num_a * num_b, self.dc * other.dc, facs)
+        return RatFunc(num_a * num_b, facs)
 
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        c, mc, canon = _normalize_factor(self.num)
-        num = _times(LaurentPoly.const(self.arity, self.dc).shift(-mc), self.facs)
-        if c < 0:
-            num, c = -num, -c
-        num, facs = _cancel(num, () if canon.is_one() else ((canon, 1),))
-        return RatFunc(num, c, facs)
+        sign, mc, canon = _normalize_factor(self.num)
+        num = _times(LaurentPoly.const(self.arity, sign).shift(-mc), self.facs)
+        return RatFunc(*_cancel(num, () if canon.is_one() else ((canon, 1),)))
 
     def __truediv__(self, other):
         if not isinstance(other, RatFunc):
@@ -246,7 +226,7 @@ class RatFunc:
             return NotImplemented
         if self.num.arity != other.num.arity:
             return False
-        if self.dc == other.dc and self.facs == other.facs:
+        if self.facs == other.facs:
             return self.num == other.num
         # cancel shared factors before cross-multiplying
         a, b = dict(self.facs), dict(other.facs)
@@ -255,8 +235,7 @@ class RatFunc:
                 m = min(a[f], b[f])
                 a[f] -= m
                 b[f] -= m
-        lhs = _times(self.num.scale(other.dc), b.items())
-        return lhs == _times(other.num.scale(self.dc), a.items())
+        return _times(self.num, b.items()) == _times(other.num, a.items())
 
     __hash__ = None  # semantic equality classes are not hashable
 
@@ -266,22 +245,20 @@ class RatFunc:
         # no cancellation: fn is a ring automorphism, so no image factor divides the image num
         num = fn(self.num)
         images = _IMAGES.setdefault(tag, {})
-        dc = self.dc
         bag: dict = {}
         for f, mult in self.facs:
             hit = images.get(f)
             if hit is None:
                 hit = images[f] = _normalize_factor(fn(f))
-            c, mc, canon = hit
-            if c < 0 and mult % 2:
+            sign, mc, canon = hit
+            if sign < 0 and mult % 2:
                 num = -num
-            dc *= abs(c) ** mult
             for _ in range(mult):
                 num = num.shift(-mc)
             if not canon.is_one():
                 bag[canon] = bag.get(canon, 0) + mult
         facs = tuple(sorted(bag.items(), key=lambda kv: kv[0].sort_key()))
-        return RatFunc(num, dc, facs)
+        return RatFunc(num, facs)
 
     def weyl(self, matrix) -> "RatFunc":
         return self._map(lambda p: p.weyl(matrix), matrix)

@@ -419,7 +419,7 @@ class RootSystem(Memo):
         idx = 0
         for i in word:
             if not 0 <= i < self.rank:
-                raise ValueError(f"simple reflection index {i + 1} out of range")
+                raise ValueError(f"simple reflection index {i} out of range(0, {self.rank})")
             idx = self.right_table[idx][i]
         return self.elements[idx]
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 from .grassmannian import (
     GrassData,
@@ -616,17 +617,8 @@ def _rect_subsets(ls, i) -> tuple:
 
 
 def _partitions_in_box(rows, cols):
-    out = []
-
-    def rec(prefix, row, maxw):
-        if row == rows:
-            out.append(Partition(prefix))
-            return
-        for w in range(maxw, -1, -1):
-            rec(prefix + [w], row + 1, w)
-
-    rec([], 0, cols)
-    return sorted(out, key=lambda p: (sum(p.parts), p.parts))
+    parts = combinations_with_replacement(range(cols, -1, -1), rows)
+    return sorted(map(Partition, parts), key=lambda p: (sum(p.parts), p.parts))
 
 
 SUITES = {

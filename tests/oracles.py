@@ -513,20 +513,19 @@ def kl_class_c_tilde_parabolic_direct(loc, w, J, cells):
 
 
 def map_untabled(r, fn):
-    """(num, dc, facs) of the automorphism fn applied to the fraction r, each
+    """(num, facs) of the automorphism fn applied to the fraction r, each
     factor's image normalized afresh: RatFunc.weyl and dualize without the
     image table."""
-    num, dc, bag = fn(r.num), r.dc, {}
+    num, bag = fn(r.num), {}
     for f, mult in r.facs:
-        c, mc, canon = _normalize_factor(fn(f))
-        if c < 0 and mult % 2:
+        sign, mc, canon = _normalize_factor(fn(f))
+        if sign < 0 and mult % 2:
             num = -num
-        dc *= abs(c) ** mult
         num = num.shift(-mc * mult)
         if not canon.is_one():
             bag[canon] = bag.get(canon, 0) + mult
-    out = RatFunc(num, dc, tuple(sorted(bag.items(), key=lambda kv: kv[0].sort_key())))
-    return out.num, out.dc, out.facs
+    out = RatFunc(num, tuple(sorted(bag.items(), key=lambda kv: kv[0].sort_key())))
+    return out.num, out.facs
 
 
 def tuple_mul(a, b):
@@ -648,9 +647,7 @@ def _poly_at(poly, points, p, powers):
 def _eval_at(r, points, p, powers, factors):
     """r at each point mod p, the residues of each denominator factor kept in
     factors; ZeroDivisionError where its denominator vanishes."""
-    if r.dc % p == 0:
-        raise ZeroDivisionError("denominator content divisible by p")
-    dens = [r.dc % p] * len(points)
+    dens = [1] * len(points)
     for f, mult in r.facs:
         vals = factors.get(f)
         if vals is None:

@@ -11,11 +11,11 @@ from oracles import long_divide, parse_poly, tuple_divide_binomial, tuple_mul
 
 
 def t(arity=3, exp=1, c=1):
-    return LaurentPoly.t_power(arity, exp).scale(c)
+    return LaurentPoly.t_power(arity, exp) * LaurentPoly.const(arity, c)
 
 
 def z(i, arity=3, exp=1, c=1):
-    return LaurentPoly.var(arity, i, exp).scale(c)
+    return LaurentPoly.var(arity, i, exp) * LaurentPoly.const(arity, c)
 
 
 def test_monomial_inverse_product():
@@ -278,7 +278,7 @@ def test_ring_operations_match_the_tuple_oracle(polys, c, data):
     assert (a + b).terms == _tuple_combine(a, b, 1)
     assert (a - b).terms == _tuple_combine(a, b, -1)
     assert (-a).terms == {e: -k for e, k in a.terms.items()}
-    assert a.scale(c).terms == {e: k * c for e, k in a.terms.items() if k * c}
+    assert (a * LaurentPoly.const(arity, c)).terms == {e: k * c for e, k in a.terms.items() if k * c}
     m = data.draw(st.tuples(*[st.integers(-SPAN, SPAN)] * arity))
     assert a.shift(pack(m)).terms == {tuple(x + y for x, y in zip(e, m)): k for e, k in a.terms.items()}
     assert a.dualize().terms == {tuple(-x for x in e): k for e, k in a.terms.items()}
@@ -460,3 +460,23 @@ def test_divisions_near_the_limit():
     g = LaurentPoly(3, {(0, -3, 0): 1, (0, 0, 5): 2})
     assert (g * d).exact_divide(d) is None
     assert long_divide(g * d, d) == g
+
+
+def test_a_foreign_operand_is_a_type_error():
+    """+ and * take a LaurentPoly, and exact_divide divides by one: an int or a
+    RatFunc is refused with TypeError, not an AttributeError from inside."""
+    from klschubert.ratfunc import RatFunc
+
+    p = t(4)
+    for op in (
+        lambda: p + 1,
+        lambda: 1 + p,
+        lambda: p - 1,
+        lambda: p * 2,
+        lambda: 2 * p,
+        lambda: p * RatFunc(p),
+        lambda: p.exact_divide(1),
+        lambda: p.exact_divide(RatFunc(p)),
+    ):
+        with pytest.raises(TypeError):
+            op()

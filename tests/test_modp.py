@@ -125,12 +125,12 @@ def test_lift_reports_a_vanishing_denominator(a2):
     with pytest.raises(ZeroDenominator):
         dom.lift(RatFunc.fraction(one, LaurentPoly.var(3, 1) - LaurentPoly.const(3, c)))
     with pytest.raises(ZeroDenominator):
-        dom.lift(RatFunc(one, FIXED_PRIME))
+        dom.lift(RatFunc.fraction(one, LaurentPoly.const(3, FIXED_PRIME)))
 
 
 def _random_lift_fraction(rng, arity, t_only):
     """A random numerator with negative exponents over one to four factors
-    drawn with repetition from a small pool, times an integer content."""
+    drawn with repetition from a small pool, and an integer factor."""
     one = LaurentPoly.const(arity, 1)
     t = LaurentPoly.t_power(arity, 1)
 
@@ -153,7 +153,7 @@ def _vanishing_at(dom, index):
     arity = len(pt)
     f = LaurentPoly.const(arity, -sum((i + 1) * x for i, x in enumerate(pt)))
     for i in range(arity):
-        f = f + LaurentPoly.var(arity, i).scale(i + 1)
+        f = f + LaurentPoly.var(arity, i) * LaurentPoly.const(arity, i + 1)
     zeros = [j for j, v in enumerate(f.eval_mod(dom._power, dom.prime)) if v == 0]
     assert zeros == [index]
     return f
@@ -162,15 +162,16 @@ def _vanishing_at(dom, index):
 def test_lift_is_the_pointwise_evaluation(a3):
     """Every lift is the pointwise oracle residue for residue, at every orbit
     point and at the kept points: t-only and mixed fractions, repeated factors,
-    a content dc != 1, negative exponents.  A factor that vanishes at one orbit
-    point (kept or not), at one family's t or at one inverted t, and a content
-    divisible by p, raise."""
+    an integer factor, negative exponents.  A factor that vanishes at one orbit
+    point (kept or not), at one family's t or at one inverted t, and an integer
+    factor divisible by p, raise."""
     dom = OrbitDomain(a3, seed=9, families=2)
     p = dom.prime
     rng = random.Random(10)
     fractions = [_random_lift_fraction(rng, 4, k % 2 == 0) for k in range(40)]
     assert any(mult > 1 for f in fractions for _, mult in f.facs)
-    assert any(f.dc != 1 for f in fractions) and any(f.dc == 1 and f.facs for f in fractions)
+    integer = [any(len(g.packed) == 1 for g, _ in f.facs) for f in fractions]
+    assert any(integer) and any(f.facs and not i for f, i in zip(fractions, integer))
     assert any(min(e[0] for e in f.num.terms) < 0 for f in fractions)
     for f in fractions:
         assert dom.lift(f).full == tuple(eval_mod(f, pt, p) for pt in dom.points)
@@ -192,7 +193,7 @@ def test_lift_is_the_pointwise_evaluation(a3):
             with pytest.raises(ZeroDenominator):
                 dom.lift(r)
     content_p = RatFunc.from_den_factors(t, [one + t * t, LaurentPoly.const(4, 3 * p)])
-    for r in (RatFunc(one, p), content_p):
+    for r in (RatFunc.fraction(one, LaurentPoly.const(4, p)), content_p):
         with pytest.raises(ZeroDenominator):
             dom.lift(r)
 
@@ -227,11 +228,12 @@ def test_power_columns_are_the_term_by_term_evaluation(label):
         for i, x in powers:
             column = oracle(LaurentPoly.var(arity, i, x))
             assert dom._power(i, x) == column, (families, i, x)
-            assert LaurentPoly.var(arity, i, x).scale(-5).eval_mod(dom._power, p) == tuple(
-                -5 * v % p for v in column
-            )
+            minus_five = LaurentPoly.var(arity, i, x) * LaurentPoly.const(arity, -5)
+            assert minus_five.eval_mod(dom._power, p) == tuple(-5 * v % p for v in column)
         negative = [LaurentPoly.monomial((-1,) * arity, 3)] + [
-            LaurentPoly.var(arity, i, -rng.randrange(1, 13)).scale(rng.randrange(2, 9)) + one
+            LaurentPoly.var(arity, i, -rng.randrange(1, 13))
+            * LaurentPoly.const(arity, rng.randrange(2, 9))
+            + one
             for i in range(arity)
         ]
         mixed = [
@@ -248,7 +250,7 @@ def test_power_columns_are_the_term_by_term_evaluation(label):
             LaurentPoly(arity),
             LaurentPoly.const(arity, 7),
             LaurentPoly.const(arity, -p - 3),
-            t * t * t - t.scale(2) + LaurentPoly.t_power(arity, -5) - one,
+            t * t * t - t * LaurentPoly.const(arity, 2) + LaurentPoly.t_power(arity, -5) - one,
             *negative,
             *mixed,
         ]
@@ -306,8 +308,9 @@ def test_lift_evaluates_each_polynomial_once_per_domain(a3, monkeypatch):
     def build(num):
         return RatFunc.from_den_factors(num, [one - z1, t * t + one, one - z1])
 
-    num = t * t + z1.scale(3) + LaurentPoly.t_power(4, -1)
-    f, g = build(num), build(t * t + z1.scale(3) + LaurentPoly.t_power(4, -1))
+    three = LaurentPoly.const(4, 3)
+    num = t * t + z1 * three + LaurentPoly.t_power(4, -1)
+    f, g = build(num), build(t * t + z1 * three + LaurentPoly.t_power(4, -1))
     assert f is not g and f.facs[0][1] == 2 and len(f.facs) == 2
     for dom in (OrbitDomain(a3, seed=14, families=2), OrbitDomain(a3, seed=15)):
         calls.clear()
@@ -331,6 +334,27 @@ def test_orbit_field_ops(a2):
     a = dom.lift(RatFunc(LaurentPoly.t_power(3, 1) + LaurentPoly.t_power(3, -1)))
     assert a * a.inv() == dom.one
     assert (a - a).is_zero()
+
+
+def test_a_foreign_operand_is_a_type_error(a2):
+    """+ and * take a scalar of the same domain: an int or an exact fraction
+    is refused with TypeError, and a scalar of another domain with ValueError."""
+    dom = OrbitDomain(a2, seed=44)
+    s = dom.lift(RatFunc(LaurentPoly.t_power(3, 1)))
+    for op in (
+        lambda: s + 1,
+        lambda: 1 + s,
+        lambda: s - 1,
+        lambda: s * 2,
+        lambda: 2 * s,
+        lambda: s * RatFunc(LaurentPoly.t_power(3, 1)),
+    ):
+        with pytest.raises(TypeError):
+            op()
+    other = OrbitDomain(a2, seed=44).one
+    for op in (lambda: s + other, lambda: s * other):
+        with pytest.raises(ValueError, match="different evaluation domains"):
+            op()
 
 
 def test_twisted_ring_same_identities_mod_p(a2):

@@ -182,9 +182,13 @@ def test_a_reflection_index_out_of_range_is_refused(a3, method, J):
 def test_a_simple_reflection_index_out_of_range_is_refused(a3, i):
     """simple_reflection refuses i outside range(rank), as from_word does:
     -1 is not read as the last reflection, 3 raises no IndexError, and
-    dl_generator, keyed by i, builds no second copy under a negative index."""
-    with pytest.raises(ValueError, match="out of range"):
+    dl_generator, keyed by i, builds no second copy under a negative index.
+    Both name the 0-based index they were given and the range."""
+    message = rf"index {i} out of range\(0, 3\)"
+    with pytest.raises(ValueError, match=message):
         a3.simple_reflection(i)
+    with pytest.raises(ValueError, match=message):
+        a3.from_word([0, i])
     with pytest.raises(ValueError, match="out of range"):
         Localization(a3).mult.dl_generator(i)
     assert [a3.simple_reflection(j) for j in range(3)] == [a3.from_word([j]) for j in range(3)]
