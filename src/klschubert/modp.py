@@ -9,7 +9,8 @@ actions, pairings) uses scalars through one contract:
   as_scalar;
 - a domain has one, zero, lift (an exact rational function into the
   domain), weyl (the Weyl action), dualize (the t/character inversion) and
-  the sum of products dot(xs, ys) = sum x y.
+  the sum of products dot(xs, ys) = sum x y, which skips the product by a
+  y that is the domain's own one (an identity test, not ==).
 
 Scalars compare, test and print themselves, so the same pipeline code runs
 either exactly or as a Schwartz-Zippel style evaluation mod a fixed 62-bit
@@ -135,7 +136,8 @@ class ExactDomain:
     def dot(self, xs, ys) -> RatFunc:
         """sum x y over the pairs of xs and ys, as one RatFunc.sum: the products
         over one common denominator, cancelled once (see ratfunc)."""
-        return RatFunc.sum(map(mul, xs, ys), self.arity)
+        one = self.one
+        return RatFunc.sum((x if y is one else x * y for x, y in zip(xs, ys)), self.arity)
 
 
 class OrbitScalar:
@@ -352,7 +354,7 @@ class OrbitDomain:
         for x, y in zip(xs, ys):
             if x.domain is not self or y.domain is not self:
                 raise ValueError("scalars from different evaluation domains")
-            prods = map(mul, x.values, y.values)
+            prods = x.values if y is self.one else map(mul, x.values, y.values)
             acc = list(prods) if acc is None else list(map(add, acc, prods))
         if acc is None:
             return self.zero

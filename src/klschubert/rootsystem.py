@@ -183,8 +183,10 @@ class WMap:
     Hecke elements, twisted-group-ring elements and fixed-point classes are
     all such maps.  The coefficients answer for themselves (+, -, *, ==,
     truth value, format); the ring supplies as_scalar, for scale.  Maps mix
-    only within one ring: a map over another ring object, even an equal one,
-    cannot be added and compares unequal.
+    only within one type and one ring: + and - with a map of another type (a
+    QWElt and a CohClass share a TwistedRing) or an int raise TypeError; a map
+    over another ring object, even an equal one, cannot be added and compares
+    unequal.
     A subclass prints each term through its template _term, with fields w and
     c, joined by _sep.
     """
@@ -196,6 +198,8 @@ class WMap:
         self.coeffs = {w: c for w, c in coeffs.items() if c}
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.ring is not other.ring:
             raise ValueError("elements of different rings")
         out = dict(self.coeffs)
@@ -205,6 +209,8 @@ class WMap:
         return type(self)(self.ring, out)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c):

@@ -17,10 +17,16 @@ c = t - t^{-1} e^{alpha_i} in the multiplicative realization and
 c = mu = t + t^{-1} in the hyperbolic one.  The transfer psi sends the first
 to the second, which is one of the verified contracts.
 
-Every sum of products goes through dot_by_key, one dom.dot per key: twisted
-products (qw_mul, and bullet and odot in localization), the right steps of
-dl_element and the combinations of hecke_to_qw.  Exact mode then cancels once
-per sum, and mod p reduces once.
+Every sum of products goes through dot_by_key, one dom.dot per key: general
+twisted products (qw_mul, and bullet and odot in localization), the right
+steps of dl_element and the combinations of hecke_to_qw.  Exact mode then
+cancels once per sum, and mod p reduces once.
+
+A right product by Y_{J/J'} = sum_w w(q) delta_w (w over W_J / W_{J'}, q =
+1/x_{J/J'}) is in closed form, times_pushpull: p v(w(q)) = p (vw)(q), so
+(a Y_{J/J'})_z = z(q) sum_w a_{z w^-1}, one sum (a dot against dom.one) and
+one twist and product per key z, not per pair (v, w) as in qw_mul.  In mod p,
+q is a known function, so any z may twist it.
 """
 
 from __future__ import annotations
@@ -204,6 +210,15 @@ class TwistedRing(Memo):
         reps = self.system.relative_reps(J, Jp)
         xinv, weyl = self.x_parabolic_inv(J, Jp), self.dom.weyl
         return QWElt(self, {w: weyl(w, xinv) for w in reps})
+
+    def times_pushpull(self, a: QWElt, J, Jp) -> QWElt:
+        """a Y_{J/J'} in closed form (module docstring); q is Y_{J/J'} at e."""
+        if a.ring is not self:
+            raise ValueError("elements of different twisted rings")
+        reps = self.pushpull_rel(J, Jp).coeffs
+        dom, q = self.dom, reps[self.system.identity]
+        sums = dot_by_key(dom, ((v * w, p, dom.one) for v, p in a.coeffs.items() for w in reps))
+        return QWElt(self, {z: s * dom.weyl(z, q) for z, s in sums.items()})
 
     # ---------- Demazure-Lusztig generators and the Hecke action ----------
 

@@ -310,8 +310,8 @@ def suite_braid(ctx: _Context):
             if braid_order(i, j) != 3:
                 continue
             y1, y2 = qt.pushpull_simple(i), qt.pushpull_simple(j)
-            lhs = qt.qw_mul(qt.qw_mul(y1, y2), y1)
-            rhs = qt.qw_mul(qt.qw_mul(y2, y1), y2)
+            lhs = qt.times_pushpull(qt.times_pushpull(y1, (j,), ()), (i,), ())
+            rhs = qt.times_pushpull(qt.times_pushpull(y2, (i,), ()), (j,), ())
             differ = lhs != rhs
             witness = None if differ else "hyperbolic Y-products unexpectedly agree"
             yield CaseResult(f"hyperbolic braid inequality Y_{i + 1} Y_{j + 1}", differ, witness)
@@ -410,7 +410,7 @@ def suite_gammapsirel(ctx: _Context):
                 continue
             top = system.relative_longest(J, Jp).length
             lhs = psi(loc.mult.hecke_to_qw(ctx.hecke.gamma_rel(J, Jp)), loc.hyp)
-            lhs = loc.hyp.qw_mul(lhs, loc.hyp.pushpull_rel(Jp, ()))
+            lhs = loc.hyp.times_pushpull(lhs, Jp, ())
             lhs = lhs.scale(loc.hyp.inv_mu_power(top))
             yield _case(
                 f"gamma transfer J={{{_jtxt(J)}}} J'={{{_jtxt(Jp)}}}",
@@ -599,8 +599,8 @@ def _zelevinsky_operators(ctx: _Context, g, tiling, ls, w_lam, target) -> str | 
     # operator factorization of the transferred basis element
     op = hyp.delta(ctx.system.identity)
     for Pi, Qi in pq:
-        op = hyp.qw_mul(op, hyp.pushpull_rel(Pi, Qi))
-    op = hyp.qw_mul(op, hyp.pushpull_rel(J, ()))
+        op = hyp.times_pushpull(op, Pi, Qi)
+    op = hyp.times_pushpull(op, J, ())
     lhs = psi(loc.mult.hecke_to_qw(ctx.hecke.kl_basis(target)), hyp)
     lhs = lhs.scale(hyp.inv_mu_power(target.length))
     if lhs != op:

@@ -434,6 +434,43 @@ def test_exact_dot_is_the_sequential_sum(a2):
     assert dom.dot([], []).is_zero()
 
 
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_dot_against_the_domains_one_skips_the_product(a2, mode, monkeypatch):
+    """A factor that is the domain's own one is not multiplied: the dot equals
+    the dot against a separately lifted 1 and the sum of the products, in a run
+    of ones and mixed with other factors, and exactly it runs no RatFunc
+    product."""
+    rng = random.Random(8)
+    dom = ExactDomain(a2) if mode == "exact" else OrbitDomain(a2, seed=33, families=2)
+    lifted_one = dom.lift(RatFunc.from_int(3, 1))
+    assert lifted_one is not dom.one
+
+    def summed(xs, ys):
+        out = dom.zero
+        for x, y in zip(xs, ys):
+            out = out + x * (lifted_one if y is dom.one else y)
+        return out
+
+    for n in (1, 2, 5):
+        xs = [dom.lift(_random_t_binomial_fraction(rng, 3)) for _ in range(n)]
+        ys = [dom.lift(_random_poly(rng)) if k % 2 else dom.one for k in range(n)]
+        ones = [dom.one] * n
+        assert dom.dot(xs, ones) == dom.dot(xs, [lifted_one] * n) == summed(xs, ones)
+        assert dom.dot(xs, ys) == summed(xs, ys)
+    if mode == "exact":
+        products = []
+        mul = RatFunc.__mul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(RatFunc, "__mul__", counted)
+        assert dom.dot(xs, [dom.one] * len(xs)) == dom.dot(xs, [lifted_one] * len(xs))
+        assert len(products) == len(xs)
+        assert dom.dot(xs[:1], [dom.one]) is xs[0]
+
+
 def test_computed_values_twist_only_by_e_and_w0(a3):
     """weyl of a computed value (a product of differently twisted lifts, a sum,
     an inverse, a dualization or a dot) is itself at e, the swap at w0, and

@@ -126,6 +126,40 @@ def test_pushpull_rel_representative_independence(a2):
     assert qm2.qw_mul(y_std, yjp) == qm2.qw_mul(y_alt, yjp) == qm2.pushpull_rel(J, ())
 
 
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
+def test_times_pushpull_is_the_product_by_pushpull_rel(name, mode):
+    """a Y_{J/J'} in closed form equals the generic product qw_mul(a, Y_{J/J'})
+    for every J' in J, in both realizations, for the image of tau_{w0}, the
+    image of gamma_{J/J'} (through psi in the hyperbolic ring) and a sum of
+    three terms; an element of the other realization is refused."""
+    system = RootSystem(DL_GROUPS[name])
+    h = HeckeAlgebra(system)
+    qm, qt = _rings(system, mode)
+    e, w0, s = system.identity, system.w0, system.simple_reflection(system.rank - 1)
+    subsets = [tuple(i for i in range(system.rank) if m >> i & 1) for m in range(1 << system.rank)]
+    for ring in (qm, qt):
+        three = QWElt(
+            ring,
+            {
+                e: ring.x_root(system.simple_roots[0]),
+                s: ring.t_poly(LaurentPoly.t_power(1, 1)),
+                w0: ring.as_scalar(2),
+            },
+        )
+        for J in subsets:
+            for Jp in subsets:
+                if not set(Jp) <= set(J):
+                    continue
+                gamma = qm.hecke_to_qw(h.gamma_rel(J, Jp))
+                y = ring.pushpull_rel(J, Jp)
+                for a in (ring.dl_element(w0), gamma if ring is qm else psi(gamma, qt), three):
+                    got = ring.times_pushpull(a, J, Jp)
+                    assert got == ring.qw_mul(a, y), (ring.kind, J, Jp)
+    with pytest.raises(ValueError, match="elements of different twisted rings"):
+        qt.times_pushpull(qm.delta(e), (0,), ())
+
+
 def test_demazure_lusztig_relations(a1, rings2):
     qm, _ = rings2
     t1 = qm.dl_generator(0)

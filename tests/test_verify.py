@@ -188,6 +188,18 @@ def test_a4_modp_pairing_reports_are_pinned(suite):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == A4_MODP_DIGESTS[suite]
 
 
+# (case count, sha256 of to_json()) of A4 mod-p gammapsirel (k=2, seed 1),
+# recorded while Y_{J'} was multiplied on by the generic twisted product
+A4_MODP_GAMMAPSIREL = (81, "cb7ee6472b35d2b461396c3a1a92a1249a50ee7c4da7e6fdca75d1e3bf1d8b86")
+
+
+def test_a4_modp_gammapsirel_report_is_pinned():
+    count, digest = A4_MODP_GAMMAPSIREL
+    report = run_suite("gammapsirel", RunConfig(rank=4, mode="modp", k=2, seed=1, serre_samples=10))
+    assert len(report.cases) == count and report.all_passed()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
 # suite -> (case count, sha256 of to_json()) of A4 mod-p parabolic-duality and
 # pushforward (k=2, seed 1), recorded while every parabolic class was a bullet
 # of Y_J evaluated at every fixed point
@@ -282,6 +294,25 @@ def test_smoothness_builds_no_qw_element(monkeypatch, suite, mode):
 
     monkeypatch.setattr(TwistedRing, "dl_element", refused)
     monkeypatch.setattr(TwistedRing, "hecke_to_qw", refused)
+    report = run_suite(suite, _a3_config(suite, mode))
+    assert len(report.cases) == A3_MODP_CASES[suite]
+    assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+@pytest.mark.parametrize("suite", ["gammapsirel", "braid", "zelevinsky"])
+def test_hyperbolic_pushpull_products_take_the_closed_form(monkeypatch, suite, mode):
+    """Every right product by a push-pull element Y_{J/J'} in the hyperbolic
+    ring goes through times_pushpull: with the generic hyperbolic product
+    refused, every A3 case still runs and passes."""
+    qw_mul = TwistedRing.qw_mul
+
+    def refused(self, a, b):
+        if self.kind == "hyperbolic":
+            raise AssertionError("a generic product in the hyperbolic ring")
+        return qw_mul(self, a, b)
+
+    monkeypatch.setattr(TwistedRing, "qw_mul", refused)
     report = run_suite(suite, _a3_config(suite, mode))
     assert len(report.cases) == A3_MODP_CASES[suite]
     assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]

@@ -73,6 +73,21 @@ def test_the_sparse_map_contract(a2, cls, rings, mode):
             a + c
 
 
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_maps_of_another_type_do_not_mix(a2, mode):
+    """A QWElt and a CohClass share a TwistedRing, yet neither adds to or
+    subtracts from the other; no map adds or subtracts an int."""
+    loc = Localization(a2, ExactDomain(a2) if mode == "exact" else OrbitDomain(a2, seed=3))
+    e = a2.identity
+    q, c, h = loc.mult.delta(e), loc.point_class(e), loc.hecke.tau(e)
+    assert q.ring is c.ring
+    for left, right in ((q, c), (c, q), (q, 1), (c, 1), (h, 1), (h, q)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+
+
 # sha256 of kl_basis(w).format() and kl_tilde_basis(w).format() over every w of A3
 BASES = {"kl_basis": HeckeAlgebra.kl_basis, "kl_tilde_basis": kl_tilde_basis}
 KL_BASIS_DIGESTS = {
