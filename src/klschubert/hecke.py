@@ -111,11 +111,6 @@ class HeckeAlgebra(Memo):
         self._mu = [None] * n  # [(v, mu(v, w))] for mu(v, w) nonzero
         self._norms = [None] * n  # N(gamma_w)
         self._bar_rows = [None] * n  # {v.idx: bar(tau_w)[v] packed at offset l(w0)}
-        # w0 y by index y: w0 y = (w0 y') s_i for y = y' s_i, y' first in BFS order
-        table, parent, last = system.right_table, system._parent, system._last
-        self._w0_left = left = [system.w0.idx]
-        for y in range(1, n):
-            left.append(table[left[parent[y]]][last[y]])
         self._kl_done_length = -1
 
     def as_scalar(self, value) -> LaurentPoly:
@@ -347,7 +342,7 @@ class HeckeAlgebra(Memo):
 
     def inverse_kl(self, u: WeylElt, w: WeylElt) -> tuple:
         """Q_{u,w} = P_{w_0 w, w_0 u}, through kl_polynomial."""
-        left, elements = self._w0_left, self.system.elements
+        left, elements = self.system._w0_left, self.system.elements
         return self.kl_polynomial(elements[left[w.idx]], elements[left[u.idx]])
 
     def parabolic_kl(self, v: WeylElt, w: WeylElt, J) -> tuple:
@@ -387,7 +382,7 @@ class HeckeAlgebra(Memo):
         Q_{u w_J, w v} = P_{w0 w v, w0 u w_J}: one column of the KL table, at
         x = w0 u w_J, read at (w0 w) v for every v."""
         wj_col, terms = self._parabolic_data(u, w, J)
-        left = self._w0_left
+        left = self.system._w0_left
         col = self._column(left[wj_col[u.idx]])
         y = left[w.idx]
         acc: list = []

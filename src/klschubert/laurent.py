@@ -45,11 +45,10 @@ value.  Every stored polynomial keeps its exponents below LIMIT = B/4, the safe
 half-width, so the sum or difference of two stored keys never carries out of
 a digit.  Each polynomial carries ``bound``, an upper bound on its largest
 |exponent|: a product adds its operands' bounds, a sum takes their max, a
-shift adds the shift's and a quotient the divisor's; weyl, whose image needs
-bound times the matrix's largest absolute row sum to stay below B/2,
-recomputes it from the image's digits.  A bound that reaches LIMIT is
-recomputed from the digits, and a polynomial whose exponents do reach LIMIT
-raises OverflowError: no key wraps silently.
+shift adds the shift's and a quotient the divisor's; weyl multiplies it by
+the matrix's largest absolute row sum, a product that must stay below B/2.
+A bound that reaches LIMIT is recomputed from the digits, and a polynomial
+whose exponents do reach LIMIT raises OverflowError: no key wraps silently.
 
 Exact division is by binomials only: exact_divide gives None ("not divided")
 for a divisor of one term or of three or more, and RatFunc keeps such a
@@ -472,7 +471,7 @@ class LaurentPoly:
             for s, delta in moves:
                 e += (((b >> s) & _MASK) - _HALF) * delta
             out[e] = c  # M is invertible: no two terms meet
-        return LaurentPoly._make(self.arity, out, _largest_exponent(out, self.arity))
+        return LaurentPoly._make(self.arity, out, self.bound * norm)
 
     def dualize(self) -> "LaurentPoly":
         """Substitution t -> t^-1 and z_i -> z_i^-1: every key negated."""

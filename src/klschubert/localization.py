@@ -17,8 +17,9 @@ fundamental classes of smooth Schubert varieties.
 
 A class on G/P_J is a map W^J -> Q: the torus-fixed points of G/P_J are the
 cosets x W_J, one per x in W^J (Goresky-Kottwitz-MacPherson 1998).  The
-parabolic builders return such classes, and pullback(c, J) is the class on G/B
-with c_x at every point of x W_J.
+parabolic builders return such classes, and pullback(c, J), the one bridge to
+G/B, has c_x at every point of x W_J; the hyperbolic class of x in W^J pulls
+back to that of x w_J on G/B.
 
 The pairing on G/P_J is one localization sum over W^J:
 
@@ -477,17 +478,16 @@ class Localization(Memo):
 
     # ---------- hyperbolic classes ----------
 
-    def kl_schubert(self, w: WeylElt, J=()) -> CohClass:
-        """mu^{-n} psi(gamma_{w w_J}) o pt_e in the hyperbolic model, n = l(w w_J).
+    def kl_schubert(self, w: WeylElt) -> CohClass:
+        """mu^{-n} psi(gamma_w) o pt_e in the hyperbolic model, n = l(w); at
+        w = x w_J, the pullback of the class of x in W^J on G/P_J.
 
         psi keeps every coefficient, and (a o q f_e)_u = a_u u(q), so the value
-        at u is C_{w w_J} at u times u(mu^{-n} x^hyp_Pi / x_Pi).
+        at u is C_w at u times u(mu^{-n} x^hyp_Pi / x_Pi).
         """
-        self.system.require_min_rep(w, J)
-        target = w * self.system.longest_parabolic(J)
-        f = self._once(self._hyp_transfer, target.length)
+        f = self._once(self._hyp_transfer, w.length)
         weyl = self.dom.weyl
-        out = {u: c * weyl(u, f) for u, c in self.kl_class_c(target).coeffs.items()}
+        out = {u: c * weyl(u, f) for u, c in self.kl_class_c(w).coeffs.items()}
         return CohClass(self.hyp, out)
 
     def _hyp_transfer(self, n: int):
@@ -501,35 +501,25 @@ class Localization(Memo):
         return ratio * self.hyp.inv_mu_power(n)
 
     def is_invariant(self, c: CohClass, J) -> bool:
-        """Restrictions constant on left cosets u W_J."""
-        zero, system = self.dom.zero, self.system
-        J = system._jkey(J)
-        for u in system.elements:
-            cu = c.coeffs.get(u, zero)
-            for j in J:
-                cus = c.coeffs.get(system.elements[system.right_table[u.idx][j]], zero)
-                if cu != cus:
-                    return False
-        return True
+        """Restrictions constant on left cosets u W_J: c is the pullback of c."""
+        return self.pullback(c, J) == c
 
-    def fundamental_class_smooth(self, w: WeylElt, J=()) -> CohClass:
+    def fundamental_class_smooth(self, w: WeylElt) -> CohClass:
         """Restriction-formula class of a smooth Schubert variety (hyperbolic).
 
         At v <= w the restriction is the product of x_{-a} over positive a
-        with s_a v not <= w; parabolic inputs are pulled back via w -> w w_J.
+        with s_a v not <= w; at w = x w_J, the pullback of the class of x in W^J.
         """
         system = self.system
-        system.require_min_rep(w, J)
-        target = w * system.longest_parabolic(J)
-        smooth, _ = self.is_smooth(target)
+        smooth, _ = self.is_smooth(w)
         if not smooth:
-            raise ValueError(f"Schubert variety for {target!r} is not smooth")
+            raise ValueError(f"Schubert variety for {w!r} is not smooth")
         out = {}
         reflections = [(a, system.reflection(a)) for a in system.positive_roots]
-        for v in system.bruhat_interval(target):
+        for v in system.bruhat_interval(w):
             val = self.dom.one
             for alpha, s_alpha in reflections:
-                if not system.bruhat_leq(s_alpha * v, target):
+                if not system.bruhat_leq(s_alpha * v, w):
                     val = val * self.hyp.x_root(-alpha)
             out[v] = val
         return CohClass(self.hyp, out)

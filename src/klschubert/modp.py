@@ -231,7 +231,7 @@ class OrbitDomain:
         for f in range(families):
             self.points += self._orbit(random.Random(seed + 101 * f))
         self.size = 4 * families
-        order, w0 = system.order, system.w0
+        order = system.order
         offsets = range(0, len(self.points), 2 * order)
         # (slot i, exponent x) -> coordinate i to the power x at every orbit point
         ones = (1,) * len(self.points)
@@ -245,8 +245,7 @@ class OrbitDomain:
         # the kept residues of the twist u of a known function: family by
         # family, its orbit residues at u * P, inv(u * P), (w0 u) * P, inv(w0 u * P)
         self._kept = []
-        for u in system.elements:
-            x, y = u.idx, (u.inverse() * w0).inverse().idx
+        for x, y in enumerate(system._w0_left):
             kept = (j + f for f in offsets for j in (x, x + order, y, y + order))
             self._kept.append(itemgetter(*kept))
         block = range(0, self.size, 4)

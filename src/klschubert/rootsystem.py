@@ -18,7 +18,9 @@ something multiplies by w, so a group that is built and then refused by a
 size guard never holds |W|^2 entries.  Parabolic subsets J are turned into
 the same kind of bitmask, so a minimal coset representative test is one AND.
 W_J, w_J and the positive roots outside Sigma_J are built once per J (see
-Memo).
+Memo).  Reflections and w0 u come from the same tables: the roots are found
+breadth first as s_i(beta), recording s_{s_i beta} = s_i s_beta s_i (Humphreys
+1990), and w0 y = (w0 y') s_i for y = y' s_i, y' first in BFS order.
 
 Bruhat order is read off one lower interval [e, w] per element, built once
 (see Memo) by right steps: with s the last letter of w's reduced word, s is a
@@ -84,13 +86,11 @@ class CartanData:
 class Root:
     """A root, carried in both simple-root and fundamental-weight coordinates."""
 
-    __slots__ = ("simple", "weight", "positive", "coweight_pairing")
+    __slots__ = ("simple", "weight", "positive")
 
-    def __init__(self, simple: tuple, weight: tuple, coweight_pairing: tuple):
+    def __init__(self, simple: tuple, weight: tuple):
         self.simple = simple
         self.weight = weight
-        # pairing vector gamma with <lam, alpha^vee> = gamma . lam (fund. coords)
-        self.coweight_pairing = coweight_pairing
         self.positive = all(x >= 0 for x in simple)
 
     def __eq__(self, other):
@@ -100,11 +100,7 @@ class Root:
         return hash(self.weight)
 
     def __neg__(self):
-        return Root(
-            tuple(-x for x in self.simple),
-            tuple(-x for x in self.weight),
-            tuple(-x for x in self.coweight_pairing),
-        )
+        return Root(tuple(-x for x in self.simple), tuple(-x for x in self.weight))
 
     def __repr__(self):
         return f"Root(simple={self.simple})"
@@ -279,7 +275,7 @@ class RootSystem(Memo):
             self.simple_matrices.append(tuple(rows))
 
         self._matrices = [ident]
-        self._by_matrix = {ident: 0}
+        by_matrix = {ident: 0}
         self._lengths = [0]
         self._words = [()]
         # BFS pops indices in the order it assigns them, so row idx of the
@@ -293,7 +289,7 @@ class RootSystem(Memo):
             row = []
             for i in range(n):
                 prod = _matmul(m, self.simple_matrices[i])
-                j = self._by_matrix.get(prod)
+                j = by_matrix.get(prod)
                 if j is None:
                     j = len(self._matrices)
                     if j >= size_cap:
@@ -302,7 +298,7 @@ class RootSystem(Memo):
                             "is the Cartan matrix of finite type?"
                         )
                     self._matrices.append(prod)
-                    self._by_matrix[prod] = j
+                    by_matrix[prod] = j
                     self._lengths.append(self._lengths[idx] + 1)
                     self._words.append(self._words[idx] + (i,))
                     parent.append(idx)
@@ -335,60 +331,50 @@ class RootSystem(Memo):
         w0 = max(range(self.order), key=lambda i: self._lengths[i])
         assert self._lengths.count(self._lengths[w0]) == 1, "longest element not unique"
         self.w0 = self.elements[w0]
+        self._w0_left = left = [w0]  # w0 y by index y (module docstring)
+        for y in range(1, self.order):
+            left.append(rt[left[parent[y]]][last[y]])
         self._names = {}  # idx -> printed name, filled by WeylElt.__repr__
 
     # ---------- roots ----------
 
     def _init_roots(self, C):
         n = self.rank
-        Ct = tuple(tuple(C[j][i] for j in range(n)) for i in range(n))
-        seen = {}
-        queue = deque()
-        for i in range(n):
-            simple = tuple(1 if k == i else 0 for k in range(n))
-            coroot = simple
-            seen[simple] = coroot
-            queue.append(simple)
+        rt, lt = self.right_table, self.left_table
+        units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        # root in simple coordinates -> index of its reflection
+        seen = {unit: rt[0][i] for i, unit in enumerate(units)}
+        queue = deque(units)
         while queue:
             beta = queue.popleft()
-            gamma = seen[beta]
+            s_beta = seen[beta]
             for i in range(n):
                 nb = list(beta)
                 nb[i] -= sum(C[i][j] * beta[j] for j in range(n))
                 nb = tuple(nb)
                 if nb not in seen:
-                    ng = list(gamma)
-                    ng[i] -= sum(Ct[i][j] * gamma[j] for j in range(n))
-                    seen[nb] = tuple(ng)
+                    seen[nb] = rt[lt[s_beta][i]][i]  # s_i s_beta s_i
                     queue.append(nb)
         self.roots = []
-        self._root_by_weight = {}
-        for simple, coroot in sorted(seen.items()):
+        self._reflections = {}  # root weight -> s_alpha
+        for simple, s in sorted(seen.items()):
             weight = tuple(sum(C[r][j] * simple[j] for j in range(n)) for r in range(n))
-            root = Root(simple, weight, coroot)
-            self.roots.append(root)
-            self._root_by_weight[weight] = root
+            self.roots.append(Root(simple, weight))
+            self._reflections[weight] = self.elements[s]
         self.positive_roots = [r for r in self.roots if r.positive]
         self.positive_roots.sort(key=lambda r: (sum(r.simple), r.simple))
         # roots and group elements are enumerated independently
         if len(self.positive_roots) != max(self._lengths):
             raise AssertionError("positive root count disagrees with l(w0)")
-        self.simple_roots = [
-            self._root_by_weight[tuple(C[r][i] for r in range(self.rank))]
-            for i in range(self.rank)
-        ]
+        by_simple = {r.simple: r for r in self.roots}
+        self.simple_roots = [by_simple[unit] for unit in units]
 
     def reflection(self, root: Root) -> WeylElt:
         """s_alpha as a group element; raises KeyError for a non-root."""
-        if root.weight not in self._root_by_weight:
+        s = self._reflections.get(root.weight)
+        if s is None:
             raise KeyError(f"not a root: {root}")
-        n = self.rank
-        alpha, gamma = root.weight, root.coweight_pairing
-        m = tuple(
-            tuple((1 if r == c else 0) - alpha[r] * gamma[c] for c in range(n))
-            for r in range(n)
-        )
-        return self.elements[self._by_matrix[m]]
+        return s
 
     # ---------- group operations ----------
 
@@ -439,6 +425,8 @@ class RootSystem(Memo):
 
     def bruhat_interval(self, w: WeylElt):
         """All v with v <= w, in (length, index) order."""
+        if w.system is not self:
+            raise ValueError("elements of a different group")
         return [self.elements[i] for i in sorted(self._once(self._lower_interval, w.idx))]
 
     def _lower_interval(self, w: int) -> frozenset:

@@ -503,16 +503,17 @@ def suite_grassmann_smoothness(ctx: _Context):
     wj = system.longest_parabolic(J)
     for w in system.minimal_coset_reps(J):
         case_id = f"Grassmann smoothness w={w!r}"
-        smooth, _ = loc.is_smooth(w * wj)
+        target = w * wj
+        smooth, _ = loc.is_smooth(target)
         if not smooth:
             yield CaseResult(case_id, True)
             continue
-        lhs = loc.kl_schubert(w, J)
+        lhs = loc.kl_schubert(target)
         if not loc.is_invariant(lhs, J):
             witness = "canonical class is not invariant under the parabolic subgroup"
             yield CaseResult(case_id, False, witness)
             continue
-        yield _case(case_id, lhs, loc.fundamental_class_smooth(w, J))
+        yield _case(case_id, lhs, loc.fundamental_class_smooth(target))
 
 
 def suite_zelevinsky(ctx: _Context):
@@ -528,10 +529,14 @@ def suite_zelevinsky(ctx: _Context):
         tilings = enumerate_tilings(lam, g)
         w_lam = system.from_word([x - 1 for x in word_of_partition(lam, g)])
         target = w_lam * system.longest_parabolic(J)
+        if algebra_ok:
+            gamma_target = h.kl_basis(target)
+            basis, class_witness = _transferred_basis(ctx, target)
         shared = 0
         for t_idx, tiling in enumerate(tilings):
             tag = f"lambda=({lam_txt}) tiling#{t_idx}"
             ls = label_sets(tiling, g)
+            subsets = [_rect_subsets(ls, i) for i in range(tiling.r)]
             # reduced-word refactoring: concatenated rectangle words = w_lambda
             concat = []
             for rect in tiling.rectangles:
@@ -543,7 +548,7 @@ def suite_zelevinsky(ctx: _Context):
             ok = True
             witness = None
             for i, rect in enumerate(tiling.rectangles):
-                Ji, Jpi, Ki, Kpi = _rect_subsets(ls, i)
+                Ji, Jpi, Ki, Kpi = subsets[i]
                 wk = system.relative_longest(Ki, Kpi)
                 wjrel = system.relative_longest(Ji, Jpi)
                 vi = system.from_word([x - 1 for x in v_word(rect, g)])
@@ -555,12 +560,10 @@ def suite_zelevinsky(ctx: _Context):
             if not algebra_ok:
                 continue
             # Theorem: factorizations of the canonical basis element
-            gamma_target = h.kl_basis(target)
             prod_j = h.one()
             prod_k = h.one()
             rel_agree = True
-            for i in range(tiling.r):
-                Ji, Jpi, Ki, Kpi = _rect_subsets(ls, i)
+            for Ji, Jpi, Ki, Kpi in subsets:
                 gJ = h.gamma_rel(Ji, Jpi)
                 gK = h.gamma_rel(Ki, Kpi)
                 rel_agree = rel_agree and gJ == gK
@@ -571,7 +574,7 @@ def suite_zelevinsky(ctx: _Context):
             gamma_k = h.product(prod_k, h.gamma_parabolic(J))
             ok = gamma_j == gamma_target and gamma_k == gamma_target
             yield CaseResult(f"{tag} canonical basis factorization", ok)
-            witness = _zelevinsky_operators(ctx, g, tiling, ls, w_lam, target)
+            witness = _zelevinsky_operators(ctx, g, tiling, subsets, basis) or class_witness
             ok = witness is None
             yield CaseResult(f"{tag} operator and class identities", ok, witness)
             shared += ok
@@ -581,16 +584,29 @@ def suite_zelevinsky(ctx: _Context):
             yield CaseResult(f"lambda=({lam_txt}) all {len(tilings)} tilings share one class", ok)
 
 
-def _zelevinsky_operators(ctx: _Context, g, tiling, ls, w_lam, target) -> str | None:
-    """Push-pull, operator and class identities of one tiling; a witness on failure."""
+def _transferred_basis(ctx: _Context, target) -> tuple:
+    """(basis, witness or None): basis = mu^{-l(target)} psi(image of
+    gamma_target), the transferred canonical basis element, and a witness
+    unless its class, its odot on pt_e^hyp, is kl_schubert(target)."""
     loc = ctx.loc
     hyp = loc.hyp
+    basis = psi(loc.mult.hecke_to_qw(ctx.hecke.kl_basis(target)), hyp)
+    basis = basis.scale(hyp.inv_mu_power(target.length))
+    cls = loc.odot(basis, loc.point_class(ctx.system.identity, "hyperbolic"))
+    if cls != loc.kl_schubert(target):
+        return basis, "resolution class differs from the canonical class"
+    return basis, None
+
+
+def _zelevinsky_operators(ctx: _Context, g, tiling, subsets, basis) -> str | None:
+    """Push-pull and operator identities of one tiling, against the transferred
+    basis element; a witness on failure."""
+    hyp = ctx.loc.hyp
     J = g.J_indices()
     P, Q = stabilizer_chain(tiling, g)
     pq = [(_zero_based(P[i]), _zero_based(Q[i])) for i in range(tiling.r)]
     # push-pull equalities for each rectangle
-    for i in range(tiling.r):
-        Ji, Jpi, Ki, Kpi = _rect_subsets(ls, i)
+    for i, (Ji, Jpi, Ki, Kpi) in enumerate(subsets):
         yj = hyp.pushpull_rel(Ji, Jpi)
         yk = hyp.pushpull_rel(Ki, Kpi)
         yp = hyp.pushpull_rel(*pq[i])
@@ -601,13 +617,8 @@ def _zelevinsky_operators(ctx: _Context, g, tiling, ls, w_lam, target) -> str | 
     for Pi, Qi in pq:
         op = hyp.times_pushpull(op, Pi, Qi)
     op = hyp.times_pushpull(op, J, ())
-    lhs = psi(loc.mult.hecke_to_qw(ctx.hecke.kl_basis(target)), hyp)
-    lhs = lhs.scale(hyp.inv_mu_power(target.length))
-    if lhs != op:
+    if basis != op:
         return "operator factorization failed"
-    cls = loc.odot(op, loc.point_class(ctx.system.identity, "hyperbolic"))
-    if cls != loc.kl_schubert(w_lam, J):
-        return "resolution class differs from the canonical class"
     return None
 
 

@@ -434,12 +434,11 @@ def kl_class_c_direct(loc, w):
     return loc.odot(op, loc.point_class(loc.system.identity))
 
 
-def kl_schubert_direct(loc, w, J=()):
-    """mu^{-l(w w_J)} psi(gamma_{w w_J}) o pt_e, with the whole image of gamma_{w w_J}."""
-    target = w * loc.system.longest_parabolic(J)
-    op = psi(loc.mult.hecke_to_qw(loc.hecke.kl_basis(target)), loc.hyp)
+def kl_schubert_direct(loc, w):
+    """mu^{-l(w)} psi(gamma_w) o pt_e, with the whole image of gamma_w."""
+    op = psi(loc.mult.hecke_to_qw(loc.hecke.kl_basis(w)), loc.hyp)
     cls = loc.odot(op, loc.point_class(loc.system.identity, "hyperbolic"))
-    return cls.scale(loc.hyp.inv_mu_power(target.length))
+    return cls.scale(loc.hyp.inv_mu_power(w.length))
 
 
 def pairing_normalizer_product(loc, J=()):

@@ -2,7 +2,7 @@ import pytest
 
 from klschubert.laurent import LaurentPoly
 from klschubert.localization import Localization
-from klschubert.rootsystem import CartanData, RootSystem
+from klschubert.rootsystem import CartanData, Root, RootSystem
 
 from oracles import act_root, act_weight, inversions, subword_leq
 
@@ -44,8 +44,10 @@ def test_reflection(a2):
     assert s is a2.from_word([0, 1, 0])
     # s_alpha fixes the orthogonal hyperplane: <lam, alpha^vee> = 0
     lam = (1, -1)
-    assert sum(x * y for x, y in zip(lam, highest.coweight_pairing)) == 0
     assert act_weight(s, lam) == lam
+    # alpha_1 - alpha_2 is not a root
+    with pytest.raises(KeyError, match="not a root"):
+        a2.reflection(Root((1, -1), (3, -3)))
 
 
 def test_reflection_squares_to_identity(a3):
@@ -91,6 +93,9 @@ def test_bruhat_refuses_an_element_of_another_group(a2, a3):
     for u, v in [(a2.identity, a3.w0), (a3.identity, a2.w0), (other.identity, a3.w0)]:
         with pytest.raises(ValueError):
             a3.bruhat_leq(u, v)
+    for w in (a2.w0, other.w0):
+        with pytest.raises(ValueError, match="different group"):
+            a3.bruhat_interval(w)
 
 
 def test_bruhat_partial_order(a3):
@@ -217,6 +222,33 @@ GROUPS = {
 }
 # the a3 fixture tests above already cover A3
 NON_A = sorted(set(GROUPS) - {"A3"})
+
+
+REFLECTION_GROUPS = {
+    **GROUPS,
+    "C3": CartanData(((2, -1, 0), (-1, 2, -1), (0, -2, 2)), "C"),
+    "D4": CartanData(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)), "D"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTION_GROUPS))
+def test_reflections_are_the_reflections_of_their_roots(name):
+    """s_alpha, read from the tables, is an involution other than e shared with
+    -alpha, sends alpha to -alpha and moves each fundamental weight by an
+    integer multiple of alpha: s_alpha(lam) = lam - <lam, alpha^vee> alpha,
+    which no other element of W does."""
+    rs = RootSystem(REFLECTION_GROUPS[name])
+    units = [tuple(int(i == k) for i in range(rs.rank)) for k in range(rs.rank)]
+    for root in rs.roots:
+        s = rs.reflection(root)
+        assert s is not rs.identity and s * s is rs.identity, root
+        assert rs.reflection(-root) is s, root
+        assert act_root(rs, s, root) == -root, root
+        j = next(i for i, x in enumerate(root.weight) if x)
+        for omega in units:
+            moved = tuple(x - y for x, y in zip(act_weight(s, omega), omega))
+            c, rest = divmod(moved[j], root.weight[j])
+            assert rest == 0 and moved == tuple(c * x for x in root.weight), (root, omega)
 
 
 def _subsets(rank):

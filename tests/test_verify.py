@@ -220,6 +220,49 @@ def test_a4_modp_parabolic_reports_are_pinned(suite):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
+# (suite, grid, case count, sha256 of to_json()) mod p (k=2, seed 1), recorded
+# while reflections were built from coroots, w0 u was formed by products and
+# the hyperbolic classes of G/P_J took J
+CLASS_MODP_DIGESTS = [
+    (
+        "zelevinsky",
+        {"n": 5, "d": 2},
+        62,
+        "3daca7d33820e00c09cbd8e1c2cd12434b43810bf4d535be2fcba3dee47eb015",
+    ),
+    (
+        "grassmann-smoothness",
+        {"n": 5, "d": 2},
+        10,
+        "385d10c12b914022570dc0bc764f925770f9293a8ce3549d6acc061014ab99ac",
+    ),
+    (
+        "smoothness",
+        {"rank": 4},
+        120,
+        "5dbfd4ecef6cdf6f39257a1b3a827a02278f9356c8a4a79997255aca171bf488",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, grid, count, digest", CLASS_MODP_DIGESTS, ids=[c[0] for c in CLASS_MODP_DIGESTS]
+)
+def test_smoothness_and_zelevinsky_reports_are_pinned(suite, grid, count, digest):
+    report = run_suite(suite, RunConfig(mode="modp", k=2, seed=1, **grid))
+    assert len(report.cases) == count and report.all_passed()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_parabolic_duality_on_one_grassmannian_runs_its_parabolic_alone(mode):
+    """With d set, parabolic-duality runs the J of G(d, n) only: J = {1,3} for
+    G(2, 4), not every proper subset of the simple reflections."""
+    report = run_suite("parabolic-duality", RunConfig(n=4, d=2, mode=mode, k=2, seed=1))
+    assert len(report.cases) == 78 and report.all_passed()
+    assert all(c.case_id.startswith("J={1,3} ") for c in report.cases)
+
+
 @pytest.mark.parametrize("suite", ["smoothness", "grassmann-smoothness"])
 def test_a3_exact_smoothness_agrees_with_mod_p(a3_modp_reports, suite):
     exact = run_suite(suite, _a3_config(suite, "exact"))
