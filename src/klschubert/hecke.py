@@ -35,7 +35,8 @@ sum |mu| N(gamma_v), from rows already read, stays below 2^{B-1}, and
 bar-checked only while N(gamma_w) (3^{l(w)} + 1) stays below 2^B; else
 OverflowError, before any digit can wrap.  A bar check that passes is
 therefore exact equality of polynomials.  product sizes its packing from its
-arguments the same way.
+arguments the same way, and builds a tau_w = (a tau_{ws}) tau_s as the rows
+bar(tau_w) = bar(tau_{ws}) tau_s^-1 are built, by one walk of right steps.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import random
 
 from .laurent import LaurentPoly
-from .rootsystem import Memo, RootSystem, WeylElt, WMap
+from .rootsystem import Memo, RootSystem, WeylElt, WMap, _mask
 
 __all__ = ["HeckeAlgebra", "HeckeElt", "balanced_digits"]
 
@@ -110,7 +111,7 @@ class HeckeAlgebra(Memo):
         self._rows = [None] * n  # {v.idx: P_{v,w} as ascending q-coefficients}
         self._mu = [None] * n  # [(v, mu(v, w))] for mu(v, w) nonzero
         self._norms = [None] * n  # N(gamma_w)
-        self._bar_rows = [None] * n  # {v.idx: bar(tau_w)[v] packed at offset l(w0)}
+        self._bar_rows = {}  # w.idx -> {v.idx: bar(tau_w)[v] packed at offset l(w0)}
         self._kl_done_length = -1
 
     def as_scalar(self, value) -> LaurentPoly:
@@ -136,10 +137,8 @@ class HeckeAlgebra(Memo):
         for v, p in coeffs.items():
             j = table[v][i]
             out[j] = out.get(j, 0) + p
-            if descents[v] >> i & 1:
-                up, down = a - 1, b + 1
-            else:
-                up, down = a, b
+            d = descents[v] >> i & 1
+            up, down = a - d, b + d
             if up or down:
                 extra = up * (p << width) if up else 0
                 if down:
@@ -147,26 +146,38 @@ class HeckeAlgebra(Memo):
                 out[v] = out.get(v, 0) + extra
         return out
 
+    def _walk(self, images: dict, w: int, width: int, c: tuple) -> dict:
+        """The image of the element of index w, images[ws] (tau_s + a t + b t^-1)
+        for c = (a, b) and s its last letter: right steps from the nearest image
+        recorded on w's parent chain, each new image recorded by index."""
+        parent, last, chain = self.system._parent, self.system._last, []
+        while w not in images:
+            chain.append(w)
+            w = parent[w]
+        image = images[w]
+        for w in reversed(chain):
+            image = images[w] = self._right_step(image, last[w], width, c)
+        return image
+
     def product(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        """a b = sum over w of b_w a tau_{i_1} ... tau_{i_k} along w's reduced
-        word, on packed coefficients: a is packed once and the result read back
-        once.  Each step at most triples N, so the slot width comes from
-        N(a) N(b) 3^l for the longest w in b, and the offset of a from its
-        lowest exponent and that l, so every shift down is exact."""
+        """a b = sum over w of b_w a tau_w on packed coefficients, a tau_w one
+        right step from a tau_{ws}, recorded for this call; a is packed once and
+        the result read back once.  Each step at most triples N, so the slot
+        width comes from N(a) N(b) 3^l for the longest w in b, and the offset of
+        a from its lowest exponent and that l, so every shift down is exact."""
+        if a.ring is not self or b.ring is not self:
+            raise ValueError("elements of different Hecke algebras")
         steps = max((w.length for w in b.coeffs), default=0)
         norm_a = sum(abs(c) for p in a.coeffs.values() for c in p.packed.values())
         norm_b = sum(abs(c) for p in b.coeffs.values() for c in p.packed.values())
         width = (norm_a * norm_b * 3**steps).bit_length() + 1
         off_a = max(0, steps - min((e for p in a.coeffs.values() for e in p.packed), default=0))
         off_b = max(0, -min((e for p in b.coeffs.values() for e in p.packed), default=0))
-        start = {w.idx: _pack(p, off_a, width) for w, p in a.coeffs.items()}
+        images = {0: {w.idx: _pack(p, off_a, width) for w, p in a.coeffs.items()}}
         out: dict = {}
         for w, c in b.coeffs.items():
-            image = start
-            for i in w.word:
-                image = self._right_step(image, i, width, _TAU)
             cb = _pack(c, off_b, width)
-            for v, p in image.items():
+            for v, p in self._walk(images, w.idx, width, _TAU).items():
                 out[v] = out.get(v, 0) + cb * p
         elements = self.system.elements
         return HeckeElt(
@@ -182,12 +193,12 @@ class HeckeAlgebra(Memo):
         system = self.system
         if self._width is None:
             self._width = _slot_width(system.w0.length)
+            self._bar_rows[0] = {0: 1 << self._width * system.w0.length}
         width = self._width
         limit = 1 << (width - 1)
         packed, norms = self._packed, self._norms
-        order = sorted(system.elements, key=lambda w: (w.length, w.idx))
-        to_check = self._bar_check_plan(order)
-        for w in order:
+        to_check = self._bar_check_plan(system.elements)
+        for w in system.elements:
             if w.length > max_length:
                 break
             if packed[w.idx] is not None:
@@ -253,17 +264,8 @@ class HeckeAlgebra(Memo):
 
     def _bar_row(self, w: int) -> dict:
         """bar(tau_w) = (tau_{w^{-1}})^{-1} for the element of index w, packed:
-        bar(tau_w) = bar(tau_{ws}) tau_s^{-1}, memoized along right steps."""
-        hit = self._bar_rows[w]
-        if hit is None:
-            if w == self.system.identity.idx:
-                hit = {w: 1 << self._width * self.system.w0.length}
-            else:
-                i, prev = self.system.right_step(self.system.elements[w])
-                hit = self._right_step(self._bar_row(prev.idx), i, self._width, _TAU_INVERSE)
-                hit = {v: p for v, p in hit.items() if p}
-            self._bar_rows[w] = hit
-        return hit
+        bar(tau_w) = bar(tau_{ws}) tau_s^{-1}, from 1 at offset l(w0)."""
+        return self._walk(self._bar_rows, w, self._width, _TAU_INVERSE)
 
     def _record_kl_row(self, w: WeylElt, digits: dict):
         """Row w of the KL table from the digits of gamma_w: the coefficient of
@@ -375,7 +377,7 @@ class HeckeAlgebra(Memo):
         terms = [
             (v.sign * wj.sign, system.cayley_column(v.idx)) for v in system.parabolic_elements(J)
         ]
-        return sum(1 << i for i in J), (system.cayley_column(wj.idx), terms)
+        return _mask(J), (system.cayley_column(wj.idx), terms)
 
     def inverse_parabolic_kl(self, u: WeylElt, w: WeylElt, J) -> tuple:
         """Q^J_{u,w} = sum over v in W_J of eps_v eps_{w_J} Q_{u w_J, w v}, where

@@ -449,7 +449,7 @@ class Localization(Memo):
         system = self.system
         system.require_min_rep(w, J)
         jkey = system._jkey(J)
-        shift = (system.longest_parabolic(J) * w.inverse() * system.w0).length
+        shift = system.w0.length - w.length - system.longest_parabolic(J).length
         terms = []
         for v in system.minimal_coset_reps(J):
             q = self.hecke.inverse_parabolic_kl(w, v, J)

@@ -6,8 +6,10 @@ source of truth for the Weyl action.  Group elements are identified by their
 integer action matrix on these coordinates and interned in the enumerating
 RootSystem, so equality is object identity and hashing is by index.
 
-Enumeration is breadth-first from the identity, which makes element indices,
-cached reduced words, and all downstream serialization deterministic.
+Enumeration is breadth-first from the identity, which makes element indices
+and all downstream serialization deterministic and puts W in (length, index)
+order.  Each w other than e records its parent ws and last letter s; reduced
+words are read off this parent chain, never stored.
 
 Every group-combinatorics decision is read off integer tables built once per
 system: the right/left multiplication tables by simple reflections, the
@@ -123,8 +125,15 @@ class WeylElt:
 
     @property
     def word(self) -> tuple:
-        """A reduced word (0-based simple reflection indices)."""
-        return self.system._words[self.idx]
+        """A reduced word (0-based simple reflection indices), read off the parent chain."""
+        return tuple(self._letters_last_first())[::-1]
+
+    def _letters_last_first(self):
+        """The letters of word, last first: s, then the last letter of ws, ..."""
+        parent, last, w = self.system._parent, self.system._last, self.idx
+        while w:
+            yield last[w]
+            w = parent[w]
 
     @property
     def sign(self) -> int:
@@ -148,15 +157,10 @@ class WeylElt:
         """One-line permutation for type A (None for other types)."""
         if self.system.cartan_data.type_label != "A":
             return None
-        n = self.system.rank + 1
-        perm = list(range(1, n + 1))
-        for letter in reversed(self.word):
+        perm = list(range(1, self.system.rank + 2))
+        for letter in self._letters_last_first():
             a, b = letter + 1, letter + 2
-            for k in range(n):
-                if perm[k] == a:
-                    perm[k] = b
-                elif perm[k] == b:
-                    perm[k] = a
+            perm = [b if x == a else a if x == b else x for x in perm]
         return perm
 
     def __repr__(self):
@@ -221,7 +225,8 @@ class WMap:
     __hash__ = None
 
     def support(self):
-        return sorted(self.coeffs, key=lambda w: (w.length, w.idx))
+        """The support in (length, index) order, which is index order."""
+        return sorted(self.coeffs, key=lambda w: w.idx)
 
     def format(self) -> str:
         if not self.coeffs:
@@ -277,7 +282,6 @@ class RootSystem(Memo):
         self._matrices = [ident]
         by_matrix = {ident: 0}
         self._lengths = [0]
-        self._words = [()]
         # BFS pops indices in the order it assigns them, so row idx of the
         # right multiplication table is complete before idx + 1 is visited.
         self.right_table = []
@@ -300,7 +304,6 @@ class RootSystem(Memo):
                     self._matrices.append(prod)
                     by_matrix[prod] = j
                     self._lengths.append(self._lengths[idx] + 1)
-                    self._words.append(self._words[idx] + (i,))
                     parent.append(idx)
                     last.append(i)
                     queue.append(j)
@@ -395,9 +398,7 @@ class RootSystem(Memo):
         return col
 
     def simple_reflection(self, i: int) -> WeylElt:
-        if not 0 <= i < self.rank:
-            raise ValueError(f"simple reflection index {i} out of range(0, {self.rank})")
-        return self.elements[self.right_table[0][i]]
+        return self.from_word((i,))
 
     def right_descents(self, w: WeylElt):
         mask = self._descents[w.idx]
@@ -513,10 +514,7 @@ class RootSystem(Memo):
 
 def _mask(J) -> int:
     """Bitmask of a set of simple reflection indices."""
-    out = 0
-    for i in J:
-        out |= 1 << i
-    return out
+    return sum(1 << i for i in set(J))
 
 
 def _matmul(a, b):

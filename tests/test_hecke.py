@@ -67,37 +67,59 @@ def test_product_inverse(h2, a2):
     assert h2.product(h2.one(), h2.tau(w)) == h2.tau(w)
 
 
-def test_product_matches_the_product_by_steps(h3, a3):
-    """Packed products agree with right steps on LaurentPoly coefficients, for
-    factors with negative, zero and positive exponents and larger coefficients."""
-    rng = random.Random(7)
+def test_product_matches_the_product_by_steps():
+    """Packed products agree with right steps on LaurentPoly coefficients, in
+    every group of GROUPS, for factors with negative, zero and positive
+    exponents and larger coefficients."""
+    for group in sorted(GROUPS):
+        system = RootSystem(GROUPS[group])
+        h = HeckeAlgebra(system)
+        rng = random.Random(7)
 
-    def random_elt(terms):
-        coeffs = {}
-        for _ in range(terms):
-            w = a3.elements[rng.randrange(a3.order)]
-            exps = {(rng.randrange(-4, 5),): rng.randrange(-40, 41) or 1 for _ in range(3)}
-            coeffs[w] = LaurentPoly(1, exps)
-        return type(h3.one())(h3, coeffs)
+        def random_elt(terms):
+            coeffs = {}
+            for _ in range(terms):
+                w = system.elements[rng.randrange(system.order)]
+                exps = {(rng.randrange(-4, 5),): rng.randrange(-40, 41) or 1 for _ in range(3)}
+                coeffs[w] = LaurentPoly(1, exps)
+            return type(h.one())(h, coeffs)
 
-    for _ in range(6):
-        a, b = random_elt(4), random_elt(3)
-        assert h3.product(a, b) == product_by_steps(a, b)
-    zero = type(h3.one())(h3, {})
-    assert h3.product(zero, random_elt(2)) == zero == h3.product(random_elt(2), zero)
+        for _ in range(6):
+            a, b = random_elt(4), random_elt(3)
+            assert h.product(a, b) == product_by_steps(a, b), group
+        zero = type(h.one())(h, {})
+        assert h.product(zero, random_elt(2)) == zero == h.product(random_elt(2), zero)
 
 
-def test_product_associative(h3, a3):
-    rng = random.Random(2)
-    elts = []
-    for _ in range(3):
-        coeffs = {}
+def test_product_associative():
+    for group in sorted(GROUPS):
+        system = RootSystem(GROUPS[group])
+        h = HeckeAlgebra(system)
+        rng = random.Random(2)
+        elts = []
         for _ in range(3):
-            w = a3.elements[rng.randrange(a3.order)]
-            coeffs[w] = LaurentPoly(1, {(rng.randrange(-2, 3),): rng.randrange(-3, 4) or 1})
-        elts.append(type(h3.one())(h3, coeffs))
-    a, b, c = elts
-    assert (a * b) * c == a * (b * c)
+            coeffs = {}
+            for _ in range(3):
+                w = system.elements[rng.randrange(system.order)]
+                coeffs[w] = LaurentPoly(1, {(rng.randrange(-2, 3),): rng.randrange(-3, 4) or 1})
+            elts.append(type(h.one())(h, coeffs))
+        a, b, c = elts
+        assert (a * b) * c == a * (b * c), group
+
+
+def test_a_product_across_algebras_is_refused(h2, h3, a2, a3):
+    """A product reads its algebra's group tables by element index, so it takes
+    elements of that one algebra object only, as + does."""
+    s3 = h3.tau(a3.simple_reflection(2))
+    with pytest.raises(ValueError, match="different Hecke algebras"):
+        h2.tau(a2.w0) * s3
+    with pytest.raises(ValueError, match="different Hecke algebras"):
+        s3 * h2.tau(a2.w0)
+    other = HeckeAlgebra(a2)
+    with pytest.raises(ValueError, match="different rings"):
+        h2.tau(a2.w0) + other.tau(a2.w0)
+    with pytest.raises(ValueError, match="different Hecke algebras"):
+        h2.tau(a2.w0) * other.tau(a2.w0)
 
 
 def test_bar_basics(h2, a2):

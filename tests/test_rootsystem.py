@@ -232,6 +232,20 @@ REFLECTION_GROUPS = {
 
 
 @pytest.mark.parametrize("name", sorted(REFLECTION_GROUPS))
+def test_enumeration_is_in_length_order(name):
+    """Breadth-first enumeration meets the elements by length, so index order
+    is (length, index) order, and each parent comes before its child."""
+    rs = RootSystem(REFLECTION_GROUPS[name])
+    lengths = [w.length for w in rs.elements]
+    assert lengths == sorted(lengths)
+    for w in rs.elements[1:]:
+        i, ws = rs.right_step(w)
+        assert ws.idx < w.idx and ws.length == w.length - 1
+        assert rs.from_word(w.word) is w and len(w.word) == w.length
+        assert w.word[-1] == i
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTION_GROUPS))
 def test_reflections_are_the_reflections_of_their_roots(name):
     """s_alpha, read from the tables, is an involution other than e shared with
     -alpha, sends alpha to -alpha and moves each fundamental weight by an

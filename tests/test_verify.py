@@ -8,9 +8,11 @@ import pytest
 from klschubert import verify
 from klschubert.hecke import HeckeAlgebra
 from klschubert.localization import Localization
-from klschubert.rootsystem import CartanData, RootSystem
+from klschubert.rootsystem import CartanData, RootSystem, WeylElt
 from klschubert.twisted import TwistedRing
 from klschubert.verify import SUITES, WITNESS_CHARS, GuardRefusal, RunConfig, run_suite
+
+from oracles import product_by_steps
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
 CASES = {
@@ -359,6 +361,25 @@ def test_hyperbolic_pushpull_products_take_the_closed_form(monkeypatch, suite, m
     report = run_suite(suite, _a3_config(suite, mode))
     assert len(report.cases) == A3_MODP_CASES[suite]
     assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+
+
+def test_products_read_no_reduced_word(monkeypatch, a3):
+    """Hecke products build a tau_w by right steps along the parent chain:
+    with WeylElt.word refused, zelevinsky runs and passes every case, and a
+    product equals the one the word-walking oracle gave before."""
+    h = HeckeAlgebra(a3)
+    a, b = (h.kl_basis(a3.elements[i]) for i in (7, a3.order - 3))
+    expected = product_by_steps(a, b)
+
+    def refused(w):
+        raise AssertionError("a reduced word was read")
+
+    monkeypatch.setattr(WeylElt, "word", property(refused))
+    for mode in ("exact", "modp"):
+        report = run_suite("zelevinsky", _a3_config("zelevinsky", mode))
+        assert len(report.cases) == A3_MODP_CASES["zelevinsky"]
+        assert report.all_passed(), [c.case_id for c in report.cases if not c.ok]
+    assert h.product(a, b) == expected
 
 
 def test_smoothness_verdicts_are_built_once_per_element(monkeypatch):
