@@ -37,14 +37,25 @@ OverflowError, before any digit can wrap.  A bar check that passes is
 therefore exact equality of polynomials.  product sizes its packing from its
 arguments the same way, and builds a tau_w = (a tau_{ws}) tau_s as the rows
 bar(tau_w) = bar(tau_{ws}) tau_s^-1 are built, by one walk of right steps.
+
+Inversion rows.  The inversion formula sum_w eps_u eps_w Q^J_{u,w} P^J_{w,v}
+= delta_uv (Deodhar 1987) reads P^J by rows and Q^J by rows, and
+inversion_rows builds both for one J in one pass over the stored columns, once
+per J.  Row w of P^J is {v: P_{w, v w_J}} over v in W^J: the columns at
+v w_J, transposed and restricted to W^J.  Q^J_{u,w} = sum over x in W_J of
+eps_x eps_{w_J} P_{w0 w x, w0 u w_J} reads the one column at w0 u w_J: its
+entry at z has w0 z = r x with r the minimal representative of w0 z W_J, so
+it adds eps_r eps_{w0 z} eps_{w_J} P_{z, w0 u w_J} to the row at w = r.  At
+J = () the Q row of u is the column of w0 u, reindexed by w0 z.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
 
 from .laurent import LaurentPoly
-from .rootsystem import Memo, RootSystem, WeylElt, WMap, _mask
+from .rootsystem import Memo, RootSystem, WeylElt, WMap
 
 __all__ = ["HeckeAlgebra", "HeckeElt", "balanced_digits"]
 
@@ -289,6 +300,12 @@ class HeckeAlgebra(Memo):
                 mus.append((elements[v], dig[1]))
         self._rows[w.idx], self._mu[w.idx] = row, mus
 
+    def _index(self, w: WeylElt) -> int:
+        """w.idx, once w is checked to be an element of this algebra's group."""
+        if w.system is not self.system:
+            raise ValueError("elements of a different group")
+        return w.idx
+
     def _column(self, w: int) -> dict:
         """{v.idx: P_{v,w}} for the element of index w, computed on first use."""
         row = self._rows[w]
@@ -300,7 +317,7 @@ class HeckeAlgebra(Memo):
     def mu_row(self, w: WeylElt) -> list:
         """(v, mu(v, w)) for every v < w with mu(v, w) nonzero, where mu(v, w) is
         the coefficient of q^{(l(w) - l(v) - 1)/2} in P_{v,w}."""
-        self._column(w.idx)
+        self._column(self._index(w))
         return self._mu[w.idx]
 
     def mu_terms(self, w: WeylElt, i: int) -> list:
@@ -311,6 +328,7 @@ class HeckeAlgebra(Memo):
 
     def kl_basis(self, w: WeylElt) -> HeckeElt:
         """gamma_w, decoded from row w of the KL table once."""
+        self._index(w)
         return self._once(self._kl_basis, w)
 
     def _kl_basis(self, w: WeylElt) -> HeckeElt:
@@ -327,7 +345,7 @@ class HeckeAlgebra(Memo):
 
     def kl_polynomial(self, v: WeylElt, w: WeylElt) -> tuple:
         """P_{v,w} as a tuple of ascending q-coefficients; () is the zero polynomial."""
-        return self._column(w.idx).get(v.idx, ())
+        return self._column(self._index(w)).get(self._index(v), ())
 
     def gamma_rel(self, J, Jp) -> HeckeElt:
         """gamma_{J/J'} = sum over W_J cap W^{J'} of t^{l(w_{J/J'}) - l(v)} tau_v."""
@@ -345,57 +363,62 @@ class HeckeAlgebra(Memo):
     def inverse_kl(self, u: WeylElt, w: WeylElt) -> tuple:
         """Q_{u,w} = P_{w_0 w, w_0 u}, through kl_polynomial."""
         left, elements = self.system._w0_left, self.system.elements
-        return self.kl_polynomial(elements[left[w.idx]], elements[left[u.idx]])
+        return self.kl_polynomial(elements[left[self._index(w)]], elements[left[self._index(u)]])
 
     def parabolic_kl(self, v: WeylElt, w: WeylElt, J) -> tuple:
         """P^J_{v,w} = P_{v, w w_J} for v, w in W^J."""
-        wj_col, _ = self._parabolic_data(v, w, J)
-        return self._column(wj_col[w.idx]).get(v.idx, ())
-
-    def _parabolic_data(self, u: WeylElt, w: WeylElt, J) -> tuple:
-        """_parabolic_table(J), after u and w are checked to be in W^J.  On this
-        per-(u, w) path a call of _once, or normalizing J, costs more than the
-        lookup, so a built table is read from the memo directly, keyed by J as
-        given."""
         system = self.system
-        key = tuple(J)
-        hit = self._memo.get(("_parabolic_table", key))
-        mask, data = hit or self._once(self._parabolic_table, key)
-        if (system._descents[u.idx] | system._descents[w.idx]) & mask:
-            system.require_min_rep(u, J)
-            system.require_min_rep(w, J)
-        return data
-
-    def _parabolic_table(self, J: tuple) -> tuple:
-        """(mask of J, (the Cayley column of w_J, [(eps_v eps_{w_J}, Cayley
-        column of v) for v in W_J])), one object for every order of J."""
-        system = self.system
-        key = system._jkey(J)
-        if key != J:
-            return self._once(self._parabolic_table, key)
-        wj = system.longest_parabolic(J)
-        terms = [
-            (v.sign * wj.sign, system.cayley_column(v.idx)) for v in system.parabolic_elements(J)
-        ]
-        return _mask(J), (system.cayley_column(wj.idx), terms)
+        system.require_min_rep(v, J)
+        system.require_min_rep(w, J)
+        times_wj = system.cayley_column(system.longest_parabolic(J).idx)
+        return self._column(times_wj[w.idx]).get(v.idx, ())
 
     def inverse_parabolic_kl(self, u: WeylElt, w: WeylElt, J) -> tuple:
-        """Q^J_{u,w} = sum over v in W_J of eps_v eps_{w_J} Q_{u w_J, w v}, where
-        Q_{u w_J, w v} = P_{w0 w v, w0 u w_J}: one column of the KL table, at
-        x = w0 u w_J, read at (w0 w) v for every v."""
-        wj_col, terms = self._parabolic_data(u, w, J)
-        left = self.system._w0_left
-        col = self._column(left[wj_col[u.idx]])
-        y = left[w.idx]
-        acc: list = []
-        for sign, vcol in terms:
-            q = col.get(vcol[y])
-            if q:
-                if len(q) > len(acc):
-                    acc += [0] * (len(q) - len(acc))
-                for j, c in enumerate(q):
-                    acc[j] += sign * c
-        while acc and acc[-1] == 0:
-            acc.pop()
-        return tuple(acc)
+        """Q^J_{u,w}, read from the Q^J row of u."""
+        self.system.require_min_rep(w, J)
+        return self.inverse_parabolic_row(u, J).get(w.idx, ())
 
+    def inverse_parabolic_row(self, u: WeylElt, J) -> dict:
+        """{w.idx: Q^J_{u,w}} over the w in W^J with Q^J_{u,w} nonzero."""
+        self.system.require_min_rep(u, J)
+        return self.inversion_rows(J)[1][u.idx]
+
+    def inversion_rows(self, J) -> tuple:
+        """(P^J rows, Q^J rows) over W^J, built once per J (module docstring):
+        {w.idx: {v.idx: P^J_{w,v}}} and {u.idx: {w.idx: Q^J_{u,w}}}, each
+        row without its zero entries."""
+        return self._once(self._inversion_rows, self.system._jkey(J))
+
+    def _inversion_rows(self, J: tuple) -> tuple:
+        system = self.system
+        reps = system.minimal_coset_reps(J)
+        w0, wj = system.w0, system.longest_parabolic(J)
+        p_rows = {w.idx: {} for w in reps}
+        for v in reps:
+            for w, p in self._column((v * wj).idx).items():
+                row = p_rows.get(w)
+                if row is not None:
+                    row[v.idx] = p
+        rep = [0] * system.order  # the minimal representative of y W_J, by y
+        for x in system.parabolic_elements(J):
+            times_x = system.cayley_column(x.idx)
+            for r in p_rows:
+                rep[times_x[r]] = r
+        left, lengths = system._w0_left, system._lengths
+        parity = w0.length + wj.length
+        q_rows = {}
+        for u in reps:
+            acc: dict = {}
+            for z, p in self._column((w0 * u * wj).idx).items():
+                r = rep[left[z]]
+                if (lengths[r] + lengths[z] + parity) & 1:
+                    p = tuple(-c for c in p)
+                q = acc.get(r)
+                acc[r] = p if q is None else tuple(map(sum, zip_longest(q, p, fillvalue=0)))
+            q_rows[u.idx] = row = {}
+            for r, q in acc.items():
+                while q and q[-1] == 0:
+                    q = q[:-1]
+                if q:
+                    row[r] = q
+        return p_rows, q_rows

@@ -447,13 +447,13 @@ class Localization(Memo):
     def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
         """C~^J_w on W^J, from inverse parabolic KL polynomials and Segre classes."""
         system = self.system
-        system.require_min_rep(w, J)
+        row = self.hecke.inverse_parabolic_row(w, J)
         jkey = system._jkey(J)
         shift = system.w0.length - w.length - system.longest_parabolic(J).length
         terms = []
         for v in system.minimal_coset_reps(J):
-            q = self.hecke.inverse_parabolic_kl(w, v, J)
-            if not q:
+            q = row.get(v.idx)
+            if q is None:
                 continue
             sign = w.sign * v.sign
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})

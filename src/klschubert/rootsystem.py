@@ -479,7 +479,10 @@ class RootSystem(Memo):
         return [w for w in self.elements if not self._descents[w.idx] & mask]
 
     def require_min_rep(self, w: WeylElt, J):
-        """Raise ValueError unless w is in W^J (no right descent in J)."""
+        """Raise ValueError unless w is an element of this group in W^J (no
+        right descent in J)."""
+        if w.system is not self:
+            raise ValueError("elements of a different group")
         if self._descents[w.idx] & _mask(self._jkey(J)):
             raise ValueError(f"{w!r} is not a minimal coset representative for J={J}")
 

@@ -147,21 +147,21 @@ class VerificationReport:
         return self.failed == 0
 
     def to_json(self) -> str:
-        payload = {
-            "format_version": 1,
-            "suite": self.suite,
-            "params": self.params,
-            "mode": self.mode,
-            "seed": self.seed,
-            "passed": self.passed,
-            "failed": self.failed,
-            "cases": [
-                {"id": c.case_id, "pass": c.ok}
-                | ({"witness": c.witness} if c.witness is not None else {})
-                for c in self.cases
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """The report as compact JSON with sorted keys, format_version 1: the
+        bytes json.dumps(sort_keys=True, separators=(",", ":")) gives for the
+        report as one dict, built from a string fragment per case, not a dict."""
+        dump = json.dumps
+        cases = ",".join(
+            f'{{"id":{dump(c.case_id)},"pass":{"true" if c.ok else "false"}'
+            + ("}" if c.witness is None else f',"witness":{dump(c.witness)}}}')
+            for c in self.cases
+        )
+        params = json.dumps(self.params, sort_keys=True, separators=(",", ":"))
+        return (
+            f'{{"cases":[{cases}],"failed":{self.failed},"format_version":1,'
+            f'"mode":{dump(self.mode)},"params":{params},"passed":{self.passed},'
+            f'"seed":{dump(self.seed)},"suite":{dump(self.suite)}}}'
+        )
 
 
 # characters of each side that a failing case's witness keeps: an exact
@@ -197,46 +197,46 @@ def _pairing_cases(loc, case_id, left: dict, right: dict, diag, J=()):
             yield _case(case_id(a, b), val, diag if a is b else zero)
 
 
-def _inversion_cases(prefix: str, elements: list, q_of, p_of):
+def _inversion_cases(prefix: str, elements: list, q_rows: dict, p_rows: dict):
     """The cases "sum over w of eps_u eps_w Q_{u,w} P_{w,v} = delta_uv" for every
-    u, then every v, in elements; Q_{u,w} = q_of(u, w) and P_{w,v} = p_of(w, v) are
-    q-polynomials as ascending coefficient tuples, and "{prefix} u={u!r} v={v!r}"
-    names each case, each element printed once per call.  Each P_{w,v} and each
-    Q_{u,w} with a nonzero row P_{w,.} is looked up once.  The sums run on
-    packed ints (Kronecker substitution, as in hecke): row w packs its P_{w,v}
-    into one int, q^j of the i-th v at slot S i + j with S slots a block, so
-    sum_w eps_u eps_w Q_{u,w} row_w packs the sums of every v at once and is
-    compared, as one int, with the packing of delta_u.  The slot width is taken
-    from the values themselves: every coefficient of every sum is at most the
-    largest sum over w of the |coefficients| of Q_{u,w} times the largest
-    |coefficient| of a P_{w,v}, so the ints are equal exactly when every sum is
-    right.  Only a u with a wrong sum reads its sums back, as {q-power:
-    coefficient} in ascending order with zeros dropped, and checks each through
-    _case.  The support comes from the values, not from Bruhat order, so a
-    wrong nonzero value anywhere still breaks a case."""
-    rows = []
-    for w in elements:
-        row = [(i, p) for i, v in enumerate(elements) if (p := p_of(w, v))]
-        if row:
-            rows.append((w, row))
-    qs = [[(k, q) for k, (w, _) in enumerate(rows) if (q := q_of(u, w))] for u in elements]
-    slots = max((len(p) for _, row in rows for _, p in row), default=1) + max(
-        (len(q) for qu in qs for _, q in qu), default=1
-    ) - 1
-    pmax = max((abs(c) for _, row in rows for _, p in row for c in p), default=0)
-    qmass = max((sum(abs(c) for _, q in qu for c in q) for qu in qs), default=0)
+    u, then every v, in elements, from the rows of HeckeAlgebra.inversion_rows:
+    Q_{u,w} = q_rows[u.idx][w.idx] and P_{w,v} = p_rows[w.idx][v.idx], q-polynomials
+    as ascending coefficient tuples, absent where zero.  "{prefix} u={u!r} v={v!r}"
+    names each case, each element printed once per call.  The sums run on packed
+    ints (Kronecker substitution, as in hecke), each distinct polynomial packed
+    once: row w packs its P_{w,v} into one int, times eps_w, q^j of the i-th v
+    at slot S i + j with S slots a block, so sum_w Q_{u,w} eps_w row_w packs
+    the sums of every v at once and is compared, as one int, with the packing
+    of eps_u delta_u; each sign is read from the parity of a length.  The slot
+    width is taken from the values themselves: every coefficient of every sum
+    is at most the largest sum, over the w with a nonzero row, of the
+    |coefficients| of Q_{u,w}, times the largest |coefficient| of a P_{w,v},
+    so the ints are equal exactly when every sum is right.  Only a u with a
+    wrong sum reads its sums back, as {q-power: coefficient} in ascending order
+    with zeros dropped, and checks each through _case.  The support comes from
+    the values, not from Bruhat order, so a wrong nonzero value anywhere still
+    breaks a case."""
+    lengths = elements[0].system._lengths
+    rows = {w: row for w, row in p_rows.items() if row}
+    qs = [{w: q for w, q in q_rows[u.idx].items() if w in rows} for u in elements]
+    p_polys = {p for row in rows.values() for p in row.values()}
+    masses = {q: sum(map(abs, q)) for qu in qs for q in qu.values()}
+    slots = max(map(len, p_polys), default=1) + max(map(len, masses), default=1) - 1
+    pmax = max((abs(c) for p in p_polys for c in p), default=0)
+    qmass = max((sum(map(masses.__getitem__, qu.values())) for qu in qs), default=0)
     width = (qmass * pmax + 1).bit_length() + 1
     block = width * slots
-
-    def pack(p, shift=0):
-        return sum(c << shift + width * j for j, c in enumerate(p))
-
-    packed = [sum(pack(p, block * i) for i, p in row) for _, row in rows]
+    packs = {p: sum(c << width * j for j, c in enumerate(p)) for p in p_polys | masses.keys()}
+    pos = {v.idx: i for i, v in enumerate(elements)}
+    packed = {}
+    for w, row in rows.items():
+        total = sum(packs[p] << block * pos[v] for v, p in row.items())
+        packed[w] = -total if lengths[w] & 1 else total
     names = [repr(v) for v in elements]
     for n, (u, qu) in enumerate(zip(elements, qs)):
-        total = 0
-        for k, q in qu:
-            total += u.sign * rows[k][0].sign * pack(q) * packed[k]
+        total = sum(packs[q] * packed[w] for w, q in qu.items())
+        if lengths[u.idx] & 1:
+            total = -total
         row_id = f"{prefix} u={names[n]} v="
         if total == 1 << block * n:
             for name in names:
@@ -424,13 +424,12 @@ def suite_inversion(ctx: _Context):
     system = ctx.system
     h = ctx.hecke
     h.kl_compute_upto(system.w0.length)
-    yield from _inversion_cases("inversion", system.elements, h.inverse_kl, h.kl_polynomial)
+    p_rows, q_rows = h.inversion_rows(())
+    yield from _inversion_cases("inversion", system.elements, q_rows, p_rows)
     for J in _subsets(system.rank):
+        p_rows, q_rows = h.inversion_rows(J)
         yield from _inversion_cases(
-            f"parabolic inversion J={{{_jtxt(J)}}}",
-            system.minimal_coset_reps(J),
-            lambda u, w: h.inverse_parabolic_kl(u, w, J),
-            lambda w, v: h.parabolic_kl(w, v, J),
+            f"parabolic inversion J={{{_jtxt(J)}}}", system.minimal_coset_reps(J), q_rows, p_rows
         )
 
 

@@ -330,6 +330,33 @@ def test_inverse_parabolic_kl(h3, a3):
                 assert {k: c for k, c in total.items() if c} == expected, (J, u, v)
 
 
+def test_kl_reads_refuse_an_element_of_another_group(h3, a2, a3):
+    """The KL reads index their tables by element index, so an element of
+    another group, even another A3 object, is refused as product refuses a
+    factor of another algebra, not answered with A3 data."""
+    e, top = a3.identity, a3.w0
+    for x in (a2.w0, a2.identity, RootSystem(CartanData.type_a(3)).w0):
+        reads = [
+            (h3.kl_basis, x),
+            (h3.mu_row, x),
+            (h3.kl_polynomial, x, top),
+            (h3.kl_polynomial, e, x),
+            (h3.inverse_kl, x, top),
+            (h3.inverse_kl, e, x),
+        ]
+        for J in [(), (0,)]:
+            reads += [
+                (h3.parabolic_kl, x, e, J),
+                (h3.parabolic_kl, e, x, J),
+                (h3.inverse_parabolic_kl, x, e, J),
+                (h3.inverse_parabolic_kl, e, x, J),
+                (h3.inverse_parabolic_row, x, J),
+            ]
+        for read, *args in reads:
+            with pytest.raises(ValueError, match="different group"):
+                read(*args)
+
+
 def test_gamma_squared_identity(h3, a3):
     # gamma_{w_J}^2 = t_{w_J}^{-1} P_J(t^2) gamma_{w_J}
     for J in [(0,), (1,), (0, 1), (0, 2), (0, 1, 2)]:
@@ -381,6 +408,12 @@ def test_packed_table_matches_the_laurent_recursion(group):
         assert type(h.one())(h, packed) == bar_tau(h, w), w
     for J in _subsets(system.rank):
         p_j, q_j = parabolic_tables(system, rows, J)
+        reps = system.minimal_coset_reps(J)
+        p_rows, q_rows = h.inversion_rows(J)
+        # row w holds the P^J_{w,v} of every v: p_j, read by its first element
+        assert p_rows == {w.idx: {v.idx: p_j[w, v] for v in reps if p_j[w, v]} for w in reps}
+        assert q_rows == {u.idx: {w.idx: q_j[u, w] for w in reps if q_j[u, w]} for u in reps}
+        assert all(p for side in (p_rows, q_rows) for row in side.values() for p in row.values())
         for (u, w), p in p_j.items():
             assert h.parabolic_kl(u, w, J) == p, (J, u, w)
             assert h.inverse_parabolic_kl(u, w, J) == q_j[u, w], (J, u, w)

@@ -603,9 +603,9 @@ SHARED = {
         lambda loc, u: loc.system.roots_outside((0, 2)),
         lambda loc, u: loc.system.roots_outside((2, 0)),
     ),
-    "parabolic table": (
-        lambda loc, u: loc.hecke._parabolic_data(u, u, (0, 2)),
-        lambda loc, u: loc.hecke._parabolic_data(u, u, [2, 0, 2]),
+    "inversion_rows": (
+        lambda loc, u: loc.hecke.inversion_rows((0, 2)),
+        lambda loc, u: loc.hecke.inversion_rows([2, 0, 2]),
     ),
     "kl_basis": (lambda loc, u: loc.hecke.kl_basis(u),) * 2,
     "dl_element": (lambda loc, u: loc.mult.dl_element(u),) * 2,

@@ -1,6 +1,8 @@
 """Golden tests for run_suite: every suite at A2, exactly and mod p."""
 
+import functools
 import hashlib
+import json
 import re
 
 import pytest
@@ -447,6 +449,50 @@ def test_a_failing_exact_class_case_gets_a_bounded_witness(monkeypatch, a2):
     assert cut_cases == 5
 
 
+def _json_by_dumps(report) -> str:
+    """The report's JSON as one json.dumps of its whole payload, a dict per case."""
+    payload = {
+        "format_version": 1,
+        "suite": report.suite,
+        "params": report.params,
+        "mode": report.mode,
+        "seed": report.seed,
+        "passed": report.passed,
+        "failed": report.failed,
+        "cases": [
+            {"id": c.case_id, "pass": c.ok} | ({} if c.witness is None else {"witness": c.witness})
+            for c in report.cases
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def test_to_json_gives_the_bytes_of_one_json_dumps(monkeypatch):
+    """to_json writes each case as a string fragment; the bytes are those of
+    json.dumps over the whole payload, for witnesses, ids with quotes,
+    backslashes and non-ASCII characters, passing cases with a witness,
+    failing ones without, no cases at all, and params with n and d."""
+    cases = [
+        verify.CaseResult("plain", True),
+        verify.CaseResult('quote " and backslash \\ in an id', False, 'lhs="a" rhs=\\b'),
+        verify.CaseResult(
+            "non-ASCII \u03c8 \u00b7 \u03b3_{J/J'} u=[2,1,3]", False, "lhs=\u03c8\n\trhs=\U0001d4ac"
+        ),
+        verify.CaseResult("passing with a witness", True, "kept"),
+        verify.CaseResult("", False),
+    ]
+    for params in ({"type": "A", "rank": 3}, {"type": "A", "rank": 3, "n": 4, "d": 2}):
+        for subset in (cases, []):
+            report = verify.VerificationReport("zelevinsky", params, "modp", 7, subset)
+            assert report.to_json() == _json_by_dumps(report)
+    grassmann = run_suite("grassmann-smoothness", RunConfig(n=4, d=2, k=2, seed=1))
+    monkeypatch.setattr(Localization, "serre_dual", lambda self, c, J=(): c.scale(2))
+    failing = run_suite("serre", RunConfig(rank=2, mode="exact", serre_samples=0))
+    assert failing.failed and grassmann.params["d"] == 2
+    for report in (failing, grassmann):
+        assert report.to_json() == _json_by_dumps(report)
+
+
 # sha256 of the inversion report's to_json() at A3 and A4, as the term-by-term
 # sum over all of W (and W^J) gave it
 INVERSION_DIGESTS = {
@@ -468,15 +514,20 @@ def test_inversion_reports_are_pinned(rank):
 
 
 def _inversion_blocks(system, h):
-    """(id prefix, elements, Q, P) for the ordinary sum and each parabolic J."""
-    blocks = [("inversion", system.elements, h.inverse_kl, h.kl_polynomial)]
-    for J in verify._subsets(system.rank):
+    """(id prefix, elements, Q, P) for the ordinary sum and each parabolic J,
+    with Q and P read from the rows of h.inversion_rows."""
+    named = [("inversion", ())] + [
+        (f"parabolic inversion J={{{verify._jtxt(J)}}}", J) for J in verify._subsets(system.rank)
+    ]
+    blocks = []
+    for prefix, J in named:
+        p_rows, q_rows = h.inversion_rows(J)
         blocks.append(
             (
-                f"parabolic inversion J={{{verify._jtxt(J)}}}",
+                prefix,
                 system.minimal_coset_reps(J),
-                lambda u, w, J=J: h.inverse_parabolic_kl(u, w, J),
-                lambda w, v, J=J: h.parabolic_kl(w, v, J),
+                lambda u, w, q_rows=q_rows: q_rows[u.idx].get(w.idx, ()),
+                lambda w, v, p_rows=p_rows: p_rows[w.idx].get(v.idx, ()),
             )
         )
     return blocks
@@ -508,15 +559,22 @@ def _by_index(args) -> tuple:
     return tuple(getattr(a, "idx", a) for a in args)
 
 
-def _serve_wrong_value(monkeypatch, method, key, change):
-    """Make HeckeAlgebra.method return change(value) for the arguments key."""
-    right = getattr(HeckeAlgebra, method)
+def _plant_in_rows(monkeypatch, edits):
+    """Make every HeckeAlgebra build its inversion rows with change(value) in
+    place of the value at each (J, side, a, b, change) of edits: entry b of
+    row a of the P^J rows (side 0) or the Q^J rows (side 1), by index."""
+    right = HeckeAlgebra._inversion_rows
 
-    def wrong(self, *args):
-        value = right(self, *args)
-        return change(value) if _by_index(args) == _by_index(key) else value
+    @functools.wraps(right)
+    def planted(self, J):
+        rows = right(self, J)
+        for key, side, a, b, change in edits:
+            if key == J:
+                row = rows[side][a.idx] = dict(rows[side][a.idx])
+                row[b.idx] = change(row.get(b.idx, ()))
+        return rows
 
-    monkeypatch.setattr(HeckeAlgebra, method, wrong)
+    monkeypatch.setattr(HeckeAlgebra, "_inversion_rows", planted)
 
 
 def _raise_top_coefficient(p):
@@ -524,9 +582,10 @@ def _raise_top_coefficient(p):
 
 
 def test_inversion_fails_exactly_the_cases_a_wrong_value_reaches(monkeypatch, a3):
-    """One wrong KL value, off the support of the sums (Q_{u,w} = 1 with u not
-    below w) or on it (one coefficient of a nonzero P_{w,v} raised), fails
-    exactly the cases whose full sum it changes, and only those."""
+    """One wrong KL value in the rows the suite reads, off the support of the
+    sums (Q_{u,w} = 1 with u not below w) or on it (one coefficient of a
+    nonzero P_{w,v} raised), fails exactly the cases whose full sum it
+    changes, and only those."""
     h = HeckeAlgebra(a3)
     els, top = a3.elements, a3.w0
     J = (0,)
@@ -540,74 +599,73 @@ def test_inversion_fails_exactly_the_cases_a_wrong_value_reaches(monkeypatch, a3
     ordinary, parabolic = "inversion", "parabolic inversion J={1}"
     patches = [
         (
-            "inverse_kl",
-            (s1, s2),
-            lambda p: (1,),
+            "Q_{s1,s2}",
+            [((), 1, s1, s2, lambda p: (1,))],
             ordinary,
             {(s1, v) for v in els if h.kl_polynomial(s2, v)},
         ),
         (
-            "kl_polynomial",
-            (w1, v1),
-            _raise_top_coefficient,
+            "P_{w1,v1}",
+            # P_{w1,v1} is also Q_{w0 v1, w0 w1}, so it sits in a Q row too
+            [
+                ((), 0, w1, v1, _raise_top_coefficient),
+                ((), 1, top * v1, top * w1, _raise_top_coefficient),
+            ],
             ordinary,
-            # P_{w1,v1} is also Q_{w0 v1, w0 w1}, so it reaches a row too
             {(u, v1) for u in els if h.inverse_kl(u, w1)}
             | {(top * v1, v) for v in els if h.kl_polynomial(top * w1, v)},
         ),
         (
-            "inverse_parabolic_kl",
-            (ju0, jw0, J),
-            lambda p: (1,),
+            "Q^J_{ju0,jw0}",
+            [(J, 1, ju0, jw0, lambda p: (1,))],
             parabolic,
             {(ju0, v) for v in reps if h.parabolic_kl(jw0, v, J)},
         ),
         (
-            "parabolic_kl",
-            (jw1, jv1, J),
-            _raise_top_coefficient,
+            "P^J_{jw1,jv1}",
+            [(J, 0, jw1, jv1, _raise_top_coefficient)],
             parabolic,
             {(u, jv1) for u in reps if h.inverse_parabolic_kl(u, jw1, J)},
         ),
     ]
-    for method, key, change, block, reached in patches:
+    for value, edits, block, reached in patches:
         with monkeypatch.context() as m:
-            _serve_wrong_value(m, method, key, change)
+            _plant_in_rows(m, edits)
             failing = {c.case_id for c in _inversion_report(3).cases if not c.ok}
-            assert failing == _inversion_failures_by_full_sums(3), method
+            assert failing == _inversion_failures_by_full_sums(3), value
         in_block = {c for c in failing if c.startswith(f"{block} u=")}
-        assert in_block == {f"{block} u={u!r} v={v!r}" for u, v in reached}, method
+        assert in_block == {f"{block} u={u!r} v={v!r}" for u, v in reached}, value
         if block == parabolic:
             # nothing else reads a parabolic value
-            assert failing == in_block, method
+            assert failing == in_block, value
 
 
 def test_inversion_looks_each_kl_value_up_once(monkeypatch):
-    """A3 inversion asks for each parabolic (u, w, J) value at most once, and
-    makes at most |W|^2 calls of its own to inverse_kl and to kl_polynomial,
-    not |W|^3: a count, so it holds on any machine."""
-    depth = [0]
-    names = ("inverse_kl", "kl_polynomial", "inverse_parabolic_kl", "parabolic_kl")
-    keys = {name: [] for name in names}
-    for name in names:
+    """A3 inversion makes no per-pair KL call: it reads every value from the
+    inversion rows, and builds the rows of each J once, so each value is
+    looked up once per J.  A count, so it holds on any machine."""
+    calls = dict.fromkeys(("inverse_kl", "kl_polynomial", "inverse_parabolic_kl", "parabolic_kl"), 0)
+    for name in calls:
         method = getattr(HeckeAlgebra, name)
 
         def counted(self, *args, _method=method, _name=name):
-            if depth[0] == 0:
-                keys[_name].append(_by_index(args))
-            depth[0] += 1
-            try:
-                return _method(self, *args)
-            finally:
-                depth[0] -= 1
+            calls[_name] += 1
+            return _method(self, *args)
 
         monkeypatch.setattr(HeckeAlgebra, name, counted)
+    builds = []
+    right = HeckeAlgebra._inversion_rows
+
+    @functools.wraps(right)
+    def counted_build(self, J):
+        builds.append(J)
+        return right(self, J)
+
+    monkeypatch.setattr(HeckeAlgebra, "_inversion_rows", counted_build)
     report = _inversion_report(3)
     assert len(report.cases) == 1653 and report.all_passed()
-    for name in ("inverse_parabolic_kl", "parabolic_kl"):
-        assert keys[name] and len(keys[name]) == len(set(keys[name])), name
-    for name in ("inverse_kl", "kl_polynomial"):
-        assert 0 < len(keys[name]) <= 24**2, (name, len(keys[name]))
+    assert calls == dict.fromkeys(calls, 0)
+    assert sorted(builds) == sorted(verify._subsets(3))
 
 
 def test_hecke_guard_refuses_a_suite():
