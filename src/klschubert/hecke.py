@@ -104,9 +104,6 @@ class HeckeElt(WMap):
     _term = "({c}) tau[{w!r}]"
     _sep = " + "
 
-    def __mul__(self, other: "HeckeElt") -> "HeckeElt":
-        return self.ring.product(self, other)
-
     def __repr__(self):
         return f"HeckeElt({self.format()})"
 
@@ -124,10 +121,6 @@ class HeckeAlgebra(Memo):
         self._norms = [None] * n  # N(gamma_w)
         self._bar_rows = {}  # w.idx -> {v.idx: bar(tau_w)[v] packed at offset l(w0)}
         self._kl_done_length = -1
-
-    def as_scalar(self, value) -> LaurentPoly:
-        """An int as a constant Laurent polynomial in t; a polynomial as itself."""
-        return LaurentPoly.const(1, value) if isinstance(value, int) else value
 
     # ---------- basis elements and products ----------
 
@@ -302,8 +295,7 @@ class HeckeAlgebra(Memo):
 
     def _index(self, w: WeylElt) -> int:
         """w.idx, once w is checked to be an element of this algebra's group."""
-        if w.system is not self.system:
-            raise ValueError("elements of a different group")
+        self.system.require_element(w)
         return w.idx
 
     def _column(self, w: int) -> dict:
@@ -354,9 +346,6 @@ class HeckeAlgebra(Memo):
         return HeckeElt(
             self, {v: LaurentPoly.monomial((top - v.length,), 1) for v in reps}
         )
-
-    def gamma_parabolic(self, J) -> HeckeElt:
-        return self.gamma_rel(J, ())
 
     # ---------- inverse and parabolic KL polynomials ----------
 

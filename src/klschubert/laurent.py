@@ -252,9 +252,6 @@ class LaurentPoly:
         """{exponent tuple: coefficient}, decoded afresh on every read."""
         return dict(zip(_exponents(self.packed, self.arity), self.packed.values()))
 
-    def is_zero(self) -> bool:
-        return not self.packed
-
     def is_one(self) -> bool:
         return len(self.packed) == 1 and self.packed.get(0) == 1
 

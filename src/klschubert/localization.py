@@ -205,6 +205,7 @@ class Localization(Memo):
         return self._once(self._point_class, kind, w)
 
     def _point_class(self, kind: str, w: WeylElt) -> CohClass:
+        self.system.require_element(w)
         return CohClass(self.ring(kind), {w: self.dom.weyl(w, self._once(self._x_pi, kind))})
 
     def _x_pi(self, kind: str):
@@ -334,7 +335,7 @@ class Localization(Memo):
         D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(b) - sum mu(v, ws) D_v[y],
         one dom.dot per y (module docstring)."""
         start, normalized, _, _, mu = _FAMILIES[family]
-        if w.length == 0:
+        if w is self.system.identity:  # another group's e goes on to right_step, which refuses it
             pt = self.point_class(getattr(self.system, start))
             return pt.scale(self._once(self._smc_normalizer)) if normalized else pt
         i, ws = self.system.right_step(w)
@@ -575,7 +576,7 @@ class Localization(Memo):
             den = LaurentPoly.const(arity, 1) - LaurentPoly.monomial(
                 (0,) + tuple(rng.randrange(-1, 2) for _ in range(arity - 1)), 1
             )
-            if den.is_zero():
+            if not den:
                 den = LaurentPoly.const(arity, 1)
             out[w] = self.mult.as_scalar(RatFunc.from_den_factors(LaurentPoly(arity, num), [den]))
         return CohClass(self.mult, out)

@@ -3,14 +3,15 @@
 Every algebraic pipeline here (twisted group ring products, localization
 actions, pairings) uses scalars through one contract:
 
-- a scalar has +, -, *, inv(), ==, is_zero(), format(), and a truth value
-  that is false exactly for zero; the operands of +, -, * and == are scalars
-  of the same domain, and an int is lifted first, through the ring's
+- a scalar has +, *, ==, format() and a truth value, which is false exactly
+  for zero; the operands of +, * and == are scalars of the same domain, and
+  an int or a rational function is lifted first, through the ring's
   as_scalar;
 - a domain has one, zero, lift (an exact rational function into the
   domain), weyl (the Weyl action), dualize (the t/character inversion) and
   the sum of products dot(xs, ys) = sum x y, which skips the product by a
-  y that is the domain's own one (an identity test, not ==).
+  y that is the domain's own one (an identity test, not ==); weyl, dualize
+  and dot refuse a scalar of another domain.
 
 Scalars compare, test and print themselves, so the same pipeline code runs
 either exactly or as a Schwartz-Zippel style evaluation mod a fixed 62-bit
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate, repeat
-from operator import add, itemgetter, mod, mul, neg
+from operator import add, itemgetter, mod, mul
 
 from .ratfunc import FIXED_PRIME, RatFunc
 from .rootsystem import RootSystem, WeylElt
@@ -167,14 +168,6 @@ class OrbitScalar:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return OrbitScalar(
-            self.domain, tuple(map(mod, map(neg, self.values), repeat(self.domain.prime)))
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         """The pointwise product; that of two known functions at one twist is
         known, its orbit residues the products of theirs."""
@@ -197,9 +190,6 @@ class OrbitScalar:
         return self.domain is other.domain and self.values == other.values
 
     __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
 
     def __bool__(self):
         return any(self.values)
@@ -328,6 +318,8 @@ class OrbitDomain:
         """The twist w(c): gathered from the orbit residues of a known function,
         swapped for a computed value when w is w0; any other twist of a
         computed value raises MisplacedTwist."""
+        if c.domain is not self:
+            raise ValueError("scalars from different evaluation domains")
         if w.idx == 0 or c is self.one or c is self.zero:
             return c
         if c.full is not None:
@@ -343,6 +335,8 @@ class OrbitDomain:
         return out
 
     def dualize(self, c: OrbitScalar) -> OrbitScalar:
+        if c.domain is not self:
+            raise ValueError("scalars from different evaluation domains")
         return OrbitScalar(self, self._dual(c.values))
 
     def dot(self, xs, ys) -> OrbitScalar:

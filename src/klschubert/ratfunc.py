@@ -147,14 +147,6 @@ class RatFunc:
     def arity(self) -> int:
         return self.num.arity
 
-    @property
-    def den(self) -> LaurentPoly:
-        """Denominator as an expanded polynomial."""
-        return _times(LaurentPoly.const(self.num.arity, 1), self.facs)
-
-    def is_zero(self) -> bool:
-        return not self.num.packed
-
     def __bool__(self):
         return bool(self.num.packed)
 
@@ -208,7 +200,7 @@ class RatFunc:
         return RatFunc(num_a * num_b, facs)
 
     def inv(self) -> "RatFunc":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero")
         sign, mc, canon = _normalize_factor(self.num)
         num = _times(LaurentPoly.const(self.arity, sign).shift(-mc), self.facs)
@@ -269,7 +261,8 @@ class RatFunc:
     # ---------- printing ----------
 
     def format(self) -> str:
-        return f"({self.num.format()})/({self.den.format()})"
+        den = _times(LaurentPoly.const(self.arity, 1), self.facs)
+        return f"({self.num.format()})/({den.format()})"
 
     def __repr__(self):
         return f"RatFunc{self.format()}"

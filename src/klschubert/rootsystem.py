@@ -42,24 +42,13 @@ from collections import deque
 
 from .laurent import LaurentPoly
 
-__all__ = [
-    "CartanData", "Memo", "RootSystem", "WeylElt", "WMap", "Root", "SizeCapExceeded",
-    "cartan_type_a",
-]
+__all__ = ["CartanData", "Memo", "RootSystem", "WeylElt", "WMap", "Root", "SizeCapExceeded"]
 
 DEFAULT_SIZE_CAP = 50_000
 
 
 class SizeCapExceeded(ValueError):
     """The enumeration reached the size cap before the group closed."""
-
-
-def cartan_type_a(n: int):
-    """Cartan matrix of type A_n."""
-    return tuple(
-        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
-        for i in range(n)
-    )
 
 
 class CartanData:
@@ -82,7 +71,9 @@ class CartanData:
 
     @classmethod
     def type_a(cls, n: int) -> "CartanData":
-        return cls(cartan_type_a(n), "A")
+        """The Cartan matrix of type A_n."""
+        rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+        return cls(rows, "A")
 
 
 class Root:
@@ -147,9 +138,6 @@ class WeylElt:
             raise ValueError("elements of different Weyl groups")
         return self.system.product(self, other)
 
-    def __eq__(self, other):
-        return self is other
-
     def __hash__(self):
         return self.idx
 
@@ -181,11 +169,12 @@ class WMap:
     """A finite map w -> coefficient on W, stored sparsely (missing = zero).
 
     Hecke elements, twisted-group-ring elements and fixed-point classes are
-    all such maps.  The coefficients answer for themselves (+, -, *, ==,
-    truth value, format); the ring supplies as_scalar, for scale.  Maps mix
-    only within one type and one ring: + and - with a map of another type (a
-    QWElt and a CohClass share a TwistedRing) or an int raise TypeError; a map
-    over another ring object, even an equal one, cannot be added and compares
+    all such maps.  The coefficients answer for themselves (+, *, ==, truth
+    value, format), and scale(c) multiplies by c, a scalar of the map's own
+    domain, so a map asks nothing of its ring beyond its identity.  Maps mix
+    only within one type and one ring: + with a map of another type (a QWElt
+    and a CohClass share a TwistedRing) or an int raises TypeError; a map over
+    another ring object, even an equal one, cannot be added and compares
     unequal.
     A subclass prints each term through its template _term, with fields w and
     c, joined by _sep.
@@ -208,13 +197,7 @@ class WMap:
             out[w] = c if q is None else q + c
         return type(self)(self.ring, out)
 
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + other.scale(-1)
-
     def scale(self, c):
-        c = self.ring.as_scalar(c)
         return type(self)(self.ring, {w: p * c for w, p in self.coeffs.items()})
 
     def __eq__(self, other):
@@ -404,8 +387,15 @@ class RootSystem(Memo):
         mask = self._descents[w.idx]
         return [i for i in range(self.rank) if mask >> i & 1]
 
+    def require_element(self, w: WeylElt):
+        """Raise ValueError unless w is an element of this group."""
+        if w.system is not self:
+            raise ValueError("elements of a different group")
+
     def right_step(self, w: WeylElt):
-        """(i, w s_i) for the last letter s_i of w's reduced word."""
+        """(i, w s_i) for the last letter s_i of w's reduced word; ValueError
+        for an element of another group."""
+        self.require_element(w)
         return self._last[w.idx], self.elements[self._parent[w.idx]]
 
     def from_word(self, word) -> WeylElt:
@@ -426,8 +416,7 @@ class RootSystem(Memo):
 
     def bruhat_interval(self, w: WeylElt):
         """All v with v <= w, in (length, index) order."""
-        if w.system is not self:
-            raise ValueError("elements of a different group")
+        self.require_element(w)
         return [self.elements[i] for i in sorted(self._once(self._lower_interval, w.idx))]
 
     def _lower_interval(self, w: int) -> frozenset:
@@ -481,8 +470,7 @@ class RootSystem(Memo):
     def require_min_rep(self, w: WeylElt, J):
         """Raise ValueError unless w is an element of this group in W^J (no
         right descent in J)."""
-        if w.system is not self:
-            raise ValueError("elements of a different group")
+        self.require_element(w)
         if self._descents[w.idx] & _mask(self._jkey(J)):
             raise ValueError(f"{w!r} is not a minimal coset representative for J={J}")
 

@@ -116,9 +116,6 @@ class QWElt(WMap):
     _term = "({c}) d[{w!r}]"
     _sep = " + "
 
-    def __mul__(self, other: "QWElt") -> "QWElt":
-        return self.ring.qw_mul(self, other)
-
     def __repr__(self):
         return f"QWElt<{self.ring.kind}>({self.format()})"
 
@@ -134,12 +131,10 @@ class TwistedRing(Memo):
     # ---------- scalars ----------
 
     def as_scalar(self, value):
-        """An int or a RatFunc lifted into the domain; a scalar as it is."""
+        """An int or a RatFunc lifted into the domain."""
         if isinstance(value, int):
             value = RatFunc.from_int(self.model.arity, value)
-        if isinstance(value, RatFunc):
-            return self.dom.lift(value)
-        return value
+        return self.dom.lift(value)
 
     def inv_mu_power(self, n: int):
         """mu^{-n} = t^n / (t^2 + 1)^n, mu = t + t^{-1}, lifted as one fraction."""
@@ -189,10 +184,6 @@ class TwistedRing(Memo):
         if not (a.ring is self and b.ring is self):
             raise ValueError("elements of different twisted rings")
         return QWElt(self, twisted_product(self.dom, a.coeffs, b.coeffs))
-
-    def pushpull_simple(self, i: int) -> QWElt:
-        """Y_i = (1 + delta_{s_i}) 1/x_{-alpha_i}, that is Y_{{i}/()}."""
-        return self.pushpull_rel((i,), ())
 
     def pushpull_rel(self, J, Jp=()) -> QWElt:
         """Y_{J/J'} = (sum over W_J intersect W^{J'} of delta_w) / x_{J/J'},
@@ -250,6 +241,7 @@ class TwistedRing(Memo):
         return self._once(self._generator_twist, u, i)
 
     def _generator_twist(self, u: WeylElt, i: int) -> tuple:
+        self.system.require_element(u)
         g = self.dl_generator(i).coeffs
         weyl = self.dom.weyl
         return weyl(u, g[self.system.identity]), weyl(u, g[self.system.simple_reflection(i)])
@@ -262,7 +254,7 @@ class TwistedRing(Memo):
         return self._once(self._dl_element, w)
 
     def _dl_element(self, w: WeylElt) -> QWElt:
-        if w.length == 0:
+        if w is self.system.identity:  # another group's e goes on to right_step, which refuses it
             return self.delta(w)
         i, prev = self.system.right_step(w)
         s = self.system.simple_reflection(i)

@@ -309,7 +309,7 @@ def suite_braid(ctx: _Context):
         for j in range(i + 1, n):
             if braid_order(i, j) != 3:
                 continue
-            y1, y2 = qt.pushpull_simple(i), qt.pushpull_simple(j)
+            y1, y2 = qt.pushpull_rel((i,), ()), qt.pushpull_rel((j,), ())
             lhs = qt.times_pushpull(qt.times_pushpull(y1, (j,), ()), (i,), ())
             rhs = qt.times_pushpull(qt.times_pushpull(y2, (i,), ()), (j,), ())
             differ = lhs != rhs
@@ -569,8 +569,8 @@ def suite_zelevinsky(ctx: _Context):
                 prod_j = h.product(prod_j, gJ)
                 prod_k = h.product(prod_k, gK)
             yield CaseResult(f"{tag} relative gamma agreement", rel_agree)
-            gamma_j = h.product(prod_j, h.gamma_parabolic(J))
-            gamma_k = h.product(prod_k, h.gamma_parabolic(J))
+            gamma_j = h.product(prod_j, h.gamma_rel(J, ()))
+            gamma_k = h.product(prod_k, h.gamma_rel(J, ()))
             ok = gamma_j == gamma_target and gamma_k == gamma_target
             yield CaseResult(f"{tag} canonical basis factorization", ok)
             witness = _zelevinsky_operators(ctx, g, tiling, subsets, basis) or class_witness

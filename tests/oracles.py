@@ -173,7 +173,7 @@ def kl_table_by_recursion(ring):
             g = tau_mul(gamma[u], i) + gamma[u].scale(t)
             for v, m in kl_rows(gamma[u], u)[1]:
                 if i in system.right_descents(v):
-                    g = g - gamma[v].scale(m)
+                    g = g + gamma[v].scale(LaurentPoly.const(1, -m))
         assert bar(ring, g) == g, w
         gamma[w] = g
     return gamma
@@ -282,7 +282,7 @@ def pushpull_word(ring, word):
     """The Bott-Samelson product Y_{i_1} ... Y_{i_k} of simple push-pull operators."""
     out = ring.delta(ring.system.identity)
     for i in word:
-        out = ring.qw_mul(out, ring.pushpull_simple(i))
+        out = ring.qw_mul(out, ring.pushpull_rel((i,), ()))
     return out
 
 
@@ -772,8 +772,8 @@ def inversions(system, w):
 
 
 def scalar_elt(ring, c):
-    """c delta_e in the twisted group ring."""
-    return QWElt(ring, {ring.system.identity: ring.as_scalar(c)})
+    """c delta_e in the twisted group ring, c a scalar of its domain."""
+    return QWElt(ring, {ring.system.identity: c})
 
 
 def kept_points(dom) -> list:

@@ -40,7 +40,7 @@ def unpack(key, arity):
 
 def test_zero_is_empty():
     p = z(1) - z(1)
-    assert p.is_zero()
+    assert not p
     assert p.terms == {}
 
 

@@ -111,7 +111,7 @@ def test_every_family_counts_for_equality(a2):
     dom = OrbitDomain(a2, seed=6, families=2)
     block = 4
     one_only_in_family_1 = OrbitScalar(dom, (0,) * block + (1,) * block)
-    assert not one_only_in_family_1.is_zero()
+    assert one_only_in_family_1
     assert one_only_in_family_1 != dom.zero
     differ_in_family_1 = OrbitScalar(dom, (1,) * block + (2,) * block)
     assert differ_in_family_1 != dom.one
@@ -333,7 +333,7 @@ def test_orbit_field_ops(a2):
     assert dom.lift(f) == dom.lift(g)
     a = dom.lift(RatFunc(LaurentPoly.t_power(3, 1) + LaurentPoly.t_power(3, -1)))
     assert a * a.inv() == dom.one
-    assert (a - a).is_zero()
+    assert not a + dom.lift(RatFunc.from_int(3, -1)) * a
 
 
 def test_a_foreign_operand_is_a_type_error(a2):
@@ -357,6 +357,23 @@ def test_a_foreign_operand_is_a_type_error(a2):
             op()
 
 
+def test_weyl_and_dualize_refuse_a_scalar_of_another_domain(a2):
+    """weyl and dualize, as dot, + and *, take scalars of their own domain
+    only: a lift, or a computed value, of another domain of the same group is
+    refused, even for the twist by e."""
+    d1, d2 = OrbitDomain(a2, 1), OrbitDomain(a2, 2)
+    x = d2.lift(RatFunc(LaurentPoly.t_power(3, 1)))
+    for op in (
+        lambda: d1.weyl(a2.simple_reflection(0), x),
+        lambda: d1.weyl(a2.identity, x),
+        lambda: d1.weyl(a2.w0, x + x),
+        lambda: d1.dualize(x),
+        lambda: d1.dualize(x + x),
+    ):
+        with pytest.raises(ValueError, match="different evaluation domains"):
+            op()
+
+
 def test_twisted_ring_same_identities_mod_p(a2):
     """The de dicated mod-p domain reproduces exact twisted-ring identities."""
     dom = OrbitDomain(a2, seed=7)
@@ -375,7 +392,7 @@ def test_twisted_ring_same_identities_mod_p(a2):
         got = qt.qw_mul(qt.pushpull_rel(J, Jp), qt.pushpull_rel(Jp, ()))
         assert got == qt.pushpull_rel(J, ())
     # hyperbolic braid inequality survives mod p
-    y1, y2 = qt.pushpull_simple(0), qt.pushpull_simple(1)
+    y1, y2 = qt.pushpull_rel((0,), ()), qt.pushpull_rel((1,), ())
     assert qt.qw_mul(qt.qw_mul(y1, y2), y1) != qt.qw_mul(qt.qw_mul(y2, y1), y2)
 
 
@@ -431,7 +448,7 @@ def test_exact_dot_is_the_sequential_sum(a2):
         for x, y in zip(xs[1:], ys[1:]):
             expected = expected + x * y
         assert dom.dot(xs, ys).format() == expected.format()
-    assert dom.dot([], []).is_zero()
+    assert not dom.dot([], [])
 
 
 @pytest.mark.parametrize("mode", ["exact", "modp"])

@@ -30,10 +30,22 @@ belongs in ``tests/``.  A default that no call in ``src/`` or ``perfbench/``
 overrides is an option with a single value in use, which belongs in the code
 as a constant.  These checks keep an unreached definition, or a one-value
 option, from quietly coming back.
+
+A name graph cannot tell two methods of one name apart, so a runtime check
+stands beside it: a grid of suite runs is traced with ``sys.setprofile``, and
+the functions it never enters must be exactly a listed set, each kept for a
+stated reason.
 """
 
 import ast
+import importlib
+import inspect
+import sys
 from pathlib import Path
+
+from klschubert.verify import SUITES, RunConfig, run_suite
+
+from test_trace_targets import _load_tracing
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "klschubert"
@@ -287,3 +299,111 @@ def test_every_default_is_passed():
             passed.update(keywords)
         unused += [f"{where}({p})" for p in defaulted if p not in passed]
     assert not unused, "defaults that no call overrides:\n" + "\n".join(unused)
+
+
+# ---------- runtime reachability ----------
+
+# The functions under src/klschubert that the traced grid below never enters,
+# each kept for a reason; the names that perfbench/tracing.py patches are
+# taken from its TARGETS, not listed here.  An alias (OrbitScalar.__radd__ is
+# __add__) is one function and is entered with it.
+NEVER_ENTERED = {
+    # called by perfbench/test_perfbench.py
+    "ratfunc.RatFunc.fraction",
+    # printing, for witnesses and names: a case prints only when it fails
+    "grassmannian.GrassData.__repr__",
+    "grassmannian.Partition.__repr__",
+    "hecke.HeckeElt.__repr__",
+    "laurent.LaurentPoly.__repr__",
+    "laurent.LaurentPoly.format",
+    "localization.CohClass.__repr__",
+    "modp.OrbitScalar.__repr__",
+    "modp.OrbitScalar.format",
+    "ratfunc.RatFunc.__repr__",
+    "ratfunc.RatFunc.format",
+    "rootsystem.Root.__repr__",
+    "rootsystem.WMap.format",
+    "rootsystem.WMap.support",
+    "rootsystem.WeylElt.word",
+    "twisted.QWElt.__repr__",
+    "verify._witness",
+    # error constructors and fault guards, entered only when a run goes wrong
+    "laurent._arity_mismatch",
+    "laurent._overflow",
+    "laurent.LaurentPoly._tighten",
+    # Partition is a value type
+    "grassmannian.Partition.__eq__",
+    "grassmannian.Partition.__hash__",
+}
+
+
+def _functions() -> dict:
+    """{code object: its names} over the module-level functions and the methods
+    (properties and class and static methods included) defined in the
+    package's source files; generated methods, such as a dataclass's
+    __eq__, have no source file there."""
+    out: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+        members = [(path.stem, name, obj) for name, obj in vars(module).items()]
+        members += [
+            (f"{path.stem}.{cls_name}", attr, value)
+            for cls_name, cls in vars(module).items()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+            for attr, value in vars(cls).items()
+        ]
+        for owner, name, obj in members:
+            for fn in (getattr(obj, "__func__", None), getattr(obj, "fget", None), obj):
+                if inspect.isfunction(fn):
+                    if Path(fn.__code__.co_filename).resolve() == path.resolve():
+                        out.setdefault(fn.__code__, []).append(f"{owner}.{name}")
+                    break
+    return out
+
+
+def _traced_codes() -> set:
+    """The code objects of every function perfbench/tracing.py patches."""
+    return {
+        vars(obj)[attr].__code__
+        for _, owner, attrs, _ in _load_tracing().TARGETS
+        for obj in (owner if isinstance(owner, tuple) else (owner,))
+        for attr in attrs
+    }
+
+
+def test_every_function_is_entered_on_the_verdict_path():
+    """Every suite at A2 and the Grassmannian suites at G(2,4), in both modes,
+    with each report passing and written as JSON, enter every function in the
+    package but NEVER_ENTERED and the benchmark's traced names.  The static
+    check above resolves calls by name, so it counts a method reached when
+    another one of that name is (RatFunc.inv for OrbitScalar.inv); this one
+    records what runs."""
+    grassmannian = ("zelevinsky", "grassmann-smoothness")
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        for name in SUITES:
+            for mode in ("exact", "modp"):
+                if name in grassmannian:
+                    cfg = RunConfig(n=4, d=2, mode=mode)
+                else:
+                    cfg = RunConfig(rank=2, mode=mode)
+                report = run_suite(name, cfg)
+                assert report.all_passed(), (name, mode)
+                report.to_json()
+    finally:
+        sys.setprofile(None)
+    traced = _traced_codes()
+    never = {
+        name
+        for code, names in _functions().items()
+        if code not in entered and code not in traced
+        for name in names
+    }
+    extra, entered_now = sorted(never - NEVER_ENTERED), sorted(NEVER_ENTERED - never)
+    assert not extra and not entered_now, f"never entered: {extra}; entered: {entered_now}"

@@ -426,17 +426,23 @@ def test_each_t_polynomial_is_lifted_once_per_ring(monkeypatch):
     assert asked[0] > 2 * len(keys)
 
 
+def _doubled(loc, c, J=()):
+    """A wrong serre_dual: twice the class."""
+    return c.scale(loc.mult.as_scalar(2))
+
+
 def test_a_failing_exact_class_case_gets_a_bounded_witness(monkeypatch, a2):
     """An exact witness prints whole classes: each side keeps its first
     WITNESS_CHARS characters and records its full length."""
-    monkeypatch.setattr(Localization, "serre_dual", lambda self, c, J=(): c.scale(2))
+    monkeypatch.setattr(Localization, "serre_dual", _doubled)
     report = run_suite("serre", RunConfig(rank=2, mode="exact", serre_samples=0))
     loc = Localization(a2)
     cut = re.compile(r"lhs=(.*)\.\.\. \[(\d+) chars\] rhs=(.*)\.\.\. \[(\d+) chars\]")
     assert [c.case_id for c in report.cases] == [f"D(C[{w!r}]) = C[{w!r}]" for w in a2.elements]
     cut_cases = 0
     for w, case in zip(a2.elements, report.cases):
-        lhs, rhs = loc.kl_class_c(w).scale(2).format(), loc.kl_class_c(w).format()
+        lhs = loc.kl_class_c(w).scale(loc.mult.as_scalar(2)).format()
+        rhs = loc.kl_class_c(w).format()
         assert not case.ok
         assert len(case.witness) < 2 * WITNESS_CHARS + 50
         if len(rhs) <= WITNESS_CHARS:
@@ -486,7 +492,7 @@ def test_to_json_gives_the_bytes_of_one_json_dumps(monkeypatch):
             report = verify.VerificationReport("zelevinsky", params, "modp", 7, subset)
             assert report.to_json() == _json_by_dumps(report)
     grassmann = run_suite("grassmann-smoothness", RunConfig(n=4, d=2, k=2, seed=1))
-    monkeypatch.setattr(Localization, "serre_dual", lambda self, c, J=(): c.scale(2))
+    monkeypatch.setattr(Localization, "serre_dual", _doubled)
     failing = run_suite("serre", RunConfig(rank=2, mode="exact", serre_samples=0))
     assert failing.failed and grassmann.params["d"] == 2
     for report in (failing, grassmann):
