@@ -128,6 +128,8 @@ class HeckeAlgebra(Memo):
         return self.tau(self.system.identity)
 
     def tau(self, w: WeylElt) -> HeckeElt:
+        """tau_w; ValueError for an element of another group."""
+        self.system.require_element(w)
         return HeckeElt(self, {w: _ONE})
 
     def _right_step(self, coeffs: dict, i: int, width: int, c: tuple) -> dict:

@@ -30,6 +30,8 @@ the negative roots outside Sigma_J, so x -> x(q_J) is right-W_J-invariant, and
 f* g* is by construction; so the bullet is constant over the fixed points, and
 one sum gives it.  Pairings come as whole matrices: each left class is weighted
 by x(q_J) once, and each entry is then one dom.dot over the common support.
+A sketch sum r_a s_b <f_a, g_b>_J of a whole matrix sums each side per point
+first, so it costs one dom.dot per point and side.
 
 Parabolic classes are built at x in W^J, one value per coset x W_J.  This is
 exact: Y_J = sum over v in W_J of v(q) delta_v, q = 1/x_J, so (Y_J . c)_u = sum
@@ -286,16 +288,7 @@ class Localization(Memo):
         over the points both classes live on, in f's order, and an entry with
         no common point is the domain's zero.
         """
-        classes = [*left, *right]
-        if not classes:
-            return []
-        ring = classes[0].ring
-        if any(c.ring is not ring for c in classes):
-            raise ValueError("pairing requires classes in the same model")
-        mask, descents = _mask(self.system._jkey(J)), self.system._descents
-        if mask and any(descents[x.idx] & mask for c in classes for x in c.coeffs):
-            raise ValueError("pairing on G/P_J of a class with a point outside W^J")
-        q = ring.pushpull_rel(tuple(range(self.system.rank)), J).coeffs
+        q = self._pairing_q([*left, *right], J)
         dot, zero = self.dom.dot, self.dom.zero
         by_point: dict = {}  # x -> [(column, g_x)] over the right classes
         for col, g in enumerate(right):
@@ -312,6 +305,32 @@ class Localization(Memo):
                         terms[col][1].append(gx)
             rows.append([dot(*pair) if pair[0] else zero for pair in terms])
         return rows
+
+    def pairing_sketch(self, left, right, r, s, J=()):
+        """sum over a and b of r[a] s[b] <left[a], right[b]>_J, for scalars r
+        and s, one per class: the sum over x in W^J of (sum_a r_a f_a[x])
+        x(q_J) (sum_b s_b g_b[x]), one dot per point on each side and one over
+        the points, (|left| + |right|) |W^J| products where the matrix takes
+        |left| |right| |W^J|.  The classes are checked as in pairing_matrix."""
+        q = self._pairing_q([*left, *right], J)
+        dom = self.dom
+        u = dot_by_key(dom, ((x, fx, ra) for f, ra in zip(left, r) for x, fx in f.coeffs.items()))
+        v = dot_by_key(dom, ((x, gx, sb) for g, sb in zip(right, s) for x, gx in g.coeffs.items()))
+        common = [x for x in u if x in v]
+        return dom.dot([u[x] * q[x] for x in common], [v[x] for x in common])
+
+    def _pairing_q(self, classes, J) -> dict:
+        """x -> x(q_J) for the classes of one pairing on G/P_J: ValueError
+        unless they share one ring and live on W^J; empty without classes."""
+        if not classes:
+            return {}
+        ring = classes[0].ring
+        if any(c.ring is not ring for c in classes):
+            raise ValueError("pairing requires classes in the same model")
+        mask, descents = _mask(self.system._jkey(J)), self.system._descents
+        if mask and any(descents[x.idx] & mask for c in classes for x in c.coeffs):
+            raise ValueError("pairing on G/P_J of a class with a point outside W^J")
+        return ring.pushpull_rel(tuple(range(self.system.rank)), J).coeffs
 
     def pairing_normalizer(self, J=()):
         """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted: t^{N_J} times

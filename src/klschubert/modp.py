@@ -68,6 +68,16 @@ and rhs differ as rational functions and D is the total degree of the cleared
 numerator of lhs - rhs, they agree at one family's base point with probability
 at most D/(p-3), and a false identity survives all k families with probability
 at most (D/(p-3))^k.
+
+A pairing matrix M is first checked whole against its expected matrix N by
+Freivalds' check (see verify): r^T M s = r^T N s for weights r and s from
+random_weights, one residue uniform on [1, p-1] per class, the same at every
+kept point, drawn from a stream seeded apart from the families'.  At a kept
+point where M and N differ, (M - N) s vanishes with probability at most
+1/(p-1) and r^T of a nonzero vector with at most 1/(p-1) (Schwartz-Zippel at
+degree 1), so the check passes a wrong matrix with probability at most
+2/(p-1) at each kept point.  A false pairing case then survives with
+probability at most (D/(p-3))^k + 2/(p-1), the second term once per matrix.
 """
 
 from __future__ import annotations
@@ -216,6 +226,7 @@ class OrbitDomain:
         if families < 1:
             raise ValueError("an orbit domain needs at least one point family")
         self.system = system
+        self.seed = seed
         self.prime = FIXED_PRIME
         self.points = []
         for f in range(families):
@@ -338,6 +349,13 @@ class OrbitDomain:
         if c.domain is not self:
             raise ValueError("scalars from different evaluation domains")
         return OrbitScalar(self, self._dual(c.values))
+
+    def random_weights(self, n: int) -> list:
+        """n scalars, each one residue uniform on [1, p - 1] at every kept point,
+        drawn by a random.Random seeded from the domain's seed, apart from the
+        families' streams: the same n give the same scalars."""
+        rng = random.Random(f"weights {self.seed}")
+        return [OrbitScalar(self, (rng.randrange(1, self.prime),) * self.size) for _ in range(n)]
 
     def dot(self, xs, ys) -> OrbitScalar:
         """sum x y over the pairs of xs and ys, accumulated as integers and

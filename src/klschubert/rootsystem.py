@@ -134,8 +134,7 @@ class WeylElt:
         return self.system.elements[self.system._inverse[self.idx]]
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
-        if other.system is not self.system:
-            raise ValueError("elements of different Weyl groups")
+        self.system.require_element(other)
         return self.system.product(self, other)
 
     def __hash__(self):

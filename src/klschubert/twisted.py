@@ -178,6 +178,8 @@ class TwistedRing(Memo):
     # ---------- elements ----------
 
     def delta(self, w: WeylElt) -> QWElt:
+        """delta_w; ValueError for an element of another group."""
+        self.system.require_element(w)
         return QWElt(self, {w: self.dom.one})
 
     def qw_mul(self, a: QWElt, b: QWElt) -> QWElt:

@@ -8,7 +8,10 @@ operators, with both sides printed as the witness on failure.  The few
 verdicts that are not an equality (an inequality, a mismatch, a
 combinatorial check) are yielded as CaseResults directly, and so are the
 inversion cases of a u whose sums all hold, which are compared at once as one
-packed int (see _inversion_cases).
+packed int (see _inversion_cases), and, mod p, the cases of a pairing matrix
+that passes Freivalds' check, one random bilinear sum per matrix (see
+_pairing_cases); a row or matrix that fails its check is read entry by
+entry, so every failing case keeps its own witness.
 
 Suites run either exactly or in modp mode; the latter evaluates the whole
 computation in one orbit domain holding k Weyl-orbit point families drawn
@@ -17,7 +20,8 @@ family: the base point P, w0 P and their inverses.  Scalars are equal only if
 they agree at every one of them, so a case passes only if it passes at every
 family; a failing modp case prints the residue at family 0's base point as
 its witness.  Exact mode is the oracle for modp mode: a true identity can
-never fail modp, so any modp failure is a real failure.
+never fail modp, so any modp failure is a real failure.  Exact mode builds
+every pairing entry, so each of its verdicts is checked entry by entry.
 
 The group is enumerated under the suite's size guard (``comb_guard`` for
 zelevinsky, ``hecke_guard`` for every other suite), so an oversized run is
@@ -189,9 +193,27 @@ def _case(case_id: str, lhs, rhs, witness: str | None = None) -> CaseResult:
 def _pairing_cases(loc, case_id, left: dict, right: dict, diag, J=()):
     """The cases "<left[a], right[b]>_J = diag if a is b else 0" for every a,
     then every b, in the order of the two dicts; case_id(a, b) names each
-    case.  The values come from one pairing matrix."""
-    zero = loc.dom.zero
-    matrix = loc.pairing_matrix(list(left.values()), list(right.values()), J)
+    case.  Mod p the whole matrix is checked first by Freivalds' check
+    (Freivalds 1977): with random weights r and s, one per class, the sum of
+    r_a s_b <left[a], right[b]>_J (Localization.pairing_sketch) is compared
+    with diag times the sum of r_a s_a over the a in both dicts, and if they
+    agree every case passes, as a row does in _inversion_cases.  Otherwise,
+    and always in exact mode, the values come from one pairing matrix and
+    each case is checked through _case, with its own witness."""
+    dom = loc.dom
+    fs, gs = list(left.values()), list(right.values())
+    if dom.kind == "modp":
+        weights = dom.random_weights(len(left) + len(right))
+        r, s = dict(zip(left, weights)), dict(zip(right, weights[len(left) :]))
+        both = [a for a in left if a in s]
+        trace = dom.dot([r[a] for a in both], [s[a] for a in both])
+        if loc.pairing_sketch(fs, gs, list(r.values()), list(s.values()), J) == diag * trace:
+            for a in left:
+                for b in right:
+                    yield CaseResult(case_id(a, b), True)
+            return
+    zero = dom.zero
+    matrix = loc.pairing_matrix(fs, gs, J)
     for a, row in zip(left, matrix):
         for b, val in zip(right, row):
             yield _case(case_id(a, b), val, diag if a is b else zero)

@@ -331,12 +331,14 @@ def test_inverse_parabolic_kl(h3, a3):
 
 
 def test_kl_reads_refuse_an_element_of_another_group(h3, a2, a3):
-    """The KL reads index their tables by element index, so an element of
-    another group, even another A3 object, is refused as product refuses a
-    factor of another algebra, not answered with A3 data."""
+    """The KL reads index their tables by element index, and so does product
+    for the terms of tau_w, so an element of another group, even another A3
+    object, is refused as product refuses a factor of another algebra, not
+    answered with A3 data."""
     e, top = a3.identity, a3.w0
     for x in (a2.w0, a2.identity, RootSystem(CartanData.type_a(3)).w0):
         reads = [
+            (h3.tau, x),
             (h3.kl_basis, x),
             (h3.mu_row, x),
             (h3.kl_polynomial, x, top),

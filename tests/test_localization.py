@@ -69,6 +69,7 @@ def test_class_builders_refuse_an_element_of_another_group(a2, mode):
         "kl_schubert": loc.kl_schubert,
         "point_class": loc.point_class,
         "dl_element": loc.mult.dl_element,
+        "delta": loc.mult.delta,
         "generator_twist": lambda w: loc.mult.generator_twist(w, 0),
         "smc_cell": loc.smc_cell,
         "kl_class_c_tilde": loc.kl_class_c_tilde,
@@ -81,7 +82,7 @@ def test_class_builders_refuse_an_element_of_another_group(a2, mode):
             try:
                 build(foreign)
             except ValueError as exc:
-                assert re.fullmatch("elements of (a )?different (Weyl )?groups?", str(exc)), exc
+                assert str(exc) == "elements of a different group", exc
             else:
                 answered.append((name, foreign))
     assert answered == []
@@ -292,6 +293,7 @@ def test_parabolic_duality_a2(loc2, a2):
 
 
 PAIRING_GROUPS = {
+    "A2": CartanData.type_a(2),
     "A3": CartanData.type_a(3),
     "B2": CartanData(((2, -2), (-1, 2)), "B"),
     "G2": CartanData(((2, -1), (-3, 2)), "G"),
@@ -379,7 +381,8 @@ def test_pairing_refuses_a_product_that_is_not_invariant(name, mode):
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
 def test_pairing_matrix_checks_every_class(name, mode):
     """A class with a point outside W^J is refused on either side, even
-    against the zero class, whose product with it is invariant."""
+    against the zero class, whose product with it is invariant, by the matrix
+    and the sketch alike."""
     loc = _pairing_loc(name, mode)
     zero = CohClass(loc.mult, {})
     f = loc.random_class(7)
@@ -389,8 +392,40 @@ def test_pairing_matrix_checks_every_class(name, mode):
         for left, right in (([planted], [zero]), ([zero], [planted]), ([zero], [zero, planted])):
             with pytest.raises(ValueError, match=OUTSIDE):
                 loc.pairing_matrix(left, right, J)
+            weights = [loc.dom.one] * len(right)
+            with pytest.raises(ValueError, match=OUTSIDE):
+                loc.pairing_sketch(left, right, weights, weights, J)
         assert not loc.pairing_matrix([zero], [zero], J)[0][0]
     assert not loc.pairing(f, zero)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_pairing_sketch_is_the_weighted_sum_of_the_matrix(name, mode):
+    """pairing_sketch(left, right, r, s, J) is the sum of r_a s_b M_ab over the
+    pairing matrix M, for random classes at J = () and parabolic cell and KL
+    classes at every other proper J, with int weights lifted into the domain;
+    a pairing with no class on one side sketches to zero."""
+    loc = _pairing_loc(name, mode)
+    system, dom = loc.system, loc.dom
+    rng = random.Random(5)
+    groups = [((), [loc.random_class(1), loc.random_class(2)], [loc.random_class(3)])]
+    for J in [(i,) for i in range(system.rank)]:
+        reps = system.minimal_coset_reps(J)
+        mc = [loc.mc_cell_parabolic(u, J) for u in reps]
+        smc = [loc.smc_cell_parabolic(u, J) for u in reps]
+        cj = [loc.kl_class_c_parabolic(u, J) for u in reps[:2]]
+        ctj = [loc.kl_class_c_tilde_parabolic(u, J) for u in reps[1:]]
+        groups += [(J, mc, smc), (J, cj, ctj)]
+    for J, left, right in groups:
+        r = [loc.mult.as_scalar(rng.randrange(1, 1000)) for _ in left]
+        s = [loc.mult.as_scalar(rng.randrange(1, 1000)) for _ in right]
+        expected = dom.zero
+        for ra, row in zip(r, loc.pairing_matrix(left, right, J)):
+            for sb, val in zip(s, row):
+                expected = expected + ra * sb * val
+        assert expected and loc.pairing_sketch(left, right, r, s, J) == expected, J
+        assert not loc.pairing_sketch(left, [], r, [], J)
 
 
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)

@@ -9,7 +9,7 @@ import pytest
 
 from klschubert import verify
 from klschubert.hecke import HeckeAlgebra
-from klschubert.localization import Localization
+from klschubert.localization import CohClass, Localization
 from klschubert.rootsystem import CartanData, RootSystem, WeylElt
 from klschubert.twisted import TwistedRing
 from klschubert.verify import SUITES, WITNESS_CHARS, GuardRefusal, RunConfig, run_suite
@@ -288,6 +288,111 @@ def test_a_failing_mod_p_pairing_case_prints_its_residues(monkeypatch, a2):
         "lhs=OrbitScalar(2766721086702844936, ...) rhs=OrbitScalar(1, ...)"
     )
     assert all(c.witness is None for c in report.cases if c.ok)
+
+
+def _corrupt(monkeypatch, name, hit):
+    """Localization.name with one restriction of the class it returns for the
+    arguments hit(self, *args) accepts raised by one: the restriction at the
+    class's first point."""
+    build = getattr(Localization, name)
+
+    def corrupted(self, *args):
+        c = build(self, *args)
+        if not hit(self, *args):
+            return c
+        x = next(iter(c.coeffs))
+        return CohClass(c.ring, {**c.coeffs, x: c.coeffs[x] + self.dom.one})
+
+    monkeypatch.setattr(Localization, name, corrupted)
+
+
+def _failures_by_matrix(loc, case_id, left, right, diag, J=()):
+    """(case id, witness) of every failing case of one pairing, read entry by
+    entry off pairing_matrix."""
+    zero = loc.dom.zero
+    matrix = loc.pairing_matrix(list(left.values()), list(right.values()), J)
+    out = []
+    for a, row in zip(left, matrix):
+        for b, val in zip(right, row):
+            expected = diag if a is b else zero
+            if val != expected:
+                out.append((case_id(a, b), verify._witness(val, expected)))
+    return out
+
+
+def _failures(report):
+    return [(c.case_id, c.witness) for c in report.cases if not c.ok]
+
+
+def test_a_corrupted_ct_fails_the_duality_cases_the_matrix_fails(monkeypatch, a3):
+    """With one restriction of one C~_v wrong, A3 mod-p duality fails the sketch
+    and then exactly the cases, with the witnesses, that the entries of a
+    direct pairing matrix fail."""
+    target = a3.elements[len(a3.elements) // 2]
+    _corrupt(monkeypatch, "kl_class_c_tilde", lambda self, w: w.idx == target.idx)
+    cfg = RunConfig(rank=3, mode="modp", k=2, seed=1)
+    report = run_suite("duality", cfg)
+    loc = verify._Context(cfg, "duality", cfg.hecke_guard).loc
+    system = loc.system
+    cw = {w: loc.kl_class_c(w) for w in system.elements}
+    ct = {v: loc.kl_class_c_tilde(v) for v in system.elements}
+    case_id = lambda w, v: f"<C[{w!r}], Ct[{v!r}]>"  # noqa: E731
+    expected = _failures_by_matrix(loc, case_id, cw, ct, loc.pairing_normalizer())
+    assert expected and all(f"Ct[{target!r}]" in i for i, _ in expected)
+    assert len(report.cases) == A3_PAIRING_CASES["duality"]
+    assert _failures(report) == expected
+
+
+def test_a_corrupted_smc_j_fails_the_parabolic_cases_the_matrices_fail(monkeypatch, a3):
+    """With one restriction of one SMC_J cell wrong, at J = {1}, A3 mod-p
+    parabolic-duality fails exactly the cases, with the witnesses, that the
+    entries of direct pairing matrices fail, at that J alone; the C~^J built
+    from the cell are wrong too."""
+    J = (0,)
+    target = a3.minimal_coset_reps(J)[3]
+    _corrupt(
+        monkeypatch,
+        "smc_cell_parabolic",
+        lambda self, v, jj: v.idx == target.idx and self.system._jkey(jj) == J,
+    )
+    cfg = RunConfig(rank=3, mode="modp", k=2, seed=1)
+    report = run_suite("parabolic-duality", cfg)
+    loc = verify._Context(cfg, "parabolic-duality", cfg.hecke_guard).loc
+    reps = loc.system.minimal_coset_reps(J)
+    tag = "J={1} "
+    mc = {u: loc.mc_cell_parabolic(u, J) for u in reps}
+    smc = {v: loc.smc_cell_parabolic(v, J) for v in reps}
+    cj = {w: loc.kl_class_c_parabolic(w, J) for w in reps}
+    ctj = {w: loc.kl_class_c_tilde_parabolic(w, J) for w in reps}
+    expected = _failures_by_matrix(
+        loc, lambda u, v: f"{tag}<MC[{u!r}], SMC[{v!r}]>_J", mc, smc, loc.dom.one, J
+    )
+    assert expected and all(f"SMC[{target!r}]" in i for i, _ in expected)
+    expected += _failures_by_matrix(
+        loc, lambda w, u: f"{tag}<C^J[{w!r}], Ct^J[{u!r}]>_J", cj, ctj, loc.pairing_normalizer(J), J
+    )
+    assert len(report.cases) == A3_PAIRING_CASES["parabolic-duality"]
+    assert _failures(report) == expected
+
+
+@pytest.mark.parametrize("mode", ["exact", "modp"])
+def test_pairing_matrices_are_built_only_where_the_check_fails(monkeypatch, mode):
+    """Passing mod-p pairing suites build no pairing matrix: each is checked by
+    one sketch.  Exact mode builds each matrix, one per pairing."""
+    calls = []
+    pairing_matrix = Localization.pairing_matrix
+
+    def counted(self, left, right, J=()):
+        calls.append(J)
+        return pairing_matrix(self, left, right, J)
+
+    monkeypatch.setattr(Localization, "pairing_matrix", counted)
+    # duality and orthogonality pair once; parabolic-duality twice per J of A2
+    for suite, matrices in (("duality", 1), ("orthogonality", 1), ("parabolic-duality", 6)):
+        calls.clear()
+        report = run_suite(suite, _config(suite, mode))
+        assert report.all_passed() and len(report.cases) == CASES[suite]
+        assert len(calls) == (0 if mode == "modp" else matrices), suite
 
 
 @pytest.mark.parametrize("mode", ["exact", "modp"])
