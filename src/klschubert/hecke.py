@@ -366,13 +366,9 @@ class HeckeAlgebra(Memo):
 
     def inverse_parabolic_kl(self, u: WeylElt, w: WeylElt, J) -> tuple:
         """Q^J_{u,w}, read from the Q^J row of u."""
-        self.system.require_min_rep(w, J)
-        return self.inverse_parabolic_row(u, J).get(w.idx, ())
-
-    def inverse_parabolic_row(self, u: WeylElt, J) -> dict:
-        """{w.idx: Q^J_{u,w}} over the w in W^J with Q^J_{u,w} nonzero."""
         self.system.require_min_rep(u, J)
-        return self.inversion_rows(J)[1][u.idx]
+        self.system.require_min_rep(w, J)
+        return self.inversion_rows(J)[1][u.idx].get(w.idx, ())
 
     def inversion_rows(self, J) -> tuple:
         """(P^J rows, Q^J rows) over W^J, built once per J (module docstring):

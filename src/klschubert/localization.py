@@ -30,8 +30,6 @@ the negative roots outside Sigma_J, so x -> x(q_J) is right-W_J-invariant, and
 f* g* is by construction; so the bullet is constant over the fixed points, and
 one sum gives it.  Pairings come as whole matrices: each left class is weighted
 by x(q_J) once, and each entry is then one dom.dot over the common support.
-A sketch sum r_a s_b <f_a, g_b>_J of a whole matrix sums each side per point
-first, so it costs one dom.dot per point and side.
 
 Parabolic classes are built at x in W^J, one value per coset x W_J.  This is
 exact: Y_J = sum over v in W_J of v(q) delta_v, q = 1/x_J, so (Y_J . c)_u = sum
@@ -39,7 +37,11 @@ over y in u W_J of c_y y(q) for every class c, which depends on u W_J alone.
 SMC_J is the w0-translate of such a class (w0 maps cosets to cosets, so its
 value at x reads MC_J at the representative of w0 x W_J), dualized, times twists
 of the Serre monomial and lambda_J, invariant as W_J permutes the roots outside
-Sigma_J; C^J and C~^J sum those classes.
+Sigma_J.  C^J and C~^J are KL sums of those cells, and so is a weighted sum of
+them: sum r_w C^J_w = sum rho_u MC_J(cell u), rho_u = sum r_w t_w P^J_{u,w}(t^-2)
+off row u of P^J, and sum r_w C~^J_w is the normalizer times sum sigma_v
+SMC_J(cell v), sigma_v off the rows of Q^J (HeckeAlgebra.inversion_rows); so
+a sum over all of W^J takes |W^J|^2 products, not |W^J|^3 class by class.
 
 Functions of the fixed point u that are Weyl twists u(f) of one function f are
 lifted once and twisted per u with dom.weyl.  A mod-p domain can twist a
@@ -288,7 +290,16 @@ class Localization(Memo):
         over the points both classes live on, in f's order, and an entry with
         no common point is the domain's zero.
         """
-        q = self._pairing_q([*left, *right], J)
+        classes = [*left, *right]
+        if not classes:
+            return []
+        ring = classes[0].ring
+        if any(c.ring is not ring for c in classes):
+            raise ValueError("pairing requires classes in the same model")
+        mask, descents = _mask(self.system._jkey(J)), self.system._descents
+        if mask and any(descents[x.idx] & mask for c in classes for x in c.coeffs):
+            raise ValueError("pairing on G/P_J of a class with a point outside W^J")
+        q = ring.pushpull_rel(tuple(range(self.system.rank)), J).coeffs
         dot, zero = self.dom.dot, self.dom.zero
         by_point: dict = {}  # x -> [(column, g_x)] over the right classes
         for col, g in enumerate(right):
@@ -305,32 +316,6 @@ class Localization(Memo):
                         terms[col][1].append(gx)
             rows.append([dot(*pair) if pair[0] else zero for pair in terms])
         return rows
-
-    def pairing_sketch(self, left, right, r, s, J=()):
-        """sum over a and b of r[a] s[b] <left[a], right[b]>_J, for scalars r
-        and s, one per class: the sum over x in W^J of (sum_a r_a f_a[x])
-        x(q_J) (sum_b s_b g_b[x]), one dot per point on each side and one over
-        the points, (|left| + |right|) |W^J| products where the matrix takes
-        |left| |right| |W^J|.  The classes are checked as in pairing_matrix."""
-        q = self._pairing_q([*left, *right], J)
-        dom = self.dom
-        u = dot_by_key(dom, ((x, fx, ra) for f, ra in zip(left, r) for x, fx in f.coeffs.items()))
-        v = dot_by_key(dom, ((x, gx, sb) for g, sb in zip(right, s) for x, gx in g.coeffs.items()))
-        common = [x for x in u if x in v]
-        return dom.dot([u[x] * q[x] for x in common], [v[x] for x in common])
-
-    def _pairing_q(self, classes, J) -> dict:
-        """x -> x(q_J) for the classes of one pairing on G/P_J: ValueError
-        unless they share one ring and live on W^J; empty without classes."""
-        if not classes:
-            return {}
-        ring = classes[0].ring
-        if any(c.ring is not ring for c in classes):
-            raise ValueError("pairing requires classes in the same model")
-        mask, descents = _mask(self.system._jkey(J)), self.system._descents
-        if mask and any(descents[x.idx] & mask for c in classes for x in c.coeffs):
-            raise ValueError("pairing on G/P_J of a class with a point outside W^J")
-        return ring.pushpull_rel(tuple(range(self.system.rank)), J).coeffs
 
     def pairing_normalizer(self, J=()):
         """prod (t - t^-1 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted: t^{N_J} times
@@ -451,35 +436,42 @@ class Localization(Memo):
 
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
         """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J,
-        on W^J."""
-        self.system.require_min_rep(w, J)
-        jkey = self.system._jkey(J)
-        terms = []
-        lw = w.length
-        for u in self.system.minimal_coset_reps(J):
-            p = self.hecke.parabolic_kl(u, w, J)
-            if not p:
-                continue
-            poly = LaurentPoly(1, {(lw - 2 * j,): c for j, c in enumerate(p)})
-            terms.append((self.mult.t_poly(poly), self.mc_cell_parabolic(u, jkey).coeffs))
-        return CohClass(self.mult, combine(self.dom, terms))
+        on W^J: the sum of one weight."""
+        return self.kl_sum_parabolic("C", {w: self.dom.one}, J)
 
-    def kl_class_c_tilde_parabolic(self, w: WeylElt, J) -> CohClass:
-        """C~^J_w on W^J, from inverse parabolic KL polynomials and Segre classes."""
+    def kl_sum_parabolic(self, family: str, weights: dict, J) -> CohClass:
+        """The sum of weights[w] C^J_w (family "C") or C~^J_w (family "C~") over w
+        in W^J, on W^J, by rho_u or sigma_v (module docstring): one dom.dot each,
+        and each distinct t-polynomial lifted once."""
         system = self.system
-        row = self.hecke.inverse_parabolic_row(w, J)
         jkey = system._jkey(J)
-        shift = system.w0.length - w.length - system.longest_parabolic(J).length
-        terms = []
-        for v in system.minimal_coset_reps(J):
-            q = row.get(v.idx)
-            if q is None:
-                continue
-            sign = w.sign * v.sign
-            poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
-            terms.append((self.mult.t_poly(poly), self.smc_cell_parabolic(v, jkey).coeffs))
-        norm = self._once(self._normalizer, jkey)
-        return CohClass(self.mult, {x: c * norm for x, c in combine(self.dom, terms).items()})
+        for w in weights:
+            system.require_min_rep(w, jkey)
+        p_rows, q_rows = self.hecke.inversion_rows(jkey)
+        lengths, r = system._lengths, {w.idx: c for w, c in weights.items()}
+        # (cell, KL polynomial in q, t-power of its q^0 term, odd sign, weight)
+        if family == "C":
+            cell = self.mc_cell_parabolic
+            entries = ((u, p, lengths[w], 0, c) for u, row in p_rows.items()
+                       for w, c in r.items() if (p := row.get(w)))
+        else:  # t^{l(w_J w^-1 w0)} and eps_w eps_v
+            cell = self.smc_cell_parabolic
+            top = system.w0.length - system.longest_parabolic(jkey).length
+            entries = ((v, q, top - lengths[w], (lengths[w] + lengths[v]) & 1, c)
+                       for w, c in r.items() for v, q in q_rows[w].items())
+        lifted, triples = {}, []
+        for x, p, lead, odd, c in entries:
+            if (p, lead, odd) not in lifted:
+                poly = {(lead - 2 * j,): -k if odd else k for j, k in enumerate(p)}
+                lifted[p, lead, odd] = self.mult.t_poly(LaurentPoly(1, poly))
+            triples.append((x, lifted[p, lead, odd], c))
+        coeffs, elements = dot_by_key(self.dom, triples), system.elements
+        terms = [(coeffs[x], cell(elements[x], jkey).coeffs) for x in p_rows if x in coeffs]
+        out = combine(self.dom, terms)
+        if family == "C~":
+            norm = self._once(self._normalizer, jkey)
+            out = {x: c * norm for x, c in out.items()}
+        return CohClass(self.mult, out)
 
     def _normalizer(self, J):
         """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted one binomial

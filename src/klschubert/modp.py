@@ -78,6 +78,13 @@ point where M and N differ, (M - N) s vanishes with probability at most
 degree 1), so the check passes a wrong matrix with probability at most
 2/(p-1) at each kept point.  A false pairing case then survives with
 probability at most (D/(p-3))^k + 2/(p-1), the second term once per matrix.
+It runs on U = sum r_a f_a and V = sum s_b g_b, as <U, V>_J, and the Serre
+cases D_J(f_a) = f_a of parabolic-duality run as D_J(U) = U (dualize fixes a
+weight): where some D_J(f_a) - f_a is nonzero, sum r_a (D_J(f_a) - f_a)
+vanishes with probability at most 1/(p-1), so each Serre check adds 1/(p-1)
+per kept point.  The MC/SMC and C/C~ checks at one J draw the same weights,
+and the Serre check reuses r; each bound holds whatever the other checks
+drew, so the union bound over a case's checks covers it.
 """
 
 from __future__ import annotations

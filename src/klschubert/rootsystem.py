@@ -126,10 +126,6 @@ class WeylElt:
             yield last[w]
             w = parent[w]
 
-    @property
-    def sign(self) -> int:
-        return -1 if self.length % 2 else 1
-
     def inverse(self) -> "WeylElt":
         return self.system.elements[self.system._inverse[self.idx]]
 

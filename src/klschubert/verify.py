@@ -53,7 +53,7 @@ from .localization import CohClass, Localization
 from .modp import ExactDomain, OrbitDomain
 from .ratfunc import RatFunc
 from .rootsystem import CartanData, RootSystem, SizeCapExceeded
-from .twisted import psi
+from .twisted import combine, psi
 
 __all__ = ["RunConfig", "CaseResult", "VerificationReport", "run_suite", "SUITES", "GuardRefusal"]
 
@@ -190,33 +190,46 @@ def _case(case_id: str, lhs, rhs, witness: str | None = None) -> CaseResult:
     return CaseResult(case_id, ok, None if ok else witness or _witness(lhs, rhs))
 
 
-def _pairing_cases(loc, case_id, left: dict, right: dict, diag, J=()):
-    """The cases "<left[a], right[b]>_J = diag if a is b else 0" for every a,
-    then every b, in the order of the two dicts; case_id(a, b) names each
-    case.  Mod p the whole matrix is checked first by Freivalds' check
-    (Freivalds 1977): with random weights r and s, one per class, the sum of
-    r_a s_b <left[a], right[b]>_J (Localization.pairing_sketch) is compared
-    with diag times the sum of r_a s_a over the a in both dicts, and if they
-    agree every case passes, as a row does in _inversion_cases.  Otherwise,
-    and always in exact mode, the values come from one pairing matrix and
-    each case is checked through _case, with its own witness."""
-    dom = loc.dom
-    fs, gs = list(left.values()), list(right.values())
+def _pairing_cases(loc, case_id, left, right, diag, J=(), serre_id=None):
+    """The cases "<f_a, g_b>_J = diag if a is b else 0" for every a, then b,
+    then with serre_id "D_J(f_a) = f_a", named from the keys printed once.  A
+    side is (keys, build), build({a: scalar}) the weighted sum of classes, so
+    f_a = build({a: one}).  Mod p, U = build(r) and V = build(s) for random r
+    and s (Freivalds 1977) are checked first: <U, V>_J against diag times the
+    sum of r_a s_a, and D_J(U) against U; a check that holds passes its cases.
+    Else, and in exact mode, each case goes through _case with its witness."""
+    dom, one = loc.dom, loc.dom.one
+    (lkeys, lbuild), (rkeys, rbuild) = left, right
+    lnames, rnames = [repr(a) for a in lkeys], [repr(b) for b in rkeys]
+    paired = served = False
     if dom.kind == "modp":
-        weights = dom.random_weights(len(left) + len(right))
-        r, s = dict(zip(left, weights)), dict(zip(right, weights[len(left) :]))
-        both = [a for a in left if a in s]
-        trace = dom.dot([r[a] for a in both], [s[a] for a in both])
-        if loc.pairing_sketch(fs, gs, list(r.values()), list(s.values()), J) == diag * trace:
-            for a in left:
-                for b in right:
-                    yield CaseResult(case_id(a, b), True)
-            return
-    zero = dom.zero
-    matrix = loc.pairing_matrix(fs, gs, J)
-    for a, row in zip(left, matrix):
-        for b, val in zip(right, row):
-            yield _case(case_id(a, b), val, diag if a is b else zero)
+        weights = dom.random_weights(len(lkeys) + len(rkeys))
+        r, s = dict(zip(lkeys, weights)), dict(zip(rkeys, weights[len(lkeys) :]))
+        trace = dom.dot([r[a] for a in lkeys if a in s], [s[a] for a in lkeys if a in s])
+        u = lbuild(r)
+        paired = loc.pairing_matrix([u], [rbuild(s)], J)[0][0] == diag * trace
+        served = serre_id is None or loc.serre_dual(u, J) == u
+    fs = [] if paired and served else [lbuild({a: one}) for a in lkeys]
+    if paired:
+        yield from (CaseResult(case_id(na, nb), True) for na in lnames for nb in rnames)
+    else:
+        matrix = loc.pairing_matrix(fs, [rbuild({b: one}) for b in rkeys], J)
+        for a, na, row in zip(lkeys, lnames, matrix):
+            for b, nb, val in zip(rkeys, rnames, row):
+                yield _case(case_id(na, nb), val, diag if a is b else dom.zero)
+    if serre_id is None:
+        return
+    if served:
+        yield from (CaseResult(serre_id(na), True) for na in lnames)
+    else:
+        yield from (_case(serre_id(na), loc.serre_dual(f, J), f) for na, f in zip(lnames, fs))
+
+
+def _built(loc, classes: dict) -> tuple:
+    """The side (keys, build) of _pairing_cases for classes already built."""
+    def build(ws):
+        return CohClass(loc.mult, combine(loc.dom, [(c, classes[a].coeffs) for a, c in ws.items()]))
+    return list(classes), build
 
 
 def _inversion_cases(prefix: str, elements: list, q_rows: dict, p_rows: dict):
@@ -343,17 +356,17 @@ def suite_duality(ctx: _Context):
     system = ctx.system
     loc = ctx.loc
     norm = loc.pairing_normalizer()
-    cw = {w: loc.kl_class_c(w) for w in system.elements}
-    ct = {v: loc.kl_class_c_tilde(v) for v in system.elements}
-    yield from _pairing_cases(loc, lambda w, v: f"<C[{w!r}], Ct[{v!r}]>", cw, ct, norm)
+    cw = _built(loc, {w: loc.kl_class_c(w) for w in system.elements})
+    ct = _built(loc, {v: loc.kl_class_c_tilde(v) for v in system.elements})
+    yield from _pairing_cases(loc, lambda w, v: f"<C[{w}], Ct[{v}]>", cw, ct, norm)
 
 
 def suite_orthogonality(ctx: _Context):
     system = ctx.system
     loc = ctx.loc
-    mc = {u: loc.mc_cell(u) for u in system.elements}
-    smc = {v: loc.smc_cell(v) for v in system.elements}
-    yield from _pairing_cases(loc, lambda u, v: f"<MC[{u!r}], SMC[{v!r}]>", mc, smc, loc.dom.one)
+    mc = _built(loc, {u: loc.mc_cell(u) for u in system.elements})
+    smc = _built(loc, {v: loc.smc_cell(v) for v in system.elements})
+    yield from _pairing_cases(loc, lambda u, v: f"<MC[{u}], SMC[{v}]>", mc, smc, loc.dom.one)
 
 
 def suite_serre(ctx: _Context):
@@ -477,7 +490,6 @@ def suite_parabolic_duality(ctx: _Context):
     cfg = ctx.cfg
     system = ctx.system
     loc = ctx.loc
-    dom = loc.dom
     if cfg.d is not None:
         Js = [cfg.grass().J_indices()]
     else:
@@ -486,20 +498,17 @@ def suite_parabolic_duality(ctx: _Context):
         reps = system.minimal_coset_reps(J)
         tag = f"J={{{_jtxt(J)}}} "
         norm = loc.pairing_normalizer(J)
-        mc = {u: loc.mc_cell_parabolic(u, J) for u in reps}
-        smc = {v: loc.smc_cell_parabolic(v, J) for v in reps}
-        cj = {w: loc.kl_class_c_parabolic(w, J) for w in reps}
-        ctj = {w: loc.kl_class_c_tilde_parabolic(w, J) for w in reps}
+        mc = _built(loc, {u: loc.mc_cell_parabolic(u, J) for u in reps})
+        smc = _built(loc, {v: loc.smc_cell_parabolic(v, J) for v in reps})
         yield from _pairing_cases(
-            loc, lambda u, v: f"{tag}<MC[{u!r}], SMC[{v!r}]>_J", mc, smc, dom.one, J
+            loc, lambda u, v: f"{tag}<MC[{u}], SMC[{v}]>_J", mc, smc, loc.dom.one, J
         )
+        cj = (reps, functools.partial(loc.kl_sum_parabolic, "C", J=J))
+        ctj = (reps, functools.partial(loc.kl_sum_parabolic, "C~", J=J))
         yield from _pairing_cases(
-            loc, lambda w, u: f"{tag}<C^J[{w!r}], Ct^J[{u!r}]>_J", cj, ctj, norm, J
+            loc, lambda w, u: f"{tag}<C^J[{w}], Ct^J[{u}]>_J", cj, ctj, norm, J,
+            serre_id=lambda w: f"{tag}D_J(C^J[{w}]) = C^J[{w}]",
         )
-        # Serre duality downstairs
-        for w in reps:
-            case_id = f"{tag}D_J(C^J[{w!r}]) = C^J[{w!r}]"
-            yield _case(case_id, loc.serre_dual(cj[w], J), cj[w])
 
 
 def suite_pushforward(ctx: _Context):

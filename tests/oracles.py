@@ -44,7 +44,9 @@ on pt_e, and the Hecke sums of iota-products behind C~_w and SMC cells), the
 composed routes to the parabolic classes that Localization builds once per
 coset (the bullet of Y_J on an MC cell, the translation, Serre dual and twists
 behind SMC_J, and the KL sums over full maps on W), the constant class
-one_class, and scalar_elt, a scalar times delta_e.
+one_class, scalar_elt, a scalar times delta_e, eps, the sign (-1)^{l(w)},
+and kl_class_c_tilde_parabolic, the one-weight case of
+Localization.kl_sum_parabolic.
 
 For the Hecke algebra, which computes on packed ints, it keeps the route on
 LaurentPoly coefficients: gamma_sum, the element S_w behind the Q_W route to
@@ -70,6 +72,16 @@ from klschubert.hecke import HeckeElt
 from klschubert.localization import CohClass
 from klschubert.ratfunc import RatFunc, _normalize_factor
 from klschubert.twisted import QWElt, combine, psi
+
+
+def eps(w):
+    """The sign (-1)^{l(w)} of a group element."""
+    return -1 if w.length % 2 else 1
+
+
+def kl_class_c_tilde_parabolic(loc, w, J):
+    """C~^J_w on W^J: the sum of one weight."""
+    return loc.kl_sum_parabolic("C~", {w: loc.dom.one}, J)
 
 
 def subword_leq(system, u, v):
@@ -192,7 +204,7 @@ def parabolic_tables(system, rows, J):
             acc = {}
             for x in system.parabolic_elements(J):
                 for k, c in enumerate(rows[w0 * u * wj].get(w0 * w * x, ())):
-                    acc[k] = acc.get(k, 0) + x.sign * wj.sign * c
+                    acc[k] = acc.get(k, 0) + eps(x) * eps(wj) * c
             top = max((k for k, c in acc.items() if c), default=-1)
             q_j[u, w] = tuple(acc.get(k, 0) for k in range(top + 1))
     return p_j, q_j
@@ -370,9 +382,9 @@ def kl_tilde_basis(hecke, w):
     """The second canonical basis gamma~_w, from the KL basis with alternating
     signs and t -> t^-1 powers."""
     coeffs = {}
-    lw, sw = w.length, w.sign
+    lw, sw = w.length, eps(w)
     for v in hecke.kl_basis(w).coeffs:
-        sign = sw * v.sign
+        sign = sw * eps(v)
         p = hecke.kl_polynomial(v, w)
         coeffs[v] = LaurentPoly(1, {(v.length - lw + 2 * j,): sign * c for j, c in enumerate(p)})
     return HeckeElt(hecke, coeffs)
@@ -500,7 +512,7 @@ def kl_class_c_tilde_parabolic_direct(loc, w, J, cells):
     terms = []
     for v in system.minimal_coset_reps(J):
         if q := loc.hecke.inverse_parabolic_kl(w, v, J):
-            sign = w.sign * v.sign
+            sign = eps(w) * eps(v)
             poly = LaurentPoly(1, {(shift - 2 * j,): sign * c for j, c in enumerate(q)})
             terms.append((loc.mult.t_poly(poly), cells(v).coeffs))
     arity = system.rank + 1

@@ -10,6 +10,7 @@ from klschubert.rootsystem import CartanData, RootSystem
 from oracles import (
     bar,
     bar_tau,
+    eps,
     gamma_sum,
     hiota,
     kl_basis_by_bar_solving,
@@ -284,7 +285,7 @@ def test_inverse_kl(h2, h3, a2, a3):
                 p = h3.kl_polynomial(w, v)
                 if not q or not p:
                     continue
-                sign = u.sign * w.sign
+                sign = eps(u) * eps(w)
                 for j1, c1 in enumerate(q):
                     for j2, c2 in enumerate(p):
                         total[j1 + j2] = total.get(j1 + j2, 0) + sign * c1 * c2
@@ -322,7 +323,7 @@ def test_inverse_parabolic_kl(h3, a3):
                     p = h3.parabolic_kl(w, v, J)
                     if not q or not p:
                         continue
-                    sign = u.sign * w.sign
+                    sign = eps(u) * eps(w)
                     for j1, c1 in enumerate(q):
                         for j2, c2 in enumerate(p):
                             total[j1 + j2] = total.get(j1 + j2, 0) + sign * c1 * c2
@@ -352,7 +353,6 @@ def test_kl_reads_refuse_an_element_of_another_group(h3, a2, a3):
                 (h3.parabolic_kl, e, x, J),
                 (h3.inverse_parabolic_kl, x, e, J),
                 (h3.inverse_parabolic_kl, e, x, J),
-                (h3.inverse_parabolic_row, x, J),
             ]
         for read, *args in reads:
             with pytest.raises(ValueError, match="different group"):

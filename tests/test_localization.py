@@ -10,7 +10,7 @@ from klschubert.localization import CohClass, Localization
 from klschubert.modp import ExactDomain, MisplacedTwist, OrbitDomain
 from klschubert.ratfunc import RatFunc
 from klschubert.rootsystem import CartanData, RootSystem, WeylElt
-from klschubert.twisted import psi
+from klschubert.twisted import combine, psi
 
 from oracles import (
     bar_tau,
@@ -20,6 +20,7 @@ from oracles import (
     kl_class_c_direct,
     kl_class_c_parabolic_direct,
     kl_class_c_tilde_direct,
+    kl_class_c_tilde_parabolic,
     kl_class_c_tilde_parabolic_direct,
     kl_schubert_direct,
     mc_cell_direct,
@@ -236,7 +237,7 @@ def test_kl_classes_a2(loc2, a2):
         assert lhs == mc_variety(loc2, w).scale(loc2.mult.t_poly(LaurentPoly.t_power(1, w.length)))
         # independent expansions: parabolic KL polynomials at J = ()
         assert lhs == loc2.kl_class_c_parabolic(w, ())
-        assert loc2.kl_class_c_tilde(w) == loc2.kl_class_c_tilde_parabolic(w, ())
+        assert loc2.kl_class_c_tilde(w) == kl_class_c_tilde_parabolic(loc2, w, ())
 
 
 def test_duality_theorem_a2(loc2, a2):
@@ -264,7 +265,7 @@ def test_pairing_normalizer_lifts_factor_by_factor(a3):
 def test_parabolic_classes_reduce_to_full(loc2, a2):
     for w in a2.elements:
         assert loc2.kl_class_c_parabolic(w, ()) == loc2.kl_class_c(w)
-        assert loc2.kl_class_c_tilde_parabolic(w, ()) == loc2.kl_class_c_tilde(w)
+        assert kl_class_c_tilde_parabolic(loc2, w, ()) == loc2.kl_class_c_tilde(w)
 
 
 def test_parabolic_orthogonality_a2(loc2, a2):
@@ -286,7 +287,7 @@ def test_parabolic_duality_a2(loc2, a2):
     for w in reps:
         for u in reps:
             val = loc2.pairing_matrix(
-                [loc2.kl_class_c_parabolic(w, J)], [loc2.kl_class_c_tilde_parabolic(u, J)], J
+                [loc2.kl_class_c_parabolic(w, J)], [kl_class_c_tilde_parabolic(loc2, u, J)], J
             )[0][0]
             expected = norm if u is w else loc2.dom.zero
             assert val == expected, (w, u)
@@ -326,7 +327,7 @@ def test_pairing_is_the_bullet_value(name, mode):
         mc = [loc.mc_cell_parabolic(u, J) for u in pick]
         smc = [loc.smc_cell_parabolic(u, J) for u in pick]
         cj = [loc.kl_class_c_parabolic(u, J) for u in pick]
-        ctj = [loc.kl_class_c_tilde_parabolic(u, J) for u in pick]
+        ctj = [kl_class_c_tilde_parabolic(loc, u, J) for u in pick]
         groups += [(J, mc, smc), (J, cj, ctj)]
     nonzero = entries = 0
     for J, left, right in groups:
@@ -381,8 +382,7 @@ def test_pairing_refuses_a_product_that_is_not_invariant(name, mode):
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
 def test_pairing_matrix_checks_every_class(name, mode):
     """A class with a point outside W^J is refused on either side, even
-    against the zero class, whose product with it is invariant, by the matrix
-    and the sketch alike."""
+    against the zero class, whose product with it is invariant."""
     loc = _pairing_loc(name, mode)
     zero = CohClass(loc.mult, {})
     f = loc.random_class(7)
@@ -392,40 +392,49 @@ def test_pairing_matrix_checks_every_class(name, mode):
         for left, right in (([planted], [zero]), ([zero], [planted]), ([zero], [zero, planted])):
             with pytest.raises(ValueError, match=OUTSIDE):
                 loc.pairing_matrix(left, right, J)
-            weights = [loc.dom.one] * len(right)
-            with pytest.raises(ValueError, match=OUTSIDE):
-                loc.pairing_sketch(left, right, weights, weights, J)
+        with pytest.raises(ValueError, match=OUTSIDE):
+            loc.pairing_matrix([planted], [], J)
         assert not loc.pairing_matrix([zero], [zero], J)[0][0]
     assert not loc.pairing(f, zero)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2"])
 @pytest.mark.parametrize("mode", ["exact", "modp"])
-def test_pairing_sketch_is_the_weighted_sum_of_the_matrix(name, mode):
-    """pairing_sketch(left, right, r, s, J) is the sum of r_a s_b M_ab over the
-    pairing matrix M, for random classes at J = () and parabolic cell and KL
-    classes at every other proper J, with int weights lifted into the domain;
-    a pairing with no class on one side sketches to zero."""
+def test_the_pairing_of_two_sums_is_the_weighted_sum_of_the_matrix(name, mode):
+    """<sum_a r_a f_a, sum_b s_b g_b>_J, the 1 x 1 pairing that Freivalds'
+    check in verify takes, is the sum of r_a s_b M_ab over the pairing matrix
+    M of the f_a and g_b, with int weights lifted into the domain: for random
+    classes at J = (), and at every other proper J for parabolic cells, summed
+    by combine, and for C^J and C~^J classes, summed by kl_sum_parabolic."""
     loc = _pairing_loc(name, mode)
     system, dom = loc.system, loc.dom
     rng = random.Random(5)
-    groups = [((), [loc.random_class(1), loc.random_class(2)], [loc.random_class(3)])]
+
+    def built(classes):
+        """The classes and their sum over a list of weights, by combine."""
+        maps = [c.coeffs for c in classes]
+        return classes, lambda ws: CohClass(loc.mult, combine(dom, zip(ws, maps)))
+
+    def kl(family, keys, J):
+        """The KL classes of keys and their sum over a list of weights."""
+        classes = [loc.kl_sum_parabolic(family, {w: dom.one}, J) for w in keys]
+        return classes, lambda ws: loc.kl_sum_parabolic(family, dict(zip(keys, ws)), J)
+
+    randoms = [loc.random_class(seed) for seed in (1, 2, 3)]
+    pairings = [((), built(randoms[:2]), built(randoms[2:]))]
     for J in [(i,) for i in range(system.rank)]:
         reps = system.minimal_coset_reps(J)
-        mc = [loc.mc_cell_parabolic(u, J) for u in reps]
-        smc = [loc.smc_cell_parabolic(u, J) for u in reps]
-        cj = [loc.kl_class_c_parabolic(u, J) for u in reps[:2]]
-        ctj = [loc.kl_class_c_tilde_parabolic(u, J) for u in reps[1:]]
-        groups += [(J, mc, smc), (J, cj, ctj)]
-    for J, left, right in groups:
+        mc = built([loc.mc_cell_parabolic(u, J) for u in reps])
+        smc = built([loc.smc_cell_parabolic(u, J) for u in reps])
+        pairings += [(J, mc, smc), (J, kl("C", reps[:2], J), kl("C~", reps[1:], J))]
+    for J, (left, left_sum), (right, right_sum) in pairings:
         r = [loc.mult.as_scalar(rng.randrange(1, 1000)) for _ in left]
         s = [loc.mult.as_scalar(rng.randrange(1, 1000)) for _ in right]
         expected = dom.zero
         for ra, row in zip(r, loc.pairing_matrix(left, right, J)):
             for sb, val in zip(s, row):
                 expected = expected + ra * sb * val
-        assert expected and loc.pairing_sketch(left, right, r, s, J) == expected, J
-        assert not loc.pairing_sketch(left, [], r, [], J)
+        assert expected and loc.pairing_matrix([left_sum(r)], [right_sum(s)], J) == [[expected]], J
 
 
 @pytest.mark.parametrize("name, mode", PAIRING_CONFIGS)
@@ -588,9 +597,10 @@ def test_classes_are_the_exact_classes_at_the_kept_points(name):
     for r in range(system.rank + 1):
         for J in combinations(range(system.rank), r):
             for w in system.minimal_coset_reps(J)[::step]:
-                for builder in ("kl_class_c_parabolic", "kl_class_c_tilde_parabolic"):
-                    want = getattr(exact, builder)(w, J)
-                    check(getattr(loc, builder)(w, J), want, (builder, J, w))
+                for family in ("C", "C~"):
+                    want = exact.kl_sum_parabolic(family, {w: exact.dom.one}, J)
+                    got = loc.kl_sum_parabolic(family, {w: loc.dom.one}, J)
+                    check(got, want, (family, J, w))
 
 
 ACTION_GROUPS = {"A2": CartanData.type_a(2), **PAIRING_GROUPS}
@@ -748,7 +758,7 @@ def test_parabolic_classes_match_the_composed_routes(name, mode):
                     kl_class_c_parabolic_direct(loc, w, J, mc.get),
                 ),
                 "C~": (
-                    loc.kl_class_c_tilde_parabolic(w, J),
+                    kl_class_c_tilde_parabolic(loc, w, J),
                     kl_class_c_tilde_parabolic_direct(loc, w, J, smc.get),
                 ),
             }
@@ -762,6 +772,31 @@ def test_parabolic_classes_match_the_composed_routes(name, mode):
                 _assert_constant_on_cosets(system, want, J)
 
 
+@pytest.mark.parametrize("name, mode", [("A2", "exact"), ("A3", "modp")])
+def test_kl_sums_are_the_weighted_sums_of_the_composed_routes(name, mode):
+    """kl_sum_parabolic(family, weights, J) with random int weights on all of
+    W^J, at every J, pulls back to the sum of weights[w] times the composed
+    route to C^J_w or C~^J_w: the KL sum over full maps on W of the composed
+    MC_J or SMC_J cells, with P^J and Q^J looked up pair by pair."""
+    loc = _action_loc(name, mode)
+    system, dom = loc.system, loc.dom
+    rng = random.Random(11)
+    for J in _subsets(system):
+        reps = system.minimal_coset_reps(J)
+        mc = {u: mc_cell_parabolic_direct(loc, u, J) for u in reps}
+        smc = {v: smc_cell_parabolic_direct(loc, v, J) for v in reps}
+        routes = (
+            ("C", kl_class_c_parabolic_direct, mc),
+            ("C~", kl_class_c_tilde_parabolic_direct, smc),
+        )
+        for family, direct, cells in routes:
+            weights = {w: loc.mult.as_scalar(rng.randrange(1, 1000)) for w in reps}
+            want = [(c, direct(loc, w, J, cells.get).coeffs) for w, c in weights.items()]
+            got = loc.kl_sum_parabolic(family, weights, J)
+            assert set(got.coeffs) <= set(reps), (family, J)
+            assert loc.pullback(got, J) == CohClass(loc.mult, combine(dom, want)), (family, J)
+
+
 @pytest.mark.parametrize("name", ["A2", "A3"])
 def test_parabolic_builders_refuse_a_non_minimal_representative(name):
     """Each parabolic builder refuses an element outside W^J with the message
@@ -772,7 +807,7 @@ def test_parabolic_builders_refuse_a_non_minimal_representative(name):
         loc.mc_cell_parabolic,
         loc.smc_cell_parabolic,
         loc.kl_class_c_parabolic,
-        loc.kl_class_c_tilde_parabolic,
+        lambda u, J: kl_class_c_tilde_parabolic(loc, u, J),
     )
     for J in _subsets(system)[1:]:
         reps = system.minimal_coset_reps(J)
@@ -857,6 +892,8 @@ def test_printed_a3_classes_from_the_top_point_are_pinned(loc3, a3):
 
 # sha256 over the printed exact parabolic KL classes, recorded before their sums
 # went through one dom.dot per fixed point
+# the builder names each printed class is hashed under, and their families
+PRINTED_PARABOLIC_FAMILIES = (("kl_class_c_parabolic", "C"), ("kl_class_c_tilde_parabolic", "C~"))
 PRINTED_PARABOLIC_DIGEST = "4c49d3a7c8a9bb54b5528f697f177009be577069759f9d80477cb6d02dce4439"
 
 
@@ -869,8 +906,8 @@ def test_printed_parabolic_classes_are_pinned(loc2, loc3, a2, a3):
         subsets = (J for r in range(system.rank + 1) for J in combinations(range(system.rank), r))
         for J in subsets:
             for w in system.minimal_coset_reps(J)[::step]:
-                for name in ("kl_class_c_parabolic", "kl_class_c_tilde_parabolic"):
-                    c = loc.pullback(getattr(loc, name)(w, J), J)
+                for name, family in PRINTED_PARABOLIC_FAMILIES:
+                    c = loc.pullback(loc.kl_sum_parabolic(family, {w: loc.dom.one}, J), J)
                     h.update(f"{group}\t{name}\t{J}\t{w!r}\t{c.format()}\n".encode())
     assert h.hexdigest() == PRINTED_PARABOLIC_DIGEST
 

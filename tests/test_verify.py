@@ -14,7 +14,7 @@ from klschubert.rootsystem import CartanData, RootSystem, WeylElt
 from klschubert.twisted import TwistedRing
 from klschubert.verify import SUITES, WITNESS_CHARS, GuardRefusal, RunConfig, run_suite
 
-from oracles import product_by_steps
+from oracles import eps, kl_class_c_tilde_parabolic, product_by_steps
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
 CASES = {
@@ -363,7 +363,7 @@ def test_a_corrupted_smc_j_fails_the_parabolic_cases_the_matrices_fail(monkeypat
     mc = {u: loc.mc_cell_parabolic(u, J) for u in reps}
     smc = {v: loc.smc_cell_parabolic(v, J) for v in reps}
     cj = {w: loc.kl_class_c_parabolic(w, J) for w in reps}
-    ctj = {w: loc.kl_class_c_tilde_parabolic(w, J) for w in reps}
+    ctj = {w: kl_class_c_tilde_parabolic(loc, w, J) for w in reps}
     expected = _failures_by_matrix(
         loc, lambda u, v: f"{tag}<MC[{u!r}], SMC[{v!r}]>_J", mc, smc, loc.dom.one, J
     )
@@ -375,24 +375,73 @@ def test_a_corrupted_smc_j_fails_the_parabolic_cases_the_matrices_fail(monkeypat
     assert _failures(report) == expected
 
 
+def test_a_corrupted_mc_j_fails_the_cases_the_single_classes_fail(monkeypatch, a3):
+    """With one restriction of one MC_J cell wrong, at J = {1}, A3 mod-p
+    parabolic-duality fails exactly the cases, with the witnesses, that the
+    single classes fail, at that J alone: the entries of direct pairing
+    matrices, and D_J(C^J_w) = C^J_w for each w.  The cell enters the C^J
+    sums, and the SMC_J cells that read it, so every check fails."""
+    J = (0,)
+    target = a3.minimal_coset_reps(J)[2]
+    _corrupt(
+        monkeypatch,
+        "mc_cell_parabolic",
+        lambda self, u, jj: u.idx == target.idx and self.system._jkey(jj) == J,
+    )
+    cfg = RunConfig(rank=3, mode="modp", k=2, seed=1)
+    report = run_suite("parabolic-duality", cfg)
+    loc = verify._Context(cfg, "parabolic-duality", cfg.hecke_guard).loc
+    reps = loc.system.minimal_coset_reps(J)
+    tag = "J={1} "
+    mc = {u: loc.mc_cell_parabolic(u, J) for u in reps}
+    smc = {v: loc.smc_cell_parabolic(v, J) for v in reps}
+    cj = {w: loc.kl_class_c_parabolic(w, J) for w in reps}
+    ctj = {w: kl_class_c_tilde_parabolic(loc, w, J) for w in reps}
+    cells = _failures_by_matrix(
+        loc, lambda u, v: f"{tag}<MC[{u!r}], SMC[{v!r}]>_J", mc, smc, loc.dom.one, J
+    )
+    sums = _failures_by_matrix(
+        loc, lambda w, u: f"{tag}<C^J[{w!r}], Ct^J[{u!r}]>_J", cj, ctj, loc.pairing_normalizer(J), J
+    )
+    serre = []
+    for w, c in cj.items():
+        dual = loc.serre_dual(c, J)
+        if dual != c:
+            serre.append((f"{tag}D_J(C^J[{w!r}]) = C^J[{w!r}]", verify._witness(dual, c)))
+    assert cells and sums and serre
+    assert len(report.cases) == A3_PAIRING_CASES["parabolic-duality"]
+    assert _failures(report) == cells + sums + serre
+
+
 @pytest.mark.parametrize("mode", ["exact", "modp"])
 def test_pairing_matrices_are_built_only_where_the_check_fails(monkeypatch, mode):
-    """Passing mod-p pairing suites build no pairing matrix: each is checked by
-    one sketch.  Exact mode builds each matrix, one per pairing."""
-    calls = []
-    pairing_matrix = Localization.pairing_matrix
+    """Passing mod-p pairing suites pair one sum a side, 1 x 1 per matrix, and
+    build no single C^J or C~^J class: kl_sum_parabolic runs once a side and
+    J, on every weight.  Exact mode builds each matrix, one per pairing."""
+    calls, sums = [], []
+    pairing_matrix, kl_sum = Localization.pairing_matrix, Localization.kl_sum_parabolic
 
     def counted(self, left, right, J=()):
-        calls.append(J)
+        calls.append((len(left), len(right)))
         return pairing_matrix(self, left, right, J)
 
+    def counted_sum(self, family, weights, J):
+        sums.append(len(weights))
+        return kl_sum(self, family, weights, J)
+
     monkeypatch.setattr(Localization, "pairing_matrix", counted)
+    monkeypatch.setattr(Localization, "kl_sum_parabolic", counted_sum)
     # duality and orthogonality pair once; parabolic-duality twice per J of A2
     for suite, matrices in (("duality", 1), ("orthogonality", 1), ("parabolic-duality", 6)):
         calls.clear()
+        sums.clear()
         report = run_suite(suite, _config(suite, mode))
         assert report.all_passed() and len(report.cases) == CASES[suite]
-        assert len(calls) == (0 if mode == "modp" else matrices), suite
+        assert len(calls) == matrices, suite
+        if mode == "modp":
+            assert set(calls) == {(1, 1)}, suite
+            assert len(sums) == (matrices if suite == "parabolic-duality" else 0), suite
+            assert 1 not in sums, suite
 
 
 @pytest.mark.parametrize("mode", ["exact", "modp"])
@@ -418,18 +467,20 @@ def test_a_smoothness_verdict_against_trivial_kl_fails_its_case(monkeypatch, mod
 
 @pytest.mark.parametrize("mode", ["exact", "modp"])
 def test_a_spurious_parabolic_kl_entry_fails_its_pushforward_case(monkeypatch, mode):
-    """C^J_w reads its support from the parabolic KL table alone: P^J_{u,e} = 1
-    planted at J = {1} for the longest u in W^J, which is not below e, enters
-    C^J_e, and the pushforward case of (J, e) fails, no other."""
-    parabolic_kl = HeckeAlgebra.parabolic_kl
+    """C^J_w reads its support from the P^J rows alone: P^J_{u,e} = 1 planted
+    at J = {1} in the inversion row of the longest u in W^J, which is not
+    below e, enters C^J_e, and the pushforward case of (J, e) fails, no
+    other."""
+    rows = HeckeAlgebra._inversion_rows
 
-    def planted(self, u, w, J):
-        reps = self.system.minimal_coset_reps(J)
-        if tuple(J) == (0,) and w is self.system.identity and u is reps[-1]:
-            return (1,)
-        return parabolic_kl(self, u, w, J)
+    def planted(self, J):
+        p_rows, q_rows = rows(self, J)
+        if J == (0,):
+            u = self.system.minimal_coset_reps(J)[-1]
+            p_rows[u.idx] = {**p_rows[u.idx], self.system.identity.idx: (1,)}
+        return p_rows, q_rows
 
-    monkeypatch.setattr(HeckeAlgebra, "parabolic_kl", planted)
+    monkeypatch.setattr(HeckeAlgebra, "_inversion_rows", planted)
     report = run_suite("pushforward", _config("pushforward", mode))
     assert len(report.cases) == CASES["pushforward"]
     assert [c.case_id for c in report.cases if not c.ok] == ["pushforward J={1} w=e"]
@@ -655,7 +706,7 @@ def _inversion_failures_by_full_sums(rank) -> set:
             for v in elements:
                 total = {}
                 for w in elements:
-                    sign = u.sign * w.sign
+                    sign = eps(u) * eps(w)
                     for j1, c1 in enumerate(q_of(u, w)):
                         for j2, c2 in enumerate(p_of(w, v)):
                             total[j1 + j2] = total.get(j1 + j2, 0) + sign * c1 * c2
