@@ -34,14 +34,18 @@ by x(q_J) once, and each entry is then one dom.dot over the common support.
 Parabolic classes are built at x in W^J, one value per coset x W_J.  This is
 exact: Y_J = sum over v in W_J of v(q) delta_v, q = 1/x_J, so (Y_J . c)_u = sum
 over y in u W_J of c_y y(q) for every class c, which depends on u W_J alone.
-SMC_J is the w0-translate of such a class (w0 maps cosets to cosets, so its
-value at x reads MC_J at the representative of w0 x W_J), dualized, times twists
-of the Serre monomial and lambda_J, invariant as W_J permutes the roots outside
-Sigma_J.  C^J and C~^J are KL sums of those cells, and so is a weighted sum of
-them: sum r_w C^J_w = sum rho_u MC_J(cell u), rho_u = sum r_w t_w P^J_{u,w}(t^-2)
-off row u of P^J, and sum r_w C~^J_w is the normalizer times sum sigma_v
-SMC_J(cell v), sigma_v off the rows of Q^J (HeckeAlgebra.inversion_rows); so
-a sum over all of W^J takes |W^J|^2 products, not |W^J|^3 class by class.
+Every other class is a weighted sum of these MC_J cells (class_sum): sum r_w
+C^J_w = sum rho_u MC_J(cell u), rho_u = sum r_w t_w P^J_{u,w}(t^-2) off row u of
+P^J.  SMC_J(cell v) at x is D(w0(MC_J(cell w0 v w_J) at w0 x w_J)) f_x
+t^{-2 dim_v}, with D = dualize, dim_v = N_J - l(v), N_J the number of positive
+roots outside Sigma_J and f_x = x((-1)^{N_J} e^{2 rho_J} lambda_J): w0 x w_J
+represents w0 x W_J, and f is invariant as W_J permutes those roots.  D and w0
+are commuting ring automorphisms, so sum s_v SMC_J(cell v) at x is f_x
+D(w0(S at w0 x w_J)), S = sum D(w0(s_v)) t^{2 dim_v} MC_J(cell w0 v w_J): one
+combine, then one w0-swap, one dual and one product per x.  sum r_w C~^J_w is
+the normalizer times sum sigma_v SMC_J(cell v), sigma_v off the rows of Q^J
+(HeckeAlgebra.inversion_rows).  A sum over all of W^J takes |W^J|^2 products,
+not |W^J|^3 class by class; at J = () the classes are those on G/B.
 
 Functions of the fixed point u that are Weyl twists u(f) of one function f are
 lifted once and twisted per u with dom.weyl.  A mod-p domain can twist a
@@ -51,58 +55,32 @@ generators and of Y_{J/J'}, the Serre monomial, the cotangent and hyperbolic
 transfer factors and the root factors of the smoothness criterion.  Products
 of lifted root factors go through TwistedRing.root_product.
 
-Every point class, cell class, class of the restriction recursion, parabolic
-cell class, smoothness verdict and per-J (or per-length) lifted scalar is
-built once per Localization (see Memo).
+Every point class, MC and MC_J cell, C_w, smoothness verdict and per-J (or
+per-length) lifted scalar is built once per Localization (see Memo); no
+weighted sum is held.
 
-One memoized recursion over restrictions builds MC cells, C_w, C~_w and SMC
-cells.  A family (start class, c, cross factor b, mu terms) of _FAMILIES gives
-classes D_w, s the last letter of w's reduced word: D_e is the start class and
+One memoized recursion over restrictions builds MC cells and C_w.  A family
+(c, mu terms) of _FAMILIES gives classes D_w, s the last letter of w's reduced
+word: D_e = pt_e and
 
-    D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(b) - sum mu(v, ws) D_v[y],
+    D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(k_s) - sum mu(v, ws) D_v[y],
 
 the sum over v < ws with vs < v and only with mu terms, g_e and g_s the
 coefficients of G_s = g_e delta_e + g_s delta_s, the image of tau_s, and c a
-polynomial in t.  Without mu terms both step scalars are also multiplied by
-t^{-1}, so D_w is t^{-l(w)} times that recursion.  Each D_w[y] is one dom.dot,
-and every scalar is a twist of a lifted generator coefficient, so a known
-function (see modp):
+polynomial in t: c = 0 without mu terms for MC(cell w), c = t with them for
+C_w.  Without mu terms both step scalars are also multiplied by t^{-1}, so
+D_w is t^{-l(w)} times that recursion.  Each D_w[y] is one dom.dot, and every
+scalar is a twist of a lifted generator coefficient, so a known function (see
+modp).
 
-    MC(cell w)   pt_e     c = 0          b = k_s     -    read at w
-    C_w          pt_e     c = t          b = k_s     mu   read at w
-    C~_w         pt_w0    c = -t^{-1}    b = s(g_s)  mu   read at w0 w
-    SMC(cell v)  N pt_w0  c = t - t^{-1} b = s(g_s)  -    read at w0 v
-
-N is the SMC normalizer, one scalar at every point; the recursion is linear,
-so starting from N pt_w0 makes each D_w of that row an SMC cell itself, and
-every cell class is held once.
-
-Why, from pt_e: C_w = gamma_w o pt_e, and the right KL recursion
+Why: C_w = gamma_w o pt_e, and the right KL recursion
 (Kazhdan-Lusztig 1979) gamma_w = gamma_{ws} (tau_s + t) - sum mu(v, ws) gamma_v
 holds for the images A_w of gamma_w in Q_W.  (A G_s)[y] = A[y] y(g_e) +
 A[ys] (ys)(g_s), C_w[y] = A_w[y] y(x_Pi) and y(x_Pi) = (ys)(x_Pi)
-(ys)(s(x_Pi)/x_Pi), so b = k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s} (s
+(ys)(s(x_Pi)/x_Pi), so k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s} (s
 permutes the positive roots other than alpha_s), a product of two lifts.  The
 same steps with tau_w = tau_{ws} tau_s for the image of tau_w, each times
-t^{-1}, give MC(cell w) = t^{-l(w)} tau_w o pt_e: c = 0, b = k_s and no mu
-terms.
-
-Why, from pt_w0: C~_w = gamma~_{w^{-1} w0} . pt_{w0}, SMC(cell v) is a multiple
-of (tau_{w0 v})^{-1} . pt_{w0}, and the anti-involution iota(p delta_v) =
-v^{-1}(p) delta_{v^{-1}} gives (h . pt_{w0})_{w0 u} = w0(x_Pi) w0(iota(a)_u)
-for a the image of h.  phi: t -> t^{-1}, tau_i -> -tau_i is a ring automorphism
-of H with phi(gamma_w) = eps_w gamma~_w, and mu(v, ws) != 0 forces l(v) = l(w)
-mod 2, so gamma~_w = gamma~_{ws} (tau_s - t^{-1}) - sum mu(v, ws) gamma~_v with
-the same signs.  tau_v -> tau_{v^{-1}} sends gamma~_x to gamma~_{x^{-1}}, so
-iota composed with the image and that map is a ring homomorphism sending tau_s
-to iota(G_s) = g_e delta_e + s(g_s) delta_s; and tau_s^{-1} = tau_s + t - t^{-1}.
-So the X_w that are iota of the images satisfy X_e = delta_e, X_w = X_{ws}
-(iota(G_s) + c) - sum mu(v, ws) X_v, and a right product by iota(G_s) gives
-X[y] y(g_e) + X[ys] y(g_s) at y.  The class D_w with (D_w)_{w0 u} = w0(x_Pi)
-w0(X_w[u]) is pt_{w0} at e, and w0 sends u to w0 u and fixes c, so D_w[y] =
-D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] y(g_s) - sum mu(v, ws) D_v[y]: the recursion
-with b = s(g_s), as y(g_s) = (ys)(s(g_s)).  The normalizer w0(x_Pi) is the same
-at every point, so unlike k_s no x_Pi ratio enters.
+t^{-1}, give MC(cell w) = t^{-l(w)} tau_w o pt_e.
 
 Smoothness of X_w is read off MC(X_w), the sum of the memoized MC(cell v)
 over v <= w (one combine), after Aluffi-Mihalcea-Schurmann-Su (2019): X_w is
@@ -118,7 +96,8 @@ the verdict is the same at every u, and no Q_W element is built.
 The hyperbolic KL-Schubert class is the psi-transfer of C_w: psi keeps every
 coefficient, so its value at u is that of C_w times u(mu^{-l(w)} x^hyp_Pi /
 x_Pi).  Exact mode runs the same builders; the direct routes (whole images
-acting by odot, or Hecke sums of iota-products) are test oracles.
+acting by odot, Hecke sums of iota-products, the recursion from pt_w0 and
+SMC_J cell by cell) are test oracles.
 """
 
 from __future__ import annotations
@@ -140,15 +119,8 @@ __all__ = ["CohClass", "Localization"]
 
 _T = LaurentPoly.t_power(1, 1)
 _TINV = LaurentPoly.t_power(1, -1)
-# family -> (start point, start scaled by the SMC normalizer, c, cross factor
-# b, mu terms) of the restriction recursion (module docstring); the start
-# point is an attribute of RootSystem
-_FAMILIES = {
-    "MC": ("identity", False, LaurentPoly.const(1, 0), "k_s", False),
-    "C": ("identity", False, _T, "k_s", True),
-    "C~": ("w0", False, -_TINV, "s(g_s)", True),
-    "SMC": ("w0", True, _T - _TINV, "s(g_s)", False),
-}
+# family -> (c, mu terms) of the restriction recursion (module docstring)
+_FAMILIES = {"MC": (LaurentPoly.const(1, 0), False), "C": (_T, True)}
 
 
 def _neg(root) -> tuple:
@@ -230,13 +202,6 @@ class Localization(Memo):
         restriction recursion at w."""
         return self._once(self._family_class, "MC", w)
 
-    def _lambda_inv(self, J):
-        """1 / prod (1 - t^-2 e^{a}) over Sigma^+ minus Sigma_J^+, lifted; its value
-        at the fixed point u is the twist dom.weyl(u, .)."""
-        return self.mult.root_product(
-            lambda a: RatFunc(self._binomial(-2, a.weight)).inv(), self.system.roots_outside(J)
-        )
-
     # ---------- Serre-Grothendieck duality (localization formula) ----------
 
     def _serre_monomial(self, J):
@@ -255,18 +220,6 @@ class Localization(Memo):
         dom = self.dom
         out = {u: dom.dualize(val) * dom.weyl(u, mono) for u, val in c.coeffs.items()}
         return CohClass(c.ring, out)
-
-    # ---------- Segre motivic Chern classes ----------
-
-    def _smc_normalizer(self):
-        """1 / prod_{a>0} (1 - t^-2 e^{-a}): w0 sends the positive roots to the
-        negative ones, so this is the w0-twist of the lifted _lambda_inv(())."""
-        return self.dom.weyl(self.system.w0, self._once(self._lambda_inv, ()))
-
-    def smc_cell(self, v: WeylElt) -> CohClass:
-        """SMC of the opposite cell, t^{-l(w0 v)} (tau_{w0 v})^{-1} . pt_{w_0}
-        times the normalizer, by the restriction recursion at w0 v."""
-        return self._once(self._family_class, "SMC", self.system.w0 * v)
 
     # ---------- pairings ----------
 
@@ -331,17 +284,16 @@ class Localization(Memo):
         return self._once(self._family_class, "C", w)
 
     def kl_class_c_tilde(self, w: WeylElt) -> CohClass:
-        """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}, by the restriction recursion at w0 w."""
-        return self._once(self._family_class, "C~", self.system.w0 * w)
+        """C~_w = gamma~_{w^{-1} w_0} . pt_{w_0}: the sum of one weight."""
+        return self.class_sum("C~", {w: self.dom.one}, ())
 
     def _family_class(self, family: str, w: WeylElt) -> CohClass:
-        """D_w of one family of _FAMILIES: D_e the start class and
-        D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(b) - sum mu(v, ws) D_v[y],
+        """D_w of one family of _FAMILIES: D_e = pt_e and
+        D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] (ys)(k_s) - sum mu(v, ws) D_v[y],
         one dom.dot per y (module docstring)."""
-        start, normalized, _, _, mu = _FAMILIES[family]
+        _, mu = _FAMILIES[family]
         if w is self.system.identity:  # another group's e goes on to right_step, which refuses it
-            pt = self.point_class(getattr(self.system, start))
-            return pt.scale(self._once(self._smc_normalizer)) if normalized else pt
+            return self.point_class(w)
         i, ws = self.system.right_step(w)
         s = self.system.simple_reflection(i)
         triples = []  # (y, a restriction, its scalar)
@@ -356,15 +308,11 @@ class Localization(Memo):
         return CohClass(self.mult, dot_by_key(self.dom, triples))
 
     def _step_scalars(self, family: str, u: WeylElt, i: int) -> tuple:
-        """(u(g_e) + c, u(b)) for s = s_i, each times t^{-1} in a family without
-        mu terms: b is k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s}, or s(g_s),
-        whose twist u(s(g_s)) is (u s)(g_s)."""
-        _, _, c, b, mu = _FAMILIES[family]
+        """(u(g_e) + c, u(k_s)) for s = s_i, k_s = g_s s(x_Pi)/x_Pi = -g_s e^{-alpha_s},
+        each times t^{-1} in a family without mu terms."""
+        c, mu = _FAMILIES[family]
         ring = self.mult
-        if b == "k_s":
-            cross = self.dom.weyl(u, self._once(self._k_generator, i))
-        else:
-            cross = ring.generator_twist(u * self.system.simple_reflection(i), i)[1]
+        cross = self.dom.weyl(u, self._once(self._k_generator, i))
         diagonal = ring.generator_twist(u, i)[0] + ring.t_poly(c)
         if mu:
             return diagonal, cross
@@ -406,72 +354,83 @@ class Localization(Memo):
         rep = self._once(self._coset_rep, self.system._jkey(J))
         return CohClass(c.ring, {u: c.coeffs[x] for u, x in rep.items() if x in c.coeffs})
 
-    def smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
-        """SMC of an opposite cell downstairs: at x in W^J, w0(MC_J(cell w0 v w_J)
-        at the representative of w0 x W_J), dualized, times
-        x((-1)^{N_J} e^{2 rho_J} lambda_J) t^{-2 dim}."""
-        return self._once(self._smc_cell_parabolic, v, self.system._jkey(J))
-
-    def _smc_cell_parabolic(self, v: WeylElt, J) -> CohClass:
-        system, dom = self.system, self.dom
-        system.require_min_rep(v, J)
-        w0 = system.w0
-        u = w0 * v * system.longest_parabolic(J)
-        system.require_min_rep(u, J)
-        mc, rep = self.mc_cell_parabolic(u, J).coeffs, self._once(self._coset_rep, J)
-        dim = len(system.roots_outside(J)) - v.length
-        t = self.mult.t_poly(LaurentPoly.t_power(1, -2 * dim))
-        out = {}
-        for x, f in self._once(self._smc_factors, J).items():
-            m = mc.get(rep[w0 * x])
-            if m is not None:
-                out[x] = dom.dualize(dom.weyl(w0, m)) * f * t
-        return CohClass(self.mult, out)
-
-    def _smc_factors(self, J) -> dict:
-        """{x: x((-1)^{N_J} e^{2 rho_J} lambda_J)} over W^J: the Serre monomial
-        times _lambda_inv(J), both lifted, so their product is known."""
-        f = self._once(self._serre_monomial, J) * self._once(self._lambda_inv, J)
-        return {x: self.dom.weyl(x, f) for x in self.system.minimal_coset_reps(J)}
-
     def kl_class_c_parabolic(self, w: WeylElt, J) -> CohClass:
         """C^J_w = sum over u in W^J, u <= w of t_w P^J_{u,w}(t^-2) MC(cell u)_J,
         on W^J: the sum of one weight."""
-        return self.kl_sum_parabolic("C", {w: self.dom.one}, J)
+        return self.class_sum("C", {w: self.dom.one}, J)
 
-    def kl_sum_parabolic(self, family: str, weights: dict, J) -> CohClass:
-        """The sum of weights[w] C^J_w (family "C") or C~^J_w (family "C~") over w
-        in W^J, on W^J, by rho_u or sigma_v (module docstring): one dom.dot each,
-        and each distinct t-polynomial lifted once."""
-        system = self.system
+    def class_sum(self, family: str, weights: dict, J) -> CohClass:
+        """The sum of weights[w] F_w over w in W^J, on W^J, F_w the class MC_J(cell
+        w), SMC_J(cell w), C^J_w or C~^J_w of family "MC", "SMC", "C" or "C~": one
+        combine over MC_J cells, each distinct t-polynomial lifted once, then for
+        SMC and C~ one transform per point (module docstring)."""
+        system, dom = self.system, self.dom
         jkey = system._jkey(J)
         for w in weights:
             system.require_min_rep(w, jkey)
-        p_rows, q_rows = self.hecke.inversion_rows(jkey)
-        lengths, r = system._lengths, {w.idx: c for w, c in weights.items()}
-        # (cell, KL polynomial in q, t-power of its q^0 term, odd sign, weight)
-        if family == "C":
-            cell = self.mc_cell_parabolic
-            entries = ((u, p, lengths[w], 0, c) for u, row in p_rows.items()
+        lengths, w0, one = system._lengths, system.w0, dom.one
+        r = {w.idx: c for w, c in weights.items()}
+        if family in ("SMC", "C~"):  # D(w0(s_v)) on the cell w0 v w_J
+            flip, n = self._once(self._flip, jkey), len(system.roots_outside(jkey))
+            r = {v: c if c is one else dom.dualize(dom.weyl(w0, c)) for v, c in r.items()}
+        # (cell, q-polynomial, t-power of its q^0 term, t-step per power of q, odd, weight)
+        if family == "MC":
+            entries = ()
+        elif family == "C":
+            p_rows = self.hecke.inversion_rows(jkey)[0]
+            entries = ((u, p, lengths[w], -2, 0, c) for u, row in p_rows.items()
                        for w, c in r.items() if (p := row.get(w)))
-        else:  # t^{l(w_J w^-1 w0)} and eps_w eps_v
-            cell = self.smc_cell_parabolic
-            top = system.w0.length - system.longest_parabolic(jkey).length
-            entries = ((v, q, top - lengths[w], (lengths[w] + lengths[v]) & 1, c)
+        elif family == "SMC":  # t^{2 dim_v}
+            entries = ((flip[v], (1,), 2 * (n - lengths[v]), 0, 0, c) for v, c in r.items())
+        else:  # D(t^{l(w_J w^-1 w0)} eps_w eps_v Q^J_{w,v}(t^-2)) t^{2 dim_v}
+            q_rows = self.hecke.inversion_rows(jkey)[1]
+            entries = ((flip[v], q, n + lengths[w] - 2 * lengths[v], 2,
+                        (lengths[w] + lengths[v]) & 1, c)
                        for w, c in r.items() for v, q in q_rows[w].items())
-        lifted, triples = {}, []
-        for x, p, lead, odd, c in entries:
+        lifted: dict = {}
+
+        def t_poly(p, lead, step, odd):
+            """sum over j of p_j t^{lead + step j}, negated if odd, lifted once."""
             if (p, lead, odd) not in lifted:
-                poly = {(lead - 2 * j,): -k if odd else k for j, k in enumerate(p)}
+                poly = {(lead + step * j,): -k if odd else k for j, k in enumerate(p)}
                 lifted[p, lead, odd] = self.mult.t_poly(LaurentPoly(1, poly))
-            triples.append((x, lifted[p, lead, odd], c))
-        coeffs, elements = dot_by_key(self.dom, triples), system.elements
-        terms = [(coeffs[x], cell(elements[x], jkey).coeffs) for x in p_rows if x in coeffs]
-        out = combine(self.dom, terms)
-        if family == "C~":
-            norm = self._once(self._normalizer, jkey)
-            out = {x: c * norm for x, c in out.items()}
+            return lifted[p, lead, odd]
+
+        triples = ((x, t_poly(p, lead, step, odd), c) for x, p, lead, step, odd, c in entries)
+        coeffs = r if family == "MC" else dot_by_key(dom, triples)
+        cells = [(coeffs[x.idx], self.mc_cell_parabolic(x, jkey).coeffs)
+                 for x in system.minimal_coset_reps(jkey) if x.idx in coeffs]
+        out = combine(dom, cells)
+        if family in ("SMC", "C~"):
+            dual, weyl = dom.dualize, dom.weyl
+            factors = self._once(self._smc_factors, family, jkey)
+            out = {x: dual(weyl(w0, m)) * f for x, y, f in factors if (m := out.get(y)) is not None}
         return CohClass(self.mult, out)
+
+    def _flip(self, J) -> dict:
+        """{x.idx: (w0 x w_J).idx} over W^J: w0 x w_J is in W^J and represents
+        w0 x W_J."""
+        system = self.system
+        times_wj = system.cayley_column(system.longest_parabolic(J).idx)
+        return {x.idx: times_wj[system._w0_left[x.idx]] for x in system.minimal_coset_reps(J)}
+
+    def _smc_factors(self, family: str, J) -> list:
+        """[(x, w0 x w_J, f_x)] over W^J, f_x = x((-1)^{N_J} e^{2 rho_J} lambda_J), the
+        twist of the product of -e^a / (1 - t^-2 e^a) = 1 / (t^-2 - e^{-a}) over
+        Sigma^+ minus Sigma_J^+, lifted root by root; for family C~, f_x times the
+        normalizer."""
+        system, weyl = self.system, self.dom.weyl
+        t2 = LaurentPoly.t_power(system.rank + 1, -2)
+        f = self.mult.root_product(
+            lambda a: RatFunc(t2 - LaurentPoly.monomial((0,) + _neg(a), 1)).inv(),
+            system.roots_outside(J),
+        )
+        flip, reps = self._once(self._flip, J), system.minimal_coset_reps(J)
+        twists = [weyl(x, f) for x in reps]
+        if family == "C~":
+            norm = self._once(self._normalizer, J)
+            twists = [c * norm for c in twists]
+        return [(x, system.elements[flip[x.idx]], c) for x, c in zip(reps, twists)]
 
     def _normalizer(self, J):
         """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted one binomial

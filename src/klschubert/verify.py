@@ -9,8 +9,9 @@ verdicts that are not an equality (an inequality, a mismatch, a
 combinatorial check) are yielded as CaseResults directly, and so are the
 inversion cases of a u whose sums all hold, which are compared at once as one
 packed int (see _inversion_cases), and, mod p, the cases of a pairing matrix
-that passes Freivalds' check, one random bilinear sum per matrix (see
-_pairing_cases); a row or matrix that fails its check is read entry by
+that passes Freivalds' check: the two sides are families of
+Localization.class_sum, and one random sum of each is paired (see
+_pairing_cases).  A row or matrix that fails its check is read entry by
 entry, so every failing case keeps its own witness.
 
 Suites run either exactly or in modp mode; the latter evaluates the whole
@@ -53,7 +54,7 @@ from .localization import CohClass, Localization
 from .modp import ExactDomain, OrbitDomain
 from .ratfunc import RatFunc
 from .rootsystem import CartanData, RootSystem, SizeCapExceeded
-from .twisted import combine, psi
+from .twisted import psi
 
 __all__ = ["RunConfig", "CaseResult", "VerificationReport", "run_suite", "SUITES", "GuardRefusal"]
 
@@ -62,7 +63,7 @@ class GuardRefusal(RuntimeError):
     """The requested suite exceeds the configured size guards."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     type_label: str = "A"
     rank: int | None = None
@@ -76,12 +77,8 @@ class RunConfig:
     serre_samples: int = 100
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        """Refuse a bad type, rank, mode, k, serre_samples or d: on
-        construction, and again in run_suite, since a field may change in
-        between."""
+        """Refuse a bad type, rank, mode, k, serre_samples or d: the config is
+        frozen, so it is checked once, when it is made."""
         self.cartan()
         if self.d is not None and (self.n is None or not 1 <= self.d < self.n):
             raise ValueError(f"d = {self.d} needs n with 1 <= d < n, got n = {self.n}")
@@ -190,46 +187,39 @@ def _case(case_id: str, lhs, rhs, witness: str | None = None) -> CaseResult:
     return CaseResult(case_id, ok, None if ok else witness or _witness(lhs, rhs))
 
 
-def _pairing_cases(loc, case_id, left, right, diag, J=(), serre_id=None):
-    """The cases "<f_a, g_b>_J = diag if a is b else 0" for every a, then b,
-    then with serre_id "D_J(f_a) = f_a", named from the keys printed once.  A
-    side is (keys, build), build({a: scalar}) the weighted sum of classes, so
-    f_a = build({a: one}).  Mod p, U = build(r) and V = build(s) for random r
-    and s (Freivalds 1977) are checked first: <U, V>_J against diag times the
-    sum of r_a s_a, and D_J(U) against U; a check that holds passes its cases.
-    Else, and in exact mode, each case goes through _case with its witness."""
+def _pairing_cases(loc, case_id, keys, families, diag, J, serre_id=None):
+    """The cases "<F_a, G_b>_J = diag if a is b else 0" for every a, then b, in
+    keys (all of W^J), then with serre_id "D_J(F_a) = F_a", named from the keys
+    printed once; F and G are the two families of Localization.class_sum, so a
+    side sums its classes over any weights, and F_a is the sum of one.  Mod p,
+    U = sum r_a F_a and V = sum s_b G_b for random r and s (Freivalds 1977) are
+    checked first: <U, V>_J against diag times the sum of r_a s_a, and D_J(U)
+    against U; a check that holds passes its cases.  Else, and in exact mode,
+    each case goes through _case with its witness."""
     dom, one = loc.dom, loc.dom.one
-    (lkeys, lbuild), (rkeys, rbuild) = left, right
-    lnames, rnames = [repr(a) for a in lkeys], [repr(b) for b in rkeys]
+    left, right = (functools.partial(loc.class_sum, family, J=J) for family in families)
+    names = [repr(a) for a in keys]
     paired = served = False
     if dom.kind == "modp":
-        weights = dom.random_weights(len(lkeys) + len(rkeys))
-        r, s = dict(zip(lkeys, weights)), dict(zip(rkeys, weights[len(lkeys) :]))
-        trace = dom.dot([r[a] for a in lkeys if a in s], [s[a] for a in lkeys if a in s])
-        u = lbuild(r)
-        paired = loc.pairing_matrix([u], [rbuild(s)], J)[0][0] == diag * trace
+        weights = dom.random_weights(2 * len(keys))
+        r, s = weights[: len(keys)], weights[len(keys) :]
+        u, v = left(dict(zip(keys, r))), right(dict(zip(keys, s)))
+        paired = loc.pairing_matrix([u], [v], J)[0][0] == diag * dom.dot(r, s)
         served = serre_id is None or loc.serre_dual(u, J) == u
-    fs = [] if paired and served else [lbuild({a: one}) for a in lkeys]
+    fs = [] if paired and served else [left({a: one}) for a in keys]
     if paired:
-        yield from (CaseResult(case_id(na, nb), True) for na in lnames for nb in rnames)
+        yield from (CaseResult(case_id(na, nb), True) for na in names for nb in names)
     else:
-        matrix = loc.pairing_matrix(fs, [rbuild({b: one}) for b in rkeys], J)
-        for a, na, row in zip(lkeys, lnames, matrix):
-            for b, nb, val in zip(rkeys, rnames, row):
+        matrix = loc.pairing_matrix(fs, [right({b: one}) for b in keys], J)
+        for a, na, row in zip(keys, names, matrix):
+            for b, nb, val in zip(keys, names, row):
                 yield _case(case_id(na, nb), val, diag if a is b else dom.zero)
     if serre_id is None:
         return
     if served:
-        yield from (CaseResult(serre_id(na), True) for na in lnames)
+        yield from (CaseResult(serre_id(na), True) for na in names)
     else:
-        yield from (_case(serre_id(na), loc.serre_dual(f, J), f) for na, f in zip(lnames, fs))
-
-
-def _built(loc, classes: dict) -> tuple:
-    """The side (keys, build) of _pairing_cases for classes already built."""
-    def build(ws):
-        return CohClass(loc.mult, combine(loc.dom, [(c, classes[a].coeffs) for a, c in ws.items()]))
-    return list(classes), build
+        yield from (_case(serre_id(na), loc.serre_dual(f, J), f) for na, f in zip(names, fs))
 
 
 def _inversion_cases(prefix: str, elements: list, q_rows: dict, p_rows: dict):
@@ -353,20 +343,19 @@ def suite_braid(ctx: _Context):
 
 
 def suite_duality(ctx: _Context):
-    system = ctx.system
     loc = ctx.loc
-    norm = loc.pairing_normalizer()
-    cw = _built(loc, {w: loc.kl_class_c(w) for w in system.elements})
-    ct = _built(loc, {v: loc.kl_class_c_tilde(v) for v in system.elements})
-    yield from _pairing_cases(loc, lambda w, v: f"<C[{w}], Ct[{v}]>", cw, ct, norm)
+    yield from _pairing_cases(
+        loc, lambda w, v: f"<C[{w}], Ct[{v}]>", ctx.system.elements, ("C", "C~"),
+        loc.pairing_normalizer(), (),
+    )
 
 
 def suite_orthogonality(ctx: _Context):
-    system = ctx.system
     loc = ctx.loc
-    mc = _built(loc, {u: loc.mc_cell(u) for u in system.elements})
-    smc = _built(loc, {v: loc.smc_cell(v) for v in system.elements})
-    yield from _pairing_cases(loc, lambda u, v: f"<MC[{u}], SMC[{v}]>", mc, smc, loc.dom.one)
+    yield from _pairing_cases(
+        loc, lambda u, v: f"<MC[{u}], SMC[{v}]>", ctx.system.elements, ("MC", "SMC"),
+        loc.dom.one, (),
+    )
 
 
 def suite_serre(ctx: _Context):
@@ -497,17 +486,12 @@ def suite_parabolic_duality(ctx: _Context):
     for J in Js:
         reps = system.minimal_coset_reps(J)
         tag = f"J={{{_jtxt(J)}}} "
-        norm = loc.pairing_normalizer(J)
-        mc = _built(loc, {u: loc.mc_cell_parabolic(u, J) for u in reps})
-        smc = _built(loc, {v: loc.smc_cell_parabolic(v, J) for v in reps})
         yield from _pairing_cases(
-            loc, lambda u, v: f"{tag}<MC[{u}], SMC[{v}]>_J", mc, smc, loc.dom.one, J
+            loc, lambda u, v: f"{tag}<MC[{u}], SMC[{v}]>_J", reps, ("MC", "SMC"), loc.dom.one, J
         )
-        cj = (reps, functools.partial(loc.kl_sum_parabolic, "C", J=J))
-        ctj = (reps, functools.partial(loc.kl_sum_parabolic, "C~", J=J))
         yield from _pairing_cases(
-            loc, lambda w, u: f"{tag}<C^J[{w}], Ct^J[{u}]>_J", cj, ctj, norm, J,
-            serre_id=lambda w: f"{tag}D_J(C^J[{w}]) = C^J[{w}]",
+            loc, lambda w, u: f"{tag}<C^J[{w}], Ct^J[{u}]>_J", reps, ("C", "C~"),
+            loc.pairing_normalizer(J), J, serre_id=lambda w: f"{tag}D_J(C^J[{w}]) = C^J[{w}]",
         )
 
 
@@ -681,7 +665,6 @@ SUITES = {
 def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    cfg.validate()
     guard = cfg.comb_guard if name == "zelevinsky" else cfg.hecke_guard
     ctx = _Context(cfg, name, guard)
     return VerificationReport(

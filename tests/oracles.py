@@ -45,8 +45,14 @@ composed routes to the parabolic classes that Localization builds once per
 coset (the bullet of Y_J on an MC cell, the translation, Serre dual and twists
 behind SMC_J, and the KL sums over full maps on W), the constant class
 one_class, scalar_elt, a scalar times delta_e, eps, the sign (-1)^{l(w)},
-and kl_class_c_tilde_parabolic, the one-weight case of
-Localization.kl_sum_parabolic.
+and smc_cell_parabolic and kl_class_c_tilde_parabolic, the one-weight cases
+of Localization.class_sum.
+
+Two routes that Localization ran before it built every SMC_J and C~^J class as
+a transform of a weighted sum of MC_J cells are kept as references:
+smc_cell_by_cell, SMC_J(cell v) built cell by cell from the w0-translate of
+one MC_J cell, and top_point_class, the restriction recursion from pt_{w0}
+behind C~_w and SMC(cell v) on G/B.
 
 For the Hecke algebra, which computes on packed ints, it keeps the route on
 LaurentPoly coefficients: gamma_sum, the element S_w behind the Q_W route to
@@ -81,7 +87,102 @@ def eps(w):
 
 def kl_class_c_tilde_parabolic(loc, w, J):
     """C~^J_w on W^J: the sum of one weight."""
-    return loc.kl_sum_parabolic("C~", {w: loc.dom.one}, J)
+    return loc.class_sum("C~", {w: loc.dom.one}, J)
+
+
+def smc_cell_parabolic(loc, v, J):
+    """SMC_J(cell v) on W^J: the sum of one weight."""
+    return loc.class_sum("SMC", {v: loc.dom.one}, J)
+
+
+def _serre_lambda(system, J):
+    """(-1)^{N_J} e^{2 rho_J} times lambda_J = 1 / prod (1 - t^-2 e^a) over the
+    positive roots a outside Sigma_J, as one exact fraction."""
+    arity = system.rank + 1
+    one = LaurentPoly.const(arity, 1)
+    roots = system.roots_outside(J)
+    two_rho = tuple(map(sum, zip(*(a.weight for a in roots)))) or (0,) * system.rank
+    mono = LaurentPoly.monomial((0,) + two_rho, (-1) ** len(roots))
+    dens = [one - LaurentPoly.monomial((-2,) + a.weight, 1) for a in roots]
+    return RatFunc.from_den_factors(mono, dens)
+
+
+def smc_cell_by_cell(loc, v, J):
+    """SMC_J(cell v) on W^J built from the one cell MC_J(cell w0 v w_J): at x in
+    W^J, that cell at the representative of w0 x W_J, twisted by w0 and
+    dualized, times x((-1)^{N_J} e^{2 rho_J} lambda_J) t^{-2 dim}, dim =
+    N_J - l(v), the factor lifted as one fraction."""
+    system, dom = loc.system, loc.dom
+    system.require_min_rep(v, J)
+    w0, wj = system.w0, system.longest_parabolic(J)
+    mc = loc.mc_cell_parabolic(w0 * v * wj, J).coeffs
+    reps = system.minimal_coset_reps(J)
+    rep = {x * y: x for x in reps for y in system.parabolic_elements(J)}
+    f = dom.lift(_serre_lambda(system, J))
+    dim = len(system.roots_outside(J)) - v.length
+    t = loc.mult.t_poly(LaurentPoly.t_power(1, -2 * dim))
+    out = {}
+    for x in reps:
+        m = mc.get(rep[w0 * x])
+        if m is not None:
+            out[x] = dom.dualize(dom.weyl(w0, m)) * dom.weyl(x, f) * t
+    return CohClass(loc.mult, out)
+
+
+# loc -> {(family, w): D_w} of top_point_class
+_TOP_POINT = WeakKeyDictionary()
+
+
+def top_point_class(loc, family, w):
+    """D_w of the restriction recursion from pt_{w0}, family "C~" or "SMC":
+    with s = s_i the last letter of w and g_e, g_s the coefficients of
+    dl_generator(i), D_e = pt_{w0} (times 1 / prod_{a>0} (1 - t^-2 e^{-a}),
+    lifted as one fraction, for SMC) and
+
+        D_w[y] = D_{ws}[y] (y(g_e) + c) + D_{ws}[ys] y(g_s) - sum mu(v, ws) D_v[y],
+
+    c = -t^-1 with the mu terms of the right KL recursion for C~, and c = t -
+    t^-1 without them, both scalars times t^-1, for SMC.  C~_w is D_{w0 w} of
+    C~ and SMC(cell v) is D_{w0 v} of SMC: iota of the images of
+    gamma~_{w^-1 w0} and of (tau_{w0 v})^-1 acting on pt_{w0}.  Sums are
+    added pairwise, not by dom.dot."""
+    memo = _TOP_POINT.setdefault(loc, {})
+    hit = memo.get((family, w))
+    if hit is not None:
+        return hit
+    system, ring = loc.system, loc.mult
+    if w is system.identity:
+        hit = loc.point_class(system.w0)
+        if family == "SMC":
+            arity = system.rank + 1
+            one = LaurentPoly.const(arity, 1)
+            dens = [one - LaurentPoly.monomial((-2,) + tuple(-x for x in a.weight), 1)
+                    for a in system.positive_roots]
+            hit = hit.scale(loc.dom.lift(RatFunc.from_den_factors(one, dens)))
+    else:
+        i, ws = system.right_step(w)
+        s = system.simple_reflection(i)
+        t, tinv = LaurentPoly.t_power(1, 1), LaurentPoly.t_power(1, -1)
+        c = ring.t_poly(-tinv if family == "C~" else t - tinv)
+        step = ring.t_poly(tinv)
+        out = {}
+
+        def add(y, val):
+            out[y] = out[y] + val if y in out else val
+
+        for u, x in top_point_class(loc, family, ws).coeffs.items():
+            a, b = ring.generator_twist(u, i)[0] + c, ring.generator_twist(u * s, i)[1]
+            if family == "SMC":
+                a, b = a * step, b * step
+            add(u, x * a)
+            add(u * s, x * b)
+        if family == "C~":
+            for v, m in loc.hecke.mu_terms(ws, i):
+                for y, x in top_point_class(loc, family, v).coeffs.items():
+                    add(y, x * ring.as_scalar(-m))
+        hit = CohClass(ring, out)
+    memo[family, w] = hit
+    return hit
 
 
 def subword_leq(system, u, v):

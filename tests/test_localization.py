@@ -32,8 +32,11 @@ from oracles import (
     pairing_normalizer_product,
     pushpull_word,
     qw_iota,
+    smc_cell_by_cell,
     smc_cell_direct,
+    smc_cell_parabolic,
     smc_cell_parabolic_direct,
+    top_point_class,
 )
 
 
@@ -72,7 +75,7 @@ def test_class_builders_refuse_an_element_of_another_group(a2, mode):
         "dl_element": loc.mult.dl_element,
         "delta": loc.mult.delta,
         "generator_twist": lambda w: loc.mult.generator_twist(w, 0),
-        "smc_cell": loc.smc_cell,
+        "smc_cell": lambda w: smc_cell_parabolic(loc, w, ()),
         "kl_class_c_tilde": loc.kl_class_c_tilde,
         "is_smooth": loc.is_smooth,
         "mc_cell_parabolic": lambda w: loc.mc_cell_parabolic(w, ()),
@@ -204,22 +207,25 @@ def test_serre_dual_fixes_kl_classes_a2(loc2, a2):
 
 def test_smc_two_routes_agree(loc2, a2):
     for v in a2.elements:
-        # tau^-1 route against the duality route of the parabolic code at J = ()
-        assert loc2.smc_cell(v) == loc2.smc_cell_parabolic(v, ())
+        # the tau^-1 route, by the recursion from pt_{w0}, against the duality
+        # route cell by cell and the weighted-sum builder at J = ()
+        want = top_point_class(loc2, "SMC", a2.w0 * v)
+        assert smc_cell_by_cell(loc2, v, ()) == want
+        assert smc_cell_parabolic(loc2, v, ()) == want
 
 
 def test_smc_top_cell(loc1, a1):
     w0 = a1.w0
-    smc = loc1.smc_cell(w0)
-    pt = loc1.point_class(w0)
-    expected = pt.scale(loc1._smc_normalizer())
-    assert smc == expected
+    smc = smc_cell_parabolic(loc1, w0, ())
+    # pt_{w0} times the normalizer 1 / (1 - t^-2 e^{-alpha}), alpha = 2 omega_1
+    norm = lift(loc1, {(0, 0): 1}, [LaurentPoly(2, {(0, 0): 1, (-2, -2): -1})])
+    assert smc == loc1.point_class(w0).scale(norm)
 
 
 def test_orthogonality_a1(loc1, a1):
     for u in a1.elements:
         for v in a1.elements:
-            val = loc1.pairing(loc1.mc_cell(u), loc1.smc_cell(v))
+            val = loc1.pairing(loc1.mc_cell(u), smc_cell_parabolic(loc1, v, ()))
             expected = loc1.dom.one if u is v else loc1.dom.zero
             assert val == expected
 
@@ -235,9 +241,10 @@ def test_kl_classes_a2(loc2, a2):
         # A2 Schubert varieties are smooth: C_w = t_w MC(X(w))
         lhs = loc2.kl_class_c(w)
         assert lhs == mc_variety(loc2, w).scale(loc2.mult.t_poly(LaurentPoly.t_power(1, w.length)))
-        # independent expansions: parabolic KL polynomials at J = ()
+        # independent expansions: parabolic KL polynomials at J = (), and the
+        # recursion from pt_{w0}
         assert lhs == loc2.kl_class_c_parabolic(w, ())
-        assert loc2.kl_class_c_tilde(w) == kl_class_c_tilde_parabolic(loc2, w, ())
+        assert loc2.kl_class_c_tilde(w) == top_point_class(loc2, "C~", a2.w0 * w)
 
 
 def test_duality_theorem_a2(loc2, a2):
@@ -265,7 +272,7 @@ def test_pairing_normalizer_lifts_factor_by_factor(a3):
 def test_parabolic_classes_reduce_to_full(loc2, a2):
     for w in a2.elements:
         assert loc2.kl_class_c_parabolic(w, ()) == loc2.kl_class_c(w)
-        assert kl_class_c_tilde_parabolic(loc2, w, ()) == loc2.kl_class_c_tilde(w)
+        assert kl_class_c_tilde_parabolic(loc2, w, ()) == top_point_class(loc2, "C~", a2.w0 * w)
 
 
 def test_parabolic_orthogonality_a2(loc2, a2):
@@ -274,7 +281,7 @@ def test_parabolic_orthogonality_a2(loc2, a2):
     for u in reps:
         for v in reps:
             val = loc2.pairing_matrix(
-                [loc2.mc_cell_parabolic(u, J)], [loc2.smc_cell_parabolic(v, J)], J
+                [loc2.mc_cell_parabolic(u, J)], [smc_cell_parabolic(loc2, v, J)], J
             )[0][0]
             expected = loc2.dom.one if u is v else loc2.dom.zero
             assert val == expected, (u, v)
@@ -325,7 +332,7 @@ def test_pairing_is_the_bullet_value(name, mode):
         reps = system.minimal_coset_reps(J)
         pick = [reps[0], reps[-1]]  # e and the longest representative
         mc = [loc.mc_cell_parabolic(u, J) for u in pick]
-        smc = [loc.smc_cell_parabolic(u, J) for u in pick]
+        smc = [smc_cell_parabolic(loc, u, J) for u in pick]
         cj = [loc.kl_class_c_parabolic(u, J) for u in pick]
         ctj = [kl_class_c_tilde_parabolic(loc, u, J) for u in pick]
         groups += [(J, mc, smc), (J, cj, ctj)]
@@ -404,8 +411,8 @@ def test_the_pairing_of_two_sums_is_the_weighted_sum_of_the_matrix(name, mode):
     """<sum_a r_a f_a, sum_b s_b g_b>_J, the 1 x 1 pairing that Freivalds'
     check in verify takes, is the sum of r_a s_b M_ab over the pairing matrix
     M of the f_a and g_b, with int weights lifted into the domain: for random
-    classes at J = (), and at every other proper J for parabolic cells, summed
-    by combine, and for C^J and C~^J classes, summed by kl_sum_parabolic."""
+    classes at J = (), summed by combine, and at every other proper J for MC_J
+    and SMC_J cells and for C^J and C~^J classes, summed by class_sum."""
     loc = _pairing_loc(name, mode)
     system, dom = loc.system, loc.dom
     rng = random.Random(5)
@@ -415,18 +422,17 @@ def test_the_pairing_of_two_sums_is_the_weighted_sum_of_the_matrix(name, mode):
         maps = [c.coeffs for c in classes]
         return classes, lambda ws: CohClass(loc.mult, combine(dom, zip(ws, maps)))
 
-    def kl(family, keys, J):
-        """The KL classes of keys and their sum over a list of weights."""
-        classes = [loc.kl_sum_parabolic(family, {w: dom.one}, J) for w in keys]
-        return classes, lambda ws: loc.kl_sum_parabolic(family, dict(zip(keys, ws)), J)
+    def summed(family, keys, J):
+        """The classes of keys and their sum over a list of weights."""
+        classes = [loc.class_sum(family, {w: dom.one}, J) for w in keys]
+        return classes, lambda ws: loc.class_sum(family, dict(zip(keys, ws)), J)
 
     randoms = [loc.random_class(seed) for seed in (1, 2, 3)]
     pairings = [((), built(randoms[:2]), built(randoms[2:]))]
     for J in [(i,) for i in range(system.rank)]:
         reps = system.minimal_coset_reps(J)
-        mc = built([loc.mc_cell_parabolic(u, J) for u in reps])
-        smc = built([loc.smc_cell_parabolic(u, J) for u in reps])
-        pairings += [(J, mc, smc), (J, kl("C", reps[:2], J), kl("C~", reps[1:], J))]
+        mc, smc = summed("MC", reps, J), summed("SMC", reps, J)
+        pairings += [(J, mc, smc), (J, summed("C", reps[:2], J), summed("C~", reps[1:], J))]
     for J, (left, left_sum), (right, right_sum) in pairings:
         r = [loc.mult.as_scalar(rng.randrange(1, 1000)) for _ in left]
         s = [loc.mult.as_scalar(rng.randrange(1, 1000)) for _ in right]
@@ -552,12 +558,11 @@ RECURSION_CONFIGS = [
 
 @pytest.mark.parametrize("name, mode", RECURSION_CONFIGS)
 def test_class_recursions_match_direct_routes(name, mode):
-    """C_w, C~_w and SMC(cell w), built by the one restriction recursion, and
-    MC(cell w) and the hyperbolic KL-Schubert class, built from dl_element,
-    equal the direct routes: C_w, MC and the KL-Schubert class as the whole
-    image of gamma_w or tau_w acting on pt_e by odot, C~_w and SMC(cell w) as
-    the Hecke sums of iota-products, each a qw_mul product of iota(G_s) formed
-    in the oracle, acting on pt_{w0}."""
+    """C_w and MC(cell w), built by the restriction recursion, and the
+    hyperbolic KL-Schubert class, built from C_w, equal the direct routes: the
+    whole image of gamma_w or tau_w acting on pt_e by odot.  C~_w and SMC(cell
+    w) are checked against their direct routes with the other references in
+    test_smc_and_ct_sums_match_the_reference_routes."""
     system = RootSystem(RECURSION_GROUPS[name])
     dom = OrbitDomain(system, seed=23) if mode == "modp" else None
     loc = Localization(system, dom)
@@ -570,17 +575,57 @@ def test_class_recursions_match_direct_routes(name, mode):
         assert loc.kl_class_c(w) == kl_class_c_direct(loc, w), w
         assert loc.mc_cell(w) == mc_cell_direct(loc, w), w
         assert loc.kl_schubert(w) == kl_schubert_direct(loc, w), w
-        assert loc.kl_class_c_tilde(w) == kl_class_c_tilde_direct(loc, w), w
-        assert loc.smc_cell(w) == smc_cell_direct(loc, w), w
+
+
+@pytest.mark.parametrize("name, mode", RECURSION_CONFIGS)
+def test_smc_and_ct_sums_match_the_reference_routes(name, mode):
+    """class_sum's one-weight SMC_J(cell v) and C~^J_w equal the references:
+    SMC_J cell by cell, and the KL sums of those cells with Q^J looked up pair
+    by pair, at every J (J = () alone at A3); at J = () also the recursion
+    from pt_{w0} and the direct routes, C~_w and SMC(cell w) as the Hecke sums
+    of iota-products, each a qw_mul product of iota(G_s) formed in the oracle,
+    acting on pt_{w0} (B3 exact: every 4th element up to s1*s2*s1*s3, the
+    first with a mu term, as those routes take seconds each).  A
+    seeded random sum per family and J, its weights Laurent monomials in t and
+    the z's that w0 and dualize move, equals the same combination of the
+    reference classes: this checks the D(w0(.)) weight transform.  B3 exact
+    checks the one-weight classes of every 4th element of each W^J."""
+    system = RootSystem(RECURSION_GROUPS[name])
+    dom = OrbitDomain(system, seed=37, families=2) if mode == "modp" else None
+    loc = Localization(system, dom)
+    rng = random.Random(13)
+    arity, w0 = system.rank + 1, system.w0
+    step = 4 if (name, mode) == ("B3", "exact") else 1
+    for J in [()] if name == "A3" else _subsets(system):
+        reps = system.minimal_coset_reps(J)
+        smc = {v: smc_cell_by_cell(loc, v, J) for v in reps}
+        ct = {w: kl_class_c_tilde_parabolic_direct(loc, w, J, smc.get) for w in reps}
+        for w in reps[::step]:
+            assert smc_cell_parabolic(loc, w, J) == smc[w], (J, w)
+            assert kl_class_c_tilde_parabolic(loc, w, J) == ct[w], (J, w)
+        if not J:
+            for w in reps[:20:4] if step > 1 else reps:
+                assert smc[w] == top_point_class(loc, "SMC", w0 * w), w
+                assert smc[w] == smc_cell_direct(loc, w), w
+                assert ct[w] == top_point_class(loc, "C~", w0 * w), w
+                assert ct[w] == kl_class_c_tilde_direct(loc, w), w
+        for family, refs in (("SMC", smc), ("C~", ct)):
+            weights = {}
+            for w in reps:
+                exps = [rng.randrange(-2, 3)] + [rng.randrange(-1, 2) for _ in range(arity - 1)]
+                mono = LaurentPoly.monomial(tuple(exps), rng.randrange(1, 9))
+                weights[w] = loc.mult.as_scalar(RatFunc(mono))
+            want = combine(loc.dom, [(c, refs[w].coeffs) for w, c in weights.items()])
+            assert loc.class_sum(family, weights, J) == CohClass(loc.mult, want), (family, J)
 
 
 @pytest.mark.parametrize("name", ["A3", "B2", "G2", "B3"])
 def test_classes_are_the_exact_classes_at_the_kept_points(name):
-    """Every C_w, C~_w, MC and SMC cell, and every parabolic C^J_w and C~^J_w,
-    built on a 2-family domain, holds at each fixed point the residues of the
-    exact class evaluated by eval_mod at the kept points: exact mode runs the
-    same builders and is their oracle.  B3 takes every 4th element of W and
-    of each W^J."""
+    """Every C_w and MC cell, and every class_sum class of one weight (MC_J,
+    SMC_J, C^J_w and C~^J_w at every J, J = () included), built on a 2-family
+    domain, holds at each fixed point the residues of the exact class evaluated
+    by eval_mod at the kept points: exact mode runs the same builders and is
+    their oracle.  B3 takes every 4th element of W and of each W^J."""
     system = RootSystem(RECURSION_GROUPS[name])
     exact = Localization(system)
     loc = Localization(system, OrbitDomain(system, seed=31, families=2), exact.hecke)
@@ -592,14 +637,14 @@ def test_classes_are_the_exact_classes_at_the_kept_points(name):
             assert got.coeffs[u].values == eval_kept(loc.dom, c), (label, u)
 
     for w in system.elements[::step]:
-        for builder in ("kl_class_c", "kl_class_c_tilde", "mc_cell", "smc_cell"):
+        for builder in ("kl_class_c", "mc_cell"):
             check(getattr(loc, builder)(w), getattr(exact, builder)(w), (builder, w))
     for r in range(system.rank + 1):
         for J in combinations(range(system.rank), r):
             for w in system.minimal_coset_reps(J)[::step]:
-                for family in ("C", "C~"):
-                    want = exact.kl_sum_parabolic(family, {w: exact.dom.one}, J)
-                    got = loc.kl_sum_parabolic(family, {w: loc.dom.one}, J)
+                for family in ("MC", "SMC", "C", "C~"):
+                    want = exact.class_sum(family, {w: exact.dom.one}, J)
+                    got = loc.class_sum(family, {w: loc.dom.one}, J)
                     check(got, want, (family, J, w))
 
 
@@ -661,6 +706,14 @@ def test_is_smooth_is_the_exact_product_lifted(name, mode):
         assert (smooth, dict(witnesses)) == is_smooth_direct(loc, w), w
 
 
+def _smc_factors_after_a_sum(loc, u, J):
+    """The one per-J table of SMC_J factors held after an SMC_J sum at J (SMC_J
+    cells themselves are not held)."""
+    loc.class_sum("SMC", {u: loc.dom.one}, J)
+    (table,) = [value for key, value in loc._memo.items() if key[0] == "_smc_factors"]
+    return table
+
+
 # name -> (first call, second call) on an A3 Localization and a u in
 # W^{(0, 2)}: each pair must hand out one object
 SHARED = {
@@ -668,9 +721,9 @@ SHARED = {
         lambda loc, u: loc.mc_cell_parabolic(u, (0, 2)),
         lambda loc, u: loc.mc_cell_parabolic(u, (2, 0)),
     ),
-    "smc_cell_parabolic": (
-        lambda loc, u: loc.smc_cell_parabolic(u, (0, 2)),
-        lambda loc, u: loc.smc_cell_parabolic(u, [2, 0, 2]),
+    "_smc_factors": (
+        lambda loc, u: _smc_factors_after_a_sum(loc, u, (0, 2)),
+        lambda loc, u: _smc_factors_after_a_sum(loc, u, [2, 0, 2]),
     ),
     "pushpull_rel": (
         lambda loc, u: loc.mult.pushpull_rel((0, 2)),
@@ -691,9 +744,9 @@ SHARED = {
     "kl_basis": (lambda loc, u: loc.hecke.kl_basis(u),) * 2,
     "dl_element": (lambda loc, u: loc.mult.dl_element(u),) * 2,
     "generator_twist": (lambda loc, u: loc.mult.generator_twist(u, 1),) * 2,
-    "smc_cell": (
-        lambda loc, u: loc.smc_cell(u),
-        lambda loc, u: loc._once(loc._family_class, "SMC", loc.system.w0 * u),
+    "kl_class_c": (
+        lambda loc, u: loc.kl_class_c(u),
+        lambda loc, u: loc._once(loc._family_class, "C", u),
     ),
     "mc_cell": (
         lambda loc, u: loc.mc_cell(u),
@@ -708,6 +761,8 @@ def test_memoized_classes_are_shared_and_keep_their_J(loc3, a3):
     u = a3.minimal_coset_reps((0, 2))[-1]
     unshared = [name for name, (one, two) in SHARED.items() if two(loc3, u) is not one(loc3, u)]
     assert unshared == []
+    held = [key for key in loc3._memo if key[0] == "_smc_factors"]
+    assert held == [("_smc_factors", "SMC", (0, 2))]
 
 
 def test_smoothness_verdicts_are_built_once(loc3, a3):
@@ -752,7 +807,7 @@ def test_parabolic_classes_match_the_composed_routes(name, mode):
         for w in reps:
             pairs = {
                 "MC": (loc.mc_cell_parabolic(w, J), mc[w]),
-                "SMC": (loc.smc_cell_parabolic(w, J), smc[w]),
+                "SMC": (smc_cell_parabolic(loc, w, J), smc[w]),
                 "C": (
                     loc.kl_class_c_parabolic(w, J),
                     kl_class_c_parabolic_direct(loc, w, J, mc.get),
@@ -774,10 +829,11 @@ def test_parabolic_classes_match_the_composed_routes(name, mode):
 
 @pytest.mark.parametrize("name, mode", [("A2", "exact"), ("A3", "modp")])
 def test_kl_sums_are_the_weighted_sums_of_the_composed_routes(name, mode):
-    """kl_sum_parabolic(family, weights, J) with random int weights on all of
-    W^J, at every J, pulls back to the sum of weights[w] times the composed
-    route to C^J_w or C~^J_w: the KL sum over full maps on W of the composed
-    MC_J or SMC_J cells, with P^J and Q^J looked up pair by pair."""
+    """class_sum(family, weights, J) with random int weights on all of W^J, at
+    every J, pulls back to the sum of weights[w] times the composed route to
+    MC_J(cell w), SMC_J(cell w), C^J_w or C~^J_w: the cells, and the KL sums
+    over full maps on W of the composed MC_J or SMC_J cells, with P^J and Q^J
+    looked up pair by pair."""
     loc = _action_loc(name, mode)
     system, dom = loc.system, loc.dom
     rng = random.Random(11)
@@ -786,13 +842,15 @@ def test_kl_sums_are_the_weighted_sums_of_the_composed_routes(name, mode):
         mc = {u: mc_cell_parabolic_direct(loc, u, J) for u in reps}
         smc = {v: smc_cell_parabolic_direct(loc, v, J) for v in reps}
         routes = (
+            ("MC", lambda loc, w, J, cells: cells(w), mc),
+            ("SMC", lambda loc, w, J, cells: cells(w), smc),
             ("C", kl_class_c_parabolic_direct, mc),
             ("C~", kl_class_c_tilde_parabolic_direct, smc),
         )
         for family, direct, cells in routes:
             weights = {w: loc.mult.as_scalar(rng.randrange(1, 1000)) for w in reps}
             want = [(c, direct(loc, w, J, cells.get).coeffs) for w, c in weights.items()]
-            got = loc.kl_sum_parabolic(family, weights, J)
+            got = loc.class_sum(family, weights, J)
             assert set(got.coeffs) <= set(reps), (family, J)
             assert loc.pullback(got, J) == CohClass(loc.mult, combine(dom, want)), (family, J)
 
@@ -805,7 +863,7 @@ def test_parabolic_builders_refuse_a_non_minimal_representative(name):
     system = loc.system
     builders = (
         loc.mc_cell_parabolic,
-        loc.smc_cell_parabolic,
+        lambda u, J: smc_cell_parabolic(loc, u, J),
         loc.kl_class_c_parabolic,
         lambda u, J: kl_class_c_tilde_parabolic(loc, u, J),
     )
@@ -859,14 +917,14 @@ def test_printed_classes_are_pinned(loc2, loc3, a2, a3):
         printed += [
             ("A2", "kl_class_c", w, c),
             ("A2", "kl_class_c_tilde", w, loc2.kl_class_c_tilde(w)),
-            ("A2", "smc_cell", w, loc2.smc_cell(w)),
+            ("A2", "smc_cell", w, smc_cell_parabolic(loc2, w, ())),
             ("A2", "mc_cell", w, loc2.mc_cell(w)),
             ("A2", "serre_dual(kl_class_c)", w, loc2.serre_dual(c)),
         ]
     for w in a3.elements[::4]:
         printed += [
             ("A3", "kl_class_c", w, loc3.kl_class_c(w)),
-            ("A3", "smc_cell", w, loc3.smc_cell(w)),
+            ("A3", "smc_cell", w, smc_cell_parabolic(loc3, w, ())),
             ("A3", "mc_cell", w, loc3.mc_cell(w)),
         ]
     h = hashlib.sha256()
@@ -882,11 +940,12 @@ PRINTED_A3_TOP_DIGEST = "60044de6d13e167407a90a6e1d86a84b3a282b0015429b305ea9364
 
 def test_printed_a3_classes_from_the_top_point_are_pinned(loc3, a3):
     """The exact printed forms of C~_w and SMC(cell w) for every A3 element: the
-    two families whose recursion starts at pt_{w0}."""
+    two families whose recursion started at pt_{w0}, now sums of MC cells."""
     h = hashlib.sha256()
     for w in a3.elements:
-        for name in ("kl_class_c_tilde", "smc_cell"):
-            h.update(f"A3\t{name}\t{w!r}\t{getattr(loc3, name)(w).format()}\n".encode())
+        for name, family in (("kl_class_c_tilde", "C~"), ("smc_cell", "SMC")):
+            c = loc3.class_sum(family, {w: loc3.dom.one}, ())
+            h.update(f"A3\t{name}\t{w!r}\t{c.format()}\n".encode())
     assert h.hexdigest() == PRINTED_A3_TOP_DIGEST
 
 
@@ -907,7 +966,7 @@ def test_printed_parabolic_classes_are_pinned(loc2, loc3, a2, a3):
         for J in subsets:
             for w in system.minimal_coset_reps(J)[::step]:
                 for name, family in PRINTED_PARABOLIC_FAMILIES:
-                    c = loc.pullback(loc.kl_sum_parabolic(family, {w: loc.dom.one}, J), J)
+                    c = loc.pullback(loc.class_sum(family, {w: loc.dom.one}, J), J)
                     h.update(f"{group}\t{name}\t{J}\t{w!r}\t{c.format()}\n".encode())
     assert h.hexdigest() == PRINTED_PARABOLIC_DIGEST
 

@@ -309,6 +309,7 @@ def test_every_default_is_passed():
 # __add__) is one function and is entered with it.
 NEVER_ENTERED = {
     # called by perfbench/test_perfbench.py
+    "localization.Localization.kl_class_c_tilde",
     "ratfunc.RatFunc.fraction",
     # printing, for witnesses and names: a case prints only when it fails
     "grassmannian.GrassData.__repr__",

@@ -1,5 +1,6 @@
 """Golden tests for run_suite: every suite at A2, exactly and mod p."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -14,7 +15,7 @@ from klschubert.rootsystem import CartanData, RootSystem, WeylElt
 from klschubert.twisted import TwistedRing
 from klschubert.verify import SUITES, WITNESS_CHARS, GuardRefusal, RunConfig, run_suite
 
-from oracles import eps, kl_class_c_tilde_parabolic, product_by_steps
+from oracles import eps, kl_class_c_tilde_parabolic, product_by_steps, smc_cell_parabolic
 
 # suite -> number of cases at A2 (G(1, 3) for the Grassmannian suites)
 CASES = {
@@ -306,6 +307,25 @@ def _corrupt(monkeypatch, name, hit):
     monkeypatch.setattr(Localization, name, corrupted)
 
 
+def _corrupt_sum(monkeypatch, family, target, jkey):
+    """Localization.class_sum with every sum of family at jkey that weighs target
+    moved by that weight at one point, the first of target's class: a wrong
+    class of target, linear in its weight as the sums need, so every sum that
+    holds it is wrong by the same term."""
+    build = Localization.class_sum
+
+    def corrupted(self, fam, weights, J):
+        c = build(self, fam, weights, J)
+        hit = [(w, v) for w, v in weights.items() if w.idx == target.idx]
+        if fam != family or self.system._jkey(J) != jkey or not hit:
+            return c
+        (w, v), zero = hit[0], self.dom.zero
+        x = next(iter(build(self, fam, {w: self.dom.one}, J).coeffs))
+        return CohClass(c.ring, {**c.coeffs, x: c.coeffs.get(x, zero) + v})
+
+    monkeypatch.setattr(Localization, "class_sum", corrupted)
+
+
 def _failures_by_matrix(loc, case_id, left, right, diag, J=()):
     """(case id, witness) of every failing case of one pairing, read entry by
     entry off pairing_matrix."""
@@ -325,11 +345,11 @@ def _failures(report):
 
 
 def test_a_corrupted_ct_fails_the_duality_cases_the_matrix_fails(monkeypatch, a3):
-    """With one restriction of one C~_v wrong, A3 mod-p duality fails the sketch
-    and then exactly the cases, with the witnesses, that the entries of a
-    direct pairing matrix fail."""
+    """With one restriction of one C~_v wrong, in every sum by its weight, A3
+    mod-p duality fails the check of the sums and then exactly the cases,
+    with the witnesses, that the entries of a direct pairing matrix fail."""
     target = a3.elements[len(a3.elements) // 2]
-    _corrupt(monkeypatch, "kl_class_c_tilde", lambda self, w: w.idx == target.idx)
+    _corrupt_sum(monkeypatch, "C~", target, ())
     cfg = RunConfig(rank=3, mode="modp", k=2, seed=1)
     report = run_suite("duality", cfg)
     loc = verify._Context(cfg, "duality", cfg.hecke_guard).loc
@@ -344,33 +364,31 @@ def test_a_corrupted_ct_fails_the_duality_cases_the_matrix_fails(monkeypatch, a3
 
 
 def test_a_corrupted_smc_j_fails_the_parabolic_cases_the_matrices_fail(monkeypatch, a3):
-    """With one restriction of one SMC_J cell wrong, at J = {1}, A3 mod-p
-    parabolic-duality fails exactly the cases, with the witnesses, that the
-    entries of direct pairing matrices fail, at that J alone; the C~^J built
-    from the cell are wrong too."""
+    """With one restriction of one SMC_J cell wrong, at J = {1}, in every SMC_J
+    sum by its weight, A3 mod-p parabolic-duality fails exactly the cases,
+    with the witnesses, that the entries of direct pairing matrices fail, at
+    that J alone; the C~^J sums read MC_J cells, not SMC_J cells, so the C^J
+    pairing and its Serre cases all pass."""
     J = (0,)
     target = a3.minimal_coset_reps(J)[3]
-    _corrupt(
-        monkeypatch,
-        "smc_cell_parabolic",
-        lambda self, v, jj: v.idx == target.idx and self.system._jkey(jj) == J,
-    )
+    _corrupt_sum(monkeypatch, "SMC", target, J)
     cfg = RunConfig(rank=3, mode="modp", k=2, seed=1)
     report = run_suite("parabolic-duality", cfg)
     loc = verify._Context(cfg, "parabolic-duality", cfg.hecke_guard).loc
     reps = loc.system.minimal_coset_reps(J)
     tag = "J={1} "
     mc = {u: loc.mc_cell_parabolic(u, J) for u in reps}
-    smc = {v: loc.smc_cell_parabolic(v, J) for v in reps}
+    smc = {v: smc_cell_parabolic(loc, v, J) for v in reps}
     cj = {w: loc.kl_class_c_parabolic(w, J) for w in reps}
     ctj = {w: kl_class_c_tilde_parabolic(loc, w, J) for w in reps}
     expected = _failures_by_matrix(
         loc, lambda u, v: f"{tag}<MC[{u!r}], SMC[{v!r}]>_J", mc, smc, loc.dom.one, J
     )
     assert expected and all(f"SMC[{target!r}]" in i for i, _ in expected)
-    expected += _failures_by_matrix(
+    assert not _failures_by_matrix(
         loc, lambda w, u: f"{tag}<C^J[{w!r}], Ct^J[{u!r}]>_J", cj, ctj, loc.pairing_normalizer(J), J
     )
+    assert all(loc.serre_dual(c, J) == c for c in cj.values())
     assert len(report.cases) == A3_PAIRING_CASES["parabolic-duality"]
     assert _failures(report) == expected
 
@@ -394,7 +412,7 @@ def test_a_corrupted_mc_j_fails_the_cases_the_single_classes_fail(monkeypatch, a
     reps = loc.system.minimal_coset_reps(J)
     tag = "J={1} "
     mc = {u: loc.mc_cell_parabolic(u, J) for u in reps}
-    smc = {v: loc.smc_cell_parabolic(v, J) for v in reps}
+    smc = {v: smc_cell_parabolic(loc, v, J) for v in reps}
     cj = {w: loc.kl_class_c_parabolic(w, J) for w in reps}
     ctj = {w: kl_class_c_tilde_parabolic(loc, w, J) for w in reps}
     cells = _failures_by_matrix(
@@ -416,10 +434,11 @@ def test_a_corrupted_mc_j_fails_the_cases_the_single_classes_fail(monkeypatch, a
 @pytest.mark.parametrize("mode", ["exact", "modp"])
 def test_pairing_matrices_are_built_only_where_the_check_fails(monkeypatch, mode):
     """Passing mod-p pairing suites pair one sum a side, 1 x 1 per matrix, and
-    build no single C^J or C~^J class: kl_sum_parabolic runs once a side and
-    J, on every weight.  Exact mode builds each matrix, one per pairing."""
+    build no single class: class_sum runs once a side and matrix, on every
+    weight.  Exact mode builds each matrix, one per pairing, from classes of
+    one weight."""
     calls, sums = [], []
-    pairing_matrix, kl_sum = Localization.pairing_matrix, Localization.kl_sum_parabolic
+    pairing_matrix, class_sum = Localization.pairing_matrix, Localization.class_sum
 
     def counted(self, left, right, J=()):
         calls.append((len(left), len(right)))
@@ -427,10 +446,10 @@ def test_pairing_matrices_are_built_only_where_the_check_fails(monkeypatch, mode
 
     def counted_sum(self, family, weights, J):
         sums.append(len(weights))
-        return kl_sum(self, family, weights, J)
+        return class_sum(self, family, weights, J)
 
     monkeypatch.setattr(Localization, "pairing_matrix", counted)
-    monkeypatch.setattr(Localization, "kl_sum_parabolic", counted_sum)
+    monkeypatch.setattr(Localization, "class_sum", counted_sum)
     # duality and orthogonality pair once; parabolic-duality twice per J of A2
     for suite, matrices in (("duality", 1), ("orthogonality", 1), ("parabolic-duality", 6)):
         calls.clear()
@@ -440,8 +459,10 @@ def test_pairing_matrices_are_built_only_where_the_check_fails(monkeypatch, mode
         assert len(calls) == matrices, suite
         if mode == "modp":
             assert set(calls) == {(1, 1)}, suite
-            assert len(sums) == (matrices if suite == "parabolic-duality" else 0), suite
+            assert len(sums) == 2 * matrices, suite
             assert 1 not in sums, suite
+        else:
+            assert set(sums) == {1}, suite
 
 
 @pytest.mark.parametrize("mode", ["exact", "modp"])
@@ -878,15 +899,15 @@ def test_a_rank_that_conflicts_with_n_is_refused():
 
 @pytest.mark.parametrize("kwargs", [{"rank": 0}, {"rank": -1}, {"n": 1}])
 def test_a_rank_below_one_is_refused(kwargs):
-    """A rank below 1 is refused when the config is made, so no suite runs on
-    the trivial group."""
+    """A rank below 1 is refused when the config is made, and a made config is
+    frozen, so no suite runs on the trivial group."""
     with pytest.raises(ValueError, match="below 1"):
         RunConfig(**kwargs)
     cfg = RunConfig()
     for key, value in kwargs.items():
-        setattr(cfg, key, value)
-    with pytest.raises(ValueError, match="below 1"):
-        run_suite("serre", cfg)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, key, value)
+    assert (cfg.rank, cfg.n) == (None, None)
 
 
 @pytest.mark.parametrize(
@@ -897,19 +918,17 @@ def test_a_rank_below_one_is_refused(kwargs):
         ("mode", "padic", "exact", "unknown mode 'padic'"),
     ],
 )
-def test_a_config_changed_after_construction_is_refused(monkeypatch, field, value, mode, message):
-    """run_suite validates the config again, so a field set to a bad value
-    after construction is refused before the group is built or a suite runs."""
+def test_a_config_changed_after_construction_is_refused(field, value, mode, message):
+    """A config is frozen: setting a field to a bad value after construction
+    raises, and leaves the config as it was made; made with that value, the
+    config is refused."""
     cfg = RunConfig(rank=3, mode=mode, serre_samples=0)
-    setattr(cfg, field, value)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the suite ran")
-
-    monkeypatch.setitem(SUITES, "serre", refuse)
-    monkeypatch.setattr(verify, "RootSystem", refuse)
+    before = dataclasses.astuple(cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    assert dataclasses.astuple(cfg) == before
     with pytest.raises(ValueError, match=message):
-        run_suite("serre", cfg)
+        dataclasses.replace(cfg, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -933,15 +952,14 @@ def test_no_point_families_or_negative_samples_are_refused(kwargs, message):
     "kwargs", [{"rank": 2, "d": 1}, {"n": 3, "d": 7}, {"n": 3, "d": 3}, {"n": 3, "d": 0}]
 )
 def test_a_grassmannian_d_without_n_or_out_of_range_is_refused(kwargs):
-    """d needs n and 1 <= d < n, when the config is made and again in
-    run_suite, so no report names a Grassmannian the run did not use."""
+    """d needs n and 1 <= d < n when the config is made, and a made config is
+    frozen, so no report names a Grassmannian the run did not use."""
     with pytest.raises(ValueError, match=f"d = {kwargs['d']} needs n with 1 <= d < n"):
         RunConfig(**kwargs)
     cfg = RunConfig(n=3)
-    cfg.d = kwargs["d"]
-    cfg.n = kwargs.get("n")
-    with pytest.raises(ValueError, match="needs n with 1 <= d < n"):
-        run_suite("duality", cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.d = kwargs["d"]
+    assert cfg.d is None
     assert RunConfig(n=3, d=2).grass().J_indices() == (0,)
 
 
