@@ -3,8 +3,9 @@
 Generators satisfy tau_i^2 = (t^-1 - t) tau_i + 1 and the braid relations.
 The canonical basis gamma_w is the unique bar-invariant element of
 tau_w + sum_{v<w} t Z[t] tau_v; writing gamma_w = sum t^{l(w)-l(v)}
-P_{v,w}(t^-2) tau_v defines the KL polynomials.  Row w of the polynomials
-is recorded when gamma_w is computed, so it is known exactly when gamma_w is.
+P_{v,w}(t^-2) tau_v defines the KL polynomials.  The first read of any row
+builds the whole table; what stays after the build is row w of the
+polynomials and the mu terms of gamma_w, for every w.
 
 The recursion used is gamma_w = gamma_{ws} (tau_s + t) - sum mu(v, ws) gamma_v
 over v < ws with vs < v, where mu(v, u) is the coefficient of t in the
@@ -113,14 +114,8 @@ class HeckeAlgebra(Memo):
         super().__init__()
         self.system = system
         n = system.order
-        self._width = None  # the KL table's slot width, fixed on first use
-        # per element index, once gamma_w is computed:
-        self._packed = [None] * n  # {v.idx: gamma_w[v] packed at offset 0}
         self._rows = [None] * n  # {v.idx: P_{v,w} as ascending q-coefficients}
         self._mu = [None] * n  # [(v, mu(v, w))] for mu(v, w) nonzero
-        self._norms = [None] * n  # N(gamma_w)
-        self._bar_rows = {}  # w.idx -> {v.idx: bar(tau_w)[v] packed at offset l(w0)}
-        self._kl_done_length = -1
 
     # ---------- basis elements and products ----------
 
@@ -192,23 +187,17 @@ class HeckeAlgebra(Memo):
 
     # ---------- Kazhdan-Lusztig bases ----------
 
-    def kl_compute_upto(self, max_length: int):
-        """Fill gamma_w and the KL polynomials for all w of length <= max_length."""
-        if max_length <= self._kl_done_length:
-            return
+    def kl_compute_upto(self):
+        """Build gamma_w and row w of the KL polynomials for every w, in order of
+        length; gamma_w, their norms and the bar rows are dropped at the end."""
         system = self.system
-        if self._width is None:
-            self._width = _slot_width(system.w0.length)
-            self._bar_rows[0] = {0: 1 << self._width * system.w0.length}
-        width = self._width
+        top, n = system.w0.length, system.order
+        width = _slot_width(top)
         limit = 1 << (width - 1)
-        packed, norms = self._packed, self._norms
+        packed, norms = [None] * n, [None] * n  # gamma_w packed at offset 0, N(gamma_w)
+        bar_rows = {0: {0: 1 << width * top}}  # bar(tau_w) packed at offset l(w0)
         to_check = self._bar_check_plan(system.elements)
         for w in system.elements:
-            if w.length > max_length:
-                break
-            if packed[w.idx] is not None:
-                continue
             if w.length == 0:
                 g, bound = {w.idx: 1}, 1
             else:
@@ -228,12 +217,11 @@ class HeckeAlgebra(Memo):
                     f"beyond {width}-bit slots"
                 )
             digits = {v: balanced_digits(p, width) for v, p in g.items()}
-            norms[w.idx] = sum(abs(c) for dig in digits.values() for c in dig)
+            norms[w.idx] = norm = sum(abs(c) for dig in digits.values() for c in dig)
             if w in to_check:
-                self._bar_check(w, g, digits)
+                self._bar_check(w, g, digits, norm, width, bar_rows)
             packed[w.idx] = g
             self._record_kl_row(w, digits)
-        self._kl_done_length = max_length
 
     def _bar_check_plan(self, order):
         """The w whose gamma_w gets the bar check: all of W when |W| is at most
@@ -246,12 +234,14 @@ class HeckeAlgebra(Memo):
         sample = rng.sample(pool, min(8, len(pool))) if pool else []
         return set(shortish) | set(sample)
 
-    def _bar_check(self, w: WeylElt, g: dict, digits: dict):
-        """sum_v dualize(gamma_w[v]) bar(tau_v) = gamma_w as packed ints: each
-        dualized coefficient packed at offset l(w), bar(tau_v) at offset l(w0),
-        so both sides sit at offset l(w) + l(w0)."""
-        width, lw = self._width, w.length
-        norm = self._norms[w.idx]
+    def _bar_check(
+        self, w: WeylElt, g: dict, digits: dict, norm: int, width: int, bar_rows: dict
+    ):
+        """sum_v dualize(gamma_w[v]) bar(tau_v) = gamma_w as packed ints, norm =
+        N(gamma_w): each dualized coefficient packed at offset l(w), bar(tau_v)
+        = bar(tau_{vs}) tau_s^{-1} walked on bar_rows at offset l(w0), so both
+        sides sit at offset l(w) + l(w0)."""
+        lw = w.length
         if norm * (3**lw + 1) >= 1 << width:
             raise OverflowError(
                 f"the bar check of gamma for {w!r} may differ by {norm * (3**lw + 1)}, "
@@ -260,18 +250,13 @@ class HeckeAlgebra(Memo):
         acc: dict = {}
         for v, dig in digits.items():
             dual = sum(c << width * (lw - e) for e, c in enumerate(dig) if c)
-            for y, r in self._bar_row(v).items():
+            for y, r in self._walk(bar_rows, v, width, _TAU_INVERSE).items():
                 acc[y] = acc.get(y, 0) + dual * r
         shift = width * (lw + self.system.w0.length)
         for y, p in g.items():
             acc[y] = acc.get(y, 0) - (p << shift)
         if any(acc.values()):
             raise AssertionError(f"gamma for {w!r} is not bar-invariant")
-
-    def _bar_row(self, w: int) -> dict:
-        """bar(tau_w) = (tau_{w^{-1}})^{-1} for the element of index w, packed:
-        bar(tau_w) = bar(tau_{ws}) tau_s^{-1}, from 1 at offset l(w0)."""
-        return self._walk(self._bar_rows, w, self._width, _TAU_INVERSE)
 
     def _record_kl_row(self, w: WeylElt, digits: dict):
         """Row w of the KL table from the digits of gamma_w: the coefficient of
@@ -301,10 +286,12 @@ class HeckeAlgebra(Memo):
         return w.idx
 
     def _column(self, w: int) -> dict:
-        """{v.idx: P_{v,w}} for the element of index w, computed on first use."""
+        """{v.idx: P_{v,w}} for the element of index w; the first read of a
+        missing row builds the whole table (the build reads its earlier rows
+        here, so it is not entered again)."""
         row = self._rows[w]
         if row is None:
-            self.kl_compute_upto(self.system._lengths[w])
+            self.kl_compute_upto()
             row = self._rows[w]
         return row
 

@@ -34,18 +34,19 @@ by x(q_J) once, and each entry is then one dom.dot over the common support.
 Parabolic classes are built at x in W^J, one value per coset x W_J.  This is
 exact: Y_J = sum over v in W_J of v(q) delta_v, q = 1/x_J, so (Y_J . c)_u = sum
 over y in u W_J of c_y y(q) for every class c, which depends on u W_J alone.
-Every other class is a weighted sum of these MC_J cells (class_sum): sum r_w
-C^J_w = sum rho_u MC_J(cell u), rho_u = sum r_w t_w P^J_{u,w}(t^-2) off row u of
-P^J.  SMC_J(cell v) at x is D(w0(MC_J(cell w0 v w_J) at w0 x w_J)) f_x
-t^{-2 dim_v}, with D = dualize, dim_v = N_J - l(v), N_J the number of positive
-roots outside Sigma_J and f_x = x((-1)^{N_J} e^{2 rho_J} lambda_J): w0 x w_J
-represents w0 x W_J, and f is invariant as W_J permutes those roots.  D and w0
-are commuting ring automorphisms, so sum s_v SMC_J(cell v) at x is f_x
-D(w0(S at w0 x w_J)), S = sum D(w0(s_v)) t^{2 dim_v} MC_J(cell w0 v w_J): one
-combine, then one w0-swap, one dual and one product per x.  sum r_w C~^J_w is
-the normalizer times sum sigma_v SMC_J(cell v), sigma_v off the rows of Q^J
-(HeckeAlgebra.inversion_rows).  A sum over all of W^J takes |W^J|^2 products,
-not |W^J|^3 class by class; at J = () the classes are those on G/B.
+Every other class is a weighted sum of these MC_J cells (class_sum).
+SMC_J(cell v) at x is D(w0(MC_J(cell w0 v w_J) at w0 x w_J)) f_x t^{-2 dim_v},
+with D = dualize, dim_v = N_J - l(v), N_J the number of positive roots outside
+Sigma_J and f_x = x((-1)^{N_J} e^{2 rho_J} lambda_J): w0 x w_J represents w0 x
+W_J, and f is invariant as W_J permutes those roots.  D and w0 are commuting
+ring automorphisms, so sum s_v SMC_J(cell v) at x is f_x D(w0(S at w0 x w_J)),
+S the MC sum with weight D(w0(s_v)) t^{2 dim_v} on cell w0 v w_J: one combine,
+then one w0-swap, one dual and one product per x.  sum r_w C^J_w is the MC sum
+with rho_u = sum r_w t^{l(w)} P^J_{u,w}(t^-2), and sum r_w C~^J_w the
+normalizer times the SMC sum with sigma_v = sum r_w t^{N_J - l(w)} eps_w eps_v
+Q^J_{w,v}(t^-2), both off the rows of HeckeAlgebra.inversion_rows.  A sum over
+all of W^J takes |W^J|^2 products, not |W^J|^3 class by class; at J = () the
+classes are those on G/B.
 
 Functions of the fixed point u that are Weyl twists u(f) of one function f are
 lifted once and twisted per u with dom.weyl.  A mod-p domain can twist a
@@ -56,8 +57,8 @@ transfer factors and the root factors of the smoothness criterion.  Products
 of lifted root factors go through TwistedRing.root_product.
 
 Every point class, MC and MC_J cell, C_w, smoothness verdict and per-J (or
-per-length) lifted scalar is built once per Localization (see Memo); no
-weighted sum is held.
+per-length, or per t-polynomial) lifted scalar is built once per Localization
+(see Memo); no weighted sum is held.
 
 One memoized recursion over restrictions builds MC cells and C_w.  A family
 (c, mu terms) of _FAMILIES gives classes D_w, s the last letter of w's reduced
@@ -103,6 +104,7 @@ SMC_J cell by cell) are test oracles.
 from __future__ import annotations
 
 import random
+from functools import partial
 from types import MappingProxyType
 
 from .hecke import HeckeAlgebra
@@ -361,51 +363,50 @@ class Localization(Memo):
 
     def class_sum(self, family: str, weights: dict, J) -> CohClass:
         """The sum of weights[w] F_w over w in W^J, on W^J, F_w the class MC_J(cell
-        w), SMC_J(cell w), C^J_w or C~^J_w of family "MC", "SMC", "C" or "C~": one
-        combine over MC_J cells, each distinct t-polynomial lifted once, then for
-        SMC and C~ one transform per point (module docstring)."""
+        w), SMC_J(cell w), C^J_w or C~^J_w of family "MC", "SMC", "C" or "C~": C
+        and C~ are MC and SMC sums with weights read off the P^J and Q^J rows, and
+        an SMC sum is one MC sum and one transform per point (module docstring)."""
         system, dom = self.system, self.dom
         jkey = system._jkey(J)
         for w in weights:
             system.require_min_rep(w, jkey)
-        lengths, w0, one = system._lengths, system.w0, dom.one
+        lengths, lift = system._lengths, partial(self._once, self._t_lift)
         r = {w.idx: c for w, c in weights.items()}
-        if family in ("SMC", "C~"):  # D(w0(s_v)) on the cell w0 v w_J
-            flip, n = self._once(self._flip, jkey), len(system.roots_outside(jkey))
-            r = {v: c if c is one else dom.dualize(dom.weyl(w0, c)) for v, c in r.items()}
-        # (cell, q-polynomial, t-power of its q^0 term, t-step per power of q, odd, weight)
-        if family == "MC":
-            entries = ()
-        elif family == "C":
+        if family == "C":  # rho_u = sum_w r_w t^{l(w)} P^J_{u,w}(t^-2)
             p_rows = self.hecke.inversion_rows(jkey)[0]
-            entries = ((u, p, lengths[w], -2, 0, c) for u, row in p_rows.items()
-                       for w, c in r.items() if (p := row.get(w)))
-        elif family == "SMC":  # t^{2 dim_v}
-            entries = ((flip[v], (1,), 2 * (n - lengths[v]), 0, 0, c) for v, c in r.items())
-        else:  # D(t^{l(w_J w^-1 w0)} eps_w eps_v Q^J_{w,v}(t^-2)) t^{2 dim_v}
-            q_rows = self.hecke.inversion_rows(jkey)[1]
-            entries = ((flip[v], q, n + lengths[w] - 2 * lengths[v], 2,
-                        (lengths[w] + lengths[v]) & 1, c)
-                       for w, c in r.items() for v, q in q_rows[w].items())
-        lifted: dict = {}
-
-        def t_poly(p, lead, step, odd):
-            """sum over j of p_j t^{lead + step j}, negated if odd, lifted once."""
-            if (p, lead, odd) not in lifted:
-                poly = {(lead + step * j,): -k if odd else k for j, k in enumerate(p)}
-                lifted[p, lead, odd] = self.mult.t_poly(LaurentPoly(1, poly))
-            return lifted[p, lead, odd]
-
-        triples = ((x, t_poly(p, lead, step, odd), c) for x, p, lead, step, odd, c in entries)
-        coeffs = r if family == "MC" else dot_by_key(dom, triples)
-        cells = [(coeffs[x.idx], self.mc_cell_parabolic(x, jkey).coeffs)
-                 for x in system.minimal_coset_reps(jkey) if x.idx in coeffs]
+            r = dot_by_key(dom, (
+                (u, lift(p, lengths[w], 1), c)
+                for u, row in p_rows.items() for w, c in r.items() if (p := row.get(w))
+            ))
+        elif family != "MC":
+            w0, one, dual, weyl = system.w0, dom.one, dom.dualize, dom.weyl
+            n = len(system.roots_outside(jkey))
+            if family == "C~":  # sigma_v = sum_w r_w t^{N_J - l(w)} eps_w eps_v Q^J_{w,v}(t^-2)
+                q_rows = self.hecke.inversion_rows(jkey)[1]
+                r = dot_by_key(dom, (
+                    (v, lift(q, n - lengths[w], (-1) ** (lengths[w] + lengths[v])), c)
+                    for w, c in r.items() for v, q in q_rows[w].items()
+                ))
+            flip = self._once(self._flip, jkey)  # D(w0(s_v)) t^{2 dim_v} on the cell w0 v w_J
+            r = dot_by_key(dom, (
+                (flip[v], lift((1,), 2 * (n - lengths[v]), 1), c if c is one else dual(weyl(w0, c)))
+                for v, c in r.items()
+            ))
+        cells = [(r[x.idx], self.mc_cell_parabolic(x, jkey).coeffs)
+                 for x in system.minimal_coset_reps(jkey) if x.idx in r]
         out = combine(dom, cells)
         if family in ("SMC", "C~"):
-            dual, weyl = dom.dualize, dom.weyl
-            factors = self._once(self._smc_factors, family, jkey)
+            factors = self._once(self._smc_factors, jkey)
             out = {x: dual(weyl(w0, m)) * f for x, y, f in factors if (m := out.get(y)) is not None}
+            if family == "C~":
+                norm = self._once(self._normalizer, jkey)
+                out = {x: c * norm for x, c in out.items()}
         return CohClass(self.mult, out)
+
+    def _t_lift(self, coeffs: tuple, lead: int, sign: int):
+        """sign * sum over j of coeffs[j] t^{lead - 2j}, lifted."""
+        poly = {(lead - 2 * j,): sign * c for j, c in enumerate(coeffs)}
+        return self.mult.t_poly(LaurentPoly(1, poly))
 
     def _flip(self, J) -> dict:
         """{x.idx: (w0 x w_J).idx} over W^J: w0 x w_J is in W^J and represents
@@ -414,23 +415,18 @@ class Localization(Memo):
         times_wj = system.cayley_column(system.longest_parabolic(J).idx)
         return {x.idx: times_wj[system._w0_left[x.idx]] for x in system.minimal_coset_reps(J)}
 
-    def _smc_factors(self, family: str, J) -> list:
+    def _smc_factors(self, J) -> list:
         """[(x, w0 x w_J, f_x)] over W^J, f_x = x((-1)^{N_J} e^{2 rho_J} lambda_J), the
         twist of the product of -e^a / (1 - t^-2 e^a) = 1 / (t^-2 - e^{-a}) over
-        Sigma^+ minus Sigma_J^+, lifted root by root; for family C~, f_x times the
-        normalizer."""
+        Sigma^+ minus Sigma_J^+, lifted root by root."""
         system, weyl = self.system, self.dom.weyl
         t2 = LaurentPoly.t_power(system.rank + 1, -2)
         f = self.mult.root_product(
             lambda a: RatFunc(t2 - LaurentPoly.monomial((0,) + _neg(a), 1)).inv(),
             system.roots_outside(J),
         )
-        flip, reps = self._once(self._flip, J), system.minimal_coset_reps(J)
-        twists = [weyl(x, f) for x in reps]
-        if family == "C~":
-            norm = self._once(self._normalizer, J)
-            twists = [c * norm for c in twists]
-        return [(x, system.elements[flip[x.idx]], c) for x, c in zip(reps, twists)]
+        flip, elements = self._once(self._flip, J), system.elements
+        return [(x, elements[flip[x.idx]], weyl(x, f)) for x in system.minimal_coset_reps(J)]
 
     def _normalizer(self, J):
         """prod (1 - t^-2 e^{-a}) over Sigma^+ minus Sigma_J^+, lifted one binomial

@@ -447,7 +447,6 @@ def suite_gammapsirel(ctx: _Context):
 def suite_inversion(ctx: _Context):
     system = ctx.system
     h = ctx.hecke
-    h.kl_compute_upto(system.w0.length)
     p_rows, q_rows = h.inversion_rows(())
     yield from _inversion_cases("inversion", system.elements, q_rows, p_rows)
     for J in _subsets(system.rank):
@@ -461,7 +460,6 @@ def suite_smoothness(ctx: _Context):
     system = ctx.system
     h = ctx.hecke
     loc = ctx.loc
-    h.kl_compute_upto(system.w0.length)
     for w in system.elements:
         case_id = f"smoothness/fundamental class w={w!r}"
         smooth, _ = loc.is_smooth(w)

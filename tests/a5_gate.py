@@ -38,6 +38,11 @@ GATES = {
         2908126,
         "8d56e34a3754a3aaa06855fe1a2a783df93ed4b5aee7908d057b54439c355a20",
     ),
+    "pushforward": (
+        {"mode": "modp"},
+        4683,
+        "1669c35ce1d95c41c6ddefb1d1135de4104938c787fa0912c19c108da62216a6",
+    ),
 }
 
 

@@ -187,7 +187,7 @@ def test_lazy_kl_rows_match_the_full_table(group):
     # pair, in any order, as the fully computed table does, () when v is not <= w
     system = RootSystem(GROUPS[group])
     full = HeckeAlgebra(system)
-    full.kl_compute_upto(system.w0.length)
+    full.kl_compute_upto()
     lazy = HeckeAlgebra(system)
     for w in random.Random(11).sample(system.elements, system.order):
         for v in system.elements:
@@ -390,7 +390,7 @@ def test_packed_table_matches_the_laurent_recursion(group):
     table equals the one the LaurentPoly recursion gives."""
     system = RootSystem(ORACLE_GROUPS[group])
     h = HeckeAlgebra(system)
-    h.kl_compute_upto(system.w0.length)
+    h.kl_compute_upto()
     gamma = kl_table_by_recursion(h)
     rows = {}
     for w in system.elements:
@@ -399,13 +399,15 @@ def test_packed_table_matches_the_laurent_recursion(group):
         assert {v: p for v, p in table.items() if p} == rows[w]
         assert dict(h.mu_row(w)) == dict(mus) and len(h.mu_row(w)) == len(mus)
         assert h.kl_basis(w) == gamma[w]
-    top, width = system.w0.length, h._width
+    top = system.w0.length
+    width = hecke._slot_width(top)
+    bar_rows = {0: {0: 1 << width * top}}
     for w in system.elements:
         packed = {
             system.elements[v]: LaurentPoly.from_packed(
                 1, {e - top: c for e, c in enumerate(balanced_digits(p, width))}
             )
-            for v, p in h._bar_row(w.idx).items()
+            for v, p in h._walk(bar_rows, w.idx, width, hecke._TAU_INVERSE).items()
         }
         assert type(h.one())(h, packed) == bar_tau(h, w), w
     for J in _subsets(system.rank):
@@ -437,7 +439,7 @@ def test_a_dropped_mu_term_is_refused(monkeypatch, a3):
 
     monkeypatch.setattr(HeckeAlgebra, "mu_terms", drop_one)
     with pytest.raises(AssertionError, match="KL degree bound violated"):
-        HeckeAlgebra(a3).kl_compute_upto(a3.w0.length)
+        HeckeAlgebra(a3).kl_compute_upto()
     assert dropped
 
 
@@ -448,22 +450,74 @@ def test_a_wrong_recursion_step_fails_the_bar_check(monkeypatch, a3, step):
     structure checks of the row, refuses the first gamma_w it makes."""
     monkeypatch.setattr(hecke, "_TAU_PLUS_T", step)
     with pytest.raises(AssertionError, match="not bar-invariant"):
-        HeckeAlgebra(a3).kl_compute_upto(a3.w0.length)
+        HeckeAlgebra(a3).kl_compute_upto()
 
 
 @pytest.mark.parametrize("width, checked", [(10, True), (4, False)])
 def test_slots_below_the_bound_raise_overflow(monkeypatch, a3, width, checked):
     """A slot width below the a priori bound is refused, by the bar check's
     limit or, with no bar check, by the limit on reading gamma_w back, before
-    any digit could wrap; the a priori width passes."""
-    assert hecke._slot_width(a3.w0.length) > width
+    any digit could wrap; a build at the a priori width passes."""
+    slot_width = hecke._slot_width
+    assert slot_width(a3.w0.length) > width
     monkeypatch.setattr(hecke, "_slot_width", lambda top: width)
     if not checked:
         monkeypatch.setattr(HeckeAlgebra, "_bar_check_plan", lambda self, order: set())
     h = HeckeAlgebra(a3)
     with pytest.raises(OverflowError):
-        h.kl_compute_upto(a3.w0.length)
+        h.kl_compute_upto()
     monkeypatch.undo()
+    widths = []
+
+    def recorded(top):
+        widths.append(slot_width(top))
+        return widths[-1]
+
+    monkeypatch.setattr(hecke, "_slot_width", recorded)
     full = HeckeAlgebra(a3)
-    full.kl_compute_upto(a3.w0.length)
-    assert full._width == hecke._slot_width(a3.w0.length)
+    full.kl_compute_upto()
+    assert widths == [slot_width(a3.w0.length)]
+    assert all(row is not None for row in full._rows)
+
+
+@pytest.mark.parametrize("group", ["A3", "B3"])
+def test_one_read_builds_the_whole_table_and_keeps_only_its_rows(monkeypatch, group):
+    """The first read of any row builds every row, and the algebra then holds
+    the rows and mu terms alone; each row is recorded once, whatever order
+    the rows are read in."""
+    system = RootSystem(GROUPS[group])
+    record, recorded = HeckeAlgebra._record_kl_row, []
+
+    def counted(self, w, digits):
+        recorded.append(w)
+        return record(self, w, digits)
+
+    monkeypatch.setattr(HeckeAlgebra, "_record_kl_row", counted)
+    for seed in range(3):
+        recorded.clear()
+        h = HeckeAlgebra(system)
+        order = random.Random(seed).sample(system.elements, system.order)
+        h.kl_polynomial(system.identity, order[0])
+        assert set(vars(h)) == {"system", "_memo", "_rows", "_mu"}
+        assert all(row is not None for row in h._rows) and all(m is not None for m in h._mu)
+        for w in order:
+            h.mu_row(w)
+            h.kl_basis(w)
+            h.kl_polynomial(w, system.w0)
+        assert sorted(recorded, key=lambda w: w.idx) == system.elements
+
+
+@pytest.mark.parametrize("group", ["A3", "B3"])
+def test_a_build_that_overflows_is_refused_on_every_read(monkeypatch, group):
+    """With slots below the bound, the first read raises OverflowError, and a
+    second read of a row the failed build never reached raises it again
+    instead of returning a partial table."""
+    system = RootSystem(GROUPS[group])
+    assert hecke._slot_width(system.w0.length) > 10
+    monkeypatch.setattr(hecke, "_slot_width", lambda top: 10)
+    h = HeckeAlgebra(system)
+    with pytest.raises(OverflowError):
+        h.kl_polynomial(system.identity, system.identity)
+    assert h._rows[system.w0.idx] is None
+    with pytest.raises(OverflowError):
+        h.kl_polynomial(system.identity, system.w0)

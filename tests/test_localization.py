@@ -762,7 +762,7 @@ def test_memoized_classes_are_shared_and_keep_their_J(loc3, a3):
     unshared = [name for name, (one, two) in SHARED.items() if two(loc3, u) is not one(loc3, u)]
     assert unshared == []
     held = [key for key in loc3._memo if key[0] == "_smc_factors"]
-    assert held == [("_smc_factors", "SMC", (0, 2))]
+    assert held == [("_smc_factors", (0, 2))]
 
 
 def test_smoothness_verdicts_are_built_once(loc3, a3):
